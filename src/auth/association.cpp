@@ -65,11 +65,12 @@ std::optional<SatelliteId> AssociationAgent::selectSatellite(
   // The batched associateUsers path amortizes the index across users and
   // produces the identical winner (first-wins ascending tie order, same
   // elevation and range expressions).
+  const GroundObserver observer(userEcef);
   double bestRange = std::numeric_limits<double>::infinity();
   std::optional<SatelliteId> best;
   for (const BeaconMessage& b : beacons) {
     const Vec3 satEcef = eciToEcef(positionEci(b.elements, tSeconds), tSeconds);
-    if (elevationAngleRad(userEcef, satEcef) < minElevationRad) continue;
+    if (observer.elevationTo(satEcef) < minElevationRad) continue;
     const double range = userEcef.distanceTo(satEcef);
     if (range < bestRange) {
       bestRange = range;

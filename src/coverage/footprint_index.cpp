@@ -213,9 +213,10 @@ int FootprintIndex2::countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
 }
 
 bool FootprintIndex2::anyVisibleFrom(const Vec3& siteEcef) const {
+  const GroundObserver site(siteEcef);
   bool any = false;
   forEachGroundCandidate(siteEcef, [&](std::uint32_t i) {
-    any = elevationAngleRad(siteEcef, snapshot_->ecef(i)) >= minElevationRad_;
+    any = site.elevationTo(snapshot_->ecef(i)) >= minElevationRad_;
     // Visibility is order-independent; returning true stops the candidate
     // scan at the first visible satellite, like the brute scan's break.
     return any;
@@ -229,12 +230,11 @@ std::optional<std::size_t> FootprintIndex2::closestVisible(
   // and keeps the first minimum; under the index's unspecified candidate
   // order the lexicographic (range, index) minimum selects the same
   // satellite.
+  const GroundObserver site(siteEcef);
   std::optional<std::size_t> best;
   double bestRange = std::numeric_limits<double>::infinity();
   forEachGroundCandidate(siteEcef, [&](std::uint32_t i) {
-    if (elevationAngleRad(siteEcef, snapshot_->ecef(i)) < minElevationRad_) {
-      return;
-    }
+    if (site.elevationTo(snapshot_->ecef(i)) < minElevationRad_) return;
     const double range = siteEcef.distanceTo(snapshot_->ecef(i));
     if (range < bestRange ||
         (range == bestRange && (!best || i < *best))) {

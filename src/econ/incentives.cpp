@@ -27,10 +27,10 @@ class CoverageOracle {
                  double minElevationRad, int samples, Rng& rng)
       : memberSeen_(members.size()) {
     // Precompute, per member, which sample points it covers.
-    std::vector<Vec3> points;
+    std::vector<GroundObserver> points;
     points.reserve(static_cast<std::size_t>(samples));
     for (int i = 0; i < samples; ++i) {
-      points.push_back(rng.unitSphere() * wgs84::kMeanRadiusM);
+      points.emplace_back(rng.unitSphere() * wgs84::kMeanRadiusM);
     }
     for (std::size_t m = 0; m < members.size(); ++m) {
       const auto snap =
@@ -39,7 +39,7 @@ class CoverageOracle {
       memberSeen_[m].assign(points.size(), false);
       for (std::size_t p = 0; p < points.size(); ++p) {
         for (const Vec3& sat : eci) {
-          if (elevationAngleRad(points[p], sat) >= minElevationRad) {
+          if (points[p].elevationTo(sat) >= minElevationRad) {
             memberSeen_[m][p] = true;
             break;
           }

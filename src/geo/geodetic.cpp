@@ -98,9 +98,31 @@ double greatCircleDistanceM(const Geodetic& a, const Geodetic& b) {
 }
 
 double elevationAngleRad(const Vec3& observer, const Vec3& target) {
-  const Vec3 up = observer.normalized();  // local vertical (spherical model)
-  const Vec3 losDir = (target - observer).normalized();
-  return kPi / 2.0 - angleBetween(up, losDir);
+  return GroundObserver(observer).elevationTo(target);
+}
+
+GroundObserver::GroundObserver(const Vec3& ecef) noexcept
+    : ecef_(ecef),
+      up_(ecef.normalized()),  // local vertical (spherical model)
+      upNorm_(up_.norm()),
+      radiusM_(ecef.norm()) {}
+
+GroundObserver::GroundObserver(const Geodetic& site)
+    : GroundObserver(geodeticToEcef(site)) {}
+
+double GroundObserver::elevationTo(const Vec3& targetEcef) const noexcept {
+  // angleBetween(up_, losDir) with the observer-only factor hoisted: the
+  // same operands in the same order, so the result is bit-identical. Both
+  // factors of the denominator are norms of normalized vectors (~1 or NaN),
+  // so angleBetween's zero-length throw cannot fire here.
+  const Vec3 losDir = (targetEcef - ecef_).normalized();
+  const double denom = upNorm_ * losDir.norm();
+  const double c = std::clamp(up_.dot(losDir) / denom, -1.0, 1.0);
+  return kPi / 2.0 - std::acos(c);
+}
+
+double GroundObserver::centralAngleTo(const Vec3& targetEcef) const noexcept {
+  return std::atan2(ecef_.cross(targetEcef).norm(), ecef_.dot(targetEcef));
 }
 
 double slantRangeM(const Vec3& a, const Vec3& b) { return a.distanceTo(b); }

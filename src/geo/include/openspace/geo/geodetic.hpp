@@ -54,6 +54,40 @@ double centralAngleRad(const Geodetic& a, const Geodetic& b);
 /// surface. Positive means above the local horizon plane.
 double elevationAngleRad(const Vec3& observer, const Vec3& target);
 
+/// A ground observer compiled once for repeated elevation tests. The ECEF
+/// position and the local vertical (geocentric, spherical model) are
+/// computed at construction, so one elevation costs a line-of-sight
+/// normalization and an acos instead of a geodetic conversion plus two
+/// more normalizations. elevationTo(target) is bit-identical to
+/// elevationAngleRad(ecef(), target) — that function is implemented on top
+/// of this class.
+class GroundObserver {
+ public:
+  explicit GroundObserver(const Vec3& ecef) noexcept;
+  /// Compiles geodeticToEcef(site); throws as that function does.
+  explicit GroundObserver(const Geodetic& site);
+
+  const Vec3& ecef() const noexcept { return ecef_; }
+  /// Distance from the Earth's center, meters.
+  double radiusM() const noexcept { return radiusM_; }
+
+  /// Elevation (radians) of the ECEF target above the local horizon; NaN
+  /// for a target at the observer itself.
+  double elevationTo(const Vec3& targetEcef) const noexcept;
+
+  /// Earth-central angle (radians, [0, pi]) between the observer and the
+  /// ECEF target. The atan2 form stays accurate to a few ULP at every
+  /// separation, including a target straight overhead.
+  double centralAngleTo(const Vec3& targetEcef) const noexcept;
+
+ private:
+  Vec3 ecef_;
+  Vec3 up_;               ///< ecef_.normalized(): the local vertical.
+  // up_.norm(), as the uncompiled path evaluates it.
+  double upNorm_ = 0.0;   // units: dimensionless (norm of a unit vector)
+  double radiusM_ = 0.0;  ///< ecef_.norm().
+};
+
 /// Straight-line (slant) range between two ECEF/ECI points, meters.
 double slantRangeM(const Vec3& a, const Vec3& b);
 

@@ -12,6 +12,7 @@
 // and a timeline simulator producing handover cadence + outage statistics.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -52,6 +53,25 @@ class HandoverPlanner {
   double visibilityEndWith(SatelliteSweep& sweep, const Geodetic& user,
                            double fromS, double horizonS = 3'600.0) const;
 
+  /// The search itself (visibilityEndWith is visibleUntil(...).value_or(
+  /// fromS)), on a sweep reset() to the satellite and an observer compiled
+  /// once by the caller: nullopt when the satellite is
+  /// below the mask at fromS, else its visibility end. The 10 s scan and
+  /// the ~1 ms bisection skip the evaluation of every sample a bound on the
+  /// satellite's angular motion proves visible or hidden (only the warm
+  /// Kepler start advances there); every other sample is evaluated
+  /// exactly, so each decision and the result are bit-for-bit those of the
+  /// plain search that evaluates every sample (pinned in
+  /// tests/test_handover.cpp). Candidate loops call this directly: the
+  /// first sample doubles as their visible-now test, and `beatS` is their
+  /// best end so far — once the scan brackets the end at or below beatS,
+  /// the search returns that bracket's upper edge (<= beatS, so the
+  /// candidate loses a strict comparison) instead of bisecting on.
+  std::optional<double> visibleUntil(
+      SatelliteSweep& sweep, const GroundObserver& user, double fromS,
+      double horizonS = 3'600.0,
+      double beatS = -std::numeric_limits<double>::infinity()) const;
+
   /// Best serving satellite at time t: visible and longest remaining
   /// service (maximizes time-to-next-handover), excluding `exclude`.
   std::optional<SatelliteId> bestSatelliteAt(const Geodetic& user, double tSeconds,
@@ -71,6 +91,8 @@ class HandoverPlanner {
  private:
   const EphemerisService& ephemeris_;
   double minElevationRad_;
+  // cos(minElevationRad_), for the step-skipping bound.
+  double cosMask_;  // units: dimensionless cosine
 };
 
 /// Handover execution mode under study.

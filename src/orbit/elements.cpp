@@ -41,6 +41,11 @@ double OrbitalElements::perigeeAltitudeM() const {
   return semiMajorAxisM * (1.0 - eccentricity) - wgs84::kMeanRadiusM;
 }
 
+double OrbitalElements::maxAngularRateRadPerS() const {
+  return meanMotionRadPerS() * std::sqrt(1.0 + eccentricity) /
+         std::pow(1.0 - eccentricity, 1.5);
+}
+
 double solveKeplerReduced(double reducedMeanAnomalyRad, double eccentricity) {
   // Newton's method on f(E) = E - e sin E - M. Starting from E = M (or pi
   // for high e) converges quadratically for most of the (e, M) plane; 20

@@ -35,6 +35,11 @@ struct OrbitalElements {
 
   /// Altitude above the mean-radius Earth at perigee, meters.
   double perigeeAltitudeM() const;
+
+  /// Upper bound on the inertial angular rate of the radius vector: the
+  /// rate at perigee, n * sqrt(1+e) / (1-e)^{3/2}, rad/s. Purely kinematic
+  /// (a function of the mean motion and eccentricity the propagators use).
+  double maxAngularRateRadPerS() const;
 };
 
 /// Position and velocity in the ECI frame.

@@ -202,7 +202,26 @@ class SatelliteSweep {
   /// ECI position at t; successive calls warm-start from each other.
   Vec3 positionEciAt(double tSeconds);
 
+  /// Advance the warm start to t without evaluating the position: every
+  /// later positionEciAt is bit-for-bit what it would be had
+  /// positionEciAt(t) run here. Costs the Kepler solve alone — nothing for
+  /// a circular orbit — so scans can skip samples they have proven
+  /// uninteresting without perturbing the samples they do evaluate.
+  void skipTo(double tSeconds);
+
+  /// Orbit radius at perigee, a(1-e), and at apogee, a(1+e), meters: the
+  /// bounds of the radius at every time.
+  double perigeeRadiusM() const noexcept { return perigeeRadiusM_; }
+  double apogeeRadiusM() const noexcept { return apogeeRadiusM_; }
+  /// OrbitalElements::maxAngularRateRadPerS of the orbit.
+  double maxAngularRateRadPerS() const noexcept {
+    return maxAngularRateRadPerS_;
+  }
+
  private:
+  /// The warm-started eccentric anomaly at t (updates the warm state).
+  double eccentricAnomalyAt(double tSeconds);
+
   double semiMajorAxisM_ = 0.0;
   double eccentricity_ = 0.0;
   double meanMotionRadPerS_ = 0.0;
@@ -210,6 +229,9 @@ class SatelliteSweep {
   double semiMinorAxisM_ = 0.0;
   double p1_ = 0.0, p2_ = 0.0, p3_ = 0.0;  // units: rotation-matrix entries
   double q1_ = 0.0, q2_ = 0.0, q3_ = 0.0;  // units: rotation-matrix entries
+  double perigeeRadiusM_ = 0.0;
+  double apogeeRadiusM_ = 0.0;
+  double maxAngularRateRadPerS_ = 0.0;
   double prevMeanRad_ = 0.0;
   double prevEccentricRad_ = 0.0;
   bool primed_ = false;

@@ -409,6 +409,9 @@ void SatelliteSweep::reset(const OrbitalElements& elements) {
   q2_ = -sO * sW + cO * cW * cI;
   p3_ = sW * sI;
   q3_ = cW * sI;
+  perigeeRadiusM_ = a * (1.0 - ecc);
+  apogeeRadiusM_ = a * (1.0 + ecc);
+  maxAngularRateRadPerS_ = elements.maxAngularRateRadPerS();
   // Drop the warm start: the next positionEciAt runs the cold Kepler
   // solve, exactly like a freshly constructed sweep.
   prevMeanRad_ = 0.0;
@@ -416,11 +419,18 @@ void SatelliteSweep::reset(const OrbitalElements& elements) {
   primed_ = false;
 }
 
-Vec3 SatelliteSweep::positionEciAt(double tSeconds) {
+double SatelliteSweep::eccentricAnomalyAt(double tSeconds) {
   const double mRad = meanAnomalyAtEpochRad_ + meanMotionRadPerS_ * tSeconds;
   const double eAnomRad = solveKeplerWarm(mRad, eccentricity_, primed_,
                                           prevMeanRad_, prevEccentricRad_);
   primed_ = true;
+  return eAnomRad;
+}
+
+void SatelliteSweep::skipTo(double tSeconds) { eccentricAnomalyAt(tSeconds); }
+
+Vec3 SatelliteSweep::positionEciAt(double tSeconds) {
+  const double eAnomRad = eccentricAnomalyAt(tSeconds);
   const double cosE = std::cos(eAnomRad);
   const double sinE = std::sin(eAnomRad);
   const double xP = semiMajorAxisM_ * (cosE - eccentricity_);

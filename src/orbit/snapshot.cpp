@@ -113,10 +113,11 @@ std::optional<std::size_t> ConstellationSnapshot::closestVisible(
     const Vec3& siteEcef, double minElevationRad) const {
   OPENSPACE_ASSERT(ecef_.size() == elements_.size(),
                    "snapshot fully propagated before visibility queries");
+  const GroundObserver site(siteEcef);
   std::optional<std::size_t> best;
   double bestRange = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < ecef_.size(); ++i) {
-    if (elevationAngleRad(siteEcef, ecef_[i]) < minElevationRad) continue;
+    if (site.elevationTo(ecef_[i]) < minElevationRad) continue;
     const double range = siteEcef.distanceTo(ecef_[i]);
     if (range < bestRange) {
       bestRange = range;

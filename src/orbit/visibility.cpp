@@ -39,9 +39,7 @@ double maxSlantRangeM(double altitudeM, double minElevationRad) {
 }
 
 double elevationFrom(const Vec3& satEci, const Geodetic& ground, double tSeconds) {
-  const Vec3 groundEcef = geodeticToEcef(ground);
-  const Vec3 satEcef = eciToEcef(satEci, tSeconds);
-  return elevationAngleRad(groundEcef, satEcef);
+  return GroundObserver(ground).elevationTo(eciToEcef(satEci, tSeconds));
 }
 
 bool isVisible(const Vec3& satEci, const Geodetic& ground, double tSeconds,
@@ -56,8 +54,10 @@ std::vector<ContactWindow> contactWindows(const OrbitalElements& el,
   if (stepS <= 0.0) throw InvalidArgumentError("contactWindows: step must be > 0");
   if (t1S < t0S) throw InvalidArgumentError("contactWindows: t1S < t0S");
 
+  const GroundObserver site(ground);
   const auto above = [&](double t) {
-    return elevationFrom(positionEci(el, t), ground, t) >= minElevationRad;
+    return site.elevationTo(eciToEcef(positionEci(el, t), t)) >=
+           minElevationRad;
   };
   // Bisect a rise/set edge between tLo (state `lo`) and tHi to ~1 ms.
   const auto refine = [&](double tLo, double tHi, bool lo) {

@@ -29,19 +29,16 @@ constexpr double kScanStepS = 10.0;
 constexpr double kMarginSlackRad = 1e-6;
 
 /// Signaling latency of one predictive handover — the expression of the
-/// legacy simulateHandovers path, with the fleet positions coming from the
-/// compiled ephemeris (bit-identical to the scalar positionEci the legacy
-/// path calls).
-double predictiveLatencyS(const FleetEphemeris& fleet, const Vec3& userEcef,
-                          std::uint32_t from, std::uint32_t to,
-                          double tSeconds) {
+/// legacy simulateHandovers path, with the positions from cold copies of
+/// the compiled sweeps (a sweep's first position is the cold solve, bit-
+/// identical to the scalar positionEci the legacy path calls).
+double predictiveLatencyS(SatelliteSweep from, SatelliteSweep to,
+                          const Vec3& userEcef, double tSeconds) {
   const double downS =
-      userEcef.distanceTo(eciToEcef(fleet.positionAt(from, tSeconds),
-                                    tSeconds)) /
+      userEcef.distanceTo(eciToEcef(from.positionEciAt(tSeconds), tSeconds)) /
       kSpeedOfLightMps;
   const double upS =
-      userEcef.distanceTo(eciToEcef(fleet.positionAt(to, tSeconds),
-                                    tSeconds)) /
+      userEcef.distanceTo(eciToEcef(to.positionEciAt(tSeconds), tSeconds)) /
       kSpeedOfLightMps;
   return downS + 2.0 * upS;
 }
@@ -72,61 +69,47 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
     throw InvalidArgumentError("HandoverSweep: empty fleet");
   }
   elements_.reserve(sats.size());
+  sweeps_.reserve(sats.size());
   for (const SatelliteId sid : sats) {
     elements_.push_back(ephemeris.record(sid).elements);
+    sweeps_.emplace_back(elements_.back());
   }
-  elementsHash_ = constellationHash(elements_);
   // Fleet-wide angular-rate bound: the orbital rate peaks at perigee at
   // n * sqrt(1+e) / (1-e)^{3/2}; the observer's ECI direction adds the
   // Earth rotation rate. Scales the epoch index's candidate motion margin.
   double maxOrbital = 0.0;
   for (const OrbitalElements& el : elements_) {
-    const double n = el.meanMotionRadPerS();
-    const double rate = n * std::sqrt(1.0 + el.eccentricity) /
-                        std::pow(1.0 - el.eccentricity, 1.5);
-    maxOrbital = std::max(maxOrbital, rate);
+    maxOrbital = std::max(maxOrbital, el.maxAngularRateRadPerS());
   }
   maxAngularRateRadPerS_ = maxOrbital + wgs84::kEarthRotationRadPerS;
 }
 
 std::uint32_t HandoverSweep::bestAt(const FootprintIndex2& index,
-                                    const FleetEphemeris& fleet,
-                                    const Vec3& siteEcef, const Geodetic& site,
+                                    const GroundObserver& site,
                                     double tSeconds, std::uint32_t excludeSat,
                                     SatelliteSweep& sweep,
-                                    std::vector<std::uint32_t>& scratch) const {
-  double bestUntil = -1.0;
-  return bestAtWithUntil(index, fleet, siteEcef, site, tSeconds, excludeSat,
-                         sweep, scratch, bestUntil);
-}
-
-std::uint32_t HandoverSweep::bestAtWithUntil(
-    const FootprintIndex2& index, const FleetEphemeris& fleet,
-    const Vec3& siteEcef, const Geodetic& site, double tSeconds,
-    std::uint32_t excludeSat, SatelliteSweep& sweep,
-    std::vector<std::uint32_t>& scratch, double& bestUntil) const {
+                                    std::vector<std::uint32_t>& scratch,
+                                    double& bestUntil) const {
   // The planner's bestSatelliteAt, fed from the epoch index: the index's
   // candidate set is a (margined) superset of the per-call index the
   // planner compiles, and both re-test with the exact elevation predicate
   // in ascending order with strict first-wins — so the winner and its
   // visibility end are bit-identical (pinned in tests/test_session.cpp).
+  // The search's first sample is the cold position the planner tests, so
+  // visibleUntil doubles as the visible-now filter.
   scratch.clear();
   index.forEachGroundCandidate(
-      siteEcef, [&](std::uint32_t i) { scratch.push_back(i); });
+      site.ecef(), [&](std::uint32_t i) { scratch.push_back(i); });
   std::sort(scratch.begin(), scratch.end());
   std::uint32_t best = kNoSatellite;
   bestUntil = -1.0;
   for (const std::uint32_t i : scratch) {
     if (i == excludeSat) continue;
-    if (elevationFrom(fleet.positionAt(i, tSeconds), site, tSeconds) <
-        cfg_.minElevationRad) {
-      continue;
-    }
-    sweep.reset(elements_[i]);
-    const double until =
-        planner_.visibilityEndWith(sweep, site, tSeconds, cfg_.horizonS);
-    if (until > bestUntil) {
-      bestUntil = until;
+    sweep = sweeps_[i];
+    const std::optional<double> until = planner_.visibleUntil(
+        sweep, site, tSeconds, cfg_.horizonS, bestUntil);
+    if (until && *until > bestUntil) {
+      bestUntil = *until;
       best = i;
     }
   }
@@ -147,7 +130,6 @@ void HandoverSweep::seed(SessionTable& table,
   // what the legacy initial acquisition compiles.
   const auto snap = SnapshotCache::global().at(elements_, t0S);
   const auto index = FootprintIndex2::compiled(snap, cfg_.minElevationRad);
-  const auto fleet = FleetEphemeris::compiled(elements_, elementsHash_);
   std::vector<std::uint32_t> serving(seeds.size(), kNoSatellite);
   std::vector<double> untilS(seeds.size(), 0.0);
   parallelFor(seeds.size(), kSeedChunk,
@@ -155,18 +137,19 @@ void HandoverSweep::seed(SessionTable& table,
                 SatelliteSweep sweep;
                 std::vector<std::uint32_t> scratch;
                 for (std::size_t u = begin; u < end; ++u) {
-                  const Vec3 siteEcef = geodeticToEcef(seeds[u].location);
+                  const GroundObserver site(seeds[u].location);
                   if (mode == SeedMode::Planner) {
-                    serving[u] = bestAtWithUntil(
-                        *index, *fleet, siteEcef, seeds[u].location, t0S,
-                        kNoSatellite, sweep, scratch, untilS[u]);
+                    serving[u] = bestAt(*index, site, t0S, kNoSatellite,
+                                        sweep, scratch, untilS[u]);
                   } else {
-                    const auto closest = index->closestVisible(siteEcef);
+                    const auto closest = index->closestVisible(site.ecef());
                     if (closest) {
                       serving[u] = static_cast<std::uint32_t>(*closest);
-                      sweep.reset(elements_[serving[u]]);
-                      untilS[u] = planner_.visibilityEndWith(
-                          sweep, seeds[u].location, t0S, cfg_.horizonS);
+                      sweep = sweeps_[serving[u]];
+                      untilS[u] =
+                          planner_
+                              .visibleUntil(sweep, site, t0S, cfg_.horizonS)
+                              .value_or(t0S);
                     }
                   }
                 }
@@ -256,7 +239,6 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
   const auto snap = SnapshotCache::global().at(elements_, midS);
   const auto index =
       FootprintIndex2::compiled(snap, cfg_.minElevationRad, marginRad);
-  const auto fleet = FleetEphemeris::compiled(elements_, elementsHash_);
 
   std::vector<ShardStats> stats(table.shardCount());
   parallelFor(table.shardCount(), 1, [&](std::size_t begin, std::size_t end) {
@@ -277,15 +259,17 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
       // clause for clause.
       const auto processSession = [&](std::uint32_t slot) {
         ++out.touched;
+        // Compiled once per session per epoch; every elevation test of the
+        // session's chain below reuses it.
+        const GroundObserver site(st.siteEcef[slot]);
         for (;;) {
           if (st.state[slot] == SessionState::Scanning) {
             double gridS = st.nextEventS[slot];
             std::uint32_t found = kNoSatellite;
             double foundUntil = 0.0;
             while (gridS < t1S) {
-              found = bestAtWithUntil(*index, *fleet, st.siteEcef[slot],
-                                      st.site[slot], gridS, kNoSatellite,
-                                      sweep, scratch, foundUntil);
+              found = bestAt(*index, site, gridS, kNoSatellite, sweep,
+                             scratch, foundUntil);
               if (found != kNoSatellite) break;
               gridS += kScanStepS;
             }
@@ -317,9 +301,9 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           // crossing, serving satellite excluded — the legacy rule.
           const std::uint32_t from = st.servingSat[slot];
           double succUntil = 0.0;
-          const std::uint32_t succ = bestAtWithUntil(
-              *index, *fleet, st.siteEcef[slot], st.site[slot], endS - 1e-3,
-              from, sweep, scratch, succUntil);
+          const std::uint32_t succ =
+              bestAt(*index, site, endS - 1e-3, from, sweep, scratch,
+                     succUntil);
           if (succ == kNoSatellite) {
             // Coverage hole: re-acquire on the 10 s grid from the mask
             // crossing (the first probe runs at endS itself).
@@ -345,8 +329,8 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           }
           const double latencyS =
               cfg_.mode == HandoverMode::Predictive
-                  ? predictiveLatencyS(*fleet, st.siteEcef[slot], from, succ,
-                                       endS)
+                  ? predictiveLatencyS(sweeps_[from], sweeps_[succ],
+                                       site.ecef(), endS)
                   : cfg_.reassocCost.beaconPeriodS / 2.0 +
                         cfg_.reassocCost.authRttS;
           // Certificate check at the successor: a cache hit means the
@@ -374,9 +358,10 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           st.servingSat[slot] = succ;
           // Next leg starts once the switch signaling completes.
           const double legStartS = endS + latencyS;
-          sweep.reset(elements_[succ]);
-          st.nextEventS[slot] = planner_.visibilityEndWith(
-              sweep, st.site[slot], legStartS, cfg_.horizonS);
+          sweep = sweeps_[succ];
+          st.nextEventS[slot] =
+              planner_.visibleUntil(sweep, site, legStartS, cfg_.horizonS)
+                  .value_or(legStartS);
         }
       };
 

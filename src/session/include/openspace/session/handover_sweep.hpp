@@ -13,8 +13,11 @@
 //  * the per-shard expiry heaps select exactly the sessions whose
 //    predicted handover falls inside the epoch — no full-table scan;
 //  * visibility searches run on one warm-startable SatelliteSweep per
-//    shard through HandoverPlanner::visibilityEndWith, the planner's own
-//    search core;
+//    shard through HandoverPlanner::visibleUntil, the planner's own search
+//    core, which skips every scan sample it can prove; each session's site
+//    is compiled once per epoch (GroundObserver) and each satellite's
+//    sweep once per HandoverSweep, so a candidate costs a copy, not a
+//    reset();
 //  * certificate verification results are cached per shard, so a
 //    steady-state handover is a purely local operation (no tag
 //    recomputation, never a home-ISP round trip — paper §2.2).
@@ -38,7 +41,6 @@
 
 namespace openspace {
 
-class FleetEphemeris;
 class FootprintIndex2;
 
 /// Epoch-kernel configuration. The defaults reproduce the legacy
@@ -124,31 +126,25 @@ class HandoverSweep {
  private:
   struct ShardStats;
 
-  /// Index of the best satellite at `tSeconds` for the site — candidates
-  /// from the margined epoch index, the exact planner predicate and
-  /// first-wins tie order, visibility ends through `sweep`. Bit-identical
-  /// to HandoverPlanner::bestSatelliteAt. kNoSatellite when none visible.
+  /// Index of the best satellite at `tSeconds` for the compiled site —
+  /// candidates from the margined epoch index, the exact planner predicate
+  /// and first-wins tie order, visibility ends through `sweep`, the
+  /// winner's visibility end through `bestUntil` (the new leg's predicted
+  /// expiry). Bit-identical to HandoverPlanner::bestSatelliteAt.
+  /// kNoSatellite when none visible.
   std::uint32_t bestAt(const FootprintIndex2& index,
-                       const FleetEphemeris& fleet, const Vec3& siteEcef,
-                       const Geodetic& site, double tSeconds,
+                       const GroundObserver& site, double tSeconds,
                        std::uint32_t excludeSat, SatelliteSweep& sweep,
-                       std::vector<std::uint32_t>& scratch) const;
-
-  /// bestAt, additionally returning the winner's visibility end through
-  /// `bestUntil` (the new leg's predicted expiry — saves re-searching it).
-  std::uint32_t bestAtWithUntil(const FootprintIndex2& index,
-                                const FleetEphemeris& fleet,
-                                const Vec3& siteEcef, const Geodetic& site,
-                                double tSeconds, std::uint32_t excludeSat,
-                                SatelliteSweep& sweep,
-                                std::vector<std::uint32_t>& scratch,
-                                double& bestUntil) const;
+                       std::vector<std::uint32_t>& scratch,
+                       double& bestUntil) const;
 
   const EphemerisService& ephemeris_;
   SweepConfig cfg_;
   HandoverPlanner planner_;
   std::vector<OrbitalElements> elements_;
-  std::uint64_t elementsHash_ = 0;
+  /// One sweep per satellite, reset() once here: copying one into a
+  /// working sweep is the reset() without its trig, per candidate.
+  std::vector<SatelliteSweep> sweeps_;
   double maxAngularRateRadPerS_ = 0.0;
 };
 

@@ -246,10 +246,11 @@ NetworkGraph TopologyBuilder::snapshot(double tSeconds,
   const auto addGroundLinks = [&](const std::vector<SiteEntry>& sites,
                                   LinkType type) {
     for (const auto& site : sites) {
-      const Vec3 siteEcef = geodeticToEcef(site.site.location);
+      const GroundObserver observer(site.site.location);
+      const Vec3& siteEcef = observer.ecef();
       for (std::size_t i = 0; i < sats.size(); ++i) {
         const Vec3& satEcef = snap->ecef(i);
-        const double elev = elevationAngleRad(siteEcef, satEcef);
+        const double elev = observer.elevationTo(satEcef);
         if (elev < opt.minElevationRad) continue;
         const double dist = siteEcef.distanceTo(satEcef);
         const double cap = (type == LinkType::Gsl)

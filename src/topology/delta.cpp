@@ -84,7 +84,7 @@ IncrementalTopology::IncrementalTopology(const TopologyBuilder& builder,
   const auto addSites = [&](const std::vector<TopologyBuilder::SiteEntry>& sites,
                             NodeKind kind, std::vector<SiteRec>& out) {
     for (const auto& entry : sites) {
-      out.push_back({entry.node, geodeticToEcef(entry.site.location),
+      out.push_back({entry.node, GroundObserver(entry.site.location),
                      static_cast<std::uint32_t>(nt->denseToNode.size())});
       nt->denseToNode.push_back(entry.node);
       nt->nodeKind.push_back(kind);
@@ -234,7 +234,7 @@ void IncrementalTopology::enumerateSpecs(const ConstellationSnapshot& snap) {
   // pi/2 - acos(dot(up, los)/..) with both norms positive, so its sign is
   // the sign of dot(site, sat - site). A non-positive dot therefore proves
   // elev <= 0 < minElevationRad and the sat can be skipped without
-  // evaluating the two normalizations + acos; every survivor still goes
+  // evaluating the line-of-sight normalization + acos; every survivor goes
   // through the exact elevation test, so the accepted set — and every
   // emitted double — is bit-identical to the fresh path's. Only sound for
   // a strictly positive mask (elev == 0 must still be rejected by it).
@@ -242,14 +242,15 @@ void IncrementalTopology::enumerateSpecs(const ConstellationSnapshot& snap) {
   const std::vector<Vec3>& satEcefArr = snap.ecef();
   const auto groundLinks = [&](const std::vector<SiteRec>& sites, LinkType type) {
     for (const SiteRec& site : sites) {
+      const Vec3& siteEcef = site.observer.ecef();
       for (std::size_t i = 0; i < s; ++i) {
         const Vec3& satEcef = satEcefArr[i];
-        if (horizonPrefilter && (satEcef - site.ecef).dot(site.ecef) <= 0.0) {
+        if (horizonPrefilter && (satEcef - siteEcef).dot(siteEcef) <= 0.0) {
           continue;
         }
-        const double elev = elevationAngleRad(site.ecef, satEcef);
+        const double elev = site.observer.elevationTo(satEcef);
         if (elev < opt_.minElevationRad) continue;
-        const double dist = site.ecef.distanceTo(satEcef);
+        const double dist = siteEcef.distanceTo(satEcef);
         const double cap = (type == LinkType::Gsl)
                                ? gslCapacityBps(dist, elev)
                                : userLinkCapacityBps(dist, elev);

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include <openspace/geo/geodetic.hpp>
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
 
@@ -136,7 +137,7 @@ class IncrementalTopology {
  private:
   struct SiteRec {
     NodeId node;
-    Vec3 ecef;
+    GroundObserver observer;  ///< Compiled once; reused every step.
     std::uint32_t dense;
   };
 

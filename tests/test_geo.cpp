@@ -2,7 +2,10 @@
 // geometry, line-of-sight, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include <openspace/geo/error.hpp>
@@ -207,6 +210,54 @@ TEST(Elevation, AntipodalTargetIsBelowHorizon) {
   const Vec3 obs = geodeticToEcef(Geodetic::fromDegrees(0.0, 0.0));
   const Vec3 anti = geodeticToEcef(Geodetic::fromDegrees(0.0, 180.0, 780e3));
   EXPECT_LT(elevationAngleRad(obs, anti), 0.0);
+}
+
+TEST(GroundObserver, ElevationMatchesUncompiledFormulaBitForBit) {
+  // The executable spec: the per-call elevation every fixed-site loop used
+  // before the observer was compiled. The compiled form hoists only
+  // observer-side terms, so the result must not move by a single bit.
+  const auto spec = [](const Vec3& observer, const Vec3& target) {
+    const Vec3 up = observer.normalized();
+    const Vec3 losDir = (target - observer).normalized();
+    return kPi / 2.0 - angleBetween(up, losDir);
+  };
+  Rng rng(5);
+  for (int i = 0; i < 2'000; ++i) {
+    const Geodetic site = Geodetic::fromDegrees(
+        rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0),
+        rng.uniform(-400.0, 9'000.0));
+    const GroundObserver observer(site);
+    ASSERT_EQ(observer.ecef(), geodeticToEcef(site));
+    const Vec3 target = rng.unitSphere() * rng.uniform(6.0e6, 4.5e7);
+    const double got = observer.elevationTo(target);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(spec(observer.ecef(), target)))
+        << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(
+                  elevationAngleRad(observer.ecef(), target)))
+        << i;
+  }
+  const GroundObserver observer(Geodetic::fromDegrees(10.0, 20.0));
+  EXPECT_TRUE(std::isnan(observer.elevationTo(observer.ecef())));
+  EXPECT_TRUE(std::isnan(elevationAngleRad(observer.ecef(), observer.ecef())));
+}
+
+TEST(GroundObserver, CentralAngleIsAccurateAtEverySeparation) {
+  const GroundObserver observer(Geodetic::fromDegrees(40.0, -80.0));
+  const Vec3 up = observer.ecef().normalized();
+  EXPECT_DOUBLE_EQ(observer.radiusM(), observer.ecef().norm());
+  // Straight overhead: zero to rounding, where an acos form loses ~1e-8 rad.
+  EXPECT_LT(observer.centralAngleTo(up * 7.0e6), 1e-15);
+  EXPECT_NEAR(observer.centralAngleTo(-up * 7.0e6), kPi, 1e-15);
+  // A target rotated by a known angle about an axis normal to the site.
+  const Vec3 axis = up.cross(Vec3{0.0, 0.0, 1.0}).normalized();
+  for (const double angle : {1e-9, 1e-4, 0.3, 1.5, 3.0}) {
+    const Vec3 dir = up * std::cos(angle) + axis.cross(up) * std::sin(angle);
+    EXPECT_NEAR(observer.centralAngleTo(dir * 7.2e6), angle,
+                4e-16 * std::max(1.0, angle) + 1e-15 * angle)
+        << angle;
+  }
 }
 
 TEST(LineOfSight, ClearAboveEarth) {

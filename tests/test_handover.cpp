@@ -1,11 +1,17 @@
-// Unit tests for the handover module: visibility-end prediction, successor
-// planning, and the predictive vs re-associate timeline simulation.
+// Unit tests for the handover module: visibility-end prediction (pinned to
+// the plain every-step scan), successor planning, and the predictive vs
+// re-associate timeline simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numbers>
 
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/geo/wgs84.hpp>
 #include <openspace/handover/handover.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -201,6 +207,133 @@ TEST(HandoverHorizon, InvalidHorizonThrows) {
   EXPECT_THROW(planner.visibilityEndS(sid, user, 0.0,
                                       std::numeric_limits<double>::quiet_NaN()),
                InvalidArgumentError);
+}
+
+/// The executable spec of HandoverPlanner::visibilityEndWith: the plain
+/// search that evaluates the elevation at every 10 s grid step and at every
+/// bisection midpoint. The planner skips the steps it proves; its result
+/// must be this one, bit for bit.
+double plainVisibilityEnd(SatelliteSweep& sweep, const Geodetic& user,
+                          double maskRad, double fromS, double horizonS) {
+  const auto visible = [&](double t) {
+    return elevationFrom(sweep.positionEciAt(t), user, t) >= maskRad;
+  };
+  if (!visible(fromS)) return fromS;
+  const double step = 10.0;
+  const double horizonEndS = fromS + horizonS;
+  double lo = fromS;
+  double hi = horizonEndS;
+  bool crossed = false;
+  for (double t = fromS + step; t < horizonEndS + step; t += step) {
+    const double clampedS = std::min(t, horizonEndS);
+    if (!visible(clampedS)) {
+      lo = std::max(fromS, t - step);
+      hi = clampedS;
+      crossed = true;
+      break;
+    }
+    if (clampedS >= horizonEndS) break;
+  }
+  if (!crossed) return horizonEndS;
+  for (int i = 0; i < 40 && hi - lo > 1e-3; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (visible(mid) ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(VisibilitySearch, StepSkippingMatchesPlainScanBitForBit) {
+  // Random orbits (circular LEO, eccentric, MEO to GEO), masks from 0 to
+  // just under zenith, sites from the poles to mountain tops and up to the
+  // orbit itself, horizons from zero to two hours. Most sites sit under the satellite's track so the
+  // searches run whole passes; the rest exercise the invisible-at-start
+  // and never-crossing paths.
+  Rng rng(2024);
+  EphemerisService eph;
+  eph.publish(ProviderId{1},
+              OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0));
+  const double masks[] = {0.0, deg2rad(10.0), deg2rad(40.0), deg2rad(75.0),
+                          1.5707};
+  const double horizons[] = {0.0, 3.5, 600.0, 3'600.0, 7'200.0};
+  int searched = 0;
+  for (int trial = 0; trial < 3'000; ++trial) {
+    OrbitalElements el;
+    const double shape = rng.uniform(0.0, 1.0);
+    el.semiMajorAxisM =
+        wgs84::kMeanRadiusM +
+        (shape < 0.7 ? rng.uniform(km(340.0), km(1'500.0))
+                     : rng.uniform(km(1'500.0), km(36'000.0)));
+    el.eccentricity = shape < 0.4   ? 0.0
+                      : shape < 0.8 ? rng.uniform(0.0, 0.02)
+                                    : rng.uniform(0.02, 0.7);
+    if (el.semiMajorAxisM * (1.0 - el.eccentricity) <
+        wgs84::kMeanRadiusM + km(200.0)) {
+      el.eccentricity = 0.0;
+    }
+    el.inclinationRad = rng.uniform(0.0, std::numbers::pi);
+    el.raanRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    el.argPerigeeRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    el.meanAnomalyAtEpochRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const double fromS = rng.uniform(0.0, 20'000.0);
+    Geodetic site;
+    if (rng.uniform(0.0, 1.0) < 0.8) {
+      // Near the sub-satellite point at fromS.
+      const Geodetic sub =
+          ecefToGeodetic(eciToEcef(positionEci(el, fromS), fromS));
+      site.latitudeRad = std::clamp(
+          sub.latitudeRad + rng.uniform(-0.2, 0.2), -std::numbers::pi / 2.0,
+          std::numbers::pi / 2.0);
+      site.longitudeRad = sub.longitudeRad + rng.uniform(-0.2, 0.2);
+    } else {
+      site = Geodetic::fromDegrees(rng.uniform(-90.0, 90.0),
+                                   rng.uniform(-180.0, 180.0));
+    }
+    const double altRoll = rng.uniform(0.0, 1.0);
+    if (altRoll < 0.1) {
+      // Around the perigee radius: the search gives up its proofs once the
+      // observer is not strictly inside the orbit's radius range.
+      site.altitudeM = el.semiMajorAxisM * (1.0 - el.eccentricity) -
+                       wgs84::kMeanRadiusM + rng.uniform(-km(30.0), km(30.0));
+    } else if (altRoll < 0.3) {
+      site.altitudeM = rng.uniform(0.0, 8'000.0);
+    }
+    const double mask = masks[trial % 5];
+    const double horizon = horizons[(trial / 5) % 5];
+    const HandoverPlanner planner(eph, mask);
+    SatelliteSweep skipping(el);
+    SatelliteSweep plain(el);
+    const double got = planner.visibilityEndWith(skipping, site, fromS, horizon);
+    const double want = plainVisibilityEnd(plain, site, mask, fromS, horizon);
+    ASSERT_EQ(bitsOf(got), bitsOf(want))
+        << "trial " << trial << " got " << got << " want " << want;
+    if (got > fromS) ++searched;
+    // Skipped samples still advanced the warm start: the next query of
+    // both sweeps is the same bit for bit.
+    const double nextS = fromS + horizon + 1.0;
+    ASSERT_EQ(bitsOf(skipping.positionEciAt(nextS).x),
+              bitsOf(plain.positionEciAt(nextS).x))
+        << "trial " << trial;
+    // A candidate loop's bound: ends above beatS come back exact; an end
+    // at or below it may come back as any value in [end, beatS].
+    const double beatS = want + rng.uniform(-15.0, 15.0);
+    SatelliteSweep bounded(el);
+    const std::optional<double> until =
+        planner.visibleUntil(bounded, GroundObserver(site), fromS, horizon,
+                             beatS);
+    SatelliteSweep probe(el);
+    ASSERT_EQ(until.has_value(),
+              elevationFrom(probe.positionEciAt(fromS), site, fromS) >= mask)
+        << "trial " << trial;
+    if (!until) continue;
+    if (want > beatS) {
+      ASSERT_EQ(bitsOf(*until), bitsOf(want)) << "trial " << trial;
+    } else {
+      ASSERT_LE(*until, beatS) << "trial " << trial;
+      ASSERT_GE(*until, want) << "trial " << trial;
+    }
+  }
+  // Most trials must run a real search, not return at once.
+  EXPECT_GT(searched, 1'000);
 }
 
 TEST(HandoverSparse, NoCoverageMeansNoHandovers) {

@@ -319,6 +319,69 @@ TEST(SatelliteSweep, DefaultConstructedThenResetMatchesFresh) {
   }
 }
 
+TEST(SatelliteSweep, SkipToLeavesLaterPositionsBitIdentical) {
+  // The visibility search skips the evaluation of samples it has proven
+  // visible or hidden; the samples it does evaluate must be exactly those
+  // of a sweep that evaluated every sample, eccentric orbits included
+  // (where the warm Newton start carries the skipped samples' state).
+  Rng rng(103);
+  for (int trial = 0; trial < 16; ++trial) {
+    const OrbitalElements el = randomElements(rng);
+    SatelliteSweep every(el);
+    SatelliteSweep skipping(el);
+    std::vector<double> probes;
+    for (double t = 0.0; t <= 900.0; t += 10.0) probes.push_back(t);
+    double lo = 500.0, hi = 510.0;
+    for (int i = 0; i < 14; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      probes.push_back(mid);
+      (i % 3 == 0 ? hi : lo) = mid;
+    }
+    for (std::size_t k = 0; k < probes.size(); ++k) {
+      const Vec3 want = every.positionEciAt(probes[k]);
+      if ((k + static_cast<std::size_t>(trial)) % 3 != 0) {
+        skipping.skipTo(probes[k]);
+        continue;
+      }
+      EXPECT_EQ(maxUlp(skipping.positionEciAt(probes[k]), want), 0u)
+          << "trial " << trial << " probe " << k;
+    }
+  }
+}
+
+TEST(SatelliteSweep, RadiusAndAngularRateBoundTheOrbit) {
+  // perigeeRadiusM/apogeeRadiusM bracket |r| and maxAngularRateRadPerS
+  // bounds the inertial turn rate of r at every time — the bounds the
+  // visibility search's step-skipping proof rests on.
+  Rng rng(107);
+  for (int trial = 0; trial < 12; ++trial) {
+    const OrbitalElements el = randomElements(rng);
+    const SatelliteSweep sweep(el);
+    const double periodS = el.periodS();
+    const double dtS = periodS / 20'000.0;
+    double peakRate = 0.0;
+    for (double t = 0.0; t < periodS; t += periodS / 2'000.0) {
+      const Vec3 r0 = positionEci(el, t);
+      const Vec3 r1 = positionEci(el, t + dtS);
+      const double r = r0.norm();
+      EXPECT_GE(r, sweep.perigeeRadiusM() * (1.0 - 1e-12)) << trial;
+      EXPECT_LE(r, sweep.apogeeRadiusM() * (1.0 + 1e-12)) << trial;
+      peakRate = std::max(peakRate, angleBetween(r0, r1) / dtS);
+    }
+    EXPECT_DOUBLE_EQ(sweep.maxAngularRateRadPerS(), el.maxAngularRateRadPerS());
+    EXPECT_LE(peakRate, sweep.maxAngularRateRadPerS() * (1.0 + 1e-6)) << trial;
+    // The bound is the perigee rate itself (mean anomaly 0), so it is tight.
+    const double perigeeS = -el.meanAnomalyAtEpochRad / el.meanMotionRadPerS();
+    const double perigeeRate =
+        angleBetween(positionEci(el, perigeeS - 0.5 * dtS),
+                     positionEci(el, perigeeS + 0.5 * dtS)) /
+        dtS;
+    EXPECT_NEAR(perigeeRate, sweep.maxAngularRateRadPerS(),
+                1e-3 * sweep.maxAngularRateRadPerS())
+        << trial;
+  }
+}
+
 TEST(SatelliteSweep, ResetValidatesLikeTheConstructor) {
   OrbitalElements bad =
       OrbitalElements::circular(km(780.0), deg2rad(86.4), 0.0, 0.0);
