@@ -40,11 +40,12 @@
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/coverage/footprint_index.hpp>
-#include <openspace/coverage/legacy.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/spec/coverage_legacy.hpp>
+#include <openspace/spec/footprint_index.hpp>
 
 namespace {
 

@@ -38,14 +38,15 @@
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/net/event.hpp>
 #include <openspace/net/flows.hpp>
-#include <openspace/net/forwarding.hpp>
 #include <openspace/net/scheduler.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
 #include <openspace/sim/flow_sim.hpp>
+#include <openspace/spec/event.hpp>
+#include <openspace/spec/flow_generator.hpp>
+#include <openspace/spec/forwarding.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace {

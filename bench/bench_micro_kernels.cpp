@@ -10,7 +10,7 @@
 #include <openspace/isl/fleet.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
-#include <openspace/routing/legacy.hpp>
+#include <openspace/spec/routing_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace {

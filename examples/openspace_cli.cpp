@@ -5,11 +5,19 @@
 //   $ ./openspace_cli coverage fleet.txt 10
 //   $ ./openspace_cli route fleet.txt 40.44 -79.99 48.86 2.35
 //   $ ./openspace_cli flood fleet.txt
+//
+// Numeric arguments are parsed strictly: the whole token must be one finite
+// number ("780", not "780km"), or the command fails with a typed error and
+// a non-zero exit status.
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/geo/error.hpp>
@@ -38,6 +46,23 @@ int usage() {
   return 2;
 }
 
+/// The whole of `token` as a finite T. Throws InvalidArgumentError naming
+/// `what` for an empty token, trailing characters, overflow or a non-finite
+/// value.
+template <typename T>
+T parseNumber(const char* token, const char* what) {
+  const char* end = token + std::strlen(token);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  bool ok = token != end && ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw InvalidArgumentError(std::string("invalid ") + what + " '" + token +
+                               "': expected a number");
+  }
+  return value;
+}
+
 EphemerisService loadFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw NotFoundError("cannot open '" + path + "'");
@@ -47,11 +72,11 @@ EphemerisService loadFile(const std::string& path) {
 int cmdGenerate(int argc, char** argv) {
   if (argc != 6) return usage();
   WalkerConfig wc;
-  wc.totalSatellites = std::atoi(argv[2]);
-  wc.planes = std::atoi(argv[3]);
+  wc.totalSatellites = parseNumber<int>(argv[2], "<sats>");
+  wc.planes = parseNumber<int>(argv[3], "<planes>");
   wc.phasing = 1 % std::max(1, wc.planes);
-  wc.altitudeM = km(std::atof(argv[4]));
-  wc.inclinationRad = deg2rad(std::atof(argv[5]));
+  wc.altitudeM = km(parseNumber<double>(argv[4], "<alt_km>"));
+  wc.inclinationRad = deg2rad(parseNumber<double>(argv[5], "<incl_deg>"));
   EphemerisService eph;
   for (const auto& el : makeWalkerStar(wc)) eph.publish(ProviderId{1}, el);
   saveEphemeris(eph, std::cout);
@@ -60,14 +85,14 @@ int cmdGenerate(int argc, char** argv) {
 
 int cmdCoverage(int argc, char** argv) {
   if (argc != 4) return usage();
+  const double maskRad = deg2rad(parseNumber<double>(argv[3], "<mask_deg>"));
   const EphemerisService eph = loadFile(argv[2]);
   std::vector<OrbitalElements> sats;
   for (const SatelliteId sid : eph.satellites()) {
     sats.push_back(eph.record(sid).elements);
   }
   Rng rng(1);
-  const auto cov = monteCarloCoverage(sats, 0.0, deg2rad(std::atof(argv[3])),
-                                      20'000, rng);
+  const auto cov = monteCarloCoverage(sats, 0.0, maskRad, 20'000, rng);
   std::printf("satellites: %zu\ncoverage:   %.2f%%\n", sats.size(),
               100.0 * cov.coverageFraction);
   return 0;
@@ -75,14 +100,15 @@ int cmdCoverage(int argc, char** argv) {
 
 int cmdRoute(int argc, char** argv) {
   if (argc != 7) return usage();
+  const Geodetic siteA = Geodetic::fromDegrees(
+      parseNumber<double>(argv[3], "<lat1>"), parseNumber<double>(argv[4], "<lon1>"));
+  const Geodetic siteB = Geodetic::fromDegrees(
+      parseNumber<double>(argv[5], "<lat2>"), parseNumber<double>(argv[6], "<lon2>"));
   const EphemerisService eph = loadFile(argv[2]);
   TopologyBuilder topo(eph);
-  const NodeId a = topo.addUser(
-      {"site-a", Geodetic::fromDegrees(std::atof(argv[3]), std::atof(argv[4])),
-       ProviderId{1}});
-  const NodeId b = topo.nodeOf(topo.addGroundStation(
-      {"site-b", Geodetic::fromDegrees(std::atof(argv[5]), std::atof(argv[6])),
-       ProviderId{2}}));
+  const NodeId a = topo.addUser({"site-a", siteA, ProviderId{1}});
+  const NodeId b =
+      topo.nodeOf(topo.addGroundStation({"site-b", siteB, ProviderId{2}}));
   SnapshotOptions opt;
   opt.wiring = IslWiring::NearestNeighbors;
   opt.nearestK = 4;

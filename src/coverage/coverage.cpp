@@ -1,5 +1,6 @@
 // Indexed coverage estimators. Each estimator is bit-for-bit identical to
-// its brute-force executable spec in legacy.cpp (openspace::legacy): the
+// its brute-force executable spec in the test-only openspace_spec library
+// (tests/spec/coverage_legacy.cpp, openspace::legacy): the
 // footprint index only prunes which satellites are *tested*, never what
 // the test is, what order ties resolve in, or which RNG draws happen —
 // property-tested in tests/test_footprint_index.cpp and hard-gated by
@@ -41,8 +42,8 @@ CoverageEstimate worstCaseOverlapCoverage(const std::vector<OrbitalElements>& sa
   const auto snap = SnapshotCache::global().at(sats, tSeconds);
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
 
-  // Worst-case pairwise collapse (see legacy.cpp for the brute spec): the
-  // band sweep replaces the O(N^2) inner scan with each satellite's
+  // Worst-case pairwise collapse (see tests/spec/coverage_legacy.cpp for
+  // the brute spec): the band sweep replaces the O(N^2) inner scan with each satellite's
   // overlap candidates — ascending and superset-guaranteed, so taking the
   // first exact-predicate match over them reproduces the greedy matching's
   // "first overlapping j > i" choice exactly.

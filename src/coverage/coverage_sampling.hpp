@@ -2,7 +2,8 @@
 //
 // Private to the coverage module (not installed under include/). Both the
 // indexed estimators (coverage.cpp) and the brute executable spec
-// (legacy.cpp) draw their per-chunk RNG streams from these exact
+// (tests/spec/coverage_legacy.cpp, which reaches this header through the
+// openspace_spec target's private include path) draw their per-chunk RNG streams from these exact
 // functions: the bit-for-bit contract between the two paths depends on the
 // chunk size and the seed derivation being literally the same code.
 #pragma once

@@ -99,8 +99,8 @@ FootprintIndex2::FootprintIndex2(
   halfAngle_.resize(n);
   std::vector<SphericalCapIndex::Cap> caps(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Token-identical to the orbit-layer FootprintIndex construction: these
-    // three expressions define the exact cap predicate covers() applies.
+    // Token-identical to the FootprintIndex spec's construction
+    // (tests/spec/footprint_index.cpp): these three expressions define the exact cap predicate covers() applies.
     direction_[i] = snap.eci(i).normalized();
     halfAngle_[i] = footprintHalfAngleRad(std::max(snap.altitudeM(i), 1.0),
                                           minElevationRad);

@@ -4,7 +4,9 @@
 // FootprintIndex2 compiles one constellation snapshot + elevation mask into
 // (a) the same per-satellite spherical-cap arrays the original orbit-layer
 // FootprintIndex holds — direction, half-angle, cos(half-angle), built with
-// the identical expressions so `covers()` is bit-for-bit the brute test —
+// the identical expressions so `covers()` is bit-for-bit the brute test
+// (that brute FootprintIndex now lives in the test-only openspace_spec
+// library, tests/spec/include/openspace/spec/footprint_index.hpp) —
 // and (b) a SphericalCapIndex over conservatively padded caps that answers
 // "which satellites could see this point" in O(candidates) instead of O(N).
 //
@@ -23,7 +25,8 @@
 // candidate is re-tested with the exact brute predicate, ties are broken
 // by satellite index exactly as the brute ascending scans do, and the RNG
 // draw sequence of the Monte-Carlo estimators is untouched. The brute
-// implementations survive in openspace::legacy (coverage/legacy.hpp) as the
+// implementations survive in openspace::legacy (the test-only openspace_spec
+// library, tests/spec/include/openspace/spec/coverage_legacy.hpp) as the
 // executable spec the indexed paths are property-tested against.
 #pragma once
 
@@ -91,8 +94,8 @@ class FootprintIndex2 {
   const Vec3& direction(std::size_t i) const { return direction_.at(i); }
 
   /// True if satellite i covers the surface point with unit direction
-  /// `unitPoint` (ECI frame). Bit-identical to the orbit-layer
-  /// FootprintIndex::covers — the executable-spec predicate.
+  /// `unitPoint` (ECI frame). Bit-identical to FootprintIndex::covers in
+  /// the test-only openspace_spec library — the executable-spec predicate.
   bool covers(const Vec3& unitPoint, std::size_t i) const noexcept {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
   }

@@ -1,15 +1,12 @@
-// Synthetic traffic generation.
+// Synthetic traffic flows.
 //
 // The paper (§5(1)) calls for "modelling a potential user base along with
-// potential user traffic patterns"; these generators provide the synthetic
-// equivalents: Poisson packet arrivals per flow, and constant-rate flows
-// for saturation studies.
+// potential user traffic patterns"; a FlowSpec is one such pattern: a
+// unidirectional Poisson packet stream between two nodes. FlowSimulator
+// (sim/flow_sim.hpp) turns FlowSpecs into packets: exponential inter-packet
+// gaps with mean packetBits / rateBps, deterministic given its seed.
 #pragma once
 
-#include <functional>
-
-#include <openspace/geo/rng.hpp>
-#include <openspace/net/event.hpp>
 #include <openspace/net/packet.hpp>
 
 namespace openspace {
@@ -24,31 +21,6 @@ struct FlowSpec {
   ProviderId homeProvider{};
   double startS = 0.0;
   double stopS = 0.0;  ///< Exclusive; <= startS means no packets.
-};
-
-/// Emits packets for a set of flows into a sink callback via the event
-/// queue. Poisson arrivals: exponential inter-packet gaps with mean
-/// packetBits / rateBps. Deterministic given the Rng.
-class FlowGenerator {
- public:
-  using Sink = std::function<void(const Packet&)>;
-
-  /// Throws InvalidArgumentError on flows with non-positive rate/size.
-  FlowGenerator(EventQueue& events, Rng& rng, Sink sink);
-
-  /// Register a flow; packets are scheduled lazily (one event at a time).
-  void addFlow(const FlowSpec& flow);
-
-  std::size_t packetsEmitted() const noexcept { return emitted_; }
-
- private:
-  void scheduleNext(const FlowSpec& flow, double afterS);
-
-  EventQueue& events_;
-  Rng& rng_;
-  Sink sink_;
-  std::size_t emitted_ = 0;
-  PacketId nextId_ = 1;
 };
 
 }  // namespace openspace

@@ -1,6 +1,8 @@
 // High-throughput event scheduler: a hierarchical timer wheel.
 //
-// EventQueue (event.hpp) is the executable spec: a binary heap of
+// TimerWheel is the library's only scheduler. Its executable spec is
+// EventQueue, test-only code in the openspace_spec library
+// (tests/spec/include/openspace/spec/event.hpp): a binary heap of
 // heap-allocated std::function closures, O(log n) per operation with an
 // allocation per event. At flow-simulator scale (tens of millions of
 // events) both costs dominate the run. TimerWheel replaces them with

@@ -16,7 +16,6 @@
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/ephemeris.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
-#include <openspace/orbit/visibility.hpp>
 
 namespace openspace {
 
@@ -302,36 +301,6 @@ std::optional<std::pair<double, int>> ConstellationSnapshot::shortestIslPath(
   const double dstDist = dist.getOr(dst, kInf);
   if (std::isinf(dstDist)) return std::nullopt;
   return std::make_pair(dstDist, hops.getOr(dst, 0));
-}
-
-FootprintIndex::FootprintIndex(const ConstellationSnapshot& snapshot,
-                               double minElevationRad) {
-  const std::size_t n = snapshot.size();
-  direction_.resize(n);
-  cosHalfAngle_.resize(n);
-  halfAngle_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    direction_[i] = snapshot.eci(i).normalized();
-    halfAngle_[i] = footprintHalfAngleRad(std::max(snapshot.altitudeM(i), 1.0),
-                                          minElevationRad);
-    cosHalfAngle_[i] = std::cos(halfAngle_[i]);
-  }
-}
-
-bool FootprintIndex::anyCovers(const Vec3& unitPoint) const noexcept {
-  for (std::size_t i = 0; i < direction_.size(); ++i) {
-    if (covers(unitPoint, i)) return true;
-  }
-  return false;
-}
-
-int FootprintIndex::countCovering(const Vec3& unitPoint,
-                                  int stopAfter) const noexcept {
-  int seen = 0;
-  for (std::size_t i = 0; i < direction_.size(); ++i) {
-    if (covers(unitPoint, i) && ++seen >= stopAfter) break;
-  }
-  return seen;
 }
 
 SnapshotCache::SnapshotCache(std::size_t capacity, std::size_t byteBudget)

@@ -3,8 +3,10 @@
 // These free functions are one-shot conveniences: each call compiles the
 // snapshot into a CSR RouteEngine (engine.hpp) and queries it. Callers that
 // issue repeated queries against the same snapshot — sweeps, routers,
-// benches — should construct a RouteEngine once and amortize compilation;
-// the legacy hash-map reference implementations live in legacy.hpp.
+// benches — should construct a RouteEngine once and amortize compilation.
+// The legacy hash-map reference implementations these are property-tested
+// against are test-only code: openspace::legacy in the openspace_spec
+// library (tests/spec/include/openspace/spec/routing_legacy.hpp).
 #pragma once
 
 #include <openspace/routing/route.hpp>

@@ -39,13 +39,4 @@ class OnDemandRouter {
   ProviderId home_;
 };
 
-/// Apply an M/M/1-style queueing delay estimate to a link given its
-/// current utilization in [0, 1): delay = serviceTime * rho / (1 - rho),
-/// with serviceTime approximated by one MTU at link capacity. Utilization
-/// >= 1 saturates to `maxDelayS`. Used by the simulator to refresh live
-/// queueing state from traffic counters.
-double estimateQueueingDelayS(double utilization, double capacityBps,
-                              double mtuBits = 12'000.0,
-                              double maxDelayS = 2.0);
-
 }  // namespace openspace

@@ -58,4 +58,14 @@ LinkCostFn makeCostFunction(const CostWeights& weights);
 /// latency" evaluation model).
 LinkCostFn latencyCost();
 
+/// Apply an M/M/1-style queueing delay estimate to a link given its
+/// current utilization in [0, 1): delay = serviceTime * rho / (1 - rho),
+/// with serviceTime approximated by one MTU at link capacity. Utilization
+/// >= 1 saturates to `maxDelayS`. Scenario::runAdaptiveEpochs uses it to
+/// refresh live queueing state (Link::queueingDelayS, which the cost models
+/// above price) from measured traffic counters.
+double estimateQueueingDelayS(double utilization, double capacityBps,
+                              double mtuBits = 12'000.0,
+                              double maxDelayS = 2.0);
+
 }  // namespace openspace

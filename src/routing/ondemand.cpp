@@ -1,7 +1,5 @@
 #include <openspace/routing/ondemand.hpp>
 
-#include <openspace/geo/error.hpp>
-
 namespace openspace {
 
 OnDemandRouter::OnDemandRouter(const NetworkGraph& graph, LinkCostFn cost,
@@ -27,20 +25,6 @@ Route OnDemandRouter::selectGroundStation(NodeId src) const {
     }
   }
   return best;
-}
-
-double estimateQueueingDelayS(double utilization, double capacityBps,
-                              double mtuBits, double maxDelayS) {
-  if (capacityBps <= 0.0 || mtuBits <= 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: non-positive inputs");
-  }
-  if (utilization < 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: negative utilization");
-  }
-  const double serviceS = mtuBits / capacityBps;
-  if (utilization >= 1.0) return maxDelayS;
-  const double d = serviceS * utilization / (1.0 - utilization);
-  return std::min(d, maxDelayS);
 }
 
 }  // namespace openspace

@@ -1,5 +1,9 @@
 #include <openspace/routing/route.hpp>
 
+#include <algorithm>
+
+#include <openspace/geo/error.hpp>
+
 namespace openspace {
 
 CostWeights CostWeights::forQos(QosClass q) {
@@ -56,6 +60,20 @@ LinkCostFn latencyCost() {
   return [](const NetworkGraph&, const Link& l, ProviderId) {
     return l.totalDelayS();
   };
+}
+
+double estimateQueueingDelayS(double utilization, double capacityBps,
+                              double mtuBits, double maxDelayS) {
+  if (capacityBps <= 0.0 || mtuBits <= 0.0) {
+    throw InvalidArgumentError("estimateQueueingDelayS: non-positive inputs");
+  }
+  if (utilization < 0.0) {
+    throw InvalidArgumentError("estimateQueueingDelayS: negative utilization");
+  }
+  const double serviceS = mtuBits / capacityBps;
+  if (utilization >= 1.0) return maxDelayS;
+  const double d = serviceS * utilization / (1.0 - utilization);
+  return std::min(d, maxDelayS);
 }
 
 }  // namespace openspace

@@ -7,11 +7,15 @@
 // reports what the analytic numbers cannot: queueing latency distributions,
 // loss under buffer pressure, per-flow jitter and per-link utilization.
 //
-// Semantics are pinned to the legacy toy-scale stack (EventQueue +
-// FlowGenerator + ForwardingEngine): given the same flows and RNG seed, the
-// simulator reproduces the legacy delivery records bit-for-bit — same
-// packet ids, timestamps, latencies, drop reasons, and completion order.
-// Property tests enforce this; the legacy path stays the executable spec.
+// FlowSimulator is the library's only packet engine: Scenario's traffic
+// epochs and the city-flow pipeline both run on it. Its semantics are
+// pinned to the legacy toy-scale stack (EventQueue + FlowGenerator +
+// ForwardingEngine), which now lives in the test-only openspace_spec
+// library (tests/spec/): given the same flows and RNG seed, the simulator
+// reproduces the legacy delivery records bit-for-bit — same packet ids,
+// timestamps, latencies, drop reasons, and completion order. Property
+// tests and bench_flow_sim's gates enforce this; the legacy stack stays
+// the executable spec.
 //
 // Scale comes from three changes, not from semantic shortcuts:
 //  * timer-wheel scheduling of 12-byte POD event records (no per-event

@@ -6,17 +6,17 @@
 // and authenticate with their home ISP through ISLs, traffic flows through
 // heterogeneous links, and every carried byte lands in the settlement
 // ledgers. Examples and integration tests drive this type; the benchmarks
-// use it for the ablation studies.
+// use it for the ablation studies. Traffic runs on the library's one packet
+// engine, FlowSimulator (sim/flow_sim.hpp), over routes from one RouteEngine
+// per snapshot.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include <openspace/auth/association.hpp>
 #include <openspace/econ/ledger.hpp>
-#include <openspace/net/flows.hpp>
-#include <openspace/net/forwarding.hpp>
-#include <openspace/routing/ondemand.hpp>
 #include <openspace/sim/fig2.hpp>
 
 namespace openspace {
@@ -103,18 +103,23 @@ class Scenario {
   AssociationResult associateUser(std::size_t userIndex, double tSeconds);
 
   /// Run a traffic epoch: each user sends Poisson traffic at `rateBps` to
-  /// its home provider's gateway over routes chosen by the congestion-aware
-  /// router; carried bytes are settled per §3.
+  /// its home provider's gateway over the cheapest route under the `qos`
+  /// cost model (users with no route offer nothing); carried bytes are
+  /// settled per §3. Every traffic run of a scenario — each call here and
+  /// each epoch of runAdaptiveEpochs — is numbered k = 0, 1, ... in call
+  /// order and draws its arrivals from seed `config().seed + k`, so two
+  /// scenarios built from one config report identically run for run.
   TrafficReport runTrafficEpoch(double tSeconds, double durationS,
                                 double rateBps, QosClass qos = QosClass::Standard);
 
   /// The §2.2/§5(2) closed loop: run `epochs` consecutive traffic epochs on
   /// the time-t snapshot. After each epoch, per-link utilization measured
-  /// by the forwarding engine is converted into queueing-delay estimates
+  /// by the flow simulator is converted into queueing-delay estimates
   /// (M/M/1) on the shared graph, and routes are recomputed — congestion
   /// the proactive table could not predict is discovered and avoided.
   /// Throws InvalidArgumentError for epochs < 1 or non-positive
-  /// duration/rate.
+  /// duration/rate. Epochs are traffic runs (see runTrafficEpoch for their
+  /// seeds); they do not touch the settlement ledgers.
   AdaptiveReport runAdaptiveEpochs(double tSeconds, int epochs,
                                    double epochDurationS, double rateBps);
 
@@ -134,6 +139,15 @@ class Scenario {
   std::vector<BeaconMessage> beaconsAt(double tSeconds) const;
 
  private:
+  struct TrafficRun;
+
+  /// The shared traffic loop: routes every user to its home gateway with
+  /// one RouteEngine over `g` under `cost`, then runs one Poisson flow per
+  /// routed user through a FlowSimulator on the engine's compiled graph.
+  TrafficRun runTraffic(const NetworkGraph& g, const LinkCostFn& cost,
+                        double startS, double durationS, double rateBps,
+                        QosClass qos);
+
   ScenarioConfig cfg_;
   EphemerisService ephemeris_;
   std::unique_ptr<TopologyBuilder> builder_;
@@ -143,7 +157,7 @@ class Scenario {
   std::vector<GroundStationId> stations_;
   SettlementEngine settlement_;
   BeaconSchedule beacons_;
-  Rng rng_;
+  std::uint64_t trafficRuns_ = 0;  ///< Traffic runs so far (seed offset).
 };
 
 }  // namespace openspace

@@ -1,13 +1,14 @@
 #include <openspace/sim/scenario.hpp>
 
-#include <numbers>
-
 #include <openspace/geo/error.hpp>
+#include <openspace/net/flows.hpp>
+#include <openspace/routing/engine.hpp>
+#include <openspace/sim/flow_sim.hpp>
 
 namespace openspace {
 
 Scenario::Scenario(const ScenarioConfig& cfg)
-    : cfg_(cfg), beacons_(cfg.beaconPeriodS), rng_(cfg.seed) {
+    : cfg_(cfg), beacons_(cfg.beaconPeriodS) {
   if (cfg.providers.empty()) {
     throw InvalidArgumentError("Scenario: at least one provider required");
   }
@@ -40,9 +41,10 @@ Scenario::Scenario(const ScenarioConfig& cfg)
       }
     }
   } else {
+    Rng rng(cfg.seed);
     for (std::size_t p = 0; p < cfg.providers.size(); ++p) {
       const auto sats =
-          makeRandomConstellation(cfg.providers[p].satellites, cfg.altitudeM, rng_);
+          makeRandomConstellation(cfg.providers[p].satellites, cfg.altitudeM, rng);
       for (const auto& el : sats) ephemeris_.publish(providerId(p), el);
     }
   }
@@ -101,7 +103,7 @@ ProviderId Scenario::providerId(std::size_t index) const {
   if (index >= cfg_.providers.size()) {
     throw InvalidArgumentError("Scenario::providerId: index out of range");
   }
-  return static_cast<ProviderId>(index + 1);
+  return ProviderId{static_cast<ProviderId::rep_type>(index + 1)};
 }
 
 NetworkGraph Scenario::snapshot(double tSeconds) const {
@@ -169,6 +171,48 @@ AssociationResult Scenario::associateUser(std::size_t userIndex, double tSeconds
                                       tSeconds, cfg_.minElevationRad, beacons_);
 }
 
+/// One runTraffic() result: the compiled graph the flows ran on, every
+/// user's route, and the flows in simulator order with their user index.
+struct Scenario::TrafficRun {
+  std::shared_ptr<const CompactGraph> graph;
+  std::vector<Route> routes;  ///< Per user; invalid when unreachable.
+  std::vector<FlowSpec> flows;
+  std::vector<std::size_t> flowUser;
+  FlowSimReport report;
+};
+
+Scenario::TrafficRun Scenario::runTraffic(const NetworkGraph& g,
+                                          const LinkCostFn& cost,
+                                          double startS, double durationS,
+                                          double rateBps, QosClass qos) {
+  const RouteEngine engine(g, cost);
+  TrafficRun run;
+  run.graph = engine.sharedGraph();
+  FlowSimulator sim(run.graph, FlowSimConfig{}
+                                   .withStart(startS)
+                                   .withDuration(durationS)
+                                   .withSeed(cfg_.seed + trafficRuns_++));
+  run.routes.resize(cfg_.users.size());
+  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
+    const NodeId gateway = homeGatewayOf(u);
+    run.routes[u] = engine.shortestPath(userNodes_[u], gateway);
+    if (!run.routes[u].valid()) continue;  // uncovered user offers no traffic
+    FlowSpec flow;
+    flow.src = userNodes_[u];
+    flow.dst = gateway;
+    flow.rateBps = rateBps;
+    flow.qos = qos;
+    flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
+    flow.startS = startS;
+    flow.stopS = startS + durationS;
+    sim.addFlow(flow, run.routes[u]);
+    run.flows.push_back(flow);
+    run.flowUser.push_back(u);
+  }
+  run.report = sim.run();
+  return run;
+}
+
 AdaptiveReport Scenario::runAdaptiveEpochs(double tSeconds, int epochs,
                                            double epochDurationS,
                                            double rateBps) {
@@ -184,55 +228,32 @@ AdaptiveReport Scenario::runAdaptiveEpochs(double tSeconds, int epochs,
   std::vector<Route> prevRoutes(cfg_.users.size());
 
   for (int e = 0; e < epochs; ++e) {
-    EventQueue events;
     const double epochStart = tSeconds + e * epochDurationS;
-    events.run(epochStart);
-    ForwardingEngine engine(g, events);
-    const OnDemandRouter router(g, latencyCost());
-
-    std::vector<Route> routes(cfg_.users.size());
+    TrafficRun run = runTraffic(g, latencyCost(), epochStart, epochDurationS,
+                                rateBps, QosClass::Standard);
     for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-      routes[u] = router.route(userNodes_[u], homeGatewayOf(u));
-      if (e > 0 && routes[u].valid() && prevRoutes[u].valid() &&
-          routes[u].nodes != prevRoutes[u].nodes) {
+      if (e > 0 && run.routes[u].valid() && prevRoutes[u].valid() &&
+          run.routes[u].nodes != prevRoutes[u].nodes) {
         ++rep.reroutedFlows;
       }
     }
+    const LatencyStats& latency = run.report.latency;
+    rep.epochMeanLatencyS.push_back(latency.count() > 0 ? latency.meanS() : 0.0);
+    rep.epochLossRate.push_back(latency.lossRate());
+    rep.totalDelivered += run.report.packetsDelivered;
+    rep.totalDropped += run.report.packetsDropped;
+    prevRoutes = std::move(run.routes);
 
-    FlowGenerator gen(events, rng_, [&](const Packet& p) {
-      for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-        if (userNodes_[u] == p.src) {
-          engine.send(p, routes[u]);
-          return;
-        }
-      }
-    });
-    for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-      if (!routes[u].valid()) continue;
-      FlowSpec flow;
-      flow.src = userNodes_[u];
-      flow.dst = homeGatewayOf(u);
-      flow.rateBps = rateBps;
-      flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
-      flow.startS = epochStart;
-      flow.stopS = epochStart + epochDurationS;
-      gen.addFlow(flow);
-    }
-    events.runAll();
-
-    rep.epochMeanLatencyS.push_back(
-        engine.stats().count() > 0 ? engine.stats().meanS() : 0.0);
-    rep.epochLossRate.push_back(engine.stats().lossRate());
-    rep.totalDelivered += engine.delivered();
-    rep.totalDropped += engine.dropped();
-    prevRoutes = routes;
-
-    // Feedback: measured utilization -> queueing-delay estimates on the
-    // shared graph for the next epoch's route computation.
+    // Feedback: measured utilization (bits over both directions of the
+    // link) -> queueing-delay estimates on the shared graph for the next
+    // epoch's route computation.
     for (const LinkId lid : g.links()) {
       Link& l = g.link(lid);
-      const double utilization =
-          engine.bitsCarried(lid) / (l.capacityBps * epochDurationS);
+      double bits = 0.0;
+      for (const std::uint32_t edge : run.graph->edgesOfLink(lid)) {
+        bits += run.report.edgeBitsCarried[edge];
+      }
+      const double utilization = bits / (l.capacityBps * epochDurationS);
       l.queueingDelayS = (utilization > 0.0)
                              ? estimateQueueingDelayS(utilization, l.capacityBps)
                              : 0.0;
@@ -247,58 +268,30 @@ TrafficReport Scenario::runTrafficEpoch(double tSeconds, double durationS,
     throw InvalidArgumentError("runTrafficEpoch: duration and rate must be > 0");
   }
   const NetworkGraph g = snapshot(tSeconds);
-  EventQueue events;
-  events.run(tSeconds);  // advance the clock to the epoch start
-  ForwardingEngine engine(g, events);
-  const OnDemandRouter router(g, makeCostFunction(CostWeights::forQos(qos)));
+  const TrafficRun run =
+      runTraffic(g, makeCostFunction(CostWeights::forQos(qos)), tSeconds,
+                 durationS, rateBps, qos);
 
-  // Precompute each user's route to its home gateway; account on delivery.
-  std::vector<Route> routes(cfg_.users.size());
-  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-    routes[u] = router.route(userNodes_[u], homeGatewayOf(u));
+  // Settle each flow once: all of its delivered packets took its one route.
+  for (std::size_t i = 0; i < run.flows.size(); ++i) {
+    const std::uint64_t delivered = run.report.flows[i].delivered;
+    if (delivered == 0) continue;
+    const FlowSpec& flow = run.flows[i];
+    settlement_.recordRouteTraffic(
+        g, run.routes[run.flowUser[i]], flow.homeProvider,
+        static_cast<double>(delivered) * (flow.packetBits / 8.0));
   }
-  engine.onComplete([&](const DeliveryRecord& rec) {
-    if (!rec.delivered) return;
-    for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-      if (userNodes_[u] == rec.packet.src) {
-        settlement_.recordRouteTraffic(g, routes[u], rec.packet.homeProvider,
-                                       rec.packet.sizeBits / 8.0);
-        break;
-      }
-    }
-  });
-
-  FlowGenerator gen(events, rng_, [&](const Packet& p) {
-    for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-      if (userNodes_[u] == p.src) {
-        engine.send(p, routes[u]);
-        return;
-      }
-    }
-  });
-  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-    if (!routes[u].valid()) continue;  // uncovered user offers no traffic
-    FlowSpec flow;
-    flow.src = userNodes_[u];
-    flow.dst = homeGatewayOf(u);
-    flow.rateBps = rateBps;
-    flow.qos = qos;
-    flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
-    flow.startS = tSeconds;
-    flow.stopS = tSeconds + durationS;
-    gen.addFlow(flow);
-  }
-  events.runAll();
 
   TrafficReport rep;
-  rep.packetsOffered = gen.packetsEmitted();
-  rep.packetsDelivered = engine.delivered();
-  rep.packetsDropped = engine.dropped();
-  if (engine.stats().count() > 0) {
-    rep.meanLatencyS = engine.stats().meanS();
-    rep.p95LatencyS = engine.stats().p95S();
+  rep.packetsOffered = run.report.packetsOffered;
+  rep.packetsDelivered = run.report.packetsDelivered;
+  rep.packetsDropped = run.report.packetsDropped;
+  const LatencyStats& latency = run.report.latency;
+  if (latency.count() > 0) {
+    rep.meanLatencyS = latency.meanS();
+    rep.p95LatencyS = latency.p95S();
   }
-  rep.lossProbability = engine.stats().lossRate();
+  rep.lossProbability = latency.lossRate();
   rep.ledgersCrossVerified = settlement_.crossVerify();
   rep.settlement = settlement_.settle();
   for (const auto& item : rep.settlement) rep.totalSettlementUsd += item.amountUsd;

@@ -10,6 +10,7 @@
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/spec/footprint_index.hpp>
 
 namespace openspace {
 namespace {

@@ -15,8 +15,6 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/net/flows.hpp>
-#include <openspace/net/forwarding.hpp>
-#include <openspace/net/link_dir.hpp>
 #include <openspace/net/scheduler.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -24,6 +22,9 @@
 #include <openspace/routing/engine.hpp>
 #include <openspace/sim/flow_sim.hpp>
 #include <openspace/sim/flow_sweep.hpp>
+#include <openspace/spec/flow_generator.hpp>
+#include <openspace/spec/forwarding.hpp>
+#include <openspace/spec/link_dir.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {

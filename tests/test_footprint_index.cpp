@@ -21,7 +21,6 @@
 #include <openspace/auth/association.hpp>
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/coverage/footprint_index.hpp>
-#include <openspace/coverage/legacy.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/geodetic.hpp>
 #include <openspace/geo/rng.hpp>
@@ -30,6 +29,8 @@
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/spec/coverage_legacy.hpp>
+#include <openspace/spec/footprint_index.hpp>
 
 namespace openspace {
 namespace {

@@ -7,10 +7,10 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/handover/handover.hpp>
 #include <openspace/isl/fleet.hpp>
-#include <openspace/net/forwarding.hpp>
 #include <openspace/routing/ondemand.hpp>
 #include <openspace/routing/proactive.hpp>
 #include <openspace/sim/scenario.hpp>
+#include <openspace/spec/forwarding.hpp>
 
 namespace openspace {
 namespace {

@@ -7,7 +7,8 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/net/flows.hpp>
 #include <openspace/routing/dijkstra.hpp>
-#include <openspace/net/forwarding.hpp>
+#include <openspace/spec/flow_generator.hpp>
+#include <openspace/spec/forwarding.hpp>
 
 namespace openspace {
 namespace {

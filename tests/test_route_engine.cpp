@@ -17,7 +17,7 @@
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/dijkstra.hpp>
 #include <openspace/routing/engine.hpp>
-#include <openspace/routing/legacy.hpp>
+#include <openspace/spec/routing_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {

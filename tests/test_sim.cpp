@@ -1,10 +1,20 @@
 // Unit tests for the sim module: the §4 Figure 2 engine and the
-// multi-provider scenario orchestrator.
+// multi-provider scenario orchestrator, whose traffic runs are pinned to
+// the executable specs (EventQueue + FlowGenerator + ForwardingEngine over
+// openspace::legacy routes) from openspace_spec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/sim/scenario.hpp>
+#include <openspace/spec/event.hpp>
+#include <openspace/spec/flow_generator.hpp>
+#include <openspace/spec/forwarding.hpp>
+#include <openspace/spec/routing_legacy.hpp>
 
 namespace openspace {
 namespace {
@@ -214,6 +224,211 @@ TEST(Scenario, AdaptiveFeedbackDoesNotDegradeService) {
   for (std::size_t e = 1; e < rep.epochLossRate.size(); ++e) {
     EXPECT_LE(rep.epochLossRate[e], rep.epochLossRate[0] + 0.05);
   }
+}
+
+// --- scenario traffic vs the executable specs ---------------------------------
+
+/// What the spec stack measures for one traffic run.
+struct SpecTraffic {
+  std::size_t offered = 0;
+  std::size_t delivered = 0;
+  std::size_t dropped = 0;
+  LatencyStats latency;
+};
+
+/// One traffic run of `s`'s users on `g`, driven by the executable specs the
+/// Scenario traffic loop was written against: legacy routes, an EventQueue,
+/// one Poisson FlowGenerator stream seeded with `seed`, a ForwardingEngine,
+/// and (when `ledgers` is set) per-packet settlement of every delivery.
+SpecTraffic runSpecTraffic(const Scenario& s, const NetworkGraph& g,
+                           const LinkCostFn& cost, double startS,
+                           double durationS, double rateBps, QosClass qos,
+                           std::uint64_t seed, SettlementEngine* ledgers) {
+  const std::size_t users = s.config().users.size();
+  std::vector<Route> routes(users);
+  for (std::size_t u = 0; u < users; ++u) {
+    routes[u] = legacy::shortestPath(g, s.userNode(u), s.homeGatewayOf(u), cost);
+  }
+  auto userOf = [&](NodeId src) {
+    for (std::size_t u = 0; u < users; ++u) {
+      if (s.userNode(u) == src) return u;
+    }
+    ADD_FAILURE() << "packet from a non-user node";
+    return std::size_t{0};
+  };
+
+  EventQueue events;
+  events.run(startS);
+  ForwardingEngine engine(g, events);
+  if (ledgers != nullptr) {
+    engine.onComplete([&](const DeliveryRecord& rec) {
+      if (!rec.delivered) return;
+      ledgers->recordRouteTraffic(g, routes[userOf(rec.packet.src)],
+                                  rec.packet.homeProvider,
+                                  rec.packet.sizeBits / 8.0);
+    });
+  }
+  Rng rng(seed);
+  FlowGenerator gen(events, rng, [&](const Packet& p) {
+    engine.send(p, routes[userOf(p.src)]);
+  });
+  for (std::size_t u = 0; u < users; ++u) {
+    if (!routes[u].valid()) continue;
+    FlowSpec flow;
+    flow.src = s.userNode(u);
+    flow.dst = s.homeGatewayOf(u);
+    flow.rateBps = rateBps;
+    flow.qos = qos;
+    flow.homeProvider = s.providerId(s.config().users[u].homeProviderIndex);
+    flow.startS = startS;
+    flow.stopS = startS + durationS;
+    gen.addFlow(flow);
+  }
+  events.runAll();
+  return SpecTraffic{gen.packetsEmitted(), engine.delivered(), engine.dropped(),
+                     engine.stats()};
+}
+
+/// A settlement engine with `s`'s providers and tariffs and empty ledgers.
+SettlementEngine freshLedgers(const Scenario& s) {
+  SettlementEngine out;
+  for (std::size_t p = 0; p < s.config().providers.size(); ++p) {
+    out.addProvider(s.providerId(p));
+    out.setTariff({s.providerId(p), ProviderId{},
+                   s.config().providers[p].transitTariffUsdPerGb});
+  }
+  return out;
+}
+
+/// The small scenario with four users, so that routes share links.
+ScenarioConfig busyScenario() {
+  ScenarioConfig cfg = smallScenario();
+  cfg.users.push_back({"u-c", Geodetic::fromDegrees(51.5, -0.12), 0});
+  cfg.users.push_back({"u-d", Geodetic::fromDegrees(35.68, 139.69), 1});
+  return cfg;
+}
+
+class ScenarioTrafficSpec : public ::testing::TestWithParam<double> {};
+
+TEST_P(ScenarioTrafficSpec, FirstTrafficEpochMatchesSpecStack) {
+  const ScenarioConfig cfg = busyScenario();
+  const double rateBps = GetParam();
+  const double t0 = 120.0;
+  const double durationS = 2.0;
+  const QosClass qos = QosClass::Standard;
+  Scenario s(cfg);
+  const NetworkGraph g = s.snapshot(t0);
+  SettlementEngine specLedgers = freshLedgers(s);
+  const SpecTraffic spec =
+      runSpecTraffic(s, g, makeCostFunction(CostWeights::forQos(qos)), t0,
+                     durationS, rateBps, qos, cfg.seed, &specLedgers);
+  ASSERT_GT(spec.offered, 0u);
+  if (rateBps > 1e7) EXPECT_GT(spec.dropped, 0u) << "overload rate drops nothing";
+
+  const TrafficReport rep = s.runTrafficEpoch(t0, durationS, rateBps, qos);
+  EXPECT_EQ(rep.packetsOffered, spec.offered);
+  EXPECT_EQ(rep.packetsDelivered, spec.delivered);
+  EXPECT_EQ(rep.packetsDropped, spec.dropped);
+  ASSERT_GT(spec.latency.count(), 0u);
+  EXPECT_EQ(rep.meanLatencyS, spec.latency.meanS());
+  EXPECT_EQ(rep.p95LatencyS, spec.latency.p95S());
+  EXPECT_EQ(rep.lossProbability, spec.latency.lossRate());
+  EXPECT_TRUE(rep.ledgersCrossVerified);
+
+  ASSERT_EQ(s.settlement().providers(), specLedgers.providers());
+  for (const ProviderId p : specLedgers.providers()) {
+    EXPECT_EQ(s.settlement().ledger(p).entries(), specLedgers.ledger(p).entries())
+        << "ledger of provider " << p.value();
+  }
+}
+
+TEST_P(ScenarioTrafficSpec, FirstAdaptiveEpochMatchesSpecStack) {
+  const ScenarioConfig cfg = busyScenario();
+  const double rateBps = GetParam();
+  const double t0 = 120.0;
+  const double durationS = 2.0;
+  Scenario s(cfg);
+  const SpecTraffic spec =
+      runSpecTraffic(s, s.snapshot(t0), latencyCost(), t0, durationS, rateBps,
+                     QosClass::Standard, cfg.seed, nullptr);
+  ASSERT_GT(spec.offered, 0u);
+
+  const AdaptiveReport rep = s.runAdaptiveEpochs(t0, 1, durationS, rateBps);
+  ASSERT_EQ(rep.epochMeanLatencyS.size(), 1u);
+  EXPECT_EQ(rep.totalDelivered + rep.totalDropped, spec.offered);
+  EXPECT_EQ(rep.totalDelivered, spec.delivered);
+  EXPECT_EQ(rep.totalDropped, spec.dropped);
+  ASSERT_GT(spec.latency.count(), 0u);
+  EXPECT_EQ(rep.epochMeanLatencyS[0], spec.latency.meanS());
+  EXPECT_EQ(rep.epochLossRate[0], spec.latency.lossRate());
+}
+
+// Light load (no queueing loss) and a rate past the shared links' buffers
+// (drop-tail losses on the spec and the simulator alike).
+INSTANTIATE_TEST_SUITE_P(Rates, ScenarioTrafficSpec,
+                         ::testing::Values(1e6, 4e7));
+
+void expectSameTraffic(const TrafficReport& a, const TrafficReport& b) {
+  EXPECT_EQ(a.packetsOffered, b.packetsOffered);
+  EXPECT_EQ(a.packetsDelivered, b.packetsDelivered);
+  EXPECT_EQ(a.packetsDropped, b.packetsDropped);
+  EXPECT_EQ(a.meanLatencyS, b.meanLatencyS);
+  EXPECT_EQ(a.p95LatencyS, b.p95LatencyS);
+  EXPECT_EQ(a.lossProbability, b.lossProbability);
+  EXPECT_EQ(a.ledgersCrossVerified, b.ledgersCrossVerified);
+  EXPECT_EQ(a.totalSettlementUsd, b.totalSettlementUsd);
+  ASSERT_EQ(a.settlement.size(), b.settlement.size());
+  for (std::size_t i = 0; i < a.settlement.size(); ++i) {
+    EXPECT_EQ(a.settlement[i].payer, b.settlement[i].payer);
+    EXPECT_EQ(a.settlement[i].payee, b.settlement[i].payee);
+    EXPECT_EQ(a.settlement[i].bytes, b.settlement[i].bytes);
+    EXPECT_EQ(a.settlement[i].amountUsd, b.settlement[i].amountUsd);
+  }
+}
+
+TEST(Scenario, TrafficRunsAreReproducibleAcrossInstances) {
+  for (const bool coordinated : {true, false}) {
+    ScenarioConfig cfg = busyScenario();
+    cfg.coordinatedWalker = coordinated;
+    Scenario a(cfg);
+    Scenario b(cfg);
+    const TrafficReport a1 = a.runTrafficEpoch(0.0, 2.0, 2e6);
+    const TrafficReport b1 = b.runTrafficEpoch(0.0, 2.0, 2e6);
+    expectSameTraffic(a1, b1);
+    const TrafficReport a2 = a.runTrafficEpoch(0.0, 2.0, 2e6);
+    const TrafficReport b2 = b.runTrafficEpoch(0.0, 2.0, 2e6);
+    expectSameTraffic(a2, b2);
+    if (a1.packetsOffered > 0) {
+      // Run 1 draws a fresh Poisson stream (seed + 1), not a replay.
+      EXPECT_NE(a1.meanLatencyS, a2.meanLatencyS) << "coordinated=" << coordinated;
+    }
+  }
+}
+
+TEST(Scenario, TrafficWithNoRoutableUserOffersNothing) {
+  ScenarioConfig cfg = busyScenario();
+  cfg.minElevationRad = deg2rad(89.99);  // no satellite is ever this high
+  Scenario s(cfg);
+  const NetworkGraph g = s.snapshot(0.0);
+  for (std::size_t u = 0; u < cfg.users.size(); ++u) {
+    ASSERT_TRUE(g.linksOf(s.userNode(u)).empty()) << "user " << u;
+  }
+  TrafficReport rep;
+  ASSERT_NO_THROW(rep = s.runTrafficEpoch(0.0, 2.0, 1e6));
+  EXPECT_EQ(rep.packetsOffered, 0u);
+  EXPECT_EQ(rep.packetsDelivered, 0u);
+  EXPECT_EQ(rep.packetsDropped, 0u);
+  EXPECT_EQ(rep.meanLatencyS, 0.0);
+  EXPECT_EQ(rep.p95LatencyS, 0.0);
+  EXPECT_TRUE(rep.ledgersCrossVerified);
+  EXPECT_TRUE(s.settlement().crossVerify());
+  EXPECT_EQ(rep.totalSettlementUsd, 0.0);
+
+  AdaptiveReport adaptive;
+  ASSERT_NO_THROW(adaptive = s.runAdaptiveEpochs(0.0, 2, 1.0, 1e6));
+  EXPECT_EQ(adaptive.totalDelivered, 0u);
+  EXPECT_EQ(adaptive.totalDropped, 0u);
+  EXPECT_EQ(adaptive.reroutedFlows, 0);
 }
 
 }  // namespace

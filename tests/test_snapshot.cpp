@@ -18,6 +18,7 @@
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/sim/fig2.hpp>
+#include <openspace/spec/footprint_index.hpp>
 
 namespace openspace {
 namespace {
