@@ -1,5 +1,5 @@
 // Million-user session plane: the batched HandoverSweep epoch kernel vs
-// the stateless per-user HandoverPlanner scan (paper §2.2 at scale).
+// the stateless per-user planner scan (paper §2.2 at scale).
 //
 // Scenario (scale 1.0): the 66-sat Iridium-like Walker star serving
 // 1,000,000 users drawn from the default world population model, swept
@@ -15,9 +15,10 @@
 // Structure — verification and timing are separate:
 //  * verify (untimed) — a small-table sweep runs next to simulateHandovers
 //    for a subsample of users: every handover's time, endpoints and
-//    latency must match the legacy timeline bit for bit (hard gate, exit
-//    non-zero). The legacy path stays in place as the executable spec; the
-//    sweep is only allowed to be faster, never different.
+//    latency must match the spec timeline bit for bit (hard gate, exit
+//    non-zero). The per-user planner is the test-only executable spec
+//    (openspace_spec); the sweep is only allowed to be faster, never
+//    different.
 //  * serial sweep (timed) — seed the full population, then run the epoch
 //    chain at one thread. This is the single-core number the >= 10x
 //    headline is measured against.
@@ -26,7 +27,7 @@
 //    event-checksum chain must match the serial run bit for bit (hard
 //    gate; serial==parallel is the determinism contract).
 //  * baseline (timed) — the per-user planner scan the sweep replaces:
-//    bestSatelliteAt(user, t) at every epoch start, measured on a
+//    the spec's bestSatelliteAt(user, t) at every epoch start, measured on a
 //    subsample and extrapolated to the full population. The >= 10x floor
 //    is enforced by tools/bench_compare.py, not here (wall-clock asserts
 //    flake on loaded machines; checksum gates cannot).
@@ -40,12 +41,12 @@
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
 #include <openspace/sim/population.hpp>
 #include <openspace/sim/session_scenarios.hpp>
+#include <openspace/spec/handover.hpp>
 
 namespace {
 
@@ -127,9 +128,8 @@ int main(int argc, char** argv) {
 
   SweepConfig cfg;
   cfg.minElevationRad = deg2rad(10.0);
-  cfg.dropOnCertExpiry = false;  // legacy equivalence: certs never gate
+  cfg.dropOnCertExpiry = false;  // spec equivalence: certs never gate
   const HandoverSweep sweeper(eph, cfg);
-  const HandoverPlanner planner(eph, cfg.minElevationRad);
 
   const std::size_t users = std::max<std::size_t>(
       256, static_cast<std::size_t>(1'000'000 * scale));
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   // a steady-state handover is a cache hit, i.e. a purely local operation).
   const std::size_t cacheBudget = 128 * users;
 
-  // --- verify (untimed): sweep == legacy, bit for bit ----------------------
+  // --- verify (untimed): sweep == spec, bit for bit ------------------------
   const std::size_t verifyUsers = std::min<std::size_t>(users, 200);
   bool legacyMatch = true;
   std::size_t verifyEvents = 0;
@@ -163,8 +163,9 @@ int main(int argc, char** argv) {
     std::unordered_map<UserId, std::vector<SessionEvent>> byUser;
     for (const SessionEvent& ev : events) byUser[ev.user].push_back(ev);
     for (const SessionSeed& s : sub) {
-      const HandoverTimeline tl = simulateHandovers(
-          planner, s.location, 0.0, windowS, cfg.mode, cfg.reassocCost);
+      const HandoverTimeline tl =
+          simulateHandovers(eph, cfg.minElevationRad, s.location, 0.0,
+                            windowS, cfg.mode, cfg.reassocCost);
       const auto& mine = byUser[s.user];
       bool ok = mine.size() == tl.events.size();
       for (std::size_t j = 0; ok && j < mine.size(); ++j) {
@@ -224,7 +225,8 @@ int main(int argc, char** argv) {
     for (int e = 0; e < kEpochs; ++e) {
       const double t = e * kEpochS;
       for (std::size_t u = 0; u < baseUsers; ++u) {
-        const auto best = planner.bestSatelliteAt(seeds[u].location, t);
+        const auto best =
+            bestSatelliteAt(eph, cfg.minElevationRad, seeds[u].location, t);
         h = fnv1a(h, best ? best->value() : kNoSatellite);
       }
     }

@@ -8,9 +8,11 @@
 //   $ ./disaster_relief
 #include <cstdio>
 
+#include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
+#include <openspace/orbit/ephemeris.hpp>
+#include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 
 namespace {
@@ -27,14 +29,16 @@ struct ServiceStats {
 
 ServiceStats availabilityOf(const EphemerisService& eph, const Geodetic& site,
                             double t0, double t1) {
-  const HandoverPlanner planner(eph, deg2rad(10.0));
+  const Vec3 siteEcef = geodeticToEcef(site);
   ServiceStats st;
   const double step = 10.0;
   double covered = 0.0;
   double gap = 0.0;
   bool inGap = false;
   for (double t = t0; t < t1; t += step) {
-    if (planner.closestSatelliteAt(site, t)) {
+    const auto footprints = FootprintIndex2::compiled(
+        SnapshotCache::global().at(eph, t), deg2rad(10.0));
+    if (footprints->anyVisibleFrom(siteEcef)) {
       covered += step;
       if (inGap) {
         ++st.gaps;

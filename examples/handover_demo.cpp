@@ -5,58 +5,68 @@
 //
 //   $ ./handover_demo
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/session/handover_sweep.hpp>
+#include <openspace/session/session_table.hpp>
 
 int main() {
   using namespace openspace;
 
   EphemerisService eph;
   for (const auto& el : makeWalkerStar(iridiumConfig())) eph.publish(ProviderId{1}, el);
-  const HandoverPlanner planner(eph, deg2rad(10.0));
+  const auto& sats = eph.satellites();
 
   const Geodetic user = Geodetic::fromDegrees(-1.2921, 36.8219);  // Nairobi
   const double horizon = 3600.0;
 
-  // --- step through the predictive plan, satellite by satellite -----------
+  // The user's session in a one-user table, swept over the whole window in
+  // one epoch: the sweep executes every predicted handover and reports it
+  // as a SessionEvent.
+  const auto sweepWindow = [&](HandoverMode mode,
+                               std::vector<SessionEvent>* events) {
+    SweepConfig cfg;
+    cfg.minElevationRad = deg2rad(10.0);
+    cfg.mode = mode;
+    const HandoverSweep sweep(eph, cfg);
+    SessionTable table(eph.size(), 1);
+    sweep.seed(table,
+               {SessionSeed{1, user, std::numeric_limits<double>::infinity(),
+                            1}},
+               0.0, SeedMode::Planner);
+    return sweep.runEpoch(table, horizon, events);
+  };
+
+  // --- step through the predictive handovers, satellite by satellite ------
   std::printf("predictive handover walk (Nairobi, 60 min):\n");
-  double t = 0.0;
-  auto serving = planner.bestSatelliteAt(user, t);
-  if (!serving) {
-    std::printf("no coverage at t=0\n");
-    return 1;
-  }
-  int step = 0;
-  while (t < horizon && step < 12) {
-    const HandoverPlan plan = planner.plan(*serving, user, t, horizon);
-    std::printf("  t=%6.0fs  serving sat-%-3u  until t=%6.0fs", t, serving->value(),
-                plan.serviceEndsAtS);
-    if (plan.serviceEndsAtS >= horizon) {
-      std::printf("  (end of demo window)\n");
-      break;
+  std::vector<SessionEvent> events;
+  const EpochStats walk = sweepWindow(HandoverMode::Predictive, &events);
+  std::uint32_t serving = kNoSatellite;
+  for (const SessionEvent& ev : events) {
+    if (serving != kNoSatellite && ev.fromSat != serving) {
+      std::printf("  (coverage gap, then sat-%u acquired)\n",
+                  sats[ev.fromSat].value());
     }
-    if (!plan.found) {
-      std::printf("  (coverage gap follows - no successor in view)\n");
-      break;
-    }
-    std::printf("  successor sat-%-3u (visible %5.0fs more)\n", plan.successor.value(),
-                plan.successorUntilS - plan.serviceEndsAtS);
-    t = plan.serviceEndsAtS;
-    serving = plan.successor;
-    ++step;
+    std::printf("  t=%6.0fs  sat-%-3u -> sat-%-3u  (signaling %.1f ms)\n",
+                ev.atS, sats[ev.fromSat].value(), sats[ev.toSat].value(),
+                toMilliseconds(ev.latencyS));
+    serving = ev.toSat;
   }
+  std::printf("  %zu handovers, %zu coverage holes in the window\n",
+              walk.handovers, walk.coverageHoles);
 
   // --- aggregate comparison ----------------------------------------------
   std::printf("\nmode comparison over %.0f min:\n", horizon / 60.0);
   for (const HandoverMode mode :
        {HandoverMode::Predictive, HandoverMode::ReAssociate}) {
-    const auto tl = simulateHandovers(planner, user, 0.0, horizon, mode);
+    const EpochStats st = sweepWindow(mode, nullptr);
     std::printf("  %-13s %2d handovers, outage %7.3f s, availability %.4f%%\n",
                 mode == HandoverMode::Predictive ? "predictive" : "re-associate",
-                tl.handovers(), tl.outageS,
-                100.0 * (1.0 - tl.outageS / horizon));
+                static_cast<int>(st.handovers), st.outageS,
+                100.0 * (1.0 - st.outageS / horizon));
   }
   std::printf("\nPredictive handover keeps the certificate and session: the\n"
               "only gap is signaling. Re-association pays a beacon wait plus\n"

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <list>
 #include <numbers>
-#include <unordered_map>
 
 #include <openspace/core/assert.hpp>
-#include <openspace/core/thread_annotations.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/snapshot.hpp>
@@ -262,112 +259,37 @@ const Vec3& FootprintIndex2::ecef(std::size_t i) const {
 
 namespace {
 
-/// Process-wide LRU of compiled footprint indexes, keyed by (elements
-/// hash, count, quantized t, mask bits) — the SnapshotCache pattern one
-/// layer up. Build happens outside the lock; a racing duplicate insert
-/// resolves in favor of the first. Eviction is bounded by both an entry
-/// count and an approximate byte budget (see
-/// FootprintIndex2::setCompiledCacheByteBudget).
-class FootprintIndexCache {
- public:
-  std::shared_ptr<const FootprintIndex2> at(
-      std::shared_ptr<const ConstellationSnapshot> snapshot,
-      double minElevationRad, double motionMarginRad)
-      OPENSPACE_EXCLUDES(mutex_) {
-    Key key{};
-    key.hash = snapshot->elementsHash();
-    key.count = snapshot->size();
-    key.tMicros = std::llround(snapshot->timeSeconds() * 1e6);
-    std::memcpy(&key.maskBits, &minElevationRad, sizeof(key.maskBits));
-    std::memcpy(&key.marginBits, &motionMarginRad, sizeof(key.marginBits));
-    {
-      MutexLock lock(mutex_);
-      const auto it = index_.find(key);
-      if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return lru_.front().built;
-      }
-    }
-    auto built = std::make_shared<const FootprintIndex2>(
-        std::move(snapshot), minElevationRad, motionMarginRad);
-    MutexLock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.front().built;
-    }
-    const std::size_t entryBytes = built->approxBytes();
-    lru_.emplace_front(Entry{key, std::move(built), entryBytes});
-    index_.emplace(key, lru_.begin());
-    bytes_ += entryBytes;
-    // The just-inserted entry is exempt so an oversized index still caches.
-    while (lru_.size() > 1 &&
-           (lru_.size() > kCapacity || bytes_ > byteBudget_)) {
-      bytes_ -= lru_.back().bytes;
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-    }
-    return lru_.front().built;
-  }
-
-  std::size_t setByteBudget(std::size_t budget) OPENSPACE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const std::size_t previous = byteBudget_;
-    byteBudget_ = budget == 0 ? 1 : budget;
-    while (lru_.size() > 1 && bytes_ > byteBudget_) {
-      bytes_ -= lru_.back().bytes;
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-    }
-    return previous;
-  }
-
-  std::size_t approxBytes() const OPENSPACE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return bytes_;
-  }
-
-  static FootprintIndexCache& global() {
-    static FootprintIndexCache cache;
-    return cache;
-  }
-
- private:
-  struct Key {
-    std::uint64_t hash;
-    std::uint64_t count;
-    std::int64_t tMicros;
-    std::uint64_t maskBits;
-    std::uint64_t marginBits;
-    bool operator==(const Key&) const noexcept = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = k.hash;
-      h ^= k.count * 0x9E3779B97F4A7C15ull;
-      h ^= static_cast<std::uint64_t>(k.tMicros) * 0xD1B54A32D192ED03ull;
-      h ^= k.maskBits * 0x2545F4914F6CDD1Dull;
-      h ^= k.marginBits * 0x94D049BB133111EBull;
-      h ^= h >> 32;
-      return static_cast<std::size_t>(h);
-    }
-  };
-  struct Entry {
-    Key key;
-    std::shared_ptr<const FootprintIndex2> built;
-    std::size_t bytes = 0;
-  };
-
-  static constexpr std::size_t kCapacity = 32;
-  static constexpr std::size_t kDefaultByteBudget =
-      std::size_t{256} * 1024 * 1024;
-  mutable Mutex mutex_;
-  std::list<Entry> lru_ OPENSPACE_GUARDED_BY(mutex_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      OPENSPACE_GUARDED_BY(mutex_);
-  std::size_t bytes_ OPENSPACE_GUARDED_BY(mutex_) = 0;
-  std::size_t byteBudget_ OPENSPACE_GUARDED_BY(mutex_) = kDefaultByteBudget;
+struct IndexCacheKey {
+  std::uint64_t hash;
+  std::uint64_t count;
+  std::int64_t tMicros;
+  std::uint64_t maskBits;
+  std::uint64_t marginBits;
+  bool operator==(const IndexCacheKey&) const noexcept = default;
 };
+
+struct IndexCacheKeyHash {
+  std::size_t operator()(const IndexCacheKey& k) const noexcept {
+    std::uint64_t h = k.hash;
+    h ^= k.count * 0x9E3779B97F4A7C15ull;
+    h ^= static_cast<std::uint64_t>(k.tMicros) * 0xD1B54A32D192ED03ull;
+    h ^= k.maskBits * 0x2545F4914F6CDD1Dull;
+    h ^= k.marginBits * 0x94D049BB133111EBull;
+    h ^= h >> 32;
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// Process-wide LRU of compiled footprint indexes, keyed by (elements
+/// hash, count, quantized t, mask bits, margin bits) — the SnapshotCache
+/// policy one layer up. 32 entries and a 256 MiB byte budget (see
+/// FootprintIndex2::setCompiledCacheByteBudget).
+ByteBudgetLru<IndexCacheKey, FootprintIndex2, IndexCacheKeyHash>&
+indexCache() {
+  static ByteBudgetLru<IndexCacheKey, FootprintIndex2, IndexCacheKeyHash>
+      cache(32, std::size_t{256} * 1024 * 1024);
+  return cache;
+}
 
 }  // namespace
 
@@ -381,16 +303,24 @@ std::shared_ptr<const FootprintIndex2> FootprintIndex2::compiled(
     std::shared_ptr<const ConstellationSnapshot> snapshot,
     double minElevationRad, double motionMarginRad) {
   OPENSPACE_ASSERT(snapshot != nullptr, "compiled() needs a snapshot");
-  return FootprintIndexCache::global().at(std::move(snapshot),
-                                          minElevationRad, motionMarginRad);
+  IndexCacheKey key{};
+  key.hash = snapshot->elementsHash();
+  key.count = snapshot->size();
+  key.tMicros = std::llround(snapshot->timeSeconds() * 1e6);
+  std::memcpy(&key.maskBits, &minElevationRad, sizeof(key.maskBits));
+  std::memcpy(&key.marginBits, &motionMarginRad, sizeof(key.marginBits));
+  return indexCache().getOrBuild(key, [&] {
+    return std::make_shared<const FootprintIndex2>(
+        std::move(snapshot), minElevationRad, motionMarginRad);
+  });
 }
 
 std::size_t FootprintIndex2::setCompiledCacheByteBudget(std::size_t bytes) {
-  return FootprintIndexCache::global().setByteBudget(bytes);
+  return indexCache().setByteBudget(bytes);
 }
 
 std::size_t FootprintIndex2::compiledCacheApproxBytes() {
-  return FootprintIndexCache::global().approxBytes();
+  return indexCache().approxBytes();
 }
 
 }  // namespace openspace

@@ -134,6 +134,128 @@ class ConstellationSnapshot {
   mutable std::shared_ptr<const IslTopology> isl_ OPENSPACE_GUARDED_BY(islMutex_);
 };
 
+/// Thread-safe LRU map from `Key` to shared immutable `Value`s, bounded by
+/// an entry count and an approximate byte budget (each value's
+/// approxBytes(), charged at insert time). The one eviction policy behind
+/// SnapshotCache and the compiled-fleet (FleetEphemeris::compiled) and
+/// compiled-index (FootprintIndex2::compiled) caches: entries leave from
+/// the LRU tail while either limit is exceeded, the newest entry is exempt
+/// (so an oversized value still caches, alone), and with equal-size
+/// entries the byte rule degenerates to a smaller effective capacity, so
+/// the eviction *order* is plain LRU whichever limit binds.
+template <class Key, class Value, class KeyHash>
+class ByteBudgetLru {
+ public:
+  /// Zero limits are clamped to 1.
+  ByteBudgetLru(std::size_t capacity, std::size_t byteBudget)
+      : capacity_(capacity == 0 ? 1 : capacity),
+        byteBudget_(byteBudget == 0 ? 1 : byteBudget) {}
+
+  /// The cached value for `key` (promoted to most recently used), or
+  /// build() — run outside the lock, so concurrent misses on different
+  /// keys do not serialize — inserted. When two misses on one key race,
+  /// the first insert wins and both callers get it. A build that throws
+  /// leaves the cache unchanged. Counts a hit or a miss.
+  template <class Build>
+  std::shared_ptr<const Value> getOrBuild(const Key& key, Build&& build)
+      OPENSPACE_EXCLUDES(mutex_) {
+    {
+      MutexLock lock(mutex_);
+      if (auto hit = promoteLocked(key)) {
+        ++hits_;
+        return hit;
+      }
+      ++misses_;
+    }
+    std::shared_ptr<const Value> built = build();
+    MutexLock lock(mutex_);
+    if (auto first = promoteLocked(key)) return first;
+    const std::size_t entryBytes = built->approxBytes();
+    lru_.emplace_front(Entry{key, std::move(built), entryBytes});
+    index_.emplace(key, lru_.begin());
+    bytes_ += entryBytes;
+    evictLocked();
+    return lru_.front().value;
+  }
+
+  /// Replace the byte budget (0 is clamped to 1) and apply it at once.
+  /// Returns the previous budget.
+  std::size_t setByteBudget(std::size_t budget) OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    const std::size_t previous = byteBudget_;
+    byteBudget_ = budget == 0 ? 1 : budget;
+    evictLocked();
+    return previous;
+  }
+
+  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t byteBudget() const OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return byteBudget_;
+  }
+  std::size_t size() const OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return lru_.size();
+  }
+  /// Summed insert-time approxBytes() of the cached values.
+  std::size_t approxBytes() const OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return bytes_;
+  }
+  std::size_t hits() const OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return hits_;
+  }
+  std::size_t misses() const OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return misses_;
+  }
+  /// Drop every entry and reset the hit/miss counters.
+  void clear() OPENSPACE_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    lru_.clear();
+    index_.clear();
+    bytes_ = 0;
+    hits_ = 0;
+    misses_ = 0;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::shared_ptr<const Value> value;
+    std::size_t bytes = 0;  ///< approxBytes() at insert time.
+  };
+
+  std::shared_ptr<const Value> promoteLocked(const Key& key)
+      OPENSPACE_REQUIRES(mutex_) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lru_.front().value;
+  }
+
+  void evictLocked() OPENSPACE_REQUIRES(mutex_) {
+    while (lru_.size() > 1 &&
+           (lru_.size() > capacity_ || bytes_ > byteBudget_)) {
+      bytes_ -= lru_.back().bytes;
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+    }
+  }
+
+  const std::size_t capacity_;
+  mutable Mutex mutex_;
+  std::size_t byteBudget_ OPENSPACE_GUARDED_BY(mutex_);
+  /// Front = most recently used.
+  std::list<Entry> lru_ OPENSPACE_GUARDED_BY(mutex_);
+  std::unordered_map<Key, typename std::list<Entry>::iterator, KeyHash> index_
+      OPENSPACE_GUARDED_BY(mutex_);
+  std::size_t bytes_ OPENSPACE_GUARDED_BY(mutex_) = 0;
+  std::size_t hits_ OPENSPACE_GUARDED_BY(mutex_) = 0;
+  std::size_t misses_ OPENSPACE_GUARDED_BY(mutex_) = 0;
+};
+
 /// LRU cache of recent snapshots keyed by (constellation hash, satellite
 /// count, t quantized to 1 microsecond). Thread-safe; the global() instance
 /// is shared by every snapshot consumer in the library so that e.g. the
@@ -149,28 +271,25 @@ class SnapshotCache {
       std::size_t{512} * 1024 * 1024;
 
   explicit SnapshotCache(std::size_t capacity = 32,
-                         std::size_t byteBudget = kDefaultByteBudget);
+                         std::size_t byteBudget = kDefaultByteBudget)
+      : lru_(capacity, byteBudget) {}
 
   /// The snapshot of `elements` at `tSeconds` — cached, or built and
-  /// inserted. Insertion evicts least-recently-used entries while either
-  /// the entry count exceeds `capacity()` or the summed approxBytes()
-  /// exceed `byteBudget()`; the newest entry itself is never evicted.
-  /// When all entries are the same size the byte rule degenerates to a
-  /// smaller effective capacity, so the eviction *order* is always plain
-  /// LRU regardless of which limit binds.
+  /// inserted under the ByteBudgetLru policy (`capacity()` entries,
+  /// `byteBudget()` bytes, newest entry exempt, plain LRU order).
   std::shared_ptr<const ConstellationSnapshot> at(
       const std::vector<OrbitalElements>& elements, double tSeconds);
   std::shared_ptr<const ConstellationSnapshot> at(
       const EphemerisService& ephemeris, double tSeconds);
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t byteBudget() const noexcept { return byteBudget_; }
-  std::size_t size() const;
+  std::size_t capacity() const noexcept { return lru_.capacity(); }
+  std::size_t byteBudget() const { return lru_.byteBudget(); }
+  std::size_t size() const { return lru_.size(); }
   /// Summed approxBytes() of the cached snapshots (insert-time values).
-  std::size_t approxBytes() const;
-  std::size_t hits() const;
-  std::size_t misses() const;
-  void clear();
+  std::size_t approxBytes() const { return lru_.approxBytes(); }
+  std::size_t hits() const { return lru_.hits(); }
+  std::size_t misses() const { return lru_.misses(); }
+  void clear() { lru_.clear(); }
 
   static SnapshotCache& global();
 
@@ -184,32 +303,8 @@ class SnapshotCache {
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept;
   };
-  struct Entry {
-    Key key;
-    std::shared_ptr<const ConstellationSnapshot> snapshot;
-    std::size_t bytes = 0;  ///< approxBytes() at insert time.
-  };
 
-  /// Cache probe under the lock; returns the entry (promoted to MRU) or
-  /// nullptr on a miss. Counts the hit/miss either way.
-  std::shared_ptr<const ConstellationSnapshot> probe(const Key& key)
-      OPENSPACE_EXCLUDES(mutex_);
-  /// Build the snapshot (outside the lock) and insert it, resolving a
-  /// racing duplicate insert in favor of the first.
-  std::shared_ptr<const ConstellationSnapshot> insert(
-      const Key& key, std::vector<OrbitalElements>&& elements, double tSeconds)
-      OPENSPACE_EXCLUDES(mutex_);
-
-  std::size_t capacity_;
-  std::size_t byteBudget_;
-  mutable Mutex mutex_;
-  /// Front = most recently used.
-  std::list<Entry> lru_ OPENSPACE_GUARDED_BY(mutex_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      OPENSPACE_GUARDED_BY(mutex_);
-  std::size_t bytes_ OPENSPACE_GUARDED_BY(mutex_) = 0;
-  std::size_t hits_ OPENSPACE_GUARDED_BY(mutex_) = 0;
-  std::size_t misses_ OPENSPACE_GUARDED_BY(mutex_) = 0;
+  ByteBudgetLru<Key, ConstellationSnapshot, KeyHash> lru_;
 };
 
 }  // namespace openspace

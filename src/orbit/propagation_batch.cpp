@@ -9,14 +9,11 @@
 #include <openspace/orbit/propagation_batch.hpp>
 
 #include <cmath>
-#include <list>
 #include <numbers>
-#include <unordered_map>
 #include <utility>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
-#include <openspace/core/thread_annotations.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/ephemeris.hpp>
@@ -201,86 +198,15 @@ struct FleetCacheKeyHash {
 
 /// Process-wide LRU of compiled fleets (analogue of SnapshotCache, one
 /// level down): the temporal router's interval grid, repeated coverage
-/// scoring and handover planning all recompile the same constellation
-/// otherwise. Compilation happens outside the lock; a racing duplicate
-/// insert resolves in favor of the first. Eviction is bounded by both an
-/// entry count and an approximate byte budget (see
+/// scoring and handover sweeps all recompile the same constellation
+/// otherwise. 64 entries and a 256 MiB byte budget (see
 /// FleetEphemeris::setCompiledCacheByteBudget).
-class FleetEphemerisCache {
- public:
-  std::shared_ptr<const FleetEphemeris> at(
-      const std::vector<OrbitalElements>& elements, std::uint64_t hash)
-      OPENSPACE_EXCLUDES(mutex_) {
-    const FleetCacheKey key{hash, elements.size()};
-    {
-      MutexLock lock(mutex_);
-      const auto it = index_.find(key);
-      if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return lru_.front().fleet;
-      }
-    }
-    auto fleet = std::make_shared<const FleetEphemeris>(elements);
-    MutexLock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.front().fleet;
-    }
-    const std::size_t entryBytes = fleet->approxBytes();
-    lru_.emplace_front(Entry{key, std::move(fleet), entryBytes});
-    index_.emplace(key, lru_.begin());
-    bytes_ += entryBytes;
-    // The just-inserted entry is exempt so an oversized fleet still caches.
-    while (lru_.size() > 1 &&
-           (lru_.size() > kCapacity || bytes_ > byteBudget_)) {
-      bytes_ -= lru_.back().bytes;
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-    }
-    return lru_.front().fleet;
-  }
-
-  std::size_t setByteBudget(std::size_t budget) OPENSPACE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const std::size_t previous = byteBudget_;
-    byteBudget_ = budget == 0 ? 1 : budget;
-    // Apply the new budget immediately (same tail rule as insert).
-    while (lru_.size() > 1 && bytes_ > byteBudget_) {
-      bytes_ -= lru_.back().bytes;
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-    }
-    return previous;
-  }
-
-  std::size_t approxBytes() const OPENSPACE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return bytes_;
-  }
-
-  static FleetEphemerisCache& global() {
-    static FleetEphemerisCache cache;
-    return cache;
-  }
-
- private:
-  static constexpr std::size_t kCapacity = 64;
-  static constexpr std::size_t kDefaultByteBudget =
-      std::size_t{256} * 1024 * 1024;
-  struct Entry {
-    FleetCacheKey key;
-    std::shared_ptr<const FleetEphemeris> fleet;
-    std::size_t bytes = 0;
-  };
-  mutable Mutex mutex_;
-  std::list<Entry> lru_ OPENSPACE_GUARDED_BY(mutex_);
-  std::unordered_map<FleetCacheKey, std::list<Entry>::iterator,
-                     FleetCacheKeyHash>
-      index_ OPENSPACE_GUARDED_BY(mutex_);
-  std::size_t bytes_ OPENSPACE_GUARDED_BY(mutex_) = 0;
-  std::size_t byteBudget_ OPENSPACE_GUARDED_BY(mutex_) = kDefaultByteBudget;
-};
+ByteBudgetLru<FleetCacheKey, FleetEphemeris, FleetCacheKeyHash>&
+fleetCache() {
+  static ByteBudgetLru<FleetCacheKey, FleetEphemeris, FleetCacheKeyHash> cache(
+      64, std::size_t{256} * 1024 * 1024);
+  return cache;
+}
 
 }  // namespace
 
@@ -288,15 +214,17 @@ std::shared_ptr<const FleetEphemeris> FleetEphemeris::compiled(
     const std::vector<OrbitalElements>& elements, std::uint64_t hash) {
   OPENSPACE_ASSERT(hash == constellationHash(elements),
                    "compiled(): hash must be constellationHash(elements)");
-  return FleetEphemerisCache::global().at(elements, hash);
+  return fleetCache().getOrBuild(FleetCacheKey{hash, elements.size()}, [&] {
+    return std::make_shared<const FleetEphemeris>(elements);
+  });
 }
 
 std::size_t FleetEphemeris::setCompiledCacheByteBudget(std::size_t bytes) {
-  return FleetEphemerisCache::global().setByteBudget(bytes);
+  return fleetCache().setByteBudget(bytes);
 }
 
 std::size_t FleetEphemeris::compiledCacheApproxBytes() {
-  return FleetEphemerisCache::global().approxBytes();
+  return fleetCache().approxBytes();
 }
 
 TimeSweep::TimeSweep(const FleetEphemeris& fleet) : fleet_(&fleet) {}

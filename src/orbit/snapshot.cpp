@@ -303,10 +303,6 @@ std::optional<std::pair<double, int>> ConstellationSnapshot::shortestIslPath(
   return std::make_pair(dstDist, hops.getOr(dst, 0));
 }
 
-SnapshotCache::SnapshotCache(std::size_t capacity, std::size_t byteBudget)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      byteBudget_(byteBudget == 0 ? 1 : byteBudget) {}
-
 std::size_t SnapshotCache::KeyHash::operator()(const Key& k) const noexcept {
   std::uint64_t h = k.hash;
   h ^= k.count * 0x9E3779B97F4A7C15ull;
@@ -319,10 +315,11 @@ std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
     const std::vector<OrbitalElements>& elements, double tSeconds) {
   const Key key{constellationHash(elements), elements.size(),
                 std::llround(tSeconds * 1e6)};
-  // Probe first so a hit never pays the O(n) element copy; the copy is
-  // materialized only on the miss path that actually builds a snapshot.
-  if (auto hit = probe(key)) return hit;
-  return insert(key, std::vector<OrbitalElements>(elements), tSeconds);
+  // A hit never pays the O(n) element copy; only the miss path that
+  // actually builds a snapshot materializes it.
+  return lru_.getOrBuild(key, [&] {
+    return std::make_shared<const ConstellationSnapshot>(elements, tSeconds);
+  });
 }
 
 std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
@@ -330,79 +327,10 @@ std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
   std::vector<OrbitalElements> elements = elementsOf(ephemeris);
   const Key key{constellationHash(elements), elements.size(),
                 std::llround(tSeconds * 1e6)};
-  if (auto hit = probe(key)) return hit;
-  return insert(key, std::move(elements), tSeconds);
-}
-
-std::shared_ptr<const ConstellationSnapshot> SnapshotCache::probe(
-    const Key& key) {
-  MutexLock lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    return lru_.front().snapshot;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-std::shared_ptr<const ConstellationSnapshot> SnapshotCache::insert(
-    const Key& key, std::vector<OrbitalElements>&& elements, double tSeconds) {
-  // Propagate outside the lock so concurrent misses on different
-  // constellations do not serialize; a racing duplicate insert is resolved
-  // below in favor of the first.
-  auto snapshot =
-      std::make_shared<const ConstellationSnapshot>(std::move(elements), tSeconds);
-  MutexLock lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return lru_.front().snapshot;
-  }
-  const std::size_t entryBytes = snapshot->approxBytes();
-  lru_.emplace_front(Entry{key, std::move(snapshot), entryBytes});
-  index_.emplace(key, lru_.begin());
-  bytes_ += entryBytes;
-  // Evict from the LRU tail while over either limit; the entry just
-  // inserted is exempt so an oversized snapshot still caches (the budget
-  // then holds exactly one entry).
-  while (lru_.size() > 1 &&
-         (lru_.size() > capacity_ || bytes_ > byteBudget_)) {
-    bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-  return lru_.front().snapshot;
-}
-
-std::size_t SnapshotCache::size() const {
-  MutexLock lock(mutex_);
-  return lru_.size();
-}
-
-std::size_t SnapshotCache::approxBytes() const {
-  MutexLock lock(mutex_);
-  return bytes_;
-}
-
-std::size_t SnapshotCache::hits() const {
-  MutexLock lock(mutex_);
-  return hits_;
-}
-
-std::size_t SnapshotCache::misses() const {
-  MutexLock lock(mutex_);
-  return misses_;
-}
-
-void SnapshotCache::clear() {
-  MutexLock lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  hits_ = 0;
-  misses_ = 0;
+  return lru_.getOrBuild(key, [&] {
+    return std::make_shared<const ConstellationSnapshot>(std::move(elements),
+                                                         tSeconds);
+  });
 }
 
 SnapshotCache& SnapshotCache::global() {

@@ -11,11 +11,13 @@ namespace openspace {
 namespace {
 constexpr double kHalfPi = std::numbers::pi / 2.0;
 
+// Written as negated in-range tests so that NaN, which fails every ordered
+// comparison, is rejected too.
 void checkFootprintArgs(double altitudeM, double minElevationRad) {
-  if (altitudeM <= 0.0) {
+  if (!(altitudeM > 0.0)) {
     throw InvalidArgumentError("footprint: altitude must be > 0");
   }
-  if (minElevationRad < 0.0 || minElevationRad > kHalfPi) {
+  if (!(minElevationRad >= 0.0 && minElevationRad <= kHalfPi)) {
     throw InvalidArgumentError("footprint: elevation must be in [0, pi/2]");
   }
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/hash.hpp>
@@ -21,17 +23,25 @@ namespace {
 /// per-seed output slots keep serial and parallel seeding bit-identical.
 constexpr std::size_t kSeedChunk = 512;
 
-/// The legacy re-acquisition probe grid (simulateHandovers' 10 s scan).
+/// The re-acquisition probe grid (the spec simulateHandovers' 10 s scan).
 constexpr double kScanStepS = 10.0;
 
 /// Extra slack on the epoch index's motion margin beyond the rigorous
 /// drift bound — absorbs rounding in the bound's own evaluation.
 constexpr double kMarginSlackRad = 1e-6;
 
-/// Signaling latency of one predictive handover — the expression of the
-/// legacy simulateHandovers path, with the positions from cold copies of
+/// Central-angle slack the visibility search's step-skipping proof keeps
+/// below the exact visibility edge. The compared angles carry a few ULP of
+/// rounding and the elevation predicate at most ~1e-8 rad (acos near 1);
+/// at LEO angular rates the slack costs ~1 ms of skip range per proof.
+constexpr double kSkipSlackRad = 1e-6;
+
+/// Signaling latency of one predictive handover: the serving satellite
+/// tells the user its successor (one downlink), the user opens a session
+/// with the successor (one round trip), no authentication. The expression
+/// of the spec simulateHandovers, with the positions from cold copies of
 /// the compiled sweeps (a sweep's first position is the cold solve, bit-
-/// identical to the scalar positionEci the legacy path calls).
+/// identical to the scalar positionEci the spec calls).
 double predictiveLatencyS(SatelliteSweep from, SatelliteSweep to,
                           const Vec3& userEcef, double tSeconds) {
   const double downS =
@@ -44,6 +54,124 @@ double predictiveLatencyS(SatelliteSweep from, SatelliteSweep to,
 }
 
 }  // namespace
+
+VisibilitySearch::VisibilitySearch(double minElevationRad)
+    : minElevationRad_(minElevationRad), cosMask_(std::cos(minElevationRad)) {
+  if (!(minElevationRad >= 0.0 && minElevationRad < std::numbers::pi / 2.0)) {
+    throw InvalidArgumentError("VisibilitySearch: elevation mask out of range");
+  }
+}
+
+std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
+                                                     const GroundObserver& user,
+                                                     double fromS,
+                                                     double horizonS,
+                                                     double beatS) const {
+  // The horizon is an explicit, finite search bound: a satellite that never
+  // drops below the mask (e.g. a mask of 0 over a pole-adjacent user, or a
+  // horizon shorter than the pass) yields fromS + horizonS rather than an
+  // unbounded scan.
+  if (!(horizonS >= 0.0) || std::isinf(horizonS)) {
+    throw InvalidArgumentError(
+        "visibleUntil: horizon must be finite and >= 0");
+  }
+  const auto ecefAt = [&](double t) {
+    return eciToEcef(sweep.positionEciAt(t), t);
+  };
+  const auto visible = [&](const Vec3& satEcef) {
+    return user.elevationTo(satEcef) >= minElevationRad_;
+  };
+  const Vec3 fromEcef = ecefAt(fromS);
+  if (!visible(fromEcef)) return std::nullopt;
+  // Step-skipping bounds. With a geocentric vertical, elevation falls
+  // strictly as the Earth-central angle between observer and satellite
+  // grows, and the angle at which it meets the mask,
+  //   edge(r) = acos(r_observer / r * cos(mask)) - mask,
+  // grows with the satellite's radius r. So wherever the orbit is, an angle
+  // below edge(r_perigee) means visible and one above edge(r_apogee) means
+  // hidden. The angle moves no faster than the orbit's peak angular rate
+  // plus the Earth's rotation, so an evaluation whose angle clears a bound
+  // by h proves the same verdict for h / rate seconds around it. The slack
+  // on both bounds dwarfs the rounding of every compared quantity and of
+  // the elevation predicate. An observer outside the orbit's radius range
+  // gets no proofs.
+  double visibleBelowRad = -1.0;
+  double hiddenAboveRad = std::numeric_limits<double>::infinity();
+  const double rObsM = user.radiusM();
+  if (rObsM > 0.0 && rObsM < sweep.perigeeRadiusM()) {
+    const auto edgeRad = [&](double rSatM) {
+      return std::acos(rObsM / rSatM * cosMask_) - minElevationRad_;
+    };
+    visibleBelowRad = edgeRad(sweep.perigeeRadiusM()) - kSkipSlackRad;
+    hiddenAboveRad = edgeRad(sweep.apogeeRadiusM()) + kSkipSlackRad;
+  }
+  const double rateRadPerS =
+      sweep.maxAngularRateRadPerS() + wgs84::kEarthRotationRadPerS;
+  // A visible evaluation at t proves visibility through the returned time;
+  // a hidden one proves the satellite hidden from the returned time to t.
+  const auto provenVisibleUntil = [&](double t, const Vec3& satEcef) {
+    const double headroomRad = visibleBelowRad - user.centralAngleTo(satEcef);
+    return headroomRad > 0.0 ? t + headroomRad / rateRadPerS : t;
+  };
+  const auto provenHiddenFrom = [&](double t, const Vec3& satEcef) {
+    const double headroomRad = user.centralAngleTo(satEcef) - hiddenAboveRad;
+    return headroomRad > 0.0 ? t - headroomRad / rateRadPerS : t;
+  };
+
+  double visibleUntilS = provenVisibleUntil(fromS, fromEcef);
+  double hiddenFromS = std::numeric_limits<double>::infinity();
+  // Coarse forward scan (10 s grid, clamped to the horizon) then bisect
+  // the set edge to ~1 ms. A proven sample only advances the warm start,
+  // so every evaluated sample is the plain scan's bit for bit, and so is
+  // every decision.
+  const double step = 10.0;
+  const double horizonEndS = fromS + horizonS;
+  double lo = fromS;
+  double hi = horizonEndS;
+  bool crossed = false;
+  for (double t = fromS + step; t < horizonEndS + step; t += step) {
+    const double clampedS = std::min(t, horizonEndS);
+    if (clampedS <= visibleUntilS) {
+      sweep.skipTo(clampedS);
+    } else {
+      const Vec3 satEcef = ecefAt(clampedS);
+      if (!visible(satEcef)) {
+        lo = std::max(fromS, t - step);
+        hi = clampedS;
+        hiddenFromS = provenHiddenFrom(clampedS, satEcef);
+        crossed = true;
+        break;
+      }
+      visibleUntilS = provenVisibleUntil(clampedS, satEcef);
+    }
+    if (clampedS >= horizonEndS) break;
+  }
+  // Still visible at every grid point up to the horizon: no LOS transition
+  // inside the search window.
+  if (!crossed) return horizonEndS;
+  for (int i = 0; i < 40 && hi - lo > 1e-3; ++i) {
+    // The end lies inside (lo, hi): at or below beatS it cannot win.
+    if (hi <= beatS) return hi;
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= visibleUntilS) {
+      sweep.skipTo(mid);
+      lo = mid;
+    } else if (mid >= hiddenFromS) {
+      sweep.skipTo(mid);
+      hi = mid;
+    } else {
+      const Vec3 satEcef = ecefAt(mid);
+      if (visible(satEcef)) {
+        lo = mid;
+        visibleUntilS = provenVisibleUntil(mid, satEcef);
+      } else {
+        hi = mid;
+        hiddenFromS = provenHiddenFrom(mid, satEcef);
+      }
+    }
+  }
+  return 0.5 * (lo + hi);
+}
 
 /// Per-shard epoch accumulator; folded in shard order after the parallel
 /// phase so every total and the event checksum are thread-count-invariant.
@@ -61,9 +189,7 @@ struct HandoverSweep::ShardStats {
 };
 
 HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
-    : ephemeris_(ephemeris),
-      cfg_(cfg),
-      planner_(ephemeris, cfg.minElevationRad) {
+    : cfg_(cfg), search_(cfg.minElevationRad) {
   const auto& sats = ephemeris.satellites();
   if (sats.empty()) {
     throw InvalidArgumentError("HandoverSweep: empty fleet");
@@ -90,12 +216,12 @@ std::uint32_t HandoverSweep::bestAt(const FootprintIndex2& index,
                                     SatelliteSweep& sweep,
                                     std::vector<std::uint32_t>& scratch,
                                     double& bestUntil) const {
-  // The planner's bestSatelliteAt, fed from the epoch index: the index's
+  // The spec's bestSatelliteAt, fed from the epoch index: the index's
   // candidate set is a (margined) superset of the per-call index the
-  // planner compiles, and both re-test with the exact elevation predicate
+  // spec compiles, and both re-test with the exact elevation predicate
   // in ascending order with strict first-wins — so the winner and its
   // visibility end are bit-identical (pinned in tests/test_session.cpp).
-  // The search's first sample is the cold position the planner tests, so
+  // The search's first sample is the cold position the spec tests, so
   // visibleUntil doubles as the visible-now filter.
   scratch.clear();
   index.forEachGroundCandidate(
@@ -106,7 +232,7 @@ std::uint32_t HandoverSweep::bestAt(const FootprintIndex2& index,
   for (const std::uint32_t i : scratch) {
     if (i == excludeSat) continue;
     sweep = sweeps_[i];
-    const std::optional<double> until = planner_.visibleUntil(
+    const std::optional<double> until = search_.visibleUntil(
         sweep, site, tSeconds, cfg_.horizonS, bestUntil);
     if (until && *until > bestUntil) {
       bestUntil = *until;
@@ -127,7 +253,7 @@ void HandoverSweep::seed(SessionTable& table,
   }
   // Pre-pass: the serving pick and its predicted visibility end, per seed,
   // in fixed chunks — one snapshot + exact (margin-0) index at t0, exactly
-  // what the legacy initial acquisition compiles.
+  // what the spec's initial acquisition compiles.
   const auto snap = SnapshotCache::global().at(elements_, t0S);
   const auto index = FootprintIndex2::compiled(snap, cfg_.minElevationRad);
   std::vector<std::uint32_t> serving(seeds.size(), kNoSatellite);
@@ -147,7 +273,7 @@ void HandoverSweep::seed(SessionTable& table,
                       serving[u] = static_cast<std::uint32_t>(*closest);
                       sweep = sweeps_[serving[u]];
                       untilS[u] =
-                          planner_
+                          search_
                               .visibleUntil(sweep, site, t0S, cfg_.horizonS)
                               .value_or(t0S);
                     }
@@ -202,8 +328,8 @@ void HandoverSweep::seed(SessionTable& table,
           SessionTable::heapPush(st.heap,
                                  SessionTable::HeapEntry{untilS[u], slot});
         } else {
-          // Legacy initial acquisition: the t0 probe failed, the next one
-          // runs a step later on the 10 s grid.
+          // The spec's initial acquisition: the t0 probe failed, the next
+          // one runs a step later on the 10 s grid.
           st.state[slot] = SessionState::Scanning;
           st.servingSat[slot] = kNoSatellite;
           st.nextEventS[slot] = t0S + kScanStepS;
@@ -255,7 +381,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
       // One session's whole epoch: run its leg chain until it parks —
       // expiry beyond the epoch (back on the heap), an unresolved
       // coverage-hole scan (carried to the next epoch), or a dropped
-      // session. The bodies mirror the legacy simulateHandovers loop
+      // session. The bodies mirror the spec simulateHandovers loop
       // clause for clause.
       const auto processSession = [&](std::uint32_t slot) {
         ++out.touched;
@@ -298,7 +424,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
             return;
           }
           // Handover due at endS: successor picked just before the mask
-          // crossing, serving satellite excluded — the legacy rule.
+          // crossing, serving satellite excluded — the spec's rule.
           const std::uint32_t from = st.servingSat[slot];
           double succUntil = 0.0;
           const std::uint32_t succ =
@@ -360,7 +486,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           const double legStartS = endS + latencyS;
           sweep = sweeps_[succ];
           st.nextEventS[slot] =
-              planner_.visibleUntil(sweep, site, legStartS, cfg_.horizonS)
+              search_.visibleUntil(sweep, site, legStartS, cfg_.horizonS)
                   .value_or(legStartS);
         }
       };

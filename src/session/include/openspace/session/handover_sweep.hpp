@@ -1,11 +1,13 @@
-// Batched predictive handover sweeps over a SessionTable.
+// Predictive handover (paper §2.2, "Satellite Handovers"), batched over a
+// SessionTable.
 //
-// The per-user path (HandoverPlanner + simulateHandovers) re-derives
-// everything from scratch each epoch: a snapshot + footprint compile per
-// decision time, a cold visibility scan per candidate, and a full
-// re-acquisition per user per epoch — O(users x candidates x horizon
-// steps) even when nothing changes. HandoverSweep replaces that with an
-// epoch kernel over persistent session state:
+// LEO satellites cover a small area and move fast, so a user hands over
+// every few minutes (Iridium) to every ~15 s (Starlink). OpenSpace uses
+// the public ephemeris: the serving satellite picks its successor in
+// advance, and the user "establishes a new session with the successor"
+// without re-running authentication and association. HandoverSweep is the
+// library's one handover engine. It is an epoch kernel over persistent
+// session state:
 //
 //  * one ConstellationSnapshot + FootprintIndex2 compile per epoch (the
 //    index carries a motion margin sized so its candidate sets stay
@@ -13,49 +15,99 @@
 //  * the per-shard expiry heaps select exactly the sessions whose
 //    predicted handover falls inside the epoch — no full-table scan;
 //  * visibility searches run on one warm-startable SatelliteSweep per
-//    shard through HandoverPlanner::visibleUntil, the planner's own search
-//    core, which skips every scan sample it can prove; each session's site
-//    is compiled once per epoch (GroundObserver) and each satellite's
-//    sweep once per HandoverSweep, so a candidate costs a copy, not a
-//    reset();
+//    shard through VisibilitySearch::visibleUntil, which skips every scan
+//    sample it can prove; each session's site is compiled once per epoch
+//    (GroundObserver) and each satellite's sweep once per HandoverSweep,
+//    so a candidate costs a copy, not a reset();
 //  * certificate verification results are cached per shard, so a
 //    steady-state handover is a purely local operation (no tag
 //    recomputation, never a home-ISP round trip — paper §2.2).
 //
 // Equivalence contract: with SeedMode::Planner and non-expiring
-// certificates, the concatenated per-user event streams are *bit-for-bit*
-// the HandoverTimeline events simulateHandovers(planner, user, t0, T,
-// mode) produces, for any partition of [t0, T] into epochs — the legacy
-// path stays in place verbatim as the executable spec, and
-// tests/test_session.cpp pins the equivalence property. Shards are fanned
+// certificates, the concatenated per-user event streams and the outage
+// are *bit-for-bit* the HandoverTimeline of the per-user executable spec,
+// simulateHandovers (tests/spec, openspace_spec, test-only), for any
+// partition of [t0, T] into epochs. tests/test_session.cpp pins the
+// property and bench_handover / bench_session gate on it. Shards are fanned
 // over parallelFor in fixed one-shard chunks; all sweep state is
 // shard-local, so serial and parallel runs are bit-identical
 // (hard-gated in bench/bench_session.cpp).
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
-#include <openspace/handover/handover.hpp>
+#include <openspace/geo/geodetic.hpp>
+#include <openspace/orbit/ephemeris.hpp>
+#include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/session/session_table.hpp>
 
 namespace openspace {
 
 class FootprintIndex2;
 
-/// Epoch-kernel configuration. The defaults reproduce the legacy
+/// Handover execution mode under study.
+enum class HandoverMode {
+  Predictive,   ///< §2.2 scheme: successor known in advance, no re-auth.
+  ReAssociate,  ///< Baseline: full beacon scan + RADIUS on every handover.
+};
+
+/// Baseline parameters: what a full re-association costs.
+struct ReAssociationCost {
+  double beaconPeriodS = 2.0;  ///< Mean wait = period/2 before association.
+  double authRttS = 0.120;     ///< RADIUS RTT over ISLs to the home ISP.
+};
+
+/// When a satellite drops below the elevation mask, seen from one site.
+class VisibilitySearch {
+ public:
+  /// Throws InvalidArgumentError unless the mask is in [0, pi/2).
+  explicit VisibilitySearch(double minElevationRad);
+
+  /// The search, on a sweep reset() to the satellite and an observer
+  /// compiled once by the caller: nullopt when the satellite is below the
+  /// mask at fromS, else the first mask crossing after fromS (a 10 s scan,
+  /// then bisection to ~1 ms), or fromS + horizonS if it is still visible
+  /// at the horizon. The horizon is a hard search bound; throws
+  /// InvalidArgumentError unless it is finite and >= 0. The scan and the
+  /// bisection skip the evaluation of every sample a bound on the
+  /// satellite's angular motion proves visible or hidden (only the warm
+  /// Kepler start advances there); every other sample is evaluated
+  /// exactly, so each decision and the result are bit-for-bit those of the
+  /// plain search that evaluates every sample (pinned in
+  /// tests/test_handover.cpp). Candidate loops call this directly: the
+  /// first sample doubles as their visible-now test, and `beatS` is their
+  /// best end so far — once the scan brackets the end at or below beatS,
+  /// the search returns that bracket's upper edge (<= beatS, so the
+  /// candidate loses a strict comparison) instead of bisecting on.
+  std::optional<double> visibleUntil(
+      SatelliteSweep& sweep, const GroundObserver& user, double fromS,
+      double horizonS = 3'600.0,
+      double beatS = -std::numeric_limits<double>::infinity()) const;
+
+  double minElevationRad() const noexcept { return minElevationRad_; }
+
+ private:
+  double minElevationRad_;
+  // cos(minElevationRad_), for the step-skipping bound.
+  double cosMask_;  // units: dimensionless cosine
+};
+
+/// Epoch-kernel configuration. The defaults reproduce the spec's
 /// simulateHandovers semantics (3600 s visibility horizon, predictive
 /// make-before-break).
 struct SweepConfig {
   double minElevationRad = 0.1745;  ///< ~10 deg.
   HandoverMode mode = HandoverMode::Predictive;
   ReAssociationCost reassocCost{};
-  /// Visibility search bound per leg; must stay at the planner default
-  /// for event streams to match the legacy path.
+  /// Visibility search bound per leg; must stay at the spec's default
+  /// for event streams to match it.
   double horizonS = 3'600.0;
   /// Disassociate a session whose certificate is expired at the moment a
   /// successor would be adopted (the AssociationAgent::adoptSuccessor
-  /// expiry rule). Disable for legacy-equivalence runs with finite
+  /// expiry rule). Disable for spec-equivalence runs with finite
   /// certificate lifetimes.
   bool dropOnCertExpiry = true;
 };
@@ -79,8 +131,8 @@ struct EpochStats {
 
 /// How HandoverSweep::seed picks each user's first serving satellite.
 enum class SeedMode {
-  /// bestSatelliteAt(user, t0): longest-remaining-visibility — exactly the
-  /// initial acquisition of simulateHandovers (the equivalence mode).
+  /// Longest remaining visibility at t0 — exactly the initial
+  /// acquisition of the spec's simulateHandovers (the equivalence mode).
   Planner,
   /// closestVisible(user): the §2.2 association rule — exactly the
   /// satellite associateUsers picks (the production mode).
@@ -97,7 +149,7 @@ class HandoverSweep {
   /// Seed sessions into the table at `t0S`: pick each user's serving
   /// satellite (per `mode`), predict its visibility end, and insert the
   /// session — associateUsers' batched selection feeding per-user state.
-  /// Users with no visible satellite enter Scanning on the legacy 10 s
+  /// Users with no visible satellite enter Scanning on the spec's 10 s
   /// re-acquisition grid. A seed whose user already has a Disassociated
   /// session re-associates in place (new certificate handle); an active
   /// duplicate throws InvalidArgumentError. The first seed sets the table
@@ -127,10 +179,10 @@ class HandoverSweep {
   struct ShardStats;
 
   /// Index of the best satellite at `tSeconds` for the compiled site —
-  /// candidates from the margined epoch index, the exact planner predicate
-  /// and first-wins tie order, visibility ends through `sweep`, the
-  /// winner's visibility end through `bestUntil` (the new leg's predicted
-  /// expiry). Bit-identical to HandoverPlanner::bestSatelliteAt.
+  /// candidates from the margined epoch index, the exact elevation
+  /// predicate and first-wins tie order, visibility ends through `sweep`,
+  /// the winner's visibility end through `bestUntil` (the new leg's
+  /// predicted expiry). Bit-identical to the spec's bestSatelliteAt.
   /// kNoSatellite when none visible.
   std::uint32_t bestAt(const FootprintIndex2& index,
                        const GroundObserver& site, double tSeconds,
@@ -138,9 +190,8 @@ class HandoverSweep {
                        std::vector<std::uint32_t>& scratch,
                        double& bestUntil) const;
 
-  const EphemerisService& ephemeris_;
   SweepConfig cfg_;
-  HandoverPlanner planner_;
+  VisibilitySearch search_;
   std::vector<OrbitalElements> elements_;
   /// One sweep per satellite, reset() once here: copying one into a
   /// working sweep is the reset() without its trig, per candidate.

@@ -5,7 +5,7 @@
 // (when the serving satellite drops below the elevation mask). The paper's
 // "associate once, then hand over every ~15 s without re-authentication"
 // economics only show up when that state persists between epochs — the
-// stateless batch paths (associateUsers, per-user HandoverPlanner scans)
+// stateless batch paths (associateUsers, per-user best-satellite scans)
 // pay the full acquisition cost every epoch for every user.
 //
 // SessionTable shards sessions by user id into structure-of-arrays shards,

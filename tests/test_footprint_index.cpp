@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -390,6 +391,20 @@ TEST(FootprintIndex2, MaskDomainMatchesBrutePath) {
   EXPECT_THROW(FootprintIndex2(snap, -0.01), InvalidArgumentError);
   EXPECT_THROW(FootprintIndex2(snap, kPi / 2 + 0.01), InvalidArgumentError);
   EXPECT_NO_THROW(FootprintIndex2(snap, 0.0));
+}
+
+TEST(FootprintIndex2, NanMaskThrowsInsteadOfBuilding) {
+  // NaN fails every ordered comparison, so a range check written as
+  // `x < lo || x > hi` lets it through to the cap index.
+  Rng rng(207);
+  const auto sats = makeRandomConstellation(4, km(780.0), rng);
+  const auto snap = SnapshotCache::global().at(sats, 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FootprintIndex2::compiled(snap, nan), InvalidArgumentError);
+  EXPECT_THROW(FootprintIndex2::compiled(snap, nan, 0.01),
+               InvalidArgumentError);
+  // A failed build leaves nothing behind: the valid index still compiles.
+  EXPECT_EQ(FootprintIndex2::compiled(snap, deg2rad(10.0))->size(), 4u);
 }
 
 TEST(FootprintIndex2, CompiledCacheReturnsSharedInstance) {

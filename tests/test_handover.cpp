@@ -1,6 +1,7 @@
-// Unit tests for the handover module: visibility-end prediction (pinned to
-// the plain every-step scan), successor planning, and the predictive vs
-// re-associate timeline simulation.
+// Unit tests for handover: the shipped visibility search (pinned to the
+// plain every-step scan) and the per-user spec built on it (openspace_spec):
+// successor planning and the predictive vs re-associate timeline
+// simulation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +13,10 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/geo/wgs84.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/session/handover_sweep.hpp>
+#include <openspace/spec/handover.hpp>
 
 namespace openspace {
 namespace {
@@ -23,24 +25,26 @@ class HandoverTest : public ::testing::Test {
  protected:
   HandoverTest() {
     for (const auto& el : makeWalkerStar(iridiumConfig())) eph_.publish(ProviderId{1}, el);
-    planner_ = std::make_unique<HandoverPlanner>(eph_, deg2rad(10.0));
   }
   EphemerisService eph_;
-  std::unique_ptr<HandoverPlanner> planner_;
+  const double mask_ = deg2rad(10.0);
   const Geodetic user_ = Geodetic::fromDegrees(40.44, -79.99);
 };
 
 TEST_F(HandoverTest, ElevationMaskValidation) {
-  EXPECT_THROW(HandoverPlanner(eph_, -0.1), InvalidArgumentError);
-  EXPECT_THROW(HandoverPlanner(eph_, 1.6), InvalidArgumentError);
+  EXPECT_THROW(VisibilitySearch(-0.1), InvalidArgumentError);
+  EXPECT_THROW(VisibilitySearch(1.6), InvalidArgumentError);
+  EXPECT_THROW(VisibilitySearch(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
+  EXPECT_THROW(bestSatelliteAt(eph_, -0.1, user_, 0.0), InvalidArgumentError);
 }
 
 TEST_F(HandoverTest, VisibilityEndMatchesContactWindows) {
   // Pick a satellite visible at t=0 and compare against the orbit module's
   // independent contact-window computation.
-  const auto serving = planner_->bestSatelliteAt(user_, 0.0);
+  const auto serving = bestSatelliteAt(eph_, mask_, user_, 0.0);
   ASSERT_TRUE(serving.has_value());
-  const double end = planner_->visibilityEndS(*serving, user_, 0.0);
+  const double end = visibilityEndS(eph_, mask_, *serving, user_, 0.0);
   const auto windows = contactWindows(eph_.record(*serving).elements, user_,
                                       0.0, 3600.0, deg2rad(10.0), 5.0);
   ASSERT_FALSE(windows.empty());
@@ -52,7 +56,7 @@ TEST_F(HandoverTest, VisibilityEndForInvisibleSatelliteIsNow) {
   for (const SatelliteId sid : eph_.satellites()) {
     const Vec3 pos = eph_.positionEci(sid, 0.0);
     if (elevationFrom(pos, user_, 0.0) < deg2rad(10.0)) {
-      EXPECT_DOUBLE_EQ(planner_->visibilityEndS(sid, user_, 0.0), 0.0);
+      EXPECT_DOUBLE_EQ(visibilityEndS(eph_, mask_, sid, user_, 0.0), 0.0);
       return;
     }
   }
@@ -60,14 +64,14 @@ TEST_F(HandoverTest, VisibilityEndForInvisibleSatelliteIsNow) {
 }
 
 TEST_F(HandoverTest, BestSatelliteMaximizesRemainingService) {
-  const auto best = planner_->bestSatelliteAt(user_, 0.0);
+  const auto best = bestSatelliteAt(eph_, mask_, user_, 0.0);
   ASSERT_TRUE(best.has_value());
-  const double bestUntil = planner_->visibilityEndS(*best, user_, 0.0);
+  const double bestUntil = visibilityEndS(eph_, mask_, *best, user_, 0.0);
   for (const SatelliteId sid : eph_.satellites()) {
     if (sid == *best) continue;
     const Vec3 pos = eph_.positionEci(sid, 0.0);
     if (elevationFrom(pos, user_, 0.0) < deg2rad(10.0)) continue;
-    EXPECT_LE(planner_->visibilityEndS(sid, user_, 0.0), bestUntil + 0.5);
+    EXPECT_LE(visibilityEndS(eph_, mask_, sid, user_, 0.0), bestUntil + 0.5);
   }
 }
 
@@ -86,13 +90,13 @@ TEST_F(HandoverTest, BestSatelliteAtMatchesPerCandidateColdScan) {
         if (elevationFrom(eph_.positionEci(sid, t), user_, t) < deg2rad(10.0)) {
           continue;
         }
-        const double until = planner_->visibilityEndS(sid, user_, t);
+        const double until = visibilityEndS(eph_, mask_, sid, user_, t);
         if (until > bestUntil) {
           bestUntil = until;
           expect = sid;
         }
       }
-      const auto got = planner_->bestSatelliteAt(user_, t, exclude);
+      const auto got = bestSatelliteAt(eph_, mask_, user_, t, exclude);
       EXPECT_EQ(got, expect) << "t " << t << " pass " << pass;
       if (!expect) break;
       // Second pass: exclude the winner, as the successor search does.
@@ -102,30 +106,30 @@ TEST_F(HandoverTest, BestSatelliteAtMatchesPerCandidateColdScan) {
 }
 
 TEST_F(HandoverTest, ClosestSatelliteIsVisible) {
-  const auto closest = planner_->closestSatelliteAt(user_, 0.0);
+  const auto closest = closestSatelliteAt(eph_, mask_, user_, 0.0);
   ASSERT_TRUE(closest.has_value());
   const Vec3 pos = eph_.positionEci(*closest, 0.0);
   EXPECT_GE(elevationFrom(pos, user_, 0.0), deg2rad(10.0));
 }
 
 TEST_F(HandoverTest, PlanProducesUsableSuccessor) {
-  const auto serving = planner_->bestSatelliteAt(user_, 0.0);
+  const auto serving = bestSatelliteAt(eph_, mask_, user_, 0.0);
   ASSERT_TRUE(serving.has_value());
-  const HandoverPlan plan = planner_->plan(*serving, user_, 0.0);
-  ASSERT_TRUE(plan.found);
-  EXPECT_NE(plan.successor, *serving);
-  EXPECT_GT(plan.serviceEndsAtS, 0.0);
+  const HandoverPlan next = plan(eph_, mask_, *serving, user_, 0.0);
+  ASSERT_TRUE(next.found);
+  EXPECT_NE(next.successor, *serving);
+  EXPECT_GT(next.serviceEndsAtS, 0.0);
   // The successor is actually visible at the switch instant.
-  const Vec3 pos = eph_.positionEci(plan.successor, plan.serviceEndsAtS - 1e-3);
-  EXPECT_GE(elevationFrom(pos, user_, plan.serviceEndsAtS - 1e-3),
+  const Vec3 pos = eph_.positionEci(next.successor, next.serviceEndsAtS - 1e-3);
+  EXPECT_GE(elevationFrom(pos, user_, next.serviceEndsAtS - 1e-3),
             deg2rad(10.0));
   // And serves beyond the handover time.
-  EXPECT_GT(plan.successorUntilS, plan.serviceEndsAtS);
+  EXPECT_GT(next.successorUntilS, next.serviceEndsAtS);
 }
 
 TEST_F(HandoverTest, TimelineCoversWindowAndHandsOver) {
   const auto tl =
-      simulateHandovers(*planner_, user_, 0.0, 3600.0, HandoverMode::Predictive);
+      simulateHandovers(eph_, mask_, user_, 0.0, 3600.0, HandoverMode::Predictive);
   EXPECT_GT(tl.handovers(), 0);
   EXPECT_GT(tl.coveredS, 3000.0);  // mostly covered for a 66-sat shell
   EXPECT_LT(tl.outageS, 600.0);
@@ -138,8 +142,8 @@ TEST_F(HandoverTest, TimelineCoversWindowAndHandsOver) {
 
 TEST_F(HandoverTest, PredictiveBeatsReassociationOnOutage) {
   const auto pred =
-      simulateHandovers(*planner_, user_, 0.0, 3600.0, HandoverMode::Predictive);
-  const auto reassoc = simulateHandovers(*planner_, user_, 0.0, 3600.0,
+      simulateHandovers(eph_, mask_, user_, 0.0, 3600.0, HandoverMode::Predictive);
+  const auto reassoc = simulateHandovers(eph_, mask_, user_, 0.0, 3600.0,
                                          HandoverMode::ReAssociate);
   ASSERT_GT(pred.handovers(), 0);
   ASSERT_GT(reassoc.handovers(), 0);
@@ -158,7 +162,7 @@ TEST_F(HandoverTest, ReassociationCostIsConfigurable) {
   ReAssociationCost cheap;
   cheap.beaconPeriodS = 0.2;
   cheap.authRttS = 0.010;
-  const auto tl = simulateHandovers(*planner_, user_, 0.0, 3600.0,
+  const auto tl = simulateHandovers(eph_, mask_, user_, 0.0, 3600.0,
                                     HandoverMode::ReAssociate, cheap);
   for (const auto& e : tl.events) {
     EXPECT_NEAR(e.latencyS, 0.1 + 0.010, 1e-12);
@@ -167,10 +171,10 @@ TEST_F(HandoverTest, ReassociationCostIsConfigurable) {
 
 TEST_F(HandoverTest, InvalidWindowThrows) {
   EXPECT_THROW(
-      simulateHandovers(*planner_, user_, 10.0, 10.0, HandoverMode::Predictive),
+      simulateHandovers(eph_, mask_, user_, 10.0, 10.0, HandoverMode::Predictive),
       InvalidArgumentError);
   EXPECT_THROW(
-      simulateHandovers(*planner_, user_, 10.0, 5.0, HandoverMode::Predictive),
+      simulateHandovers(eph_, mask_, user_, 10.0, 5.0, HandoverMode::Predictive),
       InvalidArgumentError);
 }
 
@@ -182,14 +186,14 @@ TEST(HandoverHorizon, AlwaysVisibleSatelliteReturnsHorizonBound) {
   const SatelliteId sid =
       eph.publish(ProviderId{1},
                   OrbitalElements::circular(km(35'786.0), 0.0, 0.0, 0.0));
-  const HandoverPlanner planner(eph, deg2rad(10.0));
+  const double mask = deg2rad(10.0);
   const Geodetic user = Geodetic::fromDegrees(0.0, 0.0);
-  EXPECT_DOUBLE_EQ(planner.visibilityEndS(sid, user, 0.0), 3'600.0);
-  EXPECT_DOUBLE_EQ(planner.visibilityEndS(sid, user, 50.0, 600.0), 650.0);
+  EXPECT_DOUBLE_EQ(visibilityEndS(eph, mask, sid, user, 0.0), 3'600.0);
+  EXPECT_DOUBLE_EQ(visibilityEndS(eph, mask, sid, user, 50.0, 600.0), 650.0);
   // Horizon shorter than the scan grid still clamps exactly to the bound.
-  EXPECT_DOUBLE_EQ(planner.visibilityEndS(sid, user, 0.0, 3.5), 3.5);
+  EXPECT_DOUBLE_EQ(visibilityEndS(eph, mask, sid, user, 0.0, 3.5), 3.5);
   // Degenerate zero-length window: visible now, search ends immediately.
-  EXPECT_DOUBLE_EQ(planner.visibilityEndS(sid, user, 10.0, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(visibilityEndS(eph, mask, sid, user, 10.0, 0.0), 10.0);
 }
 
 TEST(HandoverHorizon, InvalidHorizonThrows) {
@@ -197,21 +201,21 @@ TEST(HandoverHorizon, InvalidHorizonThrows) {
   const SatelliteId sid =
       eph.publish(ProviderId{1},
                   OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0));
-  const HandoverPlanner planner(eph, deg2rad(10.0));
+  const double mask = deg2rad(10.0);
   const Geodetic user = Geodetic::fromDegrees(0.0, 0.0);
-  EXPECT_THROW(planner.visibilityEndS(sid, user, 0.0, -1.0),
+  EXPECT_THROW(visibilityEndS(eph, mask, sid, user, 0.0, -1.0),
                InvalidArgumentError);
-  EXPECT_THROW(planner.visibilityEndS(sid, user, 0.0,
-                                      std::numeric_limits<double>::infinity()),
+  EXPECT_THROW(visibilityEndS(eph, mask, sid, user, 0.0,
+                              std::numeric_limits<double>::infinity()),
                InvalidArgumentError);
-  EXPECT_THROW(planner.visibilityEndS(sid, user, 0.0,
-                                      std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_THROW(visibilityEndS(eph, mask, sid, user, 0.0,
+                              std::numeric_limits<double>::quiet_NaN()),
                InvalidArgumentError);
 }
 
-/// The executable spec of HandoverPlanner::visibilityEndWith: the plain
-/// search that evaluates the elevation at every 10 s grid step and at every
-/// bisection midpoint. The planner skips the steps it proves; its result
+/// The executable spec of VisibilitySearch::visibleUntil: the plain search
+/// that evaluates the elevation at every 10 s grid step and at every
+/// bisection midpoint. The search skips the steps it proves; its result
 /// must be this one, bit for bit.
 double plainVisibilityEnd(SatelliteSweep& sweep, const Geodetic& user,
                           double maskRad, double fromS, double horizonS) {
@@ -299,10 +303,10 @@ TEST(VisibilitySearch, StepSkippingMatchesPlainScanBitForBit) {
     }
     const double mask = masks[trial % 5];
     const double horizon = horizons[(trial / 5) % 5];
-    const HandoverPlanner planner(eph, mask);
+    const VisibilitySearch search(mask);
     SatelliteSweep skipping(el);
     SatelliteSweep plain(el);
-    const double got = planner.visibilityEndWith(skipping, site, fromS, horizon);
+    const double got = visibilityEndWith(mask, skipping, site, fromS, horizon);
     const double want = plainVisibilityEnd(plain, site, mask, fromS, horizon);
     ASSERT_EQ(bitsOf(got), bitsOf(want))
         << "trial " << trial << " got " << got << " want " << want;
@@ -318,8 +322,8 @@ TEST(VisibilitySearch, StepSkippingMatchesPlainScanBitForBit) {
     const double beatS = want + rng.uniform(-15.0, 15.0);
     SatelliteSweep bounded(el);
     const std::optional<double> until =
-        planner.visibleUntil(bounded, GroundObserver(site), fromS, horizon,
-                             beatS);
+        search.visibleUntil(bounded, GroundObserver(site), fromS, horizon,
+                            beatS);
     SatelliteSweep probe(el);
     ASSERT_EQ(until.has_value(),
               elevationFrom(probe.positionEciAt(fromS), site, fromS) >= mask)
@@ -340,10 +344,9 @@ TEST(HandoverSparse, NoCoverageMeansNoHandovers) {
   // One equatorial satellite, user at the pole: never visible.
   EphemerisService eph;
   eph.publish(ProviderId{1}, OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0));
-  const HandoverPlanner planner(eph, deg2rad(10.0));
   const Geodetic pole = Geodetic::fromDegrees(89.0, 0.0);
-  const auto tl =
-      simulateHandovers(planner, pole, 0.0, 3600.0, HandoverMode::Predictive);
+  const auto tl = simulateHandovers(eph, deg2rad(10.0), pole, 0.0, 3600.0,
+                                    HandoverMode::Predictive);
   EXPECT_EQ(tl.handovers(), 0);
   EXPECT_DOUBLE_EQ(tl.coveredS, 0.0);
   EXPECT_NEAR(tl.outageS, 3600.0, 15.0);
@@ -353,11 +356,10 @@ TEST(HandoverSparse, SingleSatellitePlanHasNoSuccessor) {
   EphemerisService eph;
   const SatelliteId only =
       eph.publish(ProviderId{1}, OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0));
-  const HandoverPlanner planner(eph, deg2rad(10.0));
   const Geodetic equator = Geodetic::fromDegrees(0.0, 0.0);
-  const HandoverPlan plan = planner.plan(only, equator, 0.0);
-  EXPECT_FALSE(plan.found);
-  EXPECT_GT(plan.serviceEndsAtS, 0.0);  // it does serve for a while
+  const HandoverPlan next = plan(eph, deg2rad(10.0), only, equator, 0.0);
+  EXPECT_FALSE(next.found);
+  EXPECT_GT(next.serviceEndsAtS, 0.0);  // it does serve for a while
 }
 
 TEST(HandoverDensity, DenserFleetsCoverGapsBetter) {
@@ -369,8 +371,7 @@ TEST(HandoverDensity, DenserFleetsCoverGapsBetter) {
     wc.planes = planes;
     wc.phasing = wc.phasing % planes;
     for (const auto& el : makeWalkerStar(wc)) eph.publish(ProviderId{1}, el);
-    const HandoverPlanner planner(eph, deg2rad(10.0));
-    return simulateHandovers(planner, user, 0.0, 7200.0,
+    return simulateHandovers(eph, deg2rad(10.0), user, 0.0, 7200.0,
                              HandoverMode::Predictive)
         .outageS;
   };

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/isl/fleet.hpp>
 #include <openspace/routing/ondemand.hpp>
 #include <openspace/routing/proactive.hpp>
+#include <openspace/session/handover_sweep.hpp>
 #include <openspace/sim/scenario.hpp>
 #include <openspace/spec/forwarding.hpp>
 
@@ -80,17 +80,22 @@ TEST(Integration, HandoverPreservesServiceAndRoutes) {
   cfg.seed = 31;
   Scenario s(cfg);
 
-  const HandoverPlanner planner(s.ephemeris(), cfg.minElevationRad);
-  const Geodetic userLoc = cfg.users[0].location;
-  const auto serving = planner.bestSatelliteAt(userLoc, 0.0);
-  ASSERT_TRUE(serving.has_value());
-  const HandoverPlan plan = planner.plan(*serving, userLoc, 0.0);
-  ASSERT_TRUE(plan.found);
+  SweepConfig sweepCfg;
+  sweepCfg.minElevationRad = cfg.minElevationRad;
+  const HandoverSweep sweep(s.ephemeris(), sweepCfg);
+  SessionTable table(s.ephemeris().size(), 1);
+  sweep.seed(table, {SessionSeed{1, cfg.users[0].location, 1e9, 1}}, 0.0,
+             SeedMode::Planner);
+  std::vector<SessionEvent> handovers;
+  sweep.runEpoch(table, 3'600.0, &handovers);
+  ASSERT_FALSE(handovers.empty());
+  const SatelliteId successor =
+      s.ephemeris().satellites()[handovers.front().toSat];
 
   // After the switch, the successor still routes to the gateway.
-  const double after = plan.serviceEndsAtS + 0.1;
+  const double after = handovers.front().atS + 0.1;
   const NetworkGraph g = s.snapshot(after);
-  const NodeId succNode = s.topology().nodeOf(plan.successor);
+  const NodeId succNode = s.topology().nodeOf(successor);
   const Route r = shortestPath(g, succNode, s.stationNode(0), latencyCost());
   EXPECT_TRUE(r.valid());
 }

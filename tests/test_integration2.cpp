@@ -7,13 +7,13 @@
 #include <sstream>
 
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/io/ephemeris_io.hpp>
 #include <openspace/orbit/maneuver.hpp>
 #include <openspace/routing/linkstate.hpp>
 #include <openspace/routing/pathvector.hpp>
 #include <openspace/routing/temporal.hpp>
 #include <openspace/security/reputation.hpp>
+#include <openspace/session/handover_sweep.hpp>
 #include <openspace/sim/population.hpp>
 #include <openspace/sim/scenario.hpp>
 
@@ -219,11 +219,19 @@ TEST(Integration2, LinkStateFloodFasterThanHandoverCadence) {
       stateDisseminationTimeS(g, g.nodesOfKind(NodeKind::Satellite).front());
   EXPECT_LT(floodS, 1.0);
 
-  const HandoverPlanner planner(eph, deg2rad(10.0));
-  const auto tl = simulateHandovers(planner, Geodetic::fromDegrees(40.44, -79.99),
-                                    0.0, 3600.0, HandoverMode::Predictive);
-  ASSERT_GT(tl.handovers(), 0);
-  EXPECT_GT(tl.meanIntervalS, 100.0 * floodS);
+  SweepConfig cfg;
+  cfg.minElevationRad = deg2rad(10.0);
+  const HandoverSweep sweep(eph, cfg);
+  SessionTable table(eph.size(), 1);
+  sweep.seed(table,
+             {SessionSeed{1, Geodetic::fromDegrees(40.44, -79.99), 1e9, 1}},
+             0.0, SeedMode::Planner);
+  std::vector<SessionEvent> events;
+  sweep.runEpoch(table, 3'600.0, &events);
+  ASSERT_GT(events.size(), 1u);
+  const double meanIntervalS = (events.back().atS - events.front().atS) /
+                               static_cast<double>(events.size() - 1);
+  EXPECT_GT(meanIntervalS, 100.0 * floodS);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <set>
 
@@ -276,6 +277,14 @@ TEST(Footprint, InvalidArgsThrow) {
   EXPECT_THROW(footprintHalfAngleRad(0.0, 0.1), InvalidArgumentError);
   EXPECT_THROW(footprintHalfAngleRad(780e3, -0.1), InvalidArgumentError);
   EXPECT_THROW(footprintHalfAngleRad(780e3, 2.0), InvalidArgumentError);
+}
+
+TEST(Footprint, NanArgsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(footprintHalfAngleRad(780e3, nan), InvalidArgumentError);
+  EXPECT_THROW(footprintHalfAngleRad(nan, 0.1), InvalidArgumentError);
+  EXPECT_THROW(maxSlantRangeM(780e3, nan), InvalidArgumentError);
+  EXPECT_THROW(maxSlantRangeM(nan, 0.1), InvalidArgumentError);
 }
 
 TEST(SlantRange, AltitudeAtZenithAndLongerAtMask) {

@@ -278,7 +278,7 @@ TEST(SatelliteSweep, AgreesWithScalarAcrossScanAndBisectionPattern) {
 }
 
 TEST(SatelliteSweep, ResetMatchesFreshConstructionBitForBit) {
-  // The candidate loops (HandoverPlanner::bestSatelliteAt, the session
+  // The candidate loops (the spec bestSatelliteAt, the session
   // sweep) reuse one SatelliteSweep across satellites via reset(); that is
   // only sound if a reset() sweep is indistinguishable from a freshly
   // constructed one on every subsequent query, bit for bit.

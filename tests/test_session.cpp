@@ -2,15 +2,16 @@
 // epoch kernel, and the sim scenarios built on them.
 //
 // The central property: with SeedMode::Planner and non-expiring
-// certificates, the sweep's per-user event streams are *bit-for-bit* the
-// HandoverTimeline events the legacy per-user simulateHandovers produces,
-// for any partition of the window into epochs — the legacy path is the
-// executable spec. Everything else (determinism at any thread count,
-// occupancy accounting, certificate caching, regional outage) is layered
-// on top of that pinned equivalence.
+// certificates, the sweep's per-user event streams and its outage are
+// *bit-for-bit* the HandoverTimeline the per-user simulateHandovers spec
+// (openspace_spec) produces, for any partition of the window into epochs.
+// Everything else (determinism at any thread count, occupancy accounting,
+// certificate caching, regional outage) is layered on top of that pinned
+// equivalence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -20,11 +21,11 @@
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/handover/handover.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
 #include <openspace/sim/session_scenarios.hpp>
+#include <openspace/spec/handover.hpp>
 
 namespace openspace {
 namespace {
@@ -49,7 +50,6 @@ class SessionSweepTest : public ::testing::Test {
     for (const auto& el : makeWalkerStar(iridiumConfig())) {
       eph_.publish(ProviderId{1}, el);
     }
-    planner_ = std::make_unique<HandoverPlanner>(eph_, mask_);
     cfg_.minElevationRad = mask_;
     cfg_.dropOnCertExpiry = false;
     const auto& sats = eph_.satellites();
@@ -113,7 +113,6 @@ class SessionSweepTest : public ::testing::Test {
 
   const double mask_ = deg2rad(10.0);
   EphemerisService eph_;
-  std::unique_ptr<HandoverPlanner> planner_;
   SweepConfig cfg_;
   std::unordered_map<std::uint32_t, std::uint32_t> indexOf_;
   const std::vector<Geodetic> sites_ = {
@@ -138,7 +137,7 @@ TEST_F(SessionSweepTest, EventsMatchLegacySimulationForAnyEpochPartition) {
   std::vector<HandoverTimeline> legacy;
   for (const Geodetic& site : sites_) {
     legacy.push_back(
-        simulateHandovers(*planner_, site, 0.0, T, HandoverMode::Predictive));
+        simulateHandovers(eph_, mask_, site, 0.0, T, HandoverMode::Predictive));
   }
   for (const auto& partition : partitions) {
     const SweepRun run = runSweep(sites_, partition);
@@ -159,7 +158,7 @@ TEST_F(SessionSweepTest, FineEpochPartitionStillMatchesLegacy) {
     SCOPED_TRACE("site " + std::to_string(i));
     expectMatchesLegacy(
         eventsOf(run.events, i + 1),
-        simulateHandovers(*planner_, sites_[i], 0.0, T, HandoverMode::Predictive));
+        simulateHandovers(eph_, mask_, sites_[i], 0.0, T, HandoverMode::Predictive));
   }
 }
 
@@ -170,8 +169,70 @@ TEST_F(SessionSweepTest, ReAssociateModeMatchesLegacyToo) {
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     SCOPED_TRACE("site " + std::to_string(i));
     expectMatchesLegacy(eventsOf(run.events, i + 1),
-                        simulateHandovers(*planner_, sites_[i], 0.0, T,
+                        simulateHandovers(eph_, mask_, sites_[i], 0.0, T,
                                           HandoverMode::ReAssociate));
+  }
+}
+
+/// One user's whole window run as a one-user, one-shard table swept in a
+/// single epoch (bench_handover's setup): events and EpochStats::outageS
+/// must be bit-for-bit the spec timeline's. Returns the spec timeline.
+HandoverTimeline expectOutageMatchesSpec(const EphemerisService& eph,
+                                         const Geodetic& site, double T,
+                                         HandoverMode mode) {
+  const double mask = deg2rad(10.0);
+  SweepConfig cfg;
+  cfg.minElevationRad = mask;
+  cfg.mode = mode;
+  SessionTable table(eph.size(), 1);
+  const HandoverSweep sweep(eph, cfg);
+  sweep.seed(table, {SessionSeed{1, site, kNeverExpiresS, 1}}, 0.0,
+             SeedMode::Planner);
+  std::vector<SessionEvent> events;
+  const EpochStats stats = sweep.runEpoch(table, T, &events);
+  const HandoverTimeline spec = simulateHandovers(eph, mask, site, 0.0, T, mode);
+  EXPECT_EQ(bitsOf(stats.outageS), bitsOf(spec.outageS))
+      << stats.outageS << " vs " << spec.outageS;
+  EXPECT_EQ(stats.handovers, spec.events.size());
+  const auto& sats = eph.satellites();
+  for (std::size_t j = 0; j < std::min(events.size(), spec.events.size());
+       ++j) {
+    EXPECT_EQ(bitsOf(events[j].atS), bitsOf(spec.events[j].atS)) << j;
+    EXPECT_EQ(sats[events[j].fromSat], spec.events[j].from) << j;
+    EXPECT_EQ(sats[events[j].toSat], spec.events[j].to) << j;
+    EXPECT_EQ(bitsOf(events[j].latencyS), bitsOf(spec.events[j].latencyS)) << j;
+  }
+  return spec;
+}
+
+TEST_F(SessionSweepTest, OutageMatchesSpecOnAnchorCBothModes) {
+  // EXPERIMENTS Anchor C: Pittsburgh under the 66-sat star, two hours.
+  const Geodetic pittsburgh = Geodetic::fromDegrees(40.4406, -79.9959);
+  for (const HandoverMode mode :
+       {HandoverMode::Predictive, HandoverMode::ReAssociate}) {
+    SCOPED_TRACE(mode == HandoverMode::Predictive ? "predictive" : "reassoc");
+    const HandoverTimeline spec =
+        expectOutageMatchesSpec(eph_, pittsburgh, 7'200.0, mode);
+    EXPECT_GT(spec.handovers(), 0);
+  }
+}
+
+TEST(SessionSweepOutage, SparseFleetCoverageHolesMatchSpec) {
+  // bench_handover's 22- and 44-satellite cadence rows: fleets this sparse
+  // leave coverage holes, so the outage is mostly hole and acquisition
+  // time, accrued through the sweep's Scanning state.
+  const Geodetic pittsburgh = Geodetic::fromDegrees(40.4406, -79.9959);
+  for (const int n : {22, 44}) {
+    SCOPED_TRACE(n);
+    EphemerisService eph;
+    WalkerConfig wc = iridiumConfig();
+    wc.totalSatellites = n;
+    wc.planes = n / 11;
+    wc.phasing = wc.phasing % wc.planes;
+    for (const auto& el : makeWalkerStar(wc)) eph.publish(ProviderId{1}, el);
+    const HandoverTimeline spec = expectOutageMatchesSpec(
+        eph, pittsburgh, 7'200.0, HandoverMode::Predictive);
+    EXPECT_GT(spec.outageS, 600.0);  // holes, not just signaling
   }
 }
 
@@ -396,6 +457,14 @@ TEST_F(SessionSweepTest, SweepValidatesConstruction) {
   const HandoverSweep sweep(eph_, cfg_);
   EXPECT_EQ(sweep.fleet().size(), eph_.satellites().size());
   EXPECT_GT(sweep.maxAngularRateRadPerS(), 0.0);
+}
+
+TEST_F(SessionSweepTest, SweepRejectsNanMask) {
+  // A NaN mask used to construct, then crash in the first seed's index
+  // build.
+  SweepConfig bad = cfg_;
+  bad.minElevationRad = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError);
 }
 
 TEST(SessionStateNames, AllNamed) {
