@@ -28,9 +28,8 @@
 //  * topology (timed) — lazy ISL adjacency build (grid-pruned, never
 //    all-pairs at these sizes) on a cold snapshot per pass; per-tier range
 //    caps keep mean ISL degree in the tens like a real +grid/motif fleet.
-//    Untimed gates: diffIslTopology(prev, next) patched onto prev's
-//    adjacency reproduces next's adjacency bit-for-bit, and the
-//    snapshot+topology pipeline is bit-identical serial vs parallel.
+//    Untimed gate: the snapshot+topology pipeline is bit-identical serial
+//    vs parallel.
 //  * route (timed) — shortestIslPath over spread satellite pairs on the
 //    cached adjacency: Dijkstra cost at fleet scale.
 //
@@ -58,7 +57,6 @@
 #include <openspace/orbit/propagation_simd.hpp>
 #include <openspace/orbit/shells.hpp>
 #include <openspace/orbit/snapshot.hpp>
-#include <openspace/orbit/snapshot_delta.hpp>
 
 namespace {
 
@@ -248,7 +246,6 @@ struct TierResult {
   double usPerSatTopo = 0.0;
   std::size_t islLinks = 0;
   double meanDegree = 0.0;
-  bool deltaFreshMatch = false;
   bool topoSerialParallelMatch = false;
   // route
   std::size_t routePairs = 0;
@@ -257,48 +254,9 @@ struct TierResult {
 
   bool allGates() const {
     return propSerialParallelMatch && capBitIdentical && closestVisibleMatch &&
-           deltaFreshMatch && topoSerialParallelMatch && simdMaxDevM < 1e-5;
+           topoSerialParallelMatch && simdMaxDevM < 1e-5;
   }
 };
-
-/// Apply a SnapshotDelta onto a copy of prev's adjacency: the patched
-/// result must reproduce next's adjacency bit-for-bit (the gate).
-std::vector<std::vector<std::pair<std::size_t, double>>> patchAdjacency(
-    const IslTopology& prev, const SnapshotDelta& delta) {
-  auto adj = prev.adjacency;  // deep copy
-  const auto erase = [&](std::size_t a, std::size_t b) {
-    auto& nbrs = adj[a];
-    for (auto it = nbrs.begin(); it != nbrs.end(); ++it) {
-      if (it->first == b) {
-        nbrs.erase(it);
-        return;
-      }
-    }
-  };
-  const auto upsert = [&](std::size_t a, std::size_t b, double distM) {
-    auto& nbrs = adj[a];
-    auto it = nbrs.begin();
-    while (it != nbrs.end() && it->first < b) ++it;
-    if (it != nbrs.end() && it->first == b) {
-      it->second = distM;
-    } else {
-      nbrs.insert(it, {b, distM});
-    }
-  };
-  for (const IslLinkChange& c : delta.removed) {
-    erase(c.i, c.j);
-    erase(c.j, c.i);
-  }
-  for (const IslLinkChange& c : delta.added) {
-    upsert(c.i, c.j, c.distanceM);
-    upsert(c.j, c.i, c.distanceM);
-  }
-  for (const IslLinkChange& c : delta.rangeChanged) {
-    upsert(c.i, c.j, c.distanceM);
-    upsert(c.j, c.i, c.distanceM);
-  }
-  return adj;
-}
 
 TierResult runTier(const Tier& tier, int poolThreads) {
   TierResult r;
@@ -496,20 +454,6 @@ TierResult runTier(const Tier& tier, int poolThreads) {
     r.shellLinks = fleet.islLinks(*snap).size();
   }
 
-  // Delta==fresh gate: diff the t0 / t0+dt adjacencies, patch t0's arrays
-  // with the delta, and require bit-identity with the fresh t0+dt build.
-  {
-    const double dtS = 15.0;
-    const ConstellationSnapshot next(elements, t0S + dtS);
-    const SnapshotDelta delta =
-        diffIslTopology(*snap, next, tier.maxIslRangeM);
-    const auto patched = patchAdjacency(*snap->islTopology(tier.maxIslRangeM),
-                                        delta);
-    const auto fresh = next.islTopology(tier.maxIslRangeM);
-    r.deltaFreshMatch = mixAdjacency(kFnvOffsetBasis, patched) ==
-                        mixAdjacency(kFnvOffsetBasis, fresh->adjacency);
-  }
-
   // Serial==parallel gate over the snapshot+topology pipeline.
   {
     const auto foldPipeline = [&] {
@@ -608,13 +552,12 @@ int main(int argc, char** argv) {
   for (const TierResult& r : results) {
     std::printf("# %s: speedup propagation %.2fx cap-kernel %.2fx | gates: "
                 "prop serial==parallel %s  cap bit-identical %s  "
-                "closestVisible %s  delta==fresh %s  topo serial==parallel "
-                "%s  simd dev %.2e m\n",
+                "closestVisible %s  topo serial==parallel %s  simd dev "
+                "%.2e m\n",
                 r.name.c_str(), r.speedupPropagation, r.speedupCapIndex,
                 r.propSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.capBitIdentical ? "MATCH" : "MISMATCH",
                 r.closestVisibleMatch ? "MATCH" : "MISMATCH",
-                r.deltaFreshMatch ? "MATCH" : "MISMATCH",
                 r.topoSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.simdMaxDevM);
   }

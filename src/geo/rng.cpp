@@ -30,7 +30,7 @@ double Rng::normal(double mean, double stddev) {
 }
 
 bool Rng::chance(double probability) {
-  if (probability < 0.0 || probability > 1.0) {
+  if (!(probability >= 0.0 && probability <= 1.0)) {
     throw InvalidArgumentError("Rng::chance: probability outside [0, 1]");
   }
   return std::bernoulli_distribution(probability)(engine_);

@@ -46,7 +46,7 @@ double LatencyStats::maxS() const {
 }
 
 double LatencyStats::percentileS(double quantile) const {
-  if (quantile < 0.0 || quantile > 1.0) {
+  if (!(quantile >= 0.0 && quantile <= 1.0)) {
     throw InvalidArgumentError("LatencyStats::percentileS: quantile outside [0,1]");
   }
   if (samples_.empty()) throw NotFoundError("LatencyStats: no samples");

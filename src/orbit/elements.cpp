@@ -83,7 +83,7 @@ double solveKeplerReduced(double reducedMeanAnomalyRad, double eccentricity) {
 }
 
 double solveKepler(double meanAnomalyRad, double eccentricity) {
-  if (eccentricity < 0.0 || eccentricity >= 1.0) {
+  if (!(eccentricity >= 0.0 && eccentricity < 1.0)) {
     throw InvalidArgumentError("solveKepler: eccentricity must be in [0, 1)");
   }
   if (eccentricity == 0.0) return meanAnomalyRad;

@@ -85,7 +85,7 @@ FleetEphemeris::FleetEphemeris(const std::vector<OrbitalElements>& elements)
   q3_.reserve(count_);
   for (const OrbitalElements& el : elements) {
     const double ecc = el.eccentricity;
-    if (ecc < 0.0 || ecc >= 1.0) {
+    if (!(ecc >= 0.0 && ecc < 1.0)) {
       throw InvalidArgumentError(
           "FleetEphemeris: eccentricity must be in [0, 1)");
     }
@@ -317,7 +317,7 @@ SatelliteSweep::SatelliteSweep(const OrbitalElements& elements) {
 
 void SatelliteSweep::reset(const OrbitalElements& elements) {
   const double ecc = elements.eccentricity;
-  if (ecc < 0.0 || ecc >= 1.0) {
+  if (!(ecc >= 0.0 && ecc < 1.0)) {
     throw InvalidArgumentError("SatelliteSweep: eccentricity must be in [0, 1)");
   }
   const double a = elements.semiMajorAxisM;

@@ -7,7 +7,6 @@
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
-#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
 
 namespace openspace {
@@ -224,235 +223,19 @@ PathTree RouteEngine::shortestPathTree(NodeId src) const {
 
 PathTree RouteEngine::repairShortestPathTree(const PathTree& previous,
                                              TreeRepairStats* stats) const {
-  TreeRepairStats local;
-  TreeRepairStats& st = stats != nullptr ? *stats : local;
-  st = TreeRepairStats{};
   if (!previous.valid()) {
     throw InvalidArgumentError(
         "repairShortestPathTree: previous tree is default-constructed");
   }
-  const auto fresh = [&](const char* why) {
-    st.repaired = false;
-    st.fallbackReason = why;
-    return shortestPathTree(previous.source_);
-  };
+  TreeRepairStats local;
+  TreeRepairStats& st = stats != nullptr ? *stats : local;
+  st = TreeRepairStats{};
   if (previous.csr_.get() == csr_.get()) {
     st.repaired = true;  // same compiled graph object: nothing can differ
     return previous;
   }
-  const CompactGraph& oldG = *previous.csr_;
-  const CompactGraph& g = *csr_;
-  const std::size_t n = g.nodeCount();
-  const std::size_t edgeCount = g.edgeCount();
-  RepairScratch& rs = repair_;
-
-  // Everything up to the dist repair is source-independent: computed once
-  // per (previous, current) graph pair and cached (see RepairScratch), so
-  // repairing one tree per source of a sweep step pays for it once.
-  if (rs.cachedPrev.get() != previous.csr_.get()) {
-    rs.cachedPrev.reset();
-    rs.cachedFallback = [&]() -> const char* {
-      rs.diffStats = TreeRepairStats{};
-      if (oldG.nodeCount() != n) return "node-set-changed";
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (oldG.nodeAt(i) != g.nodeAt(i)) return "node-set-changed";
-      }
-      // Repair preconditions on the new graph. Strictly positive costs
-      // make equal-dist settle order index-sorted (the parent closed form
-      // below depends on it); two-way links let a node enumerate its
-      // incoming edges through its own CSR row. Builder-produced graphs
-      // always satisfy both.
-      for (std::uint32_t e = 0; e < edgeCount; ++e) {
-        if (!(g.edgeCost(e) > 0.0)) return "nonpositive-cost-edge";
-        if (g.edgesOfLink(g.edgeLink(e)).size() != 2) return "one-way-link";
-      }
-
-      // --- Edge diff: per-row matching by target node -------------------
-      // Seeds are the nodes whose INCOMING edge set changed — an edge
-      // u->v lives in u's row, so scanning every row and seeding the
-      // edge's target covers exactly the incoming sets. Matched unchanged
-      // edges also yield the old->new parent-edge remap.
-      TreeRepairStats& ds = rs.diffStats;
-      rs.claimed.reset(edgeCount);
-      rs.seedMark.reset(n);
-      rs.seeds.clear();
-      rs.diffSuspects.clear();
-      rs.oldToNew.assign(oldG.edgeCount(), kNoEdge);
-      const auto seed = [&](std::uint32_t v) {
-        if (!rs.seedMark.touched(v)) {
-          rs.seedMark.set(v, char{1});
-          rs.seeds.push_back(v);
-        }
-      };
-      for (std::uint32_t u = 0; u < n; ++u) {
-        rs.rowTarget.reset(n);
-        const std::uint32_t nb = g.rowBegin(u);
-        const std::uint32_t ne = g.rowEnd(u);
-        for (std::uint32_t e = nb; e < ne; ++e) {
-          const std::uint32_t t = g.edgeTarget(e);
-          if (rs.rowTarget.touched(t)) {
-            // Parallel links between one pair: positional matching is
-            // ambiguous, so force the target through the full
-            // re-derivation.
-            seed(t);
-            rs.diffSuspects.push_back(t);
-          } else {
-            rs.rowTarget.set(t, e);
-          }
-        }
-        const std::uint32_t oe = oldG.rowEnd(u);
-        for (std::uint32_t e0 = oldG.rowBegin(u); e0 < oe; ++e0) {
-          const std::uint32_t t = oldG.edgeTarget(e0);
-          const std::uint32_t e1 = rs.rowTarget.getOr(t, kNoEdge);
-          if (e1 == kNoEdge || rs.claimed.touched(e1)) {
-            ++ds.removedEdges;
-            seed(t);
-            continue;
-          }
-          rs.claimed.set(e1, char{1});
-          rs.oldToNew[e0] = e1;
-          if (bitsOf(oldG.edgeCost(e0)) != bitsOf(g.edgeCost(e1))) {
-            ++ds.changedEdges;
-            seed(t);
-          }
-        }
-        for (std::uint32_t e = nb; e < ne; ++e) {
-          if (!rs.claimed.touched(e)) {
-            ++ds.addedEdges;
-            seed(g.edgeTarget(e));
-          }
-        }
-      }
-      ds.seedNodes = rs.seeds.size();
-      // A diff touching a large fraction of the nodes repairs slower than
-      // it recomputes (every seed pays an incoming-row scan plus queue
-      // traffic); hand the whole step to the plain Dijkstra instead.
-      if (rs.seeds.size() * 4 > n) return "seed-flood";
-      return nullptr;
-    }();
-    rs.cachedPrev = previous.csr_;
-  }
-  st.changedEdges = rs.diffStats.changedEdges;
-  st.addedEdges = rs.diffStats.addedEdges;
-  st.removedEdges = rs.diffStats.removedEdges;
-  st.seedNodes = rs.diffStats.seedNodes;
-  if (rs.cachedFallback != nullptr) return fresh(rs.cachedFallback);
-  rs.suspectMark.reset(n);
-  for (const std::uint32_t v : rs.diffSuspects) rs.suspectMark.set(v, char{1});
-
-  // --- Dist repair (Ramalingam–Reps / DynamicSWSF-FP) --------------------
-  // dist starts as the previous fixpoint; every node outside the seed set
-  // is consistent by construction (same incoming candidate multiset), so
-  // the queue drains exactly the delta-affected region. Positive costs
-  // make the consistent fixpoint unique — and computing each rhs as a min
-  // over the same double expressions fresh Dijkstra evaluates keeps the
-  // repaired dist array bit-identical to a fresh run's.
-  const std::uint32_t srcIdx = previous.sourceIndex_;
-  std::vector<double> dist = previous.dist_;
-  const auto rhsOf = [&](std::uint32_t v) {
-    double best = kInf;
-    const std::uint32_t end = g.rowEnd(v);
-    for (std::uint32_t e = g.rowBegin(v); e < end; ++e) {
-      const auto le = g.edgesOfLink(g.edgeLink(e));
-      const std::uint32_t er = le.e[0] == e ? le.e[1] : le.e[0];  // u -> v
-      best = std::min(best, dist[g.edgeTarget(e)] + g.edgeCost(er));
-    }
-    return best;
-  };
-  const auto consider = [&](std::uint32_t v) {
-    if (v == srcIdx) return;
-    const double r = rhsOf(v);
-    if (bitsOf(r) != bitsOf(dist[v])) rs.queue.push(std::min(dist[v], r), v);
-  };
-  rs.queue.clear();
-  for (const std::uint32_t v : rs.seeds) consider(v);
-  while (!rs.queue.empty()) {
-    const auto [key, v] = rs.queue.pop();
-    const double d = dist[v];
-    const double r = rhsOf(v);
-    if (bitsOf(key) != bitsOf(std::min(d, r))) continue;  // stale entry
-    if (bitsOf(d) == bitsOf(r)) continue;                 // became consistent
-    ++st.queuePops;
-    if (r < d) {
-      dist[v] = r;  // under-consistent: lower to the supported value
-    } else {
-      dist[v] = kInf;  // over-consistent: raise, then let rhs re-lower it
-      consider(v);
-    }
-    const std::uint32_t end = g.rowEnd(v);
-    for (std::uint32_t e = g.rowBegin(v); e < end; ++e) {
-      consider(g.edgeTarget(e));
-    }
-  }
-
-  // --- Parent finalization ----------------------------------------------
-  // Fresh Dijkstra's parent of v is the first final-value relaxation in
-  // settle order: the incoming candidate minimizing (dist(u)+c, dist(u),
-  // u, e) lexicographically. Only suspects — nodes whose dist or incoming
-  // candidates changed, i.e. seeds, dist-changed nodes, and neighbors of
-  // dist-changed nodes — can have a different argmin than before; every
-  // other node keeps its previous parent edge, remapped.
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (bitsOf(dist[v]) == bitsOf(previous.dist_[v])) continue;
-    rs.suspectMark.set(v, char{1});
-    const std::uint32_t end = g.rowEnd(v);
-    for (std::uint32_t e = g.rowBegin(v); e < end; ++e) {
-      rs.suspectMark.set(g.edgeTarget(e), char{1});
-    }
-  }
-  for (const std::uint32_t v : rs.seeds) rs.suspectMark.set(v, char{1});
-
-  PathTree tree;
-  tree.csr_ = csr_;
-  tree.source_ = previous.source_;
-  tree.sourceIndex_ = srcIdx;
-  tree.parentEdge_.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (v == srcIdx || std::isinf(dist[v])) {
-      tree.parentEdge_[v] = kNoEdge;
-      continue;
-    }
-    if (!rs.suspectMark.touched(v)) {
-      const std::uint32_t pOld = previous.parentEdge_[v];
-      OPENSPACE_ASSERT(pOld != kNoEdge, "reached non-source node has a parent");
-      const std::uint32_t pNew = rs.oldToNew[pOld];
-      OPENSPACE_ASSERT(pNew != kNoEdge,
-                       "an unsuspected node's parent edge persisted");
-      tree.parentEdge_[v] = pNew;
-      continue;
-    }
-    ++st.parentRecomputes;
-    double bestNd = kInf;
-    double bestDu = kInf;
-    std::uint32_t bestU = 0;
-    std::uint32_t bestE = kNoEdge;
-    const std::uint32_t end = g.rowEnd(v);
-    for (std::uint32_t e = g.rowBegin(v); e < end; ++e) {
-      const std::uint32_t u = g.edgeTarget(e);
-      if (std::isinf(dist[u])) continue;
-      const auto le = g.edgesOfLink(g.edgeLink(e));
-      const std::uint32_t er = le.e[0] == e ? le.e[1] : le.e[0];  // u -> v
-      const double nd = dist[u] + g.edgeCost(er);
-      const bool better =
-          bestE == kNoEdge || nd < bestNd ||
-          (bitsOf(nd) == bitsOf(bestNd) &&
-           (dist[u] < bestDu ||
-            (bitsOf(dist[u]) == bitsOf(bestDu) &&
-             (u < bestU || (u == bestU && er < bestE)))));
-      if (better) {
-        bestNd = nd;
-        bestDu = dist[u];
-        bestU = u;
-        bestE = er;
-      }
-    }
-    OPENSPACE_ASSERT(bestE != kNoEdge && bitsOf(bestNd) == bitsOf(dist[v]),
-                     "recomputed parent supports the repaired distance");
-    tree.parentEdge_[v] = bestE;
-  }
-  tree.dist_ = std::move(dist);
-  st.repaired = true;
-  return tree;
+  st.fallbackReason = "fresh-tree";
+  return shortestPathTree(previous.source_);
 }
 
 std::vector<PathTree> RouteEngine::batchShortestPathTrees(

@@ -7,7 +7,9 @@
 // with per-edge precomputed cost/delay/capacity, then answers any number of
 // queries over generation-stamped scratch arrays and a reusable d-ary heap —
 // zero allocation per query once warmed up, no std::function or hash lookup
-// in the hot loop.
+// in the hot loop. Over a drifting topology, a sweep builds fresh trees on
+// each step's delta-patched graph (topology/delta.hpp): under the delay
+// cost every edge changes every step, so there is no old tree to reuse.
 //
 // Determinism contract: every query is a pure function of the compiled
 // graph. The heap breaks distance ties by dense node index (== NetworkGraph
@@ -83,19 +85,14 @@ class PathTree {
   std::vector<std::uint32_t> parentEdge_;  ///< kInvalidIndex == none.
 };
 
-/// Observability of one repairShortestPathTree() call: whether the repair
-/// path ran (vs falling back to a fresh Dijkstra) and how much of the graph
-/// it actually touched.
+/// What one repairShortestPathTree() call did, in the fields the
+/// worldbench record reads.
 struct TreeRepairStats {
-  bool repaired = false;  ///< False => fell back to a fresh full run.
+  /// True only when `previous` was already built on this engine's graph.
+  bool repaired = false;
   /// Static string naming the fallback cause; nullptr when repaired.
   const char* fallbackReason = nullptr;
-  std::size_t changedEdges = 0;  ///< Directed edges whose cost bits changed.
-  std::size_t addedEdges = 0;    ///< Directed edges present only in the new graph.
-  std::size_t removedEdges = 0;  ///< Directed edges present only in the old graph.
-  std::size_t seedNodes = 0;     ///< Nodes whose incoming edge set changed.
-  std::size_t queuePops = 0;     ///< Repair-queue activity (~ affected region).
-  std::size_t parentRecomputes = 0;  ///< Nodes whose parent edge was re-derived.
+  std::size_t queuePops = 0;  ///< Always 0: the shim runs no repair queue.
 };
 
 class RouteEngine {
@@ -115,21 +112,13 @@ class RouteEngine {
   /// Full single-source tree as a compact PathTree.
   PathTree shortestPathTree(NodeId src) const;
 
-  /// Repair `previous` (a tree computed against an earlier compiled graph
-  /// with the same node template — typically the prior step of an
-  /// IncrementalTopology sweep) into a tree over THIS engine's graph.
-  ///
-  /// Result contract: bit-identical to shortestPathTree(previous.source())
-  /// — same dist and parentEdge arrays to the last bit, property-tested
-  /// against the fresh path. Only the delta-affected frontier is
-  /// re-settled (Ramalingam–Reps style dist repair seeded by the edge
-  /// diff), so cost: O(diff + affected region), not O(N log N + E).
-  ///
-  /// Falls back to a fresh run — never fails, never slower than ~2x fresh
-  /// — when the repair preconditions do not hold: node template changed,
-  /// any new-graph edge has non-positive cost or a missing reverse
-  /// direction, or the diff floods the frontier (`stats->fallbackReason`
-  /// says which). Throws InvalidArgumentError for an invalid `previous`.
+  /// Compatibility shim for worldbench, which still calls it: returns
+  /// `previous` itself (repaired = true) when it was built on this engine's
+  /// graph object, and otherwise shortestPathTree(previous.source()) with
+  /// repaired = false and fallbackReason "fresh-tree". Either way the result
+  /// is bit-identical to a fresh tree. Throws InvalidArgumentError for an
+  /// invalid `previous`. New code calls shortestPathTree() or
+  /// batchShortestPathTrees() directly.
   PathTree repairShortestPathTree(const PathTree& previous,
                                   TreeRepairStats* stats = nullptr) const;
 
@@ -168,34 +157,6 @@ class RouteEngine {
   mutable RouteScratch scratch_;
   mutable StampedArray<char> forbiddenNodes_;
   mutable StampedArray<char> forbiddenEdges_;
-  /// repairShortestPathTree() arenas: edge-diff row matching, seed/suspect
-  /// marks, and the dist-repair queue. Same sharing rule as scratch_.
-  ///
-  /// The edge diff (preconditions, per-row matching, seeds, old->new
-  /// remap) is a pure function of the (previous, current) graph pair —
-  /// independent of the tree's source — so a temporal sweep repairing one
-  /// tree per source across the same pair computes it once: `cachedPrev`
-  /// keys the cache and pins the old graph so the address cannot be
-  /// recycled while cached.
-  struct RepairScratch {
-    StampedArray<std::uint32_t> rowTarget;  ///< target -> new edge, per row.
-    StampedArray<char> claimed;             ///< new edges matched this call.
-    StampedArray<char> seedMark;
-    StampedArray<char> suspectMark;
-    DaryHeap queue;
-    // Cached diff of (cachedPrev -> engine graph); valid while cachedPrev
-    // matches the previous tree's graph.
-    std::shared_ptr<const CompactGraph> cachedPrev;
-    /// Non-null: the cached pair falls back to a fresh run for this reason.
-    const char* cachedFallback = nullptr;
-    TreeRepairStats diffStats;  ///< changed/added/removed edges, seed count.
-    std::vector<std::uint32_t> oldToNew;  ///< old edge -> new edge (kInvalid).
-    std::vector<std::uint32_t> seeds;
-    /// Parallel-link targets: pre-suspect nodes replayed into suspectMark
-    /// on every (cached) call.
-    std::vector<std::uint32_t> diffSuspects;
-  };
-  mutable RepairScratch repair_;
 };
 
 }  // namespace openspace

@@ -33,8 +33,8 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     }
   }
 
-  // Distinct sources in first-appearance order: one routing tree each,
-  // carried across steps for repair.
+  // Distinct sources in first-appearance order: one routing tree each per
+  // step.
   std::vector<NodeId> sources;
   std::vector<std::size_t> demandSource(demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -42,7 +42,6 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     demandSource[i] = static_cast<std::size_t>(it - sources.begin());
     if (it == sources.end()) sources.push_back(demands[i].src);
   }
-  std::vector<PathTree> trees(sources.size());
 
   const TemporalCostModel model = delayCostModel();
   std::unique_ptr<IncrementalTopology> inc;
@@ -70,19 +69,8 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
       step.structural = true;
     }
 
-    const RouteEngine engine(graph);
-    bool repairedAll = !sources.empty();
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      if (inc && trees[s].valid()) {
-        TreeRepairStats stats;
-        trees[s] = engine.repairShortestPathTree(trees[s], &stats);
-        repairedAll = repairedAll && stats.repaired;
-      } else {
-        trees[s] = engine.shortestPathTree(sources[s]);
-        repairedAll = false;
-      }
-    }
-    step.treesRepaired = repairedAll;
+    const std::vector<PathTree> trees =
+        RouteEngine(graph).batchShortestPathTrees(sources);
 
     FlowSimConfig simCfg = cfg.sim;
     simCfg.startS = t;
@@ -91,8 +79,8 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     FlowSimulator sim(graph, simCfg);
 
     // The checksum folds only mode-independent material: the graphs are
-    // bit-identical across build modes and repaired trees equal fresh
-    // trees, so the route sequences and record streams must match too.
+    // bit-identical across build modes, so the trees, route sequences and
+    // record streams must match too.
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const Route r = trees[demandSource[i]].routeTo(demands[i].dst);
       out.checksum = mixRoute(out.checksum, r);
@@ -118,7 +106,6 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     out.packetsDelivered += rep.packetsDelivered;
     out.packetsDropped += rep.packetsDropped;
     if (step.structural) ++out.structuralSteps;
-    if (step.treesRepaired) ++out.repairedSteps;
     out.steps.push_back(step);
   }
   return out;

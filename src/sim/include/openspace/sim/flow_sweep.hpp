@@ -4,18 +4,18 @@
 // a *sweep* — the same demand set replayed across a time grid while the
 // topology drifts underneath it. runFlowSweep() drives that loop through
 // the delta machinery end to end: one IncrementalTopology produces each
-// step's CompactGraph by payload-patching (topology/delta.hpp), per-source
-// routing trees are carried forward with RouteEngine::repairShortestPathTree
-// instead of re-running Dijkstra from scratch, and one FlowSimulator slice
-// runs per step over the routes those trees select.
+// step's CompactGraph by payload-patching (topology/delta.hpp), one
+// routing tree per distinct source is built on it with
+// RouteEngine::batchShortestPathTrees (fanned over the thread pool), and
+// one FlowSimulator slice runs per step over the routes those trees select.
 //
 // Determinism gates: every step folds its route node sequences and the
 // slice's delivery-record checksum into one sweep checksum. Running the
 // same sweep with TemporalBuild::FreshCompile (full snapshot + compileGraph
-// + fresh Dijkstra per step) must produce the identical checksum — the
-// delta path's graphs are bit-identical and repaired trees equal fresh
-// trees node-for-node, so the simulated packet streams match bit-for-bit.
-// Property tests and bench_temporal_delta enforce this.
+// per step) must produce the identical checksum — the delta path's graphs
+// are bit-identical and batch trees equal serial trees at any thread
+// count, so the simulated packet streams match bit-for-bit. Property tests
+// and bench_temporal_delta enforce this.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +52,7 @@ struct FlowSweepConfig {
 /// Per-step outcome, in grid order.
 struct FlowSweepStep {
   double tS = 0.0;
-  bool structural = false;    ///< Link set changed (CSR rebuilt this step).
-  bool treesRepaired = false; ///< All carried trees repaired (no fallback).
+  bool structural = false;  ///< Link set changed (CSR rebuilt this step).
   std::uint64_t packetsOffered = 0;
   std::uint64_t packetsDelivered = 0;
   std::uint64_t packetsDropped = 0;
@@ -66,7 +65,6 @@ struct FlowSweepReport {
   std::uint64_t packetsDelivered = 0;
   std::uint64_t packetsDropped = 0;
   std::size_t structuralSteps = 0;  ///< Steps that rebuilt the CSR arrays.
-  std::size_t repairedSteps = 0;    ///< Steps where every tree was repaired.
   /// FNV-1a over every step's route node sequences and record checksum, in
   /// grid order — the delta==fresh sweep witness.
   std::uint64_t checksum = kFnvOffsetBasis;

@@ -19,7 +19,7 @@ PopulationModel::PopulationModel(std::vector<PopulationCenter> centers,
   if (centers_.empty()) {
     throw InvalidArgumentError("PopulationModel: at least one center required");
   }
-  if (ruralFraction < 0.0 || ruralFraction > 1.0) {
+  if (!(ruralFraction >= 0.0 && ruralFraction <= 1.0)) {
     throw InvalidArgumentError("PopulationModel: rural fraction outside [0,1]");
   }
   for (const auto& c : centers_) {

@@ -83,7 +83,7 @@ struct TemporalCostModel {
 /// Edge weight = total link delay (seconds) — the temporal router's model.
 TemporalCostModel delayCostModel();
 /// Edge weight = 1 per link (hop count) — cost-static, so only structural
-/// link churn perturbs routes; the route-repair showcase model.
+/// link churn perturbs routes.
 TemporalCostModel hopCostModel();
 
 /// How a multi-snapshot consumer builds its per-step graphs.

@@ -814,9 +814,9 @@ TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
   ASSERT_EQ(fresh.steps.size(), 4u);
   EXPECT_GT(delta.packetsOffered, 0u);
   EXPECT_GT(delta.packetsDelivered, 0u);
-  // The delta path's graphs are bit-identical to fresh compiles and
-  // repaired trees equal fresh trees, so the whole simulated packet
-  // stream matches record-for-record.
+  // The delta path's graphs are bit-identical to fresh compiles, so the
+  // trees built on them and the whole simulated packet stream match
+  // record-for-record.
   EXPECT_EQ(delta.checksum, fresh.checksum);
   EXPECT_EQ(delta.packetsOffered, fresh.packetsOffered);
   EXPECT_EQ(delta.packetsDelivered, fresh.packetsDelivered);
@@ -830,6 +830,25 @@ TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
   EXPECT_EQ(fresh.structuralSteps, fresh.steps.size());
   EXPECT_GE(delta.structuralSteps, 1u);
   EXPECT_LT(delta.structuralSteps, delta.steps.size());
+}
+
+TEST_F(FlowSweepFixture, SerialAndParallelSweepsAreBitIdentical) {
+  // The per-step trees fan over the thread pool; the sweep must not
+  // depend on the thread count.
+  ThreadCountGuard guard;
+  setParallelThreadCount(1);
+  const FlowSweepReport serial =
+      runFlowSweep(*topo_, opts(), demands_, sweep(TemporalBuild::Delta));
+  setParallelThreadCount(4);
+  const FlowSweepReport parallel =
+      runFlowSweep(*topo_, opts(), demands_, sweep(TemporalBuild::Delta));
+  EXPECT_GT(serial.packetsDelivered, 0u);
+  EXPECT_EQ(serial.checksum, parallel.checksum);
+  ASSERT_EQ(serial.steps.size(), parallel.steps.size());
+  for (std::size_t i = 0; i < serial.steps.size(); ++i) {
+    EXPECT_EQ(serial.steps[i].recordChecksum, parallel.steps[i].recordChecksum)
+        << "step " << i;
+  }
 }
 
 TEST_F(FlowSweepFixture, SweepValidation) {

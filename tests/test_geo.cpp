@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include <openspace/geo/error.hpp>
@@ -319,6 +320,12 @@ TEST(Rng, InvalidArgsThrow) {
   EXPECT_THROW(rng.exponential(0.0), InvalidArgumentError);
   EXPECT_THROW(rng.normal(0.0, -1.0), InvalidArgumentError);
   EXPECT_THROW(rng.chance(1.5), InvalidArgumentError);
+}
+
+TEST(Rng, ChanceRejectsNan) {
+  Rng rng(1);
+  EXPECT_THROW(rng.chance(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
 }
 
 TEST(Rng, ExponentialMeanApproximatelyCorrect) {

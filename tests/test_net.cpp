@@ -2,6 +2,8 @@
 // engine (queueing, drops), flow generation.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
@@ -96,6 +98,14 @@ TEST(LatencyStats, ErrorsOnEmptyAndBadArgs) {
   EXPECT_THROW(s.add(-1.0), InvalidArgumentError);
   s.add(0.5);
   EXPECT_THROW(s.percentileS(1.5), InvalidArgumentError);
+}
+
+TEST(LatencyStats, PercentileRejectsNan) {
+  LatencyStats s;
+  s.add(0.5);
+  s.add(0.7);
+  EXPECT_THROW(s.percentileS(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
 }
 
 TEST(LatencyStats, AddAfterPercentileKeepsCorrectOrder) {

@@ -86,6 +86,11 @@ TEST(Kepler, InvalidEccentricityThrows) {
   EXPECT_THROW(solveKepler(1.0, 1.0), InvalidArgumentError);
 }
 
+TEST(Kepler, NanEccentricityThrows) {
+  EXPECT_THROW(solveKepler(1.0, std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
+}
+
 TEST(Propagate, RadiusConstantForCircularOrbit) {
   const auto el = OrbitalElements::circular(km(780.0), deg2rad(53.0), 0.4, 1.1);
   for (double t = 0.0; t < el.periodS(); t += el.periodS() / 17.0) {

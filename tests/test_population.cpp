@@ -2,6 +2,9 @@
 // coverage.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -25,6 +28,13 @@ TEST(Population, ConstructionValidation) {
   EXPECT_THROW(PopulationModel(centers, 1.1), InvalidArgumentError);
   std::vector<PopulationCenter> bad = {{"x", Geodetic::fromDegrees(0, 0), 0.0}};
   EXPECT_THROW(PopulationModel(bad, 0.3), InvalidArgumentError);
+}
+
+TEST(Population, NanRuralFractionThrows) {
+  const std::vector<PopulationCenter> centers = {
+      {"x", Geodetic::fromDegrees(0, 0), 1.0}};
+  EXPECT_THROW(PopulationModel(centers, std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
 }
 
 TEST(Population, SamplingIsDeterministicAndBounded) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <openspace/concurrency/parallel.hpp>
@@ -165,6 +166,19 @@ TEST(FleetEphemeris, RejectsInvalidEccentricity) {
   bad.eccentricity = -0.1;
   EXPECT_THROW(FleetEphemeris({bad}), InvalidArgumentError);
   EXPECT_THROW(SatelliteSweep{bad}, InvalidArgumentError);
+}
+
+TEST(FleetEphemeris, RejectsNanEccentricity) {
+  OrbitalElements bad = OrbitalElements::circular(km(780.0), 1.0, 0.0, 0.0);
+  bad.eccentricity = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FleetEphemeris({bad}), InvalidArgumentError);
+}
+
+TEST(SatelliteSweep, ResetRejectsNanEccentricity) {
+  OrbitalElements bad = OrbitalElements::circular(km(780.0), 1.0, 0.0, 0.0);
+  bad.eccentricity = std::numeric_limits<double>::quiet_NaN();
+  SatelliteSweep sweep;
+  EXPECT_THROW(sweep.reset(bad), InvalidArgumentError);
 }
 
 TEST(FleetEphemeris, EmptyFleetIsFine) {
