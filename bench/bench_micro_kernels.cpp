@@ -135,8 +135,9 @@ void BM_ShortestPathTreeLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathTreeLegacy);
 
-/// One-shot CSR compilation cost (what a RouteEngine constructor pays, and
-/// what one-shot shortestPath() calls amortize away by reusing an engine).
+/// One-shot CSR compilation cost: what every RouteEngine constructor pays,
+/// and what a caller amortizes by issuing all of a snapshot's queries on
+/// one engine.
 void BM_RouteEngineCompile(benchmark::State& state) {
   EphemerisService eph;
   const NetworkGraph g = iridiumPlusGridSnapshot(eph);

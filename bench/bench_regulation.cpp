@@ -10,7 +10,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/regulation/regime.hpp>
-#include <openspace/routing/ondemand.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 int main() {
@@ -61,24 +61,20 @@ int main() {
               "legal_gateways", "free_ms", "compliant_ms");
 
   for (std::size_t u = 0; u < userNodes.size(); ++u) {
-    const LinkCostFn freeCost = latencyCost();
-    const LinkCostFn legalCost =
-        complianceConstrainedCost(latencyCost(), regime, users[u].region);
-
+    // One tree per cost model; the best gateway is the cheapest reachable.
+    const PathTree freeTree =
+        RouteEngine(g, latencyCost()).shortestPathTree(userNodes[u]);
+    const PathTree legalTree =
+        RouteEngine(g, complianceConstrainedCost(latencyCost(), regime,
+                                                 users[u].region))
+            .shortestPathTree(userNodes[u]);
     int freeReach = 0, legalReach = 0;
-    Route bestFree, bestLegal;
     for (const NodeId gw : gatewayNodes) {
-      const Route rf = shortestPath(g, userNodes[u], gw, freeCost);
-      if (rf.valid()) {
-        ++freeReach;
-        if (rf.cost < bestFree.cost) bestFree = rf;
-      }
-      const Route rl = shortestPath(g, userNodes[u], gw, legalCost);
-      if (rl.valid()) {
-        ++legalReach;
-        if (rl.cost < bestLegal.cost) bestLegal = rl;
-      }
+      if (freeTree.reaches(gw)) ++freeReach;
+      if (legalTree.reaches(gw)) ++legalReach;
     }
+    const Route bestFree = freeTree.routeToCheapest(gatewayNodes);
+    const Route bestLegal = legalTree.routeToCheapest(gatewayNodes);
     if (bestLegal.valid()) {
       std::printf("%-12s %-16d %-16d %-16.2f %-16.2f\n", users[u].name,
                   freeReach, legalReach, toMilliseconds(bestFree.totalDelayS()),

@@ -4,7 +4,7 @@
 // gateways — a *near* one (Mombasa) experiencing heavy load (deep queues +
 // surge tariff on visitor traffic) and a *far* idle one (Johannesburg).
 // Proactive routing, computed from ephemeris alone, cannot see the queueing
-// and keeps sending traffic to the hot gateway; the on-demand router reads
+// and keeps sending traffic to the hot gateway; on-demand routing reads
 // live congestion and detours. The table sweeps the hot gateway's queueing
 // delay and reports each policy's end-to-end latency and path choice.
 //
@@ -21,7 +21,6 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
-#include <openspace/routing/ondemand.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace {
@@ -83,6 +82,8 @@ int main(int argc, char** argv) {
   opt.wiring = IslWiring::PlusGrid;
   opt.planes = 6;
   opt.minElevationRad = deg2rad(10.0);
+  // Ties go to the near gateway (routeToCheapest prefers the earlier one).
+  const std::vector<NodeId> gateways = {nearGs, farGs};
 
   const double wallStartS = nowS();
 
@@ -105,23 +106,16 @@ int main(int argc, char** argv) {
 
     // Proactive: the precomputed choice ignores live queue state — model it
     // by routing on propagation delay only, then charging the path the
-    // queueing it actually encounters. One compiled engine serves both
-    // gateway queries.
+    // queueing it actually encounters.
     const LinkCostFn propOnly = [](const NetworkGraph&, const Link& l,
                                    ProviderId) { return l.propagationDelayS; };
-    const RouteEngine propEngine(g, propOnly);
-    Route proactiveNear = propEngine.shortestPath(user, nearGs);
-    Route proactiveFar = propEngine.shortestPath(user, farGs);
-    const Route& proactive =
-        (proactiveNear.valid() &&
-         (!proactiveFar.valid() ||
-          proactiveNear.propagationDelayS <= proactiveFar.propagationDelayS))
-            ? proactiveNear
-            : proactiveFar;
+    const Route proactive =
+        RouteEngine(g, propOnly).shortestPathTree(user).routeToCheapest(gateways);
 
     // On-demand: full congestion-aware gateway selection.
-    const OnDemandRouter router(g, latencyCost());
-    const Route onDemand = router.selectGroundStation(user);
+    const Route onDemand =
+        RouteEngine(g, latencyCost()).shortestPathTree(user).routeToCheapest(
+            gateways);
 
     SweepRow row;
     row.hotQueueMs = hotQueueMs;

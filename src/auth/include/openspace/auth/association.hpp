@@ -13,7 +13,6 @@
 
 #include <openspace/auth/radius.hpp>
 #include <openspace/mac/beacon.hpp>
-#include <openspace/routing/dijkstra.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {

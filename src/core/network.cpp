@@ -1,6 +1,7 @@
 #include <openspace/core/network.hpp>
 
 #include <openspace/geo/error.hpp>
+#include <openspace/routing/engine.hpp>
 
 namespace openspace {
 
@@ -160,7 +161,8 @@ NetworkGraph OpenSpaceNetwork::topologyAt(double tSeconds,
 Route OpenSpaceNetwork::route(NodeId src, NodeId dst, double tSeconds,
                               QosClass qos, const SnapshotOptions& opt) const {
   const NetworkGraph g = topologyAt(tSeconds, opt);
-  return shortestPath(g, src, dst, makeCostFunction(CostWeights::forQos(qos)));
+  return RouteEngine(g, makeCostFunction(CostWeights::forQos(qos)))
+      .shortestPath(src, dst);
 }
 
 NodeId OpenSpaceNetwork::nodeOf(SatelliteId id) const { return builder().nodeOf(id); }

@@ -90,14 +90,17 @@ Route PathTree::routeTo(NodeId dst) const {
   return r;
 }
 
-std::unordered_map<NodeId, Route> PathTree::allRoutes() const {
-  OPENSPACE_ASSERT(valid(), "allRoutes on a default-constructed PathTree");
-  std::unordered_map<NodeId, Route> out;
-  for (std::uint32_t i = 0; i < dist_.size(); ++i) {
-    if (std::isinf(dist_[i])) continue;
-    out.emplace(csr_->nodeAt(i), routeTo(csr_->nodeAt(i)));
+Route PathTree::routeToCheapest(const std::vector<NodeId>& targets) const {
+  double bestCost = kInf;
+  NodeId best{};
+  for (const NodeId t : targets) {
+    const double c = costTo(t);  // NotFoundError for unknown targets
+    if (c < bestCost) {
+      bestCost = c;
+      best = t;
+    }
   }
-  return out;
+  return std::isinf(bestCost) ? Route{} : routeTo(best);
 }
 
 // --- RouteEngine -------------------------------------------------------------

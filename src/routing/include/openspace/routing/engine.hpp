@@ -1,15 +1,19 @@
-// RouteEngine: compiled-snapshot routing with reusable scratch arenas.
+// RouteEngine: the one routing entry point. Every shortest-path query in
+// the library — a point route, a single-source tree, a batch of trees,
+// Yen's k shortest paths — is a query on a RouteEngine.
 //
-// The legacy entry points in dijkstra.hpp walk the hash-map NetworkGraph
-// through a std::function cost callback per edge and allocate fresh map/set
-// state per query. RouteEngine is the production path: it compiles the
-// snapshot once into an immutable CSR adjacency (topology/compact_graph.hpp)
-// with per-edge precomputed cost/delay/capacity, then answers any number of
-// queries over generation-stamped scratch arrays and a reusable d-ary heap —
-// zero allocation per query once warmed up, no std::function or hash lookup
-// in the hot loop. Over a drifting topology, a sweep builds fresh trees on
-// each step's delta-patched graph (topology/delta.hpp): under the delay
-// cost every edge changes every step, so there is no old tree to reuse.
+// The engine compiles a snapshot once into an immutable CSR adjacency
+// (topology/compact_graph.hpp) with per-edge precomputed cost/delay/
+// capacity, then answers any number of queries over generation-stamped
+// scratch arrays and a reusable d-ary heap — zero allocation per query once
+// warmed up, no std::function or hash lookup in the hot loop. Callers
+// construct one engine per snapshot and cost model and amortize the compile
+// over their queries; a one-off query is `RouteEngine(g, cost).shortestPath`.
+// Over a drifting topology, a sweep builds fresh trees on each step's
+// delta-patched graph (topology/delta.hpp): under the delay cost every edge
+// changes every step, so there is no old tree to reuse. The hash-map
+// reference implementations the engine is property-tested against are
+// test-only code (openspace::legacy in tests/spec).
 //
 // Determinism contract: every query is a pure function of the compiled
 // graph. The heap breaks distance ties by dense node index (== NetworkGraph
@@ -49,8 +53,7 @@ struct RouteScratch {
 /// The flat result of one single-source shortest-path run: distances and
 /// parent edges by dense node index, plus enough shared context to expand
 /// any destination into a full Route on demand. Cheap to keep around (two
-/// flat arrays), so proactive routing stores PathTrees instead of
-/// materialized per-destination Route maps.
+/// flat arrays); routes materialize only for the destinations asked for.
 class PathTree {
  public:
   PathTree() = default;
@@ -66,8 +69,12 @@ class PathTree {
   /// Full route to `dst`; invalid Route when unreachable. Throws
   /// NotFoundError for nodes absent from the snapshot.
   Route routeTo(NodeId dst) const;
-  /// Legacy-shaped materialization: every reachable node -> Route.
-  std::unordered_map<NodeId, Route> allRoutes() const;
+  /// Route to the cheapest reachable node of `targets` (§5(2) gateway
+  /// offload: a farther idle gateway wins when the detour beats the hot
+  /// one's queueing). Equal costs go to the earlier-listed target; invalid
+  /// Route when no target is reachable. Throws NotFoundError for a target
+  /// absent from the snapshot.
+  Route routeToCheapest(const std::vector<NodeId>& targets) const;
 
   /// Flat views by dense node index (for checksums / bulk consumers).
   const std::vector<double>& distByIndex() const noexcept { return dist_; }
@@ -104,9 +111,8 @@ class RouteEngine {
   /// Adopt an already-compiled graph (shared with PathTrees it produces).
   explicit RouteEngine(std::shared_ptr<const CompactGraph> graph);
 
-  /// Dijkstra with early exit at `dst`. Same contract as the legacy free
-  /// function: trivial route for src == dst, invalid Route when
-  /// unreachable, NotFoundError for unknown endpoints.
+  /// Dijkstra with early exit at `dst`: trivial route for src == dst,
+  /// invalid Route when unreachable, NotFoundError for unknown endpoints.
   Route shortestPath(NodeId src, NodeId dst) const;
 
   /// Full single-source tree as a compact PathTree.

@@ -64,6 +64,8 @@ LinkCostFn latencyCost();
 /// >= 1 saturates to `maxDelayS`. Scenario::runAdaptiveEpochs uses it to
 /// refresh live queueing state (Link::queueingDelayS, which the cost models
 /// above price) from measured traffic counters.
+/// Throws InvalidArgumentError unless capacity and MTU are > 0 and
+/// utilization and `maxDelayS` are >= 0 (NaN fails every check).
 double estimateQueueingDelayS(double utilization, double capacityBps,
                               double mtuBits = 12'000.0,
                               double maxDelayS = 2.0);

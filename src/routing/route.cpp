@@ -64,11 +64,17 @@ LinkCostFn latencyCost() {
 
 double estimateQueueingDelayS(double utilization, double capacityBps,
                               double mtuBits, double maxDelayS) {
-  if (capacityBps <= 0.0 || mtuBits <= 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: non-positive inputs");
+  // Negated comparisons so NaN fails every guard.
+  if (!(capacityBps > 0.0) || !(mtuBits > 0.0)) {
+    throw InvalidArgumentError(
+        "estimateQueueingDelayS: capacity and MTU must be > 0");
   }
-  if (utilization < 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: negative utilization");
+  if (!(utilization >= 0.0)) {
+    throw InvalidArgumentError(
+        "estimateQueueingDelayS: utilization must be >= 0");
+  }
+  if (!(maxDelayS >= 0.0)) {
+    throw InvalidArgumentError("estimateQueueingDelayS: maxDelayS must be >= 0");
   }
   const double serviceS = mtuBits / capacityBps;
   if (utilization >= 1.0) return maxDelayS;

@@ -330,16 +330,7 @@ CityFlows buildCityFlows(const CityFlowConfig& cfg,
   const std::vector<PathTree> trees = engine.batchShortestPathTrees(satNodes);
   out.routes.resize(satNodes.size());
   for (std::size_t s = 0; s < trees.size(); ++s) {
-    double bestCost = std::numeric_limits<double>::infinity();
-    NodeId bestGw{};
-    for (const NodeId gw : gateways) {
-      const double c = trees[s].costTo(gw);
-      if (c < bestCost) {
-        bestCost = c;
-        bestGw = gw;
-      }
-    }
-    if (bestGw.isValid()) out.routes[s] = trees[s].routeTo(bestGw);
+    out.routes[s] = trees[s].routeToCheapest(gateways);
   }
 
   // Serial user sampling: one RNG stream, independent of thread count.

@@ -7,16 +7,15 @@
 // specification* the compiled CSR engine is property-tested against
 // (tests/test_route_engine.cpp asserts node-for-node, bit-for-bit route
 // equality across randomized snapshots; bench_micro_kernels times them as
-// the baseline) — the library itself only ships the dijkstra.hpp entry
-// points (engine-backed).
+// the baseline) — the library's only routing entry point is RouteEngine.
 #pragma once
 
 #include <openspace/routing/route.hpp>
 
 namespace openspace::legacy {
 
-/// Reference Dijkstra shortest path (see shortestPath in dijkstra.hpp for
-/// the contract; behavior is identical by construction).
+/// Reference Dijkstra shortest path (see RouteEngine::shortestPath for the
+/// contract; behavior is identical by construction).
 Route shortestPath(const NetworkGraph& g, NodeId src, NodeId dst,
                    const LinkCostFn& cost, ProviderId home = {});
 

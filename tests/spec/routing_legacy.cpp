@@ -1,5 +1,5 @@
 // The legacy hash-map Dijkstra / Yen implementations: the executable spec
-// of the engine-backed entry points in routing/dijkstra.hpp (see
+// of RouteEngine's point, tree and k-shortest queries (see
 // routing_legacy.hpp).
 #include <openspace/spec/routing_legacy.hpp>
 

@@ -18,7 +18,7 @@
 #include <openspace/net/scheduler.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/routing/engine.hpp>
 #include <openspace/sim/flow_sim.hpp>
 #include <openspace/sim/flow_sweep.hpp>
@@ -306,7 +306,7 @@ class FlowSimLine : public ::testing::Test {
     }
     addLink(NodeId{1}, NodeId{2}, 1e6);
     addLink(NodeId{2}, NodeId{3}, 100e6);
-    route_ = shortestPath(g_, NodeId{1}, NodeId{3}, latencyCost());
+    route_ = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{3});
     graph_ = std::make_shared<const CompactGraph>(
         compileGraph(g_, latencyCost()));
   }
@@ -582,7 +582,8 @@ TEST(FlowSimAnalytic, MD1MeanWaitMatchesClosedForm) {
   l.propagationDelayS = l.distanceM / kSpeedOfLightMps;
   l.capacityBps = 1e6;
   g.addLink(l);
-  const Route route = shortestPath(g, NodeId{1}, NodeId{2}, latencyCost());
+  const Route route =
+      RouteEngine(g, latencyCost()).shortestPath(NodeId{1}, NodeId{2});
 
   const double rho = 0.7;
   const double bits = 1'000.0;

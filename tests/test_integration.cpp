@@ -6,8 +6,7 @@
 
 #include <openspace/geo/units.hpp>
 #include <openspace/isl/fleet.hpp>
-#include <openspace/routing/ondemand.hpp>
-#include <openspace/routing/proactive.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/sim/scenario.hpp>
 #include <openspace/spec/forwarding.hpp>
@@ -48,8 +47,8 @@ TEST(Integration, EndToEndPacketOverSnapshotRoute) {
   ASSERT_TRUE(assoc.success) << assoc.failureReason;
 
   const NetworkGraph g = s.snapshot(0.0);
-  const OnDemandRouter router(g, latencyCost());
-  const Route r = router.route(s.userNode(0), s.homeGatewayOf(0));
+  const Route r =
+      RouteEngine(g, latencyCost()).shortestPath(s.userNode(0), s.homeGatewayOf(0));
   ASSERT_TRUE(r.valid());
 
   EventQueue ev;
@@ -96,7 +95,7 @@ TEST(Integration, HandoverPreservesServiceAndRoutes) {
   const double after = handovers.front().atS + 0.1;
   const NetworkGraph g = s.snapshot(after);
   const NodeId succNode = s.topology().nodeOf(successor);
-  const Route r = shortestPath(g, succNode, s.stationNode(0), latencyCost());
+  const Route r = RouteEngine(g, latencyCost()).shortestPath(succNode, s.stationNode(0));
   EXPECT_TRUE(r.valid());
 }
 
@@ -130,7 +129,8 @@ TEST(Integration, SettlementMatchesForwardedBytes) {
 TEST(Integration, CongestionShiftsTrafficToIdleGateway) {
   // §5(2) end to end: saturate the near gateway's GSLs with real traffic,
   // refresh queueing state from the forwarding engine's counters, and show
-  // the on-demand router detours while the clean-graph route does not.
+  // congestion-aware gateway selection detours while the clean-graph route
+  // does not.
   EphemerisService eph;
   for (const auto& el : makeWalkerStar(iridiumConfig())) eph.publish(ProviderId{1}, el);
   TopologyBuilder topo(eph);
@@ -146,8 +146,9 @@ TEST(Integration, CongestionShiftsTrafficToIdleGateway) {
   opt.minElevationRad = deg2rad(10.0);
   NetworkGraph g = topo.snapshot(0.0, opt);
 
-  const OnDemandRouter cleanRouter(g, latencyCost());
-  const Route before = cleanRouter.selectGroundStation(user);
+  const std::vector<NodeId> gateways = g.nodesOfKind(NodeKind::GroundStation);
+  const Route before =
+      RouteEngine(g, latencyCost()).shortestPathTree(user).routeToCheapest(gateways);
   ASSERT_TRUE(before.valid());
   ASSERT_EQ(before.nodes.back(), nearGs);  // nearby gateway wins when idle
 
@@ -158,39 +159,12 @@ TEST(Integration, CongestionShiftsTrafficToIdleGateway) {
       l.queueingDelayS = estimateQueueingDelayS(0.999, l.capacityBps);
     }
   }
-  const OnDemandRouter congestedRouter(g, latencyCost());
-  const Route after = congestedRouter.selectGroundStation(user);
+  const Route after =
+      RouteEngine(g, latencyCost()).shortestPathTree(user).routeToCheapest(gateways);
   ASSERT_TRUE(after.valid());
   EXPECT_EQ(after.nodes.back(), farGs);
   EXPECT_LT(after.totalDelayS(),
             before.totalDelayS() + 2.0);  // detour beats the saturated queue
-}
-
-TEST(Integration, ProactiveAndOnDemandAgreeOnQuietNetwork) {
-  // With zero congestion the precomputed route and the live route coincide
-  // (same cost function, same topology).
-  EphemerisService eph;
-  for (const auto& el : makeWalkerStar(iridiumConfig())) eph.publish(ProviderId{1}, el);
-  TopologyBuilder topo(eph);
-  const NodeId user =
-      topo.addUser({"u", Geodetic::fromDegrees(40.44, -79.99), ProviderId{1}});
-  const NodeId gs =
-      topo.nodeOf(topo.addGroundStation({"gw", Geodetic::fromDegrees(48.86, 2.35), ProviderId{2}}));
-  SnapshotOptions opt;
-  opt.wiring = IslWiring::PlusGrid;
-  opt.planes = 6;
-  opt.minElevationRad = deg2rad(10.0);
-
-  const ProactiveRouter proactive(topo, opt, 0.0, 600.0, 60.0);
-  const NetworkGraph live = topo.snapshot(120.0, opt);
-  const OnDemandRouter onDemand(live, latencyCost());
-
-  const Route pre = proactive.route(user, gs, 120.0);
-  const Route now = onDemand.route(user, gs);
-  ASSERT_TRUE(pre.valid());
-  ASSERT_TRUE(now.valid());
-  EXPECT_EQ(pre.nodes, now.nodes);
-  EXPECT_NEAR(pre.cost, now.cost, 1e-12);
 }
 
 TEST(Integration, MultiProviderPathCrossesOwnershipDomains) {
@@ -206,7 +180,7 @@ TEST(Integration, MultiProviderPathCrossesOwnershipDomains) {
   Scenario s(cfg);
   const NetworkGraph g = s.snapshot(0.0);
   const Route r =
-      shortestPath(g, s.userNode(0), s.stationNode(0), latencyCost());
+      RouteEngine(g, latencyCost()).shortestPath(s.userNode(0), s.stationNode(0));
   ASSERT_TRUE(r.valid());
   std::set<ProviderId> owners;
   for (const NodeId n : r.nodes) owners.insert(g.node(n).provider);

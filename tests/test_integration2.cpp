@@ -9,6 +9,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/io/ephemeris_io.hpp>
 #include <openspace/orbit/maneuver.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/routing/linkstate.hpp>
 #include <openspace/routing/pathvector.hpp>
 #include <openspace/routing/temporal.hpp>
@@ -52,8 +53,8 @@ TEST(Integration2, SerializedEphemerisReproducesTopologyAndRoutes) {
   ASSERT_EQ(gA.nodeCount(), gB.nodeCount());
   ASSERT_EQ(gA.linkCount(), gB.linkCount());
 
-  const Route rA = shortestPath(gA, userA, gwA, latencyCost());
-  const Route rB = shortestPath(gB, userB, gwB, latencyCost());
+  const Route rA = RouteEngine(gA, latencyCost()).shortestPath(userA, gwA);
+  const Route rB = RouteEngine(gB, latencyCost()).shortestPath(userB, gwB);
   ASSERT_EQ(rA.valid(), rB.valid());
   if (rA.valid()) {
     EXPECT_EQ(rA.nodes, rB.nodes);
@@ -121,7 +122,8 @@ TEST(Integration2, FraudAuditQuarantineReroutePipeline) {
 
   const NetworkGraph g = s.snapshot(0.0);
   const LinkCostFn guarded = quarantineAwareCost(latencyCost(), rep);
-  const Route r = shortestPath(g, s.userNode(0), s.homeGatewayOf(0), guarded);
+  const Route r =
+      RouteEngine(g, guarded).shortestPath(s.userNode(0), s.homeGatewayOf(0));
   if (r.valid()) {
     for (const NodeId n : r.nodes) {
       EXPECT_NE(g.node(n).provider, mallory);
@@ -147,7 +149,7 @@ TEST(Integration2, TemporalNeverBeatsInstantaneousOnDenseFleet) {
   opt.minElevationRad = deg2rad(10.0);
 
   const NetworkGraph g = topo.snapshot(0.0, opt);
-  const Route instant = shortestPath(g, user, gw, latencyCost());
+  const Route instant = RouteEngine(g, latencyCost()).shortestPath(user, gw);
   ASSERT_TRUE(instant.valid());
 
   const ContactGraphRouter router(topo, opt, 0.0, 300.0, 60.0);

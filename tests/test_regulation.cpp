@@ -6,7 +6,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/regulation/regime.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {
@@ -113,26 +113,26 @@ TEST_F(ComplianceRouting, ApacUserMayOnlyEgressLocally) {
   const LinkCostFn cost =
       complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3);
   // Route to the local gateway exists.
-  const Route local = shortestPath(graph_, user_, gwApac_, cost);
+  const Route local = RouteEngine(graph_, cost).shortestPath(user_, gwApac_);
   EXPECT_TRUE(local.valid());
   // Foreign gateways are unreachable under APAC's localization rule.
-  EXPECT_FALSE(shortestPath(graph_, user_, gwAmericas_, cost).valid());
-  EXPECT_FALSE(shortestPath(graph_, user_, gwEmea_, cost).valid());
+  EXPECT_FALSE(RouteEngine(graph_, cost).shortestPath(user_, gwAmericas_).valid());
+  EXPECT_FALSE(RouteEngine(graph_, cost).shortestPath(user_, gwEmea_).valid());
 }
 
 TEST_F(ComplianceRouting, AmericasUserMayUseEmeaGateways) {
   const LinkCostFn cost =
       complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1);
-  EXPECT_TRUE(shortestPath(graph_, user_, gwAmericas_, cost).valid());
-  EXPECT_TRUE(shortestPath(graph_, user_, gwEmea_, cost).valid());
-  EXPECT_FALSE(shortestPath(graph_, user_, gwApac_, cost).valid());
+  EXPECT_TRUE(RouteEngine(graph_, cost).shortestPath(user_, gwAmericas_).valid());
+  EXPECT_TRUE(RouteEngine(graph_, cost).shortestPath(user_, gwEmea_).valid());
+  EXPECT_FALSE(RouteEngine(graph_, cost).shortestPath(user_, gwApac_).valid());
 }
 
 TEST_F(ComplianceRouting, ComplianceNeverBeatsUnconstrainedLatency) {
   const LinkCostFn cost =
       complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3);
-  const Route constrained = shortestPath(graph_, user_, gwApac_, cost);
-  const Route free = shortestPath(graph_, user_, gwApac_, latencyCost());
+  const Route constrained = RouteEngine(graph_, cost).shortestPath(user_, gwApac_);
+  const Route free = RouteEngine(graph_, latencyCost()).shortestPath(user_, gwApac_);
   ASSERT_TRUE(constrained.valid());
   ASSERT_TRUE(free.valid());
   EXPECT_GE(constrained.propagationDelayS, free.propagationDelayS - 1e-12);
@@ -148,9 +148,9 @@ TEST_F(ComplianceRouting, BandPolicyBlocksUnlicensedGroundLinks) {
   }
   const LinkCostFn cost =
       complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1);
-  EXPECT_FALSE(shortestPath(kaGraph, user_, gwEmea_, cost).valid());
+  EXPECT_FALSE(RouteEngine(kaGraph, cost).shortestPath(user_, gwEmea_).valid());
   // Americas licenses Ka, so its gateway still works.
-  EXPECT_TRUE(shortestPath(kaGraph, user_, gwAmericas_, cost).valid());
+  EXPECT_TRUE(RouteEngine(kaGraph, cost).shortestPath(user_, gwAmericas_).valid());
 }
 
 TEST_F(ComplianceRouting, IslsAreNeverRegulated) {

@@ -1,12 +1,15 @@
 // Unit tests for the routing module: cost models, Dijkstra, Yen k-shortest,
-// proactive tables, congestion-aware on-demand routing.
+// cheapest-gateway selection and congestion-aware gateway offload, all
+// through RouteEngine.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/ondemand.hpp>
-#include <openspace/routing/proactive.hpp>
+#include <openspace/routing/engine.hpp>
+#include <openspace/topology/builder.hpp>
 
 namespace openspace {
 namespace {
@@ -61,7 +64,7 @@ class DiamondGraph : public ::testing::Test {
 };
 
 TEST_F(DiamondGraph, ShortestPathPicksLowLatency) {
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{4}, NodeId{5}}));
   EXPECT_EQ(r.hops(), 3);
@@ -73,7 +76,7 @@ TEST_F(DiamondGraph, BandwidthWeightFlipsChoice) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.bandwidthWeight = 1e6;  // 0.1 cost on 10 Mbps links vs 0.01 on 100 Mbps
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w));
+  const Route r = RouteEngine(g_, makeCostFunction(w)).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
   EXPECT_DOUBLE_EQ(r.bottleneckBps, 100e6);
@@ -85,14 +88,14 @@ TEST_F(DiamondGraph, TariffWeightAvoidsExpensiveLinks) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.tariffWeight = 50.0;
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w));
+  const Route r = RouteEngine(g_, makeCostFunction(w)).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }
 
 TEST_F(DiamondGraph, QueueingDelayStealsTraffic) {
   g_.link(top1_).queueingDelayS = 0.050;  // hot link
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
   EXPECT_DOUBLE_EQ(r.queueingDelayS, 0.0);
@@ -104,7 +107,8 @@ TEST_F(DiamondGraph, ForeignPenaltySteersTowardHomeAssets) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.foreignPenalty = 0.1;
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w), /*home=*/ProviderId{10});
+  const Route r = RouteEngine(g_, makeCostFunction(w), /*home=*/ProviderId{10})
+                      .shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }
@@ -112,21 +116,23 @@ TEST_F(DiamondGraph, ForeignPenaltySteersTowardHomeAssets) {
 TEST_F(DiamondGraph, PremiumRequiresLaser) {
   // All links are RF: a Premium flow that mandates laser finds no path.
   const Route r =
-      shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(CostWeights::forQos(QosClass::Premium)));
+      RouteEngine(g_, makeCostFunction(CostWeights::forQos(QosClass::Premium)))
+          .shortestPath(NodeId{1}, NodeId{5});
   EXPECT_FALSE(r.valid());
 }
 
 TEST_F(DiamondGraph, SameSourceAndDestination) {
-  const Route r = shortestPath(g_, NodeId{3}, NodeId{3}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{3}, NodeId{3});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.hops(), 0);
   EXPECT_DOUBLE_EQ(r.cost, 0.0);
 }
 
 TEST_F(DiamondGraph, UnknownEndpointsThrow) {
-  EXPECT_THROW(shortestPath(g_, NodeId{1}, NodeId{99}, latencyCost()), NotFoundError);
-  EXPECT_THROW(shortestPath(g_, NodeId{99}, NodeId{1}, latencyCost()), NotFoundError);
-  EXPECT_THROW(shortestPathTree(g_, NodeId{99}, latencyCost()), NotFoundError);
+  const RouteEngine engine(g_, latencyCost());
+  EXPECT_THROW(engine.shortestPath(NodeId{1}, NodeId{99}), NotFoundError);
+  EXPECT_THROW(engine.shortestPath(NodeId{99}, NodeId{1}), NotFoundError);
+  EXPECT_THROW(engine.shortestPathTree(NodeId{99}), NotFoundError);
 }
 
 TEST_F(DiamondGraph, UnreachableGivesInvalidRoute) {
@@ -137,24 +143,26 @@ TEST_F(DiamondGraph, UnreachableGivesInvalidRoute) {
   lonely.name = "lonely";
   lonely.location = Geodetic::fromDegrees(0, 0);
   g_.addNode(std::move(lonely));
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{42}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{42});
   EXPECT_FALSE(r.valid());
 }
 
 TEST_F(DiamondGraph, ShortestPathTreeCoversComponent) {
-  const auto tree = shortestPathTree(g_, NodeId{1}, latencyCost());
-  EXPECT_EQ(tree.size(), 5u);  // all five nodes reachable
-  EXPECT_EQ(tree.at(NodeId{5}).nodes.front(), NodeId{1u});
-  EXPECT_EQ(tree.at(NodeId{5}).nodes.back(), NodeId{5u});
+  const PathTree tree = RouteEngine(g_, latencyCost()).shortestPathTree(NodeId{1});
+  std::size_t reached = 0;
+  for (const NodeId n : g_.nodes()) reached += tree.reaches(n) ? 1u : 0u;
+  EXPECT_EQ(reached, 5u);  // all five nodes reachable
+  EXPECT_EQ(tree.routeTo(NodeId{5}).nodes.front(), NodeId{1u});
+  EXPECT_EQ(tree.routeTo(NodeId{5}).nodes.back(), NodeId{5u});
   // Subpath optimality: the tree's route to 4 is a prefix of the one to 5.
-  const auto& r4 = tree.at(NodeId{4});
-  const auto& r5 = tree.at(NodeId{5});
+  const Route r4 = tree.routeTo(NodeId{4});
+  const Route r5 = tree.routeTo(NodeId{5});
   ASSERT_EQ(r5.nodes.size(), r4.nodes.size() + 1);
   EXPECT_TRUE(std::equal(r4.nodes.begin(), r4.nodes.end(), r5.nodes.begin()));
 }
 
 TEST_F(DiamondGraph, KShortestFindsBothDiamondArms) {
-  const auto routes = kShortestPaths(g_, NodeId{1}, NodeId{5}, 3, latencyCost());
+  const auto routes = RouteEngine(g_, latencyCost()).kShortestPaths(NodeId{1}, NodeId{5}, 3);
   ASSERT_EQ(routes.size(), 2u);  // only two simple paths exist
   EXPECT_EQ(routes[0].nodes, (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{4}, NodeId{5}}));
   EXPECT_EQ(routes[1].nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
@@ -162,7 +170,7 @@ TEST_F(DiamondGraph, KShortestFindsBothDiamondArms) {
 }
 
 TEST_F(DiamondGraph, KShortestValidation) {
-  EXPECT_THROW(kShortestPaths(g_, NodeId{1}, NodeId{5}, 0, latencyCost()),
+  EXPECT_THROW(RouteEngine(g_, latencyCost()).kShortestPaths(NodeId{1}, NodeId{5}, 0),
                InvalidArgumentError);
   // Unreachable destination: empty result, not a throw.
   Node lonely;
@@ -172,14 +180,15 @@ TEST_F(DiamondGraph, KShortestValidation) {
   lonely.name = "l";
   lonely.location = Geodetic::fromDegrees(0, 0);
   g_.addNode(std::move(lonely));
-  EXPECT_TRUE(kShortestPaths(g_, NodeId{1}, NodeId{42}, 3, latencyCost()).empty());
+  EXPECT_TRUE(RouteEngine(g_, latencyCost()).kShortestPaths(NodeId{1}, NodeId{42}, 3).empty());
 }
 
 TEST_F(DiamondGraph, NegativeCostRejected) {
   const LinkCostFn bad = [](const NetworkGraph&, const Link&, ProviderId) {
     return -1.0;
   };
-  EXPECT_THROW(shortestPath(g_, NodeId{1}, NodeId{5}, bad), InvalidArgumentError);
+  EXPECT_THROW(RouteEngine(g_, bad).shortestPath(NodeId{1}, NodeId{5}),
+               InvalidArgumentError);
 }
 
 TEST_F(DiamondGraph, InfiniteCostForbidsLink) {
@@ -188,7 +197,7 @@ TEST_F(DiamondGraph, InfiniteCostForbidsLink) {
     if (l.id == top1_) return std::numeric_limits<double>::infinity();
     return l.totalDelayS();
   };
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, noTop);
+  const Route r = RouteEngine(g_, noTop).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }
@@ -201,7 +210,52 @@ TEST(QosPresets, PremiumWeighsLatencyHarder) {
   EXPECT_TRUE(prem.requireLaserForPremium);
 }
 
-// --- proactive router --------------------------------------------------------
+/// Hop-count cost: both diamond arms tie at every depth.
+LinkCostFn hopCost() {
+  return [](const NetworkGraph&, const Link&, ProviderId) { return 1.0; };
+}
+
+TEST_F(DiamondGraph, RouteToCheapestPicksLowestCostTarget) {
+  const PathTree tree = RouteEngine(g_, latencyCost()).shortestPathTree(NodeId{1});
+  const Route r = tree.routeToCheapest({NodeId{5}, NodeId{4}});
+  ASSERT_TRUE(r.valid());
+  EXPECT_EQ(r.nodes.back(), NodeId{4});  // 4 is one hop nearer than 5
+  const Route want = tree.routeTo(NodeId{4});
+  EXPECT_EQ(r.nodes, want.nodes);
+  EXPECT_EQ(r.links, want.links);
+  EXPECT_DOUBLE_EQ(r.cost, want.cost);
+}
+
+TEST_F(DiamondGraph, RouteToCheapestTieGoesToEarlierTarget) {
+  const PathTree tree = RouteEngine(g_, hopCost()).shortestPathTree(NodeId{1});
+  ASSERT_DOUBLE_EQ(tree.costTo(NodeId{2}), tree.costTo(NodeId{3}));
+  EXPECT_EQ(tree.routeToCheapest({NodeId{3}, NodeId{2}}).nodes.back(), NodeId{3});
+  EXPECT_EQ(tree.routeToCheapest({NodeId{2}, NodeId{3}}).nodes.back(), NodeId{2});
+}
+
+TEST_F(DiamondGraph, RouteToCheapestSkipsUnreachableTargets) {
+  Node lonely;
+  lonely.id = NodeId{42};
+  lonely.kind = NodeKind::GroundStation;
+  lonely.provider = ProviderId{1};
+  lonely.name = "lonely";
+  lonely.location = Geodetic::fromDegrees(0, 0);
+  g_.addNode(std::move(lonely));
+  const PathTree tree = RouteEngine(g_, latencyCost()).shortestPathTree(NodeId{1});
+  const Route r = tree.routeToCheapest({NodeId{42}, NodeId{5}});
+  ASSERT_TRUE(r.valid());
+  EXPECT_EQ(r.nodes.back(), NodeId{5});
+  // No reachable target at all: an invalid Route, not a throw.
+  EXPECT_FALSE(tree.routeToCheapest({NodeId{42}}).valid());
+  EXPECT_FALSE(tree.routeToCheapest({}).valid());
+}
+
+TEST_F(DiamondGraph, RouteToCheapestUnknownTargetThrows) {
+  const PathTree tree = RouteEngine(g_, latencyCost()).shortestPathTree(NodeId{1});
+  EXPECT_THROW(tree.routeToCheapest({NodeId{5}, NodeId{99}}), NotFoundError);
+}
+
+// --- gateway selection over an Iridium +grid snapshot ----------------------
 
 class ProactiveTest : public ::testing::Test {
  protected:
@@ -221,65 +275,20 @@ class ProactiveTest : public ::testing::Test {
   SnapshotOptions opt_;
 };
 
-TEST_F(ProactiveTest, PrecomputesSnapshotGrid) {
-  const ProactiveRouter router(*builder_, opt_, 0.0, 300.0, 60.0);
-  EXPECT_EQ(router.snapshotCount(), 6u);
-  const auto grid = router.gridTimes();
-  ASSERT_EQ(grid.size(), 6u);
-  EXPECT_DOUBLE_EQ(grid.front(), 0.0);
-  EXPECT_DOUBLE_EQ(grid.back(), 300.0);
-}
-
-TEST_F(ProactiveTest, RoutesFromCachedSnapshots) {
-  const ProactiveRouter router(*builder_, opt_, 0.0, 600.0, 120.0);
-  const Route r = router.route(user_, gs_, 30.0);
-  ASSERT_TRUE(r.valid());
-  EXPECT_EQ(r.nodes.front(), user_);
-  EXPECT_EQ(r.nodes.back(), gs_);
-  // Repeat lookups hit the cached tree and agree.
-  const Route r2 = router.route(user_, gs_, 30.0);
-  EXPECT_EQ(r.nodes, r2.nodes);
-  EXPECT_DOUBLE_EQ(r.cost, r2.cost);
-}
-
-TEST_F(ProactiveTest, SnapshotSelectionIsFloor) {
-  // Grid: {0, 300}.
-  const ProactiveRouter router(*builder_, opt_, 0.0, 300.0, 300.0);
-  ASSERT_EQ(router.snapshotCount(), 2u);
-  // t=299 uses snapshot 0; t=301 uses snapshot 300.
-  const NetworkGraph& s0 = router.snapshotAt(299.0);
-  const NetworkGraph& s1 = router.snapshotAt(301.0);
-  EXPECT_NE(&s0, &s1);
-  EXPECT_EQ(&router.snapshotAt(0.0), &s0);
-  EXPECT_EQ(&router.snapshotAt(-50.0), &s0);  // before grid -> first snapshot
-  EXPECT_EQ(&router.snapshotAt(1e9), &s1);    // after grid -> last snapshot
-}
-
-TEST_F(ProactiveTest, ValidationThrows) {
-  EXPECT_THROW(ProactiveRouter(*builder_, opt_, 0.0, 0.0, 60.0),
-               InvalidArgumentError);
-  EXPECT_THROW(ProactiveRouter(*builder_, opt_, 0.0, 600.0, 0.0),
-               InvalidArgumentError);
-  const ProactiveRouter router(*builder_, opt_, 0.0, 300.0, 300.0);
-  EXPECT_THROW(router.route(user_, NodeId{9999}, 0.0), NotFoundError);
-}
-
-// --- on-demand router --------------------------------------------------------
-
 TEST_F(ProactiveTest, OnDemandSelectsBestGroundStation) {
   const NodeId gs2 = builder_->nodeOf(builder_->addGroundStation(
       {"gs2", Geodetic::fromDegrees(40.0, -80.5), ProviderId{2}}));  // right by the user
   const NetworkGraph g = builder_->snapshot(0.0, opt_);
-  const OnDemandRouter router(g, latencyCost());
-  const Route best = router.selectGroundStation(user_);
+  const Route best = RouteEngine(g, latencyCost())
+                         .shortestPathTree(user_)
+                         .routeToCheapest(g.nodesOfKind(NodeKind::GroundStation));
   ASSERT_TRUE(best.valid());
   EXPECT_EQ(best.nodes.back(), gs2);  // the nearby gateway wins
 }
 
 TEST_F(ProactiveTest, AlternativesAreDistinctAndOrdered) {
   const NetworkGraph g = builder_->snapshot(0.0, opt_);
-  const OnDemandRouter router(g, latencyCost());
-  const auto alts = router.alternatives(user_, gs_, 4);
+  const auto alts = RouteEngine(g, latencyCost()).kShortestPaths(user_, gs_, 4);
   ASSERT_GE(alts.size(), 2u);
   for (std::size_t i = 1; i < alts.size(); ++i) {
     EXPECT_GE(alts[i].cost, alts[i - 1].cost);
@@ -297,6 +306,31 @@ TEST(QueueEstimate, Mm1Shape) {
   EXPECT_DOUBLE_EQ(estimateQueueingDelayS(1.5, cap), 2.0);  // saturated cap
   EXPECT_THROW(estimateQueueingDelayS(-0.1, cap), InvalidArgumentError);
   EXPECT_THROW(estimateQueueingDelayS(0.5, 0.0), InvalidArgumentError);
+}
+
+TEST(QueueEstimate, RejectsNanUtilization) {
+  EXPECT_THROW(estimateQueueingDelayS(std::nan(""), 10e6), InvalidArgumentError);
+}
+
+TEST(QueueEstimate, RejectsNanCapacity) {
+  EXPECT_THROW(estimateQueueingDelayS(0.5, std::nan("")), InvalidArgumentError);
+}
+
+TEST(QueueEstimate, RejectsNanMtu) {
+  EXPECT_THROW(estimateQueueingDelayS(0.5, 10e6, std::nan("")),
+               InvalidArgumentError);
+}
+
+TEST(QueueEstimate, RejectsNanMaxDelay) {
+  EXPECT_THROW(estimateQueueingDelayS(0.5, 10e6, 12'000.0, std::nan("")),
+               InvalidArgumentError);
+}
+
+TEST(QueueEstimate, RejectsNegativeMaxDelay) {
+  EXPECT_THROW(estimateQueueingDelayS(0.5, 10e6, 12'000.0, -1.0),
+               InvalidArgumentError);
+  EXPECT_THROW(estimateQueueingDelayS(1.5, 10e6, 12'000.0, -1.0),
+               InvalidArgumentError);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@ reference numbers in bench/baseline/. Two formats are understood:
 * google-benchmark JSON ("benchmarks": [{"name", "real_time", ...}]) —
   per-benchmark real_time is compared by name;
 * the custom routing-ablation record ("bench": "routing_ablation") —
-  batch serial/parallel wall seconds are compared, and checksum agreement
-  is re-asserted;
+  batch serial/parallel wall seconds are compared, serial/parallel checksum
+  agreement is re-asserted, and the deterministic parts (the sweep rows'
+  proactive/on-demand latency and detour choice, and the batch serial
+  checksum) are re-asserted exactly against the baseline;
 * the custom propagation record ("bench": "propagation") — per-step times
   for the scalar/batch/warm paths are compared, checksum agreement is
   re-asserted, and the batch speedup is checked against the 3x floor the
@@ -126,6 +128,30 @@ def compare_routing_ablation(current, baseline, threshold: float) -> int:
         if ratio > threshold:
             warn(f"routing_ablation batch.{key}: {cur_t:.4f}s vs baseline "
                  f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
+            warned += 1
+    # The sweep and the batch trees are fixed deterministic computations:
+    # any drift from the committed baseline is a semantic change, not noise.
+    row_keys = ("hot_queue_ms", "reachable", "proactive_latency_ms",
+                "ondemand_latency_ms", "detoured")
+    cur_rows = [tuple(r.get(k) for k in row_keys)
+                for r in current.get("rows", [])]
+    base_rows = [tuple(r.get(k) for k in row_keys)
+                 for r in baseline.get("rows", [])]
+    if cur_rows != base_rows:
+        warn("routing_ablation: sweep rows (proactive/on-demand latency, "
+             "detoured) drifted from the baseline — the sweep is "
+             "deterministic, so this is a semantic change, not noise")
+        warned += 1
+    else:
+        print(f"  rows: {len(cur_rows)} sweep points match")
+    cur_sum = cur_batch.get("serial_checksum")
+    base_sum = base_batch.get("serial_checksum")
+    if base_sum is not None:
+        print(f"  batch.serial_checksum: {cur_sum} vs baseline {base_sum}")
+        if cur_sum != base_sum:
+            warn(f"routing_ablation batch.serial_checksum: {cur_sum} vs "
+                 f"baseline {base_sum} — the trees are deterministic, so "
+                 f"this is a semantic change, not noise")
             warned += 1
     return warned
 
