@@ -23,8 +23,11 @@
 //    instantiation over a fixed sample block. Hard gate: the two
 //    instantiations (and the scalar cellIndexOf member) are bit-identical
 //    on every sample — the cap map uses only exactly-rounded IEEE ops, so
-//    any divergence is a bug, not noise. Untimed gate: indexed
-//    closestVisible == the snapshot's brute scan at several ground sites.
+//    any divergence is a bug, not noise. Untimed gates: indexed
+//    closestVisible == the snapshot's brute scan at several ground sites,
+//    and the FootprintIndex2 build (CSR plus certificate-driven
+//    countCovering over the cap samples) is bit-identical serial vs
+//    parallel.
 //  * topology (timed) — lazy ISL adjacency build (grid-pruned, never
 //    all-pairs at these sizes) on a cold snapshot per pass; per-tier range
 //    caps keep mean ISL degree in the tens like a real +grid/motif fleet.
@@ -240,6 +243,7 @@ struct TierResult {
   double speedupCapIndex = 0.0;
   bool capBitIdentical = false;
   bool closestVisibleMatch = false;
+  bool indexSerialParallelMatch = false;
   // topology
   double maxIslRangeM = 0.0;
   double topoBuildS = 0.0;
@@ -254,7 +258,8 @@ struct TierResult {
 
   bool allGates() const {
     return propSerialParallelMatch && capBitIdentical && closestVisibleMatch &&
-           topoSerialParallelMatch && simdMaxDevM < 1e-5;
+           indexSerialParallelMatch && topoSerialParallelMatch &&
+           simdMaxDevM < 1e-5;
   }
 };
 
@@ -429,6 +434,29 @@ TierResult runTier(const Tier& tier, int poolThreads) {
       identical = simdCells[i] == capIdx.cellIndexOf(dirs[i]);
     }
     r.capBitIdentical = identical;
+
+    // Serial==parallel gate over the FootprintIndex2 build: the full CSR
+    // and, through the whole-cell certificates, countCovering over the
+    // same cap samples.
+    const auto foldIndex = [&] {
+      const FootprintIndex2 idx(snap, maskRad);
+      const SphericalCapIndex& cells = idx.capIndex();
+      std::uint64_t h = fnv1a(kFnvOffsetBasis, cells.entryCount());
+      for (std::size_t c = 0; c < cells.cellCount(); ++c) {
+        h = fnv1a(h, cells.cellEntryRange(c).first);
+      }
+      for (const std::uint32_t e : cells.entries()) h = fnv1a(h, e);
+      for (const Vec3& d : dirs) {
+        h = fnv1a(h, static_cast<std::uint64_t>(idx.countCovering(d, 3)));
+      }
+      return h;
+    };
+    setParallelThreadCount(1);
+    const std::uint64_t serial = foldIndex();
+    setParallelThreadCount(std::max(poolThreads, 4));
+    const std::uint64_t parallel = foldIndex();
+    setParallelThreadCount(poolThreads);
+    r.indexSerialParallelMatch = serial == parallel;
   }
 
   // --- topology: cold ISL adjacency build per pass -------------------------
@@ -552,12 +580,13 @@ int main(int argc, char** argv) {
   for (const TierResult& r : results) {
     std::printf("# %s: speedup propagation %.2fx cap-kernel %.2fx | gates: "
                 "prop serial==parallel %s  cap bit-identical %s  "
-                "closestVisible %s  topo serial==parallel %s  simd dev "
-                "%.2e m\n",
+                "closestVisible %s  index serial==parallel %s  "
+                "topo serial==parallel %s  simd dev %.2e m\n",
                 r.name.c_str(), r.speedupPropagation, r.speedupCapIndex,
                 r.propSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.capBitIdentical ? "MATCH" : "MISMATCH",
                 r.closestVisibleMatch ? "MATCH" : "MISMATCH",
+                r.indexSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.topoSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.simdMaxDevM);
   }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numbers>
 
+#include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
@@ -67,6 +68,11 @@ constexpr double kMaxCertHalfAngleRad = std::numbers::pi / 2.0 - 0.1;
 /// where the candidate scan re-tests exactly anyway.
 constexpr double kCertCosPad = 1e-6;
 
+/// Fixed chunks of the per-satellite and certificate passes, independent
+/// of the thread count: each chunk writes only its own slots.
+constexpr std::size_t kSatChunk = 512;
+constexpr std::size_t kCertCellChunk = 256;
+
 }  // namespace
 
 FootprintIndex2::FootprintIndex2(
@@ -95,32 +101,37 @@ FootprintIndex2::FootprintIndex2(
   cosHalfAngle_.resize(n);
   halfAngle_.resize(n);
   std::vector<SphericalCapIndex::Cap> caps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Token-identical to the FootprintIndex spec's construction
-    // (tests/spec/footprint_index.cpp): these three expressions define the exact cap predicate covers() applies.
-    direction_[i] = snap.eci(i).normalized();
-    halfAngle_[i] = footprintHalfAngleRad(std::max(snap.altitudeM(i), 1.0),
-                                          minElevationRad);
-    cosHalfAngle_[i] = std::cos(halfAngle_[i]);
-    maxHalfAngleRad_ = std::max(maxHalfAngleRad_, halfAngle_[i]);
-    // Registered (pruning) radius: wide enough for both exact predicates —
-    // the cap test on unit surface points and the elevation test from any
-    // supported observer radius. With a motion margin the ground radius is
-    // evaluated at the orbit's apogee (lambda grows with the satellite
-    // radius, so the apogee bound holds at every point of the pass) and
-    // widened by the margin itself, covering the angular drift of both the
-    // satellite and the observer over the margin's time window.
-    double satRadiusM = snap.eci(i).norm();
-    if (motionMarginRad > 0.0) {
-      const OrbitalElements& el = snap.elements()[i];
-      satRadiusM = std::max(
-          satRadiusM, el.semiMajorAxisM * (1.0 + el.eccentricity));
+  parallelFor(n, kSatChunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      // Token-identical to the FootprintIndex spec's construction
+      // (tests/spec/footprint_index.cpp): these three expressions define
+      // the exact cap predicate covers() applies.
+      direction_[i] = snap.eci(i).normalized();
+      halfAngle_[i] = footprintHalfAngleRad(std::max(snap.altitudeM(i), 1.0),
+                                            minElevationRad);
+      cosHalfAngle_[i] = std::cos(halfAngle_[i]);
+      // Registered (pruning) radius: wide enough for both exact predicates —
+      // the cap test on unit surface points and the elevation test from any
+      // supported observer radius. With a motion margin the ground radius is
+      // evaluated at the orbit's apogee (lambda grows with the satellite
+      // radius, so the apogee bound holds at every point of the pass) and
+      // widened by the margin itself, covering the angular drift of both the
+      // satellite and the observer over the margin's time window.
+      double satRadiusM = snap.eci(i).norm();
+      if (motionMarginRad > 0.0) {
+        const OrbitalElements& el = snap.elements()[i];
+        satRadiusM = std::max(
+            satRadiusM, el.semiMajorAxisM * (1.0 + el.eccentricity));
+      }
+      caps[i].unitCenter = direction_[i];
+      caps[i].halfAngleRad =
+          std::max(halfAngle_[i] + kCapPadRad,
+                   groundVisibilityHalfAngleRad(satRadiusM, minElevationRad)) +
+          motionMarginRad;
     }
-    caps[i].unitCenter = direction_[i];
-    caps[i].halfAngleRad =
-        std::max(halfAngle_[i] + kCapPadRad,
-                 groundVisibilityHalfAngleRad(satRadiusM, minElevationRad)) +
-        motionMarginRad;
+  });
+  for (const double h : halfAngle_) {
+    maxHalfAngleRad_ = std::max(maxHalfAngleRad_, h);
   }
   capIndex_ = SphericalCapIndex(caps);
 
@@ -132,24 +143,32 @@ FootprintIndex2::FootprintIndex2(
   // below kMaxCertHalfAngleRad (see the constant above). Certificates use
   // halfAngle_, never the padded registration radius: a padded radius
   // would certify points the exact predicate rejects.
-  minCoverCount_.assign(capIndex_.cellCount(), 0);
-  for (std::size_t cell = 0; cell < capIndex_.cellCount(); ++cell) {
-    const auto corners = capIndex_.cellCornerDirs(cell);
-    const auto [lo, hi] = capIndex_.cellEntryRange(cell);
-    int count = 0;
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const std::uint32_t i = capIndex_.entries()[e];
-      if (halfAngle_[i] > kMaxCertHalfAngleRad) continue;
-      const double threshold = cosHalfAngle_[i] + kCertCosPad;
-      bool all = true;
-      for (const Vec3& corner : corners) {
-        all = all && corner.dot(direction_[i]) >= threshold;
+  //
+  // Cells without registrations keep a count of 0 and skip the corner
+  // work; each fixed chunk of cells writes only its own slots.
+  const std::size_t cells = capIndex_.cellCount();
+  minCoverCount_.assign(cells, 0);
+  parallelFor(cells, kCertCellChunk, [&](std::size_t begin, std::size_t end) {
+    const std::vector<std::uint32_t>& entries = capIndex_.entries();
+    for (std::size_t cell = begin; cell < end; ++cell) {
+      const auto [lo, hi] = capIndex_.cellEntryRange(cell);
+      if (lo == hi) continue;
+      const auto corners = capIndex_.cellCornerDirs(cell);
+      int count = 0;
+      for (std::uint32_t e = lo; e < hi; ++e) {
+        const std::uint32_t i = entries[e];
+        if (halfAngle_[i] > kMaxCertHalfAngleRad) continue;
+        const double threshold = cosHalfAngle_[i] + kCertCosPad;
+        bool all = true;
+        for (const Vec3& corner : corners) {
+          all = all && corner.dot(direction_[i]) >= threshold;
+        }
+        count += all ? 1 : 0;
       }
-      count += all ? 1 : 0;
+      minCoverCount_[cell] =
+          static_cast<std::uint16_t>(std::min(count, 0xFFFF));
     }
-    minCoverCount_[cell] =
-        static_cast<std::uint16_t>(std::min(count, 0xFFFF));
-  }
+  });
 }
 
 bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const noexcept {

@@ -47,7 +47,8 @@ class ConstellationSnapshot;
 /// Spatially indexed footprint tests over one snapshot. Immutable after
 /// construction; share freely across threads. Obtain via compiled() on any
 /// hot path — construction costs one pass over the fleet plus the band
-/// index build, amortized by a process-wide LRU.
+/// index build and the certificate pass (both parallel over fixed chunks,
+/// bit-identical at any thread count), amortized by a process-wide LRU.
 class FootprintIndex2 {
  public:
   /// Lowest/highest observer radius (from Earth center) the ground-site
@@ -91,6 +92,8 @@ class FootprintIndex2 {
   const ConstellationSnapshot& snapshot() const noexcept { return *snapshot_; }
 
   double halfAngleRad(std::size_t i) const { return halfAngle_.at(i); }
+  /// The cell index over the registered (pruning) caps, for layout checks.
+  const SphericalCapIndex& capIndex() const noexcept { return capIndex_; }
   const Vec3& direction(std::size_t i) const { return direction_.at(i); }
 
   /// True if satellite i covers the surface point with unit direction
@@ -174,10 +177,10 @@ class FootprintIndex2 {
   /// Per-satellite ECEF position (the snapshot's array).
   const Vec3& ecef(std::size_t i) const;
 
-  /// The compiled index of (snapshot, mask) from a process-wide LRU keyed
-  /// by (elements hash, count, quantized t, mask bits): coverage sweeps,
-  /// association batches and handover planning touching the same timestep
-  /// compile the index once.
+  /// The compiled index of (snapshot, mask) at margin 0 from a
+  /// process-wide LRU keyed by (elements hash, count, quantized t, mask
+  /// bits, margin bits): coverage sweeps, association batches and handover
+  /// planning touching the same timestep compile the index once.
   static std::shared_ptr<const FootprintIndex2> compiled(
       std::shared_ptr<const ConstellationSnapshot> snapshot,
       double minElevationRad);

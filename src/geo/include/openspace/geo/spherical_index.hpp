@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include <openspace/core/assert.hpp>
 #include <openspace/geo/vec3.hpp>
 
 namespace openspace {
@@ -46,12 +47,16 @@ namespace openspace {
 /// in [latLoRad, latHiRad]: an upper bound on |lon(point) - lon(center)|
 /// for any cap point whose latitude falls in the range. Returns pi when the
 /// cap wraps a pole over the range (every longitude qualifies). Exposed for
-/// the property tests; the index calls it once per (cap, band) at build.
+/// the property tests; the index evaluates the same expressions once per
+/// (cap, band) at build, with the cap-only and band-only trigonometry
+/// hoisted out of that loop.
 double capLonHalfWidthRad(double centerLatRad, double capRadiusRad,
                           double latLoRad, double latHiRad);
 
 /// Immutable (latitude band x longitude sector) cell index over spherical
-/// caps. Thread-safe for concurrent queries after construction.
+/// caps. Thread-safe for concurrent queries after construction. The build
+/// fans out over parallelFor in fixed chunks, so the index is bit-identical
+/// at any thread count.
 class SphericalCapIndex {
  public:
   /// One cap: a unit direction and an angular radius.
@@ -61,10 +66,13 @@ class SphericalCapIndex {
   };
 
   /// An empty index: no caps, every query visits nothing.
-  SphericalCapIndex() = default;
+  SphericalCapIndex() : SphericalCapIndex(std::vector<Cap>{}) {}
 
   /// Build over `caps` (cap i keeps index i). Half-angles are clamped to
-  /// [0, pi]; centers must be unit vectors (|z| is clamped defensively).
+  /// [0, pi] (so +-inf and negative radii are accepted); centers must be
+  /// unit vectors (|z| is clamped defensively). Throws InvalidArgumentError,
+  /// before any work, for a non-finite center component or a NaN
+  /// half-angle.
   /// The cell size is chosen as a small fraction of the mean half-angle:
   /// fine enough that most cells lie entirely inside or outside a typical
   /// cap (which is what makes whole-cell certificates effective), coarse
@@ -78,14 +86,22 @@ class SphericalCapIndex {
   /// Total (cap, cell) registrations — the index's memory footprint.
   std::size_t entryCount() const noexcept { return cellEntry_.size(); }
 
-  /// Approximate resident size in bytes: the center arrays plus the CSR
-  /// cell table. Feeds the byte-budgeted caches that hold compiled
-  /// indexes (e.g. FootprintIndex2::compiled).
+  /// Approximate resident size in bytes: the center arrays, the CSR cell
+  /// table and the corner tables. Feeds the byte-budgeted caches that hold
+  /// compiled indexes (e.g. FootprintIndex2::compiled).
   std::size_t approxBytes() const noexcept {
     return sizeof(*this) +
            (centerLatRad_.size() + centerLonRad_.size()) * sizeof(double) +
-           (cellStart_.size() + cellEntry_.size()) * sizeof(std::uint32_t);
+           (cellStart_.size() + cellEntry_.size()) * sizeof(std::uint32_t) +
+           bandCorners_.size() * sizeof(BandCorners) +
+           sectorCorners_.size() * sizeof(SectorCorners);
   }
+
+  /// Invariant audit: throws StateError unless the CSR offsets are
+  /// non-decreasing and end at entries().size(), every cell list is
+  /// strictly ascending with entries < size(), and every cap is registered
+  /// in the cell containing its center. O(entries + caps log entries).
+  void audit() const;
 
   /// The cell the unit direction stabs. Branchless: one multiply+floor for
   /// the band, one division+floor for the sector.
@@ -123,8 +139,17 @@ class SphericalCapIndex {
   /// these corners — provided the distance from P to the cell stays below
   /// ~pi/2 (beyond that a meridian edge can hide an interior maximum).
   /// Callers building whole-cell certificates must respect that bound; see
-  /// FootprintIndex2 and DESIGN.md §10.
-  std::array<Vec3, 4> cellCornerDirs(std::size_t cell) const;
+  /// FootprintIndex2 and DESIGN.md §10. Read from per-band and per-sector
+  /// tables built with the index: no trigonometry per call.
+  std::array<Vec3, 4> cellCornerDirs(std::size_t cell) const {
+    OPENSPACE_ASSERT(cell < cellCount(), "cell index within the grid");
+    const BandCorners& z = bandCorners_[cell / sectors_];
+    const SectorCorners& a = sectorCorners_[cell % sectors_];
+    return {Vec3{a.xLo * z.cLo, a.yLo * z.cLo, z.zLo},
+            Vec3{a.xHi * z.cLo, a.yHi * z.cLo, z.zLo},
+            Vec3{a.xLo * z.cHi, a.yLo * z.cHi, z.zHi},
+            Vec3{a.xHi * z.cHi, a.yHi * z.cHi, z.zHi}};
+  }
 
   /// Visit the index of every cap that *may* contain the unit direction
   /// `unitDir` — a guaranteed superset of the true containing set; each
@@ -200,6 +225,22 @@ class SphericalCapIndex {
   /// never fall off the edge.
   SectorWindow sectorWindow(double centerLonRad, double halfWidthRad) const;
 
+  /// The latitude circles bounding a band's cell corners, padded outward:
+  /// z and sqrt(1 - z^2) at the low and high edge.
+  struct BandCorners {
+    double zLo = 0.0;  // units: unit-sphere z component, dimensionless
+    double cLo = 0.0;  // units: sqrt(1 - zLo^2), dimensionless
+    double zHi = 0.0;  // units: unit-sphere z component, dimensionless
+    double cHi = 0.0;  // units: sqrt(1 - zHi^2), dimensionless
+  };
+  /// The unit (x, y) directions of a sector's padded pseudo-angle bounds.
+  struct SectorCorners {
+    double xLo = 0.0;  // units: unit-direction component
+    double yLo = 0.0;  // units: unit-direction component
+    double xHi = 0.0;  // units: unit-direction component
+    double yHi = 0.0;  // units: unit-direction component
+  };
+
   std::size_t capCount_ = 0;
   std::size_t bands_ = 1;
   std::size_t sectors_ = 1;
@@ -208,8 +249,11 @@ class SphericalCapIndex {
   std::vector<double> centerLonRad_;
   // CSR: cell (b, s) owns cellEntry_[cellStart_[b*sectors_+s] ..
   // cellStart_[b*sectors_+s+1]), ascending cap indices.
-  std::vector<std::uint32_t> cellStart_ = {0, 0};
+  std::vector<std::uint32_t> cellStart_;
   std::vector<std::uint32_t> cellEntry_;
+  // cellCornerDirs tables: one entry per band, one per sector.
+  std::vector<BandCorners> bandCorners_;
+  std::vector<SectorCorners> sectorCorners_;
 };
 
 }  // namespace openspace

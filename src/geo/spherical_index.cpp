@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
+#include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/spherical_index_simd.hpp>
@@ -31,24 +33,165 @@ constexpr double kLonPadRad = 1e-9;
 /// rectangle contains every direction that stabs the cell.
 constexpr double kPseudoPad = 1e-9;
 
+/// Fixed chunk of the build's per-cap pass. Chunk boundaries never depend
+/// on the thread count, so neither does the order windows are recorded in.
+constexpr std::size_t kCapChunk = 256;
+
+/// A latitude with its sine and cosine, each evaluated once.
+struct LatTrig {
+  double rad = 0.0;
+  double sin = 0.0;
+  double cos = 0.0;
+};
+
+LatTrig latTrig(double latRad) {
+  return {latRad, std::sin(latRad), std::cos(latRad)};
+}
+
+/// z of band edge k: bands are equal-z slabs of [-1, 1].
+double bandEdgeZ(std::size_t k, std::size_t bands) {
+  return -1.0 + 2.0 * static_cast<double>(k) / static_cast<double>(bands);
+}
+
+/// Pseudo-angle of sector edge k: sectors are equal slices of [-2, 2].
+double sectorEdgeAngle(std::size_t k, std::size_t sectors) {
+  return -2.0 + 4.0 * static_cast<double>(k) / static_cast<double>(sectors);
+}
+
+/// The latitude of band edge k, with its trig.
+LatTrig bandEdge(std::size_t k, std::size_t bands) {
+  return latTrig(std::asin(std::clamp(bandEdgeZ(k, bands), -1.0, 1.0)));
+}
+
+/// Everything the longitude half-width derives from the cap alone, plus a
+/// one-entry memo of the last width evaluated.
+struct CapTrig {
+  double sinLat = 0.0;
+  double cosLat = 0.0;
+  double cosRadius = 0.0;
+  /// The half-width at every query latitude when it does not depend on
+  /// the range (radius >= pi or < 0, or a hemisphere-or-wider cap); < 0
+  /// when it must be evaluated.
+  double fixedWidthRad = -1.0;
+  /// The tangent latitude, where the cap's bounding meridians touch it,
+  /// and the half-width there (valid only when hasTangent).
+  bool hasTangent = false;
+  double tangentLatRad = 0.0;
+  double tangentWidthRad = 0.0;
+  /// Consecutive bands share an edge: the width there is evaluated once.
+  double memoLatRad = std::numeric_limits<double>::quiet_NaN();
+  double memoWidthRad = 0.0;
+};
+
 /// Longitude half-width of the cap at one query latitude: the largest
 /// |delta lon| such that the great-circle angle from (centerLat, 0) to
 /// (pointLat, delta lon) is still <= capRadius. Solved from the spherical
 /// law of cosines: cos(capRadius) = sin(c)sin(p) + cos(c)cos(p)cos(dLon).
-double capLonHalfWidthAtLatRad(double centerLatRad, double capRadiusRad,
-                               double pointLatRad) {
-  const double denom = std::cos(centerLatRad) * std::cos(pointLatRad);
+double widthAtLatRad(const CapTrig& cap, const LatTrig& point) {
+  const double denom = cap.cosLat * point.cos;
   if (denom <= 1e-15) {
     // Query latitude (or the center) at a pole: longitude is degenerate
     // there, so every longitude must count.
     return kPi;
   }
-  const double num =
-      std::cos(capRadiusRad) - std::sin(centerLatRad) * std::sin(pointLatRad);
+  const double num = cap.cosRadius - cap.sinLat * point.sin;
   const double c = num / denom;
   if (c <= -1.0) return kPi;  // whole latitude circle inside the cap
   if (c >= 1.0) return 0.0;   // latitude circle outside the cap's reach
   return std::acos(c);
+}
+
+/// widthAtLatRad through the cap's memo. Equal latitudes give equal widths
+/// (even +0 and -0: their sines differ only in sign, which the product
+/// with sin(centerLat) cannot carry into cos(radius) - 0).
+double memoWidthAtLatRad(CapTrig& cap, const LatTrig& point) {
+  if (point.rad != cap.memoLatRad) {
+    cap.memoLatRad = point.rad;
+    cap.memoWidthRad = widthAtLatRad(cap, point);
+  }
+  return cap.memoWidthRad;
+}
+
+CapTrig capTrig(double centerLatRad, double capRadiusRad) {
+  CapTrig cap;
+  cap.sinLat = std::sin(centerLatRad);
+  cap.cosLat = std::cos(centerLatRad);
+  cap.cosRadius = std::cos(capRadiusRad);
+  if (capRadiusRad < 0.0) {
+    cap.fixedWidthRad = 0.0;
+  } else if (capRadiusRad >= kPi || cap.cosRadius <= 1e-12) {
+    // The whole sphere, or radius >= pi/2, where the tangent formula below
+    // degenerates (the cap covers a hemisphere or more and can wrap a
+    // pole): every longitude counts.
+    cap.fixedWidthRad = kPi;
+  } else {
+    // The width as a function of query latitude is unimodal between the
+    // cap's latitude extremes, peaking at the tangent latitude where the
+    // cap's bounding meridians touch it: sin(phi*) = sin(centerLat) /
+    // cos(radius).
+    const double s = cap.sinLat / cap.cosRadius;
+    if (s >= -1.0 && s <= 1.0) {
+      cap.hasTangent = true;
+      cap.tangentLatRad = std::asin(s);
+      cap.tangentWidthRad = widthAtLatRad(cap, latTrig(cap.tangentLatRad));
+    }
+  }
+  return cap;
+}
+
+/// capLonHalfWidthRad over the query latitudes [lo, hi] (lo <= hi).
+double widthOverRangeRad(CapTrig& cap, const LatTrig& lo, const LatTrig& hi) {
+  if (cap.fixedWidthRad >= 0.0) return cap.fixedWidthRad;
+  const double wLo = memoWidthAtLatRad(cap, lo);
+  double w = std::max(wLo, memoWidthAtLatRad(cap, hi));
+  if (cap.hasTangent && cap.tangentLatRad > lo.rad &&
+      cap.tangentLatRad < hi.rad) {
+    w = std::max(w, cap.tangentWidthRad);
+  }
+  return w;
+}
+
+/// One cap (or neighborhood disc) prepared for registration: its cap-only
+/// trig, its latitude extent clamped to the poles and the bands that
+/// extent touches.
+struct CapExtent {
+  double centerLatRad = 0.0;
+  CapTrig trig;
+  LatTrig lo;
+  LatTrig hi;
+  std::size_t bandLo = 0;
+  std::size_t bandHi = 0;
+};
+
+CapExtent capExtent(double centerLatRad, double radiusRad) {
+  CapExtent cap;
+  cap.centerLatRad = centerLatRad;
+  cap.trig = capTrig(centerLatRad, radiusRad);
+  cap.lo = latTrig(std::max(-kPi / 2.0, centerLatRad - radiusRad));
+  cap.hi = latTrig(std::min(kPi / 2.0, centerLatRad + radiusRad));
+  return cap;
+}
+
+/// Padded longitude half-width of `cap` over the band between the edges
+/// `edgeLo` and `edgeHi`: the cap's width over its latitude range clipped
+/// to the band, plus the registration longitude pad.
+double bandHalfWidthRad(CapExtent& cap, const LatTrig& edgeLo,
+                        const LatTrig& edgeHi) {
+  // The segment is max(cap.lo, edgeLo) .. min(cap.hi, edgeHi), picking the
+  // operand std::max / std::min would return so its trig comes along.
+  const LatTrig& segLo = cap.lo.rad < edgeLo.rad ? edgeLo : cap.lo;
+  const LatTrig& segHi = edgeHi.rad < cap.hi.rad ? edgeHi : cap.hi;
+  double w;
+  if (segLo.rad > segHi.rad) {
+    // Can only happen through the z padding at the extent's edge bands;
+    // collapse to the nearer endpoint.
+    const LatTrig mid =
+        latTrig(std::clamp(cap.centerLatRad, segHi.rad, segLo.rad));
+    w = widthOverRangeRad(cap.trig, mid, mid);
+  } else {
+    w = widthOverRangeRad(cap.trig, segLo, segHi);
+  }
+  return std::min(kPi, w + kLonPadRad);
 }
 
 /// Inverse of SphericalCapIndex's pseudo-angle map: the unit (x, y) whose
@@ -78,27 +221,8 @@ void pseudoAngleDir(double a, double& x, double& y) {
 double capLonHalfWidthRad(double centerLatRad, double capRadiusRad,
                           double latLoRad, double latHiRad) {
   if (latLoRad > latHiRad) std::swap(latLoRad, latHiRad);
-  if (capRadiusRad >= kPi) return kPi;
-  if (capRadiusRad < 0.0) return 0.0;
-  double w = std::max(
-      capLonHalfWidthAtLatRad(centerLatRad, capRadiusRad, latLoRad),
-      capLonHalfWidthAtLatRad(centerLatRad, capRadiusRad, latHiRad));
-  // The width as a function of query latitude is unimodal between the cap's
-  // latitude extremes, peaking at the tangent latitude where the cap's
-  // bounding meridians touch it: sin(phi*) = sin(centerLat) / cos(radius).
-  // For radius >= pi/2 the formula degenerates (the cap covers a hemisphere
-  // or more and can wrap a pole); be conservative there.
-  const double cr = std::cos(capRadiusRad);
-  if (cr <= 1e-12) return kPi;
-  const double s = std::sin(centerLatRad) / cr;
-  if (s >= -1.0 && s <= 1.0) {
-    const double tangentLatRad = std::asin(s);
-    if (tangentLatRad > latLoRad && tangentLatRad < latHiRad) {
-      w = std::max(
-          w, capLonHalfWidthAtLatRad(centerLatRad, capRadiusRad, tangentLatRad));
-    }
-  }
-  return w;
+  CapTrig cap = capTrig(centerLatRad, capRadiusRad);
+  return widthOverRangeRad(cap, latTrig(latLoRad), latTrig(latHiRad));
 }
 
 SphericalCapIndex::SectorWindow SphericalCapIndex::sectorWindow(
@@ -138,14 +262,19 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
   if (capCount_ >= 0xFFFFFFFFull) {
     throw InvalidArgumentError("SphericalCapIndex: cap count exceeds 32 bits");
   }
-  centerLatRad_.resize(capCount_);
-  centerLonRad_.resize(capCount_);
+  for (const Cap& cap : caps) {
+    const Vec3& c = cap.unitCenter;
+    if (!std::isfinite(c.x) || !std::isfinite(c.y) || !std::isfinite(c.z)) {
+      throw InvalidArgumentError(
+          "SphericalCapIndex: cap center must be finite");
+    }
+    if (std::isnan(cap.halfAngleRad)) {
+      throw InvalidArgumentError("SphericalCapIndex: cap half-angle is NaN");
+    }
+  }
   std::vector<double> halfAngleRad(capCount_);
   double meanHalfAngleRad = 0.0;
   for (std::size_t i = 0; i < capCount_; ++i) {
-    const Vec3& c = caps[i].unitCenter;
-    centerLatRad_[i] = std::asin(std::clamp(c.z, -1.0, 1.0));
-    centerLonRad_[i] = std::atan2(c.y, c.x);
     halfAngleRad[i] = std::clamp(caps[i].halfAngleRad, 0.0, kPi);
     meanHalfAngleRad += halfAngleRad[i];
   }
@@ -182,81 +311,183 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
     while (sectors < 4 * bands_ && sectors < 512) sectors *= 2;
     sectors_ = sectors;
   }
+  const std::size_t cells = bands_ * sectors_;
 
-  // Register each cap in every cell its padded footprint touches. Two-pass
-  // counting-sort build: pass one computes each (cap, band) sector window
-  // once (all the trigonometry) and counts registrations per cell, pass
-  // two fills the CSR from the recorded windows — no per-cell vectors, no
-  // allocation churn on million-entry builds.
-  struct BandWindow {
-    std::uint32_t cap;
-    std::uint32_t band;
-    SectorWindow window;
-  };
-  std::vector<BandWindow> windows;
-  windows.reserve(capCount_ * 2);
-  std::vector<std::uint32_t> cellCountBuf(bands_ * sectors_, 0);
-  for (std::size_t i = 0; i < capCount_; ++i) {
-    const double lam = halfAngleRad[i];
-    const double latLo = std::max(-kPi / 2.0, centerLatRad_[i] - lam);
-    const double latHi = std::min(kPi / 2.0, centerLatRad_[i] + lam);
-    const std::size_t bLo = bandOf(std::sin(latLo) - kZPad);
-    const std::size_t bHi = bandOf(std::sin(latHi) + kZPad);
-    for (std::size_t b = bLo; b <= bHi; ++b) {
-      const double bandZLo =
-          -1.0 + 2.0 * static_cast<double>(b) / static_cast<double>(bands_);
-      const double bandZHi =
-          -1.0 + 2.0 * static_cast<double>(b + 1) / static_cast<double>(bands_);
-      double segLo = std::max(latLo, std::asin(std::clamp(bandZLo, -1.0, 1.0)));
-      double segHi = std::min(latHi, std::asin(std::clamp(bandZHi, -1.0, 1.0)));
-      if (segLo > segHi) {
-        // Can only happen through the z padding at the extent's edge bands;
-        // collapse to the nearer endpoint.
-        segLo = segHi = std::clamp(centerLatRad_[i], segHi, segLo);
-      }
-      const double hw = std::min(
-          kPi, capLonHalfWidthRad(centerLatRad_[i], lam, segLo, segHi) +
-                   kLonPadRad);
-      const SectorWindow w = sectorWindow(centerLonRad_[i], hw);
-      windows.push_back({static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(b), w});
-      std::size_t s = w.start;
-      for (std::uint32_t k = 0; k < w.count; ++k) {
-        ++cellCountBuf[b * sectors_ + s];
-        s = (s + 1 == sectors_) ? 0 : s + 1;
-      }
-    }
+  // Band-only trig, once per band edge: the edge latitudes and (for
+  // cellCornerDirs) the padded corner circles of every band.
+  std::vector<LatTrig> edges(bands_ + 1);
+  for (std::size_t k = 0; k <= bands_; ++k) edges[k] = bandEdge(k, bands_);
+  bandCorners_.resize(bands_);
+  for (std::size_t b = 0; b < bands_; ++b) {
+    BandCorners& z = bandCorners_[b];
+    z.zLo = std::clamp(bandEdgeZ(b, bands_) - kZPad, -1.0, 1.0);
+    z.zHi = std::clamp(bandEdgeZ(b + 1, bands_) + kZPad, -1.0, 1.0);
+    z.cLo = std::sqrt(std::max(0.0, 1.0 - z.zLo * z.zLo));
+    z.cHi = std::sqrt(std::max(0.0, 1.0 - z.zHi * z.zHi));
+  }
+  sectorCorners_.resize(sectors_);
+  for (std::size_t s = 0; s < sectors_; ++s) {
+    SectorCorners& a = sectorCorners_[s];
+    pseudoAngleDir(sectorEdgeAngle(s, sectors_) - kPseudoPad, a.xLo, a.yLo);
+    pseudoAngleDir(sectorEdgeAngle(s + 1, sectors_) + kPseudoPad, a.xHi,
+                   a.yHi);
   }
 
-  std::size_t total = 0;
-  for (const std::uint32_t c : cellCountBuf) total += c;
+  // Register each cap in every cell its padded footprint touches: a
+  // counting-sort build into the CSR in two parallel passes over fixed
+  // chunks, so the result never depends on the thread count.
+  //  (1) Per cap chunk: each (cap, band) sector window — all the
+  //      per-window trigonometry — grouped by band inside the chunk, in
+  //      ascending cap order within each band, with the chunk's
+  //      registration count per band.
+  //  (2) Per band row, after a prefix sum over the band totals: the row's
+  //      per-cell counts (a difference array over the sector runs), its
+  //      CSR offsets and its cell lists, walking the chunks in order. A
+  //      row owns a contiguous CSR range, so no two tasks share a slot,
+  //      and every cell list comes out in ascending cap order (one
+  //      registration per cap per cell).
+  struct BandWindow {
+    std::uint32_t cap = 0;
+    SectorWindow window{0, 0};
+  };
+  struct ChunkWindows {
+    std::vector<BandWindow> windows;      ///< grouped by band
+    std::vector<std::size_t> bandStart;   ///< bands_ + 1 offsets
+    std::vector<std::size_t> bandEntries;  ///< registrations per band
+  };
+  centerLatRad_.resize(capCount_);
+  centerLonRad_.resize(capCount_);
+  std::vector<ChunkWindows> chunks((capCount_ + kCapChunk - 1) / kCapChunk);
+  parallelFor(capCount_, kCapChunk, [&](std::size_t begin, std::size_t end) {
+    ChunkWindows& out = chunks[begin / kCapChunk];
+    std::vector<CapExtent> extent(end - begin);
+    out.bandStart.assign(bands_ + 1, 0);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vec3& c = caps[i].unitCenter;
+      centerLatRad_[i] = std::asin(std::clamp(c.z, -1.0, 1.0));
+      centerLonRad_[i] = std::atan2(c.y, c.x);
+      CapExtent& cap = extent[i - begin];
+      cap = capExtent(centerLatRad_[i], halfAngleRad[i]);
+      cap.bandLo = bandOf(cap.lo.sin - kZPad);
+      cap.bandHi = bandOf(cap.hi.sin + kZPad);
+      for (std::size_t b = cap.bandLo; b <= cap.bandHi; ++b) {
+        ++out.bandStart[b + 1];
+      }
+    }
+    for (std::size_t b = 0; b < bands_; ++b) {
+      out.bandStart[b + 1] += out.bandStart[b];
+    }
+    out.windows.resize(out.bandStart[bands_]);
+    out.bandEntries.assign(bands_, 0);
+    std::vector<std::size_t> slot(out.bandStart.begin(),
+                                  out.bandStart.end() - 1);
+    for (std::size_t i = begin; i < end; ++i) {
+      CapExtent& cap = extent[i - begin];
+      for (std::size_t b = cap.bandLo; b <= cap.bandHi; ++b) {
+        const SectorWindow w = sectorWindow(
+            centerLonRad_[i], bandHalfWidthRad(cap, edges[b], edges[b + 1]));
+        out.windows[slot[b]++] = {static_cast<std::uint32_t>(i), w};
+        out.bandEntries[b] += w.count;
+      }
+    }
+  });
+
+  std::vector<std::size_t> rowStart(bands_ + 1, 0);
+  for (std::size_t b = 0; b < bands_; ++b) {
+    std::size_t entries = 0;
+    for (const ChunkWindows& chunk : chunks) entries += chunk.bandEntries[b];
+    rowStart[b + 1] = rowStart[b] + entries;
+  }
+  const std::size_t total = rowStart[bands_];
   if (total >= 0xFFFFFFFFull) {
     throw InvalidArgumentError(
         "SphericalCapIndex: cell registrations exceed 32 bits");
   }
-  cellStart_.assign(bands_ * sectors_ + 1, 0);
-  std::uint32_t offset = 0;
-  for (std::size_t c = 0; c < cellCountBuf.size(); ++c) {
-    cellStart_[c] = offset;
-    offset += cellCountBuf[c];
-  }
-  cellStart_[cellCountBuf.size()] = offset;
+  cellStart_.assign(cells + 1, 0);
+  cellStart_[cells] = static_cast<std::uint32_t>(total);
   cellEntry_.resize(total);
-  // Reuse the count buffer as per-cell fill cursors. Windows were recorded
-  // in ascending cap order, so every cell list comes out sorted (one
-  // registration per cap per cell).
-  std::copy(cellStart_.begin(), cellStart_.end() - 1, cellCountBuf.begin());
-  for (const BandWindow& bw : windows) {
-    std::size_t s = bw.window.start;
-    for (std::uint32_t k = 0; k < bw.window.count; ++k) {
-      cellEntry_[cellCountBuf[bw.band * sectors_ + s]++] = bw.cap;
-      s = (s + 1 == sectors_) ? 0 : s + 1;
+  parallelFor(bands_, 1, [&](std::size_t begin, std::size_t end) {
+    // Per-sector difference array, then the row's fill cursors. Unsigned
+    // wrap-around is harmless: every prefix sum is a true count.
+    std::vector<std::uint32_t> cursor(sectors_ + 1);
+    for (std::size_t b = begin; b < end; ++b) {
+      std::fill(cursor.begin(), cursor.end(), 0u);
+      for (const ChunkWindows& chunk : chunks) {
+        for (std::size_t k = chunk.bandStart[b]; k < chunk.bandStart[b + 1];
+             ++k) {
+          const SectorWindow w = chunk.windows[k].window;
+          const std::size_t stop = w.start + w.count;
+          ++cursor[w.start];
+          if (stop <= sectors_) {
+            --cursor[stop];
+          } else {
+            --cursor[sectors_];
+            ++cursor[0];
+            --cursor[stop - sectors_];
+          }
+        }
+      }
+      const std::size_t row = b * sectors_;
+      auto offset = static_cast<std::uint32_t>(rowStart[b]);
+      std::uint32_t count = 0;
+      for (std::size_t s = 0; s < sectors_; ++s) {
+        count += cursor[s];
+        cellStart_[row + s] = offset;
+        cursor[s] = offset;
+        offset += count;
+      }
+      for (const ChunkWindows& chunk : chunks) {
+        for (std::size_t k = chunk.bandStart[b]; k < chunk.bandStart[b + 1];
+             ++k) {
+          const BandWindow& bw = chunk.windows[k];
+          std::size_t s = bw.window.start;
+          for (std::uint32_t n = 0; n < bw.window.count; ++n) {
+            cellEntry_[cursor[s]++] = bw.cap;
+            s = (s + 1 == sectors_) ? 0 : s + 1;
+          }
+        }
+      }
+    }
+  });
+}
+
+void SphericalCapIndex::audit() const {
+  const std::size_t cells = cellCount();
+  if (cellStart_.size() != cells + 1 || cellStart_.front() != 0 ||
+      cellStart_.back() != cellEntry_.size()) {
+    throw StateError(
+        "SphericalCapIndex::audit: CSR offsets do not span the entries");
+  }
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const auto [lo, hi] = cellEntryRange(cell);
+    if (lo > hi) {
+      throw StateError("SphericalCapIndex::audit: CSR offsets decrease");
+    }
+    for (std::uint32_t e = lo; e < hi; ++e) {
+      if (cellEntry_[e] >= capCount_) {
+        throw StateError("SphericalCapIndex::audit: entry out of range");
+      }
+      if (e > lo && cellEntry_[e - 1] >= cellEntry_[e]) {
+        throw StateError(
+            "SphericalCapIndex::audit: cell list not strictly ascending");
+      }
     }
   }
-  OPENSPACE_ASSERT(
-      capCount_ == 0 || cellCountBuf[bands_ * sectors_ - 1] ==
-                            cellStart_[bands_ * sectors_],
-      "cell fill matches CSR offsets");
+  // The center direction rebuilt from the stored latitude/longitude lands
+  // within rounding of the original center, far inside the registration
+  // pads, so its cell is the one the build registered the cap in.
+  for (std::size_t i = 0; i < capCount_; ++i) {
+    const double cosLat = std::cos(centerLatRad_[i]);
+    const Vec3 center{cosLat * std::cos(centerLonRad_[i]),
+                      cosLat * std::sin(centerLonRad_[i]),
+                      std::sin(centerLatRad_[i])};
+    const auto [lo, hi] = cellEntryRange(cellIndexOf(center));
+    if (!std::binary_search(cellEntry_.begin() + lo, cellEntry_.begin() + hi,
+                            static_cast<std::uint32_t>(i))) {
+      throw StateError(
+          "SphericalCapIndex::audit: cap missing from its center's cell");
+    }
+  }
 }
 
 void SphericalCapIndex::cellIndicesOf(const Vec3* unitDirs, std::size_t n,
@@ -265,69 +496,27 @@ void SphericalCapIndex::cellIndicesOf(const Vec3* unitDirs, std::size_t n,
                     sectors_, 0, n);
 }
 
-std::array<Vec3, 4> SphericalCapIndex::cellCornerDirs(std::size_t cell) const {
-  OPENSPACE_ASSERT(cell < cellCount(), "cell index within the grid");
-  const std::size_t b = cell / sectors_;
-  const std::size_t s = cell % sectors_;
-  const double zLo = std::clamp(
-      -1.0 + 2.0 * static_cast<double>(b) / static_cast<double>(bands_) - kZPad,
-      -1.0, 1.0);
-  const double zHi = std::clamp(
-      -1.0 +
-          2.0 * static_cast<double>(b + 1) / static_cast<double>(bands_) +
-          kZPad,
-      -1.0, 1.0);
-  const double aLo =
-      -2.0 + 4.0 * static_cast<double>(s) / static_cast<double>(sectors_) -
-      kPseudoPad;
-  const double aHi =
-      -2.0 + 4.0 * static_cast<double>(s + 1) / static_cast<double>(sectors_) +
-      kPseudoPad;
-  double xLo;
-  double yLo;
-  double xHi;
-  double yHi;
-  pseudoAngleDir(aLo, xLo, yLo);
-  pseudoAngleDir(aHi, xHi, yHi);
-  std::array<Vec3, 4> corners;
-  const double zs[2] = {zLo, zHi};
-  for (std::size_t k = 0; k < 2; ++k) {
-    const double c = std::sqrt(std::max(0.0, 1.0 - zs[k] * zs[k]));
-    corners[2 * k] = Vec3{xLo * c, yLo * c, zs[k]};
-    corners[2 * k + 1] = Vec3{xHi * c, yHi * c, zs[k]};
-  }
-  return corners;
-}
-
 void SphericalCapIndex::neighborhoodCandidates(
     std::size_t i, double radiusRad, std::vector<std::uint32_t>& out) const {
   out.clear();
   OPENSPACE_ASSERT(i < capCount_, "cap index within the index");
   if (capCount_ <= 1) return;
-  const double lat = centerLatRad_[i];
   const double lon = centerLonRad_[i];
-  const double r = std::clamp(radiusRad, 0.0, kPi);
-  const double latLo = std::max(-kPi / 2.0, lat - r);
-  const double latHi = std::min(kPi / 2.0, lat + r);
-  const std::size_t bLo = bandOf(std::sin(latLo) - kZPad);
-  const std::size_t bHi = bandOf(std::sin(latHi) + kZPad);
+  CapExtent disc =
+      capExtent(centerLatRad_[i], std::clamp(radiusRad, 0.0, kPi));
+  const std::size_t bLo = bandOf(disc.lo.sin - kZPad);
+  const std::size_t bHi = bandOf(disc.hi.sin + kZPad);
+  LatTrig edgeLo = bandEdge(bLo, bands_);
   for (std::size_t b = bLo; b <= bHi; ++b) {
-    const double bandZLo =
-        -1.0 + 2.0 * static_cast<double>(b) / static_cast<double>(bands_);
-    const double bandZHi =
-        -1.0 + 2.0 * static_cast<double>(b + 1) / static_cast<double>(bands_);
-    double segLo = std::max(latLo, std::asin(std::clamp(bandZLo, -1.0, 1.0)));
-    double segHi = std::min(latHi, std::asin(std::clamp(bandZHi, -1.0, 1.0)));
-    if (segLo > segHi) segLo = segHi = std::clamp(lat, segHi, segLo);
-    const double w = std::min(
-        kPi, capLonHalfWidthRad(lat, r, segLo, segHi) + kLonPadRad);
+    const LatTrig edgeHi = bandEdge(b + 1, bands_);
     // Scan the same sector walk registration would use (sectorWindow, with
     // its near-full-window guard): every cap whose *center* longitude lies
     // in the window maps (monotone pseudo-angle, pad-covered rounding) to
     // one of these sectors, and a cap always registers in the cell
     // containing its center.
     const std::size_t base = b * sectors_;
-    const SectorWindow win = sectorWindow(lon, w);
+    const SectorWindow win =
+        sectorWindow(lon, bandHalfWidthRad(disc, edgeLo, edgeHi));
     std::size_t s = win.start;
     for (std::uint32_t k = 0; k < win.count; ++k) {
       const std::size_t c = base + s;
@@ -336,6 +525,7 @@ void SphericalCapIndex::neighborhoodCandidates(
       }
       s = (s + 1 == sectors_) ? 0 : s + 1;
     }
+    edgeLo = edgeHi;
   }
   // A cap registers in several cells, so the scan sees it more than once;
   // the sweep consumers need each neighbor exactly once, in ascending

@@ -17,9 +17,14 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <openspace/auth/association.hpp>
+#include <openspace/concurrency/parallel.hpp>
+#include <openspace/core/hash.hpp>
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/error.hpp>
@@ -27,6 +32,7 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/spherical_index.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -159,47 +165,72 @@ TEST(SphericalCapIndex, NeighborhoodSuperset) {
   }
 }
 
+Vec3 dirAt(double latRad, double lonRad) {
+  return Vec3{std::cos(latRad) * std::cos(lonRad),
+              std::cos(latRad) * std::sin(lonRad), std::sin(latRad)};
+}
+
+/// The near-full-window geometry: 200 random caps of radius rho plus one
+/// pole-wrapping cap (last) that starts covering whole latitude circles
+/// (width pi) a hair above a band boundary, so the band just below
+/// registers with width pi - O(1e-3), far inside one sector's width. The
+/// last cap sits at longitude 0; callers move it with dirAt(centerLat, .).
+struct NearFullWindowCase {
+  static constexpr double rho = 0.45;
+  std::vector<SphericalCapIndex::Cap> caps;
+  double bandTopLat = 0.0;  ///< 0 when no band boundary is tunable
+  double centerLat = 0.0;
+  std::size_t bands = 0;
+  std::size_t sectors = 0;
+};
+
+NearFullWindowCase nearFullWindowCase() {
+  NearFullWindowCase c;
+  Rng rng(106);
+  c.caps = randomCaps(200, rng, c.rho, c.rho);
+  c.caps.push_back({Vec3{0.0, 0.0, 1.0}, c.rho});
+  // Probe build: same cap count and mean half-angle as the final indexes,
+  // so band/sector counts match and the tuned geometry below stays valid.
+  const SphericalCapIndex probe(c.caps);
+  c.bands = probe.bandCount();
+  c.sectors = probe.sectorCount();
+  const double bands = static_cast<double>(c.bands);
+  // Top boundary of a band reachable by a pole-wrapping cap whose center
+  // latitude stays below pi/2.
+  for (std::size_t b = 0; b + 1 < c.bands; ++b) {
+    const double zHi = -1.0 + 2.0 * static_cast<double>(b + 1) / bands;
+    const double lat = std::asin(std::clamp(zHi, -1.0, 1.0));
+    if (lat > kPi / 2 - c.rho + 0.05 && lat < kPi / 2 - 0.05) {
+      c.bandTopLat = lat;
+    }
+  }
+  // Whole latitude circles lie inside the cap for latitudes above
+  // pi - centerLat - rho; park that threshold just above the boundary.
+  const double wrapLat = c.bandTopLat + 1e-7;
+  c.centerLat = kPi - c.rho - wrapLat;
+  c.caps.back() = {dirAt(c.centerLat, 0.0), c.rho};
+  return c;
+}
+
 TEST(SphericalCapIndex, NearFullWindowRegistersWholeBand) {
   // Regression: a pole-wrapping cap whose longitude half-width at some band
   // falls just short of pi leaves a gap narrower than one sector — both
   // window endpoints land in the same sector, and deriving the sector span
   // from the endpoints alone collapsed the registration to that single
-  // sector, silently dropping the cap from the rest of the band. Construct
-  // exactly that geometry: the cap starts covering whole latitude circles
-  // (width pi) a hair above a band boundary, so the band just below
-  // registers with width pi - O(1e-3), far inside one sector's width.
-  const auto dirAt = [](double latRad, double lonRad) {
-    return Vec3{std::cos(latRad) * std::cos(lonRad),
-                std::cos(latRad) * std::sin(lonRad), std::sin(latRad)};
-  };
-  Rng rng(106);
-  const double rho = 0.45;
-  auto caps = randomCaps(200, rng, rho, rho);
-  caps.push_back({Vec3{0.0, 0.0, 1.0}, rho});
-  // Probe build: same cap count and mean half-angle as the final indexes,
-  // so band/sector counts match and the tuned geometry below stays valid.
-  const SphericalCapIndex probe(caps);
-  const double bands = static_cast<double>(probe.bandCount());
-  // Top boundary of a band reachable by a pole-wrapping cap whose center
-  // latitude stays below pi/2.
-  double bandTopLat = 0.0;
-  for (std::size_t b = 0; b + 1 < probe.bandCount(); ++b) {
-    const double zHi = -1.0 + 2.0 * static_cast<double>(b + 1) / bands;
-    const double lat = std::asin(std::clamp(zHi, -1.0, 1.0));
-    if (lat > kPi / 2 - rho + 0.05 && lat < kPi / 2 - 0.05) bandTopLat = lat;
-  }
+  // sector, silently dropping the cap from the rest of the band.
+  NearFullWindowCase setup = nearFullWindowCase();
+  auto& caps = setup.caps;
+  const double rho = setup.rho;
+  const double bandTopLat = setup.bandTopLat;
+  const double centerLat = setup.centerLat;
   ASSERT_GT(bandTopLat, 0.0) << "no band boundary in the tunable range";
-  // Whole latitude circles lie inside the cap for latitudes above
-  // pi - centerLat - rho; park that threshold just above the boundary.
-  const double wrapLat = bandTopLat + 1e-7;
-  const double centerLat = kPi - rho - wrapLat;
   ASSERT_LT(centerLat, kPi / 2);
   ASSERT_GT(centerLat + rho, kPi / 2) << "cap must wrap the pole";
   // The band's registered half-width must land in the dangerous range:
   // below pi, but with a gap smaller than one sector's true-angle width.
   const double w =
       capLonHalfWidthRad(centerLat, rho, centerLat - rho, bandTopLat);
-  ASSERT_GT(w, kPi - 4.0 / static_cast<double>(probe.sectorCount()));
+  ASSERT_GT(w, kPi - 4.0 / static_cast<double>(setup.sectors));
   ASSERT_LT(w, kPi);
   // Same band as bandTopLat, and the cap still spans nearly all longitudes.
   const double queryLat = bandTopLat - 1e-4;
@@ -209,8 +240,8 @@ TEST(SphericalCapIndex, NearFullWindowRegistersWholeBand) {
        {0.3, 1.1, 2.0, 2.9, -2.5, -1.6, -0.7, 3.05}) {
     caps.back() = {dirAt(centerLat, centerLon), rho};
     const SphericalCapIndex index(caps);
-    ASSERT_EQ(index.bandCount(), probe.bandCount());
-    ASSERT_EQ(index.sectorCount(), probe.sectorCount());
+    ASSERT_EQ(index.bandCount(), setup.bands);
+    ASSERT_EQ(index.sectorCount(), setup.sectors);
     for (int k = -30; k <= 30; ++k) {
       const double lon = centerLon + 0.1 * static_cast<double>(k);
       const Vec3 dir = dirAt(queryLat, lon);
@@ -588,6 +619,241 @@ TEST(AssociateUsers, AgreesWithSelectSatellite) {
     const auto batch = associateUsers(beacons, 30.0, {where}, maskRad);
     ASSERT_EQ(single.has_value(), batch[0].covered);
     if (single) ASSERT_EQ(*single, batch[0].satellite);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Build bit-identity: pinned layouts, serial == parallel, invariant audit
+// ---------------------------------------------------------------------------
+
+/// FNV fold of everything an index build fixes: the grid shape, every
+/// cell's entry range, the flat entry array and every cell's corner
+/// directions.
+std::uint64_t layoutChecksum(const SphericalCapIndex& index) {
+  std::uint64_t h = fnv1a(kFnvOffsetBasis, index.bandCount());
+  h = fnv1a(h, index.sectorCount());
+  for (std::size_t cell = 0; cell < index.cellCount(); ++cell) {
+    const auto [lo, hi] = index.cellEntryRange(cell);
+    h = fnv1a(fnv1a(h, lo), hi);
+  }
+  for (const std::uint32_t e : index.entries()) h = fnv1a(h, e);
+  for (std::size_t cell = 0; cell < index.cellCount(); ++cell) {
+    for (const Vec3& c : index.cellCornerDirs(cell)) {
+      h = fnv1a(fnv1a(fnv1a(h, bits(c.x)), bits(c.y)), bits(c.z));
+    }
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
+
+/// `fn()` evaluated with the pool at `threads` workers; the previous
+/// count is restored afterwards.
+template <typename Fn>
+auto atThreads(int threads, Fn&& fn) {
+  const int previous = parallelThreadCount();
+  setParallelThreadCount(threads);
+  auto result = fn();
+  setParallelThreadCount(previous);
+  return result;
+}
+
+TEST(SphericalCapIndex, RejectsNanRadius) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SphericalCapIndex({{Vec3{0.0, 1.0, 0.0}, kNan}}),
+               InvalidArgumentError);
+  Rng rng(109);
+  auto caps = randomCaps(30, rng, 0.1, 0.3);
+  caps[17].halfAngleRad = kNan;
+  EXPECT_THROW(SphericalCapIndex{caps}, InvalidArgumentError);
+  // Infinite and negative radii keep the documented clamp to [0, pi].
+  const SphericalCapIndex clamped({{Vec3{0.0, 0.0, 1.0},
+                                    std::numeric_limits<double>::infinity()},
+                                   {Vec3{1.0, 0.0, 0.0}, -1.0},
+                                   {Vec3{0.0, -1.0, 0.0},
+                                    -std::numeric_limits<double>::infinity()}});
+  clamped.audit();
+  bool wholeSphere = false;
+  clamped.forEachCandidate(Vec3{0.0, 0.0, -1.0}, [&](std::uint32_t i) {
+    wholeSphere = wholeSphere || i == 0;
+  });
+  EXPECT_TRUE(wholeSphere);
+}
+
+TEST(SphericalCapIndex, RejectsNonFiniteCenter) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Vec3 bad[] = {{kNan, 0.0, 0.0},  {0.0, kNan, 0.0}, {0.0, 0.0, kNan},
+                      {kInf, 0.0, 0.0},  {0.0, -kInf, 0.0},
+                      {0.0, 0.0, kInf}};
+  Rng rng(110);
+  for (const Vec3& center : bad) {
+    EXPECT_THROW(SphericalCapIndex({{center, 0.2}}), InvalidArgumentError);
+    auto caps = randomCaps(30, rng, 0.1, 0.3);
+    caps[29].unitCenter = center;
+    EXPECT_THROW(SphericalCapIndex{caps}, InvalidArgumentError);
+  }
+}
+
+TEST(SphericalCapIndex, AuditHoldsOnEmptyAndDegenerateIndexes) {
+  SphericalCapIndex().audit();
+  SphericalCapIndex{std::vector<SphericalCapIndex::Cap>{}}.audit();
+  SphericalCapIndex({{Vec3{0.0, 0.0, 0.0}, 0.1}}).audit();
+  SphericalCapIndex({{Vec3{0.0, 0.0, 1.0}, 0.0}, {Vec3{0.0, 0.0, -1.0}, kPi}})
+      .audit();
+}
+
+/// One pinned cap set: the layout checksum of the reference serial build,
+/// which every build must reproduce bit for bit at any thread count.
+struct PinnedCaps {
+  const char* name;
+  std::vector<SphericalCapIndex::Cap> caps;
+  std::uint64_t layout;
+};
+
+std::vector<PinnedCaps> pinnedCapSets() {
+  std::vector<PinnedCaps> sets;
+  {
+    Rng rng(101);
+    sets.push_back({"small", randomCaps(120, rng, deg2rad(1.0), deg2rad(25.0)),
+                    0xa72d8d1cdb2f8db3ull});
+  }
+  {
+    Rng rng(102);
+    auto caps = randomCaps(40, rng, 0.0, kPi);
+    caps.push_back({Vec3{0.0, 0.0, 1.0}, kPi / 2});
+    caps.push_back({Vec3{1.0, 0.0, 0.0}, kPi / 2 + 0.1});
+    caps.push_back({Vec3{0.0, 1.0, 0.0}, kPi});
+    caps.push_back({Vec3{0.0, 0.0, -1.0}, 0.0});
+    sets.push_back({"mixed", std::move(caps), 0x015ae56931928448ull});
+  }
+  sets.push_back({"hemisphere",
+                  {{Vec3{0.0, 0.0, 1.0}, kPi / 2},
+                   {Vec3{1.0, 0.0, 0.0}, kPi / 2}},
+                  0x5d33f1280c988831ull});
+  {
+    // Caps straddling either pole, plus caps centered exactly on them.
+    Rng rng(107);
+    std::vector<SphericalCapIndex::Cap> caps;
+    for (int i = 0; i < 60; ++i) {
+      const double lat = (i % 2 == 0 ? 1.0 : -1.0) *
+                         rng.uniform(deg2rad(70.0), deg2rad(89.9));
+      const double lon = rng.uniform(-kPi, kPi);
+      caps.push_back(
+          {dirAt(lat, lon), rng.uniform(deg2rad(5.0), deg2rad(30.0))});
+    }
+    caps.push_back({Vec3{0.0, 0.0, 1.0}, deg2rad(12.0)});
+    caps.push_back({Vec3{0.0, 0.0, -1.0}, deg2rad(3.0)});
+    sets.push_back({"polar", std::move(caps), 0x849c882687b7f0acull});
+  }
+  {
+    NearFullWindowCase c = nearFullWindowCase();
+    c.caps.back() = {dirAt(c.centerLat, 2.9), c.rho};
+    sets.push_back(
+        {"near-full-window", std::move(c.caps), 0x3fd313dca85c6c62ull});
+  }
+  {
+    Rng rng(108);
+    auto caps = randomCaps(60, rng, 0.0, 0.0);
+    caps.push_back({Vec3{0.0, 0.0, 1.0}, 0.0});
+    caps.push_back({Vec3{0.0, 0.0, -1.0}, 0.0});
+    caps.push_back({Vec3{-1.0, 0.0, 0.0}, 0.0});
+    sets.push_back({"zero-radius", std::move(caps), 0x21b1cfb88eb891b6ull});
+  }
+  return sets;
+}
+
+TEST(SphericalCapIndex, BuildMatchesPinnedLayoutAtAnyThreadCount) {
+  for (const PinnedCaps& set : pinnedCapSets()) {
+    for (const int threads : {1, 4}) {
+      const std::uint64_t layout = atThreads(threads, [&] {
+        const SphericalCapIndex index(set.caps);
+        index.audit();
+        return layoutChecksum(index);
+      });
+      EXPECT_EQ(hex(layout), hex(set.layout))
+          << set.name << " at " << threads << " threads";
+    }
+  }
+}
+
+/// The session sweep's motion margin for a 15 s epoch over `fleet`: the
+/// worst-case angular drift to either epoch edge (see HandoverSweep).
+double sweepMarginRad(const std::vector<OrbitalElements>& fleet) {
+  double rate = 0.0;
+  for (const OrbitalElements& el : fleet) {
+    rate = std::max(rate, el.maxAngularRateRadPerS());
+  }
+  rate += wgs84::kEarthRotationRadPerS;
+  return rate * (0.5 * 15.0 + 1e-3) + 1e-6;
+}
+
+/// Serial == parallel fold of a compiled index's query answers: capped
+/// and full countCovering over a fixed lat/lon grid of unit directions,
+/// and closestVisible from a fixed grid of ground sites.
+std::uint64_t queryChecksum(const FootprintIndex2& index) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (int la = -90; la <= 90; la += 3) {
+    for (int lo = -180; lo < 180; lo += 3) {
+      const Vec3 p = dirAt(deg2rad(la + 0.37), deg2rad(lo + 0.61));
+      h = fnv1a(h, static_cast<std::uint64_t>(index.countCovering(p, 1)));
+      h = fnv1a(h, static_cast<std::uint64_t>(index.countCovering(p, 1 << 20)));
+    }
+  }
+  for (int la = -85; la <= 85; la += 10) {
+    for (int lo = -180; lo < 180; lo += 10) {
+      const auto best = index.closestVisible(
+          Geodetic::fromDegrees(la + 0.29, lo + 0.53));
+      h = fnv1a(h, best ? *best : 0xFFFFFFFFull);
+    }
+  }
+  return h;
+}
+
+TEST(FootprintIndex2, BuildMatchesPinnedLayoutAtAnyThreadCount) {
+  struct Fleet {
+    const char* name;
+    std::vector<OrbitalElements> elements;
+    std::uint64_t layout0;       ///< margin 0
+    std::uint64_t layoutSweep;   ///< the sweep's 15 s epoch margin
+  };
+  const Fleet fleets[] = {
+      {"iridium", makeWalkerStar(iridiumConfig()), 0xa7bc48426d0235b1ull,
+       0x04e170124adfa3a6ull},
+      {"walker-5040",
+       makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)}),
+       0x424cca3eb149c17aull, 0x108cdf912abe3fceull},
+  };
+  for (const Fleet& fleet : fleets) {
+    const auto snap =
+        std::make_shared<const ConstellationSnapshot>(fleet.elements, 300.0);
+    const std::pair<double, std::uint64_t> margins[] = {
+        {0.0, fleet.layout0},
+        {sweepMarginRad(fleet.elements), fleet.layoutSweep}};
+    for (const auto& margin : margins) {
+      const double marginRad = margin.first;
+      const std::uint64_t pinned = margin.second;
+      std::uint64_t queries[2] = {0, 0};
+      for (const int threads : {1, 4}) {
+        const auto [layout, answers] = atThreads(threads, [&] {
+          const FootprintIndex2 index(snap, deg2rad(10.0), marginRad);
+          index.capIndex().audit();
+          return std::pair{layoutChecksum(index.capIndex()),
+                           queryChecksum(index)};
+        });
+        EXPECT_EQ(hex(layout), hex(pinned))
+            << fleet.name << " margin " << marginRad << " at " << threads
+            << " threads";
+        queries[threads == 1 ? 0 : 1] = answers;
+      }
+      EXPECT_EQ(queries[0], queries[1])
+          << fleet.name << " margin " << marginRad
+          << ": countCovering/closestVisible differ serial vs parallel";
+    }
   }
 }
 
