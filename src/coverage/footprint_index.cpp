@@ -342,4 +342,10 @@ std::size_t FootprintIndex2::compiledCacheApproxBytes() {
   return indexCache().approxBytes();
 }
 
+std::size_t FootprintIndex2::compiledCacheHits() { return indexCache().hits(); }
+
+std::size_t FootprintIndex2::compiledCacheMisses() {
+  return indexCache().misses();
+}
+
 }  // namespace openspace

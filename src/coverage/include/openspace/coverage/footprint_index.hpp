@@ -70,7 +70,9 @@ class FootprintIndex2 {
   /// rotation rate). The ground-visibility radii are additionally bounded
   /// at each orbit's apogee, so radial motion over the window is covered
   /// too. The session-plane epoch sweep compiles one margined index per
-  /// epoch and serves every event time inside it from that single compile.
+  /// 60 s grid window, at the window centre, and serves every event time
+  /// of the window's epochs from that single compile (an epoch that
+  /// straddles a window edge gets its own index at the epoch midpoint).
   /// Throws InvalidArgumentError for a negative or non-finite margin.
   FootprintIndex2(std::shared_ptr<const ConstellationSnapshot> snapshot,
                   double minElevationRad, double motionMarginRad = 0.0);
@@ -200,6 +202,10 @@ class FootprintIndex2 {
   static std::size_t setCompiledCacheByteBudget(std::size_t bytes);
   /// Summed approxBytes() of the currently cached compiled indexes.
   static std::size_t compiledCacheApproxBytes();
+  /// compiled() calls served from the cache / that compiled an index, since
+  /// process start (SnapshotCache::hits() and misses(), one layer up).
+  static std::size_t compiledCacheHits();
+  static std::size_t compiledCacheMisses();
 
  private:
   std::shared_ptr<const ConstellationSnapshot> snapshot_;

@@ -63,7 +63,9 @@ std::uint64_t constellationHash(const std::vector<OrbitalElements>& elements);
 /// All satellites of one constellation propagated to a single instant.
 class ConstellationSnapshot {
  public:
-  /// Propagate `elements` to time t (parallel over satellites).
+  /// Propagate `elements` to time t (parallel over satellites). Throws
+  /// InvalidArgumentError unless t is finite and t * 1e6 fits an int64
+  /// (the caches' microsecond time key).
   ConstellationSnapshot(std::vector<OrbitalElements> elements, double tSeconds);
 
   /// Propagate every satellite registered in `ephemeris`, in publication
@@ -276,7 +278,9 @@ class SnapshotCache {
 
   /// The snapshot of `elements` at `tSeconds` — cached, or built and
   /// inserted under the ByteBudgetLru policy (`capacity()` entries,
-  /// `byteBudget()` bytes, newest entry exempt, plain LRU order).
+  /// `byteBudget()` bytes, newest entry exempt, plain LRU order). Throws
+  /// InvalidArgumentError, before any lookup, for a time the constructor
+  /// rejects: non-finite times would otherwise share one key.
   std::shared_ptr<const ConstellationSnapshot> at(
       const std::vector<OrbitalElements>& elements, double tSeconds);
   std::shared_ptr<const ConstellationSnapshot> at(

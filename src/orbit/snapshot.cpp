@@ -59,6 +59,20 @@ bool cellCoordFits(std::int64_t c) noexcept {
   return c >= -kMax && c <= kMax;
 }
 
+/// `tSeconds` quantized to whole microseconds — the snapshot and index
+/// caches' time key. Throws InvalidArgumentError unless t is finite and
+/// t * 1e6 fits an int64: a NaN time propagates to all-NaN positions, and
+/// every non-finite time would round to one shared key.
+std::int64_t timeKeyMicros(double tSeconds) {
+  constexpr double kInt64Bound = 9'223'372'036'854'775'808.0;  // 2^63
+  const double micros = tSeconds * 1e6;
+  if (!(micros >= -kInt64Bound && micros < kInt64Bound)) {
+    throw InvalidArgumentError(
+        "snapshot: time must be finite and within +/-9.2e12 s");
+  }
+  return std::llround(micros);
+}
+
 }  // namespace
 
 std::uint64_t constellationHash(const std::vector<OrbitalElements>& elements) {
@@ -79,6 +93,7 @@ ConstellationSnapshot::ConstellationSnapshot(
     : elements_(std::move(elements)),
       tS_(tSeconds),
       hash_(constellationHash(elements_)) {
+  (void)timeKeyMicros(tSeconds);
   propagateAll();
 }
 
@@ -314,7 +329,7 @@ std::size_t SnapshotCache::KeyHash::operator()(const Key& k) const noexcept {
 std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
     const std::vector<OrbitalElements>& elements, double tSeconds) {
   const Key key{constellationHash(elements), elements.size(),
-                std::llround(tSeconds * 1e6)};
+                timeKeyMicros(tSeconds)};
   // A hit never pays the O(n) element copy; only the miss path that
   // actually builds a snapshot materializes it.
   return lru_.getOrBuild(key, [&] {
@@ -324,9 +339,9 @@ std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
 
 std::shared_ptr<const ConstellationSnapshot> SnapshotCache::at(
     const EphemerisService& ephemeris, double tSeconds) {
+  const std::int64_t tMicros = timeKeyMicros(tSeconds);
   std::vector<OrbitalElements> elements = elementsOf(ephemeris);
-  const Key key{constellationHash(elements), elements.size(),
-                std::llround(tSeconds * 1e6)};
+  const Key key{constellationHash(elements), elements.size(), tMicros};
   return lru_.getOrBuild(key, [&] {
     return std::make_shared<const ConstellationSnapshot>(std::move(elements),
                                                          tSeconds);

@@ -30,6 +30,10 @@ constexpr double kScanStepS = 10.0;
 /// drift bound — absorbs rounding in the bound's own evaluation.
 constexpr double kMarginSlackRad = 1e-6;
 
+/// The fixed time grid the epoch index is anchored on: every epoch inside
+/// one [k * 60, (k + 1) * 60] window is served by the window's one index.
+constexpr double kIndexWindowS = 60.0;
+
 /// Central-angle slack the visibility search's step-skipping proof keeps
 /// below the exact visibility edge. The compared angles carry a few ULP of
 /// rounding and the elevation predicate at most ~1e-8 rad (acos near 1);
@@ -248,6 +252,9 @@ void HandoverSweep::seed(SessionTable& table,
   if (table.fleetSize() != elements_.size()) {
     throw InvalidArgumentError("seed: table fleet size != sweep fleet size");
   }
+  if (!std::isfinite(t0S)) {
+    throw InvalidArgumentError("seed: t0S must be finite");
+  }
   if (table.seeded_ && t0S != table.clockS_) {
     throw InvalidArgumentError("seed: t0S must match the table clock");
   }
@@ -352,17 +359,29 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
         "runEpoch: table fleet size != sweep fleet size");
   }
   const double t0S = table.clockS_;
+  if (!std::isfinite(t1S)) {
+    throw InvalidArgumentError("runEpoch: t1S must be finite");
+  }
   if (!(t1S > t0S)) {
     throw InvalidArgumentError("runEpoch: t1S must be > table clock");
   }
   // One snapshot + one margined footprint index serve every event in the
-  // epoch: the index is compiled at the epoch midpoint, with the pruning
-  // caps widened by the worst-case angular drift to either epoch edge —
-  // candidate sets stay conservative supersets at every event time.
-  const double midS = t0S + 0.5 * (t1S - t0S);
+  // epoch. Every query time lies in [t0 - 1e-3, t1]; pruning caps widened
+  // by the worst-case angular drift from the anchor to either edge of that
+  // span keep candidate sets conservative supersets at every event time.
+  // An epoch inside one grid window anchors at the window centre with a
+  // half-window margin, so every epoch of the window asks compiled() for
+  // the same (snapshot, mask, margin) and the window compiles once. An
+  // epoch that straddles a window edge anchors at its own midpoint.
+  const double windowLoS = std::floor(t0S / kIndexWindowS) * kIndexWindowS;
+  const bool inWindow =
+      t0S >= windowLoS && t1S <= windowLoS + kIndexWindowS;
+  const double halfSpanS =
+      inWindow ? 0.5 * kIndexWindowS : 0.5 * (t1S - t0S);
+  const double anchorS = inWindow ? windowLoS + halfSpanS : t0S + halfSpanS;
   const double marginRad =
-      maxAngularRateRadPerS_ * (0.5 * (t1S - t0S) + 1e-3) + kMarginSlackRad;
-  const auto snap = SnapshotCache::global().at(elements_, midS);
+      maxAngularRateRadPerS_ * (halfSpanS + 1e-3) + kMarginSlackRad;
+  const auto snap = SnapshotCache::global().at(elements_, anchorS);
   const auto index =
       FootprintIndex2::compiled(snap, cfg_.minElevationRad, marginRad);
 

@@ -9,9 +9,12 @@
 // library's one handover engine. It is an epoch kernel over persistent
 // session state:
 //
-//  * one ConstellationSnapshot + FootprintIndex2 compile per epoch (the
-//    index carries a motion margin sized so its candidate sets stay
-//    conservative supersets at every event time inside the epoch);
+//  * one ConstellationSnapshot + FootprintIndex2 per epoch, anchored on a
+//    fixed 60 s grid: every epoch inside one grid window shares the index
+//    compiled at the window centre (the compiled() LRU serves the repeats),
+//    and an epoch that straddles a window edge gets its own at its
+//    midpoint. The index carries a motion margin sized so its candidate
+//    sets stay conservative supersets at every event time it serves;
 //  * the per-shard expiry heaps select exactly the sessions whose
 //    predicted handover falls inside the epoch — no full-table scan;
 //  * visibility searches run on one warm-startable SatelliteSweep per
@@ -154,7 +157,8 @@ class HandoverSweep {
   /// session re-associates in place (new certificate handle); an active
   /// duplicate throws InvalidArgumentError. The first seed sets the table
   /// clock; later seeds must arrive at the current clock (epoch
-  /// boundaries). Deterministic at any thread count.
+  /// boundaries). Throws InvalidArgumentError for a non-finite t0S before
+  /// touching any cache. Deterministic at any thread count.
   void seed(SessionTable& table, const std::vector<SessionSeed>& seeds,
             double t0S, SeedMode mode) const;
 
@@ -162,7 +166,7 @@ class HandoverSweep {
   /// predicted handover, coverage-hole scan and certificate check that
   /// falls inside the epoch. Events append to `eventsOut` (if non-null) in
   /// (shard, pop) order — the checksum's order. Throws
-  /// InvalidArgumentError unless t1S > table.clockS().
+  /// InvalidArgumentError unless t1S is finite and > table.clockS().
   EpochStats runEpoch(SessionTable& table, double t1S,
                       std::vector<SessionEvent>* eventsOut = nullptr) const;
 

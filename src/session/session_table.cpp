@@ -20,6 +20,15 @@ std::uint64_t mixUser(std::uint64_t v) noexcept {
   return v ^ (v >> 31);
 }
 
+/// The expiry heap's order: std heap algorithms keep the earliest
+/// (atS, slot) on top under this "later than" comparison.
+struct LaterEntry {
+  template <class Entry>
+  bool operator()(const Entry& a, const Entry& b) const noexcept {
+    return a.atS > b.atS || (a.atS == b.atS && a.slot > b.slot);
+  }
+};
+
 }  // namespace
 
 std::string_view sessionStateName(SessionState s) noexcept {
@@ -99,18 +108,12 @@ std::uint32_t SessionTable::shardOf(UserId user) const noexcept {
 }
 
 void SessionTable::heapPush(std::vector<HeapEntry>& heap, HeapEntry e) {
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) {
-    return a.atS > b.atS || (a.atS == b.atS && a.slot > b.slot);
-  };
   heap.push_back(e);
-  std::push_heap(heap.begin(), heap.end(), later);
+  std::push_heap(heap.begin(), heap.end(), LaterEntry{});
 }
 
 SessionTable::HeapEntry SessionTable::heapPop(std::vector<HeapEntry>& heap) {
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) {
-    return a.atS > b.atS || (a.atS == b.atS && a.slot > b.slot);
-  };
-  std::pop_heap(heap.begin(), heap.end(), later);
+  std::pop_heap(heap.begin(), heap.end(), LaterEntry{});
   const HeapEntry e = heap.back();
   heap.pop_back();
   return e;
@@ -160,6 +163,80 @@ std::optional<SessionTable::SessionView> SessionTable::find(UserId user) const {
   v.certExpiresAtS = shard.st.certExpiresAtS[slot];
   v.certTag = shard.st.certTag[slot];
   return v;
+}
+
+void SessionTable::audit() const {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    MutexLock lock(shard.mu);
+    const State& st = shard.st;
+    const std::size_t n = st.user.size();
+    if (st.site.size() != n || st.siteEcef.size() != n ||
+        st.servingSat.size() != n || st.nextEventS.size() != n ||
+        st.outageFromS.size() != n || st.certExpiresAtS.size() != n ||
+        st.certTag.size() != n || st.state.size() != n ||
+        st.satOccupancy.size() != fleetSize_) {
+      throw StateError("SessionTable::audit: field arrays differ in length");
+    }
+    // Occupancy buckets count exactly the Serving slots.
+    std::vector<std::uint64_t> serving(fleetSize_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (st.state[i] != SessionState::Serving) continue;
+      if (st.servingSat[i] >= fleetSize_) {
+        throw StateError("SessionTable::audit: Serving slot has no satellite");
+      }
+      ++serving[st.servingSat[i]];
+    }
+    if (serving != st.satOccupancy) {
+      throw StateError(
+          "SessionTable::audit: occupancy differs from the Serving slots");
+    }
+    // Every Serving slot is reachable through a live heap entry.
+    if (!std::is_heap(st.heap.begin(), st.heap.end(), LaterEntry{})) {
+      throw StateError("SessionTable::audit: expiry heap out of order");
+    }
+    std::vector<bool> live(n, false);
+    for (const HeapEntry& e : st.heap) {
+      if (e.slot >= n) {
+        throw StateError("SessionTable::audit: heap entry out of range");
+      }
+      if (st.nextEventS[e.slot] == e.atS) live[e.slot] = true;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (st.state[i] == SessionState::Serving && !live[i]) {
+        throw StateError(
+            "SessionTable::audit: Serving slot without a live heap entry");
+      }
+    }
+    // slotOf maps every slot's user back to that slot (so the slots' users
+    // are distinct) and holds no other key: a bijection.
+    if (st.slotOf.size() != n) {
+      throw StateError("SessionTable::audit: slotOf size != slot count");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto it = st.slotOf.find(st.user[i]);
+      if (it == st.slotOf.end() || it->second != i ||
+          shardOf(st.user[i]) != s) {
+        throw StateError("SessionTable::audit: slotOf is not a bijection");
+      }
+    }
+    // The scanning list is the set of Scanning slots, without repeats.
+    std::vector<bool> listed(n, false);
+    for (const std::uint32_t slot : st.scanning) {
+      if (slot >= n || listed[slot] ||
+          st.state[slot] != SessionState::Scanning) {
+        throw StateError(
+            "SessionTable::audit: scanning list holds a non-Scanning slot");
+      }
+      listed[slot] = true;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (st.state[i] == SessionState::Scanning && !listed[i]) {
+        throw StateError(
+            "SessionTable::audit: Scanning slot missing from the list");
+      }
+    }
+  }
 }
 
 std::uint64_t SessionTable::stateChecksum() const {

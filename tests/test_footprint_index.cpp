@@ -781,7 +781,8 @@ TEST(SphericalCapIndex, BuildMatchesPinnedLayoutAtAnyThreadCount) {
   }
 }
 
-/// The session sweep's motion margin for a 15 s epoch over `fleet`: the
+/// The session sweep's motion margin for a 15 s epoch anchored at its own
+/// midpoint (one that straddles a 60 s window edge) over `fleet`: the
 /// worst-case angular drift to either epoch edge (see HandoverSweep).
 double sweepMarginRad(const std::vector<OrbitalElements>& fleet) {
   double rate = 0.0;

@@ -12,15 +12,16 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include <openspace/auth/association.hpp>
 #include <openspace/auth/certificate.hpp>
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/hash.hpp>
+#include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
@@ -52,10 +53,6 @@ class SessionSweepTest : public ::testing::Test {
     }
     cfg_.minElevationRad = mask_;
     cfg_.dropOnCertExpiry = false;
-    const auto& sats = eph_.satellites();
-    for (std::size_t i = 0; i < sats.size(); ++i) {
-      indexOf_[sats[i].value()] = static_cast<std::uint32_t>(i);
-    }
   }
 
   std::vector<SessionSeed> seedsFor(const std::vector<Geodetic>& sites,
@@ -74,19 +71,51 @@ class SessionSweepTest : public ::testing::Test {
     std::vector<SessionEvent> events;
     std::vector<EpochStats> stats;
     std::uint64_t finalChecksum = 0;
+    std::vector<SessionTable::SessionView> finalViews;  ///< Users 1..n.
+    std::vector<std::uint64_t> finalOccupancy;
   };
+  /// The table is audited after the seed and after every epoch.
   SweepRun runSweep(const std::vector<Geodetic>& sites,
                     const std::vector<double>& boundaries,
-                    double certExpiresAtS = kNeverExpiresS) const {
-    SessionTable table(eph_.satellites().size());
-    const HandoverSweep sweep(eph_, cfg_);
-    sweep.seed(table, seedsFor(sites, certExpiresAtS), 0.0, SeedMode::Planner);
+                    double t0S = 0.0) const {
+    return runSweepOn(eph_, sites, boundaries, t0S);
+  }
+  SweepRun runSweepOn(const EphemerisService& eph,
+                      const std::vector<Geodetic>& sites,
+                      const std::vector<double>& boundaries,
+                      double t0S = 0.0) const {
+    SessionTable table(eph.satellites().size());
+    const HandoverSweep sweep(eph, cfg_);
+    sweep.seed(table, seedsFor(sites), t0S, SeedMode::Planner);
+    table.audit();
     SweepRun run;
     for (const double t1 : boundaries) {
       run.stats.push_back(sweep.runEpoch(table, t1, &run.events));
+      table.audit();
     }
     run.finalChecksum = table.stateChecksum();
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      run.finalViews.push_back(table.find(i + 1).value());
+    }
+    run.finalOccupancy = table.perSatelliteOccupancy();
     return run;
+  }
+
+  /// A 528-satellite Walker Delta shell at 550 km and 53 degrees.
+  static EphemerisService walkerDelta528() {
+    EphemerisService eph;
+    for (const auto& el :
+         makeWalkerDelta({528, 24, 1, km(550.0), deg2rad(53.0)})) {
+      eph.publish(ProviderId{1}, el);
+    }
+    return eph;
+  }
+
+  /// Epoch boundaries t0 + stepS, t0 + 2 stepS, ... up to and including T.
+  static std::vector<double> evenEpochs(double t0S, double stepS, double T) {
+    std::vector<double> out;
+    for (double t = t0S + stepS; t <= T; t += stepS) out.push_back(t);
+    return out;
   }
 
   /// The sweep's events for one user, in time order.
@@ -102,11 +131,17 @@ class SessionSweepTest : public ::testing::Test {
   /// Expect the sweep stream to be bit-for-bit the legacy timeline.
   void expectMatchesLegacy(const std::vector<SessionEvent>& mine,
                            const HandoverTimeline& legacy) const {
+    expectMatchesLegacyOn(eph_, mine, legacy);
+  }
+  static void expectMatchesLegacyOn(const EphemerisService& eph,
+                                    const std::vector<SessionEvent>& mine,
+                                    const HandoverTimeline& legacy) {
+    const auto& sats = eph.satellites();
     ASSERT_EQ(mine.size(), legacy.events.size());
     for (std::size_t j = 0; j < mine.size(); ++j) {
       EXPECT_EQ(bitsOf(mine[j].atS), bitsOf(legacy.events[j].atS)) << j;
-      EXPECT_EQ(mine[j].fromSat, indexOf_.at(legacy.events[j].from.value())) << j;
-      EXPECT_EQ(mine[j].toSat, indexOf_.at(legacy.events[j].to.value())) << j;
+      EXPECT_EQ(sats.at(mine[j].fromSat), legacy.events[j].from) << j;
+      EXPECT_EQ(sats.at(mine[j].toSat), legacy.events[j].to) << j;
       EXPECT_EQ(bitsOf(mine[j].latencyS), bitsOf(legacy.events[j].latencyS)) << j;
     }
   }
@@ -114,7 +149,6 @@ class SessionSweepTest : public ::testing::Test {
   const double mask_ = deg2rad(10.0);
   EphemerisService eph_;
   SweepConfig cfg_;
-  std::unordered_map<std::uint32_t, std::uint32_t> indexOf_;
   const std::vector<Geodetic> sites_ = {
       Geodetic::fromDegrees(40.44, -79.99),   // Pittsburgh
       Geodetic::fromDegrees(-33.87, 151.21),  // Sydney
@@ -129,10 +163,21 @@ class SessionSweepTest : public ::testing::Test {
 
 TEST_F(SessionSweepTest, EventsMatchLegacySimulationForAnyEpochPartition) {
   const double T = 1'800.0;
+  // 15 s epochs reuse their 60 s window's index three times in four; half
+  // of the 45 s epochs straddle a window edge; a 300 s epoch between 15 s
+  // ones falls back to its own midpoint index.
+  std::vector<double> longBetweenShort = evenEpochs(0.0, 15.0, 600.0);
+  longBetweenShort.push_back(900.0);
+  for (const double t : evenEpochs(900.0, 15.0, T)) {
+    longBetweenShort.push_back(t);
+  }
   const std::vector<std::vector<double>> partitions = {
       {T},
       {600.0, 1'200.0, T},
       {137.0, 450.0, 1'000.0, 1'337.5, T},
+      evenEpochs(0.0, 15.0, T),
+      evenEpochs(0.0, 45.0, T),
+      longBetweenShort,
   };
   std::vector<HandoverTimeline> legacy;
   for (const Geodetic& site : sites_) {
@@ -147,6 +192,111 @@ TEST_F(SessionSweepTest, EventsMatchLegacySimulationForAnyEpochPartition) {
       expectMatchesLegacy(eventsOf(run.events, i + 1), legacy[i]);
     }
   }
+  // A seed off the window grid: the first epochs sit inside [0, 60], the
+  // one across t = 60 straddles it.
+  const double t0 = 37.5;
+  const std::vector<double> offGrid = evenEpochs(t0, 15.0, T);
+  const SweepRun run = runSweep(sites_, offGrid, t0);
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i) + " seeded at 37.5 s");
+    expectMatchesLegacy(eventsOf(run.events, i + 1),
+                        simulateHandovers(eph_, mask_, sites_[i], t0,
+                                          offGrid.back(),
+                                          HandoverMode::Predictive));
+  }
+}
+
+TEST_F(SessionSweepTest, WalkerDeltaFifteenSecondEpochsMatchLegacy) {
+  // A 528-satellite Walker Delta at 53 degrees: several satellites in view
+  // at mid latitudes, none ever at Svalbard, which scans throughout — the
+  // windowed index against the spec.
+  const EphemerisService delta = walkerDelta528();
+  const double T = 600.0;
+  const SweepRun run = runSweepOn(delta, sites_, evenEpochs(0.0, 15.0, T));
+  std::size_t handovers = 0;
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    const HandoverTimeline spec = simulateHandovers(
+        delta, mask_, sites_[i], 0.0, T, HandoverMode::Predictive);
+    handovers += spec.events.size();
+    expectMatchesLegacyOn(delta, eventsOf(run.events, i + 1), spec);
+  }
+  EXPECT_GT(handovers, 0u);
+}
+
+/// The margin of the index runEpoch compiles at a 60 s window's centre —
+/// the drift bound over the window's half-span plus the query offset.
+double windowMarginRad(const HandoverSweep& sweep) {
+  return sweep.maxAngularRateRadPerS() * (30.0 + 1e-3) + 1e-6;
+}
+
+TEST_F(SessionSweepTest, WindowIndexCandidatesCoverTheWholeWindow) {
+  // What the windowed index's bit-identity rests on: every satellite at or
+  // above the mask at any query time of the window [c - 30 s - 1e-3,
+  // c + 30 s] is a ground candidate of the index compiled at the centre c.
+  // A half-epoch (7.5 s) margin misses some of them over these samples.
+  const EphemerisService delta = walkerDelta528();
+  const EphemerisService* const fleets[] = {&eph_, &delta};
+  for (const EphemerisService* eph : fleets) {
+    const HandoverSweep sweep(*eph, cfg_);
+    for (const double centreS : {30.0, 1'230.0}) {
+      const auto index = FootprintIndex2::compiled(
+          SnapshotCache::global().at(sweep.fleet(), centreS), mask_,
+          windowMarginRad(sweep));
+      std::size_t visible = 0;
+      std::size_t missed = 0;
+      for (double dt = -30.0 - 1e-3; dt <= 30.0; dt += 5.0) {
+        const ConstellationSnapshot at(sweep.fleet(), centreS + dt);
+        for (int lat = -80; lat <= 80; lat += 8) {
+          for (int lon = -180; lon < 180; lon += 12) {
+            const Vec3 site =
+                geodeticToEcef(Geodetic::fromDegrees(lat + 0.3, lon + 0.7));
+            const GroundObserver observer(site);
+            std::vector<std::uint32_t> candidates;
+            index->forEachGroundCandidate(
+                site, [&](std::uint32_t i) { candidates.push_back(i); });
+            std::sort(candidates.begin(), candidates.end());
+            for (std::uint32_t i = 0; i < at.size(); ++i) {
+              if (observer.elevationTo(at.ecef(i)) < mask_) continue;
+              ++visible;
+              missed += std::binary_search(candidates.begin(),
+                                           candidates.end(), i)
+                            ? 0
+                            : 1;
+            }
+          }
+        }
+      }
+      EXPECT_GT(visible, 0u);
+      EXPECT_EQ(missed, 0u) << eph->size() << " satellites, centre "
+                            << centreS << " s";
+    }
+  }
+}
+
+TEST_F(SessionSweepTest, FifteenSecondEpochsCompileOneIndexPerWindow) {
+  // A fleet no other test compiles, so every index below is this test's.
+  WalkerConfig wc = iridiumConfig();
+  wc.altitudeM = km(805.0);
+  EphemerisService eph;
+  for (const auto& el : makeWalkerStar(wc)) eph.publish(ProviderId{1}, el);
+  SessionTable table(eph.satellites().size());
+  const HandoverSweep sweep(eph, cfg_);
+  sweep.seed(table, seedsFor(sites_), 0.0, SeedMode::Planner);
+  const std::size_t hits0 = FootprintIndex2::compiledCacheHits();
+  const std::size_t misses0 = FootprintIndex2::compiledCacheMisses();
+  for (const double t1 : evenEpochs(0.0, 15.0, 120.0)) {
+    sweep.runEpoch(table, t1);
+  }
+  // Windows [0, 60] and [60, 120]: one compile each, three reuses each.
+  EXPECT_EQ(FootprintIndex2::compiledCacheMisses() - misses0, 2u);
+  EXPECT_EQ(FootprintIndex2::compiledCacheHits() - hits0, 6u);
+  // ...and the key is the window centre at the window margin that
+  // WindowIndexCandidatesCoverTheWholeWindow checks.
+  (void)FootprintIndex2::compiled(
+      SnapshotCache::global().at(sweep.fleet(), 90.0), mask_,
+      windowMarginRad(sweep));
+  EXPECT_EQ(FootprintIndex2::compiledCacheMisses() - misses0, 2u);
 }
 
 TEST_F(SessionSweepTest, FineEpochPartitionStillMatchesLegacy) {
@@ -245,32 +395,56 @@ TEST_F(SessionSweepTest, FinalTableStateIsPartitionInvariant) {
   const SweepRun many = runSweep(sites_, fine);
   EXPECT_EQ(one.finalChecksum, uneven.finalChecksum);
   EXPECT_EQ(one.finalChecksum, many.finalChecksum);
+  // At the 15 s cadence a coverage hole spans an epoch edge, and a session
+  // that re-acquires keeps its stale outage anchor — the last edge it was
+  // parked at — so stateChecksum() (which folds that field) depends on the
+  // partition there. Every field a session reports still must not.
+  const SweepRun cadence = runSweep(sites_, evenEpochs(0.0, 15.0, T));
+  for (const SweepRun* run : {&uneven, &many, &cadence}) {
+    ASSERT_EQ(run->finalViews.size(), one.finalViews.size());
+    for (std::size_t i = 0; i < one.finalViews.size(); ++i) {
+      const SessionTable::SessionView& a = one.finalViews[i];
+      const SessionTable::SessionView& b = run->finalViews[i];
+      EXPECT_EQ(a.state, b.state) << i;
+      EXPECT_EQ(a.servingSat, b.servingSat) << i;
+      EXPECT_EQ(bitsOf(a.nextEventS), bitsOf(b.nextEventS)) << i;
+      EXPECT_EQ(bitsOf(a.certExpiresAtS), bitsOf(b.certExpiresAtS)) << i;
+      EXPECT_EQ(a.certTag, b.certTag) << i;
+    }
+    EXPECT_EQ(run->finalOccupancy, one.finalOccupancy);
+  }
 }
 
 // --- determinism ----------------------------------------------------------
 
 TEST_F(SessionSweepTest, SerialAndParallelSweepsAreBitIdentical) {
   ThreadCountGuard guard;
-  const std::vector<double> boundaries = {300.0, 900.0, 1'800.0};
-  setParallelThreadCount(1);
-  const SweepRun serial = runSweep(sites_, boundaries);
-  for (const int threads : {2, 4, 16}) {
-    setParallelThreadCount(threads);
-    const SweepRun parallel = runSweep(sites_, boundaries);
-    EXPECT_EQ(parallel.finalChecksum, serial.finalChecksum) << threads;
-    ASSERT_EQ(parallel.stats.size(), serial.stats.size());
-    for (std::size_t e = 0; e < serial.stats.size(); ++e) {
-      EXPECT_EQ(parallel.stats[e].eventChecksum, serial.stats[e].eventChecksum)
-          << threads << " epoch " << e;
-      EXPECT_EQ(parallel.stats[e].handovers, serial.stats[e].handovers);
-      EXPECT_EQ(bitsOf(parallel.stats[e].outageS), bitsOf(serial.stats[e].outageS));
+  const auto expectThreadInvariant = [&](const std::vector<double>& boundaries) {
+    setParallelThreadCount(1);
+    const SweepRun serial = runSweep(sites_, boundaries);
+    for (const int threads : {2, 4, 16}) {
+      setParallelThreadCount(threads);
+      const SweepRun parallel = runSweep(sites_, boundaries);
+      EXPECT_EQ(parallel.finalChecksum, serial.finalChecksum) << threads;
+      ASSERT_EQ(parallel.stats.size(), serial.stats.size());
+      for (std::size_t e = 0; e < serial.stats.size(); ++e) {
+        EXPECT_EQ(parallel.stats[e].eventChecksum,
+                  serial.stats[e].eventChecksum)
+            << threads << " epoch " << e;
+        EXPECT_EQ(parallel.stats[e].handovers, serial.stats[e].handovers);
+        EXPECT_EQ(bitsOf(parallel.stats[e].outageS),
+                  bitsOf(serial.stats[e].outageS));
+      }
+      ASSERT_EQ(parallel.events.size(), serial.events.size());
+      for (std::size_t j = 0; j < serial.events.size(); ++j) {
+        EXPECT_EQ(parallel.events[j].user, serial.events[j].user);
+        EXPECT_EQ(bitsOf(parallel.events[j].atS),
+                  bitsOf(serial.events[j].atS));
+      }
     }
-    ASSERT_EQ(parallel.events.size(), serial.events.size());
-    for (std::size_t j = 0; j < serial.events.size(); ++j) {
-      EXPECT_EQ(parallel.events[j].user, serial.events[j].user);
-      EXPECT_EQ(bitsOf(parallel.events[j].atS), bitsOf(serial.events[j].atS));
-    }
-  }
+  };
+  expectThreadInvariant({300.0, 900.0, 1'800.0});
+  expectThreadInvariant(evenEpochs(0.0, 15.0, 1'800.0));
 }
 
 // --- seeding --------------------------------------------------------------
@@ -322,6 +496,39 @@ TEST_F(SessionSweepTest, RunEpochRequiresForwardTime) {
   sweep.runEpoch(table, 60.0);
   EXPECT_DOUBLE_EQ(table.clockS(), 60.0);
   EXPECT_THROW(sweep.runEpoch(table, 59.0), InvalidArgumentError);
+}
+
+TEST_F(SessionSweepTest, NonFiniteTimesThrowBeforeTouchingTheCaches) {
+  // A NaN seed time used to fail deep in the footprint build ("altitude
+  // must be > 0"), and runEpoch(+inf) passed the forward-time check and
+  // looked up an all-NaN snapshot before the index build threw.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Every lookup either cache has served: unchanged means untouched.
+  const auto cacheLookups = [] {
+    return std::vector<std::size_t>{SnapshotCache::global().hits(),
+                                    SnapshotCache::global().misses(),
+                                    FootprintIndex2::compiledCacheHits(),
+                                    FootprintIndex2::compiledCacheMisses()};
+  };
+  SessionTable table(eph_.satellites().size());
+  const HandoverSweep sweep(eph_, cfg_);
+  const auto beforeSeed = cacheLookups();
+  for (const double t : {nan, inf, -inf}) {
+    EXPECT_THROW(sweep.seed(table, seedsFor(sites_), t, SeedMode::Planner),
+                 InvalidArgumentError);
+  }
+  EXPECT_EQ(cacheLookups(), beforeSeed);
+  EXPECT_EQ(table.size(), 0u);
+  sweep.seed(table, seedsFor(sites_), 0.0, SeedMode::Planner);
+  const auto beforeEpoch = cacheLookups();
+  for (const double t : {nan, inf, -inf}) {
+    EXPECT_THROW(sweep.runEpoch(table, t), InvalidArgumentError);
+  }
+  EXPECT_EQ(cacheLookups(), beforeEpoch);
+  EXPECT_EQ(table.clockS(), 0.0);
+  sweep.runEpoch(table, 60.0);  // the table is still usable
+  table.audit();
 }
 
 // --- table accounting -----------------------------------------------------
@@ -398,6 +605,7 @@ TEST_F(SessionSweepTest, DisassociateRegionDropsAndReseedRestores) {
   const std::size_t dropped =
       table.disassociateRegion(Geodetic::fromDegrees(51.5, -0.13), 500.0e3);
   EXPECT_EQ(dropped, 1u);
+  table.audit();
   EXPECT_EQ(table.activeCount(), activeBefore - 1);
   const auto view = table.find(3);  // London is sites_[2] -> user 3
   ASSERT_TRUE(view.has_value());
@@ -413,7 +621,9 @@ TEST_F(SessionSweepTest, DisassociateRegionDropsAndReseedRestores) {
   ASSERT_TRUE(after.has_value());
   EXPECT_NE(after->state, SessionState::Disassociated);
   EXPECT_EQ(after->certTag, 0xBEEFu);
+  table.audit();
   sweep.runEpoch(table, 1'200.0);  // and the run continues fine
+  table.audit();
 }
 
 TEST_F(SessionSweepTest, ExpiredCertificatesDropSessionsAtHandover) {

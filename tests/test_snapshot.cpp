@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -422,6 +423,29 @@ TEST(SnapshotCacheTest, EphemerisAndElementListShareEntries) {
   const auto a = cache.at(sats, 50.0);
   EXPECT_EQ(cache.at(eph, 50.0).get(), a.get());
   EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(SnapshotCacheTest, NonFiniteAndOutOfRangeTimesThrow) {
+  // Every non-finite time used to round to one shared microsecond key: a
+  // NaN time cached an all-NaN snapshot that a later +inf lookup returned.
+  const auto sats = testConstellation(5);
+  EphemerisService eph;
+  for (const auto& el : sats) eph.publish(ProviderId{1}, el);
+  SnapshotCache cache(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // t * 1e6 must fit an int64: +/-1e13 s is just outside, 9e12 s inside.
+  for (const double t : {nan, inf, -inf, 1e13, -1e13}) {
+    EXPECT_THROW(cache.at(sats, t), InvalidArgumentError) << t;
+    EXPECT_THROW(cache.at(eph, t), InvalidArgumentError) << t;
+    EXPECT_THROW(ConstellationSnapshot(sats, t), InvalidArgumentError) << t;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  const auto far = cache.at(sats, 9e12);
+  EXPECT_EQ(far->timeSeconds(), 9e12);
+  EXPECT_EQ(cache.at(sats, -9e12)->timeSeconds(), -9e12);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 // --- Determinism: parallel == serial, bit for bit ------------------------

@@ -39,8 +39,9 @@ reference numbers in bench/baseline/. Two formats are understood:
 * the custom session record ("bench": "session") — the sweep==legacy and
   serial==parallel checksum gates are re-asserted, the cache-consults-
   every-handover invariant is re-checked, sweep wall times are compared,
-  and the epoch sweep's speedup over the per-user planner scan is checked
-  against its 10x floor (at meaningful scale).
+  the epoch index's compile count is checked against one compile per 60 s
+  window of epochs, and the epoch sweep's speedup over the per-user
+  planner scan is checked against its 10x floor (at meaningful scale).
 
 CI hardware varies run to run, so this is a smoke alarm, not a gate: every
 regression beyond the threshold prints a GitHub ::warning:: annotation and
@@ -391,6 +392,20 @@ def compare_session(current, baseline, threshold: float) -> int:
         warn(f"session: cert cache consulted {hits + misses} times for "
              f"{handovers} handovers — the cache is being bypassed")
         warned += 1
+    # Epochs inside one 60 s grid window share one margined index, so the
+    # chain compiles at most one index per window it touches. Older
+    # records carry no index_compiles field.
+    compiles = current.get("index_compiles")
+    epochs = current.get("epochs")
+    epoch_s = current.get("epoch_s")
+    if None not in (compiles, epochs, epoch_s):
+        bound = epochs * epoch_s / 60.0 + 1
+        print(f"  index_compiles: {compiles} for {epochs} epochs "
+              f"(bound {bound:.0f})")
+        if compiles > bound:
+            warn(f"session index_compiles: {compiles} > {bound:.0f} — the "
+                 f"epoch index is no longer reused across its 60 s window")
+            warned += 1
     if current.get("scale") != baseline.get("scale"):
         # CI runs the bench at a reduced user count; absolute times are
         # incomparable then, but the speedup floor below still applies.
