@@ -1,5 +1,6 @@
-// Incremental temporal topology benchmark: delta-patched CompactGraphs and
-// the routing trees built on them vs the full per-step recompile.
+// Incremental temporal topology benchmark: IncrementalTopology's per-step
+// CompactGraphs and the routing trees built on them vs the full per-step
+// recompile of the executable spec.
 //
 // Scenario (scale 1.0): the paper's 66-sat Iridium plus-grid, six
 // gateways plus twelve user terminals, a 1-hour sweep at 1 s steps.
@@ -8,26 +9,26 @@
 //  * verify (untimed) — fresh and delta run side by side over every step.
 //    Graphs: contentChecksum() equality per step under the delay cost
 //    model. Routes: the full dist + parent-edge arrays of every tree built
-//    on the patched graph against its twin on the fresh compile, per step
+//    on the delta graph against its twin on the fresh compile, per step
 //    under the hop cost model. Any single-bit divergence on any step fails
 //    the run (hard gate, exit non-zero). Checksumming lives here, outside
 //    the timed passes, because hashing every edge payload costs more than
 //    the delta step being measured and would dilute both sides of the
 //    ratio.
 //  * graphs (timed) — per-step compiled-graph production. Fresh side runs
-//    the executable spec every step: TopologyBuilder::snapshot()
-//    (hash-map NetworkGraph, name strings) + compileGraph(). Delta side
-//    walks one IncrementalTopology: flat LinkSpec enumeration, positional
-//    diff, payload patch of the previous arrays. Timed loops fold a
-//    cheap per-step summary (edge count + sampled cost bits) — identical
-//    across modes (secondary gate) and stable across passes.
+//    the executable spec every step: legacy::topologySnapshot()
+//    (hash-map NetworkGraph, name strings, all-pairs scans) +
+//    compileGraph(). Delta side walks one IncrementalTopology: flat link
+//    enumeration, structural diff, counting-sort CSR assembly. Timed loops
+//    fold a cheap per-step summary (edge count + sampled cost bits) —
+//    identical across modes (secondary gate) and stable across passes.
 //  * routes (timed) — per-step topology + routing trees, one tree per
-//    source. Fresh recompiles the snapshot; delta patches the graph. Both
-//    then run a fresh Dijkstra per source, so the ratio is the graph
-//    path's saving diluted by the tree cost. Wall times are compared
-//    against the committed baseline by tools/bench_compare.py, not here
-//    (in-bench timing asserts flake on loaded machines, checksum gates
-//    cannot).
+//    source. Fresh recompiles the spec snapshot; delta steps the
+//    IncrementalTopology. Both then run a fresh Dijkstra per source, so
+//    the ratio is the graph path's saving diluted by the tree cost. Wall
+//    times are compared against the committed baseline by
+//    tools/bench_compare.py, not here (in-bench timing asserts flake on
+//    loaded machines, checksum gates cannot).
 //  * batch (untimed) — batchShortestPathTrees over all satellites, one
 //    thread vs the pool: per-tree checksums must match bit for bit (hard
 //    gate; the TSan lane runs this at reduced scale).
@@ -47,6 +48,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
 #include <openspace/topology/delta.hpp>
@@ -175,23 +177,25 @@ int main(int argc, char** argv) {
   std::uint64_t routesChecksum = kFnvOffsetBasis;
   std::size_t structuralSteps = 0;
   {
-    const CompactGraph::CostFn delayCost = delayCostModel().link;
-    const CompactGraph::CostFn hopCost = hopCostModel().link;
+    const CompactGraph::CostFn delayCost =
+        legacy::temporalLinkCost(delayCostModel());
+    const CompactGraph::CostFn hopCost = legacy::temporalLinkCost(hopCostModel());
     IncrementalTopology incG(topo, opt, delayCostModel());
     IncrementalTopology incR(topo, opt, hopCostModel());
     for (int i = 0; i < steps; ++i) {
       const double t = i * stepS;
       // Graphs under the delay model.
-      const CompactGraph freshG = compileGraph(topo.snapshot(t, opt), delayCost);
+      const CompactGraph freshG =
+          compileGraph(legacy::topologySnapshot(topo, t, opt), delayCost);
       if (incG.step(t).structural) ++structuralSteps;
       const std::uint64_t freshSum = freshG.contentChecksum();
       graphMatch = graphMatch && freshSum == incG.graph()->contentChecksum();
       graphChecksum = fnv1a(graphChecksum, freshSum);
-      // Trees under the hop model: every tree on the patched graph against
+      // Trees under the hop model: every tree on the delta graph against
       // its twin on the fresh compile.
       incR.step(t);
       const RouteEngine freshEngine(std::make_shared<const CompactGraph>(
-          compileGraph(topo.snapshot(t, opt), hopCost)));
+          compileGraph(legacy::topologySnapshot(topo, t, opt), hopCost)));
       const RouteEngine deltaEngine(incR.graph());
       for (const NodeId src : sources) {
         const std::uint64_t treeSum =
@@ -206,10 +210,11 @@ int main(int argc, char** argv) {
 
   // --- phase A (timed): per-step graph production (delay cost model) -------
   const Timed graphFresh = timeIt([&] {
-    const CompactGraph::CostFn cost = delayCostModel().link;
+    const CompactGraph::CostFn cost = legacy::temporalLinkCost(delayCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
-      const CompactGraph g = compileGraph(topo.snapshot(i * stepS, opt), cost);
+      const CompactGraph g =
+          compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost);
       h = mixGraphSummary(h, g);
     }
     return h;
@@ -231,11 +236,11 @@ int main(int argc, char** argv) {
 
   // --- phase B (timed): per-step topology + routing trees (hop model) ------
   const Timed routesFresh = timeIt([&] {
-    const CompactGraph::CostFn cost = hopCostModel().link;
+    const CompactGraph::CostFn cost = legacy::temporalLinkCost(hopCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       const RouteEngine engine(std::make_shared<const CompactGraph>(
-          compileGraph(topo.snapshot(i * stepS, opt), cost)));
+          compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost)));
       for (const NodeId src : sources) {
         h = mixTreeSummary(h, engine.shortestPathTree(src));
       }
@@ -266,7 +271,8 @@ int main(int argc, char** argv) {
     allSats.push_back(topo.nodeOf(sid));
   }
   const auto batchGraph = std::make_shared<const CompactGraph>(
-      compileGraph(topo.snapshot(0.0, opt), delayCostModel().link));
+      compileGraph(topo.snapshot(0.0, opt),
+                   legacy::temporalLinkCost(delayCostModel())));
   const RouteEngine batchEngine(batchGraph);
   const auto batchChecksum = [&] {
     std::uint64_t h = kFnvOffsetBasis;
@@ -289,8 +295,8 @@ int main(int argc, char** argv) {
   // --- report --------------------------------------------------------------
   const double perStepFreshMs = 1e3 * routesFresh.bestPassS / steps;
   const double perStepDeltaMs = 1e3 * routesDelta.bestPassS / steps;
-  std::printf("# Incremental temporal topology: delta patching + fresh "
-              "trees vs full recompile (%zu sats, %d steps of %.0f s, "
+  std::printf("# Incremental temporal topology: per-step CSR assembly + "
+              "fresh trees vs full recompile (%zu sats, %d steps of %.0f s, "
               "scale=%.3f, best of %d passes)\n\n",
               satCount, steps, stepS, scale, kPasses);
   std::printf("%-10s %-10s %-12s %-12s %-10s\n", "phase", "work", "fresh_s",
@@ -299,8 +305,8 @@ int main(int argc, char** argv) {
               graphFresh.bestPassS, graphDelta.bestPassS, speedupGraph);
   std::printf("%-10s %-10d %-12.3f %-12.3f %-10.2f\n", "routes", steps,
               routesFresh.bestPassS, routesDelta.bestPassS, speedupRoutes);
-  std::printf("\n# graphs: %zu structural steps (%.1f%%), the rest patched "
-              "the previous arrays in place\n",
+  std::printf("\n# graphs: %zu structural steps (%.1f%%) changed the link "
+              "set; every step assembles its CSR arrays from the link list\n",
               structuralSteps,
               100.0 * static_cast<double>(structuralSteps) / steps);
   std::printf("# routes: %zu sources; per step %.3f ms fresh -> %.3f ms "

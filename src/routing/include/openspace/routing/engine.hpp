@@ -10,10 +10,10 @@
 // construct one engine per snapshot and cost model and amortize the compile
 // over their queries; a one-off query is `RouteEngine(g, cost).shortestPath`.
 // Over a drifting topology, a sweep builds fresh trees on each step's
-// delta-patched graph (topology/delta.hpp): under the delay cost every edge
-// changes every step, so there is no old tree to reuse. The hash-map
-// reference implementations the engine is property-tested against are
-// test-only code (openspace::legacy in tests/spec).
+// graph from IncrementalTopology (topology/delta.hpp): under the delay
+// cost every edge changes every step, so there is no old tree to reuse.
+// The hash-map reference implementations the engine is property-tested
+// against are test-only code (openspace::legacy in tests/spec).
 //
 // Determinism contract: every query is a pure function of the compiled
 // graph. The heap breaks distance ties by dense node index (== NetworkGraph

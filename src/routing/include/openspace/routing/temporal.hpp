@@ -11,10 +11,10 @@
 //
 // ContactGraphRouter computes earliest-arrival delivery over the predicted
 // snapshot sequence: within a snapshot interval packets move at link speed;
-// across intervals they may wait on any node. Each interval's snapshot is
-// compiled once into a CSR CompactGraph (edge weight = total link delay),
-// so a query runs label-correcting Dijkstra over flat arrays indexed by
-// dense node id — no hash-map graph walk per interval.
+// across intervals they may wait on any node. One IncrementalTopology
+// compiles each interval's snapshot into a CSR CompactGraph (edge weight =
+// total link delay), so a query runs label-correcting Dijkstra over flat
+// arrays indexed by dense node id — no hash-map graph walk per interval.
 #pragma once
 
 #include <memory>
@@ -42,19 +42,11 @@ struct TemporalRoute {
 class ContactGraphRouter {
  public:
   /// Precomputes snapshots on {t0S, t0S+step, ...} covering [t0S, t0S+horizon].
-  /// Throws InvalidArgumentError for non-positive step/horizon.
-  ///
-  /// `build` selects how per-interval graphs are produced. Delta (default)
-  /// walks one IncrementalTopology through the grid — satellite positions
-  /// come from the shared SnapshotCache (repeated sweeps over one window hit
-  /// the LRU) and consecutive graphs are payload-patched instead of
-  /// recompiled. FreshCompile is the executable spec: a full
-  /// builder.snapshot() + compileGraph() per interval. The two produce
-  /// bit-identical graphs (property-tested), so routing results never
-  /// depend on the choice.
+  /// Throws InvalidArgumentError for non-positive step/horizon. Satellite
+  /// positions come from the shared SnapshotCache, so repeated sweeps over
+  /// one window hit the LRU.
   ContactGraphRouter(const TopologyBuilder& builder, const SnapshotOptions& opt,
-                     double t0S, double horizonS, double stepS,
-                     TemporalBuild build = TemporalBuild::Delta);
+                     double t0S, double horizonS, double stepS);
 
   /// Earliest arrival of a message from `src` (ready at `tStartS`) to `dst`,
   /// allowing storage at intermediate nodes between snapshot intervals.
@@ -70,9 +62,9 @@ class ContactGraphRouter {
     double startS;
     double endS;
     /// Compiled snapshot; edgeCost() == the link's total delay in seconds.
-    /// The dense node numbering is identical across all intervals (verified
-    /// at construction), so per-node labels carry over between intervals as
-    /// flat arrays without translation.
+    /// Every interval's graph shares one IncrementalTopology's node table,
+    /// so per-node labels carry over between intervals as flat arrays
+    /// without translation.
     std::shared_ptr<const CompactGraph> csr;
   };
   std::vector<Interval> snaps_;

@@ -9,40 +9,16 @@ namespace openspace {
 
 ContactGraphRouter::ContactGraphRouter(const TopologyBuilder& builder,
                                        const SnapshotOptions& opt, double t0S,
-                                       double horizonS, double stepS,
-                                       TemporalBuild build) {
+                                       double horizonS, double stepS) {
   if (stepS <= 0.0 || horizonS <= 0.0) {
     throw InvalidArgumentError("ContactGraphRouter: step/horizon must be > 0");
   }
-  // Both branches compile edge weight == total link delay; the delta path
-  // is pinned bit-identical to the fresh path by property tests, so the
-  // router's results are independent of the build mode.
-  if (build == TemporalBuild::Delta) {
-    IncrementalTopology inc(builder, opt, delayCostModel());
-    for (double t = t0S; t < t0S + horizonS; t += stepS) {
-      inc.step(t);
-      snaps_.push_back({t, std::min(t + stepS, t0S + horizonS), inc.graph()});
-    }
-  } else {
-    const CompactGraph::CostFn delayCost = delayCostModel().link;
-    for (double t = t0S; t < t0S + horizonS; t += stepS) {
-      snaps_.push_back(
-          {t, std::min(t + stepS, t0S + horizonS),
-           std::make_shared<const CompactGraph>(
-               compileGraph(builder.snapshot(t, opt), delayCost))});
-    }
+  IncrementalTopology inc(builder, opt, delayCostModel());
+  for (double t = t0S; t < t0S + horizonS; t += stepS) {
+    inc.step(t);
+    snaps_.push_back({t, std::min(t + stepS, t0S + horizonS), inc.graph()});
   }
   gridEndS_ = t0S + horizonS;
-  // The flat label arrays in earliestArrival() are carried across intervals
-  // by dense index, which is only sound when every interval numbers the
-  // nodes identically. The builder emits nodes in a fixed order, so this
-  // holds by construction; fail loudly if that ever changes.
-  for (const Interval& iv : snaps_) {
-    if (iv.csr->nodes() != snaps_.front().csr->nodes()) {
-      throw StateError(
-          "ContactGraphRouter: snapshot node ordering changed across intervals");
-    }
-  }
 }
 
 TemporalRoute ContactGraphRouter::earliestArrival(NodeId src, NodeId dst,

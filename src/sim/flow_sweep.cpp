@@ -43,11 +43,7 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     if (it == sources.end()) sources.push_back(demands[i].src);
   }
 
-  const TemporalCostModel model = delayCostModel();
-  std::unique_ptr<IncrementalTopology> inc;
-  if (cfg.build == TemporalBuild::Delta) {
-    inc = std::make_unique<IncrementalTopology>(builder, opt, model);
-  }
+  IncrementalTopology inc(builder, opt, delayCostModel());
 
   FlowSweepReport out;
   const double endS = cfg.t0S + cfg.horizonS;
@@ -56,19 +52,8 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     FlowSweepStep step;
     step.tS = t;
 
-    std::shared_ptr<const CompactGraph> graph;
-    if (inc) {
-      inc->step(t);
-      graph = inc->graph();
-      step.structural = inc->lastDelta().structural;
-    } else {
-      // Executable spec: full snapshot + compile, fresh trees below. Every
-      // step rebuilds, so every step is structural by definition.
-      graph = std::make_shared<const CompactGraph>(
-          compileGraph(builder.snapshot(t, opt), model.link));
-      step.structural = true;
-    }
-
+    step.structural = inc.step(t).structural;
+    const std::shared_ptr<const CompactGraph> graph = inc.graph();
     const std::vector<PathTree> trees =
         RouteEngine(graph).batchShortestPathTrees(sources);
 
@@ -78,9 +63,6 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     simCfg.seed = fnv1a(cfg.sim.seed, stepIdx);
     FlowSimulator sim(graph, simCfg);
 
-    // The checksum folds only mode-independent material: the graphs are
-    // bit-identical across build modes, so the trees, route sequences and
-    // record streams must match too.
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const Route r = trees[demandSource[i]].routeTo(demands[i].dst);
       out.checksum = mixRoute(out.checksum, r);

@@ -2,20 +2,18 @@
 //
 // flow_sim.hpp simulates one compiled snapshot; a constellation study wants
 // a *sweep* — the same demand set replayed across a time grid while the
-// topology drifts underneath it. runFlowSweep() drives that loop through
-// the delta machinery end to end: one IncrementalTopology produces each
-// step's CompactGraph by payload-patching (topology/delta.hpp), one
-// routing tree per distinct source is built on it with
-// RouteEngine::batchShortestPathTrees (fanned over the thread pool), and
-// one FlowSimulator slice runs per step over the routes those trees select.
+// topology drifts underneath it. runFlowSweep() drives that loop: one
+// IncrementalTopology produces each step's CompactGraph
+// (topology/delta.hpp), one routing tree per distinct source is built on it
+// with RouteEngine::batchShortestPathTrees (fanned over the thread pool),
+// and one FlowSimulator slice runs per step over the routes those trees
+// select.
 //
-// Determinism gates: every step folds its route node sequences and the
-// slice's delivery-record checksum into one sweep checksum. Running the
-// same sweep with TemporalBuild::FreshCompile (full snapshot + compileGraph
-// per step) must produce the identical checksum — the delta path's graphs
-// are bit-identical and batch trees equal serial trees at any thread
-// count, so the simulated packet streams match bit-for-bit. Property tests
-// and bench_temporal_delta enforce this.
+// Determinism gate: every step folds its route node sequences and the
+// slice's delivery-record checksum into one sweep checksum. Batch trees
+// equal serial trees at any thread count, so the checksum does not depend
+// on the thread count; tests pin it, and the per-step record checksums, to
+// the values a fresh snapshot + compileGraph per step produced.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +44,12 @@ struct FlowSweepConfig {
   /// the seed is re-derived per step (FNV-mixed with the step index) so
   /// slices are decorrelated but reproducible.
   FlowSimConfig sim;
-  TemporalBuild build = TemporalBuild::Delta;
 };
 
 /// Per-step outcome, in grid order.
 struct FlowSweepStep {
   double tS = 0.0;
-  bool structural = false;  ///< Link set changed (CSR rebuilt this step).
+  bool structural = false;  ///< The link set or its order changed.
   std::uint64_t packetsOffered = 0;
   std::uint64_t packetsDelivered = 0;
   std::uint64_t packetsDropped = 0;
@@ -64,9 +61,9 @@ struct FlowSweepReport {
   std::uint64_t packetsOffered = 0;
   std::uint64_t packetsDelivered = 0;
   std::uint64_t packetsDropped = 0;
-  std::size_t structuralSteps = 0;  ///< Steps that rebuilt the CSR arrays.
+  std::size_t structuralSteps = 0;  ///< Steps whose link set changed.
   /// FNV-1a over every step's route node sequences and record checksum, in
-  /// grid order — the delta==fresh sweep witness.
+  /// grid order — the sweep's determinism witness.
   std::uint64_t checksum = kFnvOffsetBasis;
 };
 

@@ -1,14 +1,12 @@
 #include <openspace/topology/builder.hpp>
 
 #include <algorithm>
-#include <cmath>
 
 #include <openspace/geo/error.hpp>
-#include <openspace/geo/units.hpp>
 #include <openspace/orbit/snapshot.hpp>
-#include <openspace/orbit/walker.hpp>
-#include <openspace/orbit/visibility.hpp>
 #include <openspace/phy/linkbudget.hpp>
+
+#include "link_enumerator.hpp"
 
 namespace openspace {
 
@@ -129,6 +127,7 @@ SatelliteId TopologyBuilder::satelliteOf(NodeId id) const {
 
 NetworkGraph TopologyBuilder::snapshot(double tSeconds,
                                        const SnapshotOptions& opt) const {
+  LinkEnumerator links(*this, opt);  // validates opt
   NetworkGraph g;
 
   // --- nodes -----------------------------------------------------------
@@ -136,7 +135,6 @@ NetworkGraph TopologyBuilder::snapshot(double tSeconds,
   // snapshots of the same instant).
   const auto& sats = ephemeris_.satellites();
   const auto snap = SnapshotCache::global().at(ephemeris_, tSeconds);
-  const std::vector<Vec3>& satEci = snap->eci();
   for (std::size_t i = 0; i < sats.size(); ++i) {
     const auto& rec = ephemeris_.record(sats[i]);
     Node n;
@@ -170,108 +168,20 @@ NetworkGraph TopologyBuilder::snapshot(double tSeconds,
     }
   }
 
-  // --- ISLs ------------------------------------------------------------
-  const auto tryAddIsl = [&](std::size_t i, std::size_t j) {
-    const double dist = satEci[i].distanceTo(satEci[j]);
-    if (dist > opt.maxIslRangeM) return;
-    if (!lineOfSightClear(satEci[i], satEci[j], km(80.0))) return;
-    const NodeId na = satNodes_.at(sats[i]);
-    const NodeId nb = satNodes_.at(sats[j]);
-    if (g.findLink(na, nb)) return;
-    const bool laser = opt.preferLaser && caps_.at(sats[i]).hasLaserTerminal &&
-                       caps_.at(sats[j]).hasLaserTerminal;
-    const double cap = islCapacityBps(dist, laser);
-    if (cap <= 0.0) return;
+  // --- links -----------------------------------------------------------
+  std::vector<LinkSpec> specs;
+  links.enumerate(*snap, specs);
+  for (const LinkSpec& spec : specs) {
     Link l;
-    l.a = na;
-    l.b = nb;
-    l.type = laser ? LinkType::IslLaser : LinkType::IslRf;
-    l.band = laser ? Band::Optical : Band::S;
-    l.distanceM = dist;
-    l.propagationDelayS = dist / kSpeedOfLightMps;
-    l.capacityBps = cap;
+    l.a = spec.a;
+    l.b = spec.b;
+    l.type = spec.type;
+    l.band = spec.band;
+    l.distanceM = spec.distanceM;
+    l.propagationDelayS = spec.propagationDelayS;
+    l.capacityBps = spec.capacityBps;
     g.addLink(l);
-  };
-
-  switch (opt.wiring) {
-    case IslWiring::PlusGrid: {
-      if (opt.planes <= 0 || sats.empty() ||
-          sats.size() % static_cast<std::size_t>(opt.planes) != 0) {
-        throw InvalidArgumentError(
-            "snapshot: PlusGrid wiring requires planes dividing the fleet");
-      }
-      const PlaneGrid grid(sats.size(), opt.planes);
-      for (std::size_t idx = 0; idx < sats.size(); ++idx) {
-        const PlaneId plane = grid.planeOf(idx);
-        const std::size_t slot = grid.slotOf(idx);
-        // Intra-plane ring neighbor.
-        tryAddIsl(idx, grid.indexOf(plane, slot + 1));
-        // Same-slot neighbor in the next plane (seam optional).
-        if (!grid.isSeamPlane(plane) || opt.interPlaneSeam) {
-          tryAddIsl(idx, grid.indexOf(grid.nextPlane(plane), slot));
-        }
-      }
-      break;
-    }
-    case IslWiring::NearestNeighbors: {
-      for (std::size_t i = 0; i < sats.size(); ++i) {
-        std::vector<std::pair<double, std::size_t>> dists;
-        dists.reserve(sats.size());
-        for (std::size_t j = 0; j < sats.size(); ++j) {
-          if (j == i) continue;
-          dists.emplace_back(satEci[i].distanceTo(satEci[j]), j);
-        }
-        const std::size_t k =
-            std::min(dists.size(), static_cast<std::size_t>(std::max(0, opt.nearestK)));
-        std::partial_sort(dists.begin(), dists.begin() + static_cast<std::ptrdiff_t>(k),
-                          dists.end());
-        for (std::size_t n = 0; n < k; ++n) tryAddIsl(i, dists[n].second);
-      }
-      break;
-    }
-    case IslWiring::AllInRange: {
-      // Candidate pairs from the snapshot's spatially pruned adjacency
-      // (range + line-of-sight prefiltered) instead of an all-pairs scan.
-      const auto isl = snap->islTopology(opt.maxIslRangeM);
-      for (std::size_t i = 0; i < sats.size(); ++i) {
-        for (const auto& neighbor : isl->adjacency[i]) {
-          if (neighbor.first > i) tryAddIsl(i, neighbor.first);
-        }
-      }
-      break;
-    }
   }
-
-  // --- ground links ------------------------------------------------------
-  const auto addGroundLinks = [&](const std::vector<SiteEntry>& sites,
-                                  LinkType type) {
-    for (const auto& site : sites) {
-      const GroundObserver observer(site.site.location);
-      const Vec3& siteEcef = observer.ecef();
-      for (std::size_t i = 0; i < sats.size(); ++i) {
-        const Vec3& satEcef = snap->ecef(i);
-        const double elev = observer.elevationTo(satEcef);
-        if (elev < opt.minElevationRad) continue;
-        const double dist = siteEcef.distanceTo(satEcef);
-        const double cap = (type == LinkType::Gsl)
-                               ? gslCapacityBps(dist, elev)
-                               : userLinkCapacityBps(dist, elev);
-        if (cap <= 0.0) continue;
-        Link l;
-        l.a = satNodes_.at(sats[i]);
-        l.b = site.node;
-        l.type = type;
-        l.band = Band::Ku;
-        l.distanceM = dist;
-        l.propagationDelayS = dist / kSpeedOfLightMps;
-        l.capacityBps = cap;
-        g.addLink(l);
-      }
-    }
-  };
-  if (opt.includeGroundStations) addGroundLinks(stations_, LinkType::Gsl);
-  if (opt.includeUserLinks) addGroundLinks(users_, LinkType::UserLink);
-
   return g;
 }
 

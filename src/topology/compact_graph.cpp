@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <openspace/core/assert.hpp>
 #include <openspace/core/hash.hpp>
@@ -51,33 +52,95 @@ std::uint64_t CompactGraph::contentChecksum() const noexcept {
   return h;
 }
 
-CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
-                          ProviderId home) {
-  CompactGraph out;
-  const std::vector<NodeId>& order = g.nodes();
+std::shared_ptr<const CompactGraph::NodeTable> CompactGraph::makeNodeTable(
+    std::vector<NodeId> order, std::vector<NodeKind> kinds) {
   const std::size_t n = order.size();
-  OPENSPACE_ASSERT(n < CompactGraph::kInvalidIndex,
-                   "dense node indices fit in 32 bits");
-  auto nt = std::make_shared<CompactGraph::NodeTable>();
-  nt->denseToNode = order;
-  nt->nodeKind.reserve(n);
+  OPENSPACE_ASSERT(n < kInvalidIndex, "dense node indices fit in 32 bits");
+  auto nt = std::make_shared<NodeTable>();
+  nt->denseToNode = std::move(order);
+  nt->nodeKind = std::move(kinds);
   nt->nodeToDense.reserve(n);
   std::uint32_t maxIdValue = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    nt->nodeToDense.emplace(order[i], static_cast<std::uint32_t>(i));
-    nt->nodeKind.push_back(g.node(order[i]).kind);
-    maxIdValue = std::max(maxIdValue, order[i].value());
+    nt->nodeToDense.emplace(nt->denseToNode[i], static_cast<std::uint32_t>(i));
+    maxIdValue = std::max(maxIdValue, nt->denseToNode[i].value());
   }
   // Builder-assigned ids are dense (1..N), so a direct-mapped table makes
   // indexOf a single load. Skip it for pathological sparse id spaces where
   // it would waste memory.
   if (n > 0 && maxIdValue <= 4 * n + 1024) {
-    nt->idToDense.assign(maxIdValue + 1, CompactGraph::kInvalidIndex);
+    nt->idToDense.assign(maxIdValue + 1, kInvalidIndex);
     for (std::size_t i = 0; i < n; ++i) {
-      nt->idToDense[order[i].value()] = static_cast<std::uint32_t>(i);
+      nt->idToDense[nt->denseToNode[i].value()] = static_cast<std::uint32_t>(i);
     }
   }
-  out.nodes_ = std::move(nt);
+  return nt;
+}
+
+void CompactGraph::audit() const {
+  const auto fail = [](const char* what) {
+    throw StateError(std::string("CompactGraph::audit: ") + what);
+  };
+  const std::size_t n = nodeCount();
+  const std::size_t m = edgeCount();
+  const bool empty = n == 0 && m == 0 && rowOffset_.empty();  // default-built
+  if (!empty && (rowOffset_.size() != n + 1 || rowOffset_.front() != 0 ||
+                 rowOffset_.back() != m)) {
+    fail("rowOffset does not span the edges");
+  }
+  if (edgeFrom_.size() != m || edgeCost_.size() != m || edgePropS_.size() != m ||
+      edgeQueueS_.size() != m || edgeCapBps_.size() != m ||
+      edgeLinkId_.size() != m) {
+    fail("edge arrays differ in length");
+  }
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (rowOffset_[u] > rowOffset_[u + 1] || rowOffset_[u + 1] > m) {
+      fail("rowOffset is not monotone");
+    }
+    for (std::uint32_t e = rowOffset_[u]; e < rowOffset_[u + 1]; ++e) {
+      if (edgeFrom_[e] != u) fail("edgeFrom is not the edge's row");
+      if (edgeTo_[e] >= n) fail("edgeTo out of range");
+    }
+  }
+  const auto sameBits = [&](std::uint32_t x, std::uint32_t y) {
+    return bitsOf(edgeCost_[x]) == bitsOf(edgeCost_[y]) &&
+           bitsOf(edgePropS_[x]) == bitsOf(edgePropS_[y]) &&
+           bitsOf(edgeQueueS_[x]) == bitsOf(edgeQueueS_[y]) &&
+           bitsOf(edgeCapBps_[x]) == bitsOf(edgeCapBps_[y]);
+  };
+  std::size_t listed = 0;
+  const auto checkLink = [&](LinkId lid, const LinkEdgeRange& r) {
+    if (r.count > 2) fail("a link lists more than two edges");
+    for (const std::uint32_t e : r) {
+      if (e >= m || edgeLinkId_[e] != lid) fail("edgesOfLink names a foreign edge");
+    }
+    if (r.count == 2) {
+      const std::uint32_t x = r.e[0];
+      const std::uint32_t y = r.e[1];
+      if (edgeFrom_[x] != edgeTo_[y] || edgeTo_[x] != edgeFrom_[y]) {
+        fail("a link's two edges are not reverses");
+      }
+      if (!sameBits(x, y)) fail("a link's two edges differ in payload");
+    }
+    listed += r.count;
+  };
+  for (std::size_t lid = 0; lid < linkEdges_.size(); ++lid) {
+    checkLink(LinkId{static_cast<LinkId::rep_type>(lid)}, linkEdges_[lid]);
+  }
+  // det-waiver: order-independent checks and a count only
+  for (const auto& [lid, r] : sparseLinkEdges_) checkLink(lid, r);
+  if (listed != m) fail("an edge is not listed by its link");
+}
+
+CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
+                          ProviderId home) {
+  CompactGraph out;
+  const std::vector<NodeId>& order = g.nodes();
+  const std::size_t n = order.size();
+  std::vector<NodeKind> kinds;
+  kinds.reserve(n);
+  for (const NodeId id : order) kinds.push_back(g.node(id).kind);
+  out.nodes_ = CompactGraph::makeNodeTable(order, std::move(kinds));
 
   out.rowOffset_.reserve(n + 1);
   out.rowOffset_.push_back(0);

@@ -84,7 +84,11 @@ class TopologyBuilder {
   /// All registered ground stations, in registration order.
   std::vector<GroundStationId> groundStations() const;
 
-  /// Materialize the topology at time t.
+  /// Materialize the topology at time t: every node, then the links of the
+  /// one snapshot link enumeration IncrementalTopology also runs. Throws
+  /// InvalidArgumentError for a NaN maxIslRangeM or minElevationRad, a
+  /// negative nearestK, and PlusGrid options without planes dividing the
+  /// fleet or that wire a satellite to itself.
   NetworkGraph snapshot(double tSeconds, const SnapshotOptions& opt) const;
 
   const EphemerisService& ephemeris() const noexcept { return ephemeris_; }
@@ -98,9 +102,10 @@ class TopologyBuilder {
   std::size_t userCount() const noexcept { return users_.size(); }
 
   /// Registered ground stations / users in registration order — the order
-  /// snapshot() emits their nodes and ground links in. The incremental
-  /// topology pipeline (topology/delta.hpp) replays that order without
-  /// building a NetworkGraph.
+  /// snapshot() emits their nodes and ground links in. IncrementalTopology
+  /// (topology/delta.hpp) numbers its nodes from them, and the test-only
+  /// spec legacy::topologySnapshot reads them to rebuild a snapshot from
+  /// this public interface alone.
   const std::vector<SiteEntry>& stationSites() const noexcept { return stations_; }
   const std::vector<SiteEntry>& userSites() const noexcept { return users_; }
 

@@ -18,12 +18,12 @@
 //     path threw on first relaxation; compilation tightens this to "at
 //     compile", catching negative edges even in unreachable components).
 //
-// Temporal sweeps need one compiled graph per time step; recompiling from a
+// Temporal sweeps need one compiled graph per time step; going through a
 // fresh NetworkGraph every step repeats all of the hash-map construction
-// work even though consecutive snapshots differ by a handful of links.
-// topology/delta.hpp (IncrementalTopology) therefore patches CompactGraphs
-// directly — contentChecksum() is the bit-identity witness the delta==fresh
-// property tests and bench gates compare.
+// work. topology/delta.hpp (IncrementalTopology) therefore assembles each
+// step's CompactGraph straight from the snapshot's link list, sharing one
+// node table across steps — contentChecksum() is the bit-identity witness
+// the property tests and bench gates compare against compileGraph().
 #pragma once
 
 #include <cstdint>
@@ -110,18 +110,25 @@ class CompactGraph {
   /// tell them apart — the delta==fresh bit-identity witness.
   std::uint64_t contentChecksum() const noexcept;
 
+  /// Structural self-check. Throws StateError unless rowOffset is monotone
+  /// from 0 to edgeCount(); every edge sits in its edgeSource() row and
+  /// targets a node in range; every edgesOfLink(id) entry is an edge whose
+  /// edgeLink() is id, and every edge is listed by its link; and the two
+  /// edges of a link are reverses of each other with bitwise-equal cost,
+  /// delay and capacity.
+  void audit() const;
+
   friend CompactGraph compileGraph(const NetworkGraph& g, const CostFn& cost,
                                    ProviderId home);
-  /// topology/delta.hpp: builds/patches CompactGraphs without a
-  /// NetworkGraph, reproducing compileGraph's layout bit-for-bit.
+  /// topology/delta.hpp: assembles CompactGraphs without a NetworkGraph,
+  /// reproducing compileGraph's layout bit-for-bit.
   friend class IncrementalTopology;
 
  private:
   /// The node half of the graph: dense numbering and both id lookup
   /// structures. Immutable once built and independent of the per-step edge
-  /// payload, so cost-patched copies of a graph (IncrementalTopology)
-  /// share one table by shared_ptr instead of re-copying the hash map on
-  /// every step.
+  /// payload, so every step's graph of one IncrementalTopology shares one
+  /// table by shared_ptr instead of re-copying the hash map.
   struct NodeTable {
     std::vector<NodeId> denseToNode;
     std::vector<NodeKind> nodeKind;
@@ -130,6 +137,10 @@ class CompactGraph {
     std::vector<std::uint32_t> idToDense;
     std::unordered_map<NodeId, std::uint32_t> nodeToDense;
   };
+  /// Dense numbering in `order`: the hash map always, the direct-mapped
+  /// table when the id range is close to the node count.
+  static std::shared_ptr<const NodeTable> makeNodeTable(
+      std::vector<NodeId> order, std::vector<NodeKind> kinds);
   /// Never null (default-constructed graphs hold an empty table).
   std::shared_ptr<const NodeTable> nodes_ = std::make_shared<NodeTable>();
   std::vector<std::uint32_t> rowOffset_;  ///< size nodeCount()+1.

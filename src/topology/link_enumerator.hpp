@@ -1,0 +1,78 @@
+// Which links a topology snapshot has, and in which order.
+//
+// The one enumeration behind both TopologyBuilder::snapshot() (which adds
+// each spec to a NetworkGraph, in order) and IncrementalTopology (which
+// assembles the specs straight into a CompactGraph). Not a public header:
+// the link set is a pure function of (ephemeris, capabilities, sites,
+// options, t), and only this file decides it. The test-only spec
+// legacy::topologySnapshot (openspace_spec) is the reference it is pinned
+// against; DESIGN.md §13 argues the equivalence.
+#pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include <openspace/geo/geodetic.hpp>
+#include <openspace/topology/builder.hpp>
+
+namespace openspace {
+
+class ConstellationSnapshot;
+
+/// One snapshot link, in link-insertion order: position p in an
+/// enumeration is LinkId p+1 of the snapshot's NetworkGraph. The queueing
+/// delay of a builder link is always 0.
+struct LinkSpec {
+  NodeId a{};  ///< Satellite of the outer loop / lower index.
+  NodeId b{};  ///< Neighbor satellite or ground site.
+  LinkType type = LinkType::IslRf;
+  Band band = Band::S;
+  double distanceM = 0.0;
+  double propagationDelayS = 0.0;
+  double capacityBps = 0.0;
+};
+
+class LinkEnumerator {
+ public:
+  /// Precomputes the per-builder constants. Throws InvalidArgumentError for
+  /// a NaN maxIslRangeM or minElevationRad, a negative nearestK, and
+  /// PlusGrid options without planes dividing the fleet or that wire a
+  /// satellite to itself. The builder must outlive the enumerator.
+  LinkEnumerator(const TopologyBuilder& builder, const SnapshotOptions& opt);
+
+  /// Replace `out` with the links of `snap`, in snapshot() order.
+  void enumerate(const ConstellationSnapshot& snap, std::vector<LinkSpec>& out);
+
+ private:
+  struct Site {
+    NodeId node;
+    GroundObserver observer;
+  };
+
+  void tryIsl(const std::vector<Vec3>& satEci, std::size_t i, std::size_t j,
+              std::vector<LinkSpec>& out);
+  void groundLinks(const ConstellationSnapshot& snap,
+                   const std::vector<Site>& sites, LinkType type,
+                   std::vector<LinkSpec>& out) const;
+
+  const TopologyBuilder& builder_;
+  SnapshotOptions opt_;
+  std::vector<SatelliteId> satIds_;
+  std::vector<NodeId> satNode_;
+  std::vector<Site> stations_;  ///< Empty unless includeGroundStations.
+  std::vector<Site> users_;     ///< Empty unless includeUserLinks.
+  /// PlusGrid candidate pairs in attempt order, duplicates preserved.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> plusGridPairs_;
+
+  /// Laser flags, refreshed when builder_.capabilitiesVersion() moves (~0
+  /// forces the first enumerate() to read them).
+  std::vector<char> satLaser_;
+  std::uint64_t satLaserVersion_ = ~std::uint64_t{0};
+
+  // Per-enumeration scratch.
+  std::vector<std::vector<std::uint32_t>> acceptedIsl_;  ///< findLink replay.
+  std::vector<std::pair<double, std::size_t>> nnCand_;
+};
+
+}  // namespace openspace

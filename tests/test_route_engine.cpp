@@ -2,8 +2,9 @@
 // implementations (openspace::legacy), which serve as the executable
 // specification: across randomized constellation snapshots and all three
 // ISL wiring policies, engine routes must match legacy routes node-for-node
-// and bit-for-bit in every accumulated QoS field, and the parallel batch
-// API must be bit-identical to serial execution.
+// and bit-for-bit in every accumulated QoS field, every compiled graph must
+// pass CompactGraph::audit(), and the parallel batch API must be
+// bit-identical to serial execution.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,6 +106,7 @@ TEST_P(EngineVsLegacy, PointQueriesMatchBitForBit) {
   for (const LinkCostFn& cost : {latencyCost(), richCost()}) {
     const ProviderId home{1};
     const RouteEngine engine(g, cost, home);
+    engine.graph().audit();
     const auto& nodes = g.nodes();
     ASSERT_FALSE(nodes.empty());
     for (int q = 0; q < 40; ++q) {
@@ -128,6 +130,7 @@ TEST_P(EngineVsLegacy, SingleSourceTreesMatch) {
   const NetworkGraph g = randomSnapshot(wiring, seed, eph, rng);
   const auto cost = latencyCost();
   const RouteEngine engine(g, cost);
+  engine.graph().audit();
   const auto& nodes = g.nodes();
   for (int q = 0; q < 4; ++q) {
     const NodeId src =
@@ -157,6 +160,7 @@ TEST_P(EngineVsLegacy, CheapestGatewayMatchesLegacyArgmin) {
   for (const LinkCostFn& cost : {latencyCost(), richCost()}) {
     const ProviderId home{1};
     const RouteEngine engine(g, cost, home);
+    engine.graph().audit();
     for (const NodeId src : g.nodes()) {
       // Spec: argmin of the legacy tree's route costs over the gateways in
       // order, strict < so ties go to the earlier gateway.
@@ -180,6 +184,7 @@ TEST_P(EngineVsLegacy, YenKShortestMatch) {
   const NetworkGraph g = randomSnapshot(wiring, seed, eph, rng);
   const auto cost = latencyCost();
   const RouteEngine engine(g, cost);
+  engine.graph().audit();
   const auto& nodes = g.nodes();
   for (int q = 0; q < 3; ++q) {
     const NodeId src =
@@ -202,6 +207,7 @@ TEST_P(EngineVsLegacy, BatchParallelBitIdenticalToSerial) {
   Rng rng(seed + 3000);
   const NetworkGraph g = randomSnapshot(wiring, seed, eph, rng);
   const RouteEngine engine(g, latencyCost());
+  engine.graph().audit();
   const std::vector<NodeId> sources = g.nodesOfKind(NodeKind::Satellite);
   ASSERT_FALSE(sources.empty());
 

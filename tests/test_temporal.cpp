@@ -2,6 +2,7 @@
 // over the predictable topology).
 #include <gtest/gtest.h>
 
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -129,21 +130,29 @@ TEST_F(SparseConstellation, UnreachableBeyondHorizon) {
   EXPECT_FALSE(r.reachable);
 }
 
-// --- Build modes and the snapshot cache ------------------------------------
+// --- Pinned routes and the snapshot cache ---------------------------------
 
 TEST_F(DenseConstellation, DeltaAndFreshBuildsRouteIdentically) {
-  const ContactGraphRouter delta(*topo_, denseOpts(), 0.0, 600.0, 60.0,
-                                 TemporalBuild::Delta);
-  const ContactGraphRouter fresh(*topo_, denseOpts(), 0.0, 600.0, 60.0,
-                                 TemporalBuild::FreshCompile);
-  for (const double tStart : {0.0, 90.0, 250.0, 599.0}) {
-    const TemporalRoute a = delta.earliestArrival(user_, gw_, tStart);
-    const TemporalRoute b = fresh.earliestArrival(user_, gw_, tStart);
-    ASSERT_EQ(a.reachable, b.reachable) << "tStart=" << tStart;
-    // The underlying graphs are bit-identical, so so are the labels.
-    EXPECT_EQ(a.arrivalS, b.arrivalS) << "tStart=" << tStart;
-    EXPECT_EQ(a.hops, b.hops);
-    EXPECT_EQ(a.intervalsUsed, b.intervalsUsed);
+  // Pinned to what a full snapshot() + compileGraph() per interval gave
+  // before the router's per-interval graphs came only from
+  // IncrementalTopology: the graphs are bit-identical (test_topology_delta),
+  // so the labels are too.
+  struct Expected {
+    double tStart;
+    std::uint64_t arrivalBits;
+    int hops;
+    int intervalsUsed;
+  };
+  const ContactGraphRouter router(*topo_, denseOpts(), 0.0, 600.0, 60.0);
+  for (const Expected& want : {Expected{0.0, 0x3fa646971ff4244eull, 6, 1},
+                               Expected{90.0, 0x4056837959086082ull, 7, 1},
+                               Expected{250.0, 0x406f418ca46e6696ull, 7, 1},
+                               Expected{599.0, 0x4082b859e5c63a0aull, 6, 1}}) {
+    const TemporalRoute r = router.earliestArrival(user_, gw_, want.tStart);
+    ASSERT_TRUE(r.reachable) << "tStart=" << want.tStart;
+    EXPECT_EQ(bitsOf(r.arrivalS), want.arrivalBits) << "tStart=" << want.tStart;
+    EXPECT_EQ(r.hops, want.hops) << "tStart=" << want.tStart;
+    EXPECT_EQ(r.intervalsUsed, want.intervalsUsed) << "tStart=" << want.tStart;
   }
 }
 

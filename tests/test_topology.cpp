@@ -1,10 +1,17 @@
 // Unit tests for the topology module: graph container, snapshot builder,
-// link capacity assignment.
+// link capacity assignment, and the builder against its executable spec.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <tuple>
+
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {
@@ -182,6 +189,31 @@ TEST_F(BuilderTest, PlusGridRequiresValidPlaneCount) {
   EXPECT_THROW(builder_->snapshot(0.0, opt), InvalidArgumentError);
 }
 
+TEST_F(BuilderTest, NanOptionsAndNegativeKThrow) {
+  // Iridium with one gateway. A NaN mask used to link the gateway to every
+  // satellite, below the horizon too; a NaN range kept every
+  // NearestNeighbors ISL and dropped every AllInRange one; a negative k was
+  // clamped to 0. All three now fail loudly.
+  builder_->addGroundStation({"gw", Geodetic::fromDegrees(0.0, 0.0), ProviderId{1}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const IslWiring wiring : {IslWiring::PlusGrid, IslWiring::NearestNeighbors,
+                                 IslWiring::AllInRange}) {
+    SnapshotOptions opt;
+    opt.wiring = wiring;
+    opt.planes = 6;
+    EXPECT_NO_THROW(builder_->snapshot(0.0, opt));
+    SnapshotOptions bad = opt;
+    bad.minElevationRad = nan;
+    EXPECT_THROW(builder_->snapshot(0.0, bad), InvalidArgumentError);
+    bad = opt;
+    bad.maxIslRangeM = nan;
+    EXPECT_THROW(builder_->snapshot(0.0, bad), InvalidArgumentError);
+    bad = opt;
+    bad.nearestK = -1;
+    EXPECT_THROW(builder_->snapshot(0.0, bad), InvalidArgumentError);
+  }
+}
+
 TEST_F(BuilderTest, NearestNeighborsHonorsK) {
   SnapshotOptions opt;
   opt.wiring = IslWiring::NearestNeighbors;
@@ -276,6 +308,90 @@ TEST_F(BuilderTest, LinkDelayMatchesDistance) {
     EXPECT_GT(l.capacityBps, 0.0);
   }
 }
+
+// --- builder vs the executable spec -----------------------------------------
+
+/// snapshot() must equal legacy::topologySnapshot node for node and link
+/// for link: ids, kinds, providers, names, endpoints, types, bands and the
+/// bits of every payload double.
+void expectSameSnapshot(const NetworkGraph& got, const NetworkGraph& want) {
+  ASSERT_EQ(got.nodes(), want.nodes());
+  for (const NodeId id : want.nodes()) {
+    const Node& a = got.node(id);
+    const Node& b = want.node(id);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.provider, b.provider);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.satellite, b.satellite);
+  }
+  ASSERT_EQ(got.links(), want.links());
+  for (const LinkId id : want.links()) {
+    const Link& a = got.link(id);
+    const Link& b = want.link(id);
+    ASSERT_EQ(a.a, b.a) << "link " << id.value();
+    ASSERT_EQ(a.b, b.b) << "link " << id.value();
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.band, b.band);
+    EXPECT_EQ(bitsOf(a.distanceM), bitsOf(b.distanceM));
+    EXPECT_EQ(bitsOf(a.propagationDelayS), bitsOf(b.propagationDelayS));
+    EXPECT_EQ(bitsOf(a.queueingDelayS), bitsOf(b.queueingDelayS));
+    EXPECT_EQ(bitsOf(a.capacityBps), bitsOf(b.capacityBps));
+  }
+}
+
+class SnapshotVsSpec
+    : public ::testing::TestWithParam<std::tuple<IslWiring, std::uint64_t>> {};
+
+TEST_P(SnapshotVsSpec, BuilderEqualsLegacySnapshot) {
+  const auto [wiring, seed] = GetParam();
+  Rng rng(seed);
+  EphemerisService eph;
+  WalkerConfig cfg;
+  cfg.planes = 4 + static_cast<int>(seed % 3);
+  cfg.totalSatellites = cfg.planes * (5 + static_cast<int>(seed % 4));
+  cfg.phasing = static_cast<int>(seed % static_cast<std::uint64_t>(cfg.planes));
+  cfg.altitudeM = rng.uniform(km(500.0), km(1200.0));
+  cfg.inclinationRad = rng.uniform(deg2rad(50.0), deg2rad(90.0));
+  const auto els = seed % 2 == 0 ? makeWalkerStar(cfg) : makeWalkerDelta(cfg);
+  for (const auto& el : els) eph.publish(ProviderId{1}, el);
+  TopologyBuilder topo(eph);
+  for (const SatelliteId sid : eph.satellites()) {
+    if (!rng.chance(0.5)) continue;
+    LinkCapabilities caps;
+    caps.islBands = {Band::S};
+    caps.hasLaserTerminal = true;
+    topo.setCapabilities(sid, caps);
+  }
+  for (int i = 0; i < 3; ++i) {
+    topo.addGroundStation({"gw" + std::to_string(i), rng.surfacePoint(), ProviderId{2}});
+    topo.addUser({"u" + std::to_string(i), rng.surfacePoint(), ProviderId{3}});
+  }
+  for (const bool seam : {false, true}) {
+    SnapshotOptions opt;
+    opt.wiring = wiring;
+    opt.planes = cfg.planes;
+    opt.interPlaneSeam = seam;
+    opt.nearestK = static_cast<int>(rng.uniformInt(1, 6));
+    opt.maxIslRangeM = rng.uniform(km(2500.0), km(6000.0));
+    // A zero mask exercises the horizon itself; a positive one the
+    // enumerator's horizon prefilter.
+    opt.minElevationRad = seam ? deg2rad(rng.uniform(5.0, 25.0)) : 0.0;
+    opt.preferLaser = rng.chance(0.8);
+    for (int k = 0; k < 4; ++k) {
+      const double t = rng.uniform(0.0, 6000.0);
+      SCOPED_TRACE("seam=" + std::to_string(seam) + " t=" + std::to_string(t));
+      expectSameSnapshot(topo.snapshot(t, opt),
+                         legacy::topologySnapshot(topo, t, opt));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wirings, SnapshotVsSpec,
+    ::testing::Combine(::testing::Values(IslWiring::PlusGrid,
+                                         IslWiring::NearestNeighbors,
+                                         IslWiring::AllInRange),
+                       ::testing::Values(1, 2, 3, 4)));
 
 TEST(Capacity, LaserBeatsRfAndDecaysWithDistance) {
   EXPECT_GT(islCapacityBps(2000e3, true), islCapacityBps(2000e3, false));

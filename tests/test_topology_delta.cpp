@@ -1,9 +1,11 @@
 // Property tests for the incremental temporal topology pipeline
-// (topology/delta.hpp): delta-built CompactGraphs must be bit-identical to
-// fresh compileGraph() output, across all three ISL wiring policies, over
-// randomized constellations and sweeps. The fresh path is the executable
-// spec; contentChecksum() is the witness.
+// (topology/delta.hpp): every step's CompactGraph must be bit-identical to
+// compileGraph() of the executable spec legacy::topologySnapshot, across
+// all three ISL wiring policies, over randomized constellations and
+// sweeps. contentChecksum() is the witness.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
@@ -11,6 +13,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/delta.hpp>
 
 namespace openspace {
@@ -68,41 +71,43 @@ SnapshotOptions optsFor(IslWiring wiring, int planes, Rng& rng) {
   return opt;
 }
 
-/// One sweep: every step's delta graph checksums equal to a fresh compile
-/// of the same snapshot under the same cost model.
-void expectBitIdenticalSweep(IslWiring wiring, const TemporalCostModel& model,
+/// One sweep: every step's graph passes audit() and checksums equal to a
+/// compile of the spec snapshot under the matching cost.
+void expectBitIdenticalSweep(IslWiring wiring, TemporalCostModel model,
                              std::uint64_t seed) {
   Rng rng(seed);
   const int planes = 4;
   const auto sc = makeScenario(rng, planes, 6, 2, 3);
   const SnapshotOptions opt = optsFor(wiring, planes, rng);
   IncrementalTopology inc(*sc->topo, opt, model);
+  const CompactGraph::CostFn cost = legacy::temporalLinkCost(model);
 
   std::size_t structuralSteps = 0;
-  std::size_t patchedSteps = 0;
+  std::size_t prevLinks = 0;
   double t = 0.0;
   for (int k = 0; k < 24; ++k) {
     const TopologyDelta& d = inc.step(t);
-    const CompactGraph fresh =
-        compileGraph(sc->topo->snapshot(t, opt), model.link);
+    const CompactGraph spec =
+        compileGraph(legacy::topologySnapshot(*sc->topo, t, opt), cost);
     ASSERT_NE(inc.graph(), nullptr);
-    ASSERT_EQ(inc.graph()->contentChecksum(), fresh.contentChecksum())
+    inc.graph()->audit();
+    ASSERT_EQ(inc.graph()->contentChecksum(), spec.contentChecksum())
         << "wiring=" << static_cast<int>(wiring) << " seed=" << seed
         << " t=" << t;
+    // Bookkeeping closes: the link count moves by added - removed.
+    ASSERT_EQ(prevLinks + d.addedLinks, d.linkCount + d.removedLinks);
     if (d.structural) {
       ++structuralSteps;
-    } else if (d.costChangedLinks > 0) {
-      ++patchedSteps;
+    } else {
+      ASSERT_EQ(d.addedLinks + d.removedLinks, 0u);
     }
-    // Bookkeeping closes: every current link is added, changed, or kept.
-    ASSERT_EQ(d.addedLinks + d.costChangedLinks + d.unchangedLinks, d.linkCount);
+    prevLinks = d.linkCount;
     t += rng.uniform(5.0, 40.0);
   }
-  // The sweep exercised the patch path, not just rebuilds (step sizes are
-  // small enough that most steps keep the link set).
-  EXPECT_GT(patchedSteps, 0u) << "seed=" << seed;
-  // The first step is always structural (nothing to patch against).
+  // The first step is always structural (there is no previous link set);
+  // the step sizes are small enough that some steps keep it.
   EXPECT_GE(structuralSteps, 1u);
+  EXPECT_LT(structuralSteps, 24u) << "seed=" << seed;
 }
 
 class DeltaBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -138,19 +143,18 @@ TEST(IncrementalTopology, RepeatedTimestampSharesGraph) {
   const auto first = inc.graph();
   const TopologyDelta& d = inc.step(100.0);
   EXPECT_FALSE(d.structural);
-  EXPECT_EQ(d.costChangedLinks, 0u);
   EXPECT_EQ(d.addedLinks, 0u);
-  EXPECT_EQ(d.unchangedLinks, d.linkCount);
-  // Bitwise-identical step: the graph object itself is reused, not copied.
-  EXPECT_EQ(inc.graph().get(), first.get());
+  EXPECT_EQ(d.removedLinks, 0u);
+  // Every step assembles a new graph; a repeated timestamp gives one that
+  // no consumer can tell from the first.
+  EXPECT_EQ(inc.graph()->contentChecksum(), first->contentChecksum());
   EXPECT_EQ(inc.stepCount(), 2u);
 }
 
 TEST(IncrementalTopology, HopCostStepsAreNotStructuralUnderStaticLinks) {
-  // Hop cost is constant, so a persisting link set patches zero payloads
-  // only if the geometry payloads (delay, capacity) were also unchanged —
-  // which they are not between distinct times. The delta must still notice
-  // the payload drift even though the *cost* is static.
+  // Hop cost is constant, but the geometry payloads (delay, capacity)
+  // drift between distinct times: a step that keeps the link set must
+  // still carry the new payload.
   Rng rng(12);
   const auto sc = makeScenario(rng, 4, 6, 0, 0);
   SnapshotOptions opt = optsFor(IslWiring::PlusGrid, 4, rng);
@@ -158,11 +162,21 @@ TEST(IncrementalTopology, HopCostStepsAreNotStructuralUnderStaticLinks) {
   opt.includeUserLinks = false;
   IncrementalTopology inc(*sc->topo, opt, hopCostModel());
   inc.step(0.0);
+  const auto before = inc.graph();
   const TopologyDelta& d = inc.step(1.0);
-  if (!d.structural) {
-    EXPECT_EQ(d.costChangedLinks + d.unchangedLinks, d.linkCount);
-    EXPECT_GT(d.costChangedLinks, 0u);
+  ASSERT_FALSE(d.structural);
+  EXPECT_EQ(d.addedLinks + d.removedLinks, 0u);
+  const CompactGraph& after = *inc.graph();
+  ASSERT_EQ(after.edgeCount(), before->edgeCount());
+  std::size_t drifted = 0;
+  for (std::uint32_t e = 0; e < after.edgeCount(); ++e) {
+    EXPECT_EQ(after.edgeCost(e), 1.0);
+    if (bitsOf(after.edgePropagationDelayS(e)) !=
+        bitsOf(before->edgePropagationDelayS(e))) {
+      ++drifted;
+    }
   }
+  EXPECT_GT(drifted, 0u);
 }
 
 TEST(IncrementalTopology, RegistryFreeze) {
@@ -189,7 +203,7 @@ TEST(IncrementalTopology, PlusGridValidation) {
 TEST(IncrementalTopology, DegeneratePlusGridSelfPairThrows) {
   // Two planes of one slot each: the intra-plane ring neighbor of slot 0
   // is slot 0 itself. The incremental pipeline rejects the degenerate grid
-  // eagerly instead of emitting a self-loop.
+  // eagerly instead of emitting a self-loop, as snapshot() does.
   EphemerisService eph;
   WalkerConfig cfg;
   cfg.totalSatellites = 2;
@@ -202,15 +216,30 @@ TEST(IncrementalTopology, DegeneratePlusGridSelfPairThrows) {
   opt.wiring = IslWiring::PlusGrid;
   opt.planes = 2;
   EXPECT_THROW(IncrementalTopology(topo, opt), InvalidArgumentError);
+  EXPECT_THROW(topo.snapshot(0.0, opt), InvalidArgumentError);
 }
 
-TEST(IncrementalTopology, NullCostModelThrows) {
+TEST(IncrementalTopology, NanOptionsAndNegativeKThrow) {
+  // The same validation as TopologyBuilder::snapshot(): the two used to
+  // disagree on a NaN range (every NearestNeighbors ISL from snapshot(),
+  // none from the incremental path).
   Rng rng(15);
-  const auto sc = makeScenario(rng, 4, 6, 0, 0);
-  const SnapshotOptions opt = optsFor(IslWiring::AllInRange, 4, rng);
-  TemporalCostModel broken;  // default-constructed: null callbacks
-  EXPECT_THROW(IncrementalTopology(*sc->topo, opt, std::move(broken)),
-               InvalidArgumentError);
+  const auto sc = makeScenario(rng, 4, 6, 1, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const IslWiring wiring : {IslWiring::PlusGrid, IslWiring::NearestNeighbors,
+                                 IslWiring::AllInRange}) {
+    const SnapshotOptions opt = optsFor(wiring, 4, rng);
+    EXPECT_NO_THROW(IncrementalTopology(*sc->topo, opt));
+    SnapshotOptions bad = opt;
+    bad.minElevationRad = nan;
+    EXPECT_THROW(IncrementalTopology(*sc->topo, bad), InvalidArgumentError);
+    bad = opt;
+    bad.maxIslRangeM = nan;
+    EXPECT_THROW(IncrementalTopology(*sc->topo, bad), InvalidArgumentError);
+    bad = opt;
+    bad.nearestK = -1;
+    EXPECT_THROW(IncrementalTopology(*sc->topo, bad), InvalidArgumentError);
+  }
 }
 
 // --- Route repair ----------------------------------------------------------
@@ -218,7 +247,7 @@ TEST(IncrementalTopology, NullCostModelThrows) {
 /// Repaired trees must equal fresh trees node-for-node: bitwise-equal dist
 /// arrays and identical parent edges. Run a delta sweep keeping one tree
 /// alive per source and repairing it each step.
-void expectRepairEqualsFresh(const TemporalCostModel& model, std::uint64_t seed,
+void expectRepairEqualsFresh(TemporalCostModel model, std::uint64_t seed,
                              std::size_t* repairedSteps) {
   Rng rng(seed);
   const auto sc = makeScenario(rng, 4, 6, 2, 2);

@@ -28,9 +28,10 @@ reference numbers in bench/baseline/. Two formats are understood:
   simulator==legacy and serial==parallel checksum gates are re-asserted,
   and the timer-wheel speedup is checked against its 3x floor;
 * the custom temporal-delta record ("bench": "temporal_delta") — delta
-  wall times are compared, the delta==fresh / serial==parallel checksum
-  gates are re-asserted, and the graph speedup is checked against its 4x
-  floor (headline target is 5x; the floor leaves noise margin);
+  (IncrementalTopology) wall times are compared, the delta==fresh /
+  serial==parallel checksum gates are re-asserted, and the graph speedup
+  over the spec recompile is checked against its 4x floor (headline
+  target is 5x; the floor leaves noise margin);
 * the custom handover record ("bench": "handover") — the timelines are
   deterministic seeded computations, so cadence counts and outage numbers
   are re-asserted exactly against the baseline at equal scale, and the
@@ -308,7 +309,7 @@ def compare_temporal_delta(current, baseline, threshold: float) -> int:
     # The delta path's reason to exist: the ≥5x graph headline. The floor
     # sits below the measured 5.6-5.9x so machine noise doesn't flake, and
     # only applies at a meaningful step count (reduced lanes amortize the
-    # structural steps over too few patched ones). The routes leg runs a
+    # one-off set-up over too few steps). The routes leg runs a
     # fresh Dijkstra per tree on both sides, so it has no floor.
     speedup = current.get("speedup_graph")
     if speedup is not None:
