@@ -25,7 +25,9 @@
 //  * routes (timed) — per-step topology + routing trees, one tree per
 //    source. Fresh recompiles the spec snapshot; delta steps the
 //    IncrementalTopology. Both then run a fresh Dijkstra per source, so
-//    the ratio is the graph path's saving diluted by the tree cost. Wall
+//    the ratio is the graph path's saving diluted by the tree cost. Each
+//    phase runs its fresh and delta passes interleaved (kPasses each) and
+//    reports the ratio of the per-mode minima. Wall
 //    times are compared against the committed baseline by
 //    tools/bench_compare.py, not here (in-bench timing asserts flake on
 //    loaded machines, checksum gates cannot).
@@ -41,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <openspace/concurrency/parallel.hpp>
@@ -57,7 +60,12 @@ namespace {
 
 using namespace openspace;
 
-constexpr int kPasses = 3;  // best-of to shrug off scheduler noise
+// Passes per mode. The two modes of a phase run interleaved, one pass of
+// each in alternating order, and each keeps its fastest pass: a burst of
+// host load then slows both modes' passes alike instead of the whole of
+// one mode, so the speedup (the ratio of the per-mode minima) stays steady
+// on a shared machine.
+constexpr int kPasses = 7;
 
 double nowS() {
   return std::chrono::duration<double>(
@@ -70,24 +78,38 @@ struct Timed {
   std::uint64_t checksum = 0;
 };
 
-/// Time `pass` (returning a checksum) `passes` times; keep the fastest wall
-/// time and require a stable checksum.
+/// Run `pass` (returning a checksum) once as pass number `p` of `r`: keep
+/// the fastest wall time and require a stable checksum.
 template <typename Pass>
-Timed timeIt(Pass&& pass, int passes = kPasses) {
-  Timed r;
-  for (int p = 0; p < passes; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
+void timePass(Timed& r, int p, Pass&& pass) {
+  const double t0 = nowS();
+  const std::uint64_t sum = pass();
+  const double dt = nowS() - t0;
+  if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
+  if (p == 0) {
+    r.checksum = sum;
+  } else if (sum != r.checksum) {
+    std::fprintf(stderr, "non-deterministic pass checksum\n");
+    std::exit(1);
+  }
+}
+
+/// Time the fresh and the delta pass of one phase, kPasses each,
+/// interleaved: fresh first on even passes, delta first on odd ones.
+template <typename Fresh, typename Delta>
+std::pair<Timed, Timed> timeInterleaved(Fresh&& fresh, Delta&& delta) {
+  Timed f;
+  Timed d;
+  for (int p = 0; p < kPasses; ++p) {
+    if (p % 2 == 0) {
+      timePass(f, p, fresh);
+      timePass(d, p, delta);
+    } else {
+      timePass(d, p, delta);
+      timePass(f, p, fresh);
     }
   }
-  return r;
+  return {f, d};
 }
 
 /// Full-tree fold: every dist bit and parent edge (verification sweep).
@@ -209,7 +231,7 @@ int main(int argc, char** argv) {
   }
 
   // --- phase A (timed): per-step graph production (delay cost model) -------
-  const Timed graphFresh = timeIt([&] {
+  const auto freshGraphs = [&] {
     const CompactGraph::CostFn cost = legacy::temporalLinkCost(delayCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
@@ -218,9 +240,8 @@ int main(int argc, char** argv) {
       h = mixGraphSummary(h, g);
     }
     return h;
-  });
-
-  const Timed graphDelta = timeIt([&] {
+  };
+  const auto deltaGraphs = [&] {
     IncrementalTopology inc(topo, opt, delayCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
@@ -228,14 +249,16 @@ int main(int argc, char** argv) {
       h = mixGraphSummary(h, *inc.graph());
     }
     return h;
-  });
+  };
+  const auto [graphFresh, graphDelta] =
+      timeInterleaved(freshGraphs, deltaGraphs);
   const bool graphSummaryMatch = graphFresh.checksum == graphDelta.checksum;
   const double speedupGraph = graphDelta.bestPassS > 0.0
                                   ? graphFresh.bestPassS / graphDelta.bestPassS
                                   : 0.0;
 
   // --- phase B (timed): per-step topology + routing trees (hop model) ------
-  const Timed routesFresh = timeIt([&] {
+  const auto freshRoutes = [&] {
     const CompactGraph::CostFn cost = legacy::temporalLinkCost(hopCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
@@ -246,9 +269,8 @@ int main(int argc, char** argv) {
       }
     }
     return h;
-  });
-
-  const Timed routesDelta = timeIt([&] {
+  };
+  const auto deltaRoutes = [&] {
     IncrementalTopology inc(topo, opt, hopCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
@@ -259,7 +281,9 @@ int main(int argc, char** argv) {
       }
     }
     return h;
-  });
+  };
+  const auto [routesFresh, routesDelta] =
+      timeInterleaved(freshRoutes, deltaRoutes);
   const bool routesSummaryMatch = routesFresh.checksum == routesDelta.checksum;
   const double speedupRoutes =
       routesDelta.bestPassS > 0.0 ? routesFresh.bestPassS / routesDelta.bestPassS
@@ -297,7 +321,7 @@ int main(int argc, char** argv) {
   const double perStepDeltaMs = 1e3 * routesDelta.bestPassS / steps;
   std::printf("# Incremental temporal topology: per-step CSR assembly + "
               "fresh trees vs full recompile (%zu sats, %d steps of %.0f s, "
-              "scale=%.3f, best of %d passes)\n\n",
+              "scale=%.3f, best of %d interleaved passes per mode)\n\n",
               satCount, steps, stepS, scale, kPasses);
   std::printf("%-10s %-10s %-12s %-12s %-10s\n", "phase", "work", "fresh_s",
               "delta_s", "speedup");

@@ -67,11 +67,12 @@ std::optional<SatelliteId> AssociationAgent::selectSatellite(
   // produces the identical winner (first-wins ascending tie order, same
   // elevation and range expressions).
   const GroundObserver observer(userEcef);
+  const ElevationMask mask = ElevationMask::of(minElevationRad);
   double bestRange = std::numeric_limits<double>::infinity();
   std::optional<SatelliteId> best;
   for (const BeaconMessage& b : beacons) {
     const Vec3 satEcef = eciToEcef(positionEci(b.elements, tSeconds), tSeconds);
-    if (observer.elevationTo(satEcef) < minElevationRad) continue;
+    if (!observer.sees(satEcef, mask)) continue;
     const double range = userEcef.distanceTo(satEcef);
     if (range < bestRange) {
       bestRange = range;

@@ -79,7 +79,7 @@ FootprintIndex2::FootprintIndex2(
     std::shared_ptr<const ConstellationSnapshot> snapshot,
     double minElevationRad, double motionMarginRad)
     : snapshot_(std::move(snapshot)),
-      minElevationRad_(minElevationRad),
+      mask_(ElevationMask::of(minElevationRad)),
       motionMarginRad_(motionMarginRad) {
   OPENSPACE_ASSERT(snapshot_ != nullptr, "footprint index needs a snapshot");
   if (!(motionMarginRad >= 0.0) || std::isinf(motionMarginRad)) {
@@ -232,7 +232,7 @@ bool FootprintIndex2::anyVisibleFrom(const Vec3& siteEcef) const {
   const GroundObserver site(siteEcef);
   bool any = false;
   forEachGroundCandidate(siteEcef, [&](std::uint32_t i) {
-    any = site.elevationTo(snapshot_->ecef(i)) >= minElevationRad_;
+    any = site.sees(snapshot_->ecef(i), mask_);
     // Visibility is order-independent; returning true stops the candidate
     // scan at the first visible satellite, like the brute scan's break.
     return any;
@@ -250,7 +250,7 @@ std::optional<std::size_t> FootprintIndex2::closestVisible(
   std::optional<std::size_t> best;
   double bestRange = std::numeric_limits<double>::infinity();
   forEachGroundCandidate(siteEcef, [&](std::uint32_t i) {
-    if (site.elevationTo(snapshot_->ecef(i)) < minElevationRad_) return;
+    if (!site.sees(snapshot_->ecef(i), mask_)) return;
     const double range = siteEcef.distanceTo(snapshot_->ecef(i));
     if (range < bestRange ||
         (range == bestRange && (!best || i < *best))) {

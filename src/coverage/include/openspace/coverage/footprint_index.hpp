@@ -14,12 +14,12 @@
 //  * surface-sample queries (Monte-Carlo coverage): unit ECI directions
 //    tested against the exact cap predicate `dot >= cos(halfAngle)`;
 //  * ground-site queries (association, handover, demand coverage): ECEF
-//    sites tested against the exact `elevationAngleRad(site, satEcef) >=
-//    mask` predicate. The registered cap radii are padded out to the
-//    largest central angle any supported observer radius can see
-//    (kMinObserverRadiusM at the mask), so the candidate set is a superset
-//    for both predicates; sites outside the supported radius range fall
-//    back to a full scan.
+//    sites tested against the exact mask predicate GroundObserver::sees,
+//    which is `elevationAngleRad(site, satEcef) >= mask`. The registered
+//    cap radii are padded out to the largest central angle any supported
+//    observer radius can see (kMinObserverRadiusM at the mask), so the
+//    candidate set is a superset for both predicates; sites outside the
+//    supported radius range fall back to a full scan.
 //
 // Determinism contract (DESIGN.md §10): the index only *prunes* — every
 // candidate is re-tested with the exact brute predicate, ties are broken
@@ -78,7 +78,7 @@ class FootprintIndex2 {
                   double minElevationRad, double motionMarginRad = 0.0);
 
   std::size_t size() const noexcept { return direction_.size(); }
-  double minElevationRad() const noexcept { return minElevationRad_; }
+  double minElevationRad() const noexcept { return mask_.rad(); }
   double motionMarginRad() const noexcept { return motionMarginRad_; }
 
   /// Approximate resident size in bytes: the per-satellite cap arrays, the
@@ -127,8 +127,8 @@ class FootprintIndex2 {
                       int stopAfter) const noexcept;
 
   /// True if at least one satellite is at or above the mask from the ECEF
-  /// site — the exact elevationAngleRad predicate, candidates from the
-  /// index.
+  /// site — the exact mask predicate (GroundObserver::sees), candidates
+  /// from the index.
   bool anyVisibleFrom(const Vec3& siteEcef) const;
 
   /// Closest at-or-above-mask satellite from the site (ties broken toward
@@ -209,7 +209,7 @@ class FootprintIndex2 {
 
  private:
   std::shared_ptr<const ConstellationSnapshot> snapshot_;
-  double minElevationRad_ = 0.0;
+  ElevationMask mask_;
   double motionMarginRad_ = 0.0;
   // ECEF->ECI rotation about +Z at the snapshot time (lon_eci = lon_ecef +
   // omega * t), stored as the rotation's cosine/sine.

@@ -32,6 +32,7 @@ class CoverageOracle {
     for (int i = 0; i < samples; ++i) {
       points.emplace_back(rng.unitSphere() * wgs84::kMeanRadiusM);
     }
+    const ElevationMask mask = ElevationMask::of(minElevationRad);
     for (std::size_t m = 0; m < members.size(); ++m) {
       const auto snap =
           SnapshotCache::global().at(members[m].fleet, tSeconds);
@@ -39,7 +40,7 @@ class CoverageOracle {
       memberSeen_[m].assign(points.size(), false);
       for (std::size_t p = 0; p < points.size(); ++p) {
         for (const Vec3& sat : eci) {
-          if (points[p].elevationTo(sat) >= minElevationRad) {
+          if (points[p].sees(sat, mask)) {
             memberSeen_[m][p] = true;
             break;
           }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include <openspace/geo/error.hpp>
@@ -12,6 +13,17 @@ namespace openspace {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
+
+/// The squared magnitudes sees() decides without the exact path. Inside
+/// this range every product and square root of its fast path is a normal
+/// double, so the rounding bound of its soundness argument holds; outside
+/// it (and for NaN) the exact elevation decides.
+constexpr double kFastNorm2Min = 1e-200;  // units: m^2
+constexpr double kFastNorm2Max = 1e200;   // units: m^2
+
+bool inFastRange(double norm2) {
+  return norm2 >= kFastNorm2Min && norm2 <= kFastNorm2Max;
+}
 }  // namespace
 
 Geodetic Geodetic::fromDegrees(double latDeg, double lonDeg, double altM) {
@@ -101,11 +113,27 @@ double elevationAngleRad(const Vec3& observer, const Vec3& target) {
   return GroundObserver(observer).elevationTo(target);
 }
 
+ElevationMask ElevationMask::of(double maskRad) noexcept {
+  ElevationMask mask;
+  mask.maskRad_ = maskRad;
+  if (maskRad >= -kPi / 2.0 && maskRad <= kPi / 2.0) {
+    const double s = std::sin(maskRad);
+    mask.sinLo_ = s - kBand;
+    mask.sinHi_ = s + kBand;
+  } else {
+    // sin is not monotone out here: no fast verdict is sound.
+    mask.sinLo_ = -std::numeric_limits<double>::infinity();
+    mask.sinHi_ = std::numeric_limits<double>::infinity();
+  }
+  return mask;
+}
+
 GroundObserver::GroundObserver(const Vec3& ecef) noexcept
     : ecef_(ecef),
       up_(ecef.normalized()),  // local vertical (spherical model)
       upNorm_(up_.norm()),
-      radiusM_(ecef.norm()) {}
+      radiusM_(ecef.norm()),
+      fastPath_(inFastRange(ecef.normSquared())) {}
 
 GroundObserver::GroundObserver(const Geodetic& site)
     : GroundObserver(geodeticToEcef(site)) {}
@@ -121,8 +149,29 @@ double GroundObserver::elevationTo(const Vec3& targetEcef) const noexcept {
   return kPi / 2.0 - std::acos(c);
 }
 
-double GroundObserver::centralAngleTo(const Vec3& targetEcef) const noexcept {
-  return std::atan2(ecef_.cross(targetEcef).norm(), ecef_.dot(targetEcef));
+bool GroundObserver::sees(const Vec3& targetEcef,
+                          const ElevationMask& mask) const noexcept {
+  // Soundness of the fast verdicts. elevationTo is pi/2 - acos(c), with c
+  // the line-of-sight cosine to the vertical; both c and up·d / |d| lie
+  // within ~1e-15 of the true sine of the elevation (a dot product's
+  // rounding is bounded by |up||d| times a few ULP, whatever the
+  // cancellation). asin' >= 1 on [-1, 1], so a sine that clears the mask's
+  // sine by the 1e-9 band puts the elevation at least 1e-9 rad past the
+  // mask, where the acos and the final subtraction (a few 1e-16 rad)
+  // cannot reach. Every NaN, a zero d and every infinity fail the range
+  // checks or both comparisons and get the exact verdict.
+  const Vec3 d = targetEcef - ecef_;
+  const double n2 = d.normSquared();
+  if (fastPath_ && inFastRange(n2)) {
+    const double s = up_.dot(d);
+    // At or below the horizon under a positive band: the verdict the band
+    // test below reaches, without its square root.
+    if (s <= 0.0 && mask.sinLo() > 0.0) return false;
+    const double n = std::sqrt(n2);
+    if (s > mask.sinHi() * n) return true;
+    if (s < mask.sinLo() * n) return false;
+  }
+  return elevationTo(targetEcef) >= mask.rad();
 }
 
 double slantRangeM(const Vec3& a, const Vec3& b) { return a.distanceTo(b); }

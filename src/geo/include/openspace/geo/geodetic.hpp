@@ -54,10 +54,34 @@ double centralAngleRad(const Geodetic& a, const Geodetic& b);
 /// surface. Positive means above the local horizon plane.
 double elevationAngleRad(const Vec3& observer, const Vec3& target);
 
+/// An elevation mask compiled for GroundObserver::sees: the mask angle and
+/// a band of half-width kBand around its sine. A line-of-sight sine
+/// outside the band decides the mask test without an acos; only a sample
+/// inside it pays for the exact elevation. A mask outside [-pi/2, pi/2]
+/// (or NaN) gets an unbounded band, so every test takes the exact path.
+class ElevationMask {
+ public:
+  /// Half-width of the undecided band, in sine space.
+  static constexpr double kBand = 1e-9;  // units: dimensionless sine
+
+  static ElevationMask of(double maskRad) noexcept;
+
+  double rad() const noexcept { return maskRad_; }
+  /// sin(rad()) - kBand and sin(rad()) + kBand.
+  double sinLo() const noexcept { return sinLo_; }
+  double sinHi() const noexcept { return sinHi_; }
+
+ private:
+  double maskRad_ = 0.0;
+  double sinLo_ = 0.0;  // units: dimensionless sine
+  double sinHi_ = 0.0;  // units: dimensionless sine
+};
+
 /// A ground observer compiled once for repeated elevation tests. The ECEF
 /// position and the local vertical (geocentric, spherical model) are
-/// computed at construction, so one elevation costs a line-of-sight
-/// normalization and an acos instead of a geodetic conversion plus two
+/// computed at construction. A mask test (sees) then costs a dot product
+/// and a square root, and an exact elevation (elevationTo) a line-of-sight
+/// normalization and an acos, instead of a geodetic conversion plus two
 /// more normalizations. elevationTo(target) is bit-identical to
 /// elevationAngleRad(ecef(), target) — that function is implemented on top
 /// of this class.
@@ -75,10 +99,12 @@ class GroundObserver {
   /// for a target at the observer itself.
   double elevationTo(const Vec3& targetEcef) const noexcept;
 
-  /// Earth-central angle (radians, [0, pi]) between the observer and the
-  /// ECEF target. The atan2 form stays accurate to a few ULP at every
-  /// separation, including a target straight overhead.
-  double centralAngleTo(const Vec3& targetEcef) const noexcept;
+  /// Exactly elevationTo(targetEcef) >= mask.rad(), for every input (NaN
+  /// and infinite targets, a target at the observer, any mask). With
+  /// d = target - ecef(), the sign of up·d - sin(mask)|d| decides away
+  /// from the mask edge; inside the mask's band, or for degenerate
+  /// magnitudes, the exact elevation does.
+  bool sees(const Vec3& targetEcef, const ElevationMask& mask) const noexcept;
 
  private:
   Vec3 ecef_;
@@ -86,6 +112,9 @@ class GroundObserver {
   // up_.norm(), as the uncompiled path evaluates it.
   double upNorm_ = 0.0;   // units: dimensionless (norm of a unit vector)
   double radiusM_ = 0.0;  ///< ecef_.norm().
+  /// |ecef_|^2 lies in sees()'s fast range, so up_ is a unit vector to a
+  /// few ULP.
+  bool fastPath_ = false;
 };
 
 /// Straight-line (slant) range between two ECEF/ECI points, meters.

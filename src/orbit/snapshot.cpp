@@ -128,10 +128,11 @@ std::optional<std::size_t> ConstellationSnapshot::closestVisible(
   OPENSPACE_ASSERT(ecef_.size() == elements_.size(),
                    "snapshot fully propagated before visibility queries");
   const GroundObserver site(siteEcef);
+  const ElevationMask mask = ElevationMask::of(minElevationRad);
   std::optional<std::size_t> best;
   double bestRange = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < ecef_.size(); ++i) {
-    if (site.elevationTo(ecef_[i]) < minElevationRad) continue;
+    if (!site.sees(ecef_[i], mask)) continue;
     const double range = siteEcef.distanceTo(ecef_[i]);
     if (range < bestRange) {
       bestRange = range;

@@ -46,20 +46,28 @@ double elevationFrom(const Vec3& satEci, const Geodetic& ground, double tSeconds
 
 bool isVisible(const Vec3& satEci, const Geodetic& ground, double tSeconds,
                double minElevationRad) {
-  return elevationFrom(satEci, ground, tSeconds) >= minElevationRad;
+  return GroundObserver(ground).sees(eciToEcef(satEci, tSeconds),
+                                     ElevationMask::of(minElevationRad));
 }
 
 std::vector<ContactWindow> contactWindows(const OrbitalElements& el,
                                           const Geodetic& ground, double t0S,
                                           double t1S, double minElevationRad,
                                           double stepS) {
-  if (stepS <= 0.0) throw InvalidArgumentError("contactWindows: step must be > 0");
+  // Negated in-range tests, so that NaN is rejected too; an infinite
+  // bound or step would never end (or never step) the scan.
+  if (!(stepS > 0.0) || std::isinf(stepS)) {
+    throw InvalidArgumentError("contactWindows: step must be finite and > 0");
+  }
+  if (!std::isfinite(t0S) || !std::isfinite(t1S)) {
+    throw InvalidArgumentError("contactWindows: times must be finite");
+  }
   if (t1S < t0S) throw InvalidArgumentError("contactWindows: t1S < t0S");
 
   const GroundObserver site(ground);
+  const ElevationMask mask = ElevationMask::of(minElevationRad);
   const auto above = [&](double t) {
-    return site.elevationTo(eciToEcef(positionEci(el, t), t)) >=
-           minElevationRad;
+    return site.sees(eciToEcef(positionEci(el, t), t), mask);
   };
   // Bisect a rise/set edge between tLo (state `lo`) and tHi to ~1 ms.
   const auto refine = [&](double tLo, double tHi, bool lo) {

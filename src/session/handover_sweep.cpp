@@ -34,12 +34,6 @@ constexpr double kMarginSlackRad = 1e-6;
 /// one [k * 60, (k + 1) * 60] window is served by the window's one index.
 constexpr double kIndexWindowS = 60.0;
 
-/// Central-angle slack the visibility search's step-skipping proof keeps
-/// below the exact visibility edge. The compared angles carry a few ULP of
-/// rounding and the elevation predicate at most ~1e-8 rad (acos near 1);
-/// at LEO angular rates the slack costs ~1 ms of skip range per proof.
-constexpr double kSkipSlackRad = 1e-6;
-
 /// Signaling latency of one predictive handover: the serving satellite
 /// tells the user its successor (one downlink), the user opens a session
 /// with the successor (one round trip), no authentication. The expression
@@ -60,10 +54,58 @@ double predictiveLatencyS(SatelliteSweep from, SatelliteSweep to,
 }  // namespace
 
 VisibilitySearch::VisibilitySearch(double minElevationRad)
-    : minElevationRad_(minElevationRad), cosMask_(std::cos(minElevationRad)) {
+    : mask_(ElevationMask::of(minElevationRad)),
+      sinMask_(std::sin(minElevationRad)),
+      cosMask_(std::cos(minElevationRad)) {
   if (!(minElevationRad >= 0.0 && minElevationRad < std::numbers::pi / 2.0)) {
     throw InvalidArgumentError("VisibilitySearch: elevation mask out of range");
   }
+}
+
+VisibilitySearch::SkipProofs VisibilitySearch::skipProofs(
+    const GroundObserver& user, double perigeeRadiusM,
+    double apogeeRadiusM) const noexcept {
+  SkipProofs proofs;
+  proofs.observerEcef_ = user.ecef();
+  proofs.observerRadiusM_ = user.radiusM();
+  const double rObsM = user.radiusM();
+  proofs.active_ = rObsM > 0.0 && rObsM < perigeeRadiusM;
+  if (!proofs.active_) return proofs;
+  // edge(r) = alpha - mask with cos(alpha) = k = r_obs / r * cos(mask), so
+  // sin(alpha) = sqrt((1 - k)(1 + k)) (1 - k is exact near the k = 1 end,
+  // where 1 - k^2 would cancel) and the angle-difference identities give
+  // the edge's sine and cosine without an acos.
+  const auto edge = [&](double rSatM, double& sinEdge, double& cosEdge) {
+    const double k = rObsM / rSatM * cosMask_;
+    const double sinAlpha = std::sqrt((1.0 - k) * (1.0 + k));
+    sinEdge = sinAlpha * cosMask_ - k * sinMask_;
+    cosEdge = k * cosMask_ + sinAlpha * sinMask_;
+  };
+  edge(perigeeRadiusM, proofs.sinEdgePerigee_, proofs.cosEdgePerigee_);
+  edge(apogeeRadiusM, proofs.sinEdgeApogee_, proofs.cosEdgeApogee_);
+  return proofs;
+}
+
+double VisibilitySearch::SkipProofs::visibleHeadroomRad(
+    const Vec3& satEcef) const noexcept {
+  if (!active_) return -std::numeric_limits<double>::infinity();
+  // sin(edge - gamma) = sin(edge) cos(gamma) - cos(edge) sin(gamma), with
+  // cos(gamma) |o||s| = o.s and sin(gamma) |o||s| = |o x s|.
+  const double scale = observerRadiusM_ * satEcef.norm();
+  return (sinEdgePerigee_ * observerEcef_.dot(satEcef) -
+          cosEdgePerigee_ * observerEcef_.cross(satEcef).norm()) /
+             scale -
+         kSkipSlackRad;
+}
+
+double VisibilitySearch::SkipProofs::hiddenHeadroomRad(
+    const Vec3& satEcef) const noexcept {
+  if (!active_) return -std::numeric_limits<double>::infinity();
+  const double scale = observerRadiusM_ * satEcef.norm();
+  return (cosEdgeApogee_ * observerEcef_.cross(satEcef).norm() -
+          sinEdgeApogee_ * observerEcef_.dot(satEcef)) /
+             scale -
+         kSkipSlackRad;
 }
 
 std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
@@ -75,6 +117,9 @@ std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
   // drops below the mask (e.g. a mask of 0 over a pole-adjacent user, or a
   // horizon shorter than the pass) yields fromS + horizonS rather than an
   // unbounded scan.
+  if (!std::isfinite(fromS)) {
+    throw InvalidArgumentError("visibleUntil: fromS must be finite");
+  }
   if (!(horizonS >= 0.0) || std::isinf(horizonS)) {
     throw InvalidArgumentError(
         "visibleUntil: horizon must be finite and >= 0");
@@ -83,42 +128,25 @@ std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
     return eciToEcef(sweep.positionEciAt(t), t);
   };
   const auto visible = [&](const Vec3& satEcef) {
-    return user.elevationTo(satEcef) >= minElevationRad_;
+    return user.sees(satEcef, mask_);
   };
   const Vec3 fromEcef = ecefAt(fromS);
   if (!visible(fromEcef)) return std::nullopt;
-  // Step-skipping bounds. With a geocentric vertical, elevation falls
-  // strictly as the Earth-central angle between observer and satellite
-  // grows, and the angle at which it meets the mask,
-  //   edge(r) = acos(r_observer / r * cos(mask)) - mask,
-  // grows with the satellite's radius r. So wherever the orbit is, an angle
-  // below edge(r_perigee) means visible and one above edge(r_apogee) means
-  // hidden. The angle moves no faster than the orbit's peak angular rate
-  // plus the Earth's rotation, so an evaluation whose angle clears a bound
-  // by h proves the same verdict for h / rate seconds around it. The slack
-  // on both bounds dwarfs the rounding of every compared quantity and of
-  // the elevation predicate. An observer outside the orbit's radius range
-  // gets no proofs.
-  double visibleBelowRad = -1.0;
-  double hiddenAboveRad = std::numeric_limits<double>::infinity();
-  const double rObsM = user.radiusM();
-  if (rObsM > 0.0 && rObsM < sweep.perigeeRadiusM()) {
-    const auto edgeRad = [&](double rSatM) {
-      return std::acos(rObsM / rSatM * cosMask_) - minElevationRad_;
-    };
-    visibleBelowRad = edgeRad(sweep.perigeeRadiusM()) - kSkipSlackRad;
-    hiddenAboveRad = edgeRad(sweep.apogeeRadiusM()) + kSkipSlackRad;
-  }
+  // The central angle moves no faster than the orbit's peak angular rate
+  // plus the Earth's rotation, so an evaluation whose headroom is h proves
+  // the same verdict for h / rate seconds around it.
+  const SkipProofs proofs =
+      skipProofs(user, sweep.perigeeRadiusM(), sweep.apogeeRadiusM());
   const double rateRadPerS =
       sweep.maxAngularRateRadPerS() + wgs84::kEarthRotationRadPerS;
   // A visible evaluation at t proves visibility through the returned time;
   // a hidden one proves the satellite hidden from the returned time to t.
   const auto provenVisibleUntil = [&](double t, const Vec3& satEcef) {
-    const double headroomRad = visibleBelowRad - user.centralAngleTo(satEcef);
+    const double headroomRad = proofs.visibleHeadroomRad(satEcef);
     return headroomRad > 0.0 ? t + headroomRad / rateRadPerS : t;
   };
   const auto provenHiddenFrom = [&](double t, const Vec3& satEcef) {
-    const double headroomRad = user.centralAngleTo(satEcef) - hiddenAboveRad;
+    const double headroomRad = proofs.hiddenHeadroomRad(satEcef);
     return headroomRad > 0.0 ? t - headroomRad / rateRadPerS : t;
   };
 

@@ -66,6 +66,44 @@ struct ReAssociationCost {
 /// When a satellite drops below the elevation mask, seen from one site.
 class VisibilitySearch {
  public:
+  /// Angle slack both skip proofs keep from the exact visibility edges.
+  /// It dwarfs the rounding of every compared quantity; at LEO angular
+  /// rates it costs ~1 ms of skip range per proof.
+  static constexpr double kSkipSlackRad = 1e-6;
+
+  /// The step-skipping proofs for one observer and one orbit's radius
+  /// range. With a geocentric vertical, elevation falls strictly as the
+  /// Earth-central angle gamma between observer and satellite grows, and
+  /// the angle where it meets the mask,
+  ///   edge(r) = acos(r_observer / r * cos(mask)) - mask,
+  /// grows with the satellite's radius r. So gamma < edge(r_perigee) proves
+  /// the satellite visible and gamma > edge(r_apogee) proves it hidden,
+  /// wherever it is on its orbit. Both headrooms are sines of those angle
+  /// differences, taken from one dot and one cross product without an
+  /// atan2, minus kSkipSlackRad. Since sin h <= h for h >= 0 and the sign
+  /// is kept on the edges' ranges, a positive headroom never exceeds the
+  /// angle headroom, and every proof it gives the angle form gives too.
+  /// An observer outside (0, r_perigee) gets no proofs.
+  class SkipProofs {
+   public:
+    /// sin(edge(r_perigee) - gamma) - kSkipSlackRad; positive only for a
+    /// satellite provably visible (-inf without proofs).
+    double visibleHeadroomRad(const Vec3& satEcef) const noexcept;
+    /// sin(gamma - edge(r_apogee)) - kSkipSlackRad; positive only for a
+    /// satellite provably hidden (-inf without proofs).
+    double hiddenHeadroomRad(const Vec3& satEcef) const noexcept;
+
+   private:
+    friend class VisibilitySearch;
+    Vec3 observerEcef_;
+    double observerRadiusM_ = 0.0;
+    bool active_ = false;
+    double sinEdgePerigee_ = 0.0;  // units: dimensionless sine
+    double cosEdgePerigee_ = 0.0;  // units: dimensionless cosine
+    double sinEdgeApogee_ = 0.0;   // units: dimensionless sine
+    double cosEdgeApogee_ = 0.0;   // units: dimensionless cosine
+  };
+
   /// Throws InvalidArgumentError unless the mask is in [0, pi/2).
   explicit VisibilitySearch(double minElevationRad);
 
@@ -74,27 +112,34 @@ class VisibilitySearch {
   /// mask at fromS, else the first mask crossing after fromS (a 10 s scan,
   /// then bisection to ~1 ms), or fromS + horizonS if it is still visible
   /// at the horizon. The horizon is a hard search bound; throws
-  /// InvalidArgumentError unless it is finite and >= 0. The scan and the
-  /// bisection skip the evaluation of every sample a bound on the
-  /// satellite's angular motion proves visible or hidden (only the warm
-  /// Kepler start advances there); every other sample is evaluated
-  /// exactly, so each decision and the result are bit-for-bit those of the
-  /// plain search that evaluates every sample (pinned in
-  /// tests/test_handover.cpp). Candidate loops call this directly: the
-  /// first sample doubles as their visible-now test, and `beatS` is their
-  /// best end so far — once the scan brackets the end at or below beatS,
-  /// the search returns that bracket's upper edge (<= beatS, so the
-  /// candidate loses a strict comparison) instead of bisecting on.
+  /// InvalidArgumentError unless fromS is finite and the horizon is
+  /// finite and >= 0. The scan and the bisection skip the evaluation of
+  /// every sample a SkipProofs headroom and the satellite's peak angular
+  /// rate prove visible or hidden (only the warm Kepler start advances
+  /// there); every other sample is evaluated with the exact mask predicate
+  /// (GroundObserver::sees), so each decision and the result are
+  /// bit-for-bit those of the plain search that evaluates every sample
+  /// (pinned in tests/test_handover.cpp). Candidate loops call this
+  /// directly: the first sample doubles as their visible-now test, and
+  /// `beatS` is their best end so far — once the scan brackets the end at
+  /// or below beatS, the search returns that bracket's upper edge
+  /// (<= beatS, so the candidate loses a strict comparison) instead of
+  /// bisecting on.
   std::optional<double> visibleUntil(
       SatelliteSweep& sweep, const GroundObserver& user, double fromS,
       double horizonS = 3'600.0,
       double beatS = -std::numeric_limits<double>::infinity()) const;
 
-  double minElevationRad() const noexcept { return minElevationRad_; }
+  /// The proofs visibleUntil uses for `user` and an orbit whose radius
+  /// stays in [perigeeRadiusM, apogeeRadiusM].
+  SkipProofs skipProofs(const GroundObserver& user, double perigeeRadiusM,
+                        double apogeeRadiusM) const noexcept;
+
+  double minElevationRad() const noexcept { return mask_.rad(); }
 
  private:
-  double minElevationRad_;
-  // cos(minElevationRad_), for the step-skipping bound.
+  ElevationMask mask_;
+  double sinMask_;  // units: dimensionless sine
   double cosMask_;  // units: dimensionless cosine
 };
 

@@ -25,7 +25,10 @@ constexpr double kNoLosClearanceM = -wgs84::kMeanRadiusM;
 
 LinkEnumerator::LinkEnumerator(const TopologyBuilder& builder,
                                const SnapshotOptions& opt)
-    : builder_(builder), opt_(opt), satIds_(builder.ephemeris().satellites()) {
+    : builder_(builder),
+      opt_(opt),
+      mask_(ElevationMask::of(opt.minElevationRad)),
+      satIds_(builder.ephemeris().satellites()) {
   if (std::isnan(opt_.maxIslRangeM) || std::isnan(opt_.minElevationRad)) {
     throw InvalidArgumentError(
         "snapshot: maxIslRangeM and minElevationRad must not be NaN");
@@ -100,28 +103,17 @@ void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
 }
 
 // Stations then users, in registration order, each scanning satellites in
-// index order.
-//
-// Conservative horizon prefilter: elevationAngleRad(site, sat) is
-// pi/2 - acos(dot(up, los)/..) with both norms positive, so its sign is the
-// sign of dot(site, sat - site). A non-positive dot therefore proves
-// elev <= 0 < minElevationRad and the sat can be skipped without the
-// normalization + acos; every survivor goes through the exact elevation
-// test, so the accepted set and every emitted double are unchanged. Only
-// sound for a strictly positive mask (elev == 0 must still be rejected).
+// index order. The exact mask predicate rejects most satellites without an
+// acos; only an accepted link pays for the elevation its capacity needs.
 void LinkEnumerator::groundLinks(const ConstellationSnapshot& snap,
                                  const std::vector<Site>& sites, LinkType type,
                                  std::vector<LinkSpec>& out) const {
-  const bool horizonPrefilter = opt_.minElevationRad > 0.0;
   const std::vector<Vec3>& satEcef = snap.ecef();
   for (const Site& site : sites) {
     const Vec3& siteEcef = site.observer.ecef();
     for (std::size_t i = 0; i < satEcef.size(); ++i) {
-      if (horizonPrefilter && (satEcef[i] - siteEcef).dot(siteEcef) <= 0.0) {
-        continue;
-      }
+      if (!site.observer.sees(satEcef[i], mask_)) continue;
       const double elev = site.observer.elevationTo(satEcef[i]);
-      if (elev < opt_.minElevationRad) continue;
       const double dist = siteEcef.distanceTo(satEcef[i]);
       const double cap = (type == LinkType::Gsl)
                              ? gslCapacityBps(dist, elev)

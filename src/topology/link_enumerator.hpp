@@ -58,6 +58,7 @@ class LinkEnumerator {
 
   const TopologyBuilder& builder_;
   SnapshotOptions opt_;
+  ElevationMask mask_;  ///< opt_.minElevationRad, compiled.
   std::vector<SatelliteId> satIds_;
   std::vector<NodeId> satNode_;
   std::vector<Site> stations_;  ///< Empty unless includeGroundStations.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <vector>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/geodetic.hpp>
@@ -229,6 +230,7 @@ TEST(GroundObserver, ElevationMatchesUncompiledFormulaBitForBit) {
         rng.uniform(-400.0, 9'000.0));
     const GroundObserver observer(site);
     ASSERT_EQ(observer.ecef(), geodeticToEcef(site));
+    ASSERT_EQ(observer.radiusM(), observer.ecef().norm());
     const Vec3 target = rng.unitSphere() * rng.uniform(6.0e6, 4.5e7);
     const double got = observer.elevationTo(target);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
@@ -244,20 +246,99 @@ TEST(GroundObserver, ElevationMatchesUncompiledFormulaBitForBit) {
   EXPECT_TRUE(std::isnan(elevationAngleRad(observer.ecef(), observer.ecef())));
 }
 
-TEST(GroundObserver, CentralAngleIsAccurateAtEverySeparation) {
-  const GroundObserver observer(Geodetic::fromDegrees(40.0, -80.0));
+TEST(GroundObserver, SeesIsTheExactMaskTestBitForBit) {
+  // sees(t, m) must be elevationTo(t) >= m.rad() for every input: its
+  // fast verdicts only skip the acos, never change the answer. Targets are
+  // bisected onto the mask edge along a great circle through the zenith,
+  // to within 1e-15..1e-6 rad, where the fast path must defer.
+  const double masks[] = {0.0,       1e-9,     deg2rad(10.0), deg2rad(40.0),
+                          deg2rad(89.99), kPi / 2.0 - 1e-10};
+  std::vector<Geodetic> sites = {
+      Geodetic::fromDegrees(90.0, 0.0),       Geodetic::fromDegrees(-90.0, 0.0),
+      Geodetic::fromDegrees(90.0, 0.0, 8'000.0),
+      Geodetic::fromDegrees(10.0, 180.0),     Geodetic::fromDegrees(-35.0, -180.0),
+      Geodetic::fromDegrees(0.0, 179.999, 4'000.0)};
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    sites.push_back(Geodetic::fromDegrees(rng.uniform(-90.0, 90.0),
+                                          rng.uniform(-180.0, 180.0),
+                                          rng.uniform(0.0, 8'000.0)));
+  }
+  int checked = 0;
+  const auto check = [&](const GroundObserver& observer, const Vec3& target,
+                         const ElevationMask& mask) {
+    ASSERT_EQ(observer.sees(target, mask),
+              observer.elevationTo(target) >= mask.rad())
+        << "target " << target << " mask " << mask.rad();
+    ++checked;
+  };
+  for (const Geodetic& site : sites) {
+    const GroundObserver observer(site);
+    const Vec3 up = observer.ecef().normalized();
+    const Vec3 side = up.cross(rng.unitSphere()).normalized();
+    for (const double maskRad : masks) {
+      const ElevationMask mask = ElevationMask::of(maskRad);
+      for (int k = 0; k < 60; ++k) {
+        const double radiusM =
+            observer.radiusM() + rng.uniform(km(300.0), km(36'000.0));
+        const auto at = [&](double gamma) {
+          return (up * std::cos(gamma) + side * std::sin(gamma)) * radiusM;
+        };
+        // Zenith is visible for every mask here; the antipode never is.
+        double lo = 0.0;
+        double hi = kPi;
+        const double width = std::pow(10.0, rng.uniform(-15.0, -6.0));
+        while (hi - lo > width) {
+          const double mid = 0.5 * (lo + hi);
+          (observer.elevationTo(at(mid)) >= maskRad ? lo : hi) = mid;
+        }
+        check(observer, at(lo), mask);
+        check(observer, at(hi), mask);
+        check(observer, at(0.5 * (lo + hi)), mask);
+        // Far from the edge: the fast verdicts.
+        check(observer, at(rng.uniform(0.0, kPi)), mask);
+      }
+      const double inf = std::numeric_limits<double>::infinity();
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      for (const Vec3& odd :
+           {observer.ecef(), Vec3{nan, 0.0, 0.0}, Vec3{nan, nan, nan},
+            Vec3{inf, 0.0, 0.0}, Vec3{-inf, 0.0, 0.0}, Vec3{0.0, 0.0, inf},
+            Vec3{inf, -inf, inf}, up * inf, up * -inf}) {
+        check(observer, odd, mask);
+        EXPECT_FALSE(observer.sees(odd, mask)) << odd;
+      }
+    }
+  }
+  EXPECT_GT(checked, 50'000);
+  // Negative masks, masks beyond [-pi/2, pi/2] and NaN masks decide
+  // exactly too, also for a target so far out that |d|^2 overflows.
+  const GroundObserver observer(Geodetic::fromDegrees(10.0, 20.0));
   const Vec3 up = observer.ecef().normalized();
-  EXPECT_DOUBLE_EQ(observer.radiusM(), observer.ecef().norm());
-  // Straight overhead: zero to rounding, where an acos form loses ~1e-8 rad.
-  EXPECT_LT(observer.centralAngleTo(up * 7.0e6), 1e-15);
-  EXPECT_NEAR(observer.centralAngleTo(-up * 7.0e6), kPi, 1e-15);
-  // A target rotated by a known angle about an axis normal to the site.
-  const Vec3 axis = up.cross(Vec3{0.0, 0.0, 1.0}).normalized();
-  for (const double angle : {1e-9, 1e-4, 0.3, 1.5, 3.0}) {
-    const Vec3 dir = up * std::cos(angle) + axis.cross(up) * std::sin(angle);
-    EXPECT_NEAR(observer.centralAngleTo(dir * 7.2e6), angle,
-                4e-16 * std::max(1.0, angle) + 1e-15 * angle)
-        << angle;
+  for (const double maskRad : {-0.5, -kPi / 2.0, 2.0, -2.0, kPi,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    const ElevationMask mask = ElevationMask::of(maskRad);
+    for (const Vec3& target : {observer.ecef() * 1.1, -observer.ecef() * 1.1,
+                               up * 1e200, up * -1e200}) {
+      check(observer, target, mask);
+    }
+  }
+  // Degenerate observers (the Earth's center, magnitudes whose square
+  // overflows or underflows, NaN) have no usable vertical; the targets sit
+  // 1 000 km away, near and far from the mask edge along +x.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Vec3& site : {Vec3{}, Vec3{1e200, 0.0, 0.0},
+                           Vec3{1e-160, 0.0, 0.0}, Vec3{1e-200, 0.0, 0.0},
+                           Vec3{nan, 0.0, 0.0}}) {
+    const GroundObserver degenerate(site);
+    for (const double maskRad : {-0.5, 0.0, 0.1}) {
+      const ElevationMask mask = ElevationMask::of(maskRad);
+      for (const double offRad : {-0.3, -1e-3, -1e-5, 1e-5, 1e-3, 0.3}) {
+        const double e = maskRad + offRad;
+        check(degenerate,
+              site + Vec3{std::sin(e), std::cos(e), 0.0} * 1e6, mask);
+      }
+      check(degenerate, Vec3{1e201, 0.0, 0.0}, mask);
+    }
   }
 }
 

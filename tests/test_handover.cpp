@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numbers>
 
@@ -338,6 +339,90 @@ TEST(VisibilitySearch, StepSkippingMatchesPlainScanBitForBit) {
   }
   // Most trials must run a real search, not return at once.
   EXPECT_GT(searched, 1'000);
+}
+
+TEST(VisibilitySearch, NonFiniteStartThrows) {
+  // A NaN or infinite start used to come back as nullopt ("not visible").
+  const auto el = OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0);
+  const VisibilitySearch search(deg2rad(10.0));
+  const GroundObserver user(Geodetic::fromDegrees(0.0, 0.0));
+  for (const double fromS : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    SatelliteSweep sweep(el);
+    EXPECT_THROW(search.visibleUntil(sweep, user, fromS), InvalidArgumentError)
+        << fromS;
+  }
+}
+
+TEST(VisibilitySearch, SineHeadroomNeverExceedsAngleHeadroom) {
+  // The atan2/acos form the sine-form proofs replaced: the angle by which
+  // the central angle clears an edge, minus the slack. A sine-form proof
+  // may be weaker but never stronger (sin h <= h for h >= 0, and no sign
+  // flip on the edges' ranges), to rounding.
+  const double slack = VisibilitySearch::kSkipSlackRad;
+  Rng rng(21);
+  const double masks[] = {0.0, 1e-9, deg2rad(10.0), deg2rad(40.0),
+                          deg2rad(75.0), 1.5707};
+  int visibleProofs = 0;
+  int hiddenProofs = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const double mask = masks[trial % 6];
+    const VisibilitySearch search(mask);
+    const double perigeeM =
+        wgs84::kMeanRadiusM + rng.uniform(km(300.0), km(36'000.0));
+    const double apogeeM = perigeeM * (1.0 + rng.uniform(0.0, 1.0) *
+                                                 (trial % 3 == 0 ? 1.0 : 0.0));
+    const double altRoll = rng.uniform(0.0, 1.0);
+    const double obsRadiusM =
+        altRoll < 0.3 ? perigeeM + rng.uniform(-km(30.0), km(30.0))
+                      : wgs84::kMeanRadiusM + rng.uniform(0.0, 8'000.0);
+    const Vec3 up = rng.unitSphere();
+    const GroundObserver user(up * obsRadiusM);
+    // The central angle: uniform, or within 1e-12..1e-3 rad of 0 or pi.
+    const double roll = rng.uniform(0.0, 1.0);
+    const double tiny = std::pow(10.0, rng.uniform(-12.0, -3.0));
+    const double gamma = roll < 0.6   ? rng.uniform(0.0, std::numbers::pi)
+                         : roll < 0.8 ? tiny
+                                      : std::numbers::pi - tiny;
+    const Vec3 side = up.cross(rng.unitSphere()).normalized();
+    const Vec3 dir = up * std::cos(gamma) + side * std::sin(gamma);
+    const double satRadiusM = rng.uniform(perigeeM, apogeeM);
+    const Vec3 sat = dir * satRadiusM;
+
+    const VisibilitySearch::SkipProofs proofs =
+        search.skipProofs(user, perigeeM, apogeeM);
+    const double visibleSine = proofs.visibleHeadroomRad(sat);
+    const double hiddenSine = proofs.hiddenHeadroomRad(sat);
+    if (!(user.radiusM() < perigeeM)) {
+      EXPECT_LT(visibleSine, 0.0) << trial;
+      EXPECT_LT(hiddenSine, 0.0) << trial;
+      continue;
+    }
+    const auto edgeRad = [&](double rSatM) {
+      return std::acos(user.radiusM() / rSatM * std::cos(mask)) - mask;
+    };
+    const double angle =
+        std::atan2(user.ecef().cross(sat).norm(), user.ecef().dot(sat));
+    const double visibleAngle = edgeRad(perigeeM) - slack - angle;
+    const double hiddenAngle = angle - edgeRad(apogeeM) - slack;
+    ASSERT_LE(std::max(visibleSine, 0.0), std::max(visibleAngle, 0.0) + 1e-12)
+        << "trial " << trial << " gamma " << gamma;
+    ASSERT_LE(std::max(hiddenSine, 0.0), std::max(hiddenAngle, 0.0) + 1e-12)
+        << "trial " << trial << " gamma " << gamma;
+    // Near an edge the sine form is as strong as the angle form.
+    if (visibleAngle > 0.0 && visibleAngle < 1e-3) {
+      EXPECT_GT(visibleSine, visibleAngle * (1.0 - 1e-6) - 1e-12) << trial;
+    }
+    if (hiddenAngle > 0.0 && hiddenAngle < 1e-3) {
+      EXPECT_GT(hiddenSine, hiddenAngle * (1.0 - 1e-6) - 1e-12) << trial;
+    }
+    visibleProofs += visibleSine > 0.0 ? 1 : 0;
+    hiddenProofs += hiddenSine > 0.0 ? 1 : 0;
+  }
+  // The geometry must exercise both proofs.
+  EXPECT_GT(visibleProofs, 1'000);
+  EXPECT_GT(hiddenProofs, 1'000);
 }
 
 TEST(HandoverSparse, NoCoverageMeansNoHandovers) {

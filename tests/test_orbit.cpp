@@ -359,6 +359,33 @@ TEST(ContactWindows, InvalidArgsThrow) {
   EXPECT_THROW(contactWindows(el, site, 100.0, 0.0, 0.1), InvalidArgumentError);
 }
 
+TEST(ContactWindows, NonFiniteTimesAndStepsThrow) {
+  // NaN fails every ordered guard, so each of these used to slip through:
+  // an infinite end never ended the scan, a NaN end came back as the
+  // window [0, NaN], and a NaN or infinite step took one sample and
+  // reported the whole interval visible.
+  const auto el = OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0);
+  const Geodetic site = Geodetic::fromDegrees(0.0, 0.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double mask = deg2rad(10.0);
+  EXPECT_THROW(contactWindows(el, site, 0.0, inf, mask), InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, 0.0, nan, mask), InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, nan, 3'600.0, mask),
+               InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, -inf, 3'600.0, mask),
+               InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, 0.0, 3'600.0, mask, nan),
+               InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, 0.0, 3'600.0, mask, inf),
+               InvalidArgumentError);
+  // The same site and orbit with a finite step: a ~10 min pass, not the
+  // whole hour.
+  const auto windows = contactWindows(el, site, 0.0, 3'600.0, mask);
+  ASSERT_FALSE(windows.empty());
+  EXPECT_LT(windows.front().durationS(), 1'200.0);
+}
+
 // --- Ephemeris -------------------------------------------------------------
 
 TEST(Ephemeris, PublishAndLookup) {
