@@ -11,13 +11,10 @@
 //
 // Structure — verification and timing are separate sweeps (the
 // bench_temporal_delta convention):
-//  * propagate (timed, single thread) — TimeSweep over the compiled fleet,
-//    scalar executable-spec kernel vs the runtime-dispatched SIMD kernel.
-//    The single-core scalar/SIMD ratio is the speedup_propagation headline
-//    the committed baseline pins. Untimed gates: both kernels bit-identical
-//    serial vs parallel (full-bit fold of every ECI+ECEF component over
-//    every step), and SIMD within the documented 1e-13 * semi-major-axis
-//    envelope of the scalar spec.
+//  * propagate (timed, single thread) — FleetEphemeris::positionsAt over
+//    the compiled fleet, the cold batch path ConstellationSnapshot runs.
+//    Untimed gate: bit-identical serial vs parallel (full-bit fold of every
+//    ECI+ECEF component over every step).
 //  * index (timed) — FootprintIndex2 compile cost per satellite, plus the
 //    batch cap-cell kernel: dispatched SIMD level vs the portable 4-lane
 //    instantiation over a fixed sample block. Hard gate: the two
@@ -42,7 +39,6 @@
 // lane runs only the 1k tier). Exit is non-zero unless every gate matches.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -57,7 +53,6 @@
 #include <openspace/geo/spherical_index_simd.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
-#include <openspace/orbit/propagation_simd.hpp>
 #include <openspace/orbit/shells.hpp>
 #include <openspace/orbit/snapshot.hpp>
 
@@ -228,11 +223,8 @@ struct TierResult {
   std::size_t shellLinks = 0;
   // propagate
   int sweepSteps = 0;
-  double propScalarS = 0.0;
-  double propSimdS = 0.0;
-  double speedupPropagation = 0.0;
+  double propBatchS = 0.0;
   double nsPerSatStep = 0.0;
-  double simdMaxDevM = 0.0;
   bool propSerialParallelMatch = false;
   // index
   double indexBuildS = 0.0;
@@ -258,8 +250,7 @@ struct TierResult {
 
   bool allGates() const {
     return propSerialParallelMatch && capBitIdentical && closestVisibleMatch &&
-           indexSerialParallelMatch && topoSerialParallelMatch &&
-           simdMaxDevM < 1e-5;
+           indexSerialParallelMatch && topoSerialParallelMatch;
   }
 };
 
@@ -284,80 +275,48 @@ TierResult runTier(const Tier& tier, int poolThreads) {
       std::clamp<std::size_t>(262'144 / std::max<std::size_t>(n, 1), 4, 64));
   r.sweepSteps = steps;
 
-  // --- propagate: scalar spec vs SIMD kernel, single thread ----------------
+  // --- propagate: the snapshot's cold batch path, single thread -----------
   const auto compiled =
       FleetEphemeris::compiled(elements, fleet.elementsHash());
-  const auto sweepPass = [&](TimeSweep::Kernel kernel) {
-    TimeSweep sweep(compiled);
-    sweep.setKernel(kernel);
-    std::vector<Vec3> eci;
+  const auto propPass = [&] {
+    std::vector<Vec3> eci, ecef;
     std::uint64_t h = kFnvOffsetBasis;
     for (int s = 0; s < steps; ++s) {
-      sweep.advance(t0S + s * stepS, eci);
+      compiled->positionsAt(t0S + s * stepS, eci, ecef);
       // O(1) per-step summary: cheap enough not to perturb the timing,
       // deterministic so timeIt's stability assert has teeth.
       h = fnv1a(h, bitsOf(eci.front().x));
       h = fnv1a(h, bitsOf(eci[n / 2].y));
-      h = fnv1a(h, bitsOf(eci.back().z));
+      h = fnv1a(h, bitsOf(ecef.back().z));
     }
     return h;
   };
   setParallelThreadCount(1);
-  const Timed propScalar =
-      timeIt([&] { return sweepPass(TimeSweep::Kernel::ScalarSpec); });
-  const Timed propSimd =
-      timeIt([&] { return sweepPass(TimeSweep::Kernel::Simd); });
+  const Timed prop = timeIt(propPass);
   setParallelThreadCount(poolThreads);
-  r.propScalarS = propScalar.bestPassS;
-  r.propSimdS = propSimd.bestPassS;
-  r.speedupPropagation =
-      propSimd.bestPassS > 0.0 ? propScalar.bestPassS / propSimd.bestPassS
-                               : 0.0;
-  r.nsPerSatStep = 1e9 * propSimd.bestPassS /
+  r.propBatchS = prop.bestPassS;
+  r.nsPerSatStep = 1e9 * prop.bestPassS /
                    (static_cast<double>(n) * static_cast<double>(steps));
 
-  // Untimed gates: (a) each kernel bit-identical serial vs parallel over
-  // every step's full ECI+ECEF bits; (b) SIMD within the documented
-  // accuracy envelope of the scalar spec at the end of a warm sweep.
+  // Untimed gate: bit-identical serial vs parallel over every step's full
+  // ECI+ECEF bits.
   {
-    const auto foldSweep = [&](TimeSweep::Kernel kernel) {
-      TimeSweep sweep(compiled);
-      sweep.setKernel(kernel);
+    const auto foldSweep = [&] {
       std::vector<Vec3> eci, ecef;
       std::uint64_t h = kFnvOffsetBasis;
       for (int s = 0; s < steps; ++s) {
-        sweep.advance(t0S + s * stepS, eci, ecef);
+        compiled->positionsAt(t0S + s * stepS, eci, ecef);
         h = mixVecs(h, eci);
         h = mixVecs(h, ecef);
       }
       return h;
     };
     setParallelThreadCount(1);
-    const std::uint64_t simdSerial = foldSweep(TimeSweep::Kernel::Simd);
-    const std::uint64_t scalarSerial = foldSweep(TimeSweep::Kernel::ScalarSpec);
+    const std::uint64_t serial = foldSweep();
     setParallelThreadCount(std::max(poolThreads, 4));
-    const std::uint64_t simdParallel = foldSweep(TimeSweep::Kernel::Simd);
-    const std::uint64_t scalarParallel =
-        foldSweep(TimeSweep::Kernel::ScalarSpec);
+    const std::uint64_t parallel = foldSweep();
     setParallelThreadCount(poolThreads);
-    r.propSerialParallelMatch =
-        simdSerial == simdParallel && scalarSerial == scalarParallel;
-
-    TimeSweep scalarSweep(compiled), simdSweep(compiled);
-    scalarSweep.setKernel(TimeSweep::Kernel::ScalarSpec);
-    simdSweep.setKernel(TimeSweep::Kernel::Simd);
-    std::vector<Vec3> eciScalar, eciSimd;
-    for (int s = 0; s < steps; ++s) {
-      scalarSweep.advance(t0S + s * stepS, eciScalar);
-      simdSweep.advance(t0S + s * stepS, eciSimd);
-    }
-    double maxDevM = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      maxDevM = std::max(maxDevM, std::abs(eciScalar[i].x - eciSimd[i].x));
-      maxDevM = std::max(maxDevM, std::abs(eciScalar[i].y - eciSimd[i].y));
-      maxDevM = std::max(maxDevM, std::abs(eciScalar[i].z - eciSimd[i].z));
-    }
-    r.simdMaxDevM = maxDevM;
+    r.propSerialParallelMatch = serial == parallel;
   }
 
   // --- index: FootprintIndex2 compile + batch cap-cell kernel --------------
@@ -554,10 +513,9 @@ int main(int argc, char** argv) {
   }
 
   bool allMatch = true;
-  double bestSpeedupProp = 0.0, bestSpeedupCap = 0.0;
+  double bestSpeedupCap = 0.0;
   for (const TierResult& r : results) {
     allMatch = allMatch && r.allGates();
-    bestSpeedupProp = std::max(bestSpeedupProp, r.speedupPropagation);
     bestSpeedupCap = std::max(bestSpeedupCap, r.speedupCapIndex);
   }
 
@@ -566,29 +524,25 @@ int main(int argc, char** argv) {
               "-> route (scale=%.3f, best of %d passes, single-thread "
               "kernel timings)\n\n",
               scale, kPasses);
-  std::printf("%-5s %-7s %-9s %-9s %-9s %-9s %-9s %-8s %-8s\n", "tier",
-              "sats", "prop", "simd", "idx", "topo", "route", "deg",
-              "ns/sat");
+  std::printf("%-5s %-7s %-9s %-9s %-9s %-9s %-8s %-8s\n", "tier", "sats",
+              "prop", "idx", "topo", "route", "deg", "ns/sat");
   for (const TierResult& r : results) {
-    std::printf("%-5s %-7zu %-9.4f %-9.4f %-9.4f %-9.4f %-9.4f %-8.1f "
-                "%-8.1f\n",
-                r.name.c_str(), r.sats, r.propScalarS, r.propSimdS,
-                r.indexBuildS, r.topoBuildS, r.routeS, r.meanDegree,
-                r.nsPerSatStep);
+    std::printf("%-5s %-7zu %-9.4f %-9.4f %-9.4f %-9.4f %-8.1f %-8.1f\n",
+                r.name.c_str(), r.sats, r.propBatchS, r.indexBuildS,
+                r.topoBuildS, r.routeS, r.meanDegree, r.nsPerSatStep);
   }
   std::printf("\n");
   for (const TierResult& r : results) {
-    std::printf("# %s: speedup propagation %.2fx cap-kernel %.2fx | gates: "
+    std::printf("# %s: speedup cap-kernel %.2fx | gates: "
                 "prop serial==parallel %s  cap bit-identical %s  "
                 "closestVisible %s  index serial==parallel %s  "
-                "topo serial==parallel %s  simd dev %.2e m\n",
-                r.name.c_str(), r.speedupPropagation, r.speedupCapIndex,
+                "topo serial==parallel %s\n",
+                r.name.c_str(), r.speedupCapIndex,
                 r.propSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.capBitIdentical ? "MATCH" : "MISMATCH",
                 r.closestVisibleMatch ? "MATCH" : "MISMATCH",
                 r.indexSerialParallelMatch ? "MATCH" : "MISMATCH",
-                r.topoSerialParallelMatch ? "MATCH" : "MISMATCH",
-                r.simdMaxDevM);
+                r.topoSerialParallelMatch ? "MATCH" : "MISMATCH");
   }
 
   const double wallS = nowS() - wallStartS;
@@ -599,14 +553,10 @@ int main(int argc, char** argv) {
                  "  \"threads\": %d,\n"
                  "  \"scale\": %.4f,\n"
                  "  \"cap_kernel_level\": \"%s\",\n"
-                 "  \"sweep_kernel_level\": \"%s\",\n"
-                 "  \"speedup_propagation_best\": %.3f,\n"
                  "  \"speedup_capindex_best\": %.3f,\n"
                  "  \"tiers\": [\n",
                  wallS, poolThreads, scale,
-                 simdLevelName(simd::cellKernelLevel()),
-                 simdLevelName(simd::sweepKernelLevel()), bestSpeedupProp,
-                 bestSpeedupCap);
+                 simdLevelName(simd::cellKernelLevel()), bestSpeedupCap);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const TierResult& r = results[i];
       std::fprintf(
@@ -617,11 +567,8 @@ int main(int argc, char** argv) {
           "      \"shells\": %zu,\n"
           "      \"shell_links\": %zu,\n"
           "      \"sweep_steps\": %d,\n"
-          "      \"prop_scalar_s\": %.6f,\n"
-          "      \"prop_simd_s\": %.6f,\n"
-          "      \"speedup_propagation\": %.3f,\n"
+          "      \"prop_batch_s\": %.6f,\n"
           "      \"prop_ns_per_sat_step\": %.2f,\n"
-          "      \"simd_max_dev_m\": %.3e,\n"
           "      \"index_build_s\": %.6f,\n"
           "      \"index_us_per_sat\": %.4f,\n"
           "      \"cap_samples\": %zu,\n"
@@ -639,9 +586,9 @@ int main(int argc, char** argv) {
           "      \"gates_match\": %s\n"
           "    }%s\n",
           r.name.c_str(), r.sats, r.shells, r.shellLinks, r.sweepSteps,
-          r.propScalarS, r.propSimdS, r.speedupPropagation, r.nsPerSatStep,
-          r.simdMaxDevM, r.indexBuildS, r.usPerSatIndex, r.capSamples,
-          r.capScalar4S, r.capSimdS, r.speedupCapIndex, r.maxIslRangeM,
+          r.propBatchS, r.nsPerSatStep, r.indexBuildS, r.usPerSatIndex,
+          r.capSamples, r.capScalar4S, r.capSimdS, r.speedupCapIndex,
+          r.maxIslRangeM,
           r.topoBuildS, r.usPerSatTopo, r.islLinks, r.meanDegree,
           r.routePairs, r.routeReached, r.routeS,
           r.allGates() ? "true" : "false",

@@ -1,10 +1,10 @@
 // Ephemeris sweep: drive the batch propagation kernel directly.
 //
 // Compiles an Iridium-like shell into a FleetEphemeris once, then walks a
-// full orbital period with a warm-started TimeSweep — the pattern every
-// time-stepped experiment (coverage curves, temporal routing, handover
-// timelines) uses under the hood. Prints a per-sample visibility summary
-// for one ground user.
+// full orbital period with the cold batch evaluation positionsAt — the
+// path ConstellationSnapshot runs for every timestep of the coverage,
+// routing and handover experiments. Prints a per-sample visibility
+// summary for one ground user.
 //
 //   $ ./ephemeris_sweep
 #include <cstdio>
@@ -28,12 +28,11 @@ int main() {
   const double periodS = elements.front().periodS();
   const double stepS = periodS / 12.0;
 
-  TimeSweep sweep(fleet);
   std::vector<Vec3> eci, ecef;
   std::printf("%-10s %-10s %-14s\n", "t_min", "visible", "nearest_km");
   for (int s = 0; s <= 12; ++s) {
     const double t = s * stepS;
-    sweep.advance(t, eci, ecef);
+    fleet.positionsAt(t, eci, ecef);
     const Vec3 userEcef = geodeticToEcef(user);
     int visible = 0;
     double nearestM = -1.0;

@@ -1,14 +1,14 @@
 // Process-wide SIMD dispatch policy.
 //
-// The vectorized hot kernels (batch propagation, spherical cap index) are
-// compiled twice: an AVX2+FMA translation unit and a portable 4-lane
+// The vectorized spherical cap-cell kernel (geo/spherical_index_simd.hpp)
+// is compiled twice: an AVX2+FMA translation unit and a portable 4-lane
 // scalar-fallback translation unit that executes the identical algorithm
-// through std::fma lanes (both paths use only correctly-rounded IEEE
-// operations in the same order, so they are bit-identical — property-
-// tested). This header owns the *policy* half of runtime dispatch: what
-// the CPU supports and what the OPENSPACE_SIMD override requests. Each
-// kernel family degrades the policy level to what its build actually
-// contains (e.g. a non-x86 build has no AVX2 translation unit).
+// (both paths use only correctly-rounded or exact IEEE operations in the
+// same order, so they are bit-identical — property-tested). This header
+// owns the *policy* half of runtime dispatch: what the CPU supports and
+// what the OPENSPACE_SIMD override requests. A kernel degrades the policy
+// level to what its build actually contains (e.g. a non-x86 build has no
+// AVX2 translation unit).
 #pragma once
 
 #include <cstdlib>
@@ -18,7 +18,7 @@ namespace openspace {
 
 /// Vector instruction level of a dispatched kernel.
 enum class SimdLevel {
-  Scalar4,  ///< Portable 4-lane fallback (std::fma lanes). Always available.
+  Scalar4,  ///< Portable 4-lane fallback. Always available.
   Avx2,     ///< AVX2 + FMA intrinsics.
 };
 

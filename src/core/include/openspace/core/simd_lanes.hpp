@@ -1,26 +1,23 @@
-// Shared 4-lane operation traits for the vectorized kernels.
+// Shared 4-lane operation traits for the vectorized cap-cell kernel.
 // units-file: lane abstraction — every double here is a unitless lane
 // value whose dimension belongs to the templated kernel, not the trait.
 //
 // Two instantiation backends with *identical* lane semantics:
-//  * ScalarOps — portable 4-wide emulation. std::fma and the arithmetic
-//    operators are correctly rounded per IEEE 754 (as vfmadd / vaddpd /
-//    ... are), std::nearbyint in the default rounding mode is
-//    round-to-nearest-even (as vroundpd with _MM_FROUND_TO_NEAREST_INT
-//    is), and masks are all-ones/all-zero bit patterns selected through
-//    the sign bit (as vblendvpd does).
+//  * ScalarOps — portable 4-wide emulation. The arithmetic operators are
+//    correctly rounded per IEEE 754 (as vaddpd / vmulpd / ... are),
+//    truncation and abs are exact, and masks are all-ones/all-zero bit
+//    patterns (as vcmppd produces).
 //  * Avx2Ops — the AVX2+FMA intrinsics themselves. Only visible to
 //    translation units compiled with -mavx2 -mfma (the __AVX2__/__FMA__
 //    guard below); nothing outside those TUs may name it.
 //
-// Every kernel templated over these traits (orbit/propagation_simd_lanes
-// .hpp, geo/spherical_index_simd_lanes.hpp) must use ONLY operations that
-// are correctly rounded or exact, in a fixed order, so any two Ops
-// instantiations produce bit-identical results — the property
-// tests/test_simd.cpp pins. TUs instantiating a kernel from this header
-// must be compiled with -ffp-contract=off: the bit-identity contract
-// forbids the compiler from fusing the templates' explicit mul/add
-// sequences into fmas on one side only.
+// A kernel templated over these traits (geo/spherical_index_simd_lanes
+// .hpp) must use ONLY operations that are correctly rounded or exact, in a
+// fixed order, so any two Ops instantiations produce bit-identical
+// results — the property tests/test_simd.cpp pins. TUs instantiating a
+// kernel from this header must be compiled with -ffp-contract=off: the
+// bit-identity contract forbids the compiler from fusing the template's
+// explicit mul/add sequences into fmas on one side only.
 #pragma once
 
 #include <bit>
@@ -30,9 +27,6 @@
 namespace openspace::simd {
 
 inline constexpr std::uint64_t kLaneAllOnes = ~std::uint64_t{0};
-// Magic constant: adding 1.5 * 2^52 puts an integral |n| < 2^51 in the
-// low mantissa bits (two's complement for negatives).
-inline constexpr double kIntMagic = 6755399441055744.0;
 
 struct ScalarOps {
   struct V {
@@ -40,16 +34,7 @@ struct ScalarOps {
   };
 
   static V broadcast(double v) noexcept { return {{v, v, v, v}}; }
-  static V set(double e0, double e1, double e2, double e3) noexcept {
-    return {{e0, e1, e2, e3}};
-  }
   static V load(const double* p) noexcept { return {{p[0], p[1], p[2], p[3]}}; }
-  static void store(double* p, V v) noexcept {
-    p[0] = v.l[0];
-    p[1] = v.l[1];
-    p[2] = v.l[2];
-    p[3] = v.l[3];
-  }
   static V add(V a, V b) noexcept {
     return {{a.l[0] + b.l[0], a.l[1] + b.l[1], a.l[2] + b.l[2],
              a.l[3] + b.l[3]}};
@@ -65,16 +50,6 @@ struct ScalarOps {
   static V div(V a, V b) noexcept {
     return {{a.l[0] / b.l[0], a.l[1] / b.l[1], a.l[2] / b.l[2],
              a.l[3] / b.l[3]}};
-  }
-  static V fmadd(V a, V b, V c) noexcept {
-    V r;
-    for (int j = 0; j < 4; ++j) r.l[j] = std::fma(a.l[j], b.l[j], c.l[j]);
-    return r;
-  }
-  static V roundEven(V a) noexcept {
-    V r;
-    for (int j = 0; j < 4; ++j) r.l[j] = std::nearbyint(a.l[j]);
-    return r;
   }
   /// Truncate toward zero (vroundpd with _MM_FROUND_TO_ZERO).
   static V truncToZero(V a) noexcept {
@@ -102,14 +77,6 @@ struct ScalarOps {
     }
     return r;
   }
-  static V cmpEq(V a, V b) noexcept {
-    V r;
-    for (int j = 0; j < 4; ++j) {
-      r.l[j] = std::bit_cast<double>(a.l[j] == b.l[j] ? kLaneAllOnes
-                                                      : std::uint64_t{0});
-    }
-    return r;
-  }
   static V andV(V a, V b) noexcept {
     V r;
     for (int j = 0; j < 4; ++j) {
@@ -125,42 +92,6 @@ struct ScalarOps {
                                      std::bit_cast<std::uint64_t>(b.l[j]));
     }
     return r;
-  }
-  static V xorV(V a, V b) noexcept {
-    V r;
-    for (int j = 0; j < 4; ++j) {
-      r.l[j] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.l[j]) ^
-                                     std::bit_cast<std::uint64_t>(b.l[j]));
-    }
-    return r;
-  }
-  /// Select a where the mask's sign bit is set, else b (vblendvpd).
-  static V blend(V mask, V a, V b) noexcept {
-    V r;
-    for (int j = 0; j < 4; ++j) {
-      r.l[j] = (std::bit_cast<std::uint64_t>(mask.l[j]) >> 63) != 0 ? a.l[j]
-                                                                    : b.l[j];
-    }
-    return r;
-  }
-  static int movemask(V mask) noexcept {
-    int m = 0;
-    for (int j = 0; j < 4; ++j) {
-      m |= static_cast<int>(std::bit_cast<std::uint64_t>(mask.l[j]) >> 63)
-           << j;
-    }
-    return m;
-  }
-  /// Lane masks for (n mod 4) == 1, 2, 3 where n holds integral values
-  /// with |n| < 2^51 (the kIntMagic low-bits trick, as the AVX2 side).
-  static void quadrantMasks(V n, V& m1, V& m2, V& m3) noexcept {
-    for (int j = 0; j < 4; ++j) {
-      const std::uint64_t q =
-          std::bit_cast<std::uint64_t>(n.l[j] + kIntMagic) & 3u;
-      m1.l[j] = std::bit_cast<double>(q == 1 ? kLaneAllOnes : std::uint64_t{0});
-      m2.l[j] = std::bit_cast<double>(q == 2 ? kLaneAllOnes : std::uint64_t{0});
-      m3.l[j] = std::bit_cast<double>(q == 3 ? kLaneAllOnes : std::uint64_t{0});
-    }
   }
   /// Truncate lanes holding integral values in [0, 2^31) to 32-bit
   /// indices and store them (vcvttpd2dq + 128-bit store).
@@ -183,19 +114,11 @@ struct Avx2Ops {
   using V = __m256d;
 
   static V broadcast(double v) noexcept { return _mm256_set1_pd(v); }
-  static V set(double e0, double e1, double e2, double e3) noexcept {
-    return _mm256_set_pd(e3, e2, e1, e0);
-  }
   static V load(const double* p) noexcept { return _mm256_loadu_pd(p); }
-  static void store(double* p, V v) noexcept { _mm256_storeu_pd(p, v); }
   static V add(V a, V b) noexcept { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) noexcept { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) noexcept { return _mm256_mul_pd(a, b); }
   static V div(V a, V b) noexcept { return _mm256_div_pd(a, b); }
-  static V fmadd(V a, V b, V c) noexcept { return _mm256_fmadd_pd(a, b, c); }
-  static V roundEven(V a) noexcept {
-    return _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  }
   static V truncToZero(V a) noexcept {
     return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
   }
@@ -204,22 +127,8 @@ struct Avx2Ops {
   }
   static V min(V a, V b) noexcept { return _mm256_min_pd(a, b); }
   static V cmpLt(V a, V b) noexcept { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-  static V cmpEq(V a, V b) noexcept { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
   static V andV(V a, V b) noexcept { return _mm256_and_pd(a, b); }
   static V orV(V a, V b) noexcept { return _mm256_or_pd(a, b); }
-  static V xorV(V a, V b) noexcept { return _mm256_xor_pd(a, b); }
-  static V blend(V mask, V a, V b) noexcept {
-    return _mm256_blendv_pd(b, a, mask);
-  }
-  static int movemask(V mask) noexcept { return _mm256_movemask_pd(mask); }
-  static void quadrantMasks(V n, V& m1, V& m2, V& m3) noexcept {
-    const __m256i bits =
-        _mm256_castpd_si256(_mm256_add_pd(n, _mm256_set1_pd(kIntMagic)));
-    const __m256i low = _mm256_and_si256(bits, _mm256_set1_epi64x(3));
-    m1 = _mm256_castsi256_pd(_mm256_cmpeq_epi64(low, _mm256_set1_epi64x(1)));
-    m2 = _mm256_castsi256_pd(_mm256_cmpeq_epi64(low, _mm256_set1_epi64x(2)));
-    m3 = _mm256_castsi256_pd(_mm256_cmpeq_epi64(low, _mm256_set1_epi64x(3)));
-  }
   static void storeIndicesU32(std::uint32_t* p, V v) noexcept {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(v));
   }

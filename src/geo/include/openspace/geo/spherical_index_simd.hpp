@@ -4,21 +4,19 @@
 // million-user association path) spend a measurable slice of every sample
 // in cellIndexOf: band from z, sector from the trig-free pseudo-angle of
 // (x, y). That map uses ONLY exactly-rounded IEEE operations — add, mul,
-// div, abs, sign transfer, ordered compares, truncation — so unlike the
-// propagation kernel (whose polynomial trig merely tracks libm within
-// ULPs) the vector kernel here is *bit-identical* to the scalar member
-// functions: outCells[i] == cellIndexOf(dirs[i]) for every input,
-// including NaN and zero vectors. The scalar expressions are also immune
-// to fma contraction (every fusable product multiplies by an exact 0.0 /
-// 1.0 / 2.0 scale), so the identity holds regardless of how callers'
-// translation units are compiled.
+// div, abs, sign transfer, ordered compares, truncation — so the vector
+// kernel is *bit-identical* to the scalar member functions:
+// outCells[i] == cellIndexOf(dirs[i]) for every input, including NaN and
+// zero vectors. The scalar expressions are also immune to fma contraction
+// (every fusable product multiplies by an exact 0.0 / 1.0 / 2.0 scale), so
+// the identity holds regardless of how callers' translation units are
+// compiled.
 //
-// Dispatch follows the propagation kernel's convention
-// (core/simd.hpp): AVX2 when compiled in and the CPU reports AVX2+FMA,
-// the portable 4-lane scalar emulation otherwise; OPENSPACE_SIMD=scalar
-// forces the portable path. tests/test_simd.cpp pins the two
-// instantiations bit-for-bit against each other and against the scalar
-// spec.
+// Dispatch follows the policy of core/simd.hpp: AVX2 when compiled in and
+// the CPU reports AVX2+FMA, the portable 4-lane scalar emulation
+// otherwise; OPENSPACE_SIMD=scalar forces the portable path.
+// tests/test_simd.cpp pins the two instantiations bit-for-bit against each
+// other and against the scalar spec.
 #pragma once
 
 #include <cstddef>

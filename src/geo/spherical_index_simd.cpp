@@ -1,6 +1,5 @@
 // Portable lanes instantiation of the cell-mapping kernel + runtime
-// dispatch (the propagation kernel's pattern, see
-// orbit/propagation_simd.cpp).
+// dispatch (the level policy lives in core/simd.hpp).
 #include <openspace/geo/spherical_index_simd.hpp>
 
 #include <openspace/core/simd_lanes.hpp>

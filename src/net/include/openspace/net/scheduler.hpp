@@ -32,6 +32,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -154,6 +155,41 @@ class TimerWheel {
   double now() const noexcept { return nowS_; }
   bool empty() const noexcept { return pending_ == 0; }
   std::size_t pending() const noexcept { return pending_; }
+
+  /// Invariant audit: throws StateError unless each level's bitmap bit is
+  /// set exactly when that slot's chain is non-empty, every chained, free
+  /// or queued due record index lies inside the slab, and each record sits
+  /// in exactly one of a slot chain, the free list or the unfired due
+  /// tail, with pending() counting the live ones. O(slab); for tests.
+  void audit() const {
+    std::vector<std::uint8_t> seen(slab_.size(), 0);
+    std::size_t live = 0;
+    const auto visit = [&](std::uint32_t idx, bool free) {
+      if (idx >= slab_.size() || seen[idx] != 0 || (free && slab_[idx].live)) {
+        throw StateError("TimerWheel::audit: record " + std::to_string(idx) +
+                         " out of the slab, listed twice, or live and free");
+      }
+      seen[idx] = 1;
+      live += slab_[idx].live;
+    };
+    for (std::size_t level = 0; level < kLevels; ++level) {
+      for (std::size_t slot = 0; slot < kSlots; ++slot) {
+        std::uint32_t idx = slots_[level][slot];
+        if (((bitmap_[level] >> slot) & 1u) != (idx != kNil ? 1u : 0u)) {
+          throw StateError("TimerWheel::audit: bitmap disagrees with chain");
+        }
+        for (; idx != kNil; idx = slab_[idx].next) visit(idx, false);
+      }
+    }
+    for (std::size_t i = dueCursor_; i < due_.size(); ++i) visit(due_[i], false);
+    for (std::uint32_t idx = freeHead_; idx != kNil; idx = slab_[idx].next) {
+      visit(idx, true);
+    }
+    if (std::find(seen.begin(), seen.end(), 0) != seen.end() ||
+        live != pending_) {
+      throw StateError("TimerWheel::audit: leaked record or pending() drift");
+    }
+  }
 
  private:
   static constexpr int kSlotBits = 6;

@@ -134,7 +134,14 @@ Vec3 positionEci(const OrbitalElements& el, double tSeconds) {
 
 std::vector<GroundTrackPoint> groundTrack(const OrbitalElements& el, double t0S,
                                           double t1S, double stepS) {
-  if (stepS <= 0.0) throw InvalidArgumentError("groundTrack: step must be > 0");
+  // Negated in-range tests, so that NaN is rejected too; an infinite
+  // bound or step would never end (or never step) the scan.
+  if (!(stepS > 0.0) || std::isinf(stepS)) {
+    throw InvalidArgumentError("groundTrack: step must be finite and > 0");
+  }
+  if (!std::isfinite(t0S) || !std::isfinite(t1S)) {
+    throw InvalidArgumentError("groundTrack: times must be finite");
+  }
   if (t1S < t0S) throw InvalidArgumentError("groundTrack: t1S < t0S");
   std::vector<GroundTrackPoint> track;
   track.reserve(static_cast<std::size_t>((t1S - t0S) / stepS) + 1);

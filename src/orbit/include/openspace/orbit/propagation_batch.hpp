@@ -16,13 +16,9 @@
 // (mirroring the `openspace::legacy` routing pattern): FleetEphemeris'
 // cold-start evaluation performs the exact same floating-point operations
 // in the same order, so its output is bit-for-bit identical — pinned by
-// the property tests in tests/test_propagation_batch.cpp.
-//
-// TimeSweep layers warm-started sweeps on top: it carries each satellite's
-// previous eccentric anomaly across steps as the Newton starting guess, so
-// near-circular LEO fleets converge in 1-2 iterations instead of a cold
-// solve per step. Per-satellite state plus the fixed parallelFor chunk
-// decomposition keep sweep results bit-identical at any thread count.
+// the property tests in tests/test_propagation_batch.cpp. It is the one
+// whole-fleet path: every ConstellationSnapshot runs it. SatelliteSweep is
+// the warm-started scan of a single orbit.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +29,6 @@
 #include <openspace/orbit/elements.hpp>
 
 namespace openspace {
-
-class EphemerisService;
 
 /// A fleet's orbital elements compiled once into structure-of-arrays form
 /// with every time-invariant term of the two-body propagation precomputed.
@@ -47,10 +41,6 @@ class FleetEphemeris {
   /// domain the scalar solveKepler enforces per call.
   explicit FleetEphemeris(const std::vector<OrbitalElements>& elements);
 
-  /// Compile every satellite registered in `ephemeris`, in publication
-  /// order (index i == ephemeris.satellites()[i]).
-  explicit FleetEphemeris(const EphemerisService& ephemeris);
-
   std::size_t size() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
 
@@ -60,21 +50,14 @@ class FleetEphemeris {
     return sizeof(*this) + count_ * 11 * sizeof(double);
   }
 
-  /// Cold-start batch evaluation: ECI position of every satellite at time
-  /// t, written to `outEci` (resized to size()). Parallel over satellites;
-  /// bit-for-bit identical to calling the scalar positionEci per satellite,
-  /// at any thread count.
-  void positionsAt(double tSeconds, std::vector<Vec3>& outEci) const;
-
-  /// As above, plus the same positions rotated into ECEF. The Earth
-  /// rotation angle's sin/cos is computed once for the whole fleet instead
-  /// of once per satellite; the per-satellite arithmetic matches
-  /// eciToEcef() exactly.
+  /// Cold-start batch evaluation: the ECI and ECEF position of every
+  /// satellite at time t, written to `outEci` and `outEcef` (each resized
+  /// to size()). Parallel over satellites; bit-for-bit identical to the
+  /// scalar positionEci followed by eciToEcef per satellite, at any thread
+  /// count. The Earth rotation angle's sin/cos is computed once for the
+  /// whole fleet instead of once per satellite.
   void positionsAt(double tSeconds, std::vector<Vec3>& outEci,
                    std::vector<Vec3>& outEcef) const;
-
-  /// Single-satellite cold evaluation (same operations as the batch path).
-  Vec3 positionAt(std::size_t i, double tSeconds) const;
 
   /// The compiled form of `elements`, from a small process-wide LRU cache
   /// keyed by (constellationHash, count): consumers that repeatedly
@@ -96,14 +79,6 @@ class FleetEphemeris {
   static std::size_t compiledCacheApproxBytes();
 
  private:
-  friend class TimeSweep;
-
-  /// Perifocal position from a solved eccentric anomaly, rotated to ECI —
-  /// the shared tail of every evaluation path (operation-for-operation the
-  /// scalar spec's perifocal block).
-  Vec3 positionFromEccentricAnomaly(std::size_t i,
-                                    double eccentricAnomalyRad) const;
-
   std::size_t count_ = 0;
   // Per-satellite time-invariant terms, one contiguous array per field.
   std::vector<double> semiMajorAxisM_;
@@ -117,70 +92,12 @@ class FleetEphemeris {
   std::vector<double> q1_, q2_, q3_;  // dimensionless rotation-matrix entries
 };
 
-/// Warm-started time sweep over a compiled fleet.
-///
-/// Each advance() reuses the previous step's reduced (mean, eccentric)
-/// anomaly pair per satellite as the Newton starting guess. Invariants:
-///  * the visit history influences results only through the warm guesses —
-///    every solve still iterates to the same |step| < 1e-14 convergence
-///    criterion as the cold solver, so warm and cold positions agree to
-///    within 1e-13 relative to the orbital radius per component
-///    (property-tested; exactly equal for e == 0 fleets, where both
-///    solvers short-circuit);
-///  * a warm solve that fails to converge within the iteration cap falls
-///    back to the scalar spec's bisection-safeguarded cold solve, so a
-///    sweep can jump arbitrarily far in time (or even backwards) without
-///    losing accuracy;
-///  * per-satellite state and the fixed chunk decomposition of parallelFor
-///    make sweeps bit-identical at any thread count (hard-gated in
-///    bench/bench_propagation.cpp and the TSan CI lane).
-class TimeSweep {
- public:
-  /// Which per-chunk kernel advance() runs. ScalarSpec is the executable
-  /// spec (bit-for-bit the scalar propagate path, the default); Simd
-  /// dispatches the vectorized kernel (orbit/propagation_simd.hpp — AVX2
-  /// when available, 4-lane scalar fallback otherwise), which agrees with
-  /// the spec within a few ULP of the orbital radius for e == 0 and
-  /// within 1e-13 * semi-major axis per component otherwise
-  /// (property-tested in tests/test_simd.cpp). Either kernel is
-  /// bit-identical at any thread count.
-  enum class Kernel { ScalarSpec, Simd };
-
-  /// The sweep holds a reference; `fleet` must outlive it.
-  explicit TimeSweep(const FleetEphemeris& fleet);
-  /// Shared-ownership variant for sweeps that outlive the caller's frame.
-  explicit TimeSweep(std::shared_ptr<const FleetEphemeris> fleet);
-
-  const FleetEphemeris& fleet() const noexcept { return *fleet_; }
-
-  /// Select the advance() kernel. Safe between advances; the warm state
-  /// carries over (both kernels maintain the same reduced-anomaly state).
-  void setKernel(Kernel kernel) noexcept { kernel_ = kernel; }
-  Kernel kernel() const noexcept { return kernel_; }
-
-  /// ECI positions of the whole fleet at time t (warm-started solve).
-  void advance(double tSeconds, std::vector<Vec3>& outEci);
-
-  /// As above, plus ECEF positions (Earth angle hoisted per step).
-  void advance(double tSeconds, std::vector<Vec3>& outEci,
-               std::vector<Vec3>& outEcef);
-
- private:
-  void advanceImpl(double tSeconds, std::vector<Vec3>& outEci,
-                   std::vector<Vec3>* outEcef);
-
-  std::shared_ptr<const FleetEphemeris> owned_;  ///< May be null (ref ctor).
-  const FleetEphemeris* fleet_;
-  std::vector<double> prevMeanRad_;       ///< Reduced mean anomaly, last step.
-  std::vector<double> prevEccentricRad_;  ///< Reduced eccentric anomaly.
-  bool primed_ = false;
-  Kernel kernel_ = Kernel::ScalarSpec;
-};
-
 /// Warm single-satellite propagator for dense time scans (handover
-/// visibility-window searches, ground tracks): the scalar analogue of
-/// TimeSweep. Cheap to construct (compiles one satellite's invariants) and
-/// carries the last solve as the next warm start.
+/// visibility-window searches, ground tracks). Cheap to construct
+/// (compiles one satellite's invariants) and carries the last solve as the
+/// next warm start; positions agree with the scalar spec within 1e-13 of
+/// the orbital radius, and a scan may jump arbitrarily far, even backwards
+/// (a warm miss falls back to the cold solve).
 class SatelliteSweep {
  public:
   /// An empty sweep; reset() must run before positionEciAt.

@@ -10,14 +10,11 @@
 
 #include <cmath>
 #include <numbers>
-#include <utility>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
-#include <openspace/orbit/ephemeris.hpp>
-#include <openspace/orbit/propagation_simd.hpp>
 #include <openspace/orbit/snapshot.hpp>
 
 namespace openspace {
@@ -111,45 +108,6 @@ FleetEphemeris::FleetEphemeris(const std::vector<OrbitalElements>& elements)
   }
 }
 
-namespace {
-std::vector<OrbitalElements> elementsOf(const EphemerisService& ephemeris) {
-  std::vector<OrbitalElements> elements;
-  elements.reserve(ephemeris.size());
-  for (const SatelliteId sid : ephemeris.satellites()) {
-    elements.push_back(ephemeris.record(sid).elements);
-  }
-  return elements;
-}
-}  // namespace
-
-FleetEphemeris::FleetEphemeris(const EphemerisService& ephemeris)
-    : FleetEphemeris(elementsOf(ephemeris)) {}
-
-Vec3 FleetEphemeris::positionFromEccentricAnomaly(
-    std::size_t i, double eccentricAnomalyRad) const {
-  const double cosE = std::cos(eccentricAnomalyRad);
-  const double sinE = std::sin(eccentricAnomalyRad);
-  const double xP = semiMajorAxisM_[i] * (cosE - eccentricity_[i]);
-  const double yP = semiMinorAxisM_[i] * sinE;
-  return {p1_[i] * xP + q1_[i] * yP, p2_[i] * xP + q2_[i] * yP,
-          p3_[i] * xP + q3_[i] * yP};
-}
-
-void FleetEphemeris::positionsAt(double tSeconds,
-                                 std::vector<Vec3>& outEci) const {
-  outEci.resize(count_);
-  parallelFor(count_, kBatchChunk, [&](std::size_t begin, std::size_t end) {
-    OPENSPACE_ASSERT(begin <= end && end <= count_,
-                     "parallelFor chunk must stay inside the fleet");
-    for (std::size_t i = begin; i < end; ++i) {
-      const double mRad =
-          meanAnomalyAtEpochRad_[i] + meanMotionRadPerS_[i] * tSeconds;
-      outEci[i] = positionFromEccentricAnomaly(
-          i, solveKepler(mRad, eccentricity_[i]));
-    }
-  });
-}
-
 void FleetEphemeris::positionsAt(double tSeconds, std::vector<Vec3>& outEci,
                                  std::vector<Vec3>& outEcef) const {
   outEci.resize(count_);
@@ -163,21 +121,20 @@ void FleetEphemeris::positionsAt(double tSeconds, std::vector<Vec3>& outEci,
     OPENSPACE_ASSERT(begin <= end && end <= count_,
                      "parallelFor chunk must stay inside the fleet");
     for (std::size_t i = begin; i < end; ++i) {
+      // Operation for operation the scalar spec's perifocal block.
       const double mRad =
           meanAnomalyAtEpochRad_[i] + meanMotionRadPerS_[i] * tSeconds;
-      const Vec3 eci = positionFromEccentricAnomaly(
-          i, solveKepler(mRad, eccentricity_[i]));
+      const double eAnomRad = solveKepler(mRad, eccentricity_[i]);
+      const double cosE = std::cos(eAnomRad);
+      const double sinE = std::sin(eAnomRad);
+      const double xP = semiMajorAxisM_[i] * (cosE - eccentricity_[i]);
+      const double yP = semiMinorAxisM_[i] * sinE;
+      const Vec3 eci{p1_[i] * xP + q1_[i] * yP, p2_[i] * xP + q2_[i] * yP,
+                     p3_[i] * xP + q3_[i] * yP};
       outEci[i] = eci;
       outEcef[i] = {c * eci.x - s * eci.y, s * eci.x + c * eci.y, eci.z};
     }
   });
-}
-
-Vec3 FleetEphemeris::positionAt(std::size_t i, double tSeconds) const {
-  OPENSPACE_ASSERT(i < count_, "satellite index within the fleet");
-  const double mRad =
-      meanAnomalyAtEpochRad_[i] + meanMotionRadPerS_[i] * tSeconds;
-  return positionFromEccentricAnomaly(i, solveKepler(mRad, eccentricity_[i]));
 }
 
 namespace {
@@ -225,90 +182,6 @@ std::size_t FleetEphemeris::setCompiledCacheByteBudget(std::size_t bytes) {
 
 std::size_t FleetEphemeris::compiledCacheApproxBytes() {
   return fleetCache().approxBytes();
-}
-
-TimeSweep::TimeSweep(const FleetEphemeris& fleet) : fleet_(&fleet) {}
-
-TimeSweep::TimeSweep(std::shared_ptr<const FleetEphemeris> fleet)
-    : owned_(std::move(fleet)), fleet_(owned_.get()) {
-  if (!fleet_) throw InvalidArgumentError("TimeSweep: null fleet");
-}
-
-void TimeSweep::advance(double tSeconds, std::vector<Vec3>& outEci) {
-  advanceImpl(tSeconds, outEci, nullptr);
-}
-
-void TimeSweep::advance(double tSeconds, std::vector<Vec3>& outEci,
-                        std::vector<Vec3>& outEcef) {
-  advanceImpl(tSeconds, outEci, &outEcef);
-}
-
-void TimeSweep::advanceImpl(double tSeconds, std::vector<Vec3>& outEci,
-                            std::vector<Vec3>* outEcef) {
-  const FleetEphemeris& f = *fleet_;
-  const std::size_t n = f.count_;
-  outEci.resize(n);
-  if (outEcef) outEcef->resize(n);
-  if (!primed_) {
-    prevMeanRad_.assign(n, 0.0);
-    prevEccentricRad_.assign(n, 0.0);
-  }
-  const bool primed = primed_;
-  double c = 1.0, s = 0.0;
-  if (outEcef) {
-    const double ang = -wgs84::kEarthRotationRadPerS * tSeconds;
-    c = std::cos(ang);
-    s = std::sin(ang);
-  }
-  if (kernel_ == Kernel::Simd) {
-    // Vectorized kernel: same warm-state contract, dispatched once per
-    // advance (the level is process-stable, so serial and parallel runs
-    // execute the same instructions). kBatchChunk is a multiple of the
-    // 4-satellite lane group, so lane grouping — and therefore every
-    // bit of the result — is independent of the thread count.
-    static_assert(kBatchChunk % 4 == 0,
-                  "SIMD lane groups must align with parallelFor chunks");
-    const simd::FleetSoA view{
-        f.count_,
-        f.semiMajorAxisM_.data(),
-        f.eccentricity_.data(),
-        f.meanMotionRadPerS_.data(),
-        f.meanAnomalyAtEpochRad_.data(),
-        f.semiMinorAxisM_.data(),
-        f.p1_.data(),
-        f.p2_.data(),
-        f.p3_.data(),
-        f.q1_.data(),
-        f.q2_.data(),
-        f.q3_.data()};
-    const SimdLevel level = simd::sweepKernelLevel();
-    parallelFor(n, kBatchChunk, [&](std::size_t begin, std::size_t end) {
-      OPENSPACE_ASSERT(begin <= end && end <= n,
-                       "parallelFor chunk must stay inside the fleet");
-      simd::sweepRange(level, view, tSeconds, primed, prevMeanRad_.data(),
-                       prevEccentricRad_.data(), outEci.data(),
-                       outEcef != nullptr ? outEcef->data() : nullptr, c, s,
-                       begin, end);
-    });
-    primed_ = true;
-    return;
-  }
-  parallelFor(n, kBatchChunk, [&](std::size_t begin, std::size_t end) {
-    OPENSPACE_ASSERT(begin <= end && end <= n,
-                     "parallelFor chunk must stay inside the fleet");
-    for (std::size_t i = begin; i < end; ++i) {
-      const double mRad =
-          f.meanAnomalyAtEpochRad_[i] + f.meanMotionRadPerS_[i] * tSeconds;
-      const double eAnomRad = solveKeplerWarm(
-          mRad, f.eccentricity_[i], primed, prevMeanRad_[i], prevEccentricRad_[i]);
-      const Vec3 eci = f.positionFromEccentricAnomaly(i, eAnomRad);
-      outEci[i] = eci;
-      if (outEcef) {
-        (*outEcef)[i] = {c * eci.x - s * eci.y, s * eci.x + c * eci.y, eci.z};
-      }
-    }
-  });
-  primed_ = true;
 }
 
 SatelliteSweep::SatelliteSweep(const OrbitalElements& elements) {

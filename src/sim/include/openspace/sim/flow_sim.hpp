@@ -136,6 +136,10 @@ class FlowSimulator {
   /// throws StateError on a second call.
   FlowSimReport run();
 
+  /// Invariant audit of the event wheel (TimerWheel::audit): throws
+  /// StateError on a broken bitmap, chain or free list.
+  void audit() const { wheel_.audit(); }
+
  private:
   enum EvKind : std::uint32_t { kEmit = 0, kTxDone = 1, kArrive = 2 };
   struct Ev {

@@ -46,6 +46,7 @@ TEST(TimerWheel, FiresInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(w.now(), 3.0);
   EXPECT_TRUE(w.empty());
+  w.audit();
 }
 
 TEST(TimerWheel, FifoTieBreakAtSameTime) {
@@ -54,6 +55,7 @@ TEST(TimerWheel, FifoTieBreakAtSameTime) {
   for (int i = 0; i < 5; ++i) w.schedule(1.0, Tag{i});
   w.runAll([&](double, const Tag& t) { order.push_back(t.v); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  w.audit();
 }
 
 TEST(TimerWheel, OrdersByExactTimestampWithinOneTick) {
@@ -66,6 +68,7 @@ TEST(TimerWheel, OrdersByExactTimestampWithinOneTick) {
   w.schedule(0.2, Tag{2});
   w.runAll([&](double, const Tag& t) { order.push_back(t.v); });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  w.audit();
 }
 
 TEST(TimerWheel, FarFutureEventsCascadeAcrossLevels) {
@@ -82,6 +85,7 @@ TEST(TimerWheel, FarFutureEventsCascadeAcrossLevels) {
   std::vector<double> sorted = times;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(fired, sorted);
+  w.audit();
 }
 
 TEST(TimerWheel, EventsCanScheduleEvents) {
@@ -97,6 +101,7 @@ TEST(TimerWheel, EventsCanScheduleEvents) {
   });
   EXPECT_EQ(chain, 6);
   EXPECT_DOUBLE_EQ(w.now(), 5.0);
+  w.audit();
 }
 
 TEST(TimerWheel, PastSchedulingThrows) {
@@ -105,6 +110,7 @@ TEST(TimerWheel, PastSchedulingThrows) {
   w.runAll([](double, const Tag&) {});
   EXPECT_THROW(w.schedule(1.0, Tag{}), InvalidArgumentError);
   w.schedule(5.0, Tag{});  // exactly now() is allowed
+  w.audit();
 }
 
 TEST(TimerWheel, RunUntilBoundsTimeAndResumes) {
@@ -121,6 +127,7 @@ TEST(TimerWheel, RunUntilBoundsTimeAndResumes) {
   w.runAll(count);
   EXPECT_EQ(fired, 3);
   EXPECT_DOUBLE_EQ(w.now(), 5.0);
+  w.audit();
 }
 
 TEST(TimerWheel, CancelSemantics) {
@@ -134,6 +141,7 @@ TEST(TimerWheel, CancelSemantics) {
   w.runAll([&](double, const Tag& t) { order.push_back(t.v); });
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_FALSE(w.cancel(a));  // already fired
+  w.audit();
 }
 
 TEST(TimerWheel, StaleHandleAfterRecycleIsRejected) {
@@ -147,6 +155,7 @@ TEST(TimerWheel, StaleHandleAfterRecycleIsRejected) {
   int fired = 0;
   w.runAll([&](double, const Tag&) { ++fired; });
   EXPECT_EQ(fired, 1);
+  w.audit();
 }
 
 TEST(TimerWheel, HandlerCanCancelPendingEvent) {
@@ -160,11 +169,13 @@ TEST(TimerWheel, HandlerCanCancelPendingEvent) {
   });
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_TRUE(w.empty());
+  w.audit();
 }
 
 TEST(TimerWheel, RejectsNonPositiveTick) {
   EXPECT_THROW(TimerWheel<Tag>(0.0), InvalidArgumentError);
   EXPECT_THROW(TimerWheel<Tag>(-1.0), InvalidArgumentError);
+  TimerWheel<Tag>(1e-3).audit();  // a fresh wheel passes its own audit
 }
 
 // The property test: the wheel's firing order must equal the legacy
@@ -223,12 +234,15 @@ TEST(TimerWheel, MatchesEventQueueOrderOnRandomWorkload) {
         EXPECT_TRUE(w.cancel(ids[static_cast<std::size_t>(i)]));
       }
     }
+    w.audit();  // cancelled records still sit on their chains
     w.runAll([&](double tS, const Tag& t) {
       wheel.emplace_back(tS, t.v);
       if (t.v < kEvents && t.v % 3 == 1) {
         w.schedule(tS + childDelay(t.v), Tag{t.v + 1'000'000});
       }
+      if (t.v % 500 == 0) w.audit();  // mid-run, from inside a handler
     });
+    w.audit();
   }
 
   ASSERT_EQ(legacy.size(), wheel.size());
@@ -460,6 +474,7 @@ TEST_F(FlowSimLine, MatchesLegacyUnderCongestionDropsAndNoRoute) {
   sim.addFlow(flows[1], route_);
   sim.addFlow(flows[2], Route{});  // kNoPath
   const FlowSimReport rep = sim.run();
+  sim.audit();
 
   expectRecordsEqual(legacy, records);
   // The report aggregates the same stream it checksummed.

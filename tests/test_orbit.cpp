@@ -165,6 +165,15 @@ TEST(GroundTrack, CoversRequestedSpanAndValidatesArgs) {
   }
   EXPECT_THROW(groundTrack(el, 0, 10, 0), InvalidArgumentError);
   EXPECT_THROW(groundTrack(el, 10, 0, 1), InvalidArgumentError);
+  // Non-finite arguments: NaN slips past a plain `<= 0` test, and an
+  // infinite bound or step would never end (or never step) the scan.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(groundTrack(el, bad, 600.0, 60.0), InvalidArgumentError);
+    EXPECT_THROW(groundTrack(el, 0.0, bad, 60.0), InvalidArgumentError);
+    EXPECT_THROW(groundTrack(el, 0.0, 600.0, bad), InvalidArgumentError);
+  }
 }
 
 // --- Walker ------------------------------------------------------------

@@ -1,235 +1,27 @@
-// Property tests for the vectorized batch-propagation kernel
-// (orbit/propagation_simd.hpp):
+// Property tests for the vectorized cap-cell kernel
+// (geo/spherical_index_simd.hpp):
+//   * the dispatch level is consistent with what the build and CPU offer;
 //   * the AVX2 and scalar-fallback instantiations are bit-identical;
-//   * TimeSweep's Simd kernel tracks the scalar executable spec within
-//     the documented bounds (a few ULP of the orbital radius for e == 0,
-//     1e-13-scale of the semi-major axis otherwise);
-//   * Simd sweeps are bit-identical at any thread count.
+//   * the dispatched batch map equals the scalar cellIndexOf member.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numbers>
 #include <vector>
 
-#include <openspace/concurrency/parallel.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/spherical_index.hpp>
 #include <openspace/geo/spherical_index_simd.hpp>
-#include <openspace/geo/units.hpp>
-#include <openspace/orbit/propagation_batch.hpp>
-#include <openspace/orbit/propagation_simd.hpp>
-#include <openspace/orbit/walker.hpp>
 
 namespace openspace {
 namespace {
 
-/// Mixed-eccentricity fleet exercising every solver path: e == 0
-/// short-circuit, near-circular warm 1-2 iteration solves, moderately and
-/// highly eccentric orbits.
-std::vector<OrbitalElements> mixedFleet(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  const double eccs[] = {0.0, 0.0, 1e-3, 0.1, 0.45, 0.74};
-  std::vector<OrbitalElements> els;
-  els.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    OrbitalElements el;
-    el.semiMajorAxisM = rng.uniform(km(6900.0), km(8500.0));
-    el.eccentricity = eccs[i % (sizeof(eccs) / sizeof(eccs[0]))];
-    el.inclinationRad = rng.uniform(0.0, std::numbers::pi);
-    el.raanRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    el.argPerigeeRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    el.meanAnomalyAtEpochRad = rng.uniform(0.0, 2.0 * std::numbers::pi);
-    els.push_back(el);
-  }
-  return els;
-}
-
-/// The FleetSoA a FleetEphemeris would compile — same expressions, built
-/// here because the tests drive the lane kernels directly.
-struct Soa {
-  std::vector<double> a, ecc, nMot, m0, b, p1, p2, p3, q1, q2, q3;
-
-  explicit Soa(const std::vector<OrbitalElements>& els) {
-    for (const OrbitalElements& el : els) {
-      a.push_back(el.semiMajorAxisM);
-      ecc.push_back(el.eccentricity);
-      nMot.push_back(el.meanMotionRadPerS());
-      m0.push_back(el.meanAnomalyAtEpochRad);
-      b.push_back(el.semiMajorAxisM *
-                  std::sqrt(1.0 - el.eccentricity * el.eccentricity));
-      const double cO = std::cos(el.raanRad), sO = std::sin(el.raanRad);
-      const double cI = std::cos(el.inclinationRad);
-      const double sI = std::sin(el.inclinationRad);
-      const double cW = std::cos(el.argPerigeeRad);
-      const double sW = std::sin(el.argPerigeeRad);
-      p1.push_back(cO * cW - sO * sW * cI);
-      q1.push_back(-cO * sW - sO * cW * cI);
-      p2.push_back(sO * cW + cO * sW * cI);
-      q2.push_back(-sO * sW + cO * cW * cI);
-      p3.push_back(sW * sI);
-      q3.push_back(cW * sI);
-    }
-  }
-
-  simd::FleetSoA view() const {
-    return {a.size(),  a.data(),  ecc.data(), nMot.data(),
-            m0.data(), b.data(),  p1.data(),  p2.data(),
-            p3.data(), q1.data(), q2.data(),  q3.data()};
-  }
-};
-
-bool bitEqual(double x, double y) {
-  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-}
-
-bool bitEqual(const Vec3& x, const Vec3& y) {
-  return bitEqual(x.x, y.x) && bitEqual(x.y, y.y) && bitEqual(x.z, y.z);
-}
-
 TEST(SimdKernel, DispatchLevelIsConsistent) {
-  const SimdLevel level = simd::sweepKernelLevel();
+  const SimdLevel level = simd::cellKernelLevel();
   if (level == SimdLevel::Avx2) {
-    EXPECT_TRUE(simd::avx2KernelAvailable());
+    EXPECT_TRUE(simd::avx2CellKernelAvailable());
   }
   EXPECT_TRUE(level == SimdLevel::Avx2 || level == SimdLevel::Scalar4);
-}
-
-TEST(SimdKernel, Avx2MatchesScalar4BitForBit) {
-  if (!simd::avx2KernelAvailable()) {
-    GTEST_SKIP() << "AVX2 kernel not available on this host";
-  }
-  // 103 satellites: a 3-lane tail group every sweep.
-  const auto els = mixedFleet(103, 7);
-  const Soa soa(els);
-  const std::size_t n = els.size();
-
-  std::vector<double> prevMa(n, 0.0), prevEa(n, 0.0);
-  std::vector<double> prevMb(n, 0.0), prevEb(n, 0.0);
-  std::vector<Vec3> eciA(n), ecefA(n), eciB(n), ecefB(n);
-
-  // Unprimed first step, warm steps, a backward jump, and a far jump that
-  // forces warm-start fallbacks.
-  const double times[] = {0.0, 60.0, 120.0, 30.0, 86'400.0, 86'460.0};
-  bool primed = false;
-  for (const double t : times) {
-    const double ang = -0.1 * t;  // any rotation angle; both sides share it
-    const double c = std::cos(ang), s = std::sin(ang);
-    simd::sweepRangeScalar4(soa.view(), t, primed, prevMa.data(),
-                            prevEa.data(), eciA.data(), ecefA.data(), c, s, 0,
-                            n);
-    simd::sweepRangeAvx2(soa.view(), t, primed, prevMb.data(), prevEb.data(),
-                         eciB.data(), ecefB.data(), c, s, 0, n);
-    primed = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(bitEqual(eciA[i], eciB[i])) << "t=" << t << " sat " << i;
-      ASSERT_TRUE(bitEqual(ecefA[i], ecefB[i])) << "t=" << t << " sat " << i;
-      ASSERT_TRUE(bitEqual(prevMa[i], prevMb[i])) << "t=" << t << " sat " << i;
-      ASSERT_TRUE(bitEqual(prevEa[i], prevEb[i])) << "t=" << t << " sat " << i;
-    }
-  }
-}
-
-TEST(SimdKernel, TimeSweepSimdMatchesSpecCircular) {
-  // Walker fleets are circular: the only SIMD-vs-spec divergence is the
-  // final sin/cos pair, so positions agree to a few ULP of the radius.
-  WalkerConfig cfg = iridiumConfig();
-  cfg.totalSatellites = 660;
-  cfg.planes = 20;
-  const auto els = makeWalkerStar(cfg);
-  const FleetEphemeris fleet(els);
-  TimeSweep spec(fleet);
-  TimeSweep simdSweep(fleet);
-  simdSweep.setKernel(TimeSweep::Kernel::Simd);
-  EXPECT_EQ(simdSweep.kernel(), TimeSweep::Kernel::Simd);
-
-  std::vector<Vec3> eciSpec, ecefSpec, eciSimd, ecefSimd;
-  for (const double t : {0.0, 30.0, 60.0, 5'000.0, 86'400.0}) {
-    spec.advance(t, eciSpec, ecefSpec);
-    simdSweep.advance(t, eciSimd, ecefSimd);
-    for (std::size_t i = 0; i < els.size(); ++i) {
-      const double tol = 2e-15 * els[i].semiMajorAxisM;
-      EXPECT_NEAR(eciSpec[i].x, eciSimd[i].x, tol) << "t=" << t;
-      EXPECT_NEAR(eciSpec[i].y, eciSimd[i].y, tol) << "t=" << t;
-      EXPECT_NEAR(eciSpec[i].z, eciSimd[i].z, tol) << "t=" << t;
-      EXPECT_NEAR(ecefSpec[i].x, ecefSimd[i].x, tol) << "t=" << t;
-      EXPECT_NEAR(ecefSpec[i].y, ecefSimd[i].y, tol) << "t=" << t;
-      EXPECT_NEAR(ecefSpec[i].z, ecefSimd[i].z, tol) << "t=" << t;
-    }
-  }
-}
-
-TEST(SimdKernel, TimeSweepSimdMatchesSpecEccentric) {
-  // Eccentric orbits add the Newton stopping slop (|step| < 1e-14 leaves
-  // each solver within ~1e-14 of the root from either side): the bound is
-  // the warm-vs-cold convention scaled by the mutual divergence.
-  const auto els = mixedFleet(97, 11);
-  const FleetEphemeris fleet(els);
-  TimeSweep spec(fleet);
-  TimeSweep simdSweep(fleet);
-  simdSweep.setKernel(TimeSweep::Kernel::Simd);
-
-  std::vector<Vec3> eciSpec, eciSimd;
-  for (const double t : {0.0, 60.0, 120.0, 30.0, 7'200.0}) {
-    spec.advance(t, eciSpec);
-    simdSweep.advance(t, eciSimd);
-    for (std::size_t i = 0; i < els.size(); ++i) {
-      const double tol = 5e-13 * els[i].semiMajorAxisM;
-      EXPECT_NEAR(eciSpec[i].x, eciSimd[i].x, tol) << "t=" << t << " i=" << i;
-      EXPECT_NEAR(eciSpec[i].y, eciSimd[i].y, tol) << "t=" << t << " i=" << i;
-      EXPECT_NEAR(eciSpec[i].z, eciSimd[i].z, tol) << "t=" << t << " i=" << i;
-    }
-  }
-}
-
-TEST(SimdKernel, TimeSweepSimdSerialEqualsParallel) {
-  const auto els = mixedFleet(1000, 23);
-  const FleetEphemeris fleet(els);
-
-  auto sweepAll = [&](int threads) {
-    setParallelThreadCount(threads);
-    TimeSweep sweep(fleet);
-    sweep.setKernel(TimeSweep::Kernel::Simd);
-    std::vector<Vec3> eci, ecef, acc;
-    for (const double t : {0.0, 60.0, 120.0, 180.0}) {
-      sweep.advance(t, eci, ecef);
-      acc.insert(acc.end(), eci.begin(), eci.end());
-      acc.insert(acc.end(), ecef.begin(), ecef.end());
-    }
-    return acc;
-  };
-
-  const auto serial = sweepAll(1);
-  const auto parallel = sweepAll(4);
-  setParallelThreadCount(0);  // restore default
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(bitEqual(serial[i], parallel[i])) << "i=" << i;
-  }
-}
-
-TEST(SimdKernel, SimdKernelSurvivesColdJumpsLikeSpec) {
-  // A sweep that teleports far forward and backward must stay within the
-  // spec bound at every step (warm misses fall back to the cold solver).
-  const auto els = mixedFleet(64, 31);
-  const FleetEphemeris fleet(els);
-  TimeSweep spec(fleet);
-  TimeSweep simdSweep(fleet);
-  simdSweep.setKernel(TimeSweep::Kernel::Simd);
-
-  std::vector<Vec3> eciSpec, eciSimd;
-  for (const double t : {0.0, 43'200.0, 10.0, 86'400.0, 60.0}) {
-    spec.advance(t, eciSpec);
-    simdSweep.advance(t, eciSimd);
-    for (std::size_t i = 0; i < els.size(); ++i) {
-      const double tol = 5e-13 * els[i].semiMajorAxisM;
-      EXPECT_NEAR(eciSpec[i].x, eciSimd[i].x, tol) << "t=" << t << " i=" << i;
-      EXPECT_NEAR(eciSpec[i].y, eciSimd[i].y, tol) << "t=" << t << " i=" << i;
-      EXPECT_NEAR(eciSpec[i].z, eciSimd[i].z, tol) << "t=" << t << " i=" << i;
-    }
-  }
 }
 
 /// Query directions stressing every branch of the cell map: generic unit

@@ -109,11 +109,13 @@ TEST(ThreadSafetyStress, FleetEphemerisCompiledConcurrent) {
   std::vector<std::vector<OrbitalElements>> fleets;
   std::vector<std::uint64_t> hashes;
   std::vector<std::vector<Vec3>> reference(kFleets);
+  std::vector<Vec3> referenceEcef;
   for (int f = 0; f < kFleets; ++f) {
     fleets.push_back(testConstellation(20, 200 + static_cast<std::uint64_t>(f)));
     hashes.push_back(constellationHash(fleets.back()));
     FleetEphemeris(fleets.back())
-        .positionsAt(120.0, reference[static_cast<std::size_t>(f)]);
+        .positionsAt(120.0, reference[static_cast<std::size_t>(f)],
+                     referenceEcef);
   }
 
   hammer(8, 100, [&](int t, int i) {
@@ -121,8 +123,8 @@ TEST(ThreadSafetyStress, FleetEphemerisCompiledConcurrent) {
     const auto fleet = FleetEphemeris::compiled(fleets[f], hashes[f]);
     ASSERT_NE(fleet, nullptr);
     ASSERT_EQ(fleet->size(), fleets[f].size());
-    std::vector<Vec3> eci;
-    fleet->positionsAt(120.0, eci);
+    std::vector<Vec3> eci, ecef;
+    fleet->positionsAt(120.0, eci, ecef);
     ASSERT_EQ(eci.size(), reference[f].size());
     for (std::size_t s = 0; s < eci.size(); ++s) {
       EXPECT_EQ(eci[s].x, reference[f][s].x);
@@ -180,10 +182,11 @@ TEST(ThreadSafetyStress, AllCachesHammeredTogether) {
     EXPECT_EQ(index->size(), snap->size());
     // The compiled fleet's cold evaluation at the snapshot's time must
     // reproduce the snapshot's own positions bit for bit.
-    const Vec3 p = compiledFleet->positionAt(0, tS);
-    EXPECT_EQ(p.x, snap->eci(0).x);
-    EXPECT_EQ(p.y, snap->eci(0).y);
-    EXPECT_EQ(p.z, snap->eci(0).z);
+    std::vector<Vec3> eci, ecef;
+    compiledFleet->positionsAt(tS, eci, ecef);
+    EXPECT_EQ(eci[0].x, snap->eci(0).x);
+    EXPECT_EQ(eci[0].y, snap->eci(0).y);
+    EXPECT_EQ(eci[0].z, snap->eci(0).z);
   });
 }
 

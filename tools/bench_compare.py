@@ -12,7 +12,7 @@ reference numbers in bench/baseline/. Two formats are understood:
   proactive/on-demand latency and detour choice, and the batch serial
   checksum) are re-asserted exactly against the baseline;
 * the custom propagation record ("bench": "propagation") — per-step times
-  for the scalar/batch/warm paths are compared, checksum agreement is
+  for the scalar/batch paths are compared, checksum agreement is
   re-asserted, and the batch speedup is checked against the 3x floor the
   kernel is expected to hold;
 * the custom coverage-index record ("bench": "coverage_index") — indexed
@@ -161,11 +161,10 @@ def compare_routing_ablation(current, baseline, threshold: float) -> int:
 def compare_propagation(current, baseline, threshold: float) -> int:
     warned = 0
     if not current.get("checksums_match", False):
-        warn("propagation: scalar/batch/warm or serial/parallel checksums "
+        warn("propagation: scalar/batch or serial/parallel checksums "
              "diverged")
         warned += 1
-    for key in ("scalar_us_per_step", "batch_us_per_step",
-                "warm_us_per_step"):
+    for key in ("scalar_us_per_step", "batch_us_per_step"):
         cur_t = current.get(key)
         base_t = baseline.get(key)
         if cur_t is None or base_t is None or base_t <= 0:
@@ -180,14 +179,13 @@ def compare_propagation(current, baseline, threshold: float) -> int:
             warned += 1
     # The batch kernel's reason to exist: warn if the speedup over the
     # scalar spec sinks below the floor the baseline machine demonstrated.
-    for key, floor in (("speedup_batch", 3.0), ("speedup_warm", 3.0)):
-        speedup = current.get(key)
-        if speedup is None:
-            continue
-        print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
+    speedup = current.get("speedup_batch")
+    if speedup is not None:
+        floor = 3.0
+        print(f"  speedup_batch: {speedup:.2f}x (floor {floor:.1f}x)")
         if speedup < floor:
-            warn(f"propagation {key}: {speedup:.2f}x below the {floor:.1f}x "
-                 f"floor")
+            warn(f"propagation speedup_batch: {speedup:.2f}x below the "
+                 f"{floor:.1f}x floor")
             warned += 1
     return warned
 
@@ -448,13 +446,13 @@ def compare_session(current, baseline, threshold: float) -> int:
 def compare_scale(current, baseline, threshold: float) -> int:
     warned = 0
     if not current.get("checksums_match", False):
-        warn("scale: a hard gate diverged (serial/parallel, SIMD-vs-scalar "
-             "bit-identity, or indexed closestVisible)")
+        warn("scale: a hard gate diverged (serial/parallel, cap-kernel "
+             "SIMD-vs-scalar bit-identity, or indexed closestVisible)")
         warned += 1
     same_scale = current.get("scale") == baseline.get("scale")
     if not same_scale:
         # CI runs a reduced workload; absolute stage times are incomparable
-        # then, but the kernel speedup floors below still apply.
+        # then, but the cap-kernel speedup floor below still applies.
         print(f"  (scale {current.get('scale')} vs baseline "
               f"{baseline.get('scale')}: skipping stage-time comparison)")
     base_tiers = {t.get("tier"): t for t in baseline.get("tiers", [])}
@@ -471,7 +469,7 @@ def compare_scale(current, baseline, threshold: float) -> int:
                  f"reachable — the intra-shell ISL graph fragmented")
             warned += 1
         if same_scale and base is not None:
-            for key in ("prop_simd_s", "index_build_s", "topo_build_s",
+            for key in ("prop_batch_s", "index_build_s", "topo_build_s",
                         "route_s"):
                 cur_t = tier.get(key)
                 base_t = base.get(key)
@@ -485,23 +483,22 @@ def compare_scale(current, baseline, threshold: float) -> int:
                     warn(f"scale {name} {key}: {cur_t:.4f}s vs baseline "
                          f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
                     warned += 1
-    # The SIMD kernels' reason to exist: the >= 2x single-core acceptance
-    # floor (measured 4-7x; the floor sits far below so machine noise
-    # doesn't flake). Only meaningful when the AVX2 translation units
+    # The SIMD cap kernel's reason to exist: the >= 2x single-core
+    # acceptance floor (measured 4-7x; the floor sits far below so machine
+    # noise doesn't flake). Only meaningful when the AVX2 translation unit
     # dispatched — on a scalar4-only host both sides run the same lanes.
     if current.get("cap_kernel_level") == "avx2":
-        for key, floor in (("speedup_propagation_best", 2.0),
-                           ("speedup_capindex_best", 2.0)):
-            speedup = current.get(key)
-            if speedup is None:
-                continue
-            print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
+        speedup = current.get("speedup_capindex_best")
+        if speedup is not None:
+            floor = 2.0
+            print(f"  speedup_capindex_best: {speedup:.2f}x "
+                  f"(floor {floor:.1f}x)")
             if speedup < floor:
-                warn(f"scale {key}: {speedup:.2f}x below the "
-                     f"{floor:.1f}x floor")
+                warn(f"scale speedup_capindex_best: {speedup:.2f}x below "
+                     f"the {floor:.1f}x floor")
                 warned += 1
     else:
-        print("  (cap kernel dispatched scalar4: no speedup floors)")
+        print("  (cap kernel dispatched scalar4: no speedup floor)")
     return warned
 
 
