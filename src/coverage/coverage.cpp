@@ -90,6 +90,10 @@ CoverageEstimate monteCarloCoverage(const std::vector<OrbitalElements>& sats,
   const auto snap = SnapshotCache::global().at(sats, tSeconds);
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
   const std::uint64_t baseSeed = rng.engine()();
+  // One query here, on the calling thread, builds the cover certificates
+  // with the whole pool before the fan-out (inside a worker the build
+  // would run serially).
+  (void)footprints->anyCovers(Vec3{0.0, 0.0, 1.0});
 
   // Sample in ECI directly: coverage of the sphere is rotation-invariant.
   // The stream derivation and the per-sample draw sequence are identical
@@ -147,6 +151,8 @@ double kFoldCoverage(const std::vector<OrbitalElements>& sats, double tSeconds,
   const auto snap = SnapshotCache::global().at(sats, tSeconds);
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
   const std::uint64_t baseSeed = rng.engine()();
+  // Build the cover certificates before the fan-out, as above.
+  (void)footprints->anyCovers(Vec3{0.0, 0.0, 1.0});
 
   const std::size_t n = static_cast<std::size_t>(samples);
   std::vector<int> chunkCovered((n + kSampleChunk - 1) / kSampleChunk, 0);

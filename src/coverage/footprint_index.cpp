@@ -134,7 +134,12 @@ FootprintIndex2::FootprintIndex2(
     maxHalfAngleRad_ = std::max(maxHalfAngleRad_, h);
   }
   capIndex_ = SphericalCapIndex(caps);
+}
 
+void FootprintIndex2::buildCoverCertificates() const {
+  CoverCertificates& certs = *certs_;
+  MutexLock lock(certs.mu);
+  if (certs.built.load(std::memory_order_relaxed)) return;
   // Whole-cell cover certificates: cap i certifies cell c when all four
   // (conservatively expanded) cell corners sit inside the *exact* footprint
   // cap with a safety margin — then every query direction mapping to c is
@@ -147,7 +152,7 @@ FootprintIndex2::FootprintIndex2(
   // Cells without registrations keep a count of 0 and skip the corner
   // work; each fixed chunk of cells writes only its own slots.
   const std::size_t cells = capIndex_.cellCount();
-  minCoverCount_.assign(cells, 0);
+  std::vector<std::uint16_t> minCoverCount(cells, 0);
   parallelFor(cells, kCertCellChunk, [&](std::size_t begin, std::size_t end) {
     const std::vector<std::uint32_t>& entries = capIndex_.entries();
     for (std::size_t cell = begin; cell < end; ++cell) {
@@ -165,21 +170,23 @@ FootprintIndex2::FootprintIndex2(
         }
         count += all ? 1 : 0;
       }
-      minCoverCount_[cell] =
+      minCoverCount[cell] =
           static_cast<std::uint16_t>(std::min(count, 0xFFFF));
     }
   });
+  certs.minCoverCount = std::move(minCoverCount);
+  certs.built.store(true, std::memory_order_release);
 }
 
-bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const noexcept {
-  if (minCoverCount_.empty()) return false;
+bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const {
+  if (coverCertificates().empty()) return false;
   return anyCoversAt(
       unitPoint, static_cast<std::uint32_t>(capIndex_.cellIndexOf(unitPoint)));
 }
 
 int FootprintIndex2::countCovering(const Vec3& unitPoint,
-                                   int stopAfter) const noexcept {
-  if (minCoverCount_.empty()) return 0;
+                                   int stopAfter) const {
+  if (coverCertificates().empty()) return 0;
   return countCoveringAt(
       unitPoint, static_cast<std::uint32_t>(capIndex_.cellIndexOf(unitPoint)),
       stopAfter);
@@ -191,11 +198,12 @@ void FootprintIndex2::cellIndicesOf(const Vec3* unitPoints, std::size_t n,
 }
 
 bool FootprintIndex2::anyCoversAt(const Vec3& unitPoint,
-                                  std::uint32_t cell) const noexcept {
-  if (minCoverCount_.empty()) return false;
+                                  std::uint32_t cell) const {
+  const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
+  if (minCoverCount.empty()) return false;
   // Certified cell: some cap provably contains every direction here, so
   // the brute scan would find a hit too — answer without any dot products.
-  if (minCoverCount_[cell] > 0) return true;
+  if (minCoverCount[cell] > 0) return true;
   const auto [lo, hi] = capIndex_.cellEntryRange(cell);
   const auto& entries = capIndex_.entries();
   for (std::uint32_t e = lo; e < hi; ++e) {
@@ -207,17 +215,18 @@ bool FootprintIndex2::anyCoversAt(const Vec3& unitPoint,
 }
 
 int FootprintIndex2::countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
-                                     int stopAfter) const noexcept {
+                                     int stopAfter) const {
   // Reproduce the brute scan's early-stop semantics exactly: it returns
   // min(total, stopAfter) for stopAfter >= 1 and, for stopAfter <= 0,
   // breaks on the first covering satellite (1 if any, else 0). Both are
   // order-independent, so early stops are safe wherever the result is
   // already forced.
-  if (minCoverCount_.empty()) return 0;
+  const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
+  if (minCoverCount.empty()) return 0;
   const int limit = std::max(stopAfter, 1);
-  // At least minCoverCount_[cell] satellites cover every direction here;
+  // At least minCoverCount[cell] satellites cover every direction here;
   // when that alone reaches the stop limit the clamped count is forced.
-  if (static_cast<int>(minCoverCount_[cell]) >= limit) return limit;
+  if (static_cast<int>(minCoverCount[cell]) >= limit) return limit;
   const auto [lo, hi] = capIndex_.cellEntryRange(cell);
   const auto& entries = capIndex_.entries();
   int total = 0;

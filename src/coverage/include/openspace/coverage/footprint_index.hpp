@@ -30,12 +30,14 @@
 // executable spec the indexed paths are property-tested against.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <type_traits>
 #include <vector>
 
+#include <openspace/core/thread_annotations.hpp>
 #include <openspace/geo/geodetic.hpp>
 #include <openspace/geo/spherical_index.hpp>
 #include <openspace/geo/vec3.hpp>
@@ -44,11 +46,19 @@ namespace openspace {
 
 class ConstellationSnapshot;
 
-/// Spatially indexed footprint tests over one snapshot. Immutable after
-/// construction; share freely across threads. Obtain via compiled() on any
-/// hot path — construction costs one pass over the fleet plus the band
-/// index build and the certificate pass (both parallel over fixed chunks,
-/// bit-identical at any thread count), amortized by a process-wide LRU.
+/// Spatially indexed footprint tests over one snapshot. Logically
+/// immutable after construction; share freely across threads. Obtain via
+/// compiled() on any hot path — construction costs one pass over the fleet
+/// plus the band index build (parallel over fixed chunks, bit-identical at
+/// any thread count), amortized by a process-wide LRU. The whole-cell cover
+/// certificates only the surface-sample queries read are built once, on the
+/// first anyCovers/countCovering(At) call, under a lock that makes
+/// concurrent first calls wait for that one build. A fan-out whose chunks
+/// query a fresh index should make one query on its calling thread first
+/// (as monteCarloCoverage does): the build then fans out itself, and no
+/// chunk of one fan-out waits on a build queued behind it for the pool.
+/// Movable, not copyable; a moved-from index may only be destroyed or
+/// assigned to.
 class FootprintIndex2 {
  public:
   /// Lowest/highest observer radius (from Earth center) the ground-site
@@ -84,12 +94,14 @@ class FootprintIndex2 {
   /// Approximate resident size in bytes: the per-satellite cap arrays, the
   /// band index, and the certificate table (excludes the shared snapshot,
   /// which SnapshotCache accounts separately) — what the compiled() cache
-  /// charges per entry.
+  /// charges per entry. The table is charged at its full size whether or
+  /// not a query has built it yet, so the cache, which charges an entry
+  /// once at insert, never under-charges one.
   std::size_t approxBytes() const noexcept {
-    return sizeof(*this) +
+    return sizeof(*this) + sizeof(CoverCertificates) +
            direction_.size() * (sizeof(Vec3) + 2 * sizeof(double)) +
            capIndex_.approxBytes() +
-           minCoverCount_.size() * sizeof(std::uint16_t);
+           capIndex_.cellCount() * sizeof(std::uint16_t);
   }
   const ConstellationSnapshot& snapshot() const noexcept { return *snapshot_; }
 
@@ -105,12 +117,19 @@ class FootprintIndex2 {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
   }
   /// True if any satellite covers the point. Same boolean as the brute
-  /// scan, found through the band index.
-  bool anyCovers(const Vec3& unitPoint) const noexcept;
+  /// scan, found through the band index. The first call of this or the
+  /// three other surface-sample queries builds the cover certificates.
+  bool anyCovers(const Vec3& unitPoint) const;
   /// Number of satellites covering the point, counting stops at
   /// `stopAfter` — same result as the brute ascending scan for every
   /// stopAfter, including the degenerate stopAfter <= 0 cases.
-  int countCovering(const Vec3& unitPoint, int stopAfter) const noexcept;
+  int countCovering(const Vec3& unitPoint, int stopAfter) const;
+  /// True once a surface-sample query has built the cover certificates.
+  /// Ground-site queries (closestVisible, anyVisibleFrom,
+  /// forEachGroundCandidate, overlapCandidates) never build them.
+  bool coverCertificatesBuilt() const noexcept {
+    return certs_->built.load(std::memory_order_acquire);
+  }
 
   /// Batch cell mapping of `n` unit ECI directions, bit-identical to the
   /// scalar map the plain anyCovers/countCovering apply per query
@@ -121,10 +140,10 @@ class FootprintIndex2 {
                      std::uint32_t* outCells) const;
   /// anyCovers with the point's cell precomputed: `cell` must be the
   /// value cellIndicesOf maps `unitPoint` to. Same boolean as anyCovers.
-  bool anyCoversAt(const Vec3& unitPoint, std::uint32_t cell) const noexcept;
+  bool anyCoversAt(const Vec3& unitPoint, std::uint32_t cell) const;
   /// countCovering with the point's cell precomputed; same contract.
   int countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
-                      int stopAfter) const noexcept;
+                      int stopAfter) const;
 
   /// True if at least one satellite is at or above the mask from the ECEF
   /// site — the exact mask predicate (GroundObserver::sees), candidates
@@ -208,6 +227,36 @@ class FootprintIndex2 {
   static std::size_t compiledCacheMisses();
 
  private:
+  /// Whole-cell cover certificates, one per grid cell: the number of
+  /// satellites (saturated at 2^16-1) whose *exact* footprint cap provably
+  /// contains every unit direction mapping to the cell. anyCovers and
+  /// countCovering answer most queries from this table alone — no dot
+  /// products — which is where the Monte-Carlo sweep speedup comes from.
+  /// Certificates shortcut only the unit-sphere cap predicate; ground-site
+  /// queries always run the exact elevation test over the candidate list
+  /// and never build the table.
+  struct CoverCertificates {
+    Mutex mu;
+    std::atomic<bool> built{false};
+    std::vector<std::uint16_t> minCoverCount OPENSPACE_GUARDED_BY(mu);
+  };
+
+  /// The certificate table, built on first use. Reads `minCoverCount`
+  /// without `mu`, which the analysis cannot express as safe: the table is
+  /// written once, under `mu`, before the release store of `built`, and is
+  /// read here only after an acquire load has seen `built`, so the read
+  /// happens after the write and nothing writes the table again.
+  const std::vector<std::uint16_t>& coverCertificates() const
+      OPENSPACE_NO_THREAD_SAFETY_ANALYSIS {
+    if (!certs_->built.load(std::memory_order_acquire)) {
+      buildCoverCertificates();
+    }
+    return certs_->minCoverCount;
+  }
+  /// Builds the table exactly once (later and concurrent callers find it
+  /// built under the lock).
+  void buildCoverCertificates() const;
+
   std::shared_ptr<const ConstellationSnapshot> snapshot_;
   ElevationMask mask_;
   double motionMarginRad_ = 0.0;
@@ -220,14 +269,9 @@ class FootprintIndex2 {
   std::vector<double> halfAngle_;
   double maxHalfAngleRad_ = 0.0;
   SphericalCapIndex capIndex_;
-  /// Whole-cell cover certificates, one per grid cell: the number of
-  /// satellites (saturated at 2^16-1) whose *exact* footprint cap provably
-  /// contains every unit direction mapping to the cell. anyCovers and
-  /// countCovering answer most queries from this array alone — no dot
-  /// products — which is where the Monte-Carlo sweep speedup comes from.
-  /// Certificates shortcut only the unit-sphere cap predicate; ground-site
-  /// queries always run the exact elevation test over the candidate list.
-  std::vector<std::uint16_t> minCoverCount_;
+  /// Behind a pointer so the index stays movable (the lock is not).
+  std::unique_ptr<CoverCertificates> certs_ =
+      std::make_unique<CoverCertificates>();
 };
 
 }  // namespace openspace

@@ -8,6 +8,8 @@
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
 
+#include "scan_range.hpp"
+
 namespace openspace {
 
 namespace {
@@ -134,15 +136,7 @@ Vec3 positionEci(const OrbitalElements& el, double tSeconds) {
 
 std::vector<GroundTrackPoint> groundTrack(const OrbitalElements& el, double t0S,
                                           double t1S, double stepS) {
-  // Negated in-range tests, so that NaN is rejected too; an infinite
-  // bound or step would never end (or never step) the scan.
-  if (!(stepS > 0.0) || std::isinf(stepS)) {
-    throw InvalidArgumentError("groundTrack: step must be finite and > 0");
-  }
-  if (!std::isfinite(t0S) || !std::isfinite(t1S)) {
-    throw InvalidArgumentError("groundTrack: times must be finite");
-  }
-  if (t1S < t0S) throw InvalidArgumentError("groundTrack: t1S < t0S");
+  checkScanRange("groundTrack", t0S, t1S, stepS);
   std::vector<GroundTrackPoint> track;
   track.reserve(static_cast<std::size_t>((t1S - t0S) / stepS) + 1);
   // Monotone dense scan of one satellite: the warm-started sweep converges

@@ -78,7 +78,9 @@ struct GroundTrackPoint {
 
 /// Sample the ground track over [t0S, t1S] at `stepS` intervals (inclusive of
 /// t0S; the final sample is the last grid point <= t1S). Throws
-/// InvalidArgumentError if stepS <= 0 or t1S < t0S.
+/// InvalidArgumentError unless stepS > 0 and t0S <= t1S, all three finite,
+/// the range holds at most 1e7 steps, and one step advances t at both ends
+/// of the range.
 std::vector<GroundTrackPoint> groundTrack(const OrbitalElements& el, double t0S,
                                           double t1S, double stepS);
 

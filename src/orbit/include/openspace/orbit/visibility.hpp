@@ -38,6 +38,7 @@ struct ContactWindow {
 /// Predict all visibility windows of `el` from `ground` over [t0S, t1S].
 /// Coarse-samples at `stepS` then refines each edge by bisection to ~1 ms.
 /// Windows truncated by the interval boundaries are reported truncated.
+/// Throws InvalidArgumentError for the ranges groundTrack rejects.
 std::vector<ContactWindow> contactWindows(const OrbitalElements& el,
                                           const Geodetic& ground, double t0S,
                                           double t1S, double minElevationRad,

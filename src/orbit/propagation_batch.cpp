@@ -65,6 +65,46 @@ double solveKeplerWarm(double meanAnomalyRad, double ecc, bool primed,
   return guess + (meanAnomalyRad - reducedRad);
 }
 
+/// The time-invariant terms of one orbit's perifocal position: the y_P
+/// coefficient b = a * sqrt(1 - e^2) and the perifocal -> ECI rotation
+/// Rz(raan) * Rx(incl) * Rz(argPerigee), stored as its two used columns
+/// P = (r11, r21, r31) and Q = (r12, r22, r32). The one place both
+/// FleetEphemeris and SatelliteSweep compile an orbit.
+struct PerifocalTerms {
+  double semiMinorAxisM;
+  double p1, p2, p3;  // units: rotation-matrix entries
+  double q1, q2, q3;  // units: rotation-matrix entries
+};
+
+PerifocalTerms perifocalTerms(const OrbitalElements& el) {
+  const double ecc = el.eccentricity;
+  const double cO = std::cos(el.raanRad), sO = std::sin(el.raanRad);
+  const double cI = std::cos(el.inclinationRad), sI = std::sin(el.inclinationRad);
+  const double cW = std::cos(el.argPerigeeRad), sW = std::sin(el.argPerigeeRad);
+  // The scalar path evaluates yP = a * sqrt(1 - e^2) * sinE left to
+  // right, so a * sqrt(1 - e^2) is exactly the term it forms first; the
+  // rotation entries are its r11..r32 expressions.
+  return {el.semiMajorAxisM * std::sqrt(1.0 - ecc * ecc),
+          cO * cW - sO * sW * cI,
+          sO * cW + cO * sW * cI,
+          sW * sI,
+          -cO * sW - sO * cW * cI,
+          -sO * sW + cO * cW * cI,
+          cW * sI};
+}
+
+/// ECI position at the eccentric anomaly with cosine `cosE` and sine
+/// `sinE` of the orbit with semi-major axis `a`, eccentricity `ecc` and
+/// terms `t`: operation for operation the scalar spec's perifocal block.
+/// Callers take the sine and cosine first, so the terms are read after
+/// the calls rather than held across them.
+inline Vec3 perifocalEci(double cosE, double sinE, double a, double ecc,
+                         const PerifocalTerms& t) noexcept {
+  const double xP = a * (cosE - ecc);
+  const double yP = t.semiMinorAxisM * sinE;
+  return {t.p1 * xP + t.q1 * yP, t.p2 * xP + t.q2 * yP, t.p3 * xP + t.q3 * yP};
+}
+
 }  // namespace
 
 FleetEphemeris::FleetEphemeris(const std::vector<OrbitalElements>& elements)
@@ -86,25 +126,18 @@ FleetEphemeris::FleetEphemeris(const std::vector<OrbitalElements>& elements)
       throw InvalidArgumentError(
           "FleetEphemeris: eccentricity must be in [0, 1)");
     }
-    const double a = el.semiMajorAxisM;
-    semiMajorAxisM_.push_back(a);
+    semiMajorAxisM_.push_back(el.semiMajorAxisM);
     eccentricity_.push_back(ecc);
     meanMotionRadPerS_.push_back(el.meanMotionRadPerS());
     meanAnomalyAtEpochRad_.push_back(el.meanAnomalyAtEpochRad);
-    // The scalar path evaluates yP = a * sqrt(1 - e^2) * sinE left to
-    // right, so a * sqrt(1 - e^2) is exactly the term it forms first.
-    semiMinorAxisM_.push_back(a * std::sqrt(1.0 - ecc * ecc));
-    // Perifocal -> ECI rotation Rz(raan) * Rx(incl) * Rz(argPerigee),
-    // entry expressions identical to the scalar path's r11..r32.
-    const double cO = std::cos(el.raanRad), sO = std::sin(el.raanRad);
-    const double cI = std::cos(el.inclinationRad), sI = std::sin(el.inclinationRad);
-    const double cW = std::cos(el.argPerigeeRad), sW = std::sin(el.argPerigeeRad);
-    p1_.push_back(cO * cW - sO * sW * cI);
-    q1_.push_back(-cO * sW - sO * cW * cI);
-    p2_.push_back(sO * cW + cO * sW * cI);
-    q2_.push_back(-sO * sW + cO * cW * cI);
-    p3_.push_back(sW * sI);
-    q3_.push_back(cW * sI);
+    const PerifocalTerms t = perifocalTerms(el);
+    semiMinorAxisM_.push_back(t.semiMinorAxisM);
+    p1_.push_back(t.p1);
+    p2_.push_back(t.p2);
+    p3_.push_back(t.p3);
+    q1_.push_back(t.q1);
+    q2_.push_back(t.q2);
+    q3_.push_back(t.q3);
   }
 }
 
@@ -127,10 +160,9 @@ void FleetEphemeris::positionsAt(double tSeconds, std::vector<Vec3>& outEci,
       const double eAnomRad = solveKepler(mRad, eccentricity_[i]);
       const double cosE = std::cos(eAnomRad);
       const double sinE = std::sin(eAnomRad);
-      const double xP = semiMajorAxisM_[i] * (cosE - eccentricity_[i]);
-      const double yP = semiMinorAxisM_[i] * sinE;
-      const Vec3 eci{p1_[i] * xP + q1_[i] * yP, p2_[i] * xP + q2_[i] * yP,
-                     p3_[i] * xP + q3_[i] * yP};
+      const Vec3 eci = perifocalEci(
+          cosE, sinE, semiMajorAxisM_[i], eccentricity_[i],
+          {semiMinorAxisM_[i], p1_[i], p2_[i], p3_[i], q1_[i], q2_[i], q3_[i]});
       outEci[i] = eci;
       outEcef[i] = {c * eci.x - s * eci.y, s * eci.x + c * eci.y, eci.z};
     }
@@ -198,18 +230,14 @@ void SatelliteSweep::reset(const OrbitalElements& elements) {
   eccentricity_ = ecc;
   meanMotionRadPerS_ = elements.meanMotionRadPerS();
   meanAnomalyAtEpochRad_ = elements.meanAnomalyAtEpochRad;
-  semiMinorAxisM_ = a * std::sqrt(1.0 - ecc * ecc);
-  const double cO = std::cos(elements.raanRad), sO = std::sin(elements.raanRad);
-  const double cI = std::cos(elements.inclinationRad);
-  const double sI = std::sin(elements.inclinationRad);
-  const double cW = std::cos(elements.argPerigeeRad);
-  const double sW = std::sin(elements.argPerigeeRad);
-  p1_ = cO * cW - sO * sW * cI;
-  q1_ = -cO * sW - sO * cW * cI;
-  p2_ = sO * cW + cO * sW * cI;
-  q2_ = -sO * sW + cO * cW * cI;
-  p3_ = sW * sI;
-  q3_ = cW * sI;
+  const PerifocalTerms t = perifocalTerms(elements);
+  semiMinorAxisM_ = t.semiMinorAxisM;
+  p1_ = t.p1;
+  p2_ = t.p2;
+  p3_ = t.p3;
+  q1_ = t.q1;
+  q2_ = t.q2;
+  q3_ = t.q3;
   perigeeRadiusM_ = a * (1.0 - ecc);
   apogeeRadiusM_ = a * (1.0 + ecc);
   maxAngularRateRadPerS_ = elements.maxAngularRateRadPerS();
@@ -234,9 +262,8 @@ Vec3 SatelliteSweep::positionEciAt(double tSeconds) {
   const double eAnomRad = eccentricAnomalyAt(tSeconds);
   const double cosE = std::cos(eAnomRad);
   const double sinE = std::sin(eAnomRad);
-  const double xP = semiMajorAxisM_ * (cosE - eccentricity_);
-  const double yP = semiMinorAxisM_ * sinE;
-  return {p1_ * xP + q1_ * yP, p2_ * xP + q2_ * yP, p3_ * xP + q3_ * yP};
+  return perifocalEci(cosE, sinE, semiMajorAxisM_, eccentricity_,
+                      {semiMinorAxisM_, p1_, p2_, p3_, q1_, q2_, q3_});
 }
 
 }  // namespace openspace

@@ -6,6 +6,8 @@
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
 
+#include "scan_range.hpp"
+
 namespace openspace {
 
 namespace {
@@ -54,15 +56,7 @@ std::vector<ContactWindow> contactWindows(const OrbitalElements& el,
                                           const Geodetic& ground, double t0S,
                                           double t1S, double minElevationRad,
                                           double stepS) {
-  // Negated in-range tests, so that NaN is rejected too; an infinite
-  // bound or step would never end (or never step) the scan.
-  if (!(stepS > 0.0) || std::isinf(stepS)) {
-    throw InvalidArgumentError("contactWindows: step must be finite and > 0");
-  }
-  if (!std::isfinite(t0S) || !std::isfinite(t1S)) {
-    throw InvalidArgumentError("contactWindows: times must be finite");
-  }
-  if (t1S < t0S) throw InvalidArgumentError("contactWindows: t1S < t0S");
+  checkScanRange("contactWindows", t0S, t1S, stepS);
 
   const GroundObserver site(ground);
   const ElevationMask mask = ElevationMask::of(minElevationRad);

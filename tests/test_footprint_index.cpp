@@ -13,12 +13,14 @@
 //    must match the per-user brute association exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,8 +38,13 @@
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/routing/engine.hpp>
+#include <openspace/session/handover_sweep.hpp>
+#include <openspace/session/session_table.hpp>
+#include <openspace/sim/flow_sim.hpp>
 #include <openspace/spec/coverage_legacy.hpp>
 #include <openspace/spec/footprint_index.hpp>
+#include <openspace/topology/builder.hpp>
 
 namespace openspace {
 namespace {
@@ -793,10 +800,9 @@ double sweepMarginRad(const std::vector<OrbitalElements>& fleet) {
   return rate * (0.5 * 15.0 + 1e-3) + 1e-6;
 }
 
-/// Serial == parallel fold of a compiled index's query answers: capped
-/// and full countCovering over a fixed lat/lon grid of unit directions,
-/// and closestVisible from a fixed grid of ground sites.
-std::uint64_t queryChecksum(const FootprintIndex2& index) {
+/// FNV fold of capped and full countCovering over a fixed lat/lon grid of
+/// unit directions.
+std::uint64_t coverChecksum(const FootprintIndex2& index) {
   std::uint64_t h = kFnvOffsetBasis;
   for (int la = -90; la <= 90; la += 3) {
     for (int lo = -180; lo < 180; lo += 3) {
@@ -805,6 +811,13 @@ std::uint64_t queryChecksum(const FootprintIndex2& index) {
       h = fnv1a(h, static_cast<std::uint64_t>(index.countCovering(p, 1 << 20)));
     }
   }
+  return h;
+}
+
+/// Serial == parallel fold of a compiled index's query answers:
+/// coverChecksum, then closestVisible from a fixed grid of ground sites.
+std::uint64_t queryChecksum(const FootprintIndex2& index) {
+  std::uint64_t h = coverChecksum(index);
   for (int la = -85; la <= 85; la += 10) {
     for (int lo = -180; lo < 180; lo += 10) {
       const auto best = index.closestVisible(
@@ -855,6 +868,138 @@ TEST(FootprintIndex2, BuildMatchesPinnedLayoutAtAnyThreadCount) {
           << fleet.name << " margin " << marginRad
           << ": countCovering/closestVisible differ serial vs parallel";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cover certificates: built on the first surface-sample query only
+// ---------------------------------------------------------------------------
+
+TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
+  // A fleet no other test compiles, so every cached index below is fresh.
+  WalkerConfig wc = iridiumConfig();
+  wc.altitudeM = km(813.0);
+  EphemerisService eph;
+  for (const auto& el : makeWalkerStar(wc)) eph.publish(ProviderId{1}, el);
+  const double mask = deg2rad(10.0);
+  SweepConfig cfg;
+  cfg.minElevationRad = mask;
+  const HandoverSweep sweep(eph, cfg);
+  const std::vector<OrbitalElements>& fleet = sweep.fleet();
+
+  // The direct ground-site queries.
+  const auto index =
+      FootprintIndex2::compiled(SnapshotCache::global().at(fleet, 0.0), mask);
+  EXPECT_FALSE(index->coverCertificatesBuilt());
+  std::vector<Geodetic> sites;
+  for (int la = -75; la <= 75; la += 15) {
+    for (int lo = -180; lo < 180; lo += 30) {
+      sites.push_back(Geodetic::fromDegrees(la + 0.4, lo + 0.9));
+    }
+  }
+  std::size_t candidates = 0;
+  std::vector<std::uint32_t> overlaps;
+  for (const Geodetic& site : sites) {
+    const Vec3 ecef = geodeticToEcef(site);
+    (void)index->closestVisible(ecef);
+    (void)index->anyVisibleFrom(ecef);
+    index->forEachGroundCandidate(ecef, [&](std::uint32_t) { ++candidates; });
+  }
+  index->overlapCandidates(0, overlaps);
+  EXPECT_GT(candidates, 0u);
+  EXPECT_FALSE(index->coverCertificatesBuilt());
+
+  // A seed, then 15 s handover epochs over five 60 s windows: the seed's
+  // exact index at t0 and each window's margined index.
+  SessionTable table(fleet.size());
+  std::vector<SessionSeed> seeds;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    seeds.push_back(SessionSeed{static_cast<UserId>(i + 1), sites[i], 4.0e9,
+                                0x2000 + i});
+  }
+  sweep.seed(table, seeds, 0.0, SeedMode::ClosestAssociation);
+  std::size_t touched = 0;
+  for (double t1 = 15.0; t1 <= 300.0; t1 += 15.0) {
+    touched += sweep.runEpoch(table, t1).sessionsTouched;
+  }
+  EXPECT_GT(touched, 0u);
+  EXPECT_FALSE(index->coverCertificatesBuilt());
+  // Each window's index, from the cache (no miss): anchored at the window
+  // centre, with the drift margin over the half-window plus the query
+  // offset.
+  std::size_t misses = FootprintIndex2::compiledCacheMisses();
+  for (double centreS = 30.0; centreS < 300.0; centreS += 60.0) {
+    const auto windowIndex = FootprintIndex2::compiled(
+        SnapshotCache::global().at(fleet, centreS), mask,
+        sweep.maxAngularRateRadPerS() * (30.0 + 1e-3) + 1e-6);
+    EXPECT_FALSE(windowIndex->coverCertificatesBuilt()) << centreS << " s";
+  }
+  EXPECT_EQ(FootprintIndex2::compiledCacheMisses(), misses);
+
+  // City-flow association over a snapshot at another time.
+  TopologyBuilder topo(eph);
+  const std::vector<NodeId> gateways = {
+      topo.nodeOf(topo.addGroundStation(
+          {"paris", Geodetic::fromDegrees(48.86, 2.35), ProviderId{1}})),
+      topo.nodeOf(topo.addGroundStation(
+          {"denver", Geodetic::fromDegrees(39.74, -104.99), ProviderId{1}}))};
+  SnapshotOptions opt;
+  opt.wiring = IslWiring::PlusGrid;
+  opt.planes = 6;
+  opt.minElevationRad = mask;
+  const NetworkGraph graph = topo.snapshot(120.0, opt);
+  const RouteEngine engine(graph, latencyCost());
+  std::vector<NodeId> satNodes;
+  for (const SatelliteId sid : eph.satellites()) {
+    satNodes.push_back(topo.nodeOf(sid));
+  }
+  CityFlowConfig flowCfg;
+  flowCfg.users = 2'000;
+  flowCfg.minElevationRad = mask;
+  const auto flowSnap = SnapshotCache::global().at(fleet, 120.0);
+  const CityFlows flows =
+      buildCityFlows(flowCfg, flowSnap, satNodes, gateways, engine);
+  EXPECT_FALSE(flows.specs.empty());
+  misses = FootprintIndex2::compiledCacheMisses();
+  const auto flowIndex = FootprintIndex2::compiled(flowSnap, mask);
+  EXPECT_EQ(FootprintIndex2::compiledCacheMisses(), misses);
+  EXPECT_FALSE(flowIndex->coverCertificatesBuilt());
+
+  // The first surface-sample query builds the table.
+  (void)index->anyCovers(Vec3{0.0, 0.0, 1.0});
+  EXPECT_TRUE(index->coverCertificatesBuilt());
+  EXPECT_FALSE(flowIndex->coverCertificatesBuilt());
+}
+
+TEST(FootprintIndex2, ConcurrentFirstQueriesShareOneCertificateBuild) {
+  const auto snap = std::make_shared<const ConstellationSnapshot>(
+      makeWalkerDelta({1'584, 72, 1, km(550.0), deg2rad(53.0)}), 300.0);
+  const double mask = deg2rad(10.0);
+  const std::uint64_t reference = atThreads(1, [&] {
+    const FootprintIndex2 serial(snap, mask);
+    return coverChecksum(serial);
+  });
+
+  const FootprintIndex2 index(snap, mask);
+  ASSERT_FALSE(index.coverCertificatesBuilt());
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> answers(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Release every thread at once so the first queries race.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      answers[static_cast<std::size_t>(t)] = coverChecksum(index);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_TRUE(index.coverCertificatesBuilt());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(hex(answers[static_cast<std::size_t>(t)]), hex(reference))
+        << "thread " << t;
   }
 }
 

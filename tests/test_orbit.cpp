@@ -174,6 +174,17 @@ TEST(GroundTrack, CoversRequestedSpanAndValidatesArgs) {
     EXPECT_THROW(groundTrack(el, 0.0, bad, 60.0), InvalidArgumentError);
     EXPECT_THROW(groundTrack(el, 0.0, 600.0, bad), InvalidArgumentError);
   }
+  // Finite but unbounded scans: 1e17 samples used to throw an untyped
+  // std::bad_alloc, 1e300 cast out of the size_t range, and at t = 1e17 a
+  // 1 s step never advances t.
+  EXPECT_THROW(groundTrack(el, 0.0, 1e17, 1.0), InvalidArgumentError);
+  EXPECT_THROW(groundTrack(el, 0.0, 1e300, 1.0), InvalidArgumentError);
+  EXPECT_THROW(groundTrack(el, 1e17, 1e17 + 1e3, 1.0), InvalidArgumentError);
+  EXPECT_THROW(groundTrack(el, -1e17 - 1e3, -1e17, 1.0), InvalidArgumentError);
+  // A day at 1 s is a legal scan.
+  const auto day = groundTrack(el, 0.0, 86'400.0, 1.0);
+  ASSERT_EQ(day.size(), 86'401u);
+  EXPECT_DOUBLE_EQ(day.back().tSeconds, 86'400.0);
 }
 
 // --- Walker ------------------------------------------------------------
@@ -388,6 +399,18 @@ TEST(ContactWindows, NonFiniteTimesAndStepsThrow) {
                InvalidArgumentError);
   EXPECT_THROW(contactWindows(el, site, 0.0, 3'600.0, mask, inf),
                InvalidArgumentError);
+  // Finite but unbounded scans: too many samples, or a step that cannot
+  // advance t at the range's magnitude.
+  EXPECT_THROW(contactWindows(el, site, 0.0, 1e17, mask, 1.0),
+               InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, 0.0, 1e300, mask, 1.0),
+               InvalidArgumentError);
+  EXPECT_THROW(contactWindows(el, site, 1e17, 1e17 + 1e3, mask, 1.0),
+               InvalidArgumentError);
+  // A day at 1 s is a legal scan: one ~10 min pass per orbit at most.
+  const auto day = contactWindows(el, site, 0.0, 86'400.0, mask, 1.0);
+  ASSERT_FALSE(day.empty());
+  for (const ContactWindow& w : day) EXPECT_LT(w.durationS(), 1'200.0);
   // The same site and orbit with a finite step: a ~10 min pass, not the
   // whole hour.
   const auto windows = contactWindows(el, site, 0.0, 3'600.0, mask);

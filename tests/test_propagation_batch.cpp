@@ -244,6 +244,33 @@ TEST(SatelliteSweep, ResetMatchesFreshConstructionBitForBit) {
   }
 }
 
+TEST(SatelliteSweep, ColdFirstPositionMatchesBatchBitForBit) {
+  // A fresh or just-reset sweep's first position takes the cold Kepler
+  // solve, so it is the scalar spec and the batch path bit for bit: the
+  // three share one perifocal frame and one position tail.
+  std::vector<OrbitalElements> fleet = randomFleet(48, 29);
+  OrbitalElements circular = fleet.front();
+  circular.eccentricity = 0.0;
+  fleet.push_back(circular);
+  const FleetEphemeris batch(fleet);
+  std::vector<Vec3> eci, ecef;
+  for (const double t : {0.0, 37.5, -1'234.5, 3.0e7, -8.6e6}) {
+    batch.positionsAt(t, eci, ecef);
+    SatelliteSweep reused;
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      const Vec3 want = positionEci(fleet[i], t);
+      EXPECT_EQ(maxUlp(eci[i], want), 0u) << "sat " << i << " t " << t;
+      SatelliteSweep fresh(fleet[i]);
+      EXPECT_EQ(maxUlp(fresh.positionEciAt(t), want), 0u)
+          << "fresh sat " << i << " t " << t;
+      // `reused` carries the previous satellite's warm start into reset().
+      reused.reset(fleet[i]);
+      EXPECT_EQ(maxUlp(reused.positionEciAt(t), want), 0u)
+          << "reset sat " << i << " t " << t;
+    }
+  }
+}
+
 TEST(SatelliteSweep, DefaultConstructedThenResetMatchesFresh) {
   Rng rng(101);
   const OrbitalElements el = randomElements(rng);
