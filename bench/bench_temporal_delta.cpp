@@ -18,7 +18,7 @@
 //  * graphs (timed) — per-step compiled-graph production. Fresh side runs
 //    the executable spec every step: legacy::topologySnapshot()
 //    (hash-map NetworkGraph, name strings, all-pairs scans) +
-//    compileGraph(). Delta side walks one IncrementalTopology: flat link
+//    legacy::compileGraph(). Delta side walks one IncrementalTopology: flat link
 //    enumeration, structural diff, counting-sort CSR assembly. Timed loops
 //    fold a cheap per-step summary (edge count + sampled cost bits) —
 //    identical across modes (secondary gate) and stable across passes.
@@ -199,16 +199,16 @@ int main(int argc, char** argv) {
   std::uint64_t routesChecksum = kFnvOffsetBasis;
   std::size_t structuralSteps = 0;
   {
-    const CompactGraph::CostFn delayCost =
+    const LinkCostFn delayCost =
         legacy::temporalLinkCost(delayCostModel());
-    const CompactGraph::CostFn hopCost = legacy::temporalLinkCost(hopCostModel());
+    const LinkCostFn hopCost = legacy::temporalLinkCost(hopCostModel());
     IncrementalTopology incG(topo, opt, delayCostModel());
     IncrementalTopology incR(topo, opt, hopCostModel());
     for (int i = 0; i < steps; ++i) {
       const double t = i * stepS;
       // Graphs under the delay model.
       const CompactGraph freshG =
-          compileGraph(legacy::topologySnapshot(topo, t, opt), delayCost);
+          legacy::compileGraph(legacy::topologySnapshot(topo, t, opt), delayCost);
       if (incG.step(t).structural) ++structuralSteps;
       const std::uint64_t freshSum = freshG.contentChecksum();
       graphMatch = graphMatch && freshSum == incG.graph()->contentChecksum();
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       // its twin on the fresh compile.
       incR.step(t);
       const RouteEngine freshEngine(std::make_shared<const CompactGraph>(
-          compileGraph(legacy::topologySnapshot(topo, t, opt), hopCost)));
+          legacy::compileGraph(legacy::topologySnapshot(topo, t, opt), hopCost)));
       const RouteEngine deltaEngine(incR.graph());
       for (const NodeId src : sources) {
         const std::uint64_t treeSum =
@@ -232,11 +232,11 @@ int main(int argc, char** argv) {
 
   // --- phase A (timed): per-step graph production (delay cost model) -------
   const auto freshGraphs = [&] {
-    const CompactGraph::CostFn cost = legacy::temporalLinkCost(delayCostModel());
+    const LinkCostFn cost = legacy::temporalLinkCost(delayCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       const CompactGraph g =
-          compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost);
+          legacy::compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost);
       h = mixGraphSummary(h, g);
     }
     return h;
@@ -259,11 +259,11 @@ int main(int argc, char** argv) {
 
   // --- phase B (timed): per-step topology + routing trees (hop model) ------
   const auto freshRoutes = [&] {
-    const CompactGraph::CostFn cost = legacy::temporalLinkCost(hopCostModel());
+    const LinkCostFn cost = legacy::temporalLinkCost(hopCostModel());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       const RouteEngine engine(std::make_shared<const CompactGraph>(
-          compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost)));
+          legacy::compileGraph(legacy::topologySnapshot(topo, i * stepS, opt), cost)));
       for (const NodeId src : sources) {
         h = mixTreeSummary(h, engine.shortestPathTree(src));
       }
@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
     allSats.push_back(topo.nodeOf(sid));
   }
   const auto batchGraph = std::make_shared<const CompactGraph>(
-      compileGraph(topo.snapshot(0.0, opt),
+      legacy::compileGraph(topo.snapshot(0.0, opt),
                    legacy::temporalLinkCost(delayCostModel())));
   const RouteEngine batchEngine(batchGraph);
   const auto batchChecksum = [&] {

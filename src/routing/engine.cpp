@@ -105,9 +105,31 @@ Route PathTree::routeToCheapest(const std::vector<NodeId>& targets) const {
 
 // --- RouteEngine -------------------------------------------------------------
 
+namespace {
+
+/// Prices every link of `g` once under `cost` as `home` and assembles.
+CompactGraph compile(const NetworkGraph& g, const LinkCostFn& cost,
+                     ProviderId home) {
+  std::vector<NodeKind> kinds;
+  kinds.reserve(g.nodeCount());
+  for (const NodeId id : g.nodes()) kinds.push_back(g.node(id).kind);
+  auto nodes = std::make_shared<const CompactGraph::NodeTable>(g.nodes(),
+                                                               std::move(kinds));
+  std::vector<CompactGraph::LinkRecord> links;
+  links.reserve(g.linkCount());
+  for (const LinkId lid : g.links()) {
+    const Link& l = g.link(lid);
+    links.push_back({l.a, l.b, l.propagationDelayS, l.queueingDelayS,
+                     l.capacityBps, cost(g, l, home)});
+  }
+  return assembleGraph(std::move(nodes), links);
+}
+
+}  // namespace
+
 RouteEngine::RouteEngine(const NetworkGraph& g, const LinkCostFn& cost,
                          ProviderId home)
-    : csr_(std::make_shared<const CompactGraph>(compileGraph(g, cost, home))) {}
+    : csr_(std::make_shared<const CompactGraph>(compile(g, cost, home))) {}
 
 RouteEngine::RouteEngine(std::shared_ptr<const CompactGraph> graph)
     : csr_(std::move(graph)) {

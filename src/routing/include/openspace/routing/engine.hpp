@@ -4,7 +4,8 @@
 //
 // The engine compiles a snapshot once into an immutable CSR adjacency
 // (topology/compact_graph.hpp) with per-edge precomputed cost/delay/
-// capacity, then answers any number of queries over generation-stamped
+// capacity — it prices each link once and hands the links to the one CSR
+// assembler, assembleGraph() — then answers any number of queries over generation-stamped
 // scratch arrays and a reusable d-ary heap — zero allocation per query once
 // warmed up, no std::function or hash lookup in the hot loop. Callers
 // construct one engine per snapshot and cost model and amortize the compile
@@ -104,8 +105,10 @@ struct TreeRepairStats {
 
 class RouteEngine {
  public:
-  /// Compile `g` under `cost` as provider `home`. The NetworkGraph is not
-  /// retained: the engine owns its compiled form and is self-contained.
+  /// Compile `g` under `cost` as provider `home`: each link is priced once
+  /// and assembled by assembleGraph(). Throws InvalidArgumentError on a
+  /// negative or NaN cost. The NetworkGraph is not retained: the engine
+  /// owns its compiled form and is self-contained.
   explicit RouteEngine(const NetworkGraph& g, const LinkCostFn& cost = latencyCost(),
                        ProviderId home = {});
   /// Adopt an already-compiled graph (shared with PathTrees it produces).

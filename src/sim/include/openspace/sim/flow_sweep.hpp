@@ -13,7 +13,8 @@
 // slice's delivery-record checksum into one sweep checksum. Batch trees
 // equal serial trees at any thread count, so the checksum does not depend
 // on the thread count; tests pin it, and the per-step record checksums, to
-// the values a fresh snapshot + compileGraph per step produced.
+// the values a fresh snapshot + per-step compile produced before the sweep
+// moved onto IncrementalTopology (whose graphs are the same bit for bit).
 #pragma once
 
 #include <cstdint>

@@ -125,50 +125,45 @@ SatelliteId TopologyBuilder::satelliteOf(NodeId id) const {
   return it->second;
 }
 
+std::vector<Node> TopologyBuilder::snapshotNodes(const SnapshotOptions& opt) const {
+  std::vector<Node> out;
+  const auto& sats = ephemeris_.satellites();
+  out.reserve(sats.size() + (opt.includeGroundStations ? stations_.size() : 0) +
+              (opt.includeUserLinks ? users_.size() : 0));
+  for (const SatelliteId sid : sats) {
+    Node n;
+    n.id = satNodes_.at(sid);
+    n.kind = NodeKind::Satellite;
+    n.provider = ephemeris_.record(sid).owner;
+    n.name = "sat-" + std::to_string(sid.value());
+    n.satellite = sid;
+    out.push_back(std::move(n));
+  }
+  const auto addSites = [&](const std::vector<SiteEntry>& sites, NodeKind kind) {
+    for (const SiteEntry& s : sites) {
+      Node n;
+      n.id = s.node;
+      n.kind = kind;
+      n.provider = s.site.provider;
+      n.name = s.site.name;
+      n.location = s.site.location;
+      out.push_back(std::move(n));
+    }
+  };
+  if (opt.includeGroundStations) addSites(stations_, NodeKind::GroundStation);
+  if (opt.includeUserLinks) addSites(users_, NodeKind::User);
+  return out;
+}
+
 NetworkGraph TopologyBuilder::snapshot(double tSeconds,
                                        const SnapshotOptions& opt) const {
   LinkEnumerator links(*this, opt);  // validates opt
   NetworkGraph g;
+  for (Node& n : snapshotNodes(opt)) g.addNode(std::move(n));
 
-  // --- nodes -----------------------------------------------------------
   // One shared propagation of the whole fleet (LRU-cached across repeated
   // snapshots of the same instant).
-  const auto& sats = ephemeris_.satellites();
   const auto snap = SnapshotCache::global().at(ephemeris_, tSeconds);
-  for (std::size_t i = 0; i < sats.size(); ++i) {
-    const auto& rec = ephemeris_.record(sats[i]);
-    Node n;
-    n.id = satNodes_.at(sats[i]);
-    n.kind = NodeKind::Satellite;
-    n.provider = rec.owner;
-    n.name = "sat-" + std::to_string(sats[i].value());
-    n.satellite = sats[i];
-    g.addNode(std::move(n));
-  }
-  if (opt.includeGroundStations) {
-    for (const auto& s : stations_) {
-      Node n;
-      n.id = s.node;
-      n.kind = NodeKind::GroundStation;
-      n.provider = s.site.provider;
-      n.name = s.site.name;
-      n.location = s.site.location;
-      g.addNode(std::move(n));
-    }
-  }
-  if (opt.includeUserLinks) {
-    for (const auto& u : users_) {
-      Node n;
-      n.id = u.node;
-      n.kind = NodeKind::User;
-      n.provider = u.site.provider;
-      n.name = u.site.name;
-      n.location = u.site.location;
-      g.addNode(std::move(n));
-    }
-  }
-
-  // --- links -----------------------------------------------------------
   std::vector<LinkSpec> specs;
   links.enumerate(*snap, specs);
   for (const LinkSpec& spec : specs) {

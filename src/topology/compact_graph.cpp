@@ -10,71 +10,61 @@
 
 namespace openspace {
 
+CompactGraph::NodeTable::NodeTable(std::vector<NodeId> order,
+                                   std::vector<NodeKind> kinds)
+    : denseToNode_(std::move(order)), nodeKind_(std::move(kinds)) {
+  const std::size_t n = denseToNode_.size();
+  OPENSPACE_ASSERT(n < kInvalidIndex, "dense node indices fit in 32 bits");
+  OPENSPACE_ASSERT(nodeKind_.size() == n, "one kind per node");
+  std::uint32_t maxIdValue = 0;
+  for (const NodeId id : denseToNode_) maxIdValue = std::max(maxIdValue, id.value());
+  // Builder-assigned ids are dense (1..N), so a direct-mapped table makes
+  // indexOf a single load. Pathological sparse id spaces, where it would
+  // waste memory, get the hash map instead.
+  if (n > 0 && maxIdValue <= 4 * n + 1024) {
+    idToDense_.assign(maxIdValue + 1, kInvalidIndex);
+    for (std::size_t i = 0; i < n; ++i) {
+      idToDense_[denseToNode_[i].value()] = static_cast<std::uint32_t>(i);
+    }
+  } else {
+    nodeToDense_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      nodeToDense_.emplace(denseToNode_[i], static_cast<std::uint32_t>(i));
+    }
+  }
+}
+
+CompactGraph::CompactGraph(std::shared_ptr<const NodeTable> nodes, Csr csr)
+    : nodes_(std::move(nodes)), csr_(std::move(csr)) {
+  OPENSPACE_ASSERT(nodes_ != nullptr, "a graph always has a node table");
+}
+
 std::uint64_t CompactGraph::contentChecksum() const noexcept {
   std::uint64_t h = kFnvOffsetBasis;
-  h = fnv1a(h, nodes_->denseToNode.size());
-  for (const NodeId id : nodes_->denseToNode) h = fnv1a(h, id.value());
-  for (const NodeKind k : nodes_->nodeKind) {
+  h = fnv1a(h, nodes_->size());
+  for (const NodeId id : nodes_->nodes()) h = fnv1a(h, id.value());
+  for (const NodeKind k : nodes_->kinds()) {
     h = fnv1a(h, static_cast<std::uint64_t>(k));
   }
-  for (const std::uint32_t o : rowOffset_) h = fnv1a(h, o);
-  h = fnv1a(h, edgeTo_.size());
-  for (std::size_t e = 0; e < edgeTo_.size(); ++e) {
-    h = fnv1a(h, edgeTo_[e]);
-    h = fnv1a(h, edgeFrom_[e]);
-    h = fnv1a(h, bitsOf(edgeCost_[e]));
-    h = fnv1a(h, bitsOf(edgePropS_[e]));
-    h = fnv1a(h, bitsOf(edgeQueueS_[e]));
-    h = fnv1a(h, bitsOf(edgeCapBps_[e]));
-    h = fnv1a(h, edgeLinkId_[e].value());
+  for (const std::uint32_t o : csr_.rowOffset) h = fnv1a(h, o);
+  h = fnv1a(h, csr_.edgeTo.size());
+  for (std::size_t e = 0; e < csr_.edgeTo.size(); ++e) {
+    h = fnv1a(h, csr_.edgeTo[e]);
+    h = fnv1a(h, csr_.edgeFrom[e]);
+    h = fnv1a(h, bitsOf(csr_.edgeCost[e]));
+    h = fnv1a(h, bitsOf(csr_.edgePropS[e]));
+    h = fnv1a(h, bitsOf(csr_.edgeQueueS[e]));
+    h = fnv1a(h, bitsOf(csr_.edgeCapBps[e]));
+    h = fnv1a(h, csr_.edgeLinkId[e].value());
   }
-  // The link->edges map, walked in link-id order so hash-map iteration
-  // order never leaks into the checksum.
-  for (std::size_t lid = 0; lid < linkEdges_.size(); ++lid) {
-    const LinkEdgeRange& r = linkEdges_[lid];
+  // The link->edges map, in link-id order.
+  for (std::size_t lid = 0; lid < csr_.linkEdges.size(); ++lid) {
+    const LinkEdgeRange& r = csr_.linkEdges[lid];
     if (r.count == 0) continue;
     h = fnv1a(h, lid);
     for (const std::uint32_t e : r) h = fnv1a(h, e);
   }
-  if (!sparseLinkEdges_.empty()) {
-    std::vector<LinkId> ids;
-    ids.reserve(sparseLinkEdges_.size());
-    // det-waiver: keys collected then sorted before any use — order cannot leak
-    for (const auto& [lid, r] : sparseLinkEdges_) ids.push_back(lid);
-    std::sort(ids.begin(), ids.end(),
-              [](LinkId a, LinkId b) { return a.value() < b.value(); });
-    for (const LinkId lid : ids) {
-      const LinkEdgeRange& r = sparseLinkEdges_.at(lid);
-      h = fnv1a(h, lid.value());
-      for (const std::uint32_t e : r) h = fnv1a(h, e);
-    }
-  }
   return h;
-}
-
-std::shared_ptr<const CompactGraph::NodeTable> CompactGraph::makeNodeTable(
-    std::vector<NodeId> order, std::vector<NodeKind> kinds) {
-  const std::size_t n = order.size();
-  OPENSPACE_ASSERT(n < kInvalidIndex, "dense node indices fit in 32 bits");
-  auto nt = std::make_shared<NodeTable>();
-  nt->denseToNode = std::move(order);
-  nt->nodeKind = std::move(kinds);
-  nt->nodeToDense.reserve(n);
-  std::uint32_t maxIdValue = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    nt->nodeToDense.emplace(nt->denseToNode[i], static_cast<std::uint32_t>(i));
-    maxIdValue = std::max(maxIdValue, nt->denseToNode[i].value());
-  }
-  // Builder-assigned ids are dense (1..N), so a direct-mapped table makes
-  // indexOf a single load. Skip it for pathological sparse id spaces where
-  // it would waste memory.
-  if (n > 0 && maxIdValue <= 4 * n + 1024) {
-    nt->idToDense.assign(maxIdValue + 1, kInvalidIndex);
-    for (std::size_t i = 0; i < n; ++i) {
-      nt->idToDense[nt->denseToNode[i].value()] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return nt;
 }
 
 void CompactGraph::audit() const {
@@ -83,123 +73,116 @@ void CompactGraph::audit() const {
   };
   const std::size_t n = nodeCount();
   const std::size_t m = edgeCount();
-  const bool empty = n == 0 && m == 0 && rowOffset_.empty();  // default-built
-  if (!empty && (rowOffset_.size() != n + 1 || rowOffset_.front() != 0 ||
-                 rowOffset_.back() != m)) {
+  const std::vector<std::uint32_t>& row = csr_.rowOffset;
+  const bool empty = n == 0 && m == 0 && row.empty();  // default-built
+  if (!empty && (row.size() != n + 1 || row.front() != 0 || row.back() != m)) {
     fail("rowOffset does not span the edges");
   }
-  if (edgeFrom_.size() != m || edgeCost_.size() != m || edgePropS_.size() != m ||
-      edgeQueueS_.size() != m || edgeCapBps_.size() != m ||
-      edgeLinkId_.size() != m) {
+  if (csr_.edgeFrom.size() != m || csr_.edgeCost.size() != m ||
+      csr_.edgePropS.size() != m || csr_.edgeQueueS.size() != m ||
+      csr_.edgeCapBps.size() != m || csr_.edgeLinkId.size() != m) {
     fail("edge arrays differ in length");
   }
   for (std::uint32_t u = 0; u < n; ++u) {
-    if (rowOffset_[u] > rowOffset_[u + 1] || rowOffset_[u + 1] > m) {
-      fail("rowOffset is not monotone");
-    }
-    for (std::uint32_t e = rowOffset_[u]; e < rowOffset_[u + 1]; ++e) {
-      if (edgeFrom_[e] != u) fail("edgeFrom is not the edge's row");
-      if (edgeTo_[e] >= n) fail("edgeTo out of range");
+    if (row[u] > row[u + 1] || row[u + 1] > m) fail("rowOffset is not monotone");
+    for (std::uint32_t e = row[u]; e < row[u + 1]; ++e) {
+      if (csr_.edgeFrom[e] != u) fail("edgeFrom is not the edge's row");
+      if (csr_.edgeTo[e] >= n) fail("edgeTo out of range");
     }
   }
   const auto sameBits = [&](std::uint32_t x, std::uint32_t y) {
-    return bitsOf(edgeCost_[x]) == bitsOf(edgeCost_[y]) &&
-           bitsOf(edgePropS_[x]) == bitsOf(edgePropS_[y]) &&
-           bitsOf(edgeQueueS_[x]) == bitsOf(edgeQueueS_[y]) &&
-           bitsOf(edgeCapBps_[x]) == bitsOf(edgeCapBps_[y]);
+    return bitsOf(csr_.edgeCost[x]) == bitsOf(csr_.edgeCost[y]) &&
+           bitsOf(csr_.edgePropS[x]) == bitsOf(csr_.edgePropS[y]) &&
+           bitsOf(csr_.edgeQueueS[x]) == bitsOf(csr_.edgeQueueS[y]) &&
+           bitsOf(csr_.edgeCapBps[x]) == bitsOf(csr_.edgeCapBps[y]);
   };
   std::size_t listed = 0;
-  const auto checkLink = [&](LinkId lid, const LinkEdgeRange& r) {
+  for (std::size_t lid = 0; lid < csr_.linkEdges.size(); ++lid) {
+    const LinkEdgeRange& r = csr_.linkEdges[lid];
     if (r.count > 2) fail("a link lists more than two edges");
     for (const std::uint32_t e : r) {
-      if (e >= m || edgeLinkId_[e] != lid) fail("edgesOfLink names a foreign edge");
+      if (e >= m || csr_.edgeLinkId[e].value() != lid) {
+        fail("edgesOfLink names a foreign edge");
+      }
     }
     if (r.count == 2) {
       const std::uint32_t x = r.e[0];
       const std::uint32_t y = r.e[1];
-      if (edgeFrom_[x] != edgeTo_[y] || edgeTo_[x] != edgeFrom_[y]) {
+      if (csr_.edgeFrom[x] != csr_.edgeTo[y] || csr_.edgeTo[x] != csr_.edgeFrom[y]) {
         fail("a link's two edges are not reverses");
       }
       if (!sameBits(x, y)) fail("a link's two edges differ in payload");
     }
     listed += r.count;
-  };
-  for (std::size_t lid = 0; lid < linkEdges_.size(); ++lid) {
-    checkLink(LinkId{static_cast<LinkId::rep_type>(lid)}, linkEdges_[lid]);
   }
-  // det-waiver: order-independent checks and a count only
-  for (const auto& [lid, r] : sparseLinkEdges_) checkLink(lid, r);
   if (listed != m) fail("an edge is not listed by its link");
 }
 
-CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
-                          ProviderId home) {
-  CompactGraph out;
-  const std::vector<NodeId>& order = g.nodes();
-  const std::size_t n = order.size();
-  std::vector<NodeKind> kinds;
-  kinds.reserve(n);
-  for (const NodeId id : order) kinds.push_back(g.node(id).kind);
-  out.nodes_ = CompactGraph::makeNodeTable(order, std::move(kinds));
-
-  out.rowOffset_.reserve(n + 1);
-  out.rowOffset_.push_back(0);
-  const std::size_t edgeGuess = 2 * g.linkCount();
-  out.edgeTo_.reserve(edgeGuess);
-  out.edgeFrom_.reserve(edgeGuess);
-  out.edgeCost_.reserve(edgeGuess);
-  out.edgePropS_.reserve(edgeGuess);
-  out.edgeQueueS_.reserve(edgeGuess);
-  out.edgeCapBps_.reserve(edgeGuess);
-  out.edgeLinkId_.reserve(edgeGuess);
-
-  // Same density heuristic as node ids: builder link ids are 1..L, so the
-  // direct-mapped table covers them all and the sparse map stays empty.
-  std::uint64_t maxLinkIdValue = 0;
-  for (const LinkId lid : g.links()) {
-    maxLinkIdValue = std::max<std::uint64_t>(maxLinkIdValue, lid.value());
-  }
-  const bool denseLinks = maxLinkIdValue <= 4 * g.linkCount() + 1024;
-  if (denseLinks) out.linkEdges_.resize(maxLinkIdValue + 1);
-
-  const auto noteLinkEdge = [&](LinkId lid, std::uint32_t e) {
-    if (denseLinks) {
-      CompactGraph::LinkEdgeRange& r = out.linkEdges_[lid.value()];
-      OPENSPACE_ASSERT(r.count < 2, "an undirected link compiles to <= 2 edges");
-      r.e[r.count++] = e;
-    } else {
-      CompactGraph::LinkEdgeRange& r = out.sparseLinkEdges_[lid];
-      OPENSPACE_ASSERT(r.count < 2, "an undirected link compiles to <= 2 edges");
-      r.e[r.count++] = e;
-    }
+CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
+                           const std::vector<CompactGraph::LinkRecord>& links) {
+  const CompactGraph::NodeTable& table = *nodes;
+  const std::size_t n = table.size();
+  const auto denseOf = [&](NodeId id) {
+    const std::uint32_t u = table.indexOf(id);
+    OPENSPACE_ASSERT(u != CompactGraph::kInvalidIndex,
+                     "every link endpoint is a table node");
+    return u;
   };
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId u = order[i];
-    for (const LinkId lid : g.linksOf(u)) {
-      const Link& l = g.link(lid);
-      const double c = cost(g, l, home);
-      if (std::isnan(c) || c < 0.0) {
-        throw InvalidArgumentError("compileGraph: negative or NaN link cost");
-      }
-      if (std::isinf(c)) continue;  // forbidden edge: dropped at compile time
-      const NodeId v = l.otherEnd(u);
-      const auto itV = out.nodes_->nodeToDense.find(v);
-      OPENSPACE_ASSERT(itV != out.nodes_->nodeToDense.end(),
-                       "every link endpoint is a graph node");
-      const auto e = static_cast<std::uint32_t>(out.edgeTo_.size());
-      out.edgeTo_.push_back(itV->second);
-      out.edgeFrom_.push_back(static_cast<std::uint32_t>(i));
-      out.edgeCost_.push_back(c);
-      out.edgePropS_.push_back(l.propagationDelayS);
-      out.edgeQueueS_.push_back(l.queueingDelayS);
-      out.edgeCapBps_.push_back(l.capacityBps);
-      out.edgeLinkId_.push_back(lid);
-      noteLinkEdge(lid, e);
+  // Counting-sort CSR build: count each row's edges, then place the links
+  // in LinkId order, so each row lists its links in LinkId order.
+  CompactGraph::Csr csr;
+  csr.rowOffset.assign(n + 1, 0);
+  std::size_t edgeCount = 0;
+  for (const CompactGraph::LinkRecord& l : links) {
+    if (std::isnan(l.cost) || l.cost < 0.0) {
+      throw InvalidArgumentError("assembleGraph: negative or NaN link cost");
     }
-    out.rowOffset_.push_back(static_cast<std::uint32_t>(out.edgeTo_.size()));
+    if (std::isinf(l.cost)) continue;  // forbidden: dropped at assembly
+    ++csr.rowOffset[denseOf(l.a) + 1];
+    ++csr.rowOffset[denseOf(l.b) + 1];
+    edgeCount += 2;
   }
-  return out;
+  for (std::size_t u = 0; u < n; ++u) csr.rowOffset[u + 1] += csr.rowOffset[u];
+  csr.edgeTo.resize(edgeCount);
+  csr.edgeFrom.resize(edgeCount);
+  csr.edgeCost.resize(edgeCount);
+  csr.edgePropS.resize(edgeCount);
+  csr.edgeQueueS.resize(edgeCount);
+  csr.edgeCapBps.resize(edgeCount);
+  csr.edgeLinkId.resize(edgeCount);
+  csr.linkEdges.resize(links.size() + 1);
+
+  std::vector<std::uint32_t> fill(csr.rowOffset.begin(), csr.rowOffset.end() - 1);
+  for (std::size_t p = 0; p < links.size(); ++p) {
+    const CompactGraph::LinkRecord& l = links[p];
+    if (std::isinf(l.cost)) continue;
+    const std::uint32_t ua = denseOf(l.a);
+    const std::uint32_t ub = denseOf(l.b);
+    const LinkId lid{static_cast<LinkId::rep_type>(p + 1)};
+    const std::uint32_t ea = fill[ua]++;
+    const std::uint32_t eb = fill[ub]++;
+    const auto place = [&](std::uint32_t e, std::uint32_t from, std::uint32_t to) {
+      csr.edgeTo[e] = to;
+      csr.edgeFrom[e] = from;
+      csr.edgeCost[e] = l.cost;
+      csr.edgePropS[e] = l.propagationDelayS;
+      csr.edgeQueueS[e] = l.queueingDelayS;
+      csr.edgeCapBps[e] = l.capacityBps;
+      csr.edgeLinkId[e] = lid;
+    };
+    place(ea, ua, ub);
+    place(eb, ub, ua);
+    CompactGraph::LinkEdgeRange& r = csr.linkEdges[p + 1];
+    r.count = 2;
+    r.e[0] = std::min(ea, eb);
+    r.e[1] = std::max(ea, eb);
+  }
+  CompactGraph g(std::move(nodes), std::move(csr));
+#ifndef NDEBUG
+  g.audit();
+#endif
+  return g;
 }
 
 }  // namespace openspace

@@ -1,6 +1,5 @@
 #include <openspace/topology/graph.hpp>
 
-#include <algorithm>
 #include <utility>
 
 #include <openspace/geo/error.hpp>
@@ -59,31 +58,11 @@ LinkId NetworkGraph::addLink(Link link) {
   if (link.capacityBps <= 0.0) {
     throw InvalidArgumentError("NetworkGraph::addLink: capacity must be > 0");
   }
-  link.id = LinkId{nextLinkIdValue_++};
-  const LinkId id = link.id;
-  adjacency_[link.a].push_back(id);
-  adjacency_[link.b].push_back(id);
-  links_.emplace(id, link);
-  linkOrder_.push_back(id);
-  ++liveLinks_;
-  return id;
-}
-
-void NetworkGraph::removeLink(LinkId id) {
-  const auto it = links_.find(id);
-  if (it == links_.end()) {
-    throw NotFoundError("NetworkGraph::removeLink: unknown link");
-  }
-  auto scrub = [&](NodeId n) {
-    auto& v = adjacency_[n];
-    v.erase(std::remove(v.begin(), v.end(), id), v.end());
-  };
-  scrub(it->second.a);
-  scrub(it->second.b);
-  links_.erase(it);
-  linkOrder_.erase(std::remove(linkOrder_.begin(), linkOrder_.end(), id),
-                   linkOrder_.end());
-  --liveLinks_;
+  link.id = LinkId{static_cast<LinkId::rep_type>(links_.size() + 1)};
+  adjacency_[link.a].push_back(link.id);
+  adjacency_[link.b].push_back(link.id);
+  links_.push_back(link);
+  return link.id;
 }
 
 const Node& NetworkGraph::node(NodeId id) const {
@@ -99,11 +78,10 @@ Node& NetworkGraph::node(NodeId id) {
 }
 
 const Link& NetworkGraph::link(LinkId id) const {
-  const auto it = links_.find(id);
-  if (it == links_.end()) {
+  if (!id.isValid() || id.value() > links_.size()) {
     throw NotFoundError("NetworkGraph: unknown link " + std::to_string(id.value()));
   }
-  return it->second;
+  return links_[id.value() - 1];
 }
 
 Link& NetworkGraph::link(LinkId id) {
@@ -120,7 +98,14 @@ const std::vector<LinkId>& NetworkGraph::linksOf(NodeId id) const {
   return it->second;
 }
 
-std::vector<LinkId> NetworkGraph::links() const { return linkOrder_; }
+std::vector<LinkId> NetworkGraph::links() const {
+  std::vector<LinkId> out;
+  out.reserve(links_.size());
+  for (std::size_t i = 1; i <= links_.size(); ++i) {
+    out.push_back(LinkId{static_cast<LinkId::rep_type>(i)});
+  }
+  return out;
+}
 
 std::vector<NodeId> NetworkGraph::nodesOfKind(NodeKind k) const {
   std::vector<NodeId> out;
@@ -134,7 +119,7 @@ std::optional<LinkId> NetworkGraph::findLink(NodeId a, NodeId b) const {
   const auto it = adjacency_.find(a);
   if (it == adjacency_.end()) return std::nullopt;
   for (const LinkId lid : it->second) {
-    const Link& l = links_.at(lid);
+    const Link& l = link(lid);
     if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) return lid;
   }
   return std::nullopt;

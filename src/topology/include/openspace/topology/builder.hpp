@@ -91,6 +91,12 @@ class TopologyBuilder {
   /// fleet or that wire a satellite to itself.
   NetworkGraph snapshot(double tSeconds, const SnapshotOptions& opt) const;
 
+  /// The nodes of a snapshot under `opt`, in snapshot order: the fleet in
+  /// ephemeris order, then the ground stations, then the users (each in
+  /// registration order, each behind its flag). snapshot() emits exactly
+  /// these; IncrementalTopology numbers its node table from them.
+  std::vector<Node> snapshotNodes(const SnapshotOptions& opt) const;
+
   const EphemerisService& ephemeris() const noexcept { return ephemeris_; }
   /// Bumped by every setCapabilities() call. Lets per-step consumers
   /// (IncrementalTopology) skip re-reading all capabilities when nothing
@@ -102,10 +108,9 @@ class TopologyBuilder {
   std::size_t userCount() const noexcept { return users_.size(); }
 
   /// Registered ground stations / users in registration order — the order
-  /// snapshot() emits their nodes and ground links in. IncrementalTopology
-  /// (topology/delta.hpp) numbers its nodes from them, and the test-only
-  /// spec legacy::topologySnapshot reads them to rebuild a snapshot from
-  /// this public interface alone.
+  /// snapshot() emits their nodes and ground links in. The test-only spec
+  /// legacy::topologySnapshot reads them to rebuild a snapshot from this
+  /// public interface alone.
   const std::vector<SiteEntry>& stationSites() const noexcept { return stations_; }
   const std::vector<SiteEntry>& userSites() const noexcept { return users_; }
 

@@ -1,33 +1,34 @@
-// Immutable flat (CSR) compilation of a NetworkGraph snapshot.
+// Immutable flat (CSR) form of a topology snapshot.
 //
 // NetworkGraph is the mutable, hash-map-backed construction form of a
 // topology snapshot. Routing never needs mutation: it needs the fastest
 // possible "for each out-edge of u" walk, with every per-edge quantity the
-// cost model can ask about already materialized. compileGraph() performs a
-// one-shot translation: nodes get dense indices 0..N-1 in insertion order,
-// each undirected link becomes two directed CSR edges, and the caller's
-// cost callback is evaluated exactly once per directed edge at compile
-// time — the search hot loop never touches a std::function, a hash map, or
-// the cost model again. This is the paper's §2.7 observation turned into a
-// data structure: the LEO topology is predictable and public, so each
-// snapshot can be compiled once and queried many times.
+// cost model can ask about already materialized. assembleGraph() is the one
+// CSR assembler: given a node table and a snapshot's links in LinkId order,
+// each already priced, it numbers nodes 0..N-1 in table order and turns
+// each undirected link into two directed CSR edges with one counting-sort
+// pass. The search hot loop never touches a std::function, a hash map, or
+// the cost model. This is the paper's §2.7 observation turned into a data
+// structure: the LEO topology is predictable and public, so each snapshot
+// can be compiled once and queried many times.
+//
+// Both producers of graphs go through it: RouteEngine(const NetworkGraph&,
+// cost, home) prices each link once and assembles, and IncrementalTopology
+// (topology/delta.hpp) assembles each step's links under its delay or hop
+// cost, sharing one node table across steps. The topology layer never
+// evaluates a cost function. The per-directed-edge compile the assembler
+// replaced is a test-only spec in openspace_spec (spec/topology_legacy.hpp);
+// contentChecksum() is the bit-identity witness the property tests and the
+// bench gates compare against it.
 //
 // Semantics (mirroring the legacy lazy-evaluation Dijkstra):
-//   * cost == +inf  -> the edge is forbidden and dropped at compile time;
-//   * cost < 0 / NaN -> InvalidArgumentError at compile time (the legacy
-//     path threw on first relaxation; compilation tightens this to "at
-//     compile", catching negative edges even in unreachable components).
-//
-// Temporal sweeps need one compiled graph per time step; going through a
-// fresh NetworkGraph every step repeats all of the hash-map construction
-// work. topology/delta.hpp (IncrementalTopology) therefore assembles each
-// step's CompactGraph straight from the snapshot's link list, sharing one
-// node table across steps — contentChecksum() is the bit-identity witness
-// the property tests and bench gates compare against compileGraph().
+//   * cost == +inf  -> the link is forbidden and dropped at assembly;
+//   * cost < 0 / NaN -> InvalidArgumentError at assembly (the legacy path
+//     threw on first relaxation; assembly tightens this to "at compile",
+//     catching negative links even in unreachable components).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -41,9 +42,50 @@ class CompactGraph {
   /// Sentinel for "no such node / edge".
   static constexpr std::uint32_t kInvalidIndex = 0xFFFFFFFFu;
 
-  /// Same signature as routing's LinkCostFn (they are the same
-  /// std::function type; the alias lives in the routing layer).
-  using CostFn = std::function<double(const NetworkGraph&, const Link&, ProviderId)>;
+  /// The node half of a graph: dense numbering and one id lookup.
+  /// Immutable once built and independent of the per-step edge payload, so
+  /// every step's graph of one IncrementalTopology shares one table by
+  /// shared_ptr instead of re-copying it.
+  class NodeTable {
+   public:
+    NodeTable() = default;
+    /// Dense numbering in `order`, one kind per node. Builds a
+    /// direct-mapped id table when the id range is close to the node count
+    /// (builder-assigned ids are 1..N) and a hash map otherwise, never both.
+    NodeTable(std::vector<NodeId> order, std::vector<NodeKind> kinds);
+
+    std::size_t size() const noexcept { return denseToNode_.size(); }
+    const std::vector<NodeId>& nodes() const noexcept { return denseToNode_; }
+    const std::vector<NodeKind>& kinds() const noexcept { return nodeKind_; }
+
+    /// Dense index of a NodeId, or kInvalidIndex when absent.
+    std::uint32_t indexOf(NodeId id) const {
+      if (!idToDense_.empty()) {
+        return id.value() < idToDense_.size() ? idToDense_[id.value()]
+                                              : kInvalidIndex;
+      }
+      const auto it = nodeToDense_.find(id);
+      return it == nodeToDense_.end() ? kInvalidIndex : it->second;
+    }
+
+   private:
+    std::vector<NodeId> denseToNode_;
+    std::vector<NodeKind> nodeKind_;
+    /// Direct-mapped id -> dense table (kInvalidIndex for gaps).
+    std::vector<std::uint32_t> idToDense_;
+    /// Sparse / oversized id spaces only; empty when idToDense_ is built.
+    std::unordered_map<NodeId, std::uint32_t> nodeToDense_;
+  };
+
+  /// One undirected link as the assembler takes it, already priced.
+  struct LinkRecord {
+    NodeId a{};
+    NodeId b{};
+    double propagationDelayS = 0.0;
+    double queueingDelayS = 0.0;
+    double capacityBps = 0.0;
+    double cost = 0.0;  ///< +inf drops the link; NaN or < 0 throws.
+  };
 
   /// The (at most 2) directed edge indices compiled from one undirected
   /// link, in ascending edge-index order. Small enough to return by value;
@@ -59,49 +101,55 @@ class CompactGraph {
     const std::uint32_t* end() const noexcept { return e + count; }
   };
 
-  std::size_t nodeCount() const noexcept { return nodes_->denseToNode.size(); }
-  std::size_t edgeCount() const noexcept { return edgeTo_.size(); }
+  /// The flat arrays of a graph. assembleGraph() is the library's one
+  /// producer; the test-only spec compile fills one by its own
+  /// per-directed-edge walk so the two layouts can be compared.
+  struct Csr {
+    std::vector<std::uint32_t> rowOffset;  ///< size nodeCount()+1.
+    std::vector<std::uint32_t> edgeTo;
+    std::vector<std::uint32_t> edgeFrom;
+    std::vector<double> edgeCost;
+    std::vector<double> edgePropS;
+    std::vector<double> edgeQueueS;
+    std::vector<double> edgeCapBps;
+    std::vector<LinkId> edgeLinkId;
+    /// LinkId value -> directed edges; link ids are 1..L, slot 0 unused.
+    std::vector<LinkEdgeRange> linkEdges;
+  };
+
+  /// An empty graph (no nodes, no edges).
+  CompactGraph() = default;
+  /// Adopt `csr` over `nodes` (never null) as laid out. Only
+  /// assembleGraph() and the spec call this; audit() checks the layout.
+  CompactGraph(std::shared_ptr<const NodeTable> nodes, Csr csr);
+
+  std::size_t nodeCount() const noexcept { return nodes_->size(); }
+  std::size_t edgeCount() const noexcept { return csr_.edgeTo.size(); }
 
   /// Dense index of a NodeId, or kInvalidIndex when absent.
-  std::uint32_t indexOf(NodeId id) const {
-    // Builder-produced ids are small and sequential, so the common case is
-    // one array load; the hash map only backs sparse / oversized ids.
-    if (id.value() < nodes_->idToDense.size()) {
-      return nodes_->idToDense[id.value()];
-    }
-    const auto it = nodes_->nodeToDense.find(id);
-    return it == nodes_->nodeToDense.end() ? kInvalidIndex : it->second;
-  }
-  NodeId nodeAt(std::uint32_t dense) const {
-    return nodes_->denseToNode[dense];
-  }
-  const std::vector<NodeId>& nodes() const noexcept {
-    return nodes_->denseToNode;
-  }
-  NodeKind kindAt(std::uint32_t dense) const { return nodes_->nodeKind[dense]; }
+  std::uint32_t indexOf(NodeId id) const { return nodes_->indexOf(id); }
+  NodeId nodeAt(std::uint32_t dense) const { return nodes_->nodes()[dense]; }
+  const std::vector<NodeId>& nodes() const noexcept { return nodes_->nodes(); }
+  NodeKind kindAt(std::uint32_t dense) const { return nodes_->kinds()[dense]; }
 
   /// CSR row of directed out-edges of dense node u: [rowBegin, rowEnd).
-  std::uint32_t rowBegin(std::uint32_t u) const { return rowOffset_[u]; }
-  std::uint32_t rowEnd(std::uint32_t u) const { return rowOffset_[u + 1]; }
+  std::uint32_t rowBegin(std::uint32_t u) const { return csr_.rowOffset[u]; }
+  std::uint32_t rowEnd(std::uint32_t u) const { return csr_.rowOffset[u + 1]; }
 
-  std::uint32_t edgeTarget(std::uint32_t e) const { return edgeTo_[e]; }
-  std::uint32_t edgeSource(std::uint32_t e) const { return edgeFrom_[e]; }
-  double edgeCost(std::uint32_t e) const { return edgeCost_[e]; }
-  double edgePropagationDelayS(std::uint32_t e) const { return edgePropS_[e]; }
-  double edgeQueueingDelayS(std::uint32_t e) const { return edgeQueueS_[e]; }
-  double edgeCapacityBps(std::uint32_t e) const { return edgeCapBps_[e]; }
-  LinkId edgeLink(std::uint32_t e) const { return edgeLinkId_[e]; }
+  std::uint32_t edgeTarget(std::uint32_t e) const { return csr_.edgeTo[e]; }
+  std::uint32_t edgeSource(std::uint32_t e) const { return csr_.edgeFrom[e]; }
+  double edgeCost(std::uint32_t e) const { return csr_.edgeCost[e]; }
+  double edgePropagationDelayS(std::uint32_t e) const { return csr_.edgePropS[e]; }
+  double edgeQueueingDelayS(std::uint32_t e) const { return csr_.edgeQueueS[e]; }
+  double edgeCapacityBps(std::uint32_t e) const { return csr_.edgeCapBps[e]; }
+  LinkId edgeLink(std::uint32_t e) const { return csr_.edgeLinkId[e]; }
 
-  /// Directed edge indices compiled from undirected link `id` (0, 1 or 2
-  /// entries — fewer than 2 when a direction was dropped as forbidden).
-  /// Returns an empty range for unknown links.
+  /// Directed edge indices compiled from undirected link `id` (0 or 2
+  /// entries — none when the link was dropped as forbidden). Returns an
+  /// empty range for unknown links.
   LinkEdgeRange edgesOfLink(LinkId id) const {
-    // Builder-assigned link ids are dense (1..L), so the common case is one
-    // array load; the hash map only backs sparse id spaces (e.g. graphs
-    // with removed links).
-    if (id.value() < linkEdges_.size()) return linkEdges_[id.value()];
-    const auto it = sparseLinkEdges_.find(id);
-    return it == sparseLinkEdges_.end() ? LinkEdgeRange{} : it->second;
+    return id.value() < csr_.linkEdges.size() ? csr_.linkEdges[id.value()]
+                                              : LinkEdgeRange{};
   }
 
   /// FNV-1a over everything observable through this interface: node order,
@@ -118,49 +166,18 @@ class CompactGraph {
   /// delay and capacity.
   void audit() const;
 
-  friend CompactGraph compileGraph(const NetworkGraph& g, const CostFn& cost,
-                                   ProviderId home);
-  /// topology/delta.hpp: assembles CompactGraphs without a NetworkGraph,
-  /// reproducing compileGraph's layout bit-for-bit.
-  friend class IncrementalTopology;
-
  private:
-  /// The node half of the graph: dense numbering and both id lookup
-  /// structures. Immutable once built and independent of the per-step edge
-  /// payload, so every step's graph of one IncrementalTopology shares one
-  /// table by shared_ptr instead of re-copying the hash map.
-  struct NodeTable {
-    std::vector<NodeId> denseToNode;
-    std::vector<NodeKind> nodeKind;
-    /// Direct-mapped id -> dense table (kInvalidIndex for gaps); built only
-    /// when the id range is close to the node count, empty otherwise.
-    std::vector<std::uint32_t> idToDense;
-    std::unordered_map<NodeId, std::uint32_t> nodeToDense;
-  };
-  /// Dense numbering in `order`: the hash map always, the direct-mapped
-  /// table when the id range is close to the node count.
-  static std::shared_ptr<const NodeTable> makeNodeTable(
-      std::vector<NodeId> order, std::vector<NodeKind> kinds);
   /// Never null (default-constructed graphs hold an empty table).
   std::shared_ptr<const NodeTable> nodes_ = std::make_shared<NodeTable>();
-  std::vector<std::uint32_t> rowOffset_;  ///< size nodeCount()+1.
-  std::vector<std::uint32_t> edgeTo_;
-  std::vector<std::uint32_t> edgeFrom_;
-  std::vector<double> edgeCost_;
-  std::vector<double> edgePropS_;
-  std::vector<double> edgeQueueS_;
-  std::vector<double> edgeCapBps_;
-  std::vector<LinkId> edgeLinkId_;
-  /// Direct-mapped LinkId value -> directed edges (count==0 for gaps);
-  /// built when the link id range is close to the link count.
-  std::vector<LinkEdgeRange> linkEdges_;
-  std::unordered_map<LinkId, LinkEdgeRange> sparseLinkEdges_;
+  Csr csr_;
 };
 
-/// Compile `g` into CSR form under `cost` as provider `home`. Evaluates the
-/// cost callback once per directed edge; throws InvalidArgumentError on a
-/// negative or NaN cost, drops +inf (forbidden) edges.
-CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
-                          ProviderId home = {});
+/// The one CSR assembler. `links[p]` is LinkId p+1; every endpoint must be
+/// in `nodes`. Rows follow the table's order, and each row lists its links
+/// in LinkId order. A link's cost is taken once for both of its edges.
+/// Drops +inf links; throws InvalidArgumentError on a negative or NaN cost.
+/// In builds without NDEBUG every returned graph has passed audit().
+CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
+                           const std::vector<CompactGraph::LinkRecord>& links);
 
 }  // namespace openspace

@@ -2,22 +2,23 @@
 //
 // A temporal sweep (routing/temporal.hpp, sim/flow_sweep.hpp) needs one
 // compiled CompactGraph per time step. Going through
-// TopologyBuilder::snapshot() + compileGraph() would materialize a
-// hash-map NetworkGraph (node/link maps, adjacency vectors, per-node name
+// TopologyBuilder::snapshot() + RouteEngine(graph, cost) would materialize
+// a hash-map NetworkGraph (node/link maps, adjacency vectors, per-node name
 // strings) only to walk it back down into flat arrays. IncrementalTopology
 // skips that: per step it enumerates the snapshot's links into a flat
 // ordered list with the same enumerator snapshot() uses (no NetworkGraph,
-// no hashing, no strings) and assembles the CSR arrays from it with one
-// counting-sort pass. The node table is built once and shared by every
-// step's graph.
+// no hashing, no strings), prices each link under its cost model and hands
+// the list to the one CSR assembler, assembleGraph()
+// (topology/compact_graph.hpp). The node table is numbered once from
+// TopologyBuilder::snapshotNodes() and shared by every step's graph.
 //
 // Bit-identity contract: graph() after step(t) is indistinguishable from
-// compileGraph(builder.snapshot(t, opt), cost) under the matching link
-// cost (routing's latencyCost() for Delay, 1 per link for Hop) — same
+// RouteEngine(builder.snapshot(t, opt), cost).graph() under the matching
+// link cost (routing's latencyCost() for Delay, 1 per link for Hop) — same
 // dense node numbering, same CSR edge order, same LinkIds, same payload
 // and cost doubles to the last bit (contentChecksum()-equal). Property
-// tests pin it every step against the test-only spec
-// legacy::topologySnapshot; DESIGN.md §13 gives the argument.
+// tests pin it every step against the test-only spec snapshot and compile
+// (spec/topology_legacy.hpp); DESIGN.md §13 gives the argument.
 #pragma once
 
 #include <cstdint>
@@ -79,21 +80,23 @@ class IncrementalTopology {
   std::size_t stepCount() const noexcept { return steps_; }
 
  private:
-  std::shared_ptr<const CompactGraph> assemble() const;
   void diffStructural();
 
   const TopologyBuilder& builder_;
   SnapshotOptions opt_;
   TemporalCostModel model_;
   std::unique_ptr<LinkEnumerator> links_;
+  /// The builder's node count at construction (the freeze check).
+  std::size_t registrySize_;
 
-  /// Dense numbering of the snapshot's nodes (satellites in ephemeris
-  /// order, then stations, then users, flag-gated), built once and shared
-  /// by pointer into every produced CompactGraph.
+  /// Dense numbering of the snapshot's nodes, built once and shared by
+  /// pointer into every produced CompactGraph.
   std::shared_ptr<const CompactGraph::NodeTable> nodeTable_;
 
-  // Step state: the previous and the current step's links.
+  // Step state: the previous and the current step's links, and the
+  // current step's priced links for the assembler.
   std::vector<LinkSpec> specs_, nextSpecs_;
+  std::vector<CompactGraph::LinkRecord> records_;
   std::shared_ptr<const CompactGraph> graph_;
   TopologyDelta delta_;
   std::size_t steps_ = 0;

@@ -20,13 +20,11 @@ class NetworkGraph {
   /// node whose kind/position fields are inconsistent.
   void addNode(Node node);
 
-  /// Add an undirected link between existing nodes. Returns its LinkId.
-  /// Throws NotFoundError for unknown endpoints, InvalidArgumentError for
-  /// self-loops or non-positive capacity.
+  /// Add an undirected link between existing nodes. Returns its LinkId:
+  /// links are never removed, so the ids of a graph are 1..linkCount() in
+  /// insertion order. Throws NotFoundError for unknown endpoints,
+  /// InvalidArgumentError for self-loops or non-positive capacity.
   LinkId addLink(Link link);
-
-  /// Remove a link (e.g. ISL teardown). Throws NotFoundError.
-  void removeLink(LinkId id);
 
   const Node& node(NodeId id) const;
   Node& node(NodeId id);
@@ -39,11 +37,11 @@ class NetworkGraph {
 
   /// All node ids in insertion order.
   const std::vector<NodeId>& nodes() const noexcept { return nodeOrder_; }
-  /// All live link ids in insertion order.
+  /// All link ids in insertion order (1..linkCount()).
   std::vector<LinkId> links() const;
 
   std::size_t nodeCount() const noexcept { return nodeOrder_.size(); }
-  std::size_t linkCount() const noexcept { return liveLinks_; }
+  std::size_t linkCount() const noexcept { return links_.size(); }
 
   /// Nodes of a given kind.
   std::vector<NodeId> nodesOfKind(NodeKind k) const;
@@ -54,11 +52,8 @@ class NetworkGraph {
  private:
   std::unordered_map<NodeId, Node> nodes_;
   std::vector<NodeId> nodeOrder_;
-  std::unordered_map<LinkId, Link> links_;
-  std::vector<LinkId> linkOrder_;
+  std::vector<Link> links_;  ///< LinkId v lives at links_[v - 1].
   std::unordered_map<NodeId, std::vector<LinkId>> adjacency_;
-  LinkId::rep_type nextLinkIdValue_ = 1;
-  std::size_t liveLinks_ = 0;
 };
 
 }  // namespace openspace

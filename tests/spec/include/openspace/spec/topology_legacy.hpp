@@ -10,8 +10,18 @@
 // for link and bit for bit (tests/test_topology.cpp,
 // tests/test_topology_delta.cpp); bench_temporal_delta times it as the
 // fresh leg. Unlike the library it does not validate the options.
+//
+// compileGraph() is the original NetworkGraph -> CompactGraph compile: a
+// walk over the nodes in insertion order and each node's links in
+// insertion order, evaluating the cost once per directed edge and
+// appending the edge to the CSR. The library's one CSR assembler
+// (assembleGraph, reached through RouteEngine and IncrementalTopology)
+// prices each link once and lays the edges out by counting sort instead;
+// the property tests pin the two layouts contentChecksum()-equal
+// (tests/test_route_engine.cpp, tests/test_topology_delta.cpp).
 #pragma once
 
+#include <openspace/routing/route.hpp>
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
 #include <openspace/topology/delta.hpp>
@@ -22,8 +32,14 @@ namespace openspace::legacy {
 NetworkGraph topologySnapshot(const TopologyBuilder& builder, double tSeconds,
                               const SnapshotOptions& opt);
 
+/// Compile `g` into CSR form under `cost` as provider `home`. Evaluates the
+/// cost callback once per directed edge; throws InvalidArgumentError on a
+/// negative or NaN cost, drops +inf (forbidden) edges.
+CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
+                          ProviderId home = {});
+
 /// The compileGraph() cost callback IncrementalTopology's `model` matches:
 /// latencyCost() for Delay, 1 per link for Hop.
-CompactGraph::CostFn temporalLinkCost(TemporalCostModel model);
+LinkCostFn temporalLinkCost(TemporalCostModel model);
 
 }  // namespace openspace::legacy

@@ -3,6 +3,8 @@
 #include <openspace/spec/topology_legacy.hpp>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
@@ -154,7 +156,67 @@ NetworkGraph topologySnapshot(const TopologyBuilder& builder, double tSeconds,
   return g;
 }
 
-CompactGraph::CostFn temporalLinkCost(TemporalCostModel model) {
+CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
+                          ProviderId home) {
+  const std::vector<NodeId>& order = g.nodes();
+  const std::size_t n = order.size();
+  std::vector<NodeKind> kinds;
+  kinds.reserve(n);
+  for (const NodeId id : order) kinds.push_back(g.node(id).kind);
+  auto nodes = std::make_shared<const CompactGraph::NodeTable>(order, std::move(kinds));
+
+  CompactGraph::Csr out;
+  out.rowOffset.reserve(n + 1);
+  out.rowOffset.push_back(0);
+  const std::size_t edgeGuess = 2 * g.linkCount();
+  out.edgeTo.reserve(edgeGuess);
+  out.edgeFrom.reserve(edgeGuess);
+  out.edgeCost.reserve(edgeGuess);
+  out.edgePropS.reserve(edgeGuess);
+  out.edgeQueueS.reserve(edgeGuess);
+  out.edgeCapBps.reserve(edgeGuess);
+  out.edgeLinkId.reserve(edgeGuess);
+
+  std::uint64_t maxLinkIdValue = 0;
+  for (const LinkId lid : g.links()) {
+    maxLinkIdValue = std::max<std::uint64_t>(maxLinkIdValue, lid.value());
+  }
+  out.linkEdges.resize(maxLinkIdValue + 1);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId u = order[i];
+    for (const LinkId lid : g.linksOf(u)) {
+      const Link& l = g.link(lid);
+      const double c = cost(g, l, home);
+      if (std::isnan(c) || c < 0.0) {
+        throw InvalidArgumentError("compileGraph: negative or NaN link cost");
+      }
+      if (std::isinf(c)) continue;  // forbidden edge: dropped at compile time
+      const NodeId v = l.otherEnd(u);
+      const std::uint32_t dv = nodes->indexOf(v);
+      if (dv == CompactGraph::kInvalidIndex) {
+        throw StateError("compileGraph: a link endpoint is not a graph node");
+      }
+      const auto e = static_cast<std::uint32_t>(out.edgeTo.size());
+      out.edgeTo.push_back(dv);
+      out.edgeFrom.push_back(static_cast<std::uint32_t>(i));
+      out.edgeCost.push_back(c);
+      out.edgePropS.push_back(l.propagationDelayS);
+      out.edgeQueueS.push_back(l.queueingDelayS);
+      out.edgeCapBps.push_back(l.capacityBps);
+      out.edgeLinkId.push_back(lid);
+      CompactGraph::LinkEdgeRange& r = out.linkEdges[lid.value()];
+      if (r.count >= 2) {
+        throw StateError("compileGraph: a link compiled to more than two edges");
+      }
+      r.e[r.count++] = e;
+    }
+    out.rowOffset.push_back(static_cast<std::uint32_t>(out.edgeTo.size()));
+  }
+  return CompactGraph(std::move(nodes), std::move(out));
+}
+
+LinkCostFn temporalLinkCost(TemporalCostModel model) {
   if (model == TemporalCostModel::Delay) return latencyCost();
   return [](const NetworkGraph&, const Link&, ProviderId) { return 1.0; };
 }

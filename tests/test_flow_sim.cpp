@@ -19,7 +19,6 @@
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
-#include <openspace/routing/engine.hpp>
 #include <openspace/sim/flow_sim.hpp>
 #include <openspace/sim/flow_sweep.hpp>
 #include <openspace/spec/flow_generator.hpp>
@@ -321,8 +320,7 @@ class FlowSimLine : public ::testing::Test {
     addLink(NodeId{1}, NodeId{2}, 1e6);
     addLink(NodeId{2}, NodeId{3}, 100e6);
     route_ = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{3});
-    graph_ = std::make_shared<const CompactGraph>(
-        compileGraph(g_, latencyCost()));
+    graph_ = RouteEngine(g_, latencyCost()).sharedGraph();
   }
 
   void addLink(NodeId a, NodeId b, double cap) {
@@ -610,8 +608,7 @@ TEST(FlowSimAnalytic, MD1MeanWaitMatchesClosedForm) {
   f.packetBits = bits;
   f.stopS = horizonS;
 
-  auto graph = std::make_shared<const CompactGraph>(
-      compileGraph(g, latencyCost()));
+  auto graph = RouteEngine(g, latencyCost()).sharedGraph();
   FlowSimulator sim(graph, FlowSimConfig{}
                                .withSeed(13)
                                .withDuration(horizonS)

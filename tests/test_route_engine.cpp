@@ -7,8 +7,10 @@
 // bit-identical to serial execution.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <openspace/concurrency/parallel.hpp>
@@ -16,8 +18,11 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/regulation/regime.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/security/reputation.hpp>
 #include <openspace/spec/routing_legacy.hpp>
+#include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {
@@ -93,6 +98,14 @@ LinkCostFn richCost() {
   w.hopPenalty = 1e-4;
   w.foreignPenalty = 2e-4;
   return makeCostFunction(w);
+}
+
+/// Forbids RF ISLs outright (+inf), prices everything else by delay.
+LinkCostFn rfIslForbiddingCost() {
+  return [](const NetworkGraph&, const Link& l, ProviderId) {
+    if (l.type == LinkType::IslRf) return std::numeric_limits<double>::infinity();
+    return l.totalDelayS();
+  };
 }
 
 class EngineVsLegacy
@@ -232,6 +245,44 @@ TEST_P(EngineVsLegacy, BatchParallelBitIdenticalToSerial) {
   }
 }
 
+TEST_P(EngineVsLegacy, AssemblerMatchesSpecCompileUnderEveryCost) {
+  // The engine prices each link once and assembles by counting sort; the
+  // spec compile prices each directed edge and appends in node order. The
+  // two layouts must be indistinguishable under every cost wrapper,
+  // including ones that forbid some or all links.
+  const auto [wiring, seed] = GetParam();
+  EphemerisService eph;
+  Rng rng(seed + 5000);
+  const NetworkGraph g = randomSnapshot(wiring, seed, eph, rng);
+  const RegulatoryRegime regime = exampleGlobalRegime();
+  ReputationTracker rep(0.5);
+  for (const ProviderId bad : {ProviderId{2}, ProviderId{7}}) {
+    for (int i = 0; i < 12; ++i) {
+      rep.reportMisbehavior(bad, MisbehaviorKind::Interception);
+    }
+  }
+  ASSERT_TRUE(rep.quarantined(ProviderId{7}));
+  const std::vector<LinkCostFn> costs = {
+      latencyCost(),
+      richCost(),
+      rfIslForbiddingCost(),
+      complianceConstrainedCost(latencyCost(), regime, /*userRegion=*/1 + seed % 3),
+      quarantineAwareCost(latencyCost(), rep),
+  };
+  const ProviderId home{1};
+  std::size_t dropped = 0;
+  for (std::size_t c = 0; c < costs.size(); ++c) {
+    const RouteEngine engine(g, costs[c], home);
+    engine.graph().audit();
+    const CompactGraph spec = legacy::compileGraph(g, costs[c], home);
+    spec.audit();
+    EXPECT_EQ(engine.graph().contentChecksum(), spec.contentChecksum())
+        << "cost #" << c;
+    dropped += 2 * g.linkCount() - engine.graph().edgeCount();
+  }
+  EXPECT_GT(dropped, 0u) << "no cost forbade a link";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Wirings, EngineVsLegacy,
     ::testing::Combine(::testing::Values(IslWiring::PlusGrid,
@@ -274,13 +325,7 @@ TEST(RouteEngineCompile, ForbiddenEdgesMatchLegacyAvoidance) {
   const NetworkGraph g = randomSnapshot(IslWiring::PlusGrid, 2, eph, rng);
   // Forbid RF ISLs outright (+inf): compiled out of the CSR, lazily skipped
   // by legacy — results must still agree.
-  const LinkCostFn cost = [](const NetworkGraph& graph, const Link& l,
-                             ProviderId) {
-    if (l.type == LinkType::IslRf) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return l.totalDelayS();
-  };
+  const LinkCostFn cost = rfIslForbiddingCost();
   const RouteEngine engine(g, cost);
   const auto& nodes = g.nodes();
   for (int q = 0; q < 20; ++q) {
@@ -301,6 +346,20 @@ TEST(RouteEngineCompile, NegativeCostThrowsAtCompile) {
     return -1.0;
   };
   EXPECT_THROW(RouteEngine(g, bad), InvalidArgumentError);
+  EXPECT_THROW((void)legacy::compileGraph(g, bad), InvalidArgumentError);
+}
+
+TEST(RouteEngineCompile, NanCostThrowsAtCompile) {
+  EphemerisService eph;
+  Rng rng(10);
+  const NetworkGraph g = randomSnapshot(IslWiring::NearestNeighbors, 3, eph, rng);
+  // One NaN link among finite ones is enough.
+  const LinkCostFn bad = [](const NetworkGraph&, const Link& l, ProviderId) {
+    return l.id == LinkId{5u} ? std::numeric_limits<double>::quiet_NaN()
+                              : l.totalDelayS();
+  };
+  EXPECT_THROW(RouteEngine(g, bad), InvalidArgumentError);
+  EXPECT_THROW((void)legacy::compileGraph(g, bad), InvalidArgumentError);
 }
 
 TEST(RouteEngineCompile, UnknownEndpointsThrow) {
@@ -319,6 +378,104 @@ TEST(RouteEngineCompile, UnknownEndpointsThrow) {
   EXPECT_THROW((void)engine.kShortestPaths(g.nodes().front(),
                                            g.nodes().back(), 0),
                InvalidArgumentError);
+}
+
+// --- Degenerate graphs -------------------------------------------------------
+
+Node plainSatellite(std::uint32_t idValue) {
+  Node n;
+  n.id = NodeId{idValue};
+  n.kind = NodeKind::Satellite;
+  n.provider = ProviderId{1};
+  n.name = "s" + std::to_string(idValue);
+  n.satellite = SatelliteId{idValue};
+  return n;
+}
+
+Link plainLink(std::uint32_t a, std::uint32_t b) {
+  Link l;
+  l.a = NodeId{a};
+  l.b = NodeId{b};
+  l.propagationDelayS = 0.001 * (a + b);
+  l.capacityBps = 1e6;
+  return l;
+}
+
+/// The engine's graph passes audit() and checksums equal to the spec's.
+void expectMatchesSpec(const NetworkGraph& g, const LinkCostFn& cost) {
+  const RouteEngine engine(g, cost);
+  engine.graph().audit();
+  EXPECT_EQ(engine.graph().contentChecksum(),
+            legacy::compileGraph(g, cost).contentChecksum());
+}
+
+TEST(RouteEngineDegenerate, EmptyGraph) {
+  const NetworkGraph g;
+  const RouteEngine engine(g);
+  engine.graph().audit();
+  EXPECT_EQ(engine.graph().nodeCount(), 0u);
+  EXPECT_EQ(engine.graph().edgeCount(), 0u);
+  EXPECT_TRUE(engine.graph().edgesOfLink(LinkId{1u}).empty());
+  EXPECT_TRUE(engine.batchShortestPathTrees({}).empty());
+  EXPECT_THROW((void)engine.shortestPath(NodeId{1}, NodeId{1}), NotFoundError);
+  EXPECT_THROW((void)engine.shortestPathTree(NodeId{1}), NotFoundError);
+  expectMatchesSpec(g, latencyCost());
+}
+
+TEST(RouteEngineDegenerate, NodesWithoutLinks) {
+  NetworkGraph g;
+  for (std::uint32_t i = 1; i <= 3; ++i) g.addNode(plainSatellite(i));
+  const RouteEngine engine(g);
+  engine.graph().audit();
+  EXPECT_EQ(engine.graph().nodeCount(), 3u);
+  EXPECT_EQ(engine.graph().edgeCount(), 0u);
+  EXPECT_FALSE(engine.shortestPath(NodeId{1}, NodeId{2}).valid());
+  const Route self = engine.shortestPath(NodeId{2}, NodeId{2});
+  ASSERT_TRUE(self.valid());
+  EXPECT_EQ(self.nodes, std::vector<NodeId>{NodeId{2}});
+  const PathTree tree = engine.shortestPathTree(NodeId{3});
+  EXPECT_TRUE(tree.reaches(NodeId{3}));
+  EXPECT_FALSE(tree.reaches(NodeId{1}));
+  EXPECT_TRUE(engine.kShortestPaths(NodeId{1}, NodeId{3}, 3).empty());
+  expectMatchesSpec(g, latencyCost());
+}
+
+TEST(RouteEngineDegenerate, EveryLinkForbidden) {
+  NetworkGraph g;
+  for (std::uint32_t i = 1; i <= 4; ++i) g.addNode(plainSatellite(i));
+  std::vector<LinkId> links;
+  for (std::uint32_t i = 1; i < 4; ++i) links.push_back(g.addLink(plainLink(i, i + 1)));
+  const LinkCostFn forbidAll = [](const NetworkGraph&, const Link&, ProviderId) {
+    return std::numeric_limits<double>::infinity();
+  };
+  const RouteEngine engine(g, forbidAll);
+  engine.graph().audit();
+  EXPECT_EQ(engine.graph().edgeCount(), 0u);
+  for (const LinkId lid : links) EXPECT_TRUE(engine.graph().edgesOfLink(lid).empty());
+  EXPECT_FALSE(engine.shortestPath(NodeId{1}, NodeId{4}).valid());
+  EXPECT_FALSE(engine.shortestPathTree(NodeId{1}).routeTo(NodeId{2}).valid());
+  expectMatchesSpec(g, forbidAll);
+}
+
+TEST(RouteEngineDegenerate, IsolatedNodeNextToAComponent) {
+  NetworkGraph g;
+  for (std::uint32_t i = 1; i <= 5; ++i) g.addNode(plainSatellite(i));
+  g.addLink(plainLink(1, 2));
+  g.addLink(plainLink(2, 3));
+  g.addLink(plainLink(3, 4));
+  g.addLink(plainLink(1, 4));  // node 5 stays isolated
+  const RouteEngine engine(g);
+  engine.graph().audit();
+  EXPECT_EQ(engine.graph().rowBegin(4), engine.graph().rowEnd(4));
+  EXPECT_TRUE(engine.shortestPath(NodeId{1}, NodeId{3}).valid());
+  EXPECT_FALSE(engine.shortestPath(NodeId{1}, NodeId{5}).valid());
+  EXPECT_FALSE(engine.shortestPath(NodeId{5}, NodeId{1}).valid());
+  const PathTree tree = engine.shortestPathTree(NodeId{2});
+  EXPECT_TRUE(std::isinf(tree.costTo(NodeId{5})));
+  EXPECT_FALSE(tree.routeToCheapest({NodeId{5}}).valid());
+  EXPECT_TRUE(engine.kShortestPaths(NodeId{1}, NodeId{5}, 2).empty());
+  EXPECT_EQ(engine.kShortestPaths(NodeId{1}, NodeId{3}, 3).size(), 2u);
+  expectMatchesSpec(g, latencyCost());
 }
 
 }  // namespace

@@ -85,10 +85,14 @@ TEST(Graph, LinkLifecycle) {
   EXPECT_EQ(g.link(lid).otherEnd(NodeId{2}), NodeId{1u});
   EXPECT_THROW(g.link(lid).otherEnd(NodeId{7}), InvalidArgumentError);
   EXPECT_EQ(g.linksOf(NodeId{1}).size(), 1u);
-  g.removeLink(lid);
-  EXPECT_EQ(g.linkCount(), 0u);
-  EXPECT_TRUE(g.linksOf(NodeId{1}).empty());
-  EXPECT_THROW(g.removeLink(lid), NotFoundError);
+  // Links are never removed, so ids are 1..L in insertion order.
+  g.addNode(satNode(NodeId{3}, SatelliteId{12}));
+  const LinkId second = g.addLink(mkLink(NodeId{2}, NodeId{3}));
+  EXPECT_EQ(lid, LinkId{1u});
+  EXPECT_EQ(second, LinkId{2u});
+  EXPECT_EQ(g.links(), (std::vector<LinkId>{lid, second}));
+  EXPECT_THROW((void)g.link(LinkId{3u}), NotFoundError);
+  EXPECT_THROW((void)g.link(LinkId{}), NotFoundError);
 }
 
 TEST(Graph, LinkValidation) {

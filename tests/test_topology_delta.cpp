@@ -1,6 +1,7 @@
 // Property tests for the incremental temporal topology pipeline
 // (topology/delta.hpp): every step's CompactGraph must be bit-identical to
-// compileGraph() of the executable spec legacy::topologySnapshot, across
+// the spec compile legacy::compileGraph() of the executable spec
+// legacy::topologySnapshot, across
 // all three ISL wiring policies, over randomized constellations and
 // sweeps. contentChecksum() is the witness.
 #include <gtest/gtest.h>
@@ -80,7 +81,7 @@ void expectBitIdenticalSweep(IslWiring wiring, TemporalCostModel model,
   const auto sc = makeScenario(rng, planes, 6, 2, 3);
   const SnapshotOptions opt = optsFor(wiring, planes, rng);
   IncrementalTopology inc(*sc->topo, opt, model);
-  const CompactGraph::CostFn cost = legacy::temporalLinkCost(model);
+  const LinkCostFn cost = legacy::temporalLinkCost(model);
 
   std::size_t structuralSteps = 0;
   std::size_t prevLinks = 0;
@@ -88,7 +89,7 @@ void expectBitIdenticalSweep(IslWiring wiring, TemporalCostModel model,
   for (int k = 0; k < 24; ++k) {
     const TopologyDelta& d = inc.step(t);
     const CompactGraph spec =
-        compileGraph(legacy::topologySnapshot(*sc->topo, t, opt), cost);
+        legacy::compileGraph(legacy::topologySnapshot(*sc->topo, t, opt), cost);
     ASSERT_NE(inc.graph(), nullptr);
     inc.graph()->audit();
     ASSERT_EQ(inc.graph()->contentChecksum(), spec.contentChecksum())
@@ -217,6 +218,82 @@ TEST(IncrementalTopology, DegeneratePlusGridSelfPairThrows) {
   opt.planes = 2;
   EXPECT_THROW(IncrementalTopology(topo, opt), InvalidArgumentError);
   EXPECT_THROW(topo.snapshot(0.0, opt), InvalidArgumentError);
+}
+
+/// A Walker star of `sats` satellites, one per plane (none for 0), with
+/// one ground station and one user.
+std::unique_ptr<Scenario> tinyFleet(int sats) {
+  auto sc = std::make_unique<Scenario>();
+  if (sats > 0) {
+    WalkerConfig cfg;
+    cfg.totalSatellites = sats;
+    cfg.planes = sats;
+    cfg.altitudeM = km(780.0);
+    cfg.inclinationRad = deg2rad(86.4);
+    for (const auto& el : makeWalkerStar(cfg)) sc->eph.publish(ProviderId{1}, el);
+  }
+  sc->topo = std::make_unique<TopologyBuilder>(sc->eph);
+  sc->topo->addGroundStation({"gw", Geodetic::fromDegrees(10.0, 20.0), ProviderId{2}});
+  sc->topo->addUser({"u", Geodetic::fromDegrees(-5.0, 30.0), ProviderId{1}});
+  return sc;
+}
+
+TEST(IncrementalTopology, TinyFleetsMatchTheSnapshotCompile) {
+  // Fleets of 0, 1 and 2 satellites: the incremental graphs and the
+  // engine's compile of snapshot() agree and pass audit() at every step.
+  for (const int sats : {0, 1, 2}) {
+    const auto sc = tinyFleet(sats);
+    std::size_t linksSeen = 0;
+    for (const IslWiring wiring :
+         {IslWiring::NearestNeighbors, IslWiring::AllInRange}) {
+      SnapshotOptions opt;
+      opt.wiring = wiring;
+      opt.maxIslRangeM = km(8000.0);
+      IncrementalTopology inc(*sc->topo, opt);
+      for (double t = 0.0; t < 6000.0; t += 300.0) {
+        linksSeen += inc.step(t).linkCount;
+        inc.graph()->audit();
+        const RouteEngine fresh(sc->topo->snapshot(t, opt), latencyCost());
+        fresh.graph().audit();
+        ASSERT_EQ(inc.graph()->contentChecksum(), fresh.graph().contentChecksum())
+            << "sats=" << sats << " wiring=" << static_cast<int>(wiring)
+            << " t=" << t;
+        EXPECT_EQ(inc.graph()->nodeCount(), static_cast<std::size_t>(sats) + 2);
+      }
+    }
+    if (sats > 0) EXPECT_GT(linksSeen, 0u) << "sats=" << sats;
+  }
+}
+
+TEST(IncrementalTopology, TinyFleetsKeepPlusGridErrors) {
+  // PlusGrid has no grid to wire on an empty fleet, and one satellite per
+  // plane or per ring wires a satellite to itself.
+  const auto expectRejected = [](int sats, int planes) {
+    const auto sc = tinyFleet(sats);
+    SnapshotOptions opt;
+    opt.wiring = IslWiring::PlusGrid;
+    opt.planes = planes;
+    EXPECT_THROW(IncrementalTopology(*sc->topo, opt), InvalidArgumentError)
+        << "sats=" << sats << " planes=" << planes;
+    EXPECT_THROW((void)sc->topo->snapshot(0.0, opt), InvalidArgumentError)
+        << "sats=" << sats << " planes=" << planes;
+  };
+  expectRejected(0, 0);
+  expectRejected(0, 1);
+  expectRejected(1, 1);
+  expectRejected(2, 2);
+  // Two satellites in one plane form a valid two-node ring.
+  const auto sc = tinyFleet(2);
+  SnapshotOptions opt;
+  opt.wiring = IslWiring::PlusGrid;
+  opt.planes = 1;
+  IncrementalTopology inc(*sc->topo, opt);
+  inc.step(0.0);
+  inc.graph()->audit();
+  EXPECT_EQ(inc.graph()->contentChecksum(),
+            RouteEngine(sc->topo->snapshot(0.0, opt), latencyCost())
+                .graph()
+                .contentChecksum());
 }
 
 TEST(IncrementalTopology, NanOptionsAndNegativeKThrow) {
