@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     // Proactive: the precomputed choice ignores live queue state — model it
     // by routing on propagation delay only, then charging the path the
     // queueing it actually encounters.
-    const LinkCostFn propOnly = [](const NetworkGraph&, const Link& l,
+    const LinkCostFn propOnly = [](const Link& l, const Node&, const Node&,
                                    ProviderId) { return l.propagationDelayS; };
     const Route proactive =
         RouteEngine(g, propOnly).shortestPathTree(user).routeToCheapest(gateways);

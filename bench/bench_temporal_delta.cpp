@@ -8,9 +8,9 @@
 // Structure — verification and timing are separate sweeps:
 //  * verify (untimed) — fresh and delta run side by side over every step.
 //    Graphs: contentChecksum() equality per step under the delay cost
-//    model. Routes: the full dist + parent-edge arrays of every tree built
+//    (latencyCost()). Routes: the full dist + parent-edge arrays of every tree built
 //    on the delta graph against its twin on the fresh compile, per step
-//    under the hop cost model. Any single-bit divergence on any step fails
+//    under a hop-count cost. Any single-bit divergence on any step fails
 //    the run (hard gate, exit non-zero). Checksumming lives here, outside
 //    the timed passes, because hashing every edge payload costs more than
 //    the delta step being measured and would dilute both sides of the
@@ -66,6 +66,11 @@ using namespace openspace;
 // one mode, so the speedup (the ratio of the per-mode minima) stays steady
 // on a shared machine.
 constexpr int kPasses = 7;
+
+/// One per link: only structural link churn perturbs the routes.
+LinkCostFn hopCost() {
+  return [](const Link&, const Node&, const Node&, ProviderId) { return 1.0; };
+}
 
 double nowS() {
   return std::chrono::duration<double>(
@@ -199,25 +204,24 @@ int main(int argc, char** argv) {
   std::uint64_t routesChecksum = kFnvOffsetBasis;
   std::size_t structuralSteps = 0;
   {
-    const LinkCostFn delayCost =
-        legacy::temporalLinkCost(delayCostModel());
-    const LinkCostFn hopCost = legacy::temporalLinkCost(hopCostModel());
-    IncrementalTopology incG(topo, opt, delayCostModel());
-    IncrementalTopology incR(topo, opt, hopCostModel());
+    const LinkCostFn delayCost = latencyCost();
+    const LinkCostFn hops = hopCost();
+    IncrementalTopology incG(topo, opt, delayCost);
+    IncrementalTopology incR(topo, opt, hops);
     for (int i = 0; i < steps; ++i) {
       const double t = i * stepS;
-      // Graphs under the delay model.
+      // Graphs under the delay cost.
       const CompactGraph freshG =
           legacy::compileGraph(legacy::topologySnapshot(topo, t, opt), delayCost);
       if (incG.step(t).structural) ++structuralSteps;
       const std::uint64_t freshSum = freshG.contentChecksum();
       graphMatch = graphMatch && freshSum == incG.graph()->contentChecksum();
       graphChecksum = fnv1a(graphChecksum, freshSum);
-      // Trees under the hop model: every tree on the delta graph against
+      // Trees under the hop cost: every tree on the delta graph against
       // its twin on the fresh compile.
       incR.step(t);
       const RouteEngine freshEngine(std::make_shared<const CompactGraph>(
-          legacy::compileGraph(legacy::topologySnapshot(topo, t, opt), hopCost)));
+          legacy::compileGraph(legacy::topologySnapshot(topo, t, opt), hops)));
       const RouteEngine deltaEngine(incR.graph());
       for (const NodeId src : sources) {
         const std::uint64_t treeSum =
@@ -230,9 +234,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- phase A (timed): per-step graph production (delay cost model) -------
+  // --- phase A (timed): per-step graph production (delay cost) -------------
   const auto freshGraphs = [&] {
-    const LinkCostFn cost = legacy::temporalLinkCost(delayCostModel());
+    const LinkCostFn cost = latencyCost();
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       const CompactGraph g =
@@ -242,7 +246,7 @@ int main(int argc, char** argv) {
     return h;
   };
   const auto deltaGraphs = [&] {
-    IncrementalTopology inc(topo, opt, delayCostModel());
+    IncrementalTopology inc(topo, opt, latencyCost());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       inc.step(i * stepS);
@@ -257,9 +261,9 @@ int main(int argc, char** argv) {
                                   ? graphFresh.bestPassS / graphDelta.bestPassS
                                   : 0.0;
 
-  // --- phase B (timed): per-step topology + routing trees (hop model) ------
+  // --- phase B (timed): per-step topology + routing trees (hop cost) -------
   const auto freshRoutes = [&] {
-    const LinkCostFn cost = legacy::temporalLinkCost(hopCostModel());
+    const LinkCostFn cost = hopCost();
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       const RouteEngine engine(std::make_shared<const CompactGraph>(
@@ -271,7 +275,7 @@ int main(int argc, char** argv) {
     return h;
   };
   const auto deltaRoutes = [&] {
-    IncrementalTopology inc(topo, opt, hopCostModel());
+    IncrementalTopology inc(topo, opt, hopCost());
     std::uint64_t h = kFnvOffsetBasis;
     for (int i = 0; i < steps; ++i) {
       inc.step(i * stepS);
@@ -295,8 +299,7 @@ int main(int argc, char** argv) {
     allSats.push_back(topo.nodeOf(sid));
   }
   const auto batchGraph = std::make_shared<const CompactGraph>(
-      legacy::compileGraph(topo.snapshot(0.0, opt),
-                   legacy::temporalLinkCost(delayCostModel())));
+      legacy::compileGraph(topo.snapshot(0.0, opt), latencyCost()));
   const RouteEngine batchEngine(batchGraph);
   const auto batchChecksum = [&] {
     std::uint64_t h = kFnvOffsetBasis;

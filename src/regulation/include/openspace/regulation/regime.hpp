@@ -86,6 +86,8 @@ class RegulatoryRegime {
 ///  * GSL links into gateways in regions `userRegion` does not trust are
 ///    unroutable (data-privacy egress rule). Gateways in unregistered
 ///    territory are treated as untrusted.
+/// `regime` is captured by reference and must outlive every holder of the
+/// returned cost (an IncrementalTopology keeps it for its whole sweep).
 LinkCostFn complianceConstrainedCost(LinkCostFn base,
                                      const RegulatoryRegime& regime,
                                      RegionId userRegion);

@@ -73,13 +73,12 @@ LinkCostFn complianceConstrainedCost(LinkCostFn base,
                                      const RegulatoryRegime& regime,
                                      RegionId userRegion) {
   return [base = std::move(base), &regime, userRegion](
-             const NetworkGraph& g, const Link& l, ProviderId home) -> double {
+             const Link& l, const Node& a, const Node& b,
+             ProviderId home) -> double {
     constexpr double kForbidden = std::numeric_limits<double>::infinity();
     if (l.type == LinkType::Gsl || l.type == LinkType::UserLink) {
       // Identify the ground endpoint.
-      const Node& na = g.node(l.a);
-      const Node& nb = g.node(l.b);
-      const Node& ground = na.isSatellite() ? nb : na;
+      const Node& ground = a.isSatellite() ? b : a;
       if (!ground.location) return kForbidden;  // malformed: be safe
       const auto region = regime.regionOf(*ground.location);
       // Spectrum policy: the ground link's band must be licensed locally.
@@ -92,7 +91,7 @@ LinkCostFn complianceConstrainedCost(LinkCostFn base,
         if (!regime.egressAllowed(userRegion, *region)) return kForbidden;
       }
     }
-    return base(g, l, home);
+    return base(l, a, b, home);
   };
 }
 

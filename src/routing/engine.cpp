@@ -115,14 +115,16 @@ CompactGraph compile(const NetworkGraph& g, const LinkCostFn& cost,
   for (const NodeId id : g.nodes()) kinds.push_back(g.node(id).kind);
   auto nodes = std::make_shared<const CompactGraph::NodeTable>(g.nodes(),
                                                                std::move(kinds));
-  std::vector<CompactGraph::LinkRecord> links;
+  std::vector<Link> links;
+  std::vector<double> costs;
   links.reserve(g.linkCount());
+  costs.reserve(g.linkCount());
   for (const LinkId lid : g.links()) {
     const Link& l = g.link(lid);
-    links.push_back({l.a, l.b, l.propagationDelayS, l.queueingDelayS,
-                     l.capacityBps, cost(g, l, home)});
+    links.push_back(l);
+    costs.push_back(cost(l, g.node(l.a), g.node(l.b), home));
   }
-  return assembleGraph(std::move(nodes), links);
+  return assembleGraph(std::move(nodes), links, costs);
 }
 
 }  // namespace

@@ -105,9 +105,9 @@ struct TreeRepairStats {
 
 class RouteEngine {
  public:
-  /// Compile `g` under `cost` as provider `home`: each link is priced once
-  /// and assembled by assembleGraph(). Throws InvalidArgumentError on a
-  /// negative or NaN cost. The NetworkGraph is not retained: the engine
+  /// Compile `g` under `cost` as provider `home`: each link is priced once,
+  /// cost(l, g.node(l.a), g.node(l.b), home), and assembled by
+  /// assembleGraph(). Throws InvalidArgumentError on a negative or NaN cost. The NetworkGraph is not retained: the engine
   /// owns its compiled form and is self-contained.
   explicit RouteEngine(const NetworkGraph& g, const LinkCostFn& cost = latencyCost(),
                        ProviderId home = {});

@@ -1,7 +1,10 @@
-// Route representation and QoS-aware link cost model.
+// Route representation and the §2.2 weighted cost (LinkCostFn and
+// latencyCost() live in topology/link.hpp). Lifetime: the regime / tracker
+// that complianceConstrainedCost and quarantineAwareCost capture by
+// reference must outlive every holder of the wrapper, IncrementalTopology
+// included (it keeps its cost for the whole sweep).
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -44,19 +47,10 @@ struct CostWeights {
   static CostWeights forQos(QosClass q);
 };
 
-/// Link cost functor signature: (graph, link, homeProvider) -> cost.
-/// Must be positive for every traversable link; return +inf to forbid.
-using LinkCostFn =
-    std::function<double(const NetworkGraph&, const Link&, ProviderId)>;
-
 /// The heterogeneity-aware default cost model described in §2.2: combines
 /// propagation + queueing delay, available bandwidth, transit tariffs and
 /// ownership. Premium flows may refuse RF-only ISLs (laser-guaranteed QoS).
 LinkCostFn makeCostFunction(const CostWeights& weights);
-
-/// Pure-latency cost (the paper's §4 "use this path length to estimate
-/// latency" evaluation model).
-LinkCostFn latencyCost();
 
 /// Apply an M/M/1-style queueing delay estimate to a link given its
 /// current utilization in [0, 1): delay = serviceTime * rho / (1 - rho),

@@ -36,7 +36,7 @@ CostWeights CostWeights::forQos(QosClass q) {
 }
 
 LinkCostFn makeCostFunction(const CostWeights& weights) {
-  return [weights](const NetworkGraph& g, const Link& l,
+  return [weights](const Link& l, const Node& a, const Node& b,
                    ProviderId home) -> double {
     if (weights.requireLaserForPremium && l.type == LinkType::IslRf) {
       return std::numeric_limits<double>::infinity();
@@ -48,17 +48,11 @@ LinkCostFn makeCostFunction(const CostWeights& weights) {
     cost += weights.tariffWeight * l.tariffUsdPerGb * 1e-3;
     if (weights.foreignPenalty > 0.0 && home.isValid()) {
       // A hop is "foreign" when neither endpoint belongs to the home ISP.
-      const bool aHome = g.node(l.a).provider == home;
-      const bool bHome = g.node(l.b).provider == home;
+      const bool aHome = a.provider == home;
+      const bool bHome = b.provider == home;
       if (!aHome && !bHome) cost += weights.foreignPenalty;
     }
     return cost;
-  };
-}
-
-LinkCostFn latencyCost() {
-  return [](const NetworkGraph&, const Link& l, ProviderId) {
-    return l.totalDelayS();
   };
 }
 

@@ -13,7 +13,7 @@ ContactGraphRouter::ContactGraphRouter(const TopologyBuilder& builder,
   if (stepS <= 0.0 || horizonS <= 0.0) {
     throw InvalidArgumentError("ContactGraphRouter: step/horizon must be > 0");
   }
-  IncrementalTopology inc(builder, opt, delayCostModel());
+  IncrementalTopology inc(builder, opt, latencyCost());
   for (double t = t0S; t < t0S + horizonS; t += stepS) {
     inc.step(t);
     snaps_.push_back({t, std::min(t + stepS, t0S + horizonS), inc.graph()});

@@ -95,7 +95,9 @@ void applyAuditFindings(const std::vector<LedgerDiscrepancy>& findings,
                         ReputationTracker& reputation);
 
 /// Wrap a cost function so links whose carrying providers are quarantined
-/// become unroutable — the "cut off bad actors" enforcement point.
+/// become unroutable — the "cut off bad actors" enforcement point. `rep` is
+/// captured by reference and must outlive every holder of the returned
+/// cost (an IncrementalTopology keeps it for its whole sweep).
 LinkCostFn quarantineAwareCost(LinkCostFn base, const ReputationTracker& rep);
 
 }  // namespace openspace

@@ -143,13 +143,13 @@ void applyAuditFindings(const std::vector<LedgerDiscrepancy>& findings,
 }
 
 LinkCostFn quarantineAwareCost(LinkCostFn base, const ReputationTracker& rep) {
-  return [base = std::move(base), &rep](const NetworkGraph& g, const Link& l,
+  return [base = std::move(base), &rep](const Link& l, const Node& a,
+                                        const Node& b,
                                         ProviderId home) -> double {
-    if (rep.quarantined(g.node(l.a).provider) ||
-        rep.quarantined(g.node(l.b).provider)) {
+    if (rep.quarantined(a.provider) || rep.quarantined(b.provider)) {
       return std::numeric_limits<double>::infinity();
     }
-    return base(g, l, home);
+    return base(l, a, b, home);
   };
 }
 

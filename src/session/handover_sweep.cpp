@@ -378,6 +378,9 @@ void HandoverSweep::seed(SessionTable& table,
     table.clockS_ = t0S;
     table.seeded_ = true;
   }
+#ifndef NDEBUG
+  table.audit();
+#endif
 }
 
 EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
@@ -582,6 +585,9 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
   }
   total.eventChecksum = h;
   table.clockS_ = t1S;
+#ifndef NDEBUG
+  table.audit();
+#endif
   return total;
 }
 

@@ -203,7 +203,8 @@ class HandoverSweep {
   /// duplicate throws InvalidArgumentError. The first seed sets the table
   /// clock; later seeds must arrive at the current clock (epoch
   /// boundaries). Throws InvalidArgumentError for a non-finite t0S before
-  /// touching any cache. Deterministic at any thread count.
+  /// touching any cache. Deterministic at any thread count. Audited on
+  /// return (SessionTable::audit()) in builds without NDEBUG.
   void seed(SessionTable& table, const std::vector<SessionSeed>& seeds,
             double t0S, SeedMode mode) const;
 
@@ -212,6 +213,7 @@ class HandoverSweep {
   /// falls inside the epoch. Events append to `eventsOut` (if non-null) in
   /// (shard, pop) order — the checksum's order. Throws
   /// InvalidArgumentError unless t1S is finite and > table.clockS().
+  /// Audited on return, as seed() is.
   EpochStats runEpoch(SessionTable& table, double t1S,
                       std::vector<SessionEvent>* eventsOut = nullptr) const;
 

@@ -43,7 +43,7 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     if (it == sources.end()) sources.push_back(demands[i].src);
   }
 
-  IncrementalTopology inc(builder, opt, delayCostModel());
+  IncrementalTopology inc(builder, opt, latencyCost());
 
   FlowSweepReport out;
   const double endS = cfg.t0S + cfg.horizonS;

@@ -164,19 +164,9 @@ NetworkGraph TopologyBuilder::snapshot(double tSeconds,
   // One shared propagation of the whole fleet (LRU-cached across repeated
   // snapshots of the same instant).
   const auto snap = SnapshotCache::global().at(ephemeris_, tSeconds);
-  std::vector<LinkSpec> specs;
-  links.enumerate(*snap, specs);
-  for (const LinkSpec& spec : specs) {
-    Link l;
-    l.a = spec.a;
-    l.b = spec.b;
-    l.type = spec.type;
-    l.band = spec.band;
-    l.distanceM = spec.distanceM;
-    l.propagationDelayS = spec.propagationDelayS;
-    l.capacityBps = spec.capacityBps;
-    g.addLink(l);
-  }
+  std::vector<Link> snapLinks;
+  links.enumerate(*snap, snapLinks);
+  for (const Link& l : snapLinks) g.addLink(l);
   return g;
 }
 

@@ -119,7 +119,9 @@ void CompactGraph::audit() const {
 }
 
 CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
-                           const std::vector<CompactGraph::LinkRecord>& links) {
+                           const std::vector<Link>& links,
+                           const std::vector<double>& costs) {
+  OPENSPACE_ASSERT(costs.size() == links.size(), "one cost per link");
   const CompactGraph::NodeTable& table = *nodes;
   const std::size_t n = table.size();
   const auto denseOf = [&](NodeId id) {
@@ -134,13 +136,15 @@ CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
   CompactGraph::Csr csr;
   csr.rowOffset.assign(n + 1, 0);
   std::size_t edgeCount = 0;
-  for (const CompactGraph::LinkRecord& l : links) {
-    if (std::isnan(l.cost) || l.cost < 0.0) {
+  for (std::size_t p = 0; p < links.size(); ++p) {
+    OPENSPACE_ASSERT(links[p].id == LinkId{static_cast<LinkId::rep_type>(p + 1)},
+                     "links arrive in dense LinkId order");
+    if (std::isnan(costs[p]) || costs[p] < 0.0) {
       throw InvalidArgumentError("assembleGraph: negative or NaN link cost");
     }
-    if (std::isinf(l.cost)) continue;  // forbidden: dropped at assembly
-    ++csr.rowOffset[denseOf(l.a) + 1];
-    ++csr.rowOffset[denseOf(l.b) + 1];
+    if (std::isinf(costs[p])) continue;  // forbidden: dropped at assembly
+    ++csr.rowOffset[denseOf(links[p].a) + 1];
+    ++csr.rowOffset[denseOf(links[p].b) + 1];
     edgeCount += 2;
   }
   for (std::size_t u = 0; u < n; ++u) csr.rowOffset[u + 1] += csr.rowOffset[u];
@@ -155,21 +159,21 @@ CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
 
   std::vector<std::uint32_t> fill(csr.rowOffset.begin(), csr.rowOffset.end() - 1);
   for (std::size_t p = 0; p < links.size(); ++p) {
-    const CompactGraph::LinkRecord& l = links[p];
-    if (std::isinf(l.cost)) continue;
+    const Link& l = links[p];
+    const double cost = costs[p];
+    if (std::isinf(cost)) continue;
     const std::uint32_t ua = denseOf(l.a);
     const std::uint32_t ub = denseOf(l.b);
-    const LinkId lid{static_cast<LinkId::rep_type>(p + 1)};
     const std::uint32_t ea = fill[ua]++;
     const std::uint32_t eb = fill[ub]++;
     const auto place = [&](std::uint32_t e, std::uint32_t from, std::uint32_t to) {
       csr.edgeTo[e] = to;
       csr.edgeFrom[e] = from;
-      csr.edgeCost[e] = l.cost;
+      csr.edgeCost[e] = cost;
       csr.edgePropS[e] = l.propagationDelayS;
       csr.edgeQueueS[e] = l.queueingDelayS;
       csr.edgeCapBps[e] = l.capacityBps;
-      csr.edgeLinkId[e] = lid;
+      csr.edgeLinkId[e] = l.id;
     };
     place(ea, ua, ub);
     place(eb, ub, ua);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/orbit/snapshot.hpp>
@@ -16,10 +17,10 @@ std::uint64_t pairKey(NodeId a, NodeId b) noexcept {
   return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
 }
 
-bool sameStructure(const std::vector<LinkSpec>& x,
-                   const std::vector<LinkSpec>& y) noexcept {
+bool sameStructure(const std::vector<Link>& x,
+                   const std::vector<Link>& y) noexcept {
   return std::equal(x.begin(), x.end(), y.begin(), y.end(),
-                    [](const LinkSpec& p, const LinkSpec& q) {
+                    [](const Link& p, const Link& q) {
                       return p.a == q.a && p.b == q.b && p.type == q.type &&
                              p.band == q.band;
                     });
@@ -33,20 +34,17 @@ std::size_t registrySize(const TopologyBuilder& b) noexcept {
 
 }  // namespace
 
-TemporalCostModel delayCostModel() { return TemporalCostModel::Delay; }
-TemporalCostModel hopCostModel() { return TemporalCostModel::Hop; }
-
 IncrementalTopology::IncrementalTopology(const TopologyBuilder& builder,
                                          const SnapshotOptions& opt,
-                                         TemporalCostModel model)
+                                         LinkCostFn cost)
     : builder_(builder),
-      opt_(opt),
-      model_(model),
-      links_(std::make_unique<LinkEnumerator>(builder, opt)),
-      registrySize_(registrySize(builder)) {
+      cost_(std::move(cost)),
+      enumerator_(std::make_unique<LinkEnumerator>(builder, opt)),
+      registrySize_(registrySize(builder)),
+      snapshotNodes_(builder.snapshotNodes(opt)) {
   std::vector<NodeId> order;
   std::vector<NodeKind> kinds;
-  for (const Node& n : builder_.snapshotNodes(opt_)) {
+  for (const Node& n : snapshotNodes_) {
     order.push_back(n.id);
     kinds.push_back(n.kind);
   }
@@ -58,13 +56,13 @@ IncrementalTopology::~IncrementalTopology() = default;
 
 void IncrementalTopology::diffStructural() {
   std::unordered_map<std::uint64_t, std::uint32_t> prevByPair;
-  prevByPair.reserve(specs_.size());
-  for (std::size_t p = 0; p < specs_.size(); ++p) {
-    prevByPair.emplace(pairKey(specs_[p].a, specs_[p].b),
+  prevByPair.reserve(links_.size());
+  for (std::size_t p = 0; p < links_.size(); ++p) {
+    prevByPair.emplace(pairKey(links_[p].a, links_[p].b),
                        static_cast<std::uint32_t>(p));
   }
-  for (const LinkSpec& spec : nextSpecs_) {
-    const auto it = prevByPair.find(pairKey(spec.a, spec.b));
+  for (const Link& l : nextLinks_) {
+    const auto it = prevByPair.find(pairKey(l.a, l.b));
     if (it == prevByPair.end()) {
       ++delta_.addedLinks;
     } else {
@@ -81,26 +79,28 @@ const TopologyDelta& IncrementalTopology::step(double tSeconds) {
         "template is fixed at construction)");
   }
   const auto snap = SnapshotCache::global().at(builder_.ephemeris(), tSeconds);
-  links_->enumerate(*snap, nextSpecs_);
+  enumerator_->enumerate(*snap, nextLinks_);
+
+  // The pricing rule of RouteEngine(const NetworkGraph&, cost): one call per
+  // link on the link and its endpoint nodes, as no home provider.
+  costs_.clear();
+  for (const Link& l : nextLinks_) {
+    costs_.push_back(cost_(l, snapshotNodes_[nodeTable_->indexOf(l.a)],
+                           snapshotNodes_[nodeTable_->indexOf(l.b)],
+                           ProviderId{}));
+  }
+  // Throws on a NaN or negative cost before any step state moves.
+  auto graph = std::make_shared<const CompactGraph>(
+      assembleGraph(nodeTable_, nextLinks_, costs_));
 
   delta_ = TopologyDelta{};
   delta_.tSeconds = tSeconds;
-  delta_.linkCount = nextSpecs_.size();
-  delta_.structural = !graph_ || !sameStructure(specs_, nextSpecs_);
+  delta_.linkCount = nextLinks_.size();
+  delta_.structural = !graph_ || !sameStructure(links_, nextLinks_);
   if (delta_.structural) diffStructural();
 
-  // Builder links carry no queueing delay, so the delay cost (routing's
-  // latencyCost(), propagation + queueing) is the propagation delay: x + 0.0
-  // == x for every non-negative x.
-  const bool hop = model_ == TemporalCostModel::Hop;
-  records_.clear();
-  for (const LinkSpec& spec : nextSpecs_) {
-    records_.push_back({spec.a, spec.b, spec.propagationDelayS, 0.0,
-                        spec.capacityBps, hop ? 1.0 : spec.propagationDelayS});
-  }
-  graph_ = std::make_shared<const CompactGraph>(assembleGraph(nodeTable_, records_));
-
-  specs_.swap(nextSpecs_);
+  graph_ = std::move(graph);
+  links_.swap(nextLinks_);
   ++steps_;
   return delta_;
 }

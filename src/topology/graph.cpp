@@ -25,6 +25,12 @@ std::string_view linkTypeName(LinkType t) noexcept {
   return "?";
 }
 
+LinkCostFn latencyCost() {
+  return [](const Link& l, const Node&, const Node&, ProviderId) {
+    return l.totalDelayS();
+  };
+}
+
 NodeId Link::otherEnd(NodeId from) const {
   if (from == a) return b;
   if (from == b) return a;

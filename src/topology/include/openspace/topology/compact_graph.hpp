@@ -4,22 +4,22 @@
 // topology snapshot. Routing never needs mutation: it needs the fastest
 // possible "for each out-edge of u" walk, with every per-edge quantity the
 // cost model can ask about already materialized. assembleGraph() is the one
-// CSR assembler: given a node table and a snapshot's links in LinkId order,
-// each already priced, it numbers nodes 0..N-1 in table order and turns
-// each undirected link into two directed CSR edges with one counting-sort
-// pass. The search hot loop never touches a std::function, a hash map, or
-// the cost model. This is the paper's §2.7 observation turned into a data
+// CSR assembler: given a node table, a snapshot's Links in LinkId order and
+// one cost per link, it numbers nodes 0..N-1 in table order and turns each
+// undirected link into two directed CSR edges with one counting-sort pass.
+// The search hot loop never touches a std::function, a hash map, or the
+// cost model. This is the paper's §2.7 observation turned into a data
 // structure: the LEO topology is predictable and public, so each snapshot
 // can be compiled once and queried many times.
 //
-// Both producers of graphs go through it: RouteEngine(const NetworkGraph&,
-// cost, home) prices each link once and assembles, and IncrementalTopology
-// (topology/delta.hpp) assembles each step's links under its delay or hop
-// cost, sharing one node table across steps. The topology layer never
-// evaluates a cost function. The per-directed-edge compile the assembler
-// replaced is a test-only spec in openspace_spec (spec/topology_legacy.hpp);
-// contentChecksum() is the bit-identity witness the property tests and the
-// bench gates compare against it.
+// Both producers of graphs price each Link once with the same LinkCostFn
+// call (topology/link.hpp) on it and its endpoint Nodes, then assemble:
+// RouteEngine(const NetworkGraph&, cost, home) and IncrementalTopology
+// (topology/delta.hpp), which shares one node table across steps. The
+// per-directed-edge compile the assembler replaced is a test-only spec in
+// openspace_spec (spec/topology_legacy.hpp); contentChecksum() is the
+// bit-identity witness the property tests and the bench gates compare
+// against it.
 //
 // Semantics (mirroring the legacy lazy-evaluation Dijkstra):
 //   * cost == +inf  -> the link is forbidden and dropped at assembly;
@@ -75,16 +75,6 @@ class CompactGraph {
     std::vector<std::uint32_t> idToDense_;
     /// Sparse / oversized id spaces only; empty when idToDense_ is built.
     std::unordered_map<NodeId, std::uint32_t> nodeToDense_;
-  };
-
-  /// One undirected link as the assembler takes it, already priced.
-  struct LinkRecord {
-    NodeId a{};
-    NodeId b{};
-    double propagationDelayS = 0.0;
-    double queueingDelayS = 0.0;
-    double capacityBps = 0.0;
-    double cost = 0.0;  ///< +inf drops the link; NaN or < 0 throws.
   };
 
   /// The (at most 2) directed edge indices compiled from one undirected
@@ -172,12 +162,14 @@ class CompactGraph {
   Csr csr_;
 };
 
-/// The one CSR assembler. `links[p]` is LinkId p+1; every endpoint must be
-/// in `nodes`. Rows follow the table's order, and each row lists its links
-/// in LinkId order. A link's cost is taken once for both of its edges.
-/// Drops +inf links; throws InvalidArgumentError on a negative or NaN cost.
-/// In builds without NDEBUG every returned graph has passed audit().
+/// The one CSR assembler. `links[p]` is LinkId p+1 (its own id field is
+/// not read) and `costs[p]` its price; every endpoint must be in `nodes`.
+/// Rows follow the table's order, and each row lists its links in LinkId
+/// order. A link's cost is taken once for both of its edges. Drops +inf
+/// links; throws InvalidArgumentError on a negative or NaN cost. In builds
+/// without NDEBUG every returned graph has passed audit().
 CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
-                           const std::vector<CompactGraph::LinkRecord>& links);
+                           const std::vector<Link>& links,
+                           const std::vector<double>& costs);
 
 }  // namespace openspace

@@ -1,24 +1,27 @@
 // Incremental temporal topology: one compiled CompactGraph per time step.
 //
 // A temporal sweep (routing/temporal.hpp, sim/flow_sweep.hpp) needs one
-// compiled CompactGraph per time step. Going through
+// compiled CompactGraph per step. Going through
 // TopologyBuilder::snapshot() + RouteEngine(graph, cost) would materialize
 // a hash-map NetworkGraph (node/link maps, adjacency vectors, per-node name
 // strings) only to walk it back down into flat arrays. IncrementalTopology
-// skips that: per step it enumerates the snapshot's links into a flat
-// ordered list with the same enumerator snapshot() uses (no NetworkGraph,
-// no hashing, no strings), prices each link under its cost model and hands
-// the list to the one CSR assembler, assembleGraph()
-// (topology/compact_graph.hpp). The node table is numbered once from
-// TopologyBuilder::snapshotNodes() and shared by every step's graph.
+// skips that: per step it enumerates the snapshot's Links with the same
+// enumerator snapshot() uses (no NetworkGraph, no hashing, no strings),
+// prices each once by RouteEngine's rule, cost(l, node(l.a), node(l.b),
+// ProviderId{}), over the snapshotNodes() kept from construction, and hands
+// them to the one CSR assembler, assembleGraph() (topology/compact_graph.hpp).
+// A cost that prices as some home provider binds it itself.
 //
 // Bit-identity contract: graph() after step(t) is indistinguishable from
-// RouteEngine(builder.snapshot(t, opt), cost).graph() under the matching
-// link cost (routing's latencyCost() for Delay, 1 per link for Hop) — same
-// dense node numbering, same CSR edge order, same LinkIds, same payload
-// and cost doubles to the last bit (contentChecksum()-equal). Property
-// tests pin it every step against the test-only spec snapshot and compile
-// (spec/topology_legacy.hpp); DESIGN.md §13 gives the argument.
+// RouteEngine(builder.snapshot(t, opt), cost).graph() under any cost —
+// same dense node numbering, CSR edge order, LinkIds, payload and cost
+// doubles to the last bit (contentChecksum()-equal). Property tests
+// pin it every step, under every shipped cost model, against the test-only
+// spec snapshot and compile (spec/topology_legacy.hpp); DESIGN.md §13.
+//
+// Lifetime: the cost is stored and called every step; what it captures by
+// reference (complianceConstrainedCost's regime, quarantineAwareCost's
+// tracker) must outlive this object.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +34,11 @@
 namespace openspace {
 
 class LinkEnumerator;
-struct LinkSpec;
 
-/// Edge weight of the per-step graphs.
-enum class TemporalCostModel {
-  Delay,  ///< Total link delay in seconds — the temporal router's model.
-  Hop,    ///< 1 per link: only structural link churn perturbs routes.
-};
-
-TemporalCostModel delayCostModel();
-TemporalCostModel hopCostModel();
+/// An alias of latencyCost() for worldbench/world.cpp alone, which
+/// constructs its IncrementalTopology with it. Library code passes
+/// latencyCost() or takes the default.
+inline LinkCostFn delayCostModel() { return latencyCost(); }
 
 /// What one step() changed relative to the previous step.
 struct TopologyDelta {
@@ -63,15 +61,17 @@ struct TopologyDelta {
 /// must outlive this object.
 class IncrementalTopology {
  public:
-  /// Validates the options eagerly, as snapshot() does: throws
-  /// InvalidArgumentError for NaN range or mask, a negative nearestK, and
-  /// PlusGrid options without planes dividing the fleet or that wire a
-  /// satellite to itself.
+  /// Steps price links under `cost`. Validates the options eagerly, as
+  /// snapshot() does: throws InvalidArgumentError for NaN range or mask, a
+  /// negative nearestK, and PlusGrid options without planes dividing the
+  /// fleet or that wire a satellite to itself.
   IncrementalTopology(const TopologyBuilder& builder, const SnapshotOptions& opt,
-                      TemporalCostModel model = delayCostModel());
+                      LinkCostFn cost = latencyCost());
   ~IncrementalTopology();
 
-  /// Advance to time t: enumerate, diff, assemble. Returns what changed.
+  /// Advance to time t: enumerate, price, assemble, diff. Returns what
+  /// changed. A NaN or negative cost throws InvalidArgumentError and
+  /// leaves the last completed step in place.
   const TopologyDelta& step(double tSeconds);
 
   /// The compiled graph of the last step() — contentChecksum()-identical
@@ -83,20 +83,19 @@ class IncrementalTopology {
   void diffStructural();
 
   const TopologyBuilder& builder_;
-  SnapshotOptions opt_;
-  TemporalCostModel model_;
-  std::unique_ptr<LinkEnumerator> links_;
+  LinkCostFn cost_;
+  std::unique_ptr<LinkEnumerator> enumerator_;
   /// The builder's node count at construction (the freeze check).
   std::size_t registrySize_;
 
-  /// Dense numbering of the snapshot's nodes, built once and shared by
-  /// pointer into every produced CompactGraph.
+  /// The snapshot's nodes (the cost's endpoints) and their dense
+  /// numbering, shared by pointer into every produced CompactGraph.
+  std::vector<Node> snapshotNodes_;
   std::shared_ptr<const CompactGraph::NodeTable> nodeTable_;
 
-  // Step state: the previous and the current step's links, and the
-  // current step's priced links for the assembler.
-  std::vector<LinkSpec> specs_, nextSpecs_;
-  std::vector<CompactGraph::LinkRecord> records_;
+  // Step state: the previous and current links, the current costs.
+  std::vector<Link> links_, nextLinks_;
+  std::vector<double> costs_;
   std::shared_ptr<const CompactGraph> graph_;
   TopologyDelta delta_;
   std::size_t steps_ = 0;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 #include <openspace/core/ids.hpp>
@@ -45,5 +46,16 @@ struct Link {
   /// is not an endpoint.
   NodeId otherEnd(NodeId from) const;
 };
+
+/// The one cost model type: (link, node link.a, node link.b, home) -> cost,
+/// evaluated once per link by both graph producers (RouteEngine over a
+/// NetworkGraph, IncrementalTopology per step). Return +inf to forbid the
+/// link; NaN or a negative cost is an InvalidArgumentError at assembly.
+using LinkCostFn =
+    std::function<double(const Link&, const Node&, const Node&, ProviderId)>;
+
+/// Pure-latency cost, l.totalDelayS() (the paper's §4 "use this path
+/// length to estimate latency" evaluation model).
+LinkCostFn latencyCost();
 
 }  // namespace openspace

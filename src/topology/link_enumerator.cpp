@@ -21,6 +21,11 @@ namespace {
 /// would be silently backfilled by a farther one the spec never considers.
 constexpr double kNoLosClearanceM = -wgs84::kMeanRadiusM;
 
+/// Position p of an enumeration is LinkId p+1.
+LinkId nextId(const std::vector<Link>& out) {
+  return LinkId{static_cast<LinkId::rep_type>(out.size() + 1)};
+}
+
 }  // namespace
 
 LinkEnumerator::LinkEnumerator(const TopologyBuilder& builder,
@@ -84,7 +89,7 @@ LinkEnumerator::LinkEnumerator(const TopologyBuilder& builder,
 // filtered attempt leaves the later one free to re-evaluate) and the
 // capacity check, in the spec's order.
 void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
-                            std::size_t j, std::vector<LinkSpec>& out) {
+                            std::size_t j, std::vector<Link>& out) {
   const double dist = satEci[i].distanceTo(satEci[j]);
   if (dist > opt_.maxIslRangeM) return;
   if (!lineOfSightClear(satEci[i], satEci[j], km(80.0))) return;
@@ -96,7 +101,7 @@ void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
   if (cap <= 0.0) return;
   acceptedIsl_[i].push_back(static_cast<std::uint32_t>(j));
   acceptedIsl_[j].push_back(static_cast<std::uint32_t>(i));
-  out.push_back({satNode_[i], satNode_[j],
+  out.push_back({nextId(out), satNode_[i], satNode_[j],
                  laser ? LinkType::IslLaser : LinkType::IslRf,
                  laser ? Band::Optical : Band::S, dist,
                  dist / kSpeedOfLightMps, cap});
@@ -107,7 +112,7 @@ void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
 // acos; only an accepted link pays for the elevation its capacity needs.
 void LinkEnumerator::groundLinks(const ConstellationSnapshot& snap,
                                  const std::vector<Site>& sites, LinkType type,
-                                 std::vector<LinkSpec>& out) const {
+                                 std::vector<Link>& out) const {
   const std::vector<Vec3>& satEcef = snap.ecef();
   for (const Site& site : sites) {
     const Vec3& siteEcef = site.observer.ecef();
@@ -119,14 +124,14 @@ void LinkEnumerator::groundLinks(const ConstellationSnapshot& snap,
                              ? gslCapacityBps(dist, elev)
                              : userLinkCapacityBps(dist, elev);
       if (cap <= 0.0) continue;
-      out.push_back({satNode_[i], site.node, type, Band::Ku, dist,
-                     dist / kSpeedOfLightMps, cap});
+      out.push_back({nextId(out), satNode_[i], site.node, type, Band::Ku,
+                     dist, dist / kSpeedOfLightMps, cap});
     }
   }
 }
 
 void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
-                               std::vector<LinkSpec>& out) {
+                               std::vector<Link>& out) {
   out.clear();
   const std::size_t s = satIds_.size();
   // Laser flags only move when someone calls setCapabilities(); keying the

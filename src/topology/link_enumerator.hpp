@@ -1,12 +1,12 @@
 // Which links a topology snapshot has, and in which order.
 //
 // The one enumeration behind both TopologyBuilder::snapshot() (which adds
-// each spec to a NetworkGraph, in order) and IncrementalTopology (which
-// assembles the specs straight into a CompactGraph). Not a public header:
-// the link set is a pure function of (ephemeris, capabilities, sites,
-// options, t), and only this file decides it. The test-only spec
-// legacy::topologySnapshot (openspace_spec) is the reference it is pinned
-// against; DESIGN.md §13 argues the equivalence.
+// each Link to a NetworkGraph, in order) and IncrementalTopology (which
+// prices the Links and assembles them straight into a CompactGraph). Not a
+// public header: the link set is a pure function of (ephemeris,
+// capabilities, sites, options, t), and only this file decides it. The
+// test-only spec legacy::topologySnapshot (openspace_spec) is the
+// reference it is pinned against; DESIGN.md §13 argues the equivalence.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +20,6 @@ namespace openspace {
 
 class ConstellationSnapshot;
 
-/// One snapshot link, in link-insertion order: position p in an
-/// enumeration is LinkId p+1 of the snapshot's NetworkGraph. The queueing
-/// delay of a builder link is always 0.
-struct LinkSpec {
-  NodeId a{};  ///< Satellite of the outer loop / lower index.
-  NodeId b{};  ///< Neighbor satellite or ground site.
-  LinkType type = LinkType::IslRf;
-  Band band = Band::S;
-  double distanceM = 0.0;
-  double propagationDelayS = 0.0;
-  double capacityBps = 0.0;
-};
-
 class LinkEnumerator {
  public:
   /// Precomputes the per-builder constants. Throws InvalidArgumentError for
@@ -41,8 +28,10 @@ class LinkEnumerator {
   /// satellite to itself. The builder must outlive the enumerator.
   LinkEnumerator(const TopologyBuilder& builder, const SnapshotOptions& opt);
 
-  /// Replace `out` with the links of `snap`, in snapshot() order.
-  void enumerate(const ConstellationSnapshot& snap, std::vector<LinkSpec>& out);
+  /// Replace `out` with the links of `snap`, in snapshot() order: out[p]
+  /// has LinkId p+1, `a` is a satellite, `b` the neighbor satellite or
+  /// ground site, and queueing delay and tariff are 0.
+  void enumerate(const ConstellationSnapshot& snap, std::vector<Link>& out);
 
  private:
   struct Site {
@@ -51,10 +40,10 @@ class LinkEnumerator {
   };
 
   void tryIsl(const std::vector<Vec3>& satEci, std::size_t i, std::size_t j,
-              std::vector<LinkSpec>& out);
+              std::vector<Link>& out);
   void groundLinks(const ConstellationSnapshot& snap,
                    const std::vector<Site>& sites, LinkType type,
-                   std::vector<LinkSpec>& out) const;
+                   std::vector<Link>& out) const;
 
   const TopologyBuilder& builder_;
   SnapshotOptions opt_;

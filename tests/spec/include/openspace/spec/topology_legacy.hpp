@@ -24,7 +24,6 @@
 #include <openspace/routing/route.hpp>
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
-#include <openspace/topology/delta.hpp>
 
 namespace openspace::legacy {
 
@@ -33,13 +32,10 @@ NetworkGraph topologySnapshot(const TopologyBuilder& builder, double tSeconds,
                               const SnapshotOptions& opt);
 
 /// Compile `g` into CSR form under `cost` as provider `home`. Evaluates the
-/// cost callback once per directed edge; throws InvalidArgumentError on a
+/// cost callback once per directed edge, as cost(l, g.node(l.a),
+/// g.node(l.b), home); throws InvalidArgumentError on a
 /// negative or NaN cost, drops +inf (forbidden) edges.
 CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
                           ProviderId home = {});
-
-/// The compileGraph() cost callback IncrementalTopology's `model` matches:
-/// latencyCost() for Delay, 1 per link for Hop.
-LinkCostFn temporalLinkCost(TemporalCostModel model);
 
 }  // namespace openspace::legacy

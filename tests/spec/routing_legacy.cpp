@@ -60,7 +60,7 @@ std::unordered_map<NodeId, std::pair<double, LinkId>> dijkstraCore(
       const Link& l = g.link(lid);
       const NodeId v = l.otherEnd(u);
       if (forbiddenNodes && forbiddenNodes->contains(v)) continue;
-      const double c = cost(g, l, home);
+      const double c = cost(l, g.node(l.a), g.node(l.b), home);
       if (!(c >= 0.0)) {
         throw InvalidArgumentError("dijkstra: negative or NaN link cost");
       }
@@ -166,7 +166,8 @@ std::vector<Route> kShortestPaths(const NetworkGraph& g, NodeId src, NodeId dst,
     prefixBottleneckBps.assign(1, std::numeric_limits<double>::infinity());
     for (const LinkId lid : prev.links) {
       const Link& l = g.link(lid);
-      prefixCost.push_back(prefixCost.back() + cost(g, l, home));
+      prefixCost.push_back(prefixCost.back() +
+                           cost(l, g.node(l.a), g.node(l.b), home));
       prefixPropS.push_back(prefixPropS.back() + l.propagationDelayS);
       prefixQueueS.push_back(prefixQueueS.back() + l.queueingDelayS);
       prefixBottleneckBps.push_back(

@@ -187,7 +187,7 @@ CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
     const NodeId u = order[i];
     for (const LinkId lid : g.linksOf(u)) {
       const Link& l = g.link(lid);
-      const double c = cost(g, l, home);
+      const double c = cost(l, g.node(l.a), g.node(l.b), home);
       if (std::isnan(c) || c < 0.0) {
         throw InvalidArgumentError("compileGraph: negative or NaN link cost");
       }
@@ -214,11 +214,6 @@ CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
     out.rowOffset.push_back(static_cast<std::uint32_t>(out.edgeTo.size()));
   }
   return CompactGraph(std::move(nodes), std::move(out));
-}
-
-LinkCostFn temporalLinkCost(TemporalCostModel model) {
-  if (model == TemporalCostModel::Delay) return latencyCost();
-  return [](const NetworkGraph&, const Link&, ProviderId) { return 1.0; };
 }
 
 }  // namespace openspace::legacy

@@ -160,7 +160,8 @@ TEST_F(ComplianceRouting, IslsAreNeverRegulated) {
   for (const LinkId lid : graph_.links()) {
     const Link& l = graph_.link(lid);
     if (l.type == LinkType::IslRf || l.type == LinkType::IslLaser) {
-      EXPECT_FALSE(std::isinf(cost(graph_, l, ProviderId{})));
+      EXPECT_FALSE(std::isinf(
+          cost(l, graph_.node(l.a), graph_.node(l.b), ProviderId{})));
     }
   }
 }

@@ -102,7 +102,7 @@ LinkCostFn richCost() {
 
 /// Forbids RF ISLs outright (+inf), prices everything else by delay.
 LinkCostFn rfIslForbiddingCost() {
-  return [](const NetworkGraph&, const Link& l, ProviderId) {
+  return [](const Link& l, const Node&, const Node&, ProviderId) {
     if (l.type == LinkType::IslRf) return std::numeric_limits<double>::infinity();
     return l.totalDelayS();
   };
@@ -342,7 +342,7 @@ TEST(RouteEngineCompile, NegativeCostThrowsAtCompile) {
   EphemerisService eph;
   Rng rng(9);
   const NetworkGraph g = randomSnapshot(IslWiring::PlusGrid, 2, eph, rng);
-  const LinkCostFn bad = [](const NetworkGraph&, const Link&, ProviderId) {
+  const LinkCostFn bad = [](const Link&, const Node&, const Node&, ProviderId) {
     return -1.0;
   };
   EXPECT_THROW(RouteEngine(g, bad), InvalidArgumentError);
@@ -354,7 +354,7 @@ TEST(RouteEngineCompile, NanCostThrowsAtCompile) {
   Rng rng(10);
   const NetworkGraph g = randomSnapshot(IslWiring::NearestNeighbors, 3, eph, rng);
   // One NaN link among finite ones is enough.
-  const LinkCostFn bad = [](const NetworkGraph&, const Link& l, ProviderId) {
+  const LinkCostFn bad = [](const Link& l, const Node&, const Node&, ProviderId) {
     return l.id == LinkId{5u} ? std::numeric_limits<double>::quiet_NaN()
                               : l.totalDelayS();
   };
@@ -445,7 +445,7 @@ TEST(RouteEngineDegenerate, EveryLinkForbidden) {
   for (std::uint32_t i = 1; i <= 4; ++i) g.addNode(plainSatellite(i));
   std::vector<LinkId> links;
   for (std::uint32_t i = 1; i < 4; ++i) links.push_back(g.addLink(plainLink(i, i + 1)));
-  const LinkCostFn forbidAll = [](const NetworkGraph&, const Link&, ProviderId) {
+  const LinkCostFn forbidAll = [](const Link&, const Node&, const Node&, ProviderId) {
     return std::numeric_limits<double>::infinity();
   };
   const RouteEngine engine(g, forbidAll);

@@ -184,7 +184,7 @@ TEST_F(DiamondGraph, KShortestValidation) {
 }
 
 TEST_F(DiamondGraph, NegativeCostRejected) {
-  const LinkCostFn bad = [](const NetworkGraph&, const Link&, ProviderId) {
+  const LinkCostFn bad = [](const Link&, const Node&, const Node&, ProviderId) {
     return -1.0;
   };
   EXPECT_THROW(RouteEngine(g_, bad).shortestPath(NodeId{1}, NodeId{5}),
@@ -192,7 +192,7 @@ TEST_F(DiamondGraph, NegativeCostRejected) {
 }
 
 TEST_F(DiamondGraph, InfiniteCostForbidsLink) {
-  const LinkCostFn noTop = [this](const NetworkGraph& gr, const Link& l,
+  const LinkCostFn noTop = [this](const Link& l, const Node&, const Node&,
                                   ProviderId) {
     if (l.id == top1_) return std::numeric_limits<double>::infinity();
     return l.totalDelayS();
@@ -212,7 +212,7 @@ TEST(QosPresets, PremiumWeighsLatencyHarder) {
 
 /// Hop-count cost: both diamond arms tie at every depth.
 LinkCostFn hopCost() {
-  return [](const NetworkGraph&, const Link&, ProviderId) { return 1.0; };
+  return [](const Link&, const Node&, const Node&, ProviderId) { return 1.0; };
 }
 
 TEST_F(DiamondGraph, RouteToCheapestPicksLowestCostTarget) {

@@ -1,9 +1,9 @@
 // Property tests for the incremental temporal topology pipeline
 // (topology/delta.hpp): every step's CompactGraph must be bit-identical to
 // the spec compile legacy::compileGraph() of the executable spec
-// legacy::topologySnapshot, across
-// all three ISL wiring policies, over randomized constellations and
-// sweeps. contentChecksum() is the witness.
+// legacy::topologySnapshot under the same LinkCostFn, across all three ISL
+// wiring policies and every shipped cost model, over randomized
+// constellations and sweeps. contentChecksum() is the witness.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,12 +13,28 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/regulation/regime.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/security/reputation.hpp>
 #include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/delta.hpp>
 
 namespace openspace {
 namespace {
+
+/// One per link: only structural link churn perturbs routes.
+LinkCostFn hopCost() {
+  return [](const Link&, const Node&, const Node&, ProviderId) { return 1.0; };
+}
+
+/// `cost` priced as provider `home` whatever home it is called with: how a
+/// per-step sweep prices as a home provider.
+LinkCostFn asHome(LinkCostFn cost, ProviderId home) {
+  return [cost = std::move(cost), home](const Link& l, const Node& a,
+                                        const Node& b, ProviderId) {
+    return cost(l, a, b, home);
+  };
+}
 
 LinkCapabilities laserCaps() {
   LinkCapabilities c;
@@ -73,23 +89,22 @@ SnapshotOptions optsFor(IslWiring wiring, int planes, Rng& rng) {
 }
 
 /// One sweep: every step's graph passes audit() and checksums equal to a
-/// compile of the spec snapshot under the matching cost.
-void expectBitIdenticalSweep(IslWiring wiring, TemporalCostModel model,
-                             std::uint64_t seed) {
+/// compile of the spec snapshot under the same cost as `home`.
+void expectBitIdenticalSweep(IslWiring wiring, const LinkCostFn& cost,
+                             std::uint64_t seed, ProviderId home = {}) {
   Rng rng(seed);
   const int planes = 4;
   const auto sc = makeScenario(rng, planes, 6, 2, 3);
   const SnapshotOptions opt = optsFor(wiring, planes, rng);
-  IncrementalTopology inc(*sc->topo, opt, model);
-  const LinkCostFn cost = legacy::temporalLinkCost(model);
+  IncrementalTopology inc(*sc->topo, opt, asHome(cost, home));
 
   std::size_t structuralSteps = 0;
   std::size_t prevLinks = 0;
   double t = 0.0;
   for (int k = 0; k < 24; ++k) {
     const TopologyDelta& d = inc.step(t);
-    const CompactGraph spec =
-        legacy::compileGraph(legacy::topologySnapshot(*sc->topo, t, opt), cost);
+    const CompactGraph spec = legacy::compileGraph(
+        legacy::topologySnapshot(*sc->topo, t, opt), cost, home);
     ASSERT_NE(inc.graph(), nullptr);
     inc.graph()->audit();
     ASSERT_EQ(inc.graph()->contentChecksum(), spec.contentChecksum())
@@ -114,24 +129,153 @@ void expectBitIdenticalSweep(IslWiring wiring, TemporalCostModel model,
 class DeltaBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeltaBitIdentity, PlusGridDelayCost) {
-  expectBitIdenticalSweep(IslWiring::PlusGrid, delayCostModel(), GetParam());
+  expectBitIdenticalSweep(IslWiring::PlusGrid, latencyCost(), GetParam());
 }
 
 TEST_P(DeltaBitIdentity, NearestNeighborsDelayCost) {
-  expectBitIdenticalSweep(IslWiring::NearestNeighbors, delayCostModel(),
+  expectBitIdenticalSweep(IslWiring::NearestNeighbors, latencyCost(),
                           GetParam());
 }
 
 TEST_P(DeltaBitIdentity, AllInRangeDelayCost) {
-  expectBitIdenticalSweep(IslWiring::AllInRange, delayCostModel(), GetParam());
+  expectBitIdenticalSweep(IslWiring::AllInRange, latencyCost(), GetParam());
 }
 
 TEST_P(DeltaBitIdentity, PlusGridHopCost) {
-  expectBitIdenticalSweep(IslWiring::PlusGrid, hopCostModel(), GetParam());
+  expectBitIdenticalSweep(IslWiring::PlusGrid, hopCost(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaBitIdentity,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// --- Any cost model on the per-step path -----------------------------------
+
+/// Every shipped cost model and one that reads the LinkId, run through
+/// both wirings with stations and users in the snapshot: stations belong
+/// to provider 2, satellites and users to provider 1.
+void expectEveryCostModelMatchesSpec(IslWiring wiring, std::uint64_t seed) {
+  CostWeights foreign = CostWeights::forQos(QosClass::Standard);
+  foreign.foreignPenalty = 0.05;
+  // Both wrappers capture these by reference: they outlive every sweep.
+  const RegulatoryRegime regime = exampleGlobalRegime();
+  ReputationTracker reputation;
+  reputation.reportMisbehavior(ProviderId{2}, MisbehaviorKind::TamperedPayload,
+                               50.0);
+  ASSERT_TRUE(reputation.quarantined(ProviderId{2}));
+
+  const struct {
+    const char* name;
+    LinkCostFn cost;
+    ProviderId home;
+  } models[] = {
+      {"latency", latencyCost(), {}},
+      {"hop", hopCost(), {}},
+      // Reads the LinkId, which both producers must number alike.
+      {"link-id",
+       [](const Link& l, const Node&, const Node&, ProviderId) {
+         return l.totalDelayS() + 1e-3 * static_cast<double>(l.id.value() % 7);
+       },
+       {}},
+      {"foreign-penalty", makeCostFunction(foreign), ProviderId{2}},
+      {"compliance", complianceConstrainedCost(latencyCost(), regime, 1),
+       ProviderId{1}},
+      {"quarantine",
+       quarantineAwareCost(makeCostFunction(foreign), reputation),
+       ProviderId{1}},
+  };
+  for (const auto& m : models) {
+    SCOPED_TRACE(m.name);
+    expectBitIdenticalSweep(wiring, m.cost, seed, m.home);
+  }
+}
+
+TEST_P(DeltaBitIdentity, NearestNeighborsEveryCostModel) {
+  expectEveryCostModelMatchesSpec(IslWiring::NearestNeighbors, GetParam());
+}
+
+TEST_P(DeltaBitIdentity, PlusGridEveryCostModel) {
+  expectEveryCostModelMatchesSpec(IslWiring::PlusGrid, GetParam());
+}
+
+TEST(IncrementalTopology, CostModelsSeeTheLinkEndpoints) {
+  // The foreign penalty reads both endpoints' providers, and the
+  // compliance wrapper the ground endpoint's location: a penalized sweep
+  // must differ from the unpenalized one, and the regulated sweep must
+  // forbid some ground link.
+  Rng rng(16);
+  const auto sc = makeScenario(rng, 4, 6, 2, 3);
+  const SnapshotOptions opt = optsFor(IslWiring::NearestNeighbors, 4, rng);
+  CostWeights w = CostWeights::forQos(QosClass::Standard);
+  IncrementalTopology plain(*sc->topo, opt,
+                            asHome(makeCostFunction(w), ProviderId{2}));
+  w.foreignPenalty = 0.05;
+  IncrementalTopology penalized(*sc->topo, opt,
+                                asHome(makeCostFunction(w), ProviderId{2}));
+  const RegulatoryRegime regime = exampleGlobalRegime();
+  IncrementalTopology regulated(
+      *sc->topo, opt, complianceConstrainedCost(latencyCost(), regime, 1));
+  std::size_t forbidden = 0;
+  for (double t = 0.0; t < 3000.0; t += 300.0) {
+    plain.step(t);
+    penalized.step(t);
+    const TopologyDelta& d = regulated.step(t);
+    EXPECT_NE(plain.graph()->contentChecksum(),
+              penalized.graph()->contentChecksum());
+    forbidden += 2 * d.linkCount - regulated.graph()->edgeCount();
+  }
+  EXPECT_GT(forbidden, 0u);
+}
+
+TEST(IncrementalTopology, NanOrNegativeCostThrowsFromStep) {
+  Rng rng(17);
+  const auto sc = makeScenario(rng, 4, 6, 1, 1);
+  const SnapshotOptions opt = optsFor(IslWiring::PlusGrid, 4, rng);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    // The user's links price `bad` while `armed`, the latency cost otherwise.
+    bool armed = false;
+    IncrementalTopology inc(
+        *sc->topo, opt,
+        [bad, &armed](const Link& l, const Node&, const Node& b, ProviderId) {
+          return armed && b.isUser() ? bad : l.totalDelayS();
+        });
+    IncrementalTopology clean(*sc->topo, opt);
+    // Step until the user sees a satellite at t + 1800 s, so some link is
+    // priced bad there; the link set that far on differs from t's.
+    bool threw = false;
+    for (double t = 0.0; t < 6000.0 && !threw; t += 60.0) {
+      const TopologyDelta& last = inc.step(t);
+      clean.step(t);
+      const TopologyDelta lastCopy = last;
+      const auto lastGraph = inc.graph();
+      const std::size_t lastCount = inc.stepCount();
+      armed = true;
+      try {
+        inc.step(t + 1800.0);
+      } catch (const InvalidArgumentError&) {
+        threw = true;
+      }
+      armed = false;
+      if (!threw) continue;
+      // A failed step leaves the last completed step in place: its graph,
+      // its delta, and the link set the next step diffs against.
+      EXPECT_EQ(inc.graph(), lastGraph);
+      EXPECT_EQ(inc.stepCount(), lastCount);
+      EXPECT_EQ(last.tSeconds, lastCopy.tSeconds);
+      EXPECT_EQ(last.structural, lastCopy.structural);
+      EXPECT_EQ(last.addedLinks, lastCopy.addedLinks);
+      EXPECT_EQ(last.removedLinks, lastCopy.removedLinks);
+      EXPECT_EQ(last.linkCount, lastCopy.linkCount);
+      const TopologyDelta& next = inc.step(t + 60.0);
+      const TopologyDelta& spec = clean.step(t + 60.0);
+      EXPECT_EQ(inc.graph()->contentChecksum(), clean.graph()->contentChecksum());
+      EXPECT_EQ(next.structural, spec.structural);
+      EXPECT_EQ(next.addedLinks, spec.addedLinks);
+      EXPECT_EQ(next.removedLinks, spec.removedLinks);
+      EXPECT_EQ(next.linkCount, spec.linkCount);
+    }
+    EXPECT_TRUE(threw) << "bad=" << bad;
+  }
+}
 
 // --- Step/delta semantics --------------------------------------------------
 
@@ -161,7 +305,7 @@ TEST(IncrementalTopology, HopCostStepsAreNotStructuralUnderStaticLinks) {
   SnapshotOptions opt = optsFor(IslWiring::PlusGrid, 4, rng);
   opt.includeGroundStations = false;
   opt.includeUserLinks = false;
-  IncrementalTopology inc(*sc->topo, opt, hopCostModel());
+  IncrementalTopology inc(*sc->topo, opt, hopCost());
   inc.step(0.0);
   const auto before = inc.graph();
   const TopologyDelta& d = inc.step(1.0);
@@ -324,12 +468,12 @@ TEST(IncrementalTopology, NanOptionsAndNegativeKThrow) {
 /// Repaired trees must equal fresh trees node-for-node: bitwise-equal dist
 /// arrays and identical parent edges. Run a delta sweep keeping one tree
 /// alive per source and repairing it each step.
-void expectRepairEqualsFresh(TemporalCostModel model, std::uint64_t seed,
+void expectRepairEqualsFresh(const LinkCostFn& cost, std::uint64_t seed,
                              std::size_t* repairedSteps) {
   Rng rng(seed);
   const auto sc = makeScenario(rng, 4, 6, 2, 2);
   SnapshotOptions opt = optsFor(IslWiring::PlusGrid, 4, rng);
-  IncrementalTopology inc(*sc->topo, opt, model);
+  IncrementalTopology inc(*sc->topo, opt, cost);
 
   const std::vector<NodeId> sources = {
       sc->topo->nodeOf(sc->eph.satellites().front()),
@@ -371,14 +515,14 @@ TEST_P(RepairBitIdentity, HopCostRepairsStructuralChurn) {
   // Hop cost is static per link, so only actual link churn (contacts
   // opening/closing) perturbs the tree.
   std::size_t repaired = 0;
-  expectRepairEqualsFresh(hopCostModel(), GetParam(), &repaired);
+  expectRepairEqualsFresh(hopCost(), GetParam(), &repaired);
 }
 
 TEST_P(RepairBitIdentity, DelayCostStaysCorrectUnderSeedFlood) {
   // Delay costs drift on every edge every step, so every step's graph is a
   // new object and the shim returns a fresh tree — which must be identical.
   std::size_t repaired = 0;
-  expectRepairEqualsFresh(delayCostModel(), GetParam(), &repaired);
+  expectRepairEqualsFresh(latencyCost(), GetParam(), &repaired);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairBitIdentity, ::testing::Values(31u, 32u, 33u));
