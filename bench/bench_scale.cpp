@@ -15,16 +15,11 @@
 //    the compiled fleet, the cold batch path ConstellationSnapshot runs.
 //    Untimed gate: bit-identical serial vs parallel (full-bit fold of every
 //    ECI+ECEF component over every step).
-//  * index (timed) — FootprintIndex2 compile cost per satellite, plus the
-//    batch cap-cell kernel: dispatched SIMD level vs the portable 4-lane
-//    instantiation over a fixed sample block. Hard gate: the two
-//    instantiations (and the scalar cellIndexOf member) are bit-identical
-//    on every sample — the cap map uses only exactly-rounded IEEE ops, so
-//    any divergence is a bug, not noise. Untimed gates: indexed
-//    closestVisible == the snapshot's brute scan at several ground sites,
-//    and the FootprintIndex2 build (CSR plus certificate-driven
-//    countCovering over the cap samples) is bit-identical serial vs
-//    parallel.
+//  * index (timed) — FootprintIndex2 compile cost per satellite. Untimed
+//    gates: indexed closestVisible == the snapshot's brute scan at several
+//    ground sites, and the FootprintIndex2 build (CSR plus
+//    certificate-driven countCovering over a fixed block of cap samples)
+//    is bit-identical serial vs parallel.
 //  * topology (timed) — lazy ISL adjacency build (grid-pruned, never
 //    all-pairs at these sizes) on a cold snapshot per pass; per-tier range
 //    caps keep mean ISL degree in the tens like a real +grid/motif fleet.
@@ -50,7 +45,6 @@
 #include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/geodetic.hpp>
 #include <openspace/geo/spherical_index.hpp>
-#include <openspace/geo/spherical_index_simd.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/orbit/shells.hpp>
@@ -230,10 +224,6 @@ struct TierResult {
   double indexBuildS = 0.0;
   double usPerSatIndex = 0.0;
   std::size_t capSamples = 0;
-  double capScalar4S = 0.0;
-  double capSimdS = 0.0;
-  double speedupCapIndex = 0.0;
-  bool capBitIdentical = false;
   bool closestVisibleMatch = false;
   bool indexSerialParallelMatch = false;
   // topology
@@ -249,7 +239,7 @@ struct TierResult {
   double routeS = 0.0;
 
   bool allGates() const {
-    return propSerialParallelMatch && capBitIdentical && closestVisibleMatch &&
+    return propSerialParallelMatch && closestVisibleMatch &&
            indexSerialParallelMatch && topoSerialParallelMatch;
   }
 };
@@ -319,7 +309,7 @@ TierResult runTier(const Tier& tier, int poolThreads) {
     r.propSerialParallelMatch = serial == parallel;
   }
 
-  // --- index: FootprintIndex2 compile + batch cap-cell kernel --------------
+  // --- index: FootprintIndex2 compile --------------------------------------
   const auto snap =
       std::make_shared<const ConstellationSnapshot>(elements, t0S);
   const Timed idxBuild = timeIt([&] {
@@ -348,58 +338,13 @@ TierResult runTier(const Tier& tier, int poolThreads) {
     r.closestVisibleMatch = match;
   }
 
-  // Batch cap-cell kernel over the index's own caps: dispatched level vs
-  // the portable 4-lane instantiation, bit-identical by contract.
+  // Serial==parallel gate over the FootprintIndex2 build: the full CSR
+  // and, through the whole-cell certificates, countCovering over a fixed
+  // block of cap samples.
   {
-    std::vector<SphericalCapIndex::Cap> caps(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      caps[i] = {footprints.direction(i), footprints.halfAngleRad(i)};
-    }
-    const SphericalCapIndex capIdx(caps);
-    const std::size_t bands = capIdx.bandCount();
-    const std::size_t sectors = capIdx.sectorCount();
     const std::size_t samples = 1u << 17;
     r.capSamples = samples;
     const std::vector<Vec3> dirs = randomUnitDirs(samples, 0x5CA1EULL);
-    std::vector<std::uint32_t> cells(samples);
-    const SimdLevel level = simd::cellKernelLevel();
-    const auto capPass = [&](bool useSimd) {
-      if (useSimd) {
-        simd::cellIndices(level, dirs.data(), cells.data(), bands, sectors, 0,
-                          samples);
-      } else {
-        simd::cellIndicesScalar4(dirs.data(), cells.data(), bands, sectors, 0,
-                                 samples);
-      }
-      std::uint64_t h = kFnvOffsetBasis;
-      h = fnv1a(h, cells.front());
-      h = fnv1a(h, cells[samples / 2]);
-      h = fnv1a(h, cells.back());
-      return h;
-    };
-    const Timed capSimd = timeIt([&] { return capPass(true); });
-    const Timed capScalar4 = timeIt([&] { return capPass(false); });
-    r.capSimdS = capSimd.bestPassS;
-    r.capScalar4S = capScalar4.bestPassS;
-    r.speedupCapIndex = capSimd.bestPassS > 0.0
-                            ? capScalar4.bestPassS / capSimd.bestPassS
-                            : 0.0;
-    // Hard gate, untimed: full output arrays bit-identical across the two
-    // instantiations AND the scalar member spec.
-    std::vector<std::uint32_t> simdCells(samples), scalarCells(samples);
-    simd::cellIndices(level, dirs.data(), simdCells.data(), bands, sectors, 0,
-                      samples);
-    simd::cellIndicesScalar4(dirs.data(), scalarCells.data(), bands, sectors,
-                             0, samples);
-    bool identical = simdCells == scalarCells;
-    for (std::size_t i = 0; identical && i < samples; i += 97) {
-      identical = simdCells[i] == capIdx.cellIndexOf(dirs[i]);
-    }
-    r.capBitIdentical = identical;
-
-    // Serial==parallel gate over the FootprintIndex2 build: the full CSR
-    // and, through the whole-cell certificates, countCovering over the
-    // same cap samples.
     const auto foldIndex = [&] {
       const FootprintIndex2 idx(snap, maskRad);
       const SphericalCapIndex& cells = idx.capIndex();
@@ -516,11 +461,7 @@ int main(int argc, char** argv) {
   }
 
   bool allMatch = true;
-  double bestSpeedupCap = 0.0;
-  for (const TierResult& r : results) {
-    allMatch = allMatch && r.allGates();
-    bestSpeedupCap = std::max(bestSpeedupCap, r.speedupCapIndex);
-  }
+  for (const TierResult& r : results) allMatch = allMatch && r.allGates();
 
   // --- report --------------------------------------------------------------
   std::printf("# Mega-constellation scaling: propagate -> index -> topology "
@@ -536,13 +477,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   for (const TierResult& r : results) {
-    std::printf("# %s: speedup cap-kernel %.2fx | gates: "
-                "prop serial==parallel %s  cap bit-identical %s  "
+    std::printf("# %s: gates: "
+                "prop serial==parallel %s  "
                 "closestVisible %s  index serial==parallel %s  "
                 "topo serial==parallel %s\n",
-                r.name.c_str(), r.speedupCapIndex,
+                r.name.c_str(),
                 r.propSerialParallelMatch ? "MATCH" : "MISMATCH",
-                r.capBitIdentical ? "MATCH" : "MISMATCH",
                 r.closestVisibleMatch ? "MATCH" : "MISMATCH",
                 r.indexSerialParallelMatch ? "MATCH" : "MISMATCH",
                 r.topoSerialParallelMatch ? "MATCH" : "MISMATCH");
@@ -555,11 +495,8 @@ int main(int argc, char** argv) {
                  "  \"wall_seconds\": %.6f,\n"
                  "  \"threads\": %d,\n"
                  "  \"scale\": %.4f,\n"
-                 "  \"cap_kernel_level\": \"%s\",\n"
-                 "  \"speedup_capindex_best\": %.3f,\n"
                  "  \"tiers\": [\n",
-                 wallS, poolThreads, scale,
-                 simdLevelName(simd::cellKernelLevel()), bestSpeedupCap);
+                 wallS, poolThreads, scale);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const TierResult& r = results[i];
       std::fprintf(
@@ -575,9 +512,6 @@ int main(int argc, char** argv) {
           "      \"index_build_s\": %.6f,\n"
           "      \"index_us_per_sat\": %.4f,\n"
           "      \"cap_samples\": %zu,\n"
-          "      \"cap_scalar4_s\": %.6f,\n"
-          "      \"cap_simd_s\": %.6f,\n"
-          "      \"speedup_capindex\": %.3f,\n"
           "      \"max_isl_range_m\": %.1f,\n"
           "      \"topo_build_s\": %.6f,\n"
           "      \"topo_us_per_sat\": %.4f,\n"
@@ -590,9 +524,7 @@ int main(int argc, char** argv) {
           "    }%s\n",
           r.name.c_str(), r.sats, r.shells, r.shellLinks, r.sweepSteps,
           r.propBatchS, r.nsPerSatStep, r.indexBuildS, r.usPerSatIndex,
-          r.capSamples, r.capScalar4S, r.capSimdS, r.speedupCapIndex,
-          r.maxIslRangeM,
-          r.topoBuildS, r.usPerSatTopo, r.islLinks, r.meanDegree,
+          r.capSamples, r.maxIslRangeM, r.topoBuildS, r.usPerSatTopo, r.islLinks, r.meanDegree,
           r.routePairs, r.routeReached, r.routeS,
           r.allGates() ? "true" : "false",
           i + 1 < results.size() ? "," : "");

@@ -1,58 +1,32 @@
-// Process-wide SIMD dispatch policy.
+// The host's vector instruction level, for bench fingerprints.
 //
-// The vectorized spherical cap-cell kernel (geo/spherical_index_simd.hpp)
-// is compiled twice: an AVX2+FMA translation unit and a portable 4-lane
-// scalar-fallback translation unit that executes the identical algorithm
-// (both paths use only correctly-rounded or exact IEEE operations in the
-// same order, so they are bit-identical — property-tested). This header
-// owns the *policy* half of runtime dispatch: what the CPU supports and
-// what the OPENSPACE_SIMD override requests. A kernel degrades the policy
-// level to what its build actually contains (e.g. a non-x86 build has no
-// AVX2 translation unit).
+// No library kernel dispatches on it: every code path in src/ is portable
+// scalar code. Bench records name the level so that timings from hosts
+// with and without AVX2 are never compared as if alike.
 #pragma once
-
-#include <cstdlib>
-#include <cstring>
 
 namespace openspace {
 
-/// Vector instruction level of a dispatched kernel.
+/// Vector instruction level of the host CPU.
 enum class SimdLevel {
-  Scalar4,  ///< Portable 4-lane fallback. Always available.
-  Avx2,     ///< AVX2 + FMA intrinsics.
+  Scalar4,  ///< No AVX2 + FMA (named for the record format "scalar4").
+  Avx2,     ///< AVX2 and FMA both reported by the CPU.
 };
 
 inline const char* simdLevelName(SimdLevel level) noexcept {
   return level == SimdLevel::Avx2 ? "avx2" : "scalar4";
 }
 
-namespace simd_detail {
-
-/// True when the CPU this process runs on reports AVX2 and FMA.
-inline bool cpuSupportsAvx2() noexcept {
-#if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-}  // namespace simd_detail
-
-/// The requested dispatch level: OPENSPACE_SIMD=scalar forces Scalar4,
-/// OPENSPACE_SIMD=avx2 requests Avx2 (degraded to Scalar4 when the CPU
-/// lacks it), unset/auto picks Avx2 iff the CPU supports it. Cached on
-/// first call; set the variable before the first kernel use.
+/// Avx2 when the CPU this process runs on reports both AVX2 and FMA,
+/// Scalar4 otherwise (and on every non-x86-64 build).
 inline SimdLevel activeSimdLevel() noexcept {
-  static const SimdLevel level = [] {
-    const char* env = std::getenv("OPENSPACE_SIMD");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-      return SimdLevel::Scalar4;
-    }
-    return simd_detail::cpuSupportsAvx2() ? SimdLevel::Avx2
-                                          : SimdLevel::Scalar4;
-  }();
-  return level;
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
+  static const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar4;
+#else
+  return SimdLevel::Scalar4;
+#endif
 }
 
 }  // namespace openspace

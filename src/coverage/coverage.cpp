@@ -8,7 +8,6 @@
 #include <openspace/coverage/coverage.hpp>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -102,18 +101,9 @@ CoverageEstimate monteCarloCoverage(const std::vector<OrbitalElements>& sats,
   std::vector<int> chunkCovered((n + kSampleChunk - 1) / kSampleChunk, 0);
   parallelFor(n, kSampleChunk, [&](std::size_t begin, std::size_t end) {
     Rng stream = chunkRng(baseSeed, begin / kSampleChunk);
-    // Draw the chunk's directions first (the exact per-sample sequence
-    // the brute spec draws), map them to grid cells in one SIMD batch,
-    // then resolve each sample — bit-identical to calling anyCovers per
-    // draw, since the batch cell map equals the scalar one.
-    std::array<Vec3, kSampleChunk> dirs;
-    std::array<std::uint32_t, kSampleChunk> cells;
-    const std::size_t count = end - begin;
-    for (std::size_t s = 0; s < count; ++s) dirs[s] = stream.unitSphere();
-    footprints->cellIndicesOf(dirs.data(), count, cells.data());
     int covered = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      if (footprints->anyCoversAt(dirs[s], cells[s])) ++covered;
+    for (std::size_t s = begin; s < end; ++s) {
+      if (footprints->anyCovers(stream.unitSphere())) ++covered;
     }
     chunkCovered[begin / kSampleChunk] = covered;
   });
@@ -158,16 +148,9 @@ double kFoldCoverage(const std::vector<OrbitalElements>& sats, double tSeconds,
   std::vector<int> chunkCovered((n + kSampleChunk - 1) / kSampleChunk, 0);
   parallelFor(n, kSampleChunk, [&](std::size_t begin, std::size_t end) {
     Rng stream = chunkRng(baseSeed, begin / kSampleChunk);
-    // Batched cell mapping, as in monteCarloCoverage above: same draw
-    // sequence, same per-sample result, one SIMD pass over the chunk.
-    std::array<Vec3, kSampleChunk> dirs;
-    std::array<std::uint32_t, kSampleChunk> cells;
-    const std::size_t count = end - begin;
-    for (std::size_t s = 0; s < count; ++s) dirs[s] = stream.unitSphere();
-    footprints->cellIndicesOf(dirs.data(), count, cells.data());
     int covered = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      if (footprints->countCoveringAt(dirs[s], cells[s], k) >= k) ++covered;
+    for (std::size_t s = begin; s < end; ++s) {
+      if (footprints->countCovering(stream.unitSphere(), k) >= k) ++covered;
     }
     chunkCovered[begin / kSampleChunk] = covered;
   });

@@ -179,28 +179,9 @@ void FootprintIndex2::buildCoverCertificates() const {
 }
 
 bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const {
-  if (coverCertificates().empty()) return false;
-  return anyCoversAt(
-      unitPoint, static_cast<std::uint32_t>(capIndex_.cellIndexOf(unitPoint)));
-}
-
-int FootprintIndex2::countCovering(const Vec3& unitPoint,
-                                   int stopAfter) const {
-  if (coverCertificates().empty()) return 0;
-  return countCoveringAt(
-      unitPoint, static_cast<std::uint32_t>(capIndex_.cellIndexOf(unitPoint)),
-      stopAfter);
-}
-
-void FootprintIndex2::cellIndicesOf(const Vec3* unitPoints, std::size_t n,
-                                    std::uint32_t* outCells) const {
-  capIndex_.cellIndicesOf(unitPoints, n, outCells);
-}
-
-bool FootprintIndex2::anyCoversAt(const Vec3& unitPoint,
-                                  std::uint32_t cell) const {
   const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
   if (minCoverCount.empty()) return false;
+  const std::size_t cell = capIndex_.cellIndexOf(unitPoint);
   // Certified cell: some cap provably contains every direction here, so
   // the brute scan would find a hit too — answer without any dot products.
   if (minCoverCount[cell] > 0) return true;
@@ -214,8 +195,8 @@ bool FootprintIndex2::anyCoversAt(const Vec3& unitPoint,
   return false;
 }
 
-int FootprintIndex2::countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
-                                     int stopAfter) const {
+int FootprintIndex2::countCovering(const Vec3& unitPoint,
+                                   int stopAfter) const {
   // Reproduce the brute scan's early-stop semantics exactly: it returns
   // min(total, stopAfter) for stopAfter >= 1 and, for stopAfter <= 0,
   // breaks on the first covering satellite (1 if any, else 0). Both are
@@ -223,6 +204,7 @@ int FootprintIndex2::countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
   // already forced.
   const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
   if (minCoverCount.empty()) return 0;
+  const std::size_t cell = capIndex_.cellIndexOf(unitPoint);
   const int limit = std::max(stopAfter, 1);
   // At least minCoverCount[cell] satellites cover every direction here;
   // when that alone reaches the stop limit the clamped count is forced.

@@ -117,12 +117,14 @@ class FootprintIndex2 {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
   }
   /// True if any satellite covers the point. Same boolean as the brute
-  /// scan, found through the band index. The first call of this or the
-  /// three other surface-sample queries builds the cover certificates.
+  /// scan for unit directions, found through the band index; a zero, NaN
+  /// or non-unit point gets its cell's answer, which can differ. The
+  /// first call of this or countCovering builds the cover certificates.
   bool anyCovers(const Vec3& unitPoint) const;
   /// Number of satellites covering the point, counting stops at
-  /// `stopAfter` — same result as the brute ascending scan for every
-  /// stopAfter, including the degenerate stopAfter <= 0 cases.
+  /// `stopAfter` — same result as the brute ascending scan for every unit
+  /// direction and every stopAfter, including the degenerate
+  /// stopAfter <= 0 cases.
   int countCovering(const Vec3& unitPoint, int stopAfter) const;
   /// True once a surface-sample query has built the cover certificates.
   /// Ground-site queries (closestVisible, anyVisibleFrom,
@@ -130,20 +132,6 @@ class FootprintIndex2 {
   bool coverCertificatesBuilt() const noexcept {
     return certs_->built.load(std::memory_order_acquire);
   }
-
-  /// Batch cell mapping of `n` unit ECI directions, bit-identical to the
-  /// scalar map the plain anyCovers/countCovering apply per query
-  /// (SIMD-dispatched; see SphericalCapIndex::cellIndicesOf). The
-  /// Monte-Carlo sweeps map each sample chunk in one call, then resolve
-  /// per sample through the *At variants below.
-  void cellIndicesOf(const Vec3* unitPoints, std::size_t n,
-                     std::uint32_t* outCells) const;
-  /// anyCovers with the point's cell precomputed: `cell` must be the
-  /// value cellIndicesOf maps `unitPoint` to. Same boolean as anyCovers.
-  bool anyCoversAt(const Vec3& unitPoint, std::uint32_t cell) const;
-  /// countCovering with the point's cell precomputed; same contract.
-  int countCoveringAt(const Vec3& unitPoint, std::uint32_t cell,
-                      int stopAfter) const;
 
   /// True if at least one satellite is at or above the mask from the ECEF
   /// site — the exact mask predicate (GroundObserver::sees), candidates

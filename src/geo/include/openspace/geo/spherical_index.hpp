@@ -109,15 +109,6 @@ class SphericalCapIndex {
     return bandOf(unitDir.z) * sectors_ + sectorOf(unitDir.x, unitDir.y);
   }
 
-  /// Batch cellIndexOf: outCells[i] = cellIndexOf(unitDirs[i]) for every
-  /// i < n, bit-identical to the scalar member on every input (the map
-  /// uses only exactly-rounded IEEE operations — see
-  /// geo/spherical_index_simd.hpp). Runtime-dispatched to the AVX2 kernel
-  /// when available; the Monte-Carlo sweeps batch their sample chunks
-  /// through this before the per-sample candidate scans.
-  void cellIndicesOf(const Vec3* unitDirs, std::size_t n,
-                     std::uint32_t* outCells) const;
-
   /// Entry range [first, second) of `cell` in entries(): the ascending cap
   /// indices registered there.
   std::pair<std::uint32_t, std::uint32_t> cellEntryRange(

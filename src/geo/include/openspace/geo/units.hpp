@@ -45,12 +45,10 @@ constexpr double toMilliseconds(double s) noexcept { return s * 1e3; }
 // ---- frequency / data rate ------------------------------------------------
 
 constexpr double hz(double v) noexcept { return v; }
-constexpr double kilohertz(double v) noexcept { return v * 1e3; }
 constexpr double megahertz(double v) noexcept { return v * 1e6; }
 constexpr double gigahertz(double v) noexcept { return v * 1e9; }
 
 constexpr double bps(double v) noexcept { return v; }
-constexpr double kbps(double v) noexcept { return v * 1e3; }
 constexpr double mbps(double v) noexcept { return v * 1e6; }
 constexpr double gbps(double v) noexcept { return v * 1e9; }
 

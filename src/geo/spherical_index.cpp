@@ -8,7 +8,6 @@
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
-#include <openspace/geo/spherical_index_simd.hpp>
 
 namespace openspace {
 
@@ -488,12 +487,6 @@ void SphericalCapIndex::audit() const {
           "SphericalCapIndex::audit: cap missing from its center's cell");
     }
   }
-}
-
-void SphericalCapIndex::cellIndicesOf(const Vec3* unitDirs, std::size_t n,
-                                      std::uint32_t* outCells) const {
-  simd::cellIndices(simd::cellKernelLevel(), unitDirs, outCells, bands_,
-                    sectors_, 0, n);
 }
 
 void SphericalCapIndex::neighborhoodCandidates(

@@ -120,7 +120,6 @@ class CompactGraph {
   std::uint32_t indexOf(NodeId id) const { return nodes_->indexOf(id); }
   NodeId nodeAt(std::uint32_t dense) const { return nodes_->nodes()[dense]; }
   const std::vector<NodeId>& nodes() const noexcept { return nodes_->nodes(); }
-  NodeKind kindAt(std::uint32_t dense) const { return nodes_->kinds()[dense]; }
 
   /// CSR row of directed out-edges of dense node u: [rowBegin, rowEnd).
   std::uint32_t rowBegin(std::uint32_t u) const { return csr_.rowOffset[u]; }
