@@ -34,6 +34,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <openspace/auth/association.hpp>
@@ -51,7 +53,13 @@ namespace {
 
 using namespace openspace;
 
-constexpr int kPasses = 3;  // best-of to shrug off scheduler noise
+// Passes per leg. Each brute leg runs interleaved with its indexed leg,
+// one pass of each in alternating order, and each keeps its fastest pass,
+// so host load that comes and goes within a run slows both legs alike. It
+// cannot cancel a slowdown that lasts the whole process: on a shared
+// 4-vCPU VM the brute legs' minima still differ ~1.5x between runs, and
+// the speedups (ratios of the per-leg minima) with them.
+constexpr int kPasses = 7;
 
 double nowS() {
   return std::chrono::duration<double>(
@@ -76,24 +84,46 @@ struct Timed {
   std::uint64_t checksum = 0;
 };
 
-/// Time `pass` (returning a checksum) `passes` times; keep the fastest wall
-/// time and require a stable checksum.
+/// Run `pass` (returning a checksum) once as pass number `p` of `r`: keep
+/// the fastest wall time and require a stable checksum.
 template <typename Pass>
-Timed timeIt(Pass&& pass, int passes = kPasses) {
+void timePass(Timed& r, int p, Pass&& pass) {
+  const double t0 = nowS();
+  const std::uint64_t sum = pass();
+  const double dt = nowS() - t0;
+  if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
+  if (p == 0) {
+    r.checksum = sum;
+  } else if (sum != r.checksum) {
+    std::fprintf(stderr, "non-deterministic pass checksum\n");
+    std::exit(1);
+  }
+}
+
+/// Time `pass` kPasses times on its own (the parallel legs).
+template <typename Pass>
+Timed timeIt(Pass&& pass) {
   Timed r;
-  for (int p = 0; p < passes; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
+  for (int p = 0; p < kPasses; ++p) timePass(r, p, pass);
+  return r;
+}
+
+/// Time a brute and an indexed leg, kPasses each, interleaved: brute first
+/// on even passes, indexed first on odd ones.
+template <typename Brute, typename Indexed>
+std::pair<Timed, Timed> timeInterleaved(Brute&& brute, Indexed&& indexed) {
+  Timed b;
+  Timed i;
+  for (int p = 0; p < kPasses; ++p) {
+    if (p % 2 == 0) {
+      timePass(b, p, brute);
+      timePass(i, p, indexed);
+    } else {
+      timePass(i, p, indexed);
+      timePass(b, p, brute);
     }
   }
-  return r;
+  return {b, i};
 }
 
 /// One Monte-Carlo coverage sweep over a time grid, folding every
@@ -163,16 +193,13 @@ KernelTimings kernelSweep(const std::vector<OrbitalElements>& fleet, int steps,
   }
   kt.indexBuildS = nowS() - buildT0;
 
-  kt.brute = timeIt([&] {
+  const auto sweep = [&](const auto& indexes) {
     std::uint64_t h = 0xCBF29CE484222325ull;
-    for (const auto& index : brute) h = fnv1a(h, kernelPass(index, samples));
+    for (const auto& index : indexes) h = fnv1a(h, kernelPass(index, samples));
     return h;
-  });
-  kt.indexed = timeIt([&] {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (const auto& index : indexed) h = fnv1a(h, kernelPass(index, samples));
-    return h;
-  });
+  };
+  std::tie(kt.brute, kt.indexed) = timeInterleaved(
+      [&] { return sweep(brute); }, [&] { return sweep(indexed); });
   return kt;
 }
 
@@ -264,42 +291,34 @@ int main(int argc, char** argv) {
   const KernelTimings k1000 = kernelSweep(fleet1000, 4, kernelDirs, maskRad);
 
   // --- Monte-Carlo sweeps end to end, single-core ------------------------
-  const Timed mc66Brute =
-      timeIt([&] { return mcSweep(fleet66, mcSteps, mc66Samples, legacyMc); });
-  const Timed mc66Indexed =
-      timeIt([&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); });
-  const Timed mc1000Brute = timeIt(
-      [&] { return mcSweep(fleet1000, 4, mc1000Samples, legacyMc); });
-  const Timed mc1000Indexed = timeIt(
+  const auto [mc66Brute, mc66Indexed] = timeInterleaved(
+      [&] { return mcSweep(fleet66, mcSteps, mc66Samples, legacyMc); },
+      [&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); });
+  const auto [mc1000Brute, mc1000Indexed] = timeInterleaved(
+      [&] { return mcSweep(fleet1000, 4, mc1000Samples, legacyMc); },
       [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); });
 
   // --- Association, single-core ------------------------------------------
-  const Timed assoc66Brute = timeIt(
+  const auto [assoc66Brute, assoc66Serial] = timeInterleaved(
       [&] {
         return foldAssociations(
             bruteAssociate(fleet66, assocT, users, maskRad, users.size()),
             users.size());
       },
-      2);
-  const Timed assoc66Serial = timeIt(
       [&] {
         return foldAssociations(
             associateUsers(fleet66, assocT, users, maskRad), users.size());
-      },
-      2);
-  const Timed assoc1000BruteSub = timeIt(
+      });
+  const auto [assoc1000BruteSub, assoc1000Serial] = timeInterleaved(
       [&] {
         return foldAssociations(
             bruteAssociate(fleet1000, assocT, users, maskRad, bruteSubsample),
             bruteSubsample);
       },
-      2);
-  const Timed assoc1000Serial = timeIt(
       [&] {
         return foldAssociations(
             associateUsers(fleet1000, assocT, users, maskRad), users.size());
-      },
-      2);
+      });
   const std::uint64_t assoc1000SerialSub = foldAssociations(
       associateUsers(fleet1000, assocT, users, maskRad), bruteSubsample);
 
@@ -310,18 +329,14 @@ int main(int argc, char** argv) {
       timeIt([&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); });
   const Timed mc1000Par = timeIt(
       [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); });
-  const Timed assoc66Par = timeIt(
-      [&] {
-        return foldAssociations(
-            associateUsers(fleet66, assocT, users, maskRad), users.size());
-      },
-      2);
-  const Timed assoc1000Par = timeIt(
-      [&] {
-        return foldAssociations(
-            associateUsers(fleet1000, assocT, users, maskRad), users.size());
-      },
-      2);
+  const Timed assoc66Par = timeIt([&] {
+    return foldAssociations(associateUsers(fleet66, assocT, users, maskRad),
+                            users.size());
+  });
+  const Timed assoc1000Par = timeIt([&] {
+    return foldAssociations(associateUsers(fleet1000, assocT, users, maskRad),
+                            users.size());
+  });
   setParallelThreadCount(poolThreads);
 
   // --- Gates ---------------------------------------------------------------

@@ -68,6 +68,20 @@ constexpr double kMaxCertHalfAngleRad = std::numbers::pi / 2.0 - 0.1;
 /// where the candidate scan re-tests exactly anyway.
 constexpr double kCertCosPad = 1e-6;
 
+/// Kept out of line so that the check below inlines into the per-sample
+/// queries as a compare and a never-taken branch.
+[[noreturn, gnu::cold, gnu::noinline]] void throwNotUnit(const char* message) {
+  throw InvalidArgumentError(message);
+}
+
+/// The surface-sample queries take unit directions only: the cell map and
+/// the certificates above hold for |p| within ~1e-9 of 1, i.e. |p|^2 within
+/// 2e-9. A zero, NaN or non-unit point would get whichever answer its cell
+/// gives, so it is rejected (NaN fails the comparison).
+inline void requireUnitDirection(const Vec3& p, const char* message) {
+  if (!(std::abs(p.dot(p) - 1.0) <= 2e-9)) [[unlikely]] throwNotUnit(message);
+}
+
 /// Fixed chunks of the per-satellite and certificate passes, independent
 /// of the thread count: each chunk writes only its own slots.
 constexpr std::size_t kSatChunk = 512;
@@ -179,6 +193,7 @@ void FootprintIndex2::buildCoverCertificates() const {
 }
 
 bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const {
+  requireUnitDirection(unitPoint, "anyCovers: point is not a unit direction");
   const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
   if (minCoverCount.empty()) return false;
   const std::size_t cell = capIndex_.cellIndexOf(unitPoint);
@@ -202,6 +217,8 @@ int FootprintIndex2::countCovering(const Vec3& unitPoint,
   // breaks on the first covering satellite (1 if any, else 0). Both are
   // order-independent, so early stops are safe wherever the result is
   // already forced.
+  requireUnitDirection(unitPoint,
+                       "countCovering: point is not a unit direction");
   const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
   if (minCoverCount.empty()) return 0;
   const std::size_t cell = capIndex_.cellIndexOf(unitPoint);

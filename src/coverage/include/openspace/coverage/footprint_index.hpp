@@ -52,7 +52,7 @@ class ConstellationSnapshot;
 /// plus the band index build (parallel over fixed chunks, bit-identical at
 /// any thread count), amortized by a process-wide LRU. The whole-cell cover
 /// certificates only the surface-sample queries read are built once, on the
-/// first anyCovers/countCovering(At) call, under a lock that makes
+/// first anyCovers/countCovering call, under a lock that makes
 /// concurrent first calls wait for that one build. A fan-out whose chunks
 /// query a fresh index should make one query on its calling thread first
 /// (as monteCarloCoverage does): the build then fans out itself, and no
@@ -116,15 +116,15 @@ class FootprintIndex2 {
   bool covers(const Vec3& unitPoint, std::size_t i) const noexcept {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
   }
-  /// True if any satellite covers the point. Same boolean as the brute
-  /// scan for unit directions, found through the band index; a zero, NaN
-  /// or non-unit point gets its cell's answer, which can differ. The
+  /// True if any satellite covers the unit direction: the brute scan's
+  /// boolean, found through the band index. Throws InvalidArgumentError
+  /// unless |p|^2 is within 2e-9 of 1 (zero, NaN and non-unit points). The
   /// first call of this or countCovering builds the cover certificates.
   bool anyCovers(const Vec3& unitPoint) const;
-  /// Number of satellites covering the point, counting stops at
-  /// `stopAfter` — same result as the brute ascending scan for every unit
-  /// direction and every stopAfter, including the degenerate
-  /// stopAfter <= 0 cases.
+  /// Number of satellites covering the unit direction, counting stops at
+  /// `stopAfter` — same result as the brute ascending scan for every
+  /// stopAfter, including the degenerate stopAfter <= 0 cases. Throws
+  /// InvalidArgumentError for the points anyCovers rejects.
   int countCovering(const Vec3& unitPoint, int stopAfter) const;
   /// True once a surface-sample query has built the cover certificates.
   /// Ground-site queries (closestVisible, anyVisibleFrom,

@@ -44,12 +44,10 @@ constexpr double toMilliseconds(double s) noexcept { return s * 1e3; }
 
 // ---- frequency / data rate ------------------------------------------------
 
-constexpr double hz(double v) noexcept { return v; }
 constexpr double megahertz(double v) noexcept { return v * 1e6; }
 constexpr double gigahertz(double v) noexcept { return v * 1e9; }
 
 constexpr double bps(double v) noexcept { return v; }
-constexpr double mbps(double v) noexcept { return v * 1e6; }
 constexpr double gbps(double v) noexcept { return v * 1e9; }
 
 // ---- power ----------------------------------------------------------------

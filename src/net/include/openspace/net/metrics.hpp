@@ -24,7 +24,6 @@ class LatencyStats {
   double percentileS(double quantile) const;
   double p50S() const { return percentileS(0.50); }
   double p95S() const { return percentileS(0.95); }
-  double p99S() const { return percentileS(0.99); }
 
  private:
   void ensureSorted() const;

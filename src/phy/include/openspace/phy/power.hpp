@@ -44,10 +44,8 @@ class PowerBudget {
   /// battery capacity).
   void recharge(double durationS);
 
-  double committedW() const noexcept { return committedW_; }
   double generationW() const noexcept { return generationW_; }
   double batteryChargeWh() const noexcept { return batteryChargeWh_; }
-  double batteryCapacityWh() const noexcept { return batteryCapacityWh_; }
   std::size_t activeCommitments() const noexcept { return labels_.size(); }
 
  private:

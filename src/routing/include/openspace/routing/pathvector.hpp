@@ -20,7 +20,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include <openspace/orbit/ephemeris.hpp>
@@ -34,8 +33,6 @@ enum class Relationship {
   Provider,  ///< We pay them.
   Mesh,      ///< OpenSpace: no hierarchy, ledger settlement per byte.
 };
-
-std::string_view relationshipName(Relationship r) noexcept;
 
 /// A route advertisement for one destination provider.
 struct PathAdvertisement {
@@ -64,9 +61,6 @@ class PathVectorNode {
   /// Best known route to `destination` (nullopt if none). The self
   /// destination is implicit.
   std::optional<PathAdvertisement> bestRoute(ProviderId destination) const;
-
-  /// Destinations currently reachable (excluding self).
-  std::set<ProviderId> reachableDestinations() const;
 
   /// Advertisements this node exports to `neighbor` under its policy:
   ///  * Mesh relationship: everything (plus self).

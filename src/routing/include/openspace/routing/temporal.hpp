@@ -54,7 +54,6 @@ class ContactGraphRouter {
   /// NotFoundError for nodes absent from the snapshots.
   TemporalRoute earliestArrival(NodeId src, NodeId dst, double tStartS) const;
 
-  std::size_t snapshotCount() const noexcept { return snaps_.size(); }
   double horizonEndS() const noexcept { return gridEndS_; }
 
  private:

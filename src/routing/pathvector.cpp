@@ -6,16 +6,6 @@
 
 namespace openspace {
 
-std::string_view relationshipName(Relationship r) noexcept {
-  switch (r) {
-    case Relationship::Customer: return "customer";
-    case Relationship::Peer: return "peer";
-    case Relationship::Provider: return "provider";
-    case Relationship::Mesh: return "mesh";
-  }
-  return "?";
-}
-
 bool PathAdvertisement::containsLoop(ProviderId self) const {
   return std::find(path.begin(), path.end(), self) != path.end();
 }
@@ -75,12 +65,6 @@ std::optional<PathAdvertisement> PathVectorNode::bestRoute(
   const auto it = rib_.find(destination);
   if (it == rib_.end()) return std::nullopt;
   return it->second.adv;
-}
-
-std::set<ProviderId> PathVectorNode::reachableDestinations() const {
-  std::set<ProviderId> out;
-  for (const auto& [dst, entry] : rib_) out.insert(dst);
-  return out;
 }
 
 std::vector<PathAdvertisement> PathVectorNode::exportTo(

@@ -1,26 +1,10 @@
-// Session-plane scenarios (paper §5(1) user modeling x §2.2 handovers).
-//
-// Three stress patterns the democratized-access architecture has to absorb,
-// each driven end-to-end through the sharded SessionTable + HandoverSweep
-// epoch kernel:
-//
-//  * flash crowd — a burst of users associating inside one metro area at
-//    an epoch boundary (a stadium event, a disaster): seeds pile into the
-//    satellites over one region and the sweep keeps every prior session's
-//    predicted-handover schedule untouched;
-//  * regional ground-station outage — every session in a radius drops to
-//    Disassociated mid-run (SessionTable::disassociateRegion) and
-//    re-associates through a fresh seed at the next epoch boundary;
-//  * diurnal load shift — arrivals per epoch follow diurnalDemandFactor at
-//    each user's longitude, so the serving load migrates westward with the
-//    evening peak while standing sessions keep handing over.
-//
-// All scenarios are deterministic given the config seed (explicit Rng,
-// deterministic sweep) — their final table checksums are stable across
-// thread counts, which makes them usable as integration tests.
+// Session seeds for the session plane (paper §5(1) user modeling x §2.2
+// handovers): turn sampled users into HandoverSweep::seed input by issuing
+// each one a roaming certificate, and scatter a flash crowd of seeds around
+// one metro area. Deterministic given the Rng.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include <openspace/auth/certificate.hpp>
@@ -43,50 +27,5 @@ std::vector<SessionSeed> flashCrowdSeeds(const CertificateAuthority& authority,
                                          const Geodetic& center, double radiusM,
                                          std::size_t count, UserId firstUser,
                                          double nowS, Rng& rng);
-
-/// Common scenario shape: a base population seeded at t0, then
-/// `epochCount` sweep epochs of `epochS` seconds each.
-struct SessionScenarioConfig {
-  std::size_t baseUsers = 20'000;
-  double t0S = 0.0;
-  double epochS = 60.0;
-  std::size_t epochCount = 10;
-  double minElevationRad = 0.1745;  ///< ~10 deg.
-  double certLifetimeS = 86'400.0;
-  std::uint64_t rngSeed = 42;
-};
-
-/// Scenario outcome: per-epoch sweep stats plus the final table state.
-struct SessionScenarioResult {
-  std::vector<EpochStats> epochs;
-  std::size_t seededUsers = 0;     ///< Total sessions seeded over the run.
-  std::size_t droppedSessions = 0; ///< Sessions dropped by the disturbance.
-  std::size_t finalActive = 0;
-  std::uint64_t finalStateChecksum = 0;
-};
-
-/// Flash crowd: the base population runs for half the epochs, then
-/// `crowdUsers` extra seeds land within `crowdRadiusM` of `crowdCenter` at
-/// the midpoint epoch boundary and the run continues.
-SessionScenarioResult runFlashCrowdScenario(const EphemerisService& ephemeris,
-                                            const SessionScenarioConfig& cfg,
-                                            const Geodetic& crowdCenter,
-                                            double crowdRadiusM,
-                                            std::size_t crowdUsers);
-
-/// Regional outage: at the midpoint epoch boundary every session within
-/// `outageRadiusM` of `outageCenter` is disassociated; one epoch later the
-/// dropped users re-associate (fresh certificates) and the run continues.
-SessionScenarioResult runRegionalOutageScenario(
-    const EphemerisService& ephemeris, const SessionScenarioConfig& cfg,
-    const Geodetic& outageCenter, double outageRadiusM);
-
-/// Diurnal load shift: each epoch boundary admits up to `arrivalsPerEpoch`
-/// new users, each accepted with probability diurnalDemandFactor at its
-/// longitude and the epoch's start-of-epoch UTC time — arrivals track the
-/// evening peak as it sweeps westward.
-SessionScenarioResult runDiurnalLoadShiftScenario(
-    const EphemerisService& ephemeris, const SessionScenarioConfig& cfg,
-    std::size_t arrivalsPerEpoch);
 
 }  // namespace openspace

@@ -10,15 +10,6 @@ namespace openspace {
 
 namespace {
 
-/// One home ISP stands in for the federation in scenario runs — every
-/// certificate verifies locally either way (§2.2 shared federation
-/// knowledge), so provider multiplicity would only change labels.
-constexpr std::uint64_t kScenarioIssuerSecret = 0x5E55'10'4Aull;
-
-CertificateAuthority scenarioAuthority(double lifetimeS) {
-  return CertificateAuthority(ProviderId{1}, kScenarioIssuerSecret, lifetimeS);
-}
-
 /// A surface point uniformly distributed (by area) within `radiusM` of
 /// `center`: draw a bearing and an area-uniform central angle, walk the
 /// great circle. Deterministic given the Rng.
@@ -37,15 +28,6 @@ Geodetic pointNear(const Geodetic& center, double radiusM, Rng& rng) {
       std::atan2(std::sin(bearing) * std::sin(angle) * std::cos(lat1),
                  std::cos(angle) - std::sin(lat1) * std::sin(lat2));
   return Geodetic{lat2, lon2, 0.0};
-}
-
-std::vector<SessionSeed> basePopulationSeeds(const SessionScenarioConfig& cfg,
-                                             const CertificateAuthority& ca,
-                                             Rng& rng) {
-  const PopulationModel world = defaultWorldPopulation();
-  const auto users =
-      world.sampleUsers(static_cast<int>(cfg.baseUsers), rng);
-  return issueSeedCertificates(ca, users, /*firstUser=*/1, cfg.t0S);
 }
 
 }  // namespace
@@ -77,124 +59,6 @@ std::vector<SessionSeed> flashCrowdSeeds(const CertificateAuthority& authority,
     users.push_back(SampledUser{pointNear(center, radiusM, rng), 1.0});
   }
   return issueSeedCertificates(authority, users, firstUser, nowS);
-}
-
-SessionScenarioResult runFlashCrowdScenario(const EphemerisService& ephemeris,
-                                            const SessionScenarioConfig& cfg,
-                                            const Geodetic& crowdCenter,
-                                            double crowdRadiusM,
-                                            std::size_t crowdUsers) {
-  Rng rng(cfg.rngSeed);
-  const CertificateAuthority ca = scenarioAuthority(cfg.certLifetimeS);
-  SweepConfig sweepCfg;
-  sweepCfg.minElevationRad = cfg.minElevationRad;
-  const HandoverSweep sweep(ephemeris, sweepCfg);
-  SessionTable table(ephemeris.satellites().size());
-
-  SessionScenarioResult out;
-  const auto base = basePopulationSeeds(cfg, ca, rng);
-  sweep.seed(table, base, cfg.t0S, SeedMode::ClosestAssociation);
-  out.seededUsers += base.size();
-
-  const std::size_t arriveAt = cfg.epochCount / 2;
-  for (std::size_t e = 0; e < cfg.epochCount; ++e) {
-    if (e == arriveAt && crowdUsers > 0) {
-      const auto crowd = flashCrowdSeeds(
-          ca, crowdCenter, crowdRadiusM, crowdUsers,
-          /*firstUser=*/1 + base.size(), table.clockS(), rng);
-      sweep.seed(table, crowd, table.clockS(), SeedMode::ClosestAssociation);
-      out.seededUsers += crowd.size();
-    }
-    out.epochs.push_back(sweep.runEpoch(table, table.clockS() + cfg.epochS));
-  }
-  out.finalActive = table.activeCount();
-  out.finalStateChecksum = table.stateChecksum();
-  return out;
-}
-
-SessionScenarioResult runRegionalOutageScenario(
-    const EphemerisService& ephemeris, const SessionScenarioConfig& cfg,
-    const Geodetic& outageCenter, double outageRadiusM) {
-  Rng rng(cfg.rngSeed);
-  const CertificateAuthority ca = scenarioAuthority(cfg.certLifetimeS);
-  SweepConfig sweepCfg;
-  sweepCfg.minElevationRad = cfg.minElevationRad;
-  const HandoverSweep sweep(ephemeris, sweepCfg);
-  SessionTable table(ephemeris.satellites().size());
-
-  SessionScenarioResult out;
-  const auto base = basePopulationSeeds(cfg, ca, rng);
-  sweep.seed(table, base, cfg.t0S, SeedMode::ClosestAssociation);
-  out.seededUsers += base.size();
-
-  const std::size_t outageAt = cfg.epochCount / 2;
-  std::vector<SessionSeed> reseed;
-  for (std::size_t e = 0; e < cfg.epochCount; ++e) {
-    if (e == outageAt) {
-      out.droppedSessions = table.disassociateRegion(outageCenter, outageRadiusM);
-      // The dropped users queue for re-association: fresh certificates,
-      // same ids and sites, seeded one epoch after the outage.
-      const Vec3 centerEcef = geodeticToEcef(outageCenter);
-      for (const SessionSeed& s : base) {
-        if (geodeticToEcef(s.location).distanceTo(centerEcef) > outageRadiusM) {
-          continue;
-        }
-        const Certificate cert = ca.issue(s.user, table.clockS() + cfg.epochS);
-        reseed.push_back(
-            SessionSeed{s.user, s.location, cert.expiresAtS, cert.tag});
-      }
-    }
-    if (e == outageAt + 1 && !reseed.empty()) {
-      sweep.seed(table, reseed, table.clockS(), SeedMode::ClosestAssociation);
-      out.seededUsers += reseed.size();
-    }
-    out.epochs.push_back(sweep.runEpoch(table, table.clockS() + cfg.epochS));
-  }
-  out.finalActive = table.activeCount();
-  out.finalStateChecksum = table.stateChecksum();
-  return out;
-}
-
-SessionScenarioResult runDiurnalLoadShiftScenario(
-    const EphemerisService& ephemeris, const SessionScenarioConfig& cfg,
-    std::size_t arrivalsPerEpoch) {
-  Rng rng(cfg.rngSeed);
-  const CertificateAuthority ca = scenarioAuthority(cfg.certLifetimeS);
-  SweepConfig sweepCfg;
-  sweepCfg.minElevationRad = cfg.minElevationRad;
-  const HandoverSweep sweep(ephemeris, sweepCfg);
-  SessionTable table(ephemeris.satellites().size());
-  const PopulationModel world = defaultWorldPopulation();
-
-  SessionScenarioResult out;
-  const auto base = basePopulationSeeds(cfg, ca, rng);
-  sweep.seed(table, base, cfg.t0S, SeedMode::ClosestAssociation);
-  out.seededUsers += base.size();
-  UserId nextUser = 1 + base.size();
-
-  for (std::size_t e = 0; e < cfg.epochCount; ++e) {
-    // Thin an arrival batch by the local diurnal demand at each candidate's
-    // longitude: evening longitudes admit most of their draws, morning
-    // longitudes few — the admitted load tracks the peak westward.
-    const auto candidates =
-        world.sampleUsers(static_cast<int>(arrivalsPerEpoch), rng);
-    std::vector<SampledUser> admitted;
-    for (const SampledUser& c : candidates) {
-      const double f = diurnalDemandFactor(table.clockS(), c.location.longitudeRad);
-      if (rng.chance(f)) admitted.push_back(c);
-    }
-    if (!admitted.empty()) {
-      const auto seeds =
-          issueSeedCertificates(ca, admitted, nextUser, table.clockS());
-      sweep.seed(table, seeds, table.clockS(), SeedMode::ClosestAssociation);
-      nextUser += seeds.size();
-      out.seededUsers += seeds.size();
-    }
-    out.epochs.push_back(sweep.runEpoch(table, table.clockS() + cfg.epochS));
-  }
-  out.finalActive = table.activeCount();
-  out.finalStateChecksum = table.stateChecksum();
-  return out;
 }
 
 }  // namespace openspace

@@ -6,25 +6,6 @@
 
 namespace openspace {
 
-std::string_view nodeKindName(NodeKind k) noexcept {
-  switch (k) {
-    case NodeKind::Satellite: return "satellite";
-    case NodeKind::GroundStation: return "ground-station";
-    case NodeKind::User: return "user";
-  }
-  return "?";
-}
-
-std::string_view linkTypeName(LinkType t) noexcept {
-  switch (t) {
-    case LinkType::IslRf: return "ISL-RF";
-    case LinkType::IslLaser: return "ISL-laser";
-    case LinkType::Gsl: return "GSL";
-    case LinkType::UserLink: return "user-link";
-  }
-  return "?";
-}
-
 LinkCostFn latencyCost() {
   return [](const Link& l, const Node&, const Node&, ProviderId) {
     return l.totalDelayS();

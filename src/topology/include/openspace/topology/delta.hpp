@@ -1,6 +1,6 @@
 // Incremental temporal topology: one compiled CompactGraph per time step.
 //
-// A temporal sweep (routing/temporal.hpp, sim/flow_sweep.hpp) needs one
+// A temporal sweep (routing/temporal.hpp, worldbench's epoch loop) needs one
 // compiled CompactGraph per step. Going through
 // TopologyBuilder::snapshot() + RouteEngine(graph, cost) would materialize
 // a hash-map NetworkGraph (node/link maps, adjacency vectors, per-node name

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 
 #include <openspace/core/ids.hpp>
 #include <openspace/phy/bands.hpp>
@@ -19,8 +18,6 @@ enum class LinkType {
   Gsl,       ///< Satellite <-> ground station (gateway) link.
   UserLink,  ///< Satellite <-> user terminal link.
 };
-
-std::string_view linkTypeName(LinkType t) noexcept;
 
 /// An undirected link in a topology snapshot. Distance/latency/capacity are
 /// snapshot-time values; ownership & tariff feed the routing cost model.

@@ -32,6 +32,4 @@ struct Node {
   bool isUser() const noexcept { return kind == NodeKind::User; }
 };
 
-std::string_view nodeKindName(NodeKind k) noexcept;
-
 }  // namespace openspace

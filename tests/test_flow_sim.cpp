@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <openspace/concurrency/parallel.hpp>
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
@@ -20,11 +21,11 @@
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
 #include <openspace/sim/flow_sim.hpp>
-#include <openspace/sim/flow_sweep.hpp>
 #include <openspace/spec/flow_generator.hpp>
 #include <openspace/spec/forwarding.hpp>
 #include <openspace/spec/link_dir.hpp>
 #include <openspace/topology/builder.hpp>
+#include <openspace/topology/delta.hpp>
 
 namespace openspace {
 namespace {
@@ -777,6 +778,15 @@ TEST_F(CityFlowsFixture, RejectsBadInputs) {
 
 // --- multi-snapshot flow sweeps over the delta path -------------------------
 
+/// A sweep's per-step outcome plus its determinism witness: FNV-1a over
+/// every step's route node sequences and slice record checksum, in step
+/// order.
+struct FlowSweep {
+  std::vector<FlowSimReport> steps;
+  std::vector<bool> structural;  ///< The step's link set or order changed.
+  std::uint64_t checksum = kFnvOffsetBasis;
+};
+
 class FlowSweepFixture : public ::testing::Test {
  protected:
   FlowSweepFixture() {
@@ -789,32 +799,58 @@ class FlowSweepFixture : public ::testing::Test {
     gwB_ = topo_->nodeOf(topo_->addGroundStation(
         {"jburg", Geodetic::fromDegrees(-26.20, 28.05), ProviderId{1}}));
     for (std::uint32_t s = 0; s < 8; ++s) {
-      FlowSweepDemand d;
+      FlowSpec d;
       d.src = topo_->nodeOf(SatelliteId{s * 8 + 1});
       d.dst = (s % 2 == 0) ? gwA_ : gwB_;
       d.rateBps = 10e6;
       demands_.push_back(d);
+      sources_.push_back(d.src);
     }
   }
-  static SnapshotOptions opts() {
+
+  /// Replays the demands over four 0.5 s steps from t = 0 while the
+  /// topology drifts: one IncrementalTopology step, one shortest delay tree
+  /// per source (batched over the thread pool) and one FlowSimulator slice
+  /// per step, its seed FNV-mixed with the step index. A demand whose
+  /// destination is unreachable offers no flow that step.
+  FlowSweep sweep() const {
     SnapshotOptions opt;
     opt.wiring = IslWiring::PlusGrid;
     opt.planes = 6;
     opt.minElevationRad = deg2rad(10.0);
-    return opt;
+    IncrementalTopology inc(*topo_, opt, latencyCost());
+    FlowSweep out;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const double t = 0.5 * static_cast<double>(k);
+      out.structural.push_back(inc.step(t).structural);
+      const std::shared_ptr<const CompactGraph> graph = inc.graph();
+      const std::vector<PathTree> trees =
+          RouteEngine(graph).batchShortestPathTrees(sources_);
+      FlowSimulator sim(graph, FlowSimConfig{}
+                                   .withStart(t)
+                                   .withDuration(0.5)
+                                   .withSeed(fnv1a(std::uint64_t{11}, k)));
+      for (std::size_t i = 0; i < demands_.size(); ++i) {
+        const Route r = trees[i].routeTo(demands_[i].dst);
+        out.checksum = fnv1a(out.checksum, r.nodes.size());
+        for (const NodeId n : r.nodes) out.checksum = fnv1a(out.checksum, n.value());
+        if (!r.valid()) continue;
+        FlowSpec f = demands_[i];
+        f.startS = t;
+        f.stopS = t + 0.5;
+        sim.addFlow(f, r);
+      }
+      out.steps.push_back(sim.run());
+      out.checksum = fnv1a(out.checksum, out.steps.back().recordChecksum);
+    }
+    return out;
   }
-  static FlowSweepConfig sweep() {
-    FlowSweepConfig cfg;
-    cfg.t0S = 0.0;
-    cfg.horizonS = 2.0;
-    cfg.stepS = 0.5;
-    cfg.sim = FlowSimConfig{}.withSeed(11);
-    return cfg;
-  }
+
   EphemerisService eph_;
   std::unique_ptr<TopologyBuilder> topo_;
   NodeId gwA_{}, gwB_{};
-  std::vector<FlowSweepDemand> demands_;
+  std::vector<FlowSpec> demands_;
+  std::vector<NodeId> sources_;  ///< demands_[i].src, all distinct.
 };
 
 TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
@@ -830,22 +866,21 @@ TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
                            {0xa75f191ca6a34506ull, 3336},
                            {0x372922d7c4c99635ull, 3458},
                            {0xe995e1f1ec6164ddull, 3344}};
-  const FlowSweepReport rep = runFlowSweep(*topo_, opts(), demands_, sweep());
+  const FlowSweep rep = sweep();
   ASSERT_EQ(rep.steps.size(), 4u);
   EXPECT_EQ(rep.checksum, 0x5720bdf4d8fa7b53ull);
-  EXPECT_EQ(rep.packetsOffered, 13'431u);
-  EXPECT_EQ(rep.packetsDelivered, 13'431u);
-  EXPECT_EQ(rep.packetsDropped, 0u);
+  std::uint64_t offered = 0;
   for (std::size_t i = 0; i < rep.steps.size(); ++i) {
     EXPECT_EQ(rep.steps[i].recordChecksum, want[i].recordChecksum) << "step " << i;
     EXPECT_EQ(rep.steps[i].packetsOffered, want[i].packets) << "step " << i;
     EXPECT_EQ(rep.steps[i].packetsDelivered, want[i].packets) << "step " << i;
     EXPECT_EQ(rep.steps[i].packetsDropped, 0u) << "step " << i;
+    offered += rep.steps[i].packetsOffered;
   }
+  EXPECT_EQ(offered, 13'431u);
   // Step 0 has no previous link set; the short-interval follow-ups keep
   // it (link payload drift only).
-  EXPECT_EQ(rep.structuralSteps, 1u);
-  EXPECT_TRUE(rep.steps[0].structural);
+  EXPECT_EQ(rep.structural, (std::vector<bool>{true, false, false, false}));
 }
 
 TEST_F(FlowSweepFixture, SerialAndParallelSweepsAreBitIdentical) {
@@ -853,38 +888,16 @@ TEST_F(FlowSweepFixture, SerialAndParallelSweepsAreBitIdentical) {
   // depend on the thread count.
   ThreadCountGuard guard;
   setParallelThreadCount(1);
-  const FlowSweepReport serial =
-      runFlowSweep(*topo_, opts(), demands_, sweep());
+  const FlowSweep serial = sweep();
   setParallelThreadCount(4);
-  const FlowSweepReport parallel =
-      runFlowSweep(*topo_, opts(), demands_, sweep());
-  EXPECT_GT(serial.packetsDelivered, 0u);
+  const FlowSweep parallel = sweep();
+  EXPECT_GT(serial.steps[0].packetsDelivered, 0u);
   EXPECT_EQ(serial.checksum, parallel.checksum);
   ASSERT_EQ(serial.steps.size(), parallel.steps.size());
   for (std::size_t i = 0; i < serial.steps.size(); ++i) {
     EXPECT_EQ(serial.steps[i].recordChecksum, parallel.steps[i].recordChecksum)
         << "step " << i;
   }
-}
-
-TEST_F(FlowSweepFixture, SweepValidation) {
-  FlowSweepConfig bad = sweep();
-  bad.stepS = 0.0;
-  EXPECT_THROW(runFlowSweep(*topo_, opts(), demands_, bad),
-               InvalidArgumentError);
-  bad = sweep();
-  bad.horizonS = -1.0;
-  EXPECT_THROW(runFlowSweep(*topo_, opts(), demands_, bad),
-               InvalidArgumentError);
-  std::vector<FlowSweepDemand> unset(1);
-  EXPECT_THROW(runFlowSweep(*topo_, opts(), unset, sweep()),
-               InvalidArgumentError);
-  FlowSweepDemand unknown;
-  unknown.src = NodeId{999'999};
-  unknown.dst = gwA_;
-  EXPECT_THROW(runFlowSweep(*topo_, opts(), {unknown},
-                            sweep()),
-               NotFoundError);
 }
 
 }  // namespace

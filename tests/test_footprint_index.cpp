@@ -386,26 +386,19 @@ TEST(FootprintIndex2, CoversBitIdenticalToOrbitIndex) {
       for (std::size_t i = 0; i < brute.size(); ++i) {
         ASSERT_EQ(indexed->covers(p, i), brute.covers(p, i));
       }
-      // anyCovers and countCovering are defined on unit directions: the
-      // cell map and the whole-cell certificates assume |p| == 1. Zero,
-      // NaN and non-unit points land in some cell and get that cell's
-      // answer, which can differ from the brute scan: a certified cell
-      // answers "covered" for a NaN point, and countCovering of the zero
-      // vector can read 2 at stopAfter 2 but 0 at stopAfter 66. For those,
-      // only check that the queries stay in range.
-      const bool unit = std::abs(p.dot(p) - 1.0) <= 1e-12;
-      const bool any = indexed->anyCovers(p);
-      if (unit) ASSERT_EQ(any, brute.anyCovers(p));
+      // anyCovers and countCovering take unit directions only (|p|^2
+      // within 2e-9 of 1): zero, NaN and non-unit points are rejected.
+      if (!(std::abs(p.dot(p) - 1.0) <= 2e-9)) {
+        EXPECT_THROW((void)indexed->anyCovers(p), InvalidArgumentError);
+        EXPECT_THROW((void)indexed->countCovering(p, 1), InvalidArgumentError);
+        continue;
+      }
+      ASSERT_EQ(indexed->anyCovers(p), brute.anyCovers(p));
       for (const int stopAfter :
            {-1, 0, 1, 2, n, n + 3, static_cast<int>(brute.size())}) {
-        const int count = indexed->countCovering(p, stopAfter);
-        if (unit) {
-          ASSERT_EQ(count, brute.countCovering(p, stopAfter))
-              << "stopAfter=" << stopAfter;
-        } else {
-          ASSERT_GE(count, 0);
-          ASSERT_LE(count, std::max(stopAfter, 1));
-        }
+        ASSERT_EQ(indexed->countCovering(p, stopAfter),
+                  brute.countCovering(p, stopAfter))
+            << "stopAfter=" << stopAfter;
       }
     }
   }

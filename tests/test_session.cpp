@@ -1,5 +1,5 @@
 // Session-plane tests: the sharded SessionTable, the batched HandoverSweep
-// epoch kernel, and the sim scenarios built on them.
+// epoch kernel, and the session scenarios built on them.
 //
 // The central property: with SeedMode::Planner and non-expiring
 // certificates, the sweep's per-user event streams and its outage are
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
+#include <openspace/sim/population.hpp>
 #include <openspace/sim/session_scenarios.hpp>
 #include <openspace/spec/handover.hpp>
 
@@ -684,59 +686,168 @@ TEST(SessionStateNames, AllNamed) {
   }
 }
 
-// --- sim scenarios --------------------------------------------------------
+// --- session scenarios ----------------------------------------------------
+//
+// Three stress patterns the session plane has to absorb (paper §5(1) user
+// modeling x §2.2 handovers): a flash crowd, a regional outage with
+// re-association, and diurnal arrivals. One harness seeds a base population
+// at t = 0 and runs four 60 s sweep epochs; each scenario is a hook called
+// at every epoch boundary. The literal pins fix every Rng draw and epoch.
+
+void expectEventChecksums(const std::vector<EpochStats>& epochs,
+                          const std::vector<std::uint64_t>& want) {
+  ASSERT_EQ(epochs.size(), want.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(epochs[e].eventChecksum, want[e]) << "epoch " << e;
+  }
+}
+
+struct ScenarioRun {
+  std::vector<EpochStats> epochs;
+  std::size_t seededUsers = 0;  ///< Base population plus every later seed.
+  std::size_t droppedSessions = 0;
+  std::size_t finalActive = 0;
+  std::uint64_t finalStateChecksum = 0;
+};
 
 class SessionScenarioTest : public ::testing::Test {
  protected:
+  /// Runs before epoch `e` and returns the seeds to associate at its start.
+  using BoundaryHook = std::function<std::vector<SessionSeed>(
+      std::size_t e, SessionTable& table, Rng& rng, ScenarioRun& run)>;
+
   SessionScenarioTest() {
     for (const auto& el : makeWalkerStar(iridiumConfig())) {
       eph_.publish(ProviderId{1}, el);
     }
-    cfg_.baseUsers = 400;
-    cfg_.epochS = 60.0;
-    cfg_.epochCount = 4;
   }
+
+  ScenarioRun runScenario(const BoundaryHook& atBoundary) {
+    Rng rng(42);
+    SweepConfig cfg;
+    cfg.minElevationRad = 0.1745;
+    const HandoverSweep sweep(eph_, cfg);
+    SessionTable table(eph_.satellites().size());
+    ScenarioRun run;
+    base_ = issueSeedCertificates(ca_, world_.sampleUsers(400, rng),
+                                  /*firstUser=*/1, 0.0);
+    sweep.seed(table, base_, 0.0, SeedMode::ClosestAssociation);
+    run.seededUsers = base_.size();
+    for (std::size_t e = 0; e < 4; ++e) {
+      const auto seeds = atBoundary(e, table, rng, run);
+      if (!seeds.empty()) {
+        sweep.seed(table, seeds, table.clockS(), SeedMode::ClosestAssociation);
+        run.seededUsers += seeds.size();
+      }
+      run.epochs.push_back(sweep.runEpoch(table, table.clockS() + 60.0));
+    }
+    run.finalActive = table.activeCount();
+    run.finalStateChecksum = table.stateChecksum();
+    return run;
+  }
+
+  /// 120 users land within 50 km of London at the epoch-2 boundary.
+  ScenarioRun flashCrowd() {
+    return runScenario([&](std::size_t e, SessionTable& table, Rng& rng,
+                           ScenarioRun& run) -> std::vector<SessionSeed> {
+      if (e != 2) return {};
+      return flashCrowdSeeds(ca_, Geodetic::fromDegrees(51.5, -0.13), 50.0e3,
+                             120, 1 + run.seededUsers, table.clockS(), rng);
+    });
+  }
+
+  /// Every session within `radiusM` of New York drops at the epoch-2
+  /// boundary; the base users there re-associate, with fresh certificates,
+  /// one epoch later.
+  ScenarioRun regionalOutage(double radiusM) {
+    const Geodetic center = Geodetic::fromDegrees(40.7, -74.0);
+    return runScenario([&](std::size_t e, SessionTable& table, Rng&,
+                           ScenarioRun& run) {
+      std::vector<SessionSeed> reseed;
+      if (e == 2) run.droppedSessions = table.disassociateRegion(center, radiusM);
+      if (e != 3) return reseed;
+      const Vec3 centerEcef = geodeticToEcef(center);
+      for (const SessionSeed& s : base_) {
+        if (geodeticToEcef(s.location).distanceTo(centerEcef) > radiusM) continue;
+        const Certificate cert = ca_.issue(s.user, table.clockS());
+        reseed.push_back(SessionSeed{s.user, s.location, cert.expiresAtS, cert.tag});
+      }
+      return reseed;
+    });
+  }
+
+  /// Each boundary draws 80 candidates and admits each with probability
+  /// diurnalDemandFactor at its longitude, so arrivals track the evening
+  /// peak westward.
+  ScenarioRun diurnalLoadShift() {
+    return runScenario([&](std::size_t, SessionTable& table, Rng& rng,
+                           ScenarioRun& run) {
+      std::vector<SampledUser> admitted;
+      for (const SampledUser& c : world_.sampleUsers(80, rng)) {
+        if (rng.chance(diurnalDemandFactor(table.clockS(),
+                                           c.location.longitudeRad))) {
+          admitted.push_back(c);
+        }
+      }
+      return issueSeedCertificates(ca_, admitted, 1 + run.seededUsers,
+                                   table.clockS());
+    });
+  }
+
   EphemerisService eph_;
-  SessionScenarioConfig cfg_;
+  const CertificateAuthority ca_{ProviderId{1}, 0x5E55'10'4Aull};
+  const PopulationModel world_ = defaultWorldPopulation();
+  std::vector<SessionSeed> base_;
 };
 
 TEST_F(SessionScenarioTest, FlashCrowdIsDeterministicAndAdmitsTheCrowd) {
-  const Geodetic center = Geodetic::fromDegrees(51.5, -0.13);
-  const auto a = runFlashCrowdScenario(eph_, cfg_, center, 50.0e3, 120);
-  const auto b = runFlashCrowdScenario(eph_, cfg_, center, 50.0e3, 120);
+  const auto a = flashCrowd();
+  const auto b = flashCrowd();
   EXPECT_EQ(a.finalStateChecksum, b.finalStateChecksum);
-  EXPECT_EQ(a.seededUsers, cfg_.baseUsers + 120);
-  EXPECT_EQ(a.epochs.size(), cfg_.epochCount);
   EXPECT_GT(a.finalActive, 0u);
+  // Pinned: the crowd lands at the epoch-2 boundary, so epochs 0-1 equal
+  // the outage scenario's.
+  EXPECT_EQ(a.finalStateChecksum, 0xd4a7798ca4957025ull);
+  EXPECT_EQ(a.seededUsers, 400u + 120u);
+  EXPECT_EQ(a.droppedSessions, 0u);
+  expectEventChecksums(a.epochs, {0x8c381517d4242302ull, 0x48a5a1bfcf6e8c23ull,
+                                  0x3db8e34694c5a92aull, 0xf0ce0e13a70a2f0bull});
 }
 
 TEST_F(SessionScenarioTest, RegionalOutageDropsAndRecovers) {
   // A generous radius around New York catches base-population users.
-  const Geodetic center = Geodetic::fromDegrees(40.7, -74.0);
-  const auto res = runRegionalOutageScenario(eph_, cfg_, center, 1'500.0e3);
+  const auto res = regionalOutage(1'500.0e3);
   EXPECT_GT(res.droppedSessions, 0u);
   // Every dropped user re-associated one epoch later.
-  EXPECT_EQ(res.seededUsers, cfg_.baseUsers + res.droppedSessions);
-  const auto res2 = runRegionalOutageScenario(eph_, cfg_, center, 1'500.0e3);
-  EXPECT_EQ(res.finalStateChecksum, res2.finalStateChecksum);
+  EXPECT_EQ(res.seededUsers, 400u + res.droppedSessions);
+  EXPECT_EQ(res.finalStateChecksum, regionalOutage(1'500.0e3).finalStateChecksum);
+  EXPECT_EQ(res.finalStateChecksum, 0x32131d4cb4c7dd24ull);
+  EXPECT_EQ(res.seededUsers, 415u);
+  EXPECT_EQ(res.droppedSessions, 15u);
+  expectEventChecksums(res.epochs,
+                       {0x8c381517d4242302ull, 0x48a5a1bfcf6e8c23ull,
+                        0xc6d799975c0a5144ull, 0xbe3ecf41ebced9caull});
 }
 
 TEST_F(SessionScenarioTest, DiurnalLoadShiftAdmitsArrivalsDeterministically) {
-  const auto a = runDiurnalLoadShiftScenario(eph_, cfg_, 80);
-  const auto b = runDiurnalLoadShiftScenario(eph_, cfg_, 80);
+  const auto a = diurnalLoadShift();
+  const auto b = diurnalLoadShift();
   EXPECT_EQ(a.finalStateChecksum, b.finalStateChecksum);
-  EXPECT_GE(a.seededUsers, cfg_.baseUsers);
   // The diurnal factor is in [0.3, 1.0]: some arrivals must be admitted.
-  EXPECT_GT(a.seededUsers, cfg_.baseUsers);
+  EXPECT_GT(a.seededUsers, 400u);
+  EXPECT_EQ(a.finalStateChecksum, 0x14db64a268e1ce05ull);
+  EXPECT_EQ(a.seededUsers, 596u);
+  EXPECT_EQ(a.droppedSessions, 0u);
+  expectEventChecksums(a.epochs, {0x3936d68029954016ull, 0x4f58e2ef19c2e925ull,
+                                  0x8da03397a2a2a8a6ull, 0x523f5f110ad33e5full});
 }
 
 TEST_F(SessionScenarioTest, ScenariosAreThreadCountInvariant) {
   ThreadCountGuard guard;
-  const Geodetic center = Geodetic::fromDegrees(40.7, -74.0);
   setParallelThreadCount(1);
-  const auto serial = runRegionalOutageScenario(eph_, cfg_, center, 1'000.0e3);
+  const auto serial = regionalOutage(1'000.0e3);
   setParallelThreadCount(8);
-  const auto parallel = runRegionalOutageScenario(eph_, cfg_, center, 1'000.0e3);
+  const auto parallel = regionalOutage(1'000.0e3);
   EXPECT_EQ(serial.finalStateChecksum, parallel.finalStateChecksum);
   EXPECT_EQ(serial.droppedSessions, parallel.droppedSessions);
   ASSERT_EQ(serial.epochs.size(), parallel.epochs.size());
