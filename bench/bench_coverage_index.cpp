@@ -29,7 +29,6 @@
 // JSON record to BENCH_coverage_index.json (or argv[1]). argv[2] is an
 // optional workload scale factor (e.g. 0.02 for the TSan smoke lane).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,9 +48,12 @@
 #include <openspace/spec/coverage_legacy.hpp>
 #include <openspace/spec/footprint_index.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 // Passes per leg. Each brute leg runs interleaved with its indexed leg,
 // one pass of each in alternating order, and each keeps its fastest pass,
@@ -60,12 +62,6 @@ using namespace openspace;
 // 4-vCPU VM the brute legs' minima still differ ~1.5x between runs, and
 // the speedups (ratios of the per-leg minima) with them.
 constexpr int kPasses = 7;
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) noexcept {
   h ^= v;
@@ -77,53 +73,6 @@ std::uint64_t bitsOf(double v) noexcept {
   std::uint64_t b = 0;
   std::memcpy(&b, &v, sizeof b);
   return b;
-}
-
-struct Timed {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-};
-
-/// Run `pass` (returning a checksum) once as pass number `p` of `r`: keep
-/// the fastest wall time and require a stable checksum.
-template <typename Pass>
-void timePass(Timed& r, int p, Pass&& pass) {
-  const double t0 = nowS();
-  const std::uint64_t sum = pass();
-  const double dt = nowS() - t0;
-  if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-  if (p == 0) {
-    r.checksum = sum;
-  } else if (sum != r.checksum) {
-    std::fprintf(stderr, "non-deterministic pass checksum\n");
-    std::exit(1);
-  }
-}
-
-/// Time `pass` kPasses times on its own (the parallel legs).
-template <typename Pass>
-Timed timeIt(Pass&& pass) {
-  Timed r;
-  for (int p = 0; p < kPasses; ++p) timePass(r, p, pass);
-  return r;
-}
-
-/// Time a brute and an indexed leg, kPasses each, interleaved: brute first
-/// on even passes, indexed first on odd ones.
-template <typename Brute, typename Indexed>
-std::pair<Timed, Timed> timeInterleaved(Brute&& brute, Indexed&& indexed) {
-  Timed b;
-  Timed i;
-  for (int p = 0; p < kPasses; ++p) {
-    if (p % 2 == 0) {
-      timePass(b, p, brute);
-      timePass(i, p, indexed);
-    } else {
-      timePass(i, p, indexed);
-      timePass(b, p, brute);
-    }
-  }
-  return {b, i};
 }
 
 /// One Monte-Carlo coverage sweep over a time grid, folding every
@@ -199,7 +148,7 @@ KernelTimings kernelSweep(const std::vector<OrbitalElements>& fleet, int steps,
     return h;
   };
   std::tie(kt.brute, kt.indexed) = timeInterleaved(
-      [&] { return sweep(brute); }, [&] { return sweep(indexed); });
+      [&] { return sweep(brute); }, [&] { return sweep(indexed); }, kPasses);
   return kt;
 }
 
@@ -293,10 +242,11 @@ int main(int argc, char** argv) {
   // --- Monte-Carlo sweeps end to end, single-core ------------------------
   const auto [mc66Brute, mc66Indexed] = timeInterleaved(
       [&] { return mcSweep(fleet66, mcSteps, mc66Samples, legacyMc); },
-      [&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); });
+      [&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); },
+      kPasses);
   const auto [mc1000Brute, mc1000Indexed] = timeInterleaved(
       [&] { return mcSweep(fleet1000, 4, mc1000Samples, legacyMc); },
-      [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); });
+      [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); }, kPasses);
 
   // --- Association, single-core ------------------------------------------
   const auto [assoc66Brute, assoc66Serial] = timeInterleaved(
@@ -308,7 +258,7 @@ int main(int argc, char** argv) {
       [&] {
         return foldAssociations(
             associateUsers(fleet66, assocT, users, maskRad), users.size());
-      });
+      }, kPasses);
   const auto [assoc1000BruteSub, assoc1000Serial] = timeInterleaved(
       [&] {
         return foldAssociations(
@@ -318,7 +268,7 @@ int main(int argc, char** argv) {
       [&] {
         return foldAssociations(
             associateUsers(fleet1000, assocT, users, maskRad), users.size());
-      });
+      }, kPasses);
   const std::uint64_t assoc1000SerialSub = foldAssociations(
       associateUsers(fleet1000, assocT, users, maskRad), bruteSubsample);
 
@@ -326,17 +276,18 @@ int main(int argc, char** argv) {
   setParallelThreadCount(std::max(poolThreads, 4));
   const int parThreads = parallelThreadCount();
   const Timed mc66Par =
-      timeIt([&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); });
+      timeIt([&] { return mcSweep(fleet66, mcSteps, mc66Samples, indexedMc); },
+             kPasses);
   const Timed mc1000Par = timeIt(
-      [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); });
+      [&] { return mcSweep(fleet1000, 4, mc1000Samples, indexedMc); }, kPasses);
   const Timed assoc66Par = timeIt([&] {
     return foldAssociations(associateUsers(fleet66, assocT, users, maskRad),
                             users.size());
-  });
+  }, kPasses);
   const Timed assoc1000Par = timeIt([&] {
     return foldAssociations(associateUsers(fleet1000, assocT, users, maskRad),
                             users.size());
-  });
+  }, kPasses);
   setParallelThreadCount(poolThreads);
 
   // --- Gates ---------------------------------------------------------------

@@ -28,7 +28,6 @@
 // machine-readable JSON record to BENCH_flow_sim.json (or argv[1]);
 // argv[2] is an optional workload scale (e.g. 0.02 for the TSan lane).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -49,42 +48,14 @@
 #include <openspace/spec/forwarding.hpp>
 #include <openspace/topology/builder.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 constexpr int kPasses = 3;  // best-of to shrug off scheduler noise
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Timed {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-};
-
-/// Time `pass` (returning a checksum) `passes` times; keep the fastest wall
-/// time and require a stable checksum.
-template <typename Pass>
-Timed timeIt(Pass&& pass, int passes = kPasses) {
-  Timed r;
-  for (int p = 0; p < passes; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
-    }
-  }
-  return r;
-}
 
 int scaled(double base, double scale) {
   return std::max(1, static_cast<int>(base * scale));
@@ -165,9 +136,11 @@ int main(int argc, char** argv) {
   const auto schedEvents =
       static_cast<std::size_t>(scaled(2'000'000, scale));
   const Timed schedLegacy =
-      timeIt([&] { return legacySchedulerPass(schedTimers, schedEvents); });
+      timeIt([&] { return legacySchedulerPass(schedTimers, schedEvents); },
+             kPasses);
   const Timed schedWheel =
-      timeIt([&] { return wheelSchedulerPass(schedTimers, schedEvents); });
+      timeIt([&] { return wheelSchedulerPass(schedTimers, schedEvents); },
+             kPasses);
   const bool schedMatch = schedLegacy.checksum == schedWheel.checksum;
   // Both sides fire target + open-timer-tail events; count the actual total
   // for the events/s figure.
@@ -260,7 +233,7 @@ int main(int argc, char** argv) {
     for (const FlowSpec& f : flows) gen.addFlow(f);
     ev.runAll();
     return h;
-  });
+  }, kPasses);
 
   std::uint64_t equivRecords = 0;
   const Timed equivSim = timeIt([&] {
@@ -277,7 +250,7 @@ int main(int argc, char** argv) {
     const FlowSimReport rep = sim.run();
     equivRecords = rep.packetsOffered;
     return rep.recordChecksum;
-  });
+  }, kPasses);
   const bool equivMatch = equivLegacy.checksum == equivSim.checksum;
   const double speedupSim = equivSim.bestPassS > 0.0
                                 ? equivLegacy.bestPassS / equivSim.bestPassS

@@ -15,7 +15,6 @@
 // exit, so CI fails loudly rather than recording garbage):
 //  * the batch checksum equals the scalar checksum (bit-for-bit contract);
 //  * serial and parallel runs of the batch path are bit-identical.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -25,19 +24,16 @@
 #include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/orbit/walker.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 constexpr int kSteps = 512;
 constexpr double kStepS = 10.0;
 constexpr int kPasses = 3;  // best-of to shrug off scheduler noise
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) noexcept {
   h ^= v;
@@ -60,31 +56,8 @@ std::uint64_t foldVecs(std::uint64_t h, const std::vector<Vec3>& vs) {
   return h;
 }
 
-struct SweepResult {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-  double usPerStep() const { return bestPassS / kSteps * 1e6; }
-};
-
-/// Time `pass` (a full sweep over the grid returning a checksum) kPasses
-/// times; keep the fastest wall time and verify the checksum is stable.
-template <typename Pass>
-SweepResult timeSweep(Pass&& pass) {
-  SweepResult r;
-  for (int p = 0; p < kPasses; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
-    }
-  }
-  return r;
-}
+/// Microseconds per time step of a timed full sweep over the grid.
+double usPerStep(const Timed& sweep) { return sweep.bestPassS / kSteps * 1e6; }
 
 }  // namespace
 
@@ -123,8 +96,8 @@ int main(int argc, char** argv) {
 
   // Timed runs use the ambient worker count (OPENSPACE_THREADS in CI).
   const int poolThreads = parallelThreadCount();
-  const SweepResult scalar = timeSweep(scalarPass);
-  const SweepResult cold = timeSweep(batchPass);
+  const Timed scalar = timeIt(scalarPass, kPasses);
+  const Timed cold = timeIt(batchPass, kPasses);
 
   // Determinism gate: serial vs forced-4-thread checksums.
   setParallelThreadCount(1);
@@ -138,16 +111,16 @@ int main(int argc, char** argv) {
       coldSerial == coldParallel && coldSerial == cold.checksum;
   const bool allMatch = coldMatchesScalar && coldThreadInvariant;
 
-  const double speedupCold = scalar.usPerStep() / cold.usPerStep();
+  const double speedupCold = usPerStep(scalar) / usPerStep(cold);
 
   std::printf("# Propagation kernel: %zu satellites, %d steps of %.0f s "
               "(threads=%d, best of %d passes)\n\n",
               fleet.size(), kSteps, kStepS, poolThreads, kPasses);
   std::printf("%-10s %-14s %-10s %-18s\n", "path", "us_per_step", "speedup",
               "checksum");
-  std::printf("%-10s %-14.2f %-10s %016llx\n", "scalar", scalar.usPerStep(),
+  std::printf("%-10s %-14.2f %-10s %016llx\n", "scalar", usPerStep(scalar),
               "1.00x", static_cast<unsigned long long>(scalar.checksum));
-  std::printf("%-10s %-14.2f %-10.2f %016llx\n", "batch", cold.usPerStep(),
+  std::printf("%-10s %-14.2f %-10.2f %016llx\n", "batch", usPerStep(cold),
               speedupCold, static_cast<unsigned long long>(cold.checksum));
   std::printf("\n# fleet compile: %.1f us (amortized across every step)\n",
               compileUs);
@@ -174,7 +147,7 @@ int main(int argc, char** argv) {
                  "  \"batch_matches_scalar\": %s,\n"
                  "  \"checksums_match\": %s\n}\n",
                  wallS, poolThreads, fleet.size(), kSteps, kStepS, compileUs,
-                 scalar.usPerStep(), cold.usPerStep(), speedupCold,
+                 usPerStep(scalar), usPerStep(cold), speedupCold,
                  static_cast<unsigned long long>(scalar.checksum),
                  static_cast<unsigned long long>(cold.checksum),
                  coldMatchesScalar ? "true" : "false",

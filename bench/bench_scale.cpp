@@ -33,7 +33,6 @@
 // the CI perf-smoke lane); argv[3] = number of tiers to run, 1..3 (the TSan
 // lane runs only the 1k tier). Exit is non-zero unless every gate matches.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -50,42 +49,14 @@
 #include <openspace/orbit/shells.hpp>
 #include <openspace/orbit/snapshot.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 constexpr int kPasses = 3;  // best-of to shrug off scheduler noise
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Timed {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-};
-
-/// Time `pass` (returning a checksum) `passes` times; keep the fastest wall
-/// time and require a stable checksum.
-template <typename Pass>
-Timed timeIt(Pass&& pass, int passes = kPasses) {
-  Timed r;
-  for (int p = 0; p < passes; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
-    }
-  }
-  return r;
-}
 
 /// Full-bit fold of a position array (verification sweeps only).
 std::uint64_t mixVecs(std::uint64_t h, const std::vector<Vec3>& v) {
@@ -282,7 +253,7 @@ TierResult runTier(const Tier& tier, int poolThreads) {
     return h;
   };
   setParallelThreadCount(1);
-  const Timed prop = timeIt(propPass);
+  const Timed prop = timeIt(propPass, kPasses);
   setParallelThreadCount(poolThreads);
   r.propBatchS = prop.bestPassS;
   r.nsPerSatStep = 1e9 * prop.bestPassS /
@@ -318,7 +289,7 @@ TierResult runTier(const Tier& tier, int poolThreads) {
     // build covers the whole index, as before the certificates went lazy.
     (void)idx.anyCovers(Vec3{0.0, 0.0, 1.0});
     return fnv1a(fnv1a(kFnvOffsetBasis, idx.approxBytes()), idx.size());
-  });
+  }, kPasses);
   r.indexBuildS = idxBuild.bestPassS;
   r.usPerSatIndex = 1e6 * idxBuild.bestPassS / static_cast<double>(n);
 
@@ -379,7 +350,7 @@ TierResult runTier(const Tier& tier, int poolThreads) {
           tier.maxIslRangeM);
       return fnv1a(fnv1a(kFnvOffsetBasis, isl->linkCount),
                    isl->adjacency.front().size());
-    });
+    }, kPasses);
     r.topoBuildS = topo.bestPassS;
     r.usPerSatTopo = 1e6 * topo.bestPassS / static_cast<double>(n);
     const auto isl = snap->islTopology(tier.maxIslRangeM);
@@ -429,7 +400,7 @@ TierResult runTier(const Tier& tier, int poolThreads) {
         }
       }
       return h;
-    });
+    }, kPasses);
     r.routeS = route.bestPassS;
     for (const auto& pr : pairs) {
       if (snap->shortestIslPath(pr[0], pr[1], tier.maxIslRangeM)) {

@@ -36,7 +36,6 @@
 //    is enforced by tools/bench_compare.py, not here (wall-clock asserts
 //    flake on loaded machines; checksum gates cannot).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
@@ -53,44 +52,16 @@
 #include <openspace/sim/session_scenarios.hpp>
 #include <openspace/spec/handover.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 constexpr int kPasses = 3;      // best-of to shrug off scheduler noise
 constexpr int kEpochs = 24;     // steady-state window: 24 x 15 s
 constexpr double kEpochS = 15.0;
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Timed {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-};
-
-/// Time `pass` (returning a checksum) `passes` times; keep the fastest wall
-/// time and require a stable checksum.
-template <typename Pass>
-Timed timeIt(Pass&& pass, int passes = kPasses) {
-  Timed r;
-  for (int p = 0; p < passes; ++p) {
-    const double t0 = nowS();
-    const std::uint64_t sum = pass();
-    const double dt = nowS() - t0;
-    if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-    if (p == 0) {
-      r.checksum = sum;
-    } else if (sum != r.checksum) {
-      std::fprintf(stderr, "non-deterministic pass checksum\n");
-      std::exit(1);
-    }
-  }
-  return r;
-}
 
 /// One seed + epoch-chain run over the full population; the epoch loop is
 /// the timed region.
@@ -242,7 +213,7 @@ int main(int argc, char** argv) {
       }
     }
     return h;
-  });
+  }, kPasses);
   setParallelThreadCount(poolThreads);
   const double baselineS =
       base.bestPassS * static_cast<double>(users) /

@@ -39,7 +39,6 @@
 // JSON record to BENCH_temporal_delta.json (or argv[1]); argv[2] is an
 // optional workload scale (e.g. 0.02 for the TSan lane).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -56,9 +55,12 @@
 #include <openspace/topology/compact_graph.hpp>
 #include <openspace/topology/delta.hpp>
 
+#include "bench_timing.hpp"
+
 namespace {
 
 using namespace openspace;
+using namespace openspace::bench;
 
 // Passes per mode. The two modes of a phase run interleaved, one pass of
 // each in alternating order, and each keeps its fastest pass: a burst of
@@ -70,51 +72,6 @@ constexpr int kPasses = 7;
 /// One per link: only structural link churn perturbs the routes.
 LinkCostFn hopCost() {
   return [](const Link&, const Node&, const Node&, ProviderId) { return 1.0; };
-}
-
-double nowS() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Timed {
-  double bestPassS = 0.0;
-  std::uint64_t checksum = 0;
-};
-
-/// Run `pass` (returning a checksum) once as pass number `p` of `r`: keep
-/// the fastest wall time and require a stable checksum.
-template <typename Pass>
-void timePass(Timed& r, int p, Pass&& pass) {
-  const double t0 = nowS();
-  const std::uint64_t sum = pass();
-  const double dt = nowS() - t0;
-  if (p == 0 || dt < r.bestPassS) r.bestPassS = dt;
-  if (p == 0) {
-    r.checksum = sum;
-  } else if (sum != r.checksum) {
-    std::fprintf(stderr, "non-deterministic pass checksum\n");
-    std::exit(1);
-  }
-}
-
-/// Time the fresh and the delta pass of one phase, kPasses each,
-/// interleaved: fresh first on even passes, delta first on odd ones.
-template <typename Fresh, typename Delta>
-std::pair<Timed, Timed> timeInterleaved(Fresh&& fresh, Delta&& delta) {
-  Timed f;
-  Timed d;
-  for (int p = 0; p < kPasses; ++p) {
-    if (p % 2 == 0) {
-      timePass(f, p, fresh);
-      timePass(d, p, delta);
-    } else {
-      timePass(d, p, delta);
-      timePass(f, p, fresh);
-    }
-  }
-  return {f, d};
 }
 
 /// Full-tree fold: every dist bit and parent edge (verification sweep).
@@ -255,7 +212,7 @@ int main(int argc, char** argv) {
     return h;
   };
   const auto [graphFresh, graphDelta] =
-      timeInterleaved(freshGraphs, deltaGraphs);
+      timeInterleaved(freshGraphs, deltaGraphs, kPasses);
   const bool graphSummaryMatch = graphFresh.checksum == graphDelta.checksum;
   const double speedupGraph = graphDelta.bestPassS > 0.0
                                   ? graphFresh.bestPassS / graphDelta.bestPassS
@@ -287,7 +244,7 @@ int main(int argc, char** argv) {
     return h;
   };
   const auto [routesFresh, routesDelta] =
-      timeInterleaved(freshRoutes, deltaRoutes);
+      timeInterleaved(freshRoutes, deltaRoutes, kPasses);
   const bool routesSummaryMatch = routesFresh.checksum == routesDelta.checksum;
   const double speedupRoutes =
       routesDelta.bestPassS > 0.0 ? routesFresh.bestPassS / routesDelta.bestPassS

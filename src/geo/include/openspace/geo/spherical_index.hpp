@@ -12,14 +12,16 @@
 // (equal-z slabs are equal-area, so uniformly sampled query points spread
 // evenly over bands) crossed with uniform longitude sectors, and registers
 // each cap in every cell its (conservatively padded) footprint touches.
-// All the trigonometry happens at build time; a stabbing query is two
-// floor operations — the band from the direction's z, the sector from a
-// trig-free monotone pseudo-angle of (x, y), both branchless so the hot
-// loops never stall on mispredicted sign tests — followed by a scan of one
-// precomputed candidate list. With cells a small fraction of the mean cap
-// radius the list holds O(true candidates) entries, so callers that
-// early-exit (any cover? count to k?) typically touch one or two caps per
-// query; callers that can prove a whole-cell property once (see
+// The build takes one sine and cosine of each cap's radius and no
+// trigonometry per (cap, band) window: widths stay in cosine form and
+// window ends come from rotating the center's longitude. A stabbing query
+// is two floor operations — the band from the direction's z, the sector
+// from a trig-free monotone pseudo-angle of (x, y), both branchless so the
+// hot loops never stall on mispredicted sign tests — followed by a scan
+// of one precomputed candidate list. With cells a small fraction of the
+// mean cap radius the list holds O(true candidates) entries, so callers
+// that early-exit (any cover? count to k?) typically touch one or two caps
+// per query; callers that can prove a whole-cell property once (see
 // cellCornerDirs) skip the scan entirely.
 //
 // The index is *conservative by construction*: `forEachCandidate` visits a
@@ -42,17 +44,6 @@
 
 namespace openspace {
 
-/// Widest longitude half-width of the spherical cap centered at latitude
-/// `centerLatRad` with angular radius `capRadiusRad`, over query latitudes
-/// in [latLoRad, latHiRad]: an upper bound on |lon(point) - lon(center)|
-/// for any cap point whose latitude falls in the range. Returns pi when the
-/// cap wraps a pole over the range (every longitude qualifies). Exposed for
-/// the property tests; the index evaluates the same expressions once per
-/// (cap, band) at build, with the cap-only and band-only trigonometry
-/// hoisted out of that loop.
-double capLonHalfWidthRad(double centerLatRad, double capRadiusRad,
-                          double latLoRad, double latHiRad);
-
 /// Immutable (latitude band x longitude sector) cell index over spherical
 /// caps. Thread-safe for concurrent queries after construction. The build
 /// fans out over parallelFor in fixed chunks, so the index is bit-identical
@@ -69,10 +60,10 @@ class SphericalCapIndex {
   SphericalCapIndex() : SphericalCapIndex(std::vector<Cap>{}) {}
 
   /// Build over `caps` (cap i keeps index i). Half-angles are clamped to
-  /// [0, pi] (so +-inf and negative radii are accepted); centers must be
-  /// unit vectors (|z| is clamped defensively). Throws InvalidArgumentError,
-  /// before any work, for a non-finite center component or a NaN
-  /// half-angle.
+  /// [0, pi] (so +-inf and negative radii are accepted). Throws
+  /// InvalidArgumentError, before any work, for a non-finite center
+  /// component, a center whose |c|^2 is not within 2e-9 of 1, or a NaN
+  /// half-angle. Builds without NDEBUG run audit() on every index.
   /// The cell size is chosen as a small fraction of the mean half-angle:
   /// fine enough that most cells lie entirely inside or outside a typical
   /// cap (which is what makes whole-cell certificates effective), coarse
@@ -91,7 +82,7 @@ class SphericalCapIndex {
   /// compiled indexes (e.g. FootprintIndex2::compiled).
   std::size_t approxBytes() const noexcept {
     return sizeof(*this) +
-           (centerLatRad_.size() + centerLonRad_.size()) * sizeof(double) +
+           (centerZ_.size() + centerAngle_.size()) * sizeof(double) +
            (cellStart_.size() + cellEntry_.size()) * sizeof(std::uint32_t) +
            bandCorners_.size() * sizeof(BandCorners) +
            sectorCorners_.size() * sizeof(SectorCorners);
@@ -181,9 +172,10 @@ class SphericalCapIndex {
 
   /// Monotone trig-free stand-in for atan2(y, x): strictly increasing in
   /// the true longitude, range [-2, 2] with both ends meeting at the +-pi
-  /// seam. Sector boundaries live in this space, so queries never touch
-  /// atan2 — registration converts its (padded) true-angle windows once at
-  /// build time. Written select-style (no data-dependent branches): the
+  /// seam, and invariant under scaling (x, y). Sector boundaries live in
+  /// this space, so neither queries nor registration touch atan2: the
+  /// build maps its rotated window ends through it and pads them here.
+  /// Written select-style (no data-dependent branches): the
   /// signs of x and y are effectively random in the hot sweeps, and a
   /// mispredict here would serialize the whole query pipeline.
   // units: pseudo-angle, monotone in longitude over [-2, 2]
@@ -194,13 +186,18 @@ class SphericalCapIndex {
            static_cast<double>(x < 0.0) * (std::copysign(2.0, y) - 2.0 * t);
   }
 
-  // units: x, y are unit-direction components
-  std::size_t sectorOf(double x, double y) const noexcept {
+  // units: pseudo-angle in [-2, 2]
+  std::size_t sectorOfAngle(double angle) const noexcept {
     const double scaled =  // units: fractional sector index
-        (pseudoAngle(x, y) + 2.0) * 0.25 * static_cast<double>(sectors_);
+        (angle + 2.0) * 0.25 * static_cast<double>(sectors_);
     if (!(scaled > 0.0)) return 0;
     const auto s = static_cast<std::size_t>(scaled);
     return (s >= sectors_) ? sectors_ - 1 : s;
+  }
+
+  // units: x, y are unit-direction components
+  std::size_t sectorOf(double x, double y) const noexcept {
+    return sectorOfAngle(pseudoAngle(x, y));
   }
 
   /// A contiguous (mod sectors_) run of sectors: `count` sectors starting
@@ -210,11 +207,13 @@ class SphericalCapIndex {
     std::uint32_t count;
   };
 
-  /// The sector run covering the true-angle window centerLon +- halfWidth
-  /// (both radians). Endpoints go through the same pseudo-angle map queries
-  /// use, so (with the registration-side longitude pad) query rounding can
-  /// never fall off the edge.
-  SectorWindow sectorWindow(double centerLonRad, double halfWidthRad) const;
+  /// The sector run covering the longitudes within the half-width whose
+  /// cosine is `cosHalfWidth` of the direction (x, y) (any length; -1 is
+  /// the whole circle). Endpoints go through the same pseudo-angle map
+  /// queries use, so (with the registration-side pad) query rounding can
+  /// never fall off the edge. Every build and neighborhood scan registers
+  /// or walks its windows through this one rule.
+  SectorWindow sectorWindow(double x, double y, double cosHalfWidth) const;
 
   /// The latitude circles bounding a band's cell corners, padded outward:
   /// z and sqrt(1 - z^2) at the low and high edge.
@@ -235,9 +234,13 @@ class SphericalCapIndex {
   std::size_t capCount_ = 0;
   std::size_t bands_ = 1;
   std::size_t sectors_ = 1;
-  // Cap centers in spherical coordinates (for neighborhood queries).
-  std::vector<double> centerLatRad_;
-  std::vector<double> centerLonRad_;
+  /// sectorWindow registers a window on the whole band when the cosine
+  /// of its half-width is at or below this (set with sectors_).
+  double fullWindowCos_ = -1.0;
+  // Cap centers by their cell coordinates, z and the pseudo-angle of
+  // (x, y): the cell each center stabs, and the neighborhood disc centers.
+  std::vector<double> centerZ_;
+  std::vector<double> centerAngle_;
   // CSR: cell (b, s) owns cellEntry_[cellStart_[b*sectors_+s] ..
   // cellStart_[b*sectors_+s+1]), ascending cap indices.
   std::vector<std::uint32_t> cellStart_;

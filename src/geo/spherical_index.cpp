@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include <openspace/concurrency/parallel.hpp>
@@ -16,15 +15,19 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 
 /// Registration-side padding. These only have to absorb the rounding of
-/// the index's own trigonometry (sin/asin/acos at build time, plus the
-/// ~1-ulp difference between the pseudo-angle of a window endpoint and the
-/// pseudo-angle of a query direction at the same longitude — both go
-/// through the identical monotone map, so their order can only flip within
-/// that rounding). Semantic padding for a caller's exact predicate is the
-/// caller's job. Pads are applied outward on registration extents and
-/// never on queries, preserving the superset guarantee.
+/// the build's own arithmetic (the cosine-form widths, the rotated window
+/// endpoints, plus the ~1-ulp difference between the pseudo-angle of a
+/// window endpoint and the pseudo-angle of a query direction at the same
+/// longitude — both go through the identical monotone map, so their order
+/// can only flip within that rounding). Semantic padding for a caller's
+/// exact predicate is the caller's job. Pads are applied outward on
+/// registration extents and never on queries, preserving the superset
+/// guarantee.
 constexpr double kZPad = 1e-12;
-constexpr double kLonPadRad = 1e-9;
+/// Applied in pseudo-angle units to both window ends. The true angle
+/// grows at least as fast as the pseudo-angle (dtheta/da = (|cos| +
+/// |sin|)^2 >= 1), so this pad covers at least 1e-9 rad of longitude.
+constexpr double kLonPad = 1e-9;
 
 /// Pad (in pseudo-angle units) applied outward when converting a cell's
 /// sector bounds back to directions for cellCornerDirs: 1e-9 pseudo-angle
@@ -36,15 +39,16 @@ constexpr double kPseudoPad = 1e-9;
 /// on the thread count, so neither does the order windows are recorded in.
 constexpr std::size_t kCapChunk = 256;
 
-/// A latitude with its sine and cosine, each evaluated once.
-struct LatTrig {
-  double rad = 0.0;
-  double sin = 0.0;
-  double cos = 0.0;
+/// A latitude circle by the sine and cosine of its latitude: its points'
+/// z and their distance from the polar axis.
+struct LatCircle {
+  double z = 0.0;
+  double rho = 0.0;
 };
 
-LatTrig latTrig(double latRad) {
-  return {latRad, std::sin(latRad), std::cos(latRad)};
+LatCircle latCircle(double z) {
+  z = std::clamp(z, -1.0, 1.0);
+  return {z, std::sqrt((1.0 - z) * (1.0 + z))};
 }
 
 /// z of band edge k: bands are equal-z slabs of [-1, 1].
@@ -57,140 +61,92 @@ double sectorEdgeAngle(std::size_t k, std::size_t sectors) {
   return -2.0 + 4.0 * static_cast<double>(k) / static_cast<double>(sectors);
 }
 
-/// The latitude of band edge k, with its trig.
-LatTrig bandEdge(std::size_t k, std::size_t bands) {
-  return latTrig(std::asin(std::clamp(bandEdgeZ(k, bands), -1.0, 1.0)));
-}
-
-/// Everything the longitude half-width derives from the cap alone, plus a
-/// one-entry memo of the last width evaluated.
-struct CapTrig {
-  double sinLat = 0.0;
-  double cosLat = 0.0;
-  double cosRadius = 0.0;
-  /// The half-width at every query latitude when it does not depend on
-  /// the range (radius >= pi or < 0, or a hemisphere-or-wider cap); < 0
-  /// when it must be evaluated.
-  double fixedWidthRad = -1.0;
-  /// The tangent latitude, where the cap's bounding meridians touch it,
-  /// and the half-width there (valid only when hasTangent).
+/// One cap (or neighborhood disc) prepared for registration: everything
+/// its per-band windows derive from, so that no window needs any
+/// trigonometry.
+struct CapFrame {
+  LatCircle center;
+  /// The center's longitude as an (x, y) direction of any length.
+  double x = 0.0;
+  double y = 0.0;
+  double cosRadius = 1.0;
+  /// Every longitude counts at every latitude: the whole sphere, a radius
+  /// of pi/2 or more, where the tangent argument below degenerates (the
+  /// cap covers a hemisphere or more and can wrap a pole), or a center on
+  /// the polar axis, which has no longitude.
+  bool full = false;
+  /// The tangent latitude, where the cap's bounding meridians touch it
+  /// (sin phi* = sin(centerLat) / cos(radius)), and the width there.
   bool hasTangent = false;
-  double tangentLatRad = 0.0;
-  double tangentWidthRad = 0.0;
-  /// Consecutive bands share an edge: the width there is evaluated once.
-  double memoLatRad = std::numeric_limits<double>::quiet_NaN();
-  double memoWidthRad = 0.0;
+  double tangentZ = 0.0;
+  double tangentCos = 1.0;
+  /// The latitude extent, clamped at the poles.
+  LatCircle lo;
+  LatCircle hi;
 };
 
-/// Longitude half-width of the cap at one query latitude: the largest
-/// |delta lon| such that the great-circle angle from (centerLat, 0) to
-/// (pointLat, delta lon) is still <= capRadius. Solved from the spherical
-/// law of cosines: cos(capRadius) = sin(c)sin(p) + cos(c)cos(p)cos(dLon).
-double widthAtLatRad(const CapTrig& cap, const LatTrig& point) {
-  const double denom = cap.cosLat * point.cos;
-  if (denom <= 1e-15) {
-    // Query latitude (or the center) at a pole: longitude is degenerate
-    // there, so every longitude must count.
-    return kPi;
-  }
-  const double num = cap.cosRadius - cap.sinLat * point.sin;
-  const double c = num / denom;
-  if (c <= -1.0) return kPi;  // whole latitude circle inside the cap
-  if (c >= 1.0) return 0.0;   // latitude circle outside the cap's reach
-  return std::acos(c);
+/// Cosine of the cap's longitude half-width at one latitude: the largest
+/// |delta lon| such that the great-circle angle from the center to
+/// (lat, center lon + delta lon) is still <= the radius. From the
+/// spherical law of cosines, cos(r) = sin(c) sin(p) + cos(c) cos(p)
+/// cos(dLon). -1 stands for every longitude, 1 for the center's alone.
+double widthCos(const CapFrame& cap, const LatCircle& at) {
+  const double denom = cap.center.rho * at.rho;
+  // The latitude (or the center) at a pole: longitude is degenerate
+  // there, so every longitude must count.
+  if (denom <= 1e-15) return -1.0;
+  return std::clamp((cap.cosRadius - cap.center.z * at.z) / denom, -1.0, 1.0);
 }
 
-/// widthAtLatRad through the cap's memo. Equal latitudes give equal widths
-/// (even +0 and -0: their sines differ only in sign, which the product
-/// with sin(centerLat) cannot carry into cos(radius) - 0).
-double memoWidthAtLatRad(CapTrig& cap, const LatTrig& point) {
-  if (point.rad != cap.memoLatRad) {
-    cap.memoLatRad = point.rad;
-    cap.memoWidthRad = widthAtLatRad(cap, point);
-  }
-  return cap.memoWidthRad;
-}
-
-CapTrig capTrig(double centerLatRad, double capRadiusRad) {
-  CapTrig cap;
-  cap.sinLat = std::sin(centerLatRad);
-  cap.cosLat = std::cos(centerLatRad);
-  cap.cosRadius = std::cos(capRadiusRad);
-  if (capRadiusRad < 0.0) {
-    cap.fixedWidthRad = 0.0;
-  } else if (capRadiusRad >= kPi || cap.cosRadius <= 1e-12) {
-    // The whole sphere, or radius >= pi/2, where the tangent formula below
-    // degenerates (the cap covers a hemisphere or more and can wrap a
-    // pole): every longitude counts.
-    cap.fixedWidthRad = kPi;
+/// The frame of the cap centered at (x, y, z) with the given radius: one
+/// sine and cosine of the radius, the rest rational plus square roots.
+CapFrame capFrame(double x, double y, double z, double radiusRad) {
+  CapFrame cap;
+  cap.center = latCircle(z);
+  cap.x = x;
+  cap.y = y;
+  const double cosR = std::cos(radiusRad);
+  const double sinR = std::sin(radiusRad);
+  cap.cosRadius = cosR;
+  // sin(lat -+ r), or the pole the cap contains: the south pole lies
+  // within r of the center iff cos(lat + pi/2) = -z >= cos r.
+  const LatCircle& c = cap.center;
+  cap.lo = latCircle(-c.z >= cosR ? -1.0 : c.z * cosR - c.rho * sinR);
+  cap.hi = latCircle(c.z >= cosR ? 1.0 : c.z * cosR + c.rho * sinR);
+  if (radiusRad >= kPi || cosR <= 1e-12 || (x == 0.0 && y == 0.0)) {
+    cap.full = true;
   } else {
-    // The width as a function of query latitude is unimodal between the
-    // cap's latitude extremes, peaking at the tangent latitude where the
-    // cap's bounding meridians touch it: sin(phi*) = sin(centerLat) /
-    // cos(radius).
-    const double s = cap.sinLat / cap.cosRadius;
+    // The width as a function of latitude is unimodal between the cap's
+    // latitude extremes, peaking at the tangent latitude.
+    const double s = c.z / cosR;
     if (s >= -1.0 && s <= 1.0) {
       cap.hasTangent = true;
-      cap.tangentLatRad = std::asin(s);
-      cap.tangentWidthRad = widthAtLatRad(cap, latTrig(cap.tangentLatRad));
+      cap.tangentZ = s;
+      cap.tangentCos = widthCos(cap, latCircle(s));
     }
   }
   return cap;
 }
 
-/// capLonHalfWidthRad over the query latitudes [lo, hi] (lo <= hi).
-double widthOverRangeRad(CapTrig& cap, const LatTrig& lo, const LatTrig& hi) {
-  if (cap.fixedWidthRad >= 0.0) return cap.fixedWidthRad;
-  const double wLo = memoWidthAtLatRad(cap, lo);
-  double w = std::max(wLo, memoWidthAtLatRad(cap, hi));
-  if (cap.hasTangent && cap.tangentLatRad > lo.rad &&
-      cap.tangentLatRad < hi.rad) {
-    w = std::max(w, cap.tangentWidthRad);
-  }
-  return w;
-}
-
-/// One cap (or neighborhood disc) prepared for registration: its cap-only
-/// trig, its latitude extent clamped to the poles and the bands that
-/// extent touches.
-struct CapExtent {
-  double centerLatRad = 0.0;
-  CapTrig trig;
-  LatTrig lo;
-  LatTrig hi;
-  std::size_t bandLo = 0;
-  std::size_t bandHi = 0;
-};
-
-CapExtent capExtent(double centerLatRad, double radiusRad) {
-  CapExtent cap;
-  cap.centerLatRad = centerLatRad;
-  cap.trig = capTrig(centerLatRad, radiusRad);
-  cap.lo = latTrig(std::max(-kPi / 2.0, centerLatRad - radiusRad));
-  cap.hi = latTrig(std::min(kPi / 2.0, centerLatRad + radiusRad));
-  return cap;
-}
-
-/// Padded longitude half-width of `cap` over the band between the edges
-/// `edgeLo` and `edgeHi`: the cap's width over its latitude range clipped
-/// to the band, plus the registration longitude pad.
-double bandHalfWidthRad(CapExtent& cap, const LatTrig& edgeLo,
-                        const LatTrig& edgeHi) {
-  // The segment is max(cap.lo, edgeLo) .. min(cap.hi, edgeHi), picking the
-  // operand std::max / std::min would return so its trig comes along.
-  const LatTrig& segLo = cap.lo.rad < edgeLo.rad ? edgeLo : cap.lo;
-  const LatTrig& segHi = edgeHi.rad < cap.hi.rad ? edgeHi : cap.hi;
-  double w;
-  if (segLo.rad > segHi.rad) {
+/// Cosine of the cap's widest longitude half-width over the band between
+/// the edges `edgeLo` and `edgeHi`: its latitude extent clipped to the
+/// band. The widest width is the smallest cosine.
+double bandWidthCos(const CapFrame& cap, const LatCircle& edgeLo,
+                    const LatCircle& edgeHi) {
+  if (cap.full) return -1.0;
+  const LatCircle& segLo = cap.lo.z < edgeLo.z ? edgeLo : cap.lo;
+  const LatCircle& segHi = edgeHi.z < cap.hi.z ? edgeHi : cap.hi;
+  if (segLo.z > segHi.z) {
     // Can only happen through the z padding at the extent's edge bands;
     // collapse to the nearer endpoint.
-    const LatTrig mid =
-        latTrig(std::clamp(cap.centerLatRad, segHi.rad, segLo.rad));
-    w = widthOverRangeRad(cap.trig, mid, mid);
-  } else {
-    w = widthOverRangeRad(cap.trig, segLo, segHi);
+    const double mid = std::clamp(cap.center.z, segHi.z, segLo.z);
+    return widthCos(cap, latCircle(mid));
   }
-  return std::min(kPi, w + kLonPadRad);
+  double c = std::min(widthCos(cap, segLo), widthCos(cap, segHi));
+  if (cap.hasTangent && cap.tangentZ > segLo.z && cap.tangentZ < segHi.z) {
+    c = std::min(c, cap.tangentCos);
+  }
+  return c;
 }
 
 /// Inverse of SphericalCapIndex's pseudo-angle map: the unit (x, y) whose
@@ -217,41 +173,28 @@ void pseudoAngleDir(double a, double& x, double& y) {
 
 }  // namespace
 
-double capLonHalfWidthRad(double centerLatRad, double capRadiusRad,
-                          double latLoRad, double latHiRad) {
-  if (latLoRad > latHiRad) std::swap(latLoRad, latHiRad);
-  CapTrig cap = capTrig(centerLatRad, capRadiusRad);
-  return widthOverRangeRad(cap, latTrig(latLoRad), latTrig(latHiRad));
-}
-
 SphericalCapIndex::SectorWindow SphericalCapIndex::sectorWindow(
-    double centerLonRad, double halfWidthRad) const {
+    double x, double y, double cosHalfWidth) const {
   SectorWindow w{0, static_cast<std::uint32_t>(sectors_)};
-  // The endpoint sectors below determine the span only while the window's
-  // complement is wider than any single sector: a nearly-full window (gap
-  // 2*pi - 2*halfWidth narrower than the sector containing it) lands both
-  // endpoints in that one sector and would masquerade as a single-sector
-  // sliver. Sectors are uniform in pseudo-angle, and the true-angle width
-  // of a sector is at most twice its pseudo-angle width (dtheta/da =
-  // (|cos| + |sin|)^2 <= 2), i.e. <= 8/sectors_ rad — so any window whose
-  // gap could fit inside one sector is treated as full-circle.
-  const double maxSectorWidthRad = 8.0 / static_cast<double>(sectors_);
-  if (halfWidthRad < kPi - 0.5 * maxSectorWidthRad) {
-    // Window endpoints in true angle -> sectors via the same pseudo-angle
-    // map queries use. The half-width already carries the registration
-    // longitude pad, which dominates the rounding difference between this
-    // conversion and a query's pseudoAngle(x, y) at the same longitude, so
-    // no whole-sector expansion is needed. A wrapped window (lonLo > lonHi
-    // after reduction) walks through the seam like any other.
-    const double lonLo = std::remainder(centerLonRad - halfWidthRad, 2.0 * kPi);
-    const double lonHi = std::remainder(centerLonRad + halfWidthRad, 2.0 * kPi);
-    const std::size_t sLo = sectorOf(std::cos(lonLo), std::sin(lonLo));
-    const std::size_t sHi = sectorOf(std::cos(lonHi), std::sin(lonHi));
-    const std::size_t span = (sHi + sectors_ - sLo) % sectors_ + 1;
-    if (span < sectors_) {
-      w.start = static_cast<std::uint32_t>(sLo);
-      w.count = static_cast<std::uint32_t>(span);
-    }
+  // fullWindowCos_ is where the window's complement could fit inside one
+  // sector (see the constructor): both ends would land in that sector and
+  // masquerade as a single-sector sliver, so the window is the whole band.
+  if (cosHalfWidth <= fullWindowCos_) return w;
+  // The window ends: (x, y) rotated by -+ the half-width, mapped through
+  // the same pseudo-angle queries use and padded outward there. A wrapped
+  // window (low end past the seam) walks through the seam like any other.
+  const double c = cosHalfWidth;
+  const double s = std::sqrt((1.0 - c) * (1.0 + c));
+  double aLo = pseudoAngle(x * c + y * s, y * c - x * s) - kLonPad;
+  double aHi = pseudoAngle(x * c - y * s, y * c + x * s) + kLonPad;
+  if (aLo < -2.0) aLo += 4.0;
+  if (aHi > 2.0) aHi -= 4.0;
+  const std::size_t sLo = sectorOfAngle(aLo);
+  const std::size_t sHi = sectorOfAngle(aHi);
+  const std::size_t span = (sHi + sectors_ - sLo) % sectors_ + 1;
+  if (span < sectors_) {
+    w.start = static_cast<std::uint32_t>(sLo);
+    w.count = static_cast<std::uint32_t>(span);
   }
   return w;
 }
@@ -266,6 +209,12 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
     if (!std::isfinite(c.x) || !std::isfinite(c.y) || !std::isfinite(c.z)) {
       throw InvalidArgumentError(
           "SphericalCapIndex: cap center must be finite");
+    }
+    // The cosine-form build reads z as the sine of the center latitude,
+    // so a zero or scaled center would register at the wrong latitude.
+    if (!(std::abs(c.dot(c) - 1.0) <= 2e-9)) {
+      throw InvalidArgumentError(
+          "SphericalCapIndex: cap center must be a unit vector");
     }
     if (std::isnan(cap.halfAngleRad)) {
       throw InvalidArgumentError("SphericalCapIndex: cap half-angle is NaN");
@@ -309,13 +258,22 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
     std::size_t sectors = 8;
     while (sectors < 4 * bands_ && sectors < 512) sectors *= 2;
     sectors_ = sectors;
+    // A window of half-width w leaves a true-angle gap of 2 (pi - w); in
+    // pseudo-angle (dtheta/da <= 2) that is at least pi - w, less the two
+    // kLonPad pads. Both ends can fall in one sector only when the gap is
+    // narrower than a sector, 4/sectors_: when w > pi - 4/sectors_ -
+    // 2 kLonPad. sectorWindow registers any such window on the whole band.
+    fullWindowCos_ =
+        -std::cos(4.0 / static_cast<double>(sectors_) + 2.0 * kLonPad);
   }
   const std::size_t cells = bands_ * sectors_;
 
-  // Band-only trig, once per band edge: the edge latitudes and (for
-  // cellCornerDirs) the padded corner circles of every band.
-  std::vector<LatTrig> edges(bands_ + 1);
-  for (std::size_t k = 0; k <= bands_; ++k) edges[k] = bandEdge(k, bands_);
+  // Per band edge: the edge's latitude circle and (for cellCornerDirs) the
+  // padded corner circles of every band.
+  std::vector<LatCircle> edges(bands_ + 1);
+  for (std::size_t k = 0; k <= bands_; ++k) {
+    edges[k] = latCircle(bandEdgeZ(k, bands_));
+  }
   bandCorners_.resize(bands_);
   for (std::size_t b = 0; b < bands_; ++b) {
     BandCorners& z = bandCorners_[b];
@@ -335,10 +293,10 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
   // Register each cap in every cell its padded footprint touches: a
   // counting-sort build into the CSR in two parallel passes over fixed
   // chunks, so the result never depends on the thread count.
-  //  (1) Per cap chunk: each (cap, band) sector window — all the
-  //      per-window trigonometry — grouped by band inside the chunk, in
-  //      ascending cap order within each band, with the chunk's
-  //      registration count per band.
+  //  (1) Per cap chunk: each cap's frame (one sine and cosine of its
+  //      radius), then each (cap, band) sector window from that frame
+  //      alone, grouped by band inside the chunk, in ascending cap order
+  //      within each band, with the chunk's registration count per band.
   //  (2) Per band row, after a prefix sum over the band totals: the row's
   //      per-cell counts (a difference array over the sector runs), its
   //      CSR offsets and its cell lists, walking the chunks in order. A
@@ -354,22 +312,21 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
     std::vector<std::size_t> bandStart;   ///< bands_ + 1 offsets
     std::vector<std::size_t> bandEntries;  ///< registrations per band
   };
-  centerLatRad_.resize(capCount_);
-  centerLonRad_.resize(capCount_);
+  centerZ_.resize(capCount_);
+  centerAngle_.resize(capCount_);
   std::vector<ChunkWindows> chunks((capCount_ + kCapChunk - 1) / kCapChunk);
   parallelFor(capCount_, kCapChunk, [&](std::size_t begin, std::size_t end) {
     ChunkWindows& out = chunks[begin / kCapChunk];
-    std::vector<CapExtent> extent(end - begin);
+    std::vector<CapFrame> frame(end - begin);
     out.bandStart.assign(bands_ + 1, 0);
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3& c = caps[i].unitCenter;
-      centerLatRad_[i] = std::asin(std::clamp(c.z, -1.0, 1.0));
-      centerLonRad_[i] = std::atan2(c.y, c.x);
-      CapExtent& cap = extent[i - begin];
-      cap = capExtent(centerLatRad_[i], halfAngleRad[i]);
-      cap.bandLo = bandOf(cap.lo.sin - kZPad);
-      cap.bandHi = bandOf(cap.hi.sin + kZPad);
-      for (std::size_t b = cap.bandLo; b <= cap.bandHi; ++b) {
+      centerZ_[i] = c.z;
+      centerAngle_[i] = pseudoAngle(c.x, c.y);
+      CapFrame& cap = frame[i - begin];
+      cap = capFrame(c.x, c.y, c.z, halfAngleRad[i]);
+      const std::size_t bHi = bandOf(cap.hi.z + kZPad);
+      for (std::size_t b = bandOf(cap.lo.z - kZPad); b <= bHi; ++b) {
         ++out.bandStart[b + 1];
       }
     }
@@ -381,10 +338,11 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
     std::vector<std::size_t> slot(out.bandStart.begin(),
                                   out.bandStart.end() - 1);
     for (std::size_t i = begin; i < end; ++i) {
-      CapExtent& cap = extent[i - begin];
-      for (std::size_t b = cap.bandLo; b <= cap.bandHi; ++b) {
+      const CapFrame& cap = frame[i - begin];
+      const std::size_t bHi = bandOf(cap.hi.z + kZPad);
+      for (std::size_t b = bandOf(cap.lo.z - kZPad); b <= bHi; ++b) {
         const SectorWindow w = sectorWindow(
-            centerLonRad_[i], bandHalfWidthRad(cap, edges[b], edges[b + 1]));
+            cap.x, cap.y, bandWidthCos(cap, edges[b], edges[b + 1]));
         out.windows[slot[b]++] = {static_cast<std::uint32_t>(i), w};
         out.bandEntries[b] += w.count;
       }
@@ -448,6 +406,9 @@ SphericalCapIndex::SphericalCapIndex(const std::vector<Cap>& caps)
       }
     }
   });
+#ifndef NDEBUG
+  audit();
+#endif
 }
 
 void SphericalCapIndex::audit() const {
@@ -472,15 +433,12 @@ void SphericalCapIndex::audit() const {
       }
     }
   }
-  // The center direction rebuilt from the stored latitude/longitude lands
-  // within rounding of the original center, far inside the registration
-  // pads, so its cell is the one the build registered the cap in.
+  // The stored z and pseudo-angle are the center's own, so this is the
+  // cell cellIndexOf(center) names.
   for (std::size_t i = 0; i < capCount_; ++i) {
-    const double cosLat = std::cos(centerLatRad_[i]);
-    const Vec3 center{cosLat * std::cos(centerLonRad_[i]),
-                      cosLat * std::sin(centerLonRad_[i]),
-                      std::sin(centerLatRad_[i])};
-    const auto [lo, hi] = cellEntryRange(cellIndexOf(center));
+    const std::size_t cell =
+        bandOf(centerZ_[i]) * sectors_ + sectorOfAngle(centerAngle_[i]);
+    const auto [lo, hi] = cellEntryRange(cell);
     if (!std::binary_search(cellEntry_.begin() + lo, cellEntry_.begin() + hi,
                             static_cast<std::uint32_t>(i))) {
       throw StateError(
@@ -494,14 +452,16 @@ void SphericalCapIndex::neighborhoodCandidates(
   out.clear();
   OPENSPACE_ASSERT(i < capCount_, "cap index within the index");
   if (capCount_ <= 1) return;
-  const double lon = centerLonRad_[i];
-  CapExtent disc =
-      capExtent(centerLatRad_[i], std::clamp(radiusRad, 0.0, kPi));
-  const std::size_t bLo = bandOf(disc.lo.sin - kZPad);
-  const std::size_t bHi = bandOf(disc.hi.sin + kZPad);
-  LatTrig edgeLo = bandEdge(bLo, bands_);
+  double x;
+  double y;
+  pseudoAngleDir(centerAngle_[i], x, y);
+  const CapFrame disc =
+      capFrame(x, y, centerZ_[i], std::clamp(radiusRad, 0.0, kPi));
+  const std::size_t bLo = bandOf(disc.lo.z - kZPad);
+  const std::size_t bHi = bandOf(disc.hi.z + kZPad);
+  LatCircle edgeLo = latCircle(bandEdgeZ(bLo, bands_));
   for (std::size_t b = bLo; b <= bHi; ++b) {
-    const LatTrig edgeHi = bandEdge(b + 1, bands_);
+    const LatCircle edgeHi = latCircle(bandEdgeZ(b + 1, bands_));
     // Scan the same sector walk registration would use (sectorWindow, with
     // its near-full-window guard): every cap whose *center* longitude lies
     // in the window maps (monotone pseudo-angle, pad-covered rounding) to
@@ -509,7 +469,7 @@ void SphericalCapIndex::neighborhoodCandidates(
     // containing its center.
     const std::size_t base = b * sectors_;
     const SectorWindow win =
-        sectorWindow(lon, bandHalfWidthRad(disc, edgeLo, edgeHi));
+        sectorWindow(disc.x, disc.y, bandWidthCos(disc, edgeLo, edgeHi));
     std::size_t s = win.start;
     for (std::uint32_t k = 0; k < win.count; ++k) {
       const std::size_t c = base + s;

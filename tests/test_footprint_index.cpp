@@ -42,6 +42,7 @@
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
 #include <openspace/sim/flow_sim.hpp>
+#include <openspace/spec/cap_width.hpp>
 #include <openspace/spec/coverage_legacy.hpp>
 #include <openspace/spec/footprint_index.hpp>
 #include <openspace/topology/builder.hpp>
@@ -747,10 +748,58 @@ TEST(SphericalCapIndex, RejectsNonFiniteCenter) {
   }
 }
 
+TEST(SphericalCapIndex, RejectsNonUnitCenter) {
+  // The build reads a center's z as the sine of its latitude: a zero
+  // center has none, and (3, -4, 12) would land at the wrong latitude.
+  const Vec3 bad[] = {{0.0, 0.0, 0.0},
+                      {-0.0, -0.0, -0.0},
+                      {3.0, -4.0, 12.0},
+                      {0.0, 0.0, 1.0 + 2e-9},
+                      {0.6, 0.8 * (1.0 - 2e-9), 0.0}};
+  Rng rng(111);
+  for (const Vec3& center : bad) {
+    EXPECT_THROW(SphericalCapIndex({{center, 0.1}}), InvalidArgumentError)
+        << center.x << " " << center.y << " " << center.z;
+    auto caps = randomCaps(30, rng, 0.1, 0.3);
+    caps[11].unitCenter = center;
+    EXPECT_THROW(SphericalCapIndex{caps}, InvalidArgumentError);
+  }
+  // Within the tolerance the center is accepted, as FootprintIndex2's
+  // normalized() directions always are.
+  const SphericalCapIndex nearUnit({{Vec3{0.0, 0.0, 1.0 + 5e-10}, 0.1},
+                                    {Vec3{0.6, -0.8 * (1.0 - 5e-10), 0.0},
+                                     0.2}});
+  nearUnit.audit();
+}
+
+TEST(SphericalCapIndex, CenterOnPolarAxisRegistersAsPolarCap) {
+  // A near-unit center on the polar axis but short of the pole (|z| < 1,
+  // so cos(lat) > 0) has no longitude: it must register as the polar cap
+  // it is. Its rim sits 2e-5 rad below the top band's lower edge, so the
+  // band under that edge holds the rim, and only the whole circle covers
+  // it. A second cap keeps the mean radius, and so the grid, fixed.
+  const double z = 1.0 - 5e-10;
+  const std::size_t bands = SphericalCapIndex({{Vec3{0.0, 0.0, z}, 0.15},
+                                               {Vec3{1.0, 0.0, 0.0}, 0.15}})
+                                 .bandCount();
+  const double edgeZ = -1.0 + 2.0 * static_cast<double>(bands - 1) /
+                                  static_cast<double>(bands);
+  const double rho = std::acos(edgeZ) + 2e-5;
+  const SphericalCapIndex polar(
+      {{Vec3{0.0, 0.0, z}, rho}, {Vec3{1.0, 0.0, 0.0}, 0.3 - rho}});
+  ASSERT_EQ(polar.bandCount(), bands);
+  polar.audit();
+  for (int k = 0; k < 64; ++k) {
+    const Vec3 rim = dirAt(kPi / 2 - rho + 1e-5, 2 * kPi * k / 64.0);
+    bool visited = false;
+    polar.forEachCandidate(rim, [&](std::uint32_t i) { visited |= i == 0; });
+    EXPECT_TRUE(visited) << "rim point at longitude index " << k;
+  }
+}
+
 TEST(SphericalCapIndex, AuditHoldsOnEmptyAndDegenerateIndexes) {
   SphericalCapIndex().audit();
   SphericalCapIndex{std::vector<SphericalCapIndex::Cap>{}}.audit();
-  SphericalCapIndex({{Vec3{0.0, 0.0, 0.0}, 0.1}}).audit();
   SphericalCapIndex({{Vec3{0.0, 0.0, 1.0}, 0.0}, {Vec3{0.0, 0.0, -1.0}, kPi}})
       .audit();
 }
@@ -829,16 +878,19 @@ TEST(SphericalCapIndex, BuildMatchesPinnedLayoutAtAnyThreadCount) {
   }
 }
 
-/// The session sweep's motion margin for a 15 s epoch anchored at its own
-/// midpoint (one that straddles a 60 s window edge) over `fleet`: the
-/// worst-case angular drift to either epoch edge (see HandoverSweep).
-double sweepMarginRad(const std::vector<OrbitalElements>& fleet) {
+/// The session sweep's motion margin over `fleet` for an index anchored
+/// `halfSpanS` from either edge of its time span: the worst-case angular
+/// drift to either edge (see HandoverSweep::runEpoch). A 15 s epoch that
+/// straddles a 60 s window edge has a 7.5 s half-span; an epoch inside one
+/// window shares the window's index, with a 30 s half-span.
+double sweepMarginRad(const std::vector<OrbitalElements>& fleet,
+                      double halfSpanS) {
   double rate = 0.0;
   for (const OrbitalElements& el : fleet) {
     rate = std::max(rate, el.maxAngularRateRadPerS());
   }
   rate += wgs84::kEarthRotationRadPerS;
-  return rate * (0.5 * 15.0 + 1e-3) + 1e-6;
+  return rate * (halfSpanS + 1e-3) + 1e-6;
 }
 
 /// FNV fold of capped and full countCovering over a fixed lat/lon grid of
@@ -888,7 +940,7 @@ TEST(FootprintIndex2, BuildMatchesPinnedLayoutAtAnyThreadCount) {
         std::make_shared<const ConstellationSnapshot>(fleet.elements, 300.0);
     const std::pair<double, std::uint64_t> margins[] = {
         {0.0, fleet.layout0},
-        {sweepMarginRad(fleet.elements), fleet.layoutSweep}};
+        {sweepMarginRad(fleet.elements, 0.5 * 15.0), fleet.layoutSweep}};
     for (const auto& margin : margins) {
       const double marginRad = margin.first;
       const std::uint64_t pinned = margin.second;
@@ -908,6 +960,58 @@ TEST(FootprintIndex2, BuildMatchesPinnedLayoutAtAnyThreadCount) {
       EXPECT_EQ(queries[0], queries[1])
           << fleet.name << " margin " << marginRad
           << ": countCovering/closestVisible differ serial vs parallel";
+    }
+  }
+}
+
+TEST(FootprintIndex2, WorldbenchFleetLayoutsPinned) {
+  // The two fleets the worldbench workloads fly, at eight window-centre
+  // times across the hour, each compiled at margin 0 (the coverage stage)
+  // and at the in-window margin (the session sweep's one index per 60 s
+  // window): every layout is pinned at 1 and 4 threads.
+  struct Fleet {
+    const char* name;
+    std::vector<OrbitalElements> elements;
+    std::uint64_t layout0[8];       ///< margin 0
+    std::uint64_t layoutWindow[8];  ///< 30 s half-window margin
+  };
+  const Fleet fleets[] = {
+      {"iridium",
+       makeWalkerStar(iridiumConfig()),
+       {0x50ecfd96688b6c97ull, 0xca30368ef9ef7446ull, 0x7dd7da200a7b1dedull,
+        0xf608a82683fa99f0ull, 0xb249f027efe8a859ull, 0xa758dc1a37821b15ull,
+        0x6dcb7460c2b875ddull, 0xbd5191651a5f530cull},
+       {0x13958cf991d6185bull, 0x65d2a229d2b5e65eull, 0x2a309cd7bbf709ccull,
+        0x16c296cef2d3c0e3ull, 0x8e690b9a4962bf6bull, 0xdbcb516a016a78c4ull,
+        0x21c2a12b5b8ebd21ull, 0xda013f851f0bb2cbull}},
+      {"walker-5040",
+       makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)}),
+       {0x49f861fa4032a6afull, 0xe99bda03a69b3b90ull, 0xa0aa2494f138c4c2ull,
+        0x7e3e0a2e0df4ffafull, 0x3801b92f12ccde3aull, 0x0a603cc7e2d91c82ull,
+        0xcda82a0bf1f5a1c5ull, 0xf8ed5d9db2ce7453ull},
+       {0x4cb09a743e6b05b6ull, 0x1fbe1bf31d9780b9ull, 0xe2a0a870fbf85241ull,
+        0x01ec5b9c0c5426aaull, 0x98da209ed80a2e85ull, 0x6eb3b6479136b58aull,
+        0x2db30a69403e942aull, 0x86a931b6e870a5d3ull}},
+  };
+  for (const Fleet& fleet : fleets) {
+    const double windowMarginRad = sweepMarginRad(fleet.elements, 30.0);
+    for (std::size_t k = 0; k < 8; ++k) {
+      const double t = 30.0 + 480.0 * static_cast<double>(k);
+      const auto snap =
+          std::make_shared<const ConstellationSnapshot>(fleet.elements, t);
+      const std::pair<double, std::uint64_t> margins[] = {
+          {0.0, fleet.layout0[k]}, {windowMarginRad, fleet.layoutWindow[k]}};
+      for (const auto& [marginRad, pinned] : margins) {
+        for (const int threads : {1, 4}) {
+          const std::uint64_t layout = atThreads(threads, [&] {
+            const FootprintIndex2 index(snap, deg2rad(10.0), marginRad);
+            return layoutChecksum(index.capIndex());
+          });
+          EXPECT_EQ(hex(layout), hex(pinned))
+              << fleet.name << " t=" << t << " margin " << marginRad << " at "
+              << threads << " threads";
+        }
+      }
     }
   }
 }
