@@ -1,5 +1,6 @@
 // Microbenchmarks of the hot kernels: orbit propagation, topology snapshot,
-// Dijkstra, Monte-Carlo coverage, ISL fleet discovery.
+// Dijkstra (Iridium and the 5,040-satellite Delta), Monte-Carlo coverage,
+// ISL fleet discovery.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -12,6 +13,7 @@
 #include <openspace/routing/engine.hpp>
 #include <openspace/spec/routing_legacy.hpp>
 #include <openspace/topology/builder.hpp>
+#include <openspace/topology/delta.hpp>
 
 namespace {
 
@@ -121,6 +123,41 @@ void BM_ShortestPathTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShortestPathTree);
+
+/// The same query on the mega-5k graph: a 5,040-satellite Walker Delta (72
+/// planes, 550 km, 53 degrees), PlusGrid ISLs capped at 3,000 km and six
+/// gateways behind a 10 degree mask, priced by delay. Each iteration is one
+/// gateway's tree over the 5,046 nodes, as the per-epoch gateway trees run.
+void BM_ShortestPathTreeDelta5040(benchmark::State& state) {
+  EphemerisService eph;
+  for (const auto& el : makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)})) {
+    eph.publish(ProviderId{1}, el);
+  }
+  TopologyBuilder topo(eph);
+  const double sites[][2] = {{48.86, 2.35},    {39.74, -104.99},
+                             {-26.20, 28.05},  {-33.87, 151.21},
+                             {-23.55, -46.63}, {35.68, 139.69}};
+  std::vector<NodeId> gateways;
+  for (const auto& site : sites) {
+    gateways.push_back(topo.nodeOf(topo.addGroundStation(
+        {"gw", Geodetic::fromDegrees(site[0], site[1]), ProviderId{2}})));
+  }
+  SnapshotOptions opt;
+  opt.wiring = IslWiring::PlusGrid;
+  opt.planes = 72;
+  opt.maxIslRangeM = km(3'000.0);
+  opt.minElevationRad = deg2rad(10.0);
+  opt.includeUserLinks = false;
+  IncrementalTopology inc(topo, opt);
+  inc.step(0.0);
+  const RouteEngine engine(inc.graph());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.shortestPathTree(gateways[i++ % gateways.size()]));
+  }
+}
+BENCHMARK(BM_ShortestPathTreeDelta5040);
 
 void BM_ShortestPathTreeLegacy(benchmark::State& state) {
   EphemerisService eph;

@@ -1,28 +1,29 @@
 // units-file: generic scratch primitives; scalar meanings are caller-defined.
 //
-// Reusable zero-allocation search scratch: generation-stamped arrays and a
-// d-ary heap. These are the building blocks of every hot graph-search loop
-// in the library (the RouteEngine's Dijkstra, Yen spur searches, the
-// constellation snapshot's ISL path queries): a query "clears" its state in
-// O(1) by bumping a generation counter instead of refilling arrays, and the
-// heap keeps its capacity across queries, so a warmed-up search allocates
-// nothing at all.
+// Reusable zero-allocation search scratch: generation-stamped arrays and an
+// addressable binary heap. These are the building blocks of every hot
+// graph-search loop in the library (the RouteEngine's Dijkstra, Yen spur
+// searches, the constellation snapshot's ISL path queries, the contact
+// graph router): a query "clears" its arrays in O(1) by bumping a
+// generation counter instead of refilling them, the heap resets only the
+// entries a search left in it, and both keep their capacity across
+// queries, so a warmed-up search allocates nothing at all.
 //
-// Determinism: DaryHeap orders entries by (key, index) lexicographically,
-// so pop order — and therefore parent choice among equal-cost relaxations —
-// is identical regardless of insertion interleaving. Search kernels built
-// on these primitives produce bit-identical results run-to-run and
-// thread-count-to-thread-count.
+// Determinism: AddressableHeap orders entries by (key, index)
+// lexicographically, so pop order — and therefore parent choice among
+// equal-cost relaxations — is identical regardless of insertion
+// interleaving. Search kernels built on these primitives produce
+// bit-identical results run-to-run and thread-count-to-thread-count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include <openspace/core/assert.hpp>
+#include <openspace/geo/error.hpp>
 
 namespace openspace {
 
@@ -67,19 +68,23 @@ class StampedArray {
   std::uint32_t generation_ = 0;
 };
 
-/// Binary min-heap of (key, index) pairs with lazy deletion (no
-/// decrease-key; stale entries are skipped by the caller via a distance
-/// check). On the small frontiers routing works with (tens of entries),
-/// arity 2 measured faster than 4: one comparison per level beats the
-/// shorter-but-wider sift of higher arities. Ties break toward the smaller
-/// index, deterministically.
+/// Addressable binary min-heap of (key, index) pairs over indices
+/// 0..capacity-1, each present at most once. A position table maps every
+/// index to its slot, so push() either inserts an index or lowers its key
+/// in place (decrease-key): a search holds one entry per frontier node and
+/// pops no stale entries. Ties break toward the smaller index,
+/// deterministically.
 ///
 /// Internally keys are stored as order-preserving integer bit patterns (the
 /// standard sign-flip transform of the IEEE-754 layout), so the hot sift
 /// compares are integer ops instead of FP-compare branch pairs. NaN keys
 /// are not supported (asserted); -0.0 sorts strictly before +0.0, which is
 /// indistinguishable to callers keying on costs or timestamps.
-class DaryHeap {
+///
+/// Entries leave through pop(), which clears their position, so clear()
+/// touches only the entries still in the heap: a search that stops early
+/// resets in O(frontier), one that drains the heap in O(1).
+class AddressableHeap {
  public:
   struct Entry {
     double key;
@@ -88,46 +93,72 @@ class DaryHeap {
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
-  /// Drop all entries but keep capacity for reuse.
-  void clear() noexcept { heap_.clear(); }
 
+  /// Accept indices below n from now on. Grows the position table on
+  /// demand; never shrinks, so steady-state reuse performs no allocation.
+  void reserve(std::size_t n) {
+    OPENSPACE_ASSERT(n < kAbsent, "heap indices fit 32 bits");
+    if (n > pos_.size()) pos_.resize(n, kAbsent);
+  }
+
+  /// Drop all entries but keep capacity for reuse.
+  void clear() noexcept {
+    for (const Packed& p : heap_) pos_[p.index] = kAbsent;
+    heap_.clear();
+  }
+
+  /// Insert `index` with `key`, or lower the key of an index already in
+  /// the heap to `key` (which must not be above its current key).
   void push(double key, std::uint32_t index) {
-    OPENSPACE_ASSERT(key == key, "DaryHeap keys must not be NaN");
-    heap_.push_back({orderedBits(key), index});
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!less(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
+    OPENSPACE_ASSERT(key == key, "AddressableHeap keys must not be NaN");
+    OPENSPACE_ASSERT(index < pos_.size(), "AddressableHeap index reserved");
+    const Packed e{orderedBits(key), index};
+    std::uint32_t slot = pos_[index];
+    if (slot == kAbsent) {
+      slot = static_cast<std::uint32_t>(heap_.size());
+      heap_.push_back(e);
+    } else {
+      OPENSPACE_ASSERT(e.key <= heap_[slot].key,
+                       "push lowers a present key, never raises it");
     }
+    siftUp(slot, e);
   }
 
   /// Remove and return the minimum entry. Heap must be non-empty.
   Entry pop() {
-    OPENSPACE_ASSERT(!heap_.empty(), "DaryHeap::pop on empty heap");
+    OPENSPACE_ASSERT(!heap_.empty(), "AddressableHeap::pop on empty heap");
     const Packed top = heap_.front();
-    heap_.front() = heap_.back();
+    pos_[top.index] = kAbsent;
+    const Packed last = heap_.back();
     heap_.pop_back();
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t firstChild = i * kArity + 1;
-      if (firstChild >= n) break;
-      std::size_t best = firstChild;
-      const std::size_t lastChild = std::min(firstChild + kArity, n);
-      for (std::size_t c = firstChild + 1; c < lastChild; ++c) {
-        if (less(heap_[c], heap_[best])) best = c;
-      }
-      if (!less(heap_[best], heap_[i])) break;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
+    if (!heap_.empty()) siftDown(0, last);
     return {keyOf(top), top.index};
   }
 
+  /// Invariant audit: throws StateError unless every entry is no smaller
+  /// than its parent, the position table names exactly the entries'
+  /// slots, and no other index holds a position. O(capacity); builds
+  /// without NDEBUG run it at the end of every search.
+  void audit() const {
+    for (std::size_t k = 0; k < heap_.size(); ++k) {
+      if (k > 0 && less(heap_[k], heap_[(k - 1) / 2])) {
+        throw StateError("AddressableHeap::audit: entry below its parent");
+      }
+      if (heap_[k].index >= pos_.size() || pos_[heap_[k].index] != k) {
+        throw StateError(
+            "AddressableHeap::audit: position table misses an entry");
+      }
+    }
+    const auto held = static_cast<std::size_t>(
+        std::count_if(pos_.begin(), pos_.end(),
+                      [](std::uint32_t p) { return p != kAbsent; }));
+    if (held != heap_.size()) {
+      throw StateError("AddressableHeap::audit: stale position");
+    }
+  }
+
  private:
-  static constexpr std::size_t kArity = 2;
+  static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
   static constexpr std::uint64_t kSignBit = 1ull << 63;
 
   struct Packed {
@@ -156,7 +187,37 @@ class DaryHeap {
     return a.key < b.key || (a.key == b.key && a.index < b.index);
   }
 
+  /// Place `e` at or above `slot`, moving larger parents down into the hole.
+  void siftUp(std::uint32_t slot, const Packed& e) noexcept {
+    while (slot > 0) {
+      const std::uint32_t parent = (slot - 1) / 2;
+      if (!less(e, heap_[parent])) break;
+      heap_[slot] = heap_[parent];
+      pos_[heap_[slot].index] = slot;
+      slot = parent;
+    }
+    heap_[slot] = e;
+    pos_[e.index] = slot;
+  }
+
+  /// Place `e` at or below `slot`, moving smaller children up into the hole.
+  void siftDown(std::uint32_t slot, const Packed& e) noexcept {
+    const auto n = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = 2 * slot + 1;
+      if (child >= n) break;
+      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
+      if (!less(heap_[child], e)) break;
+      heap_[slot] = heap_[child];
+      pos_[heap_[slot].index] = slot;
+      slot = child;
+    }
+    heap_[slot] = e;
+    pos_[e.index] = slot;
+  }
+
   std::vector<Packed> heap_;
+  std::vector<std::uint32_t> pos_;  ///< Slot per index; kAbsent when out.
 };
 
 }  // namespace openspace

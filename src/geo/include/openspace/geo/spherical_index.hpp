@@ -213,6 +213,7 @@ class SphericalCapIndex {
   /// queries use, so (with the registration-side pad) query rounding can
   /// never fall off the edge. Every build and neighborhood scan registers
   /// or walks its windows through this one rule.
+  // units: direction components and a cosine, all dimensionless
   SectorWindow sectorWindow(double x, double y, double cosHalfWidth) const;
 
   /// The latitude circles bounding a band's cell corners, padded outward:
@@ -236,7 +237,7 @@ class SphericalCapIndex {
   std::size_t sectors_ = 1;
   /// sectorWindow registers a window on the whole band when the cosine
   /// of its half-width is at or below this (set with sectors_).
-  double fullWindowCos_ = -1.0;
+  double fullWindowCos_ = -1.0;  // units: cosine, dimensionless
   // Cap centers by their cell coordinates, z and the pseudo-angle of
   // (x, y): the cell each center stabs, and the neighborhood disc centers.
   std::vector<double> centerZ_;

@@ -291,18 +291,19 @@ std::optional<std::pair<double, int>> ConstellationSnapshot::shortestIslPath(
   // the fig2 Monte Carlo sweep issuing one per trial — allocate nothing.
   thread_local StampedArray<double> dist;
   thread_local StampedArray<int> hops;
-  thread_local DaryHeap pq;
+  thread_local AddressableHeap pq;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   OPENSPACE_ASSERT(n < 0xFFFFFFFFu, "satellite indices fit the heap's 32 bits");
   dist.reset(n);
   hops.reset(n);
   pq.clear();
+  pq.reserve(n);
   dist.set(src, 0.0);
   hops.set(src, 0);
   pq.push(0.0, static_cast<std::uint32_t>(src));
+  // Non-negative weights: every pop settles its node (see RouteEngine).
   while (!pq.empty()) {
     const auto [d, u] = pq.pop();
-    if (d > dist.getOr(u, kInf)) continue;
     if (u == dst) break;
     const int throughHops = hops.getOr(u, 0) + 1;
     for (const auto& [v, w] : topo->adjacency[u]) {
@@ -314,6 +315,9 @@ std::optional<std::pair<double, int>> ConstellationSnapshot::shortestIslPath(
       }
     }
   }
+#ifndef NDEBUG
+  pq.audit();
+#endif
   const double dstDist = dist.getOr(dst, kInf);
   if (std::isinf(dstDist)) return std::nullopt;
   return std::make_pair(dstDist, hops.getOr(dst, 0));

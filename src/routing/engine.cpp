@@ -154,11 +154,14 @@ void RouteEngine::runDijkstra(std::uint32_t srcIndex, std::uint32_t stopAtIndex,
     scratch.parentEdge.resize(g.nodeCount());
   }
   scratch.frontier.clear();
+  scratch.frontier.reserve(g.nodeCount());
   scratch.dist.set(srcIndex, 0.0);
   scratch.frontier.push(0.0, srcIndex);
+  // Costs are non-negative, so a node is pushed only on a strict
+  // improvement and never re-enters the heap once popped: every pop
+  // settles its node.
   while (!scratch.frontier.empty()) {
     const auto [d, u] = scratch.frontier.pop();
-    if (d > scratch.dist.getOr(u, kInf)) continue;  // stale entry
     if (u == stopAtIndex) break;
     const std::uint32_t end = g.rowEnd(u);
     for (std::uint32_t e = g.rowBegin(u); e < end; ++e) {
@@ -170,10 +173,13 @@ void RouteEngine::runDijkstra(std::uint32_t srcIndex, std::uint32_t stopAtIndex,
       if (nd < scratch.dist.getOr(v, kInf)) {
         scratch.dist.set(v, nd);
         scratch.parentEdge[v] = e;  // valid while dist's stamp is current
-        scratch.frontier.push(nd, v);
+        scratch.frontier.push(nd, v);  // insert, or lower v's key in place
       }
     }
   }
+#ifndef NDEBUG
+  scratch.frontier.audit();
+#endif
 }
 
 Route RouteEngine::extractFromScratch(std::uint32_t srcIndex,

@@ -5,11 +5,13 @@
 // The engine compiles a snapshot once into an immutable CSR adjacency
 // (topology/compact_graph.hpp) with per-edge precomputed cost/delay/
 // capacity — it prices each link once and hands the links to the one CSR
-// assembler, assembleGraph() — then answers any number of queries over generation-stamped
-// scratch arrays and a reusable d-ary heap — zero allocation per query once
-// warmed up, no std::function or hash lookup in the hot loop. Callers
-// construct one engine per snapshot and cost model and amortize the compile
-// over their queries; a one-off query is `RouteEngine(g, cost).shortestPath`.
+// assembler, assembleGraph() — then answers any number of queries over
+// generation-stamped scratch arrays and a reusable addressable heap (one
+// entry per frontier node, keys lowered in place) — zero allocation per
+// query once warmed up, no std::function or hash lookup in the hot loop.
+// Callers construct one engine per snapshot and cost model and amortize the
+// compile over their queries; a one-off query is
+// `RouteEngine(g, cost).shortestPath`.
 // Over a drifting topology, a sweep builds fresh trees on each step's
 // graph from IncrementalTopology (topology/delta.hpp): under the delay
 // cost every edge changes every step, so there is no old tree to reuse.
@@ -45,7 +47,7 @@ struct RouteScratch {
   /// Parent edge per dense node; meaningful only where `dist` is touched
   /// this generation (shares its stamps instead of keeping a second set).
   std::vector<std::uint32_t> parentEdge;
-  DaryHeap frontier;
+  AddressableHeap frontier;
   /// Path-extraction staging (edge indices in forward order), kept here so
   /// steady-state extraction reuses its capacity.
   std::vector<std::uint32_t> pathEdges;

@@ -44,7 +44,8 @@ TemporalRoute ContactGraphRouter::earliestArrival(NodeId src, NodeId dst,
   std::vector<int> hops(n, 0);
   arrival[srcIdx] = tStartS;
 
-  DaryHeap pq;
+  AddressableHeap pq;
+  pq.reserve(n);
   int intervals = 0;
   for (const Interval& iv : snaps_) {
     if (iv.endS < tStartS) continue;  // before the message exists
@@ -58,9 +59,10 @@ TemporalRoute ContactGraphRouter::earliestArrival(NodeId src, NodeId dst,
     for (std::uint32_t u = 0; u < n; ++u) {
       if (arrival[u] <= iv.endS) pq.push(std::max(arrival[u], iv.startS), u);
     }
+    // Keys never fall below the popped one (delays are non-negative), so a
+    // node is pushed only on a strict improvement and every pop settles it.
     while (!pq.empty()) {
       const auto [t, u] = pq.pop();
-      if (std::max(arrival[u], iv.startS) < t) continue;  // stale entry
       if (t > iv.endS) continue;
       for (std::uint32_t e = csr.rowBegin(u); e < csr.rowEnd(u); ++e) {
         const std::uint32_t v = csr.edgeTarget(e);
@@ -71,10 +73,13 @@ TemporalRoute ContactGraphRouter::earliestArrival(NodeId src, NodeId dst,
           arrival[v] = arrive;
           inFlight[v] = inFlight[u] + delayS;
           hops[v] = hops[u] + 1;
-          pq.push(arrive, v);
+          pq.push(arrive, v);  // insert, or lower v's key in place
         }
       }
     }
+#ifndef NDEBUG
+    pq.audit();
+#endif
 
     if (arrival[dstIdx] <= iv.endS) {
       out.reachable = true;

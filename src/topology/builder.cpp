@@ -165,7 +165,8 @@ NetworkGraph TopologyBuilder::snapshot(double tSeconds,
   // snapshots of the same instant).
   const auto snap = SnapshotCache::global().at(ephemeris_, tSeconds);
   std::vector<Link> snapLinks;
-  links.enumerate(*snap, snapLinks);
+  std::vector<std::uint64_t> keys;
+  links.enumerate(*snap, snapLinks, keys);
   for (const Link& l : snapLinks) g.addLink(l);
   return g;
 }

@@ -1,9 +1,9 @@
 #include <openspace/topology/delta.hpp>
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
+#include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/orbit/snapshot.hpp>
 
@@ -12,10 +12,6 @@
 namespace openspace {
 
 namespace {
-
-std::uint64_t pairKey(NodeId a, NodeId b) noexcept {
-  return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
-}
 
 bool sameStructure(const std::vector<Link>& x,
                    const std::vector<Link>& y) noexcept {
@@ -55,21 +51,30 @@ IncrementalTopology::IncrementalTopology(const TopologyBuilder& builder,
 IncrementalTopology::~IncrementalTopology() = default;
 
 void IncrementalTopology::diffStructural() {
-  std::unordered_map<std::uint64_t, std::uint32_t> prevByPair;
-  prevByPair.reserve(links_.size());
-  for (std::size_t p = 0; p < links_.size(); ++p) {
-    prevByPair.emplace(pairKey(links_[p].a, links_[p].b),
-                       static_cast<std::uint32_t>(p));
+  const bool ascending = enumerator_->keysAscending();
+  if (!ascending) {
+    nextSortedKeys_.assign(nextKeys_.begin(), nextKeys_.end());
+    std::sort(nextSortedKeys_.begin(), nextSortedKeys_.end());
   }
-  for (const Link& l : nextLinks_) {
-    const auto it = prevByPair.find(pairKey(l.a, l.b));
-    if (it == prevByPair.end()) {
-      ++delta_.addedLinks;
+  const std::vector<std::uint64_t>& prev = ascending ? keys_ : sortedKeys_;
+  const std::vector<std::uint64_t>& next =
+      ascending ? nextKeys_ : nextSortedKeys_;
+  // Keys are unique within a step, so the keys in both are the links kept.
+  std::size_t kept = 0;
+  for (std::size_t i = 0, j = 0; i < prev.size() && j < next.size();) {
+    if (prev[i] < next[j]) {
+      ++i;
+    } else if (next[j] < prev[i]) {
+      ++j;
     } else {
-      prevByPair.erase(it);
+      ++kept;
+      ++i;
+      ++j;
     }
   }
-  delta_.removedLinks = prevByPair.size();
+  delta_.addedLinks = next.size() - kept;
+  delta_.removedLinks = prev.size() - kept;
+  if (!ascending) sortedKeys_.swap(nextSortedKeys_);
 }
 
 const TopologyDelta& IncrementalTopology::step(double tSeconds) {
@@ -79,7 +84,7 @@ const TopologyDelta& IncrementalTopology::step(double tSeconds) {
         "template is fixed at construction)");
   }
   const auto snap = SnapshotCache::global().at(builder_.ephemeris(), tSeconds);
-  enumerator_->enumerate(*snap, nextLinks_);
+  enumerator_->enumerate(*snap, nextLinks_, nextKeys_);
 
   // The pricing rule of RouteEngine(const NetworkGraph&, cost): one call per
   // link on the link and its endpoint nodes, as no home provider.
@@ -97,10 +102,15 @@ const TopologyDelta& IncrementalTopology::step(double tSeconds) {
   delta_.tSeconds = tSeconds;
   delta_.linkCount = nextLinks_.size();
   delta_.structural = !graph_ || !sameStructure(links_, nextLinks_);
+  // The same links in the same order are the same candidates: sortedKeys_
+  // stays valid across a step that is not structural.
+  OPENSPACE_ASSERT(delta_.structural || keys_ == nextKeys_,
+                   "equal link lists have equal keys");
   if (delta_.structural) diffStructural();
 
   graph_ = std::move(graph);
   links_.swap(nextLinks_);
+  keys_.swap(nextKeys_);
   ++steps_;
   return delta_;
 }

@@ -45,8 +45,8 @@ struct TopologyDelta {
   double tSeconds = 0.0;
   /// The link set or its order changed (always true on the first step).
   bool structural = false;
-  std::size_t addedLinks = 0;    ///< Present now, absent last step (by endpoints).
-  std::size_t removedLinks = 0;  ///< Present last step, absent now.
+  std::size_t addedLinks = 0;    ///< Present now, absent last step (by link key).
+  std::size_t removedLinks = 0;  ///< Present last step, absent now (by link key).
   std::size_t linkCount = 0;     ///< Total links this step.
 };
 
@@ -79,7 +79,17 @@ class IncrementalTopology {
   std::shared_ptr<const CompactGraph> graph() const noexcept { return graph_; }
   std::size_t stepCount() const noexcept { return steps_; }
 
+  /// The link key of every link of the last step(): linkKeys()[p] belongs
+  /// to LinkId p+1. A key names a candidate link of the enumeration (the
+  /// PlusGrid attempt, the ordered satellite pair, the site and satellite),
+  /// so a link present at two steps has the same key at both, and distinct
+  /// links of one step have distinct keys. Keys are not part of the graph
+  /// and never enter contentChecksum(). Empty before the first step.
+  const std::vector<std::uint64_t>& linkKeys() const noexcept { return keys_; }
+
  private:
+  /// Fill delta_'s added and removed counts: one merge of the previous
+  /// and current keys in ascending order.
   void diffStructural();
 
   const TopologyBuilder& builder_;
@@ -93,8 +103,11 @@ class IncrementalTopology {
   std::vector<Node> snapshotNodes_;
   std::shared_ptr<const CompactGraph::NodeTable> nodeTable_;
 
-  // Step state: the previous and current links, the current costs.
+  // Step state: the previous and current links and keys, the current
+  // costs. When the enumerator does not emit its keys in ascending order,
+  // sortedKeys_ holds the last step's keys sorted for the merge.
   std::vector<Link> links_, nextLinks_;
+  std::vector<std::uint64_t> keys_, nextKeys_, sortedKeys_, nextSortedKeys_;
   std::vector<double> costs_;
   std::shared_ptr<const CompactGraph> graph_;
   TopologyDelta delta_;

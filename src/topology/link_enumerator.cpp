@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/geo/wgs84.hpp>
@@ -25,6 +26,14 @@ constexpr double kNoLosClearanceM = -wgs84::kMeanRadiusM;
 LinkId nextId(const std::vector<Link>& out) {
   return LinkId{static_cast<LinkId::rep_type>(out.size() + 1)};
 }
+
+/// The key of an ISL between satellite indices i and j, in that order.
+std::uint64_t pairKey(std::size_t i, std::size_t j) noexcept {
+  return (static_cast<std::uint64_t>(i) << 32) | j;
+}
+
+/// Ground-link keys carry this tag, so they sort after every ISL key.
+constexpr std::uint64_t kGroundKeyTag = std::uint64_t{1} << 63;
 
 }  // namespace
 
@@ -52,6 +61,11 @@ LinkEnumerator::LinkEnumerator(const TopologyBuilder& builder,
   };
   if (opt_.includeGroundStations) compileSites(builder_.stationSites(), stations_);
   if (opt_.includeUserLinks) compileSites(builder_.userSites(), users_);
+  // 31-bit indices keep every ISL key below kGroundKeyTag and the two
+  // fields of a key apart.
+  OPENSPACE_ASSERT(s < (std::size_t{1} << 31) &&
+                       stations_.size() + users_.size() < (std::size_t{1} << 31),
+                   "satellite and site indices fit 31 bits");
   satLaser_.assign(s, 0);
   acceptedIsl_.resize(s);
 
@@ -89,7 +103,9 @@ LinkEnumerator::LinkEnumerator(const TopologyBuilder& builder,
 // filtered attempt leaves the later one free to re-evaluate) and the
 // capacity check, in the spec's order.
 void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
-                            std::size_t j, std::vector<Link>& out) {
+                            std::size_t j, std::uint64_t key,
+                            std::vector<Link>& out,
+                            std::vector<std::uint64_t>& keys) {
   const double dist = satEci[i].distanceTo(satEci[j]);
   if (dist > opt_.maxIslRangeM) return;
   if (!lineOfSightClear(satEci[i], satEci[j], km(80.0))) return;
@@ -105,16 +121,22 @@ void LinkEnumerator::tryIsl(const std::vector<Vec3>& satEci, std::size_t i,
                  laser ? LinkType::IslLaser : LinkType::IslRf,
                  laser ? Band::Optical : Band::S, dist,
                  dist / kSpeedOfLightMps, cap});
+  keys.push_back(key);
 }
 
 // Stations then users, in registration order, each scanning satellites in
-// index order. The exact mask predicate rejects most satellites without an
-// acos; only an accepted link pays for the elevation its capacity needs.
+// index order, so the keys ascend. The exact mask predicate rejects most
+// satellites without an acos; only an accepted link pays for the elevation
+// its capacity needs.
 void LinkEnumerator::groundLinks(const ConstellationSnapshot& snap,
-                                 const std::vector<Site>& sites, LinkType type,
-                                 std::vector<Link>& out) const {
+                                 const std::vector<Site>& sites,
+                                 std::uint64_t firstSite, LinkType type,
+                                 std::vector<Link>& out,
+                                 std::vector<std::uint64_t>& keys) const {
   const std::vector<Vec3>& satEcef = snap.ecef();
-  for (const Site& site : sites) {
+  for (std::size_t k = 0; k < sites.size(); ++k) {
+    const Site& site = sites[k];
+    const std::uint64_t siteKey = kGroundKeyTag | ((firstSite + k) << 32);
     const Vec3& siteEcef = site.observer.ecef();
     for (std::size_t i = 0; i < satEcef.size(); ++i) {
       if (!site.observer.sees(satEcef[i], mask_)) continue;
@@ -126,13 +148,16 @@ void LinkEnumerator::groundLinks(const ConstellationSnapshot& snap,
       if (cap <= 0.0) continue;
       out.push_back({nextId(out), satNode_[i], site.node, type, Band::Ku,
                      dist, dist / kSpeedOfLightMps, cap});
+      keys.push_back(siteKey | i);
     }
   }
 }
 
 void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
-                               std::vector<Link>& out) {
+                               std::vector<Link>& out,
+                               std::vector<std::uint64_t>& keys) {
   out.clear();
+  keys.clear();
   const std::size_t s = satIds_.size();
   // Laser flags only move when someone calls setCapabilities(); keying the
   // refresh on the builder's version counter skips the per-satellite
@@ -150,7 +175,10 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
 
   switch (opt_.wiring) {
     case IslWiring::PlusGrid:
-      for (const auto& [i, j] : plusGridPairs_) tryIsl(satEci, i, j, out);
+      for (std::size_t p = 0; p < plusGridPairs_.size(); ++p) {
+        const auto [i, j] = plusGridPairs_[p];
+        tryIsl(satEci, i, j, p, out, keys);
+      }
       break;
     case IslWiring::NearestNeighbors: {
       // The spec sorts every other satellite by (distance, index) and tries
@@ -169,7 +197,8 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
                           nnCand_.begin() + static_cast<std::ptrdiff_t>(take),
                           nnCand_.end());
         for (std::size_t q = 0; q < take; ++q) {
-          tryIsl(satEci, i, nnCand_[q].second, out);
+          const std::size_t j = nnCand_[q].second;
+          tryIsl(satEci, i, j, pairKey(i, j), out, keys);
         }
       }
       break;
@@ -180,15 +209,16 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
       const auto topo = snap.islTopology(opt_.maxIslRangeM);
       for (std::size_t i = 0; i < s; ++i) {
         for (const auto& neighbor : topo->adjacency[i]) {
-          if (neighbor.first > i) tryIsl(satEci, i, neighbor.first, out);
+          const std::size_t j = neighbor.first;
+          if (j > i) tryIsl(satEci, i, j, pairKey(i, j), out, keys);
         }
       }
       break;
     }
   }
 
-  groundLinks(snap, stations_, LinkType::Gsl, out);
-  groundLinks(snap, users_, LinkType::UserLink, out);
+  groundLinks(snap, stations_, 0, LinkType::Gsl, out, keys);
+  groundLinks(snap, users_, stations_.size(), LinkType::UserLink, out, keys);
 }
 
 }  // namespace openspace

@@ -7,6 +7,8 @@
 // capabilities, sites, options, t), and only this file decides it. The
 // test-only spec legacy::topologySnapshot (openspace_spec) is the
 // reference it is pinned against; DESIGN.md §13 argues the equivalence.
+// Beside each Link it emits a link key, the candidate the link came from,
+// which IncrementalTopology merges to count added and removed links.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,25 @@ class LinkEnumerator {
 
   /// Replace `out` with the links of `snap`, in snapshot() order: out[p]
   /// has LinkId p+1, `a` is a satellite, `b` the neighbor satellite or
-  /// ground site, and queueing delay and tariff are 0.
-  void enumerate(const ConstellationSnapshot& snap, std::vector<Link>& out);
+  /// ground site, and queueing delay and tariff are 0. `keys[p]` is out[p]'s
+  /// link key: a pure function of which candidate the link is, the same
+  /// at every time the candidate is accepted, and distinct for distinct
+  /// links of one enumeration:
+  ///   PlusGrid          the attempt index (position in the attempt list);
+  ///   NearestNeighbors, the ordered satellite-index pair i << 32 | j;
+  ///   AllInRange
+  ///   ground links      1 << 63 | site << 32 | satellite index, the site
+  ///                     counted over stations, then users; the tag sorts
+  ///                     them after every ISL key.
+  void enumerate(const ConstellationSnapshot& snap, std::vector<Link>& out,
+                 std::vector<std::uint64_t>& keys);
+
+  /// True when enumerate() emits its keys in ascending order (PlusGrid:
+  /// attempts and sites are tried in key order). The other wirings emit
+  /// ISLs per satellite in distance or adjacency order.
+  bool keysAscending() const noexcept {
+    return opt_.wiring == IslWiring::PlusGrid;
+  }
 
  private:
   struct Site {
@@ -40,10 +59,12 @@ class LinkEnumerator {
   };
 
   void tryIsl(const std::vector<Vec3>& satEci, std::size_t i, std::size_t j,
-              std::vector<Link>& out);
+              std::uint64_t key, std::vector<Link>& out,
+              std::vector<std::uint64_t>& keys);
   void groundLinks(const ConstellationSnapshot& snap,
-                   const std::vector<Site>& sites, LinkType type,
-                   std::vector<Link>& out) const;
+                   const std::vector<Site>& sites, std::uint64_t firstSite,
+                   LinkType type, std::vector<Link>& out,
+                   std::vector<std::uint64_t>& keys) const;
 
   const TopologyBuilder& builder_;
   SnapshotOptions opt_;

@@ -19,7 +19,15 @@
 // prices each link once and lays the edges out by counting sort instead;
 // the property tests pin the two layouts contentChecksum()-equal
 // (tests/test_route_engine.cpp, tests/test_topology_delta.cpp).
+//
+// diffByEndpoints() is the original IncrementalTopology structural diff: a
+// hash map of the previous links by (a, b) endpoint pair, probed with each
+// current link. The library merges sorted link keys instead;
+// DeltaBitIdentity pins its added and removed counts to this one.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include <openspace/routing/route.hpp>
 #include <openspace/topology/builder.hpp>
@@ -37,5 +45,15 @@ NetworkGraph topologySnapshot(const TopologyBuilder& builder, double tSeconds,
 /// negative or NaN cost, drops +inf (forbidden) edges.
 CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
                           ProviderId home = {});
+
+/// How many links of `next` have an (a, b) endpoint pair no link of `prev`
+/// has (added), and how many pairs of `prev` no link of `next` has
+/// (removed). A reversed pair (b, a) is a different pair.
+struct LinkChanges {
+  std::size_t added = 0;
+  std::size_t removed = 0;
+};
+LinkChanges diffByEndpoints(const std::vector<Link>& prev,
+                            const std::vector<Link>& next);
 
 }  // namespace openspace::legacy

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <unordered_map>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
@@ -214,6 +215,29 @@ CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
     out.rowOffset.push_back(static_cast<std::uint32_t>(out.edgeTo.size()));
   }
   return CompactGraph(std::move(nodes), std::move(out));
+}
+
+LinkChanges diffByEndpoints(const std::vector<Link>& prev,
+                            const std::vector<Link>& next) {
+  const auto pairKey = [](const Link& l) {
+    return (static_cast<std::uint64_t>(l.a.value()) << 32) | l.b.value();
+  };
+  std::unordered_map<std::uint64_t, std::uint32_t> prevByPair;
+  prevByPair.reserve(prev.size());
+  for (std::size_t p = 0; p < prev.size(); ++p) {
+    prevByPair.emplace(pairKey(prev[p]), static_cast<std::uint32_t>(p));
+  }
+  LinkChanges out;
+  for (const Link& l : next) {
+    const auto it = prevByPair.find(pairKey(l));
+    if (it == prevByPair.end()) {
+      ++out.added;
+    } else {
+      prevByPair.erase(it);
+    }
+  }
+  out.removed = prevByPair.size();
+  return out;
 }
 
 }  // namespace openspace::legacy

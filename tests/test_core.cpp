@@ -1,9 +1,19 @@
-// Unit tests for the core facade: provider registry, launches, ground
-// assets, topology/routing/coverage queries.
+// Unit tests for the core facade (provider registry, launches, ground
+// assets, topology/routing/coverage queries) and the search scratch
+// primitives (core/scratch.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include <openspace/core/hash.hpp>
 #include <openspace/core/network.hpp>
+#include <openspace/core/scratch.hpp>
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 
 namespace openspace {
@@ -148,6 +158,137 @@ TEST(Network, CoverageGrowsWithFleet) {
   const double large = net2.coverageAt(0.0, deg2rad(10.0), 4000, 1);
   EXPECT_GT(large, small);
   EXPECT_GT(large, 0.95);
+}
+
+// --- AddressableHeap ----------------------------------------------------------
+
+/// The heap's order on keys: IEEE numeric order with -0.0 strictly before
+/// +0.0, i.e. the sign-flip transform of the bits.
+std::uint64_t orderedBits(double d) {
+  const std::uint64_t b = bitsOf(d);
+  return (b >> 63) != 0 ? ~b : (b | (std::uint64_t{1} << 63));
+}
+
+/// A sorted (key order, index) set and the key per present index: the
+/// reference the heap must pop in the same order as.
+struct HeapReference {
+  std::set<std::pair<std::uint64_t, std::uint32_t>> order;
+  std::vector<double> keyOf;
+  std::vector<bool> present;
+
+  explicit HeapReference(std::size_t n) : keyOf(n, 0.0), present(n, false) {}
+
+  void push(double key, std::uint32_t index) {
+    if (present[index]) order.erase({orderedBits(keyOf[index]), index});
+    order.insert({orderedBits(key), index});
+    keyOf[index] = key;
+    present[index] = true;
+  }
+};
+
+/// Pop `heap` and `ref` once and expect the same entry, key to the bit.
+void expectSamePop(AddressableHeap& heap, HeapReference& ref) {
+  ASSERT_FALSE(ref.order.empty());
+  const auto [bits, index] = *ref.order.begin();
+  ref.order.erase(ref.order.begin());
+  ref.present[index] = false;
+  const AddressableHeap::Entry e = heap.pop();
+  ASSERT_EQ(e.index, index);
+  ASSERT_EQ(bitsOf(e.key), bitsOf(ref.keyOf[index]));
+  ASSERT_EQ(orderedBits(e.key), bits);
+}
+
+TEST(AddressableHeap, RandomPushDecreasePopMatchesSortedReference) {
+  // Keys come from a small pool, so equal keys on different indices are
+  // common; the pool holds -0.0, +0.0, +inf and negative keys.
+  const double pool[] = {-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0 + 1e-15,
+                         2.0, 1e300, std::numeric_limits<double>::infinity()};
+  constexpr std::size_t kPool = std::size(pool);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniformInt(0, 63));
+    AddressableHeap heap;
+    heap.reserve(n);
+    HeapReference ref(n);
+    for (int op = 0; op < 2000; ++op) {
+      const auto index = static_cast<std::uint32_t>(rng.uniformInt(0, n - 1));
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.55) {
+        // Insert, or lower a present key to one at or below it.
+        std::size_t k = static_cast<std::size_t>(rng.uniformInt(0, kPool - 1));
+        if (ref.present[index]) {
+          while (orderedBits(pool[k]) > orderedBits(ref.keyOf[index])) --k;
+        }
+        heap.push(pool[k], index);
+        ref.push(pool[k], index);
+      } else if (!ref.order.empty()) {
+        expectSamePop(heap, ref);
+      }
+      ASSERT_EQ(heap.size(), ref.order.size());
+      if (op % 97 == 0) heap.audit();
+    }
+    while (!ref.order.empty()) expectSamePop(heap, ref);
+    EXPECT_TRUE(heap.empty());
+    heap.audit();
+  }
+}
+
+TEST(AddressableHeap, EqualKeysPopByIndexAndSignedZerosStayApart) {
+  AddressableHeap heap;
+  heap.reserve(8);
+  heap.push(1.0, 5);
+  heap.push(0.0, 7);
+  heap.push(1.0, 2);
+  heap.push(-0.0, 6);
+  heap.push(1.0, 3);
+  heap.audit();
+  const std::pair<double, std::uint32_t> want[] = {
+      {-0.0, 6}, {0.0, 7}, {1.0, 2}, {1.0, 3}, {1.0, 5}};
+  for (const auto& [key, index] : want) {
+    const AddressableHeap::Entry e = heap.pop();
+    EXPECT_EQ(e.index, index);
+    EXPECT_EQ(bitsOf(e.key), bitsOf(key));
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(AddressableHeap, DecreaseKeyMovesAnEntryInPlace) {
+  AddressableHeap heap;
+  heap.reserve(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  heap.push(inf, 0);
+  heap.push(inf, 1);
+  heap.push(3.0, 2);
+  heap.push(inf, 1);  // an equal key is allowed and changes nothing
+  heap.push(2.0, 1);  // decrease: one entry per index, no duplicate
+  EXPECT_EQ(heap.size(), 3u);
+  heap.audit();
+  EXPECT_EQ(heap.pop().index, 1u);
+  EXPECT_EQ(heap.pop().index, 2u);
+  const AddressableHeap::Entry last = heap.pop();
+  EXPECT_EQ(last.index, 0u);
+  EXPECT_EQ(last.key, inf);
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(AddressableHeap, ClearAfterAnEarlyExitLeavesNoStalePosition) {
+  AddressableHeap heap;
+  heap.reserve(16);
+  for (std::uint32_t i = 0; i < 16; ++i) heap.push(16.0 - i, i);
+  (void)heap.pop();
+  (void)heap.pop();  // a point query stops with 14 entries left
+  heap.clear();
+  EXPECT_TRUE(heap.empty());
+  heap.audit();  // throws on a position left behind
+  // The next search reuses every index from scratch: a left-behind position
+  // would turn these inserts into decreases of absent entries.
+  heap.reserve(20);
+  for (std::uint32_t i = 0; i < 20; ++i) heap.push(1.0, 19 - i);
+  EXPECT_EQ(heap.size(), 20u);
+  heap.audit();
+  for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(heap.pop().index, i);
+  heap.clear();  // clearing an empty heap is a no-op
+  heap.audit();
 }
 
 }  // namespace

@@ -9,11 +9,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include <openspace/concurrency/parallel.hpp>
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
@@ -24,15 +24,10 @@
 #include <openspace/spec/routing_legacy.hpp>
 #include <openspace/spec/topology_legacy.hpp>
 #include <openspace/topology/builder.hpp>
+#include <openspace/topology/delta.hpp>
 
 namespace openspace {
 namespace {
-
-std::uint64_t bitsOf(double d) {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &d, sizeof b);
-  return b;
-}
 
 /// Bit-exact route equality: identical node/link sequences and identical
 /// IEEE bit patterns in every accumulated QoS field. EXPECT_* based so a
@@ -290,6 +285,80 @@ INSTANTIATE_TEST_SUITE_P(
                                          IslWiring::AllInRange),
                        ::testing::Values(1, 2, 3)));
 
+// --- Pinned trees: the worldbench gateway trees on the 5,040-satellite Delta -
+
+/// FNV-1a over every tree's dist bits and parent edges, in order.
+std::uint64_t treesChecksum(const std::vector<PathTree>& trees) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const PathTree& tree : trees) {
+    for (const double d : tree.distByIndex()) h = fnv1a(h, bitsOf(d));
+    for (const std::uint32_t e : tree.parentEdgeByIndex()) h = fnv1a(h, e);
+  }
+  return h;
+}
+
+TEST(RouteEnginePinnedTrees, WorldbenchGatewayTreesOnTheDelta5040) {
+  // The mega-5k world: a 5,040-satellite Walker Delta in 72 planes at
+  // 550 km and 53 degrees, PlusGrid ISLs capped at 3,000 km, six gateways
+  // behind a 10 degree mask, priced by delay. The literals were recorded
+  // with the lazy-deletion heap the addressable heap replaced; they pin
+  // the trees through the single-tree path and the batch at 1 and 4
+  // threads.
+  EphemerisService eph;
+  const auto fleet =
+      makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)});
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    eph.publish(ProviderId{static_cast<std::uint32_t>(1 + i % 3)}, fleet[i]);
+  }
+  TopologyBuilder topo(eph);
+  const struct {
+    const char* name;
+    double latDeg, lonDeg;
+  } sites[] = {
+      {"paris", 48.86, 2.35},       {"denver", 39.74, -104.99},
+      {"jburg", -26.20, 28.05},     {"sydney", -33.87, 151.21},
+      {"saopaulo", -23.55, -46.63}, {"tokyo", 35.68, 139.69},
+  };
+  std::vector<NodeId> gateways;
+  for (std::size_t g = 0; g < std::size(sites); ++g) {
+    gateways.push_back(topo.nodeOf(topo.addGroundStation(
+        {sites[g].name, Geodetic::fromDegrees(sites[g].latDeg, sites[g].lonDeg),
+         ProviderId{static_cast<std::uint32_t>(1 + g % 3)}})));
+  }
+  SnapshotOptions opt;
+  opt.wiring = IslWiring::PlusGrid;
+  opt.planes = 72;
+  opt.maxIslRangeM = km(3'000.0);
+  opt.minElevationRad = deg2rad(10.0);
+  opt.includeUserLinks = false;
+  IncrementalTopology inc(topo, opt, latencyCost());
+
+  const struct {
+    double tSeconds;
+    std::uint64_t checksum;
+  } pins[] = {
+      {0.0, 1735020140468543596ull},
+      {15.0, 12350568643306290120ull},
+      {1'800.0, 13581811621853369600ull},
+      {3'585.0, 9872963274012784806ull},
+  };
+  const std::size_t pool = parallelThreadCount();
+  for (const auto& pin : pins) {
+    inc.step(pin.tSeconds);
+    const RouteEngine engine(inc.graph());
+    std::vector<PathTree> single;
+    for (const NodeId gw : gateways) single.push_back(engine.shortestPathTree(gw));
+    EXPECT_EQ(treesChecksum(single), pin.checksum) << "t=" << pin.tSeconds;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      setParallelThreadCount(threads);
+      EXPECT_EQ(treesChecksum(engine.batchShortestPathTrees(gateways)),
+                pin.checksum)
+          << "t=" << pin.tSeconds << " threads=" << threads;
+    }
+    setParallelThreadCount(pool);
+  }
+}
+
 // --- Arena reuse: repeated queries on one engine are stateless --------------
 
 TEST(RouteEngineArena, RepeatedAndInterleavedQueriesAreStateless) {
@@ -476,6 +545,66 @@ TEST(RouteEngineDegenerate, IsolatedNodeNextToAComponent) {
   EXPECT_TRUE(engine.kShortestPaths(NodeId{1}, NodeId{5}, 2).empty());
   EXPECT_EQ(engine.kShortestPaths(NodeId{1}, NodeId{3}, 3).size(), 2u);
   expectMatchesSpec(g, latencyCost());
+}
+
+/// A random connected-ish graph of `n` satellites: a ring plus `chords`
+/// random links, so equal-hop and zero-cost ties are everywhere.
+NetworkGraph tieGraph(std::uint32_t n, int chords, Rng& rng) {
+  NetworkGraph g;
+  for (std::uint32_t i = 1; i <= n; ++i) g.addNode(plainSatellite(i));
+  for (std::uint32_t i = 1; i <= n; ++i) g.addLink(plainLink(i, i % n + 1));
+  for (int c = 0; c < chords; ++c) {
+    const auto a = static_cast<std::uint32_t>(rng.uniformInt(1, n));
+    const auto b = static_cast<std::uint32_t>(rng.uniformInt(1, n));
+    if (a != b) g.addLink(plainLink(a, b));
+  }
+  return g;
+}
+
+TEST(RouteEngineDegenerate, TiesAndZeroCostEdgesMatchLegacyTrees) {
+  // All-equal hop costs: every parent choice is a tie, and a node's parent
+  // is the first-popped neighbor that reached it. Zero-cost edges: a pop
+  // can push a node at the popped distance with a smaller index, so pops
+  // are not sorted by (dist, index) overall. The engine must still pick
+  // the legacy spec's parent for every node, from every source.
+  const LinkCostFn hop = [](const Link&, const Node&, const Node&, ProviderId) {
+    return 1.0;
+  };
+  const LinkCostFn zeroOrHop = [](const Link& l, const Node&, const Node&,
+                                  ProviderId) {
+    return (l.a.value() + l.b.value()) % 3 == 0 ? 0.0 : 1.0;
+  };
+  const LinkCostFn allZero = [](const Link&, const Node&, const Node&,
+                                ProviderId) { return 0.0; };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const NetworkGraph g = tieGraph(12 + static_cast<std::uint32_t>(seed) * 3,
+                                    static_cast<int>(8 * seed), rng);
+    for (const LinkCostFn& cost : {hop, zeroOrHop, allZero}) {
+      const RouteEngine engine(g, cost);
+      engine.graph().audit();
+      for (const NodeId src : g.nodes()) {
+        const auto want = legacy::shortestPathTree(g, src, cost);
+        const PathTree tree = engine.shortestPathTree(src);
+        for (const NodeId dst : g.nodes()) {
+          const auto it = want.find(dst);
+          ASSERT_EQ(tree.reaches(dst), it != want.end());
+          if (it == want.end()) continue;
+          expectRoutesIdentical(tree.routeTo(dst), it->second);
+          expectRoutesIdentical(engine.shortestPath(src, dst),
+                                legacy::shortestPath(g, src, dst, cost));
+        }
+      }
+      const NodeId a = g.nodes().front();
+      const NodeId b = g.nodes()[g.nodes().size() / 2];
+      const auto wantK = legacy::kShortestPaths(g, a, b, 4, cost);
+      const auto gotK = engine.kShortestPaths(a, b, 4);
+      ASSERT_EQ(gotK.size(), wantK.size());
+      for (std::size_t k = 0; k < wantK.size(); ++k) {
+        expectRoutesIdentical(gotK[k], wantK[k]);
+      }
+    }
+  }
 }
 
 }  // namespace

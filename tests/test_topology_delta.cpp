@@ -6,7 +6,11 @@
 // constellations and sweeps. contentChecksum() is the witness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
+#include <set>
+#include <utility>
 
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
@@ -88,28 +92,48 @@ SnapshotOptions optsFor(IslWiring wiring, int planes, Rng& rng) {
   return opt;
 }
 
+/// The links of `g` in LinkId order.
+std::vector<Link> linksOf(const NetworkGraph& g) {
+  std::vector<Link> out;
+  for (const LinkId lid : g.links()) out.push_back(g.link(lid));
+  return out;
+}
+
 /// One sweep: every step's graph passes audit() and checksums equal to a
-/// compile of the spec snapshot under the same cost as `home`.
+/// compile of the spec snapshot under the same cost as `home`, and its
+/// added and removed counts equal the spec's endpoint-pair diff of the
+/// spec snapshots.
 void expectBitIdenticalSweep(IslWiring wiring, const LinkCostFn& cost,
-                             std::uint64_t seed, ProviderId home = {}) {
+                             std::uint64_t seed, ProviderId home = {},
+                             int planes = 4, int perPlane = 6) {
   Rng rng(seed);
-  const int planes = 4;
-  const auto sc = makeScenario(rng, planes, 6, 2, 3);
+  const auto sc = makeScenario(rng, planes, perPlane, 2, 3);
   const SnapshotOptions opt = optsFor(wiring, planes, rng);
   IncrementalTopology inc(*sc->topo, opt, asHome(cost, home));
 
   std::size_t structuralSteps = 0;
   std::size_t prevLinks = 0;
+  std::vector<Link> prevSpecLinks;
   double t = 0.0;
   for (int k = 0; k < 24; ++k) {
     const TopologyDelta& d = inc.step(t);
-    const CompactGraph spec = legacy::compileGraph(
-        legacy::topologySnapshot(*sc->topo, t, opt), cost, home);
+    const NetworkGraph specSnap = legacy::topologySnapshot(*sc->topo, t, opt);
+    const CompactGraph spec = legacy::compileGraph(specSnap, cost, home);
     ASSERT_NE(inc.graph(), nullptr);
     inc.graph()->audit();
     ASSERT_EQ(inc.graph()->contentChecksum(), spec.contentChecksum())
         << "wiring=" << static_cast<int>(wiring) << " seed=" << seed
         << " t=" << t;
+    std::vector<Link> specLinks = linksOf(specSnap);
+    const legacy::LinkChanges want =
+        legacy::diffByEndpoints(prevSpecLinks, specLinks);
+    ASSERT_EQ(d.addedLinks, want.added)
+        << "wiring=" << static_cast<int>(wiring) << " seed=" << seed
+        << " t=" << t;
+    ASSERT_EQ(d.removedLinks, want.removed)
+        << "wiring=" << static_cast<int>(wiring) << " seed=" << seed
+        << " t=" << t;
+    prevSpecLinks = std::move(specLinks);
     // Bookkeeping closes: the link count moves by added - removed.
     ASSERT_EQ(prevLinks + d.addedLinks, d.linkCount + d.removedLinks);
     if (d.structural) {
@@ -145,8 +169,94 @@ TEST_P(DeltaBitIdentity, PlusGridHopCost) {
   expectBitIdenticalSweep(IslWiring::PlusGrid, hopCost(), GetParam());
 }
 
+TEST_P(DeltaBitIdentity, DegeneratePlusGridWithReversedPairs) {
+  // Two planes of two slots: the attempt list holds each ring pair in both
+  // orders, (0, 1) and (1, 0), and each cross-plane pair in both orders
+  // when the seam is wired.
+  expectBitIdenticalSweep(IslWiring::PlusGrid, latencyCost(), GetParam(), {},
+                          /*planes=*/2, /*perPlane=*/2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaBitIdentity,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// --- Link keys ---------------------------------------------------------------
+
+/// One 24-step sweep: every step has one key per link and no key twice; a
+/// key names one endpoint pair over the whole sweep, so a link present at
+/// consecutive steps keeps its key; the added and removed counts are the
+/// key-set differences of consecutive steps. PlusGrid emits its keys in
+/// ascending order.
+void expectStableKeys(IslWiring wiring, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto sc = makeScenario(rng, 4, 6, 2, 3);
+  const SnapshotOptions opt = optsFor(wiring, 4, rng);
+  IncrementalTopology inc(*sc->topo, opt);
+  using Endpoints = std::pair<std::uint32_t, std::uint32_t>;
+  std::map<std::uint64_t, Endpoints> endpointsOf;  // over the whole sweep
+  std::map<Endpoints, std::uint64_t> prevKeyOf;    // the previous step's
+  std::set<std::uint64_t> prevKeys;
+  std::size_t keptLinks = 0;
+  double t = 0.0;
+  for (int k = 0; k < 24; ++k) {
+    const TopologyDelta& d = inc.step(t);
+    const std::vector<std::uint64_t>& keys = inc.linkKeys();
+    const std::vector<Link> links = linksOf(sc->topo->snapshot(t, opt));
+    ASSERT_EQ(keys.size(), d.linkCount);
+    ASSERT_EQ(links.size(), keys.size());
+    const std::set<std::uint64_t> stepKeys(keys.begin(), keys.end());
+    ASSERT_EQ(stepKeys.size(), keys.size()) << "a key repeats at t=" << t;
+    if (wiring == IslWiring::PlusGrid) {
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    }
+    std::map<Endpoints, std::uint64_t> keyOf;
+    for (std::size_t p = 0; p < links.size(); ++p) {
+      ASSERT_EQ(links[p].id, LinkId{static_cast<LinkId::rep_type>(p + 1)});
+      const Endpoints ends{links[p].a.value(), links[p].b.value()};
+      const auto [it, fresh] = endpointsOf.emplace(keys[p], ends);
+      ASSERT_EQ(it->second, ends) << "key " << keys[p] << " renamed at t=" << t;
+      keyOf.emplace(ends, keys[p]);
+      if (const auto prev = prevKeyOf.find(ends); prev != prevKeyOf.end()) {
+        ASSERT_EQ(prev->second, keys[p]) << "link changed key at t=" << t;
+        ++keptLinks;
+      }
+    }
+    std::size_t added = 0;
+    for (const std::uint64_t key : stepKeys) added += prevKeys.count(key) == 0;
+    std::size_t removed = 0;
+    for (const std::uint64_t key : prevKeys) removed += stepKeys.count(key) == 0;
+    ASSERT_EQ(d.addedLinks, added) << "t=" << t;
+    ASSERT_EQ(d.removedLinks, removed) << "t=" << t;
+    prevKeyOf = std::move(keyOf);
+    prevKeys = stepKeys;
+    t += rng.uniform(5.0, 40.0);
+  }
+  EXPECT_GT(keptLinks, 0u);
+}
+
+class LinkKeyStability : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinkKeyStability, PlusGrid) {
+  expectStableKeys(IslWiring::PlusGrid, GetParam());
+}
+
+TEST_P(LinkKeyStability, NearestNeighbors) {
+  expectStableKeys(IslWiring::NearestNeighbors, GetParam());
+}
+
+TEST_P(LinkKeyStability, AllInRange) {
+  expectStableKeys(IslWiring::AllInRange, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkKeyStability,
+                         ::testing::Values(5u, 6u, 7u, 8u));
+
+TEST(IncrementalTopology, LinkKeysEmptyBeforeTheFirstStep) {
+  Rng rng(18);
+  const auto sc = makeScenario(rng, 4, 6, 1, 1);
+  const IncrementalTopology inc(*sc->topo, optsFor(IslWiring::PlusGrid, 4, rng));
+  EXPECT_TRUE(inc.linkKeys().empty());
+}
 
 // --- Any cost model on the per-step path -----------------------------------
 
@@ -247,6 +357,7 @@ TEST(IncrementalTopology, NanOrNegativeCostThrowsFromStep) {
       clean.step(t);
       const TopologyDelta lastCopy = last;
       const auto lastGraph = inc.graph();
+      const std::vector<std::uint64_t> lastKeys = inc.linkKeys();
       const std::size_t lastCount = inc.stepCount();
       armed = true;
       try {
@@ -257,8 +368,9 @@ TEST(IncrementalTopology, NanOrNegativeCostThrowsFromStep) {
       armed = false;
       if (!threw) continue;
       // A failed step leaves the last completed step in place: its graph,
-      // its delta, and the link set the next step diffs against.
+      // its delta and keys, and the link set the next step diffs against.
       EXPECT_EQ(inc.graph(), lastGraph);
+      EXPECT_EQ(inc.linkKeys(), lastKeys);
       EXPECT_EQ(inc.stepCount(), lastCount);
       EXPECT_EQ(last.tSeconds, lastCopy.tSeconds);
       EXPECT_EQ(last.structural, lastCopy.structural);
@@ -272,6 +384,7 @@ TEST(IncrementalTopology, NanOrNegativeCostThrowsFromStep) {
       EXPECT_EQ(next.addedLinks, spec.addedLinks);
       EXPECT_EQ(next.removedLinks, spec.removedLinks);
       EXPECT_EQ(next.linkCount, spec.linkCount);
+      EXPECT_EQ(inc.linkKeys(), clean.linkKeys());
     }
     EXPECT_TRUE(threw) << "bad=" << bad;
   }
@@ -405,7 +518,9 @@ TEST(IncrementalTopology, TinyFleetsMatchTheSnapshotCompile) {
         EXPECT_EQ(inc.graph()->nodeCount(), static_cast<std::size_t>(sats) + 2);
       }
     }
-    if (sats > 0) EXPECT_GT(linksSeen, 0u) << "sats=" << sats;
+    if (sats > 0) {
+      EXPECT_GT(linksSeen, 0u) << "sats=" << sats;
+    }
   }
 }
 
