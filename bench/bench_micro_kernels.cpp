@@ -1,6 +1,6 @@
 // Microbenchmarks of the hot kernels: orbit propagation, topology snapshot,
-// Dijkstra (Iridium and the 5,040-satellite Delta), Monte-Carlo coverage,
-// ISL fleet discovery.
+// Dijkstra (Iridium and the 5,040-satellite Delta), the session sweep's
+// handover epochs on that Delta, Monte-Carlo coverage, ISL fleet discovery.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -11,6 +11,9 @@
 #include <openspace/isl/fleet.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/session/handover_sweep.hpp>
+#include <openspace/session/session_table.hpp>
+#include <openspace/sim/population.hpp>
 #include <openspace/spec/routing_legacy.hpp>
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/delta.hpp>
@@ -158,6 +161,49 @@ void BM_ShortestPathTreeDelta5040(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShortestPathTreeDelta5040);
+
+/// One 60 s window of 15 s HandoverSweep::runEpoch calls on that Delta with
+/// 2,000 population-sampled users, seeded at t = 0 by closest association
+/// (as the mega-5k world seeds them). The window [225, 285] s holds the
+/// first handover burst, so the time is mostly successor searches. Each
+/// iteration seeds a fresh table and runs it to the window untimed; the
+/// window's index and snapshot come from the caches after the first. Wall
+/// time: the epochs fan their shards over the thread pool.
+void BM_SessionEpochsDelta5040(benchmark::State& state) {
+  EphemerisService eph;
+  for (const auto& el : makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)})) {
+    eph.publish(ProviderId{1}, el);
+  }
+  SweepConfig cfg;
+  cfg.minElevationRad = deg2rad(10.0);
+  const HandoverSweep sweep(eph, cfg);
+  Rng rng(1);
+  std::vector<SessionSeed> seeds;
+  for (const SampledUser& u :
+       defaultWorldPopulation().sampleUsers(2'000, rng)) {
+    seeds.push_back(SessionSeed{static_cast<UserId>(seeds.size() + 1),
+                                u.location, 1.0e9, seeds.size()});
+  }
+  const double windowS = 225.0;
+  std::size_t handovers = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    SessionTable table(eph.size());
+    sweep.seed(table, seeds, 0.0, SeedMode::ClosestAssociation);
+    for (double t = 15.0; t <= windowS; t += 15.0) sweep.runEpoch(table, t);
+    state.ResumeTiming();
+    for (double t = windowS + 15.0; t <= windowS + 60.0; t += 15.0) {
+      const EpochStats stats = sweep.runEpoch(table, t);
+      benchmark::DoNotOptimize(stats);
+      handovers += stats.handovers;
+    }
+  }
+  state.counters["handovers"] = benchmark::Counter(
+      static_cast<double>(handovers), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SessionEpochsDelta5040)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ShortestPathTreeLegacy(benchmark::State& state) {
   EphemerisService eph;

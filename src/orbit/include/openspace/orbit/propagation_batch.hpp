@@ -134,6 +134,12 @@ class SatelliteSweep {
   double maxAngularRateRadPerS() const noexcept {
     return maxAngularRateRadPerS_;
   }
+  /// The orbit's unit normal P x Q, in ECI: the direction of its angular
+  /// momentum, so the satellite at r moves along normal x r. Taken from
+  /// the compiled perifocal columns; no trigonometry.
+  Vec3 orbitNormal() const noexcept {
+    return Vec3{p1_, p2_, p3_}.cross(Vec3{q1_, q2_, q3_});
+  }
 
  private:
   /// The warm-started eccentric anomaly at t (updates the warm state).

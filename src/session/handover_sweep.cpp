@@ -23,7 +23,8 @@ namespace {
 /// per-seed output slots keep serial and parallel seeding bit-identical.
 constexpr std::size_t kSeedChunk = 512;
 
-/// The re-acquisition probe grid (the spec simulateHandovers' 10 s scan).
+/// The re-acquisition probe grid (the spec simulateHandovers' 10 s scan),
+/// and the grid visibleUntil scans for the set time.
 constexpr double kScanStepS = 10.0;
 
 /// Extra slack on the epoch index's motion margin beyond the rigorous
@@ -49,6 +50,79 @@ double predictiveLatencyS(SatelliteSweep from, SatelliteSweep to,
       userEcef.distanceTo(eciToEcef(to.positionEciAt(tSeconds), tSeconds)) /
       kSpeedOfLightMps;
   return downS + 2.0 * upS;
+}
+
+/// sin^2 of the cap edge angle in the lead candidate's key: about a 550 km
+/// shell's at a 10 degree mask. The key only orders the candidates.
+constexpr double kLeadKeyCapSin2 = 0.04;
+
+/// Orders the visible candidates of a successor search by how much of their
+/// pass looks left: the user's ECI direction u projected on the satellite's
+/// direction of motion normal x r / |r| (how far ahead of the satellite the
+/// user lies), plus sqrt(c - (normal . u)^2), the half chord the cap cuts
+/// along the ground track at the user's distance from the orbit plane. It
+/// ignores Earth rotation and eccentricity: it decides the visiting order,
+/// never the result.
+double remainingPassKey(const SatelliteSweep& sweep, const Vec3& satEci,
+                        const Vec3& userEciDir) {
+  const Vec3 normal = sweep.orbitNormal();
+  const double aheadSin = normal.cross(satEci).dot(userEciDir) / satEci.norm();
+  const double offPlaneSin = normal.dot(userEciDir);
+  return aheadSin +
+         std::sqrt(std::max(0.0, kLeadKeyCapSin2 - offPlaneSin * offPlaneSin));
+}
+
+/// The points of visibleUntil's scan grid from one search start, walked in
+/// ascending order: fromS + 10, + 10, ... accumulated exactly as the scan
+/// loop accumulates them, each clamped to the horizon end, ending at the
+/// first point at or past it.
+class ScanGridWalk {
+ public:
+  ScanGridWalk(double fromS, double horizonS)
+      : nextS_(fromS + kScanStepS), horizonEndS_(fromS + horizonS) {}
+
+  /// Walk past every point <= limitS. Limits must not decrease.
+  void advanceTo(double limitS) {
+    while (!done_ && nextS_ < horizonEndS_ + kScanStepS) {
+      const double pointS = std::min(nextS_, horizonEndS_);
+      if (pointS > limitS) return;
+      prevS_ = lastS_;
+      lastS_ = pointS;
+      done_ = pointS >= horizonEndS_;
+      nextS_ += kScanStepS;
+    }
+  }
+
+  /// The largest walked point <= limitS, for a limit no lower than the
+  /// walked point before the last one; -inf when there is none.
+  double lastAtOrBelow(double limitS) const noexcept {
+    return lastS_ <= limitS ? lastS_ : prevS_;
+  }
+
+ private:
+  double nextS_;
+  double horizonEndS_;
+  double lastS_ = -std::numeric_limits<double>::infinity();
+  double prevS_ = -std::numeric_limits<double>::infinity();
+  bool done_ = false;
+};
+
+/// The horizon is an explicit, finite search bound: a satellite that never
+/// drops below the mask (e.g. a mask of 0 over a pole-adjacent user, or a
+/// horizon shorter than the pass) yields fromS + horizonS rather than an
+/// unbounded scan.
+bool validHorizon(double horizonS) {
+  return horizonS >= 0.0 && !std::isinf(horizonS);
+}
+
+void checkSearchWindow(double fromS, double horizonS) {
+  if (!std::isfinite(fromS)) {
+    throw InvalidArgumentError("visibleUntil: fromS must be finite");
+  }
+  if (!validHorizon(horizonS)) {
+    throw InvalidArgumentError(
+        "visibleUntil: horizon must be finite and >= 0");
+  }
 }
 
 }  // namespace
@@ -113,25 +187,21 @@ std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
                                                      double fromS,
                                                      double horizonS,
                                                      double beatS) const {
-  // The horizon is an explicit, finite search bound: a satellite that never
-  // drops below the mask (e.g. a mask of 0 over a pole-adjacent user, or a
-  // horizon shorter than the pass) yields fromS + horizonS rather than an
-  // unbounded scan.
-  if (!std::isfinite(fromS)) {
-    throw InvalidArgumentError("visibleUntil: fromS must be finite");
-  }
-  if (!(horizonS >= 0.0) || std::isinf(horizonS)) {
-    throw InvalidArgumentError(
-        "visibleUntil: horizon must be finite and >= 0");
-  }
+  checkSearchWindow(fromS, horizonS);
+  const Vec3 fromEcef = eciToEcef(sweep.positionEciAt(fromS), fromS);
+  if (!sees(user, fromEcef)) return std::nullopt;
+  return visibleUntil(sweep, user, fromS, fromEcef, horizonS, beatS);
+}
+
+double VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
+                                      const GroundObserver& user, double fromS,
+                                      const Vec3& fromEcef, double horizonS,
+                                      double beatS) const {
+  checkSearchWindow(fromS, horizonS);
   const auto ecefAt = [&](double t) {
     return eciToEcef(sweep.positionEciAt(t), t);
   };
-  const auto visible = [&](const Vec3& satEcef) {
-    return user.sees(satEcef, mask_);
-  };
-  const Vec3 fromEcef = ecefAt(fromS);
-  if (!visible(fromEcef)) return std::nullopt;
+  const auto visible = [&](const Vec3& satEcef) { return sees(user, satEcef); };
   // The central angle moves no faster than the orbit's peak angular rate
   // plus the Earth's rotation, so an evaluation whose headroom is h proves
   // the same verdict for h / rate seconds around it.
@@ -156,7 +226,7 @@ std::optional<double> VisibilitySearch::visibleUntil(SatelliteSweep& sweep,
   // the set edge to ~1 ms. A proven sample only advances the warm start,
   // so every evaluated sample is the plain scan's bit for bit, and so is
   // every decision.
-  const double step = 10.0;
+  const double step = kScanStepS;
   const double horizonEndS = fromS + horizonS;
   double lo = fromS;
   double hi = horizonEndS;
@@ -226,6 +296,10 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
   if (sats.empty()) {
     throw InvalidArgumentError("HandoverSweep: empty fleet");
   }
+  if (!validHorizon(cfg.horizonS)) {
+    throw InvalidArgumentError(
+        "HandoverSweep: horizon must be finite and >= 0");
+  }
   elements_.reserve(sats.size());
   sweeps_.reserve(sats.size());
   for (const SatelliteId sid : sats) {
@@ -242,34 +316,103 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
   maxAngularRateRadPerS_ = maxOrbital + wgs84::kEarthRotationRadPerS;
 }
 
+/// bestAt's working storage, one per worker, reused across searches.
+struct HandoverSweep::SearchScratch {
+  /// A candidate visible at the search time: its sweep, whose last
+  /// evaluation is the cold sample visibleUntil would take first, and that
+  /// sample in ECI and ECEF.
+  struct Visible {
+    SatelliteSweep sweep;
+    Vec3 eci;
+    Vec3 ecef;
+    std::uint32_t sat = 0;
+  };
+  /// Grows to the largest candidate set seen; a search fills a prefix.
+  std::vector<Visible> visible;
+};
+
 std::uint32_t HandoverSweep::bestAt(const FootprintIndex2& index,
                                     const GroundObserver& site,
                                     double tSeconds, std::uint32_t excludeSat,
-                                    SatelliteSweep& sweep,
-                                    std::vector<std::uint32_t>& scratch,
+                                    SearchScratch& scratch,
                                     double& bestUntil) const {
-  // The spec's bestSatelliteAt, fed from the epoch index: the index's
-  // candidate set is a (margined) superset of the per-call index the
-  // spec compiles, and both re-test with the exact elevation predicate
-  // in ascending order with strict first-wins — so the winner and its
-  // visibility end are bit-identical (pinned in tests/test_session.cpp).
-  // The search's first sample is the cold position the spec tests, so
-  // visibleUntil doubles as the visible-now filter.
-  scratch.clear();
-  index.forEachGroundCandidate(
-      site.ecef(), [&](std::uint32_t i) { scratch.push_back(i); });
-  std::sort(scratch.begin(), scratch.end());
+  // The spec's bestSatelliteAt searches every visible candidate in
+  // ascending order and keeps the first with the largest end, so its
+  // winner is the lowest index among the largest visibility ends. That
+  // rule does not depend on the visiting order, so this search visits the
+  // candidate whose pass looks longest first and then only has to prove
+  // that every other one ends no later (DESIGN §15). The epoch index's
+  // candidate set is a (margined) superset of the per-call index the spec
+  // compiles, so both see the same visible candidates.
+  std::vector<SearchScratch::Visible>& visible = scratch.visible;
+  std::size_t count = 0;
+  index.forEachGroundCandidate(site.ecef(), [&](std::uint32_t i) {
+    if (i == excludeSat) return;
+    if (count == visible.size()) visible.emplace_back();
+    SearchScratch::Visible& v = visible[count];
+    v.sweep = sweeps_[i];
+    v.eci = v.sweep.positionEciAt(tSeconds);
+    v.ecef = eciToEcef(v.eci, tSeconds);
+    if (!search_.sees(site, v.ecef)) return;
+    v.sat = i;
+    ++count;
+  });
   std::uint32_t best = kNoSatellite;
   bestUntil = -1.0;
-  for (const std::uint32_t i : scratch) {
-    if (i == excludeSat) continue;
-    sweep = sweeps_[i];
-    const std::optional<double> until = search_.visibleUntil(
-        sweep, site, tSeconds, cfg_.horizonS, bestUntil);
-    if (until && *until > bestUntil) {
-      bestUntil = *until;
-      best = i;
+  if (count == 0) return best;
+  // The end a candidate must exceed to win: a lower index than the best
+  // also wins an equal end.
+  const auto beatFor = [&](std::uint32_t sat) {
+    return best != kNoSatellite && sat < best
+               ? std::nextafter(bestUntil,
+                                -std::numeric_limits<double>::infinity())
+               : bestUntil;
+  };
+  // A full search: above beatS its result is the candidate's end bit for
+  // bit, so it wins exactly when the ascending loop's search would.
+  const auto searchInFull = [&](SearchScratch::Visible& v) {
+    const double beatS = beatFor(v.sat);
+    const double until = search_.visibleUntil(v.sweep, site, tSeconds, v.ecef,
+                                              cfg_.horizonS, beatS);
+    if (until > beatS) {
+      best = v.sat;
+      bestUntil = until;
     }
+  };
+  std::size_t lead = 0;
+  if (count > 1) {
+    const Vec3 userEciDir =
+        ecefToEci(site.ecef(), tSeconds) / site.radiusM();
+    double leadKey = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < count; ++k) {
+      const double key =
+          remainingPassKey(visible[k].sweep, visible[k].eci, userEciDir);
+      if (key > leadKey ||
+          (key == leadKey && visible[k].sat < visible[lead].sat)) {
+        leadKey = key;
+        lead = k;
+      }
+    }
+  }
+  searchInFull(visible[lead]);
+  ScanGridWalk grid(tSeconds, cfg_.horizonS);
+  for (std::size_t k = 0; k < count; ++k) {
+    if (k == lead) continue;
+    SearchScratch::Visible& v = visible[k];
+    // The probe: a candidate proven hidden at a point g <= beatS of its
+    // own scan grid has its first hidden grid point at or before g, so its
+    // end lies at or below g and it cannot win. The probe runs on a copy,
+    // so a full search still sees the sweep just past its first sample.
+    grid.advanceTo(bestUntil);
+    const double gS = grid.lastAtOrBelow(beatFor(v.sat));
+    if (gS > -std::numeric_limits<double>::infinity()) {
+      SatelliteSweep probe = v.sweep;
+      const Vec3 gEcef = eciToEcef(probe.positionEciAt(gS), gS);
+      const VisibilitySearch::SkipProofs proofs = search_.skipProofs(
+          site, probe.perigeeRadiusM(), probe.apogeeRadiusM());
+      if (proofs.hiddenHeadroomRad(gEcef) > 0.0) continue;
+    }
+    searchInFull(v);
   }
   return best;
 }
@@ -296,12 +439,12 @@ void HandoverSweep::seed(SessionTable& table,
   parallelFor(seeds.size(), kSeedChunk,
               [&](std::size_t begin, std::size_t end) {
                 SatelliteSweep sweep;
-                std::vector<std::uint32_t> scratch;
+                SearchScratch scratch;
                 for (std::size_t u = begin; u < end; ++u) {
                   const GroundObserver site(seeds[u].location);
                   if (mode == SeedMode::Planner) {
                     serving[u] = bestAt(*index, site, t0S, kNoSatellite,
-                                        sweep, scratch, untilS[u]);
+                                        scratch, untilS[u]);
                   } else {
                     const auto closest = index->closestVisible(site.ecef());
                     if (closest) {
@@ -425,7 +568,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
       ShardStats& out = stats[s];
       const bool record = eventsOut != nullptr;
       SatelliteSweep sweep;
-      std::vector<std::uint32_t> scratch;
+      SearchScratch scratch;
       std::vector<std::uint32_t> stillScanning;
 
       // One session's whole epoch: run its leg chain until it parks —
@@ -444,8 +587,8 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
             std::uint32_t found = kNoSatellite;
             double foundUntil = 0.0;
             while (gridS < t1S) {
-              found = bestAt(*index, site, gridS, kNoSatellite, sweep,
-                             scratch, foundUntil);
+              found = bestAt(*index, site, gridS, kNoSatellite, scratch,
+                             foundUntil);
               if (found != kNoSatellite) break;
               gridS += kScanStepS;
             }
@@ -478,7 +621,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           const std::uint32_t from = st.servingSat[slot];
           double succUntil = 0.0;
           const std::uint32_t succ =
-              bestAt(*index, site, endS - 1e-3, from, sweep, scratch,
+              bestAt(*index, site, endS - 1e-3, from, scratch,
                      succUntil);
           if (succ == kNoSatellite) {
             // Coverage hole: re-acquire on the 10 s grid from the mask

@@ -17,11 +17,13 @@
 //    sets stay conservative supersets at every event time it serves;
 //  * the per-shard expiry heaps select exactly the sessions whose
 //    predicted handover falls inside the epoch — no full-table scan;
-//  * visibility searches run on one warm-startable SatelliteSweep per
-//    shard through VisibilitySearch::visibleUntil, which skips every scan
-//    sample it can prove; each session's site is compiled once per epoch
+//  * visibility searches run on warm-startable SatelliteSweeps through
+//    VisibilitySearch::visibleUntil, which skips every scan sample it can
+//    prove; each session's site is compiled once per epoch
 //    (GroundObserver) and each satellite's sweep once per HandoverSweep,
-//    so a candidate costs a copy, not a reset();
+//    so a candidate costs a copy, not a reset(). A successor search runs
+//    one full visibility search; every other visible candidate is
+//    usually settled by one sample;
 //  * certificate verification results are cached per shard, so a
 //    steady-state handover is a purely local operation (no tag
 //    recomputation, never a home-ISP round trip — paper §2.2).
@@ -119,16 +121,30 @@ class VisibilitySearch {
   /// there); every other sample is evaluated with the exact mask predicate
   /// (GroundObserver::sees), so each decision and the result are
   /// bit-for-bit those of the plain search that evaluates every sample
-  /// (pinned in tests/test_handover.cpp). Candidate loops call this
-  /// directly: the first sample doubles as their visible-now test, and
-  /// `beatS` is their best end so far — once the scan brackets the end at
-  /// or below beatS, the search returns that bracket's upper edge
-  /// (<= beatS, so the candidate loses a strict comparison) instead of
-  /// bisecting on.
+  /// (pinned in tests/test_handover.cpp). The first sample doubles as a
+  /// visible-now test. `beatS` is the end a candidate must exceed to win:
+  /// once the scan brackets the end at or below beatS, the search returns
+  /// that bracket's upper edge (<= beatS) instead of bisecting on. So a
+  /// result above beatS is the unbounded search's result bit for bit, and
+  /// a result at or below it says only that the unbounded one is too.
   std::optional<double> visibleUntil(
       SatelliteSweep& sweep, const GroundObserver& user, double fromS,
       double horizonS = 3'600.0,
       double beatS = -std::numeric_limits<double>::infinity()) const;
+
+  /// The same search after its first sample, for a caller that took that
+  /// sample itself: `sweep`'s last evaluation was positionEciAt(fromS),
+  /// `fromEcef` is that position in ECEF, and sees(user, fromEcef) holds.
+  /// Returns what the overload above returns, bit for bit, and leaves the
+  /// sweep in the same state; throws as it does.
+  double visibleUntil(SatelliteSweep& sweep, const GroundObserver& user,
+                      double fromS, const Vec3& fromEcef, double horizonS,
+                      double beatS) const;
+
+  /// The exact mask predicate every search sample is decided by.
+  bool sees(const GroundObserver& user, const Vec3& satEcef) const noexcept {
+    return user.sees(satEcef, mask_);
+  }
 
   /// The proofs visibleUntil uses for `user` and an orbit whose radius
   /// stays in [perigeeRadiusM, apogeeRadiusM].
@@ -190,8 +206,8 @@ enum class SeedMode {
 class HandoverSweep {
  public:
   /// Captures the ephemeris fleet (publication order) at construction.
-  /// Throws InvalidArgumentError for an elevation mask outside [0, pi/2)
-  /// or an empty fleet.
+  /// Throws InvalidArgumentError for an elevation mask outside [0, pi/2),
+  /// a horizon that is negative, NaN or infinite, or an empty fleet.
   HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg);
 
   /// Seed sessions into the table at `t0S`: pick each user's serving
@@ -228,17 +244,22 @@ class HandoverSweep {
 
  private:
   struct ShardStats;
+  struct SearchScratch;
 
-  /// Index of the best satellite at `tSeconds` for the compiled site —
-  /// candidates from the margined epoch index, the exact elevation
-  /// predicate and first-wins tie order, visibility ends through `sweep`,
-  /// the winner's visibility end through `bestUntil` (the new leg's
-  /// predicted expiry). Bit-identical to the spec's bestSatelliteAt.
-  /// kNoSatellite when none visible.
+  /// Index of the satellite with the longest remaining visibility at
+  /// `tSeconds` for the compiled site, the lowest index among equal ends,
+  /// and that end through `bestUntil` (the new leg's predicted expiry);
+  /// kNoSatellite when none is visible. Candidates come from the margined
+  /// epoch index and pass the exact elevation predicate. One of them, the
+  /// one whose pass looks longest, is searched in full; every other is
+  /// dropped on one sample that proves it hidden at a point of its own
+  /// scan grid at or below the best end, and is searched in full (bounded
+  /// by the best end) otherwise. Bit-identical to the spec's
+  /// bestSatelliteAt, which searches every candidate in ascending order
+  /// with strict first-wins (pinned in tests/test_session.cpp).
   std::uint32_t bestAt(const FootprintIndex2& index,
                        const GroundObserver& site, double tSeconds,
-                       std::uint32_t excludeSat, SatelliteSweep& sweep,
-                       std::vector<std::uint32_t>& scratch,
+                       std::uint32_t excludeSat, SearchScratch& scratch,
                        double& bestUntil) const;
 
   SweepConfig cfg_;

@@ -134,9 +134,10 @@ class SessionTable {
   /// Invariant audit: throws StateError unless, in every shard, each
   /// satellite's occupancy equals the number of Serving slots on it, every
   /// Serving slot has a heap entry whose time equals its nextEventS (and
-  /// the heap is a valid min-heap), slotOf is a bijection between the
-  /// shard's users and slots, and the scanning list holds exactly the
-  /// Scanning slots, once each. O(sessions + heap + fleet) per shard.
+  /// the heap is a valid min-heap with no entry older than clockS()),
+  /// slotOf is a bijection between the shard's users and slots, and the
+  /// scanning list holds exactly the Scanning slots, once each.
+  /// O(sessions + heap + fleet) per shard.
   void audit() const;
 
   /// Drop every active session within `radiusM` (chord distance on the

@@ -195,10 +195,17 @@ void SessionTable::audit() const {
     if (!std::is_heap(st.heap.begin(), st.heap.end(), LaterEntry{})) {
       throw StateError("SessionTable::audit: expiry heap out of order");
     }
+    // runEpoch pops every entry due before the clock it advances to, and
+    // every push is at or after the clock, so even a superseded entry is
+    // one not yet due.
     std::vector<bool> live(n, false);
     for (const HeapEntry& e : st.heap) {
       if (e.slot >= n) {
         throw StateError("SessionTable::audit: heap entry out of range");
+      }
+      if (!(e.atS >= clockS_)) {
+        throw StateError(
+            "SessionTable::audit: heap entry older than the table clock");
       }
       if (st.nextEventS[e.slot] == e.atS) live[e.slot] = true;
     }

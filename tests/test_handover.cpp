@@ -330,6 +330,19 @@ TEST(VisibilitySearch, StepSkippingMatchesPlainScanBitForBit) {
               elevationFrom(probe.positionEciAt(fromS), site, fromS) >= mask)
         << "trial " << trial;
     if (!until) continue;
+    // The overload for a caller that took the first sample itself: the
+    // same result and the same sweep state afterwards.
+    SatelliteSweep kept(el);
+    const Vec3 fromEcef = eciToEcef(kept.positionEciAt(fromS), fromS);
+    ASSERT_TRUE(search.sees(GroundObserver(site), fromEcef))
+        << "trial " << trial;
+    ASSERT_EQ(bitsOf(search.visibleUntil(kept, GroundObserver(site), fromS,
+                                         fromEcef, horizon, beatS)),
+              bitsOf(*until))
+        << "trial " << trial;
+    ASSERT_EQ(bitsOf(kept.positionEciAt(nextS).x),
+              bitsOf(bounded.positionEciAt(nextS).x))
+        << "trial " << trial;
     if (want > beatS) {
       ASSERT_EQ(bitsOf(*until), bitsOf(want)) << "trial " << trial;
     } else {

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include <openspace/auth/association.hpp>
@@ -21,6 +23,7 @@
 #include <openspace/core/hash.hpp>
 #include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -108,6 +111,17 @@ class SessionSweepTest : public ::testing::Test {
     EphemerisService eph;
     for (const auto& el :
          makeWalkerDelta({528, 24, 1, km(550.0), deg2rad(53.0)})) {
+      eph.publish(ProviderId{1}, el);
+    }
+    return eph;
+  }
+
+  /// The mega-5k world's fleet: 5,040 satellites in 72 planes at 550 km
+  /// and 53 degrees.
+  static EphemerisService walkerDelta5040() {
+    EphemerisService eph;
+    for (const auto& el :
+         makeWalkerDelta({5'040, 72, 1, km(550.0), deg2rad(53.0)})) {
       eph.publish(ProviderId{1}, el);
     }
     return eph;
@@ -224,6 +238,185 @@ TEST_F(SessionSweepTest, WalkerDeltaFifteenSecondEpochsMatchLegacy) {
     expectMatchesLegacyOn(delta, eventsOf(run.events, i + 1), spec);
   }
   EXPECT_GT(handovers, 0u);
+}
+
+// --- the successor search at mega scale -----------------------------------
+//
+// bestAt searches one candidate in full and settles the rest with a probe
+// sample each; the spec searches every candidate in ascending order. Where
+// ~100 satellites are in view at once, these pin the two to the same picks
+// and the same end bits.
+
+TEST_F(SessionSweepTest, MegaDeltaFifteenSecondEpochsMatchLegacy) {
+  const EphemerisService delta = walkerDelta5040();
+  std::vector<Geodetic> sites = sites_;
+  Rng rng(31);
+  for (const SampledUser& u : defaultWorldPopulation().sampleUsers(18, rng)) {
+    sites.push_back(u.location);
+  }
+  const double T = 600.0;
+  const SweepRun run = runSweepOn(delta, sites, evenEpochs(0.0, 15.0, T));
+  std::size_t handovers = 0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    const HandoverTimeline spec = simulateHandovers(
+        delta, mask_, sites[i], 0.0, T, HandoverMode::Predictive);
+    handovers += spec.events.size();
+    expectMatchesLegacyOn(delta, eventsOf(run.events, i + 1), spec);
+  }
+  EXPECT_GT(handovers, sites.size() / 2);
+}
+
+/// Planner seeding at a random time for 100 random sites of `eph`: each
+/// site's serving pick must be the spec's bestSatelliteAt and its predicted
+/// end the spec's visibilityEndS of that pick, bit for bit. Returns the
+/// number of sites served.
+int expectSeedPicksMatchSpec(const EphemerisService& eph,
+                             const SweepConfig& cfg, double tSeconds,
+                             Rng& rng) {
+  std::vector<SessionSeed> seeds;
+  for (int k = 0; k < 100; ++k) {
+    const double latRad = std::asin(rng.uniform(-1.0, 1.0));
+    const double lonRad = rng.uniform(-std::numbers::pi, std::numbers::pi);
+    seeds.push_back(SessionSeed{static_cast<UserId>(k + 1),
+                                Geodetic{latRad, lonRad, 0.0},
+                                kNeverExpiresS, 0});
+  }
+  SessionTable table(eph.size());
+  const HandoverSweep sweep(eph, cfg);
+  sweep.seed(table, seeds, tSeconds, SeedMode::Planner);
+  const auto& sats = eph.satellites();
+  int served = 0;
+  for (const SessionSeed& seed : seeds) {
+    SCOPED_TRACE("t " + std::to_string(tSeconds) + " user " +
+                 std::to_string(seed.user));
+    const SessionTable::SessionView view = table.find(seed.user).value();
+    const std::optional<SatelliteId> spec = bestSatelliteAt(
+        eph, cfg.minElevationRad, seed.location, tSeconds);
+    if (!spec) {
+      EXPECT_EQ(view.state, SessionState::Scanning);
+      EXPECT_EQ(view.servingSat, kNoSatellite);
+      continue;
+    }
+    ++served;
+    EXPECT_EQ(view.state, SessionState::Serving);
+    EXPECT_EQ(sats.at(view.servingSat), *spec);
+    EXPECT_EQ(bitsOf(view.nextEventS),
+              bitsOf(visibilityEndS(eph, cfg.minElevationRad, *spec,
+                                    seed.location, tSeconds)));
+  }
+  return served;
+}
+
+TEST_F(SessionSweepTest, PlannerSeedPicksMatchSpecOnRandomCases) {
+  // 3,000 (site, time) cases: 10 random times x 100 sites uniform on the
+  // sphere, on Iridium (~2 satellites in view), the 528 Delta and the
+  // 5,040 Delta (~100 in view at mid latitudes, none near the poles).
+  const EphemerisService delta528 = walkerDelta528();
+  const EphemerisService delta5040 = walkerDelta5040();
+  Rng rng(2031);
+  for (const EphemerisService* eph :
+       {static_cast<const EphemerisService*>(&eph_), &delta528, &delta5040}) {
+    SCOPED_TRACE(std::to_string(eph->size()) + " satellites");
+    int served = 0;
+    for (int round = 0; round < 10; ++round) {
+      served +=
+          expectSeedPicksMatchSpec(*eph, cfg_, rng.uniform(0.0, 86'400.0), rng);
+    }
+    EXPECT_GT(served, 600);
+  }
+}
+
+TEST_F(SessionSweepTest, EqualEndsGoToTheLowerIndex) {
+  // Every satellite of the 528 Delta is published twice with identical
+  // elements, so each pair's visibility ends are equal bit for bit. The
+  // spec keeps the first of equal ends in ascending order: the lower
+  // index, in seeding and at every handover. Half the pairs put the copy
+  // first, so the lower index is sometimes the later publication.
+  const auto shell = makeWalkerDelta({528, 24, 1, km(550.0), deg2rad(53.0)});
+  EphemerisService twins;
+  for (std::size_t i = 0; i < shell.size(); ++i) {
+    twins.publish(ProviderId{1}, shell[i]);
+    if (i % 2 == 0) twins.publish(ProviderId{2}, shell[i]);
+  }
+  for (std::size_t i = 0; i < shell.size(); ++i) {
+    if (i % 2 == 1) twins.publish(ProviderId{2}, shell[i]);
+  }
+  const double T = 900.0;
+  const SweepRun run = runSweepOn(twins, sites_, evenEpochs(0.0, 15.0, T));
+  std::size_t handovers = 0;
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    const HandoverTimeline spec = simulateHandovers(
+        twins, mask_, sites_[i], 0.0, T, HandoverMode::Predictive);
+    handovers += spec.events.size();
+    expectMatchesLegacyOn(twins, eventsOf(run.events, i + 1), spec);
+  }
+  EXPECT_GT(handovers, 0u);
+  Rng rng(7);
+  for (int round = 0; round < 3; ++round) {
+    expectSeedPicksMatchSpec(twins, cfg_, rng.uniform(0.0, 3'600.0), rng);
+  }
+}
+
+TEST_F(SessionSweepTest, DegenerateFleetsAndSitesMatchLegacy) {
+  // Retrograde, equatorial and Molniya-like fleets, seen from both poles,
+  // the antimeridian and one mid-latitude city. The Molniya orbits'
+  // passes outlast the 3,600 s horizon, so several candidates end at the
+  // horizon together, and their eccentricity makes the probe's sample
+  // differ from the full search's warm-started one in the last bits.
+  EphemerisService retrograde;
+  for (const auto& el :
+       makeWalkerDelta({288, 12, 1, km(550.0), deg2rad(98.0)})) {
+    retrograde.publish(ProviderId{1}, el);
+  }
+  EphemerisService equatorial;
+  for (const auto& el : makeWalkerDelta({40, 1, 0, km(800.0), 0.0})) {
+    equatorial.publish(ProviderId{1}, el);
+  }
+  for (const auto& el : makeWalkerDelta({24, 1, 0, km(1'400.0), 0.0})) {
+    equatorial.publish(ProviderId{1}, el);
+  }
+  EphemerisService molniya;
+  for (int k = 0; k < 12; ++k) {
+    OrbitalElements el;
+    el.semiMajorAxisM = km(26'560.0);
+    el.eccentricity = 0.74;
+    el.inclinationRad = deg2rad(63.4);
+    el.argPerigeeRad = deg2rad(270.0);
+    el.raanRad = deg2rad(30.0 * k);
+    el.meanAnomalyAtEpochRad = deg2rad(97.0 * k);
+    molniya.publish(ProviderId{1}, el);
+  }
+  const std::vector<Geodetic> sites = {
+      Geodetic::fromDegrees(90.0, 0.0),      // north pole
+      Geodetic::fromDegrees(-90.0, 0.0),     // south pole
+      Geodetic::fromDegrees(0.0, 180.0),     // antimeridian, equator
+      Geodetic::fromDegrees(35.0, -180.0),   // antimeridian, north
+      Geodetic::fromDegrees(-62.0, 180.0),   // antimeridian, south
+      Geodetic::fromDegrees(40.44, -79.99),  // Pittsburgh
+  };
+  struct Case {
+    const char* name;
+    const EphemerisService* eph;
+    double T;
+    double epochS;
+  };
+  for (const Case& c : {Case{"retrograde", &retrograde, 1'800.0, 15.0},
+                        Case{"equatorial", &equatorial, 1'800.0, 15.0},
+                        Case{"molniya", &molniya, 10'800.0, 300.0}}) {
+    const SweepRun run =
+        runSweepOn(*c.eph, sites, evenEpochs(0.0, c.epochS, c.T));
+    std::size_t handovers = 0;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      SCOPED_TRACE(std::string(c.name) + " site " + std::to_string(i));
+      const HandoverTimeline spec = simulateHandovers(
+          *c.eph, mask_, sites[i], 0.0, c.T, HandoverMode::Predictive);
+      handovers += spec.events.size();
+      expectMatchesLegacyOn(*c.eph, eventsOf(run.events, i + 1), spec);
+    }
+    EXPECT_GT(handovers, 0u) << c.name;
+  }
 }
 
 /// The margin of the index runEpoch compiles at a 60 s window's centre —
@@ -666,6 +859,14 @@ TEST_F(SessionSweepTest, SweepValidatesConstruction) {
   SweepConfig bad = cfg_;
   bad.minElevationRad = -0.1;
   EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError);
+  // A bad horizon used to surface only once a search found a visible
+  // candidate; now the constructor refuses it.
+  for (const double horizonS : {-1.0, std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    bad = cfg_;
+    bad.horizonS = horizonS;
+    EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError) << horizonS;
+  }
   const HandoverSweep sweep(eph_, cfg_);
   EXPECT_EQ(sweep.fleet().size(), eph_.satellites().size());
   EXPECT_GT(sweep.maxAngularRateRadPerS(), 0.0);
