@@ -1,10 +1,11 @@
 // units-file: generic scratch primitives; scalar meanings are caller-defined.
 //
 // Reusable zero-allocation search scratch: generation-stamped arrays and an
-// addressable binary heap. These are the building blocks of every hot
-// graph-search loop in the library (the RouteEngine's Dijkstra, Yen spur
-// searches, the constellation snapshot's ISL path queries, the contact
-// graph router): a query "clears" its arrays in O(1) by bumping a
+// addressable binary heap. The stamped arrays mark the RouteEngine's Yen
+// masks; the heap orders the constellation snapshot's ISL path queries,
+// the contact graph router and the RouteEngine's replay of Dijkstra's pop
+// order on labels with flat steps (its searches themselves run on a ring
+// of buckets, routing/engine.hpp): a query "clears" its arrays in O(1) by bumping a
 // generation counter instead of refilling them, the heap resets only the
 // entries a search left in it, and both keep their capacity across
 // queries, so a warmed-up search allocates nothing at all.

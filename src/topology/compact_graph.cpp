@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include <openspace/core/assert.hpp>
@@ -116,6 +117,16 @@ void CompactGraph::audit() const {
     listed += r.count;
   }
   if (listed != m) fail("an edge is not listed by its link");
+  double minPositive = std::numeric_limits<double>::infinity();
+  double maxCost = 0.0;
+  for (const double c : csr_.edgeCost) {
+    if (c > 0.0) minPositive = std::min(minPositive, c);
+    maxCost = std::max(maxCost, c);
+  }
+  if (bitsOf(minPositive) != bitsOf(csr_.minPositiveCost) ||
+      bitsOf(maxCost) != bitsOf(csr_.maxCost)) {
+    fail("the cost range is not that of the edges");
+  }
 }
 
 CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
@@ -143,6 +154,10 @@ CompactGraph assembleGraph(std::shared_ptr<const CompactGraph::NodeTable> nodes,
       throw InvalidArgumentError("assembleGraph: negative or NaN link cost");
     }
     if (std::isinf(costs[p])) continue;  // forbidden: dropped at assembly
+    if (costs[p] > 0.0) {
+      csr.minPositiveCost = std::min(csr.minPositiveCost, costs[p]);
+    }
+    csr.maxCost = std::max(csr.maxCost, costs[p]);
     ++csr.rowOffset[denseOf(links[p].a) + 1];
     ++csr.rowOffset[denseOf(links[p].b) + 1];
     edgeCount += 2;

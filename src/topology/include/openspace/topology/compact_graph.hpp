@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -105,6 +106,13 @@ class CompactGraph {
     std::vector<LinkId> edgeLinkId;
     /// LinkId value -> directed edges; link ids are 1..L, slot 0 unused.
     std::vector<LinkEdgeRange> linkEdges;
+    /// Derived from edgeCost, filled by the producer in the pass that
+    /// already reads the costs: the smallest positive cost (+inf when no
+    /// edge costs more than zero) and the largest cost (0 without edges).
+    /// The route search sizes its buckets from them; audit() recomputes
+    /// both.
+    double minPositiveCost = std::numeric_limits<double>::infinity();
+    double maxCost = 0.0;
   };
 
   /// An empty graph (no nodes, no edges).
@@ -133,6 +141,11 @@ class CompactGraph {
   double edgeCapacityBps(std::uint32_t e) const { return csr_.edgeCapBps[e]; }
   LinkId edgeLink(std::uint32_t e) const { return csr_.edgeLinkId[e]; }
 
+  /// Smallest positive edge cost; +inf when no edge costs more than zero.
+  double minPositiveCost() const noexcept { return csr_.minPositiveCost; }
+  /// Largest edge cost; 0 for a graph without edges.
+  double maxCost() const noexcept { return csr_.maxCost; }
+
   /// Directed edge indices compiled from undirected link `id` (0 or 2
   /// entries — none when the link was dropped as forbidden). Returns an
   /// empty range for unknown links.
@@ -152,7 +165,8 @@ class CompactGraph {
   /// targets a node in range; every edgesOfLink(id) entry is an edge whose
   /// edgeLink() is id, and every edge is listed by its link; and the two
   /// edges of a link are reverses of each other with bitwise-equal cost,
-  /// delay and capacity.
+  /// delay and capacity; and minPositiveCost() / maxCost() are those of
+  /// the edge costs.
   void audit() const;
 
  private:

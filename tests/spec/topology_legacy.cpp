@@ -193,6 +193,8 @@ CompactGraph compileGraph(const NetworkGraph& g, const LinkCostFn& cost,
         throw InvalidArgumentError("compileGraph: negative or NaN link cost");
       }
       if (std::isinf(c)) continue;  // forbidden edge: dropped at compile time
+      if (c > 0.0) out.minPositiveCost = std::min(out.minPositiveCost, c);
+      out.maxCost = std::max(out.maxCost, c);
       const NodeId v = l.otherEnd(u);
       const std::uint32_t dv = nodes->indexOf(v);
       if (dv == CompactGraph::kInvalidIndex) {
