@@ -2,10 +2,13 @@
 // coverage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/coverage/coverage.hpp>
@@ -51,6 +54,31 @@ TEST(Population, SamplingIsDeterministicAndBounded) {
   Rng c(5);
   EXPECT_TRUE(model.sampleUsers(0, c).empty());
   EXPECT_THROW(model.sampleUsers(-1, c), InvalidArgumentError);
+}
+
+// Recorded on the std::mt19937_64-based stream, before Rng got its own
+// engine and canonical draw: 1,000 users from the default centres, every
+// latitude, longitude and weight bit, at three rural fractions.
+TEST(Population, SampledUsersArePinned) {
+  const struct {
+    double ruralFraction;
+    std::uint64_t digest;
+  } pins[] = {{0.0, 0xcf80f1d20ad5b8d5ull},
+              {0.3, 0x75b17371962f0531ull},
+              {1.0, 0x5e41b6472298ff1aull}};
+  const PopulationModel world = defaultWorldPopulation();
+  for (const auto& p : pins) {
+    const PopulationModel model(world.centers(), p.ruralFraction);
+    Rng rng(2024);
+    std::uint64_t h = kFnvOffsetBasis;
+    for (const SampledUser& u : model.sampleUsers(1'000, rng)) {
+      h = fnv1a(h, bitsOf(u.location.latitudeRad));
+      h = fnv1a(h, bitsOf(u.location.longitudeRad));
+      h = fnv1a(h, bitsOf(u.location.altitudeM));
+      h = fnv1a(h, bitsOf(u.weight));
+    }
+    EXPECT_EQ(h, p.digest) << "rural fraction " << p.ruralFraction;
+  }
 }
 
 TEST(Population, UrbanSamplesClusterNearCenters) {
