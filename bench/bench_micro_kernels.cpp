@@ -9,12 +9,15 @@
 #include <vector>
 
 #include <openspace/coverage/coverage.hpp>
+#include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/isl/fleet.hpp>
+#include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
+#include <openspace/sim/flow_sim.hpp>
 #include <openspace/sim/population.hpp>
 #include <openspace/spec/routing_legacy.hpp>
 #include <openspace/topology/builder.hpp>
@@ -299,6 +302,76 @@ void BM_BatchTrees(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchTrees);
+
+/// One canonical draw: an engine word converted to a double in [0, 1).
+void BM_RngCanonical(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.canonical());
+}
+BENCHMARK(BM_RngCanonical);
+
+/// One normal(0, 1) draw: a Marsaglia polar pair, ~2.5 canonical draws.
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+}
+BENCHMARK(BM_RngNormal);
+
+/// 20,000 users from the default world model (30 % rural), as one
+/// iridium-hour epoch's city flows draw them.
+void BM_SampleUsers20k(benchmark::State& state) {
+  const PopulationModel world = defaultWorldPopulation();
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    Rng rng(seed++);
+    benchmark::DoNotOptimize(world.sampleUsers(20'000, rng));
+  }
+}
+BENCHMARK(BM_SampleUsers20k)->Unit(benchmark::kMillisecond);
+
+/// One iridium-hour buildCityFlows call: 20,000 users on the Iridium
+/// PlusGrid snapshot with six gateways (trees, sampling, association,
+/// compaction and checksum). The footprint index comes from the cache
+/// after the first call. Wall time: association fans over the thread pool.
+void BM_BuildCityFlowsIridium20k(benchmark::State& state) {
+  EphemerisService eph;
+  for (const auto& el : makeWalkerStar(iridiumConfig())) eph.publish(ProviderId{1}, el);
+  TopologyBuilder topo(eph);
+  const struct {
+    const char* name;
+    double latDeg, lonDeg;
+  } sites[] = {{"paris", 48.86, 2.35},       {"denver", 39.74, -104.99},
+               {"jburg", -26.20, 28.05},     {"sydney", -33.87, 151.21},
+               {"saopaulo", -23.55, -46.63}, {"tokyo", 35.68, 139.69}};
+  std::vector<NodeId> gateways;
+  for (const auto& site : sites) {
+    gateways.push_back(topo.nodeOf(topo.addGroundStation(
+        {site.name, Geodetic::fromDegrees(site.latDeg, site.lonDeg),
+         ProviderId{1}})));
+  }
+  std::vector<NodeId> satNodes;
+  for (const SatelliteId sid : eph.satellites()) satNodes.push_back(topo.nodeOf(sid));
+  SnapshotOptions opt;
+  opt.wiring = IslWiring::PlusGrid;
+  opt.planes = 6;
+  opt.minElevationRad = deg2rad(10.0);
+  opt.includeUserLinks = false;
+  const RouteEngine engine(topo.snapshot(0.0, opt), latencyCost());
+  const auto snap = std::make_shared<const ConstellationSnapshot>(eph, 0.0);
+  CityFlowConfig cfg;
+  cfg.users = 20'000;
+  cfg.meanRateBps = 250.0;
+  cfg.durationS = 0.25;
+  cfg.minElevationRad = deg2rad(10.0);
+  cfg.utcSeconds = 12.0 * 3'600.0;
+  for (auto _ : state) {
+    ++cfg.seed;
+    benchmark::DoNotOptimize(buildCityFlows(cfg, snap, satNodes, gateways, engine));
+  }
+}
+BENCHMARK(BM_BuildCityFlowsIridium20k)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MonteCarloCoverage(benchmark::State& state) {
   const auto sats = makeWalkerStar(iridiumConfig());

@@ -55,7 +55,18 @@ class PopulationModel {
   double totalWeightMillions() const noexcept { return totalWeight_; }
 
  private:
+  /// What sampleUsers reads of a center, with its per-center constants
+  /// computed once.
+  struct CenterDraw {
+    double latitudeRad;
+    double longitudeRad;
+    double weightMillions;
+    double lonScatterRad;  ///< Scatter radius / max(0.2, cos(latitude)).
+    double userWeight;     ///< 1 + weightMillions / 5.
+  };
+
   std::vector<PopulationCenter> centers_;
+  std::vector<CenterDraw> draws_;
   double ruralFraction_;
   double totalWeight_ = 0.0;
 };

@@ -13,6 +13,13 @@
 
 namespace openspace {
 
+namespace {
+
+/// Angular scatter of a city user around its center: ~200 km.
+constexpr double kScatterRad = 200e3 / wgs84::kMeanRadiusM;
+
+}  // namespace
+
 PopulationModel::PopulationModel(std::vector<PopulationCenter> centers,
                                  double ruralFraction)
     : centers_(std::move(centers)), ruralFraction_(ruralFraction) {
@@ -22,11 +29,16 @@ PopulationModel::PopulationModel(std::vector<PopulationCenter> centers,
   if (!(ruralFraction >= 0.0 && ruralFraction <= 1.0)) {
     throw InvalidArgumentError("PopulationModel: rural fraction outside [0,1]");
   }
+  draws_.reserve(centers_.size());
   for (const auto& c : centers_) {
     if (c.weightMillions <= 0.0) {
       throw InvalidArgumentError("PopulationModel: center weight must be > 0");
     }
     totalWeight_ += c.weightMillions;
+    draws_.push_back({c.location.latitudeRad, c.location.longitudeRad,
+                      c.weightMillions,
+                      kScatterRad / std::max(0.2, std::cos(c.location.latitudeRad)),
+                      1.0 + c.weightMillions / 5.0});
   }
 }
 
@@ -45,26 +57,21 @@ std::vector<SampledUser> PopulationModel::sampleUsers(int n, Rng& rng) const {
     } else {
       // Urban: pick a center weighted by population, scatter ~200 km.
       double pick = rng.uniform(0.0, totalWeight_);
-      const PopulationCenter* chosen = &centers_.back();
-      for (const auto& c : centers_) {
+      const CenterDraw* chosen = &draws_.back();
+      for (const CenterDraw& c : draws_) {
         pick -= c.weightMillions;
         if (pick <= 0.0) {
           chosen = &c;
           break;
         }
       }
-      const double scatterRad = 200e3 / wgs84::kMeanRadiusM;
       u.location.latitudeRad =
-          std::clamp(chosen->location.latitudeRad +
-                         rng.normal(0.0, scatterRad),
+          std::clamp(chosen->latitudeRad + rng.normal(0.0, kScatterRad),
                      -std::numbers::pi / 2, std::numbers::pi / 2);
       u.location.longitudeRad = std::remainder(
-          chosen->location.longitudeRad +
-              rng.normal(0.0, scatterRad /
-                                  std::max(0.2, std::cos(chosen->location
-                                                             .latitudeRad))),
+          chosen->longitudeRad + rng.normal(0.0, chosen->lonScatterRad),
           2.0 * std::numbers::pi);
-      u.weight = 1.0 + chosen->weightMillions / 5.0;  // urban demand density
+      u.weight = chosen->userWeight;  // urban demand density
     }
     users.push_back(u);
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <set>
 #include <utility>
@@ -289,6 +290,38 @@ TEST(AddressableHeap, ClearAfterAnEarlyExitLeavesNoStalePosition) {
   for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(heap.pop().index, i);
   heap.clear();  // clearing an empty heap is a no-op
   heap.audit();
+}
+
+// --- FnvFixedRun --------------------------------------------------------
+
+/// Checks `run` against the chained fnv1a fold of `words`: every low byte,
+/// under zero, all-ones and random high bits.
+void expectFoldsLikeTheChain(const FnvFixedRun& run,
+                             std::initializer_list<std::uint64_t> words, Rng& rng) {
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 4'096; ++i) {
+    const std::uint64_t high = i < 256 ? 0 : i < 512 ? ~0ull : rng.engine()();
+    const std::uint64_t h = (high & ~0xFFull) | static_cast<std::uint64_t>(i & 0xFF);
+    std::uint64_t chained = h;
+    for (const std::uint64_t w : words) chained = fnv1a(chained, w);
+    mismatches += run.fold(h) != chained;
+  }
+  EXPECT_EQ(mismatches, 0u) << words.size() << " words";
+}
+
+TEST(FnvFixedRun, EqualsTheChainedFoldForEveryLowByte) {
+  Rng rng(41);
+  expectFoldsLikeTheChain(FnvFixedRun{}, {}, rng);
+  expectFoldsLikeTheChain(FnvFixedRun{0}, {0}, rng);
+  expectFoldsLikeTheChain(FnvFixedRun{~0ull}, {~0ull}, rng);
+  // 12,000 bits, 0 s and 0.25 s: a city-flow spec's shared fields.
+  const std::uint64_t packet = bitsOf(12'000.0);
+  const std::uint64_t stop = bitsOf(0.25);
+  expectFoldsLikeTheChain(FnvFixedRun{packet, 0, stop}, {packet, 0, stop}, rng);
+  const std::uint64_t a = rng.engine()();
+  const std::uint64_t b = rng.engine()();
+  const std::uint64_t c = rng.engine()();
+  expectFoldsLikeTheChain(FnvFixedRun{a, b, c, a, b}, {a, b, c, a, b}, rng);
 }
 
 }  // namespace

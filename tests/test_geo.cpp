@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <openspace/geo/error.hpp>
@@ -16,6 +18,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/geo/vec3.hpp>
 #include <openspace/geo/wgs84.hpp>
+#include <openspace/spec/std_rng.hpp>
 
 namespace openspace {
 namespace {
@@ -395,18 +398,204 @@ TEST(Rng, UniformIntInclusive) {
 }
 
 TEST(Rng, InvalidArgsThrow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
   Rng rng(1);
   EXPECT_THROW(rng.uniform(3.0, 2.0), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(kNan, 1.0), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(0.0, kNan), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(-kInf, kInf), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(0.0, kInf), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(-kInf, 0.0), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(kInf, kInf), InvalidArgumentError);
+  EXPECT_THROW(rng.uniform(-kMax, kMax), InvalidArgumentError);  // span overflows
   EXPECT_THROW(rng.uniformInt(5, 4), InvalidArgumentError);
   EXPECT_THROW(rng.exponential(0.0), InvalidArgumentError);
+  EXPECT_THROW(rng.exponential(-1.0), InvalidArgumentError);
+  EXPECT_THROW(rng.exponential(kNan), InvalidArgumentError);
+  EXPECT_THROW(rng.exponential(kInf), InvalidArgumentError);
   EXPECT_THROW(rng.normal(0.0, -1.0), InvalidArgumentError);
+  EXPECT_THROW(rng.normal(kNan, 1.0), InvalidArgumentError);
+  EXPECT_THROW(rng.normal(kInf, 1.0), InvalidArgumentError);
+  EXPECT_THROW(rng.normal(0.0, kInf), InvalidArgumentError);
+  EXPECT_THROW(rng.normal(0.0, kNan), InvalidArgumentError);
+  EXPECT_THROW(rng.normal(kNan, 0.0), InvalidArgumentError);
   EXPECT_THROW(rng.chance(1.5), InvalidArgumentError);
+  EXPECT_THROW(rng.chance(-kInf), InvalidArgumentError);
+  // A rejected call draws nothing: the stream is where a fresh one starts.
+  Rng fresh(1);
+  EXPECT_EQ(rng.engine()(), fresh.engine()());
+  // Legal edges still work.
+  EXPECT_EQ(rng.uniform(2.5, 2.5), 2.5);
+  EXPECT_EQ(rng.normal(-4.0, 0.0), -4.0);
+  EXPECT_TRUE(std::isfinite(rng.uniform(-kMax / 2, kMax / 2)));
 }
 
 TEST(Rng, ChanceRejectsNan) {
   Rng rng(1);
   EXPECT_THROW(rng.chance(std::numeric_limits<double>::quiet_NaN()),
                InvalidArgumentError);
+}
+
+// --- Rng against its std spec -------------------------------------------
+
+/// A one-value bit generator: feeds a chosen 64-bit draw to
+/// std::generate_canonical.
+struct FixedBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type bits;
+  result_type operator()() const { return bits; }
+};
+
+double stdCanonicalOf(std::uint64_t bits) {
+  FixedBits g{bits};
+  return std::generate_canonical<double, 53>(g);
+}
+
+TEST(RngSpec, CanonicalConversionMatchesStdAtTheEdges) {
+  std::vector<std::uint64_t> edges = {0,
+                                      1,
+                                      2,
+                                      (1ull << 53) - 1,
+                                      1ull << 53,
+                                      (1ull << 53) + 1,
+                                      (1ull << 63) - 1,
+                                      1ull << 63,
+                                      (1ull << 63) + 1,
+                                      0xFFFFFFFFull,
+                                      0x100000000ull,
+                                      0xFFFFFFFF00000000ull,
+                                      ~0ull};
+  // Every value from 2^64 - 2049 to 2^64 - 1: the ones that round up to 1
+  // (and are clamped) and the last ones that stay below it.
+  for (std::uint64_t d = 1; d <= 2'049; ++d) edges.push_back(0ull - d);
+  // The round-half-to-even boundaries of every binade above 2^53: a half
+  // ulp up from a power of two and from its odd neighbour, and one off.
+  for (int e = 53; e < 64; ++e) {
+    const std::uint64_t p = 1ull << e;
+    const std::uint64_t halfUlp = 1ull << (e - 53);
+    for (const std::uint64_t base : {p, p + 2 * halfUlp}) {
+      for (const std::uint64_t v : {base + halfUlp - 1, base + halfUlp,
+                                    base + halfUlp + 1}) {
+        edges.push_back(v);
+      }
+    }
+    edges.push_back(p - 1);
+  }
+  for (const std::uint64_t v : edges) {
+    const double got = Rng::toCanonical(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(stdCanonicalOf(v)))
+        << std::hex << v;
+    EXPECT_LT(got, 1.0) << std::hex << v;
+  }
+  EXPECT_EQ(Rng::toCanonical(~0ull), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(Rng::toCanonical(1ull << 63), 0.5);
+  // And a stretch of the raw stream.
+  std::mt19937_64 g(77);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const std::uint64_t v = g();
+    mismatches += std::bit_cast<std::uint64_t>(Rng::toCanonical(v)) !=
+                  std::bit_cast<std::uint64_t>(stdCanonicalOf(v));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+std::vector<std::uint64_t> specSeeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 2, 31, 5489, ~0ull, 1ull << 63};
+  std::mt19937_64 g(2024);
+  while (seeds.size() < 1'000) seeds.push_back(g());
+  return seeds;
+}
+
+TEST(RngSpec, EngineMatchesStdStreamAndDiscard) {
+  std::size_t mismatches = 0;
+  for (const std::uint64_t seed : specSeeds()) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    // 700 draws cross two twists.
+    for (int i = 0; i < 700; ++i) mismatches += rng.engine()() != ref();
+    for (const std::uint64_t skip : {0ull, 1ull, 311ull, 312ull, 313ull,
+                                     1'000ull, 3'584ull}) {
+      rng.engine().discard(skip);
+      ref.discard(skip);
+      mismatches += rng.engine()() != ref();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Every Rng method against StdRng on the same seed, over a parameter grid
+/// that includes p in {0, 1}, lo == hi and stddev 0. Compared bit for bit
+/// (signed zeros apart), with the raw streams checked in step at the end.
+TEST(RngSpec, EveryMethodMatchesStdOverSeedsAndGrid) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {-1.0, 1.0}, {0.5, 1.5}, {2.5, 2.5}, {-0.0, 0.0},
+      {-1e300, 1e300}, {-kMax / 2, kMax / 2}, {1e-320, 2e-320}, {-7.0, -3.0}};
+  const std::pair<std::int64_t, std::int64_t> intRanges[] = {
+      {0, 3}, {-5, 5}, {7, 7}, {0, 1'000'000'007}, {kIntMin, kIntMax},
+      {kIntMin, 0}, {-(1ll << 40), 1ll << 40}};
+  const double rates[] = {1e-300, 1e-3, 1.0, 2.0, 1e6, kMax};
+  const std::pair<double, double> normals[] = {
+      {0.0, 1.0}, {0.0, 0.0}, {5.0, 0.0}, {-3.0, 2.5}, {0.0, 1e-300},
+      {1e300, 1e-3}, {0.0, 0.0314}};
+  const double probabilities[] = {0.0, 1.0, 0.3, 0.5, 1e-300,
+                                  std::nextafter(1.0, 0.0)};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  std::size_t compared = 0;
+  std::string firstMismatch;
+  const auto check = [&](bool same, const char* what, std::uint64_t seed) {
+    ++compared;
+    if (!same && firstMismatch.empty()) {
+      firstMismatch = std::string(what) + " seed " + std::to_string(seed);
+    }
+  };
+  for (const std::uint64_t seed : specSeeds()) {
+    Rng rng(seed);
+    StdRng ref(seed);
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& [lo, hi] : ranges) {
+        check(bits(rng.uniform(lo, hi)) == bits(ref.uniform(lo, hi)),
+              "uniform", seed);
+      }
+      for (const auto& [lo, hi] : intRanges) {
+        check(rng.uniformInt(lo, hi) == ref.uniformInt(lo, hi), "uniformInt",
+              seed);
+      }
+      for (const double rate : rates) {
+        check(bits(rng.exponential(rate)) == bits(ref.exponential(rate)),
+              "exponential", seed);
+      }
+      for (const auto& [mean, sd] : normals) {
+        check(bits(rng.normal(mean, sd)) == bits(ref.normal(mean, sd)),
+              "normal", seed);
+      }
+      for (const double p : probabilities) {
+        check(rng.chance(p) == ref.chance(p), "chance", seed);
+      }
+      const Vec3 a = rng.unitSphere();
+      const Vec3 b = ref.unitSphere();
+      check(bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y) &&
+                bits(a.z) == bits(b.z),
+            "unitSphere", seed);
+      const Geodetic ga = rng.surfacePoint();
+      const Geodetic gb = ref.surfacePoint();
+      check(bits(ga.latitudeRad) == bits(gb.latitudeRad) &&
+                bits(ga.longitudeRad) == bits(gb.longitudeRad),
+            "surfacePoint", seed);
+      check(rng.engine()() == ref.engine()(), "engine", seed);
+    }
+  }
+  EXPECT_TRUE(firstMismatch.empty()) << firstMismatch;
+  EXPECT_GT(compared, 100'000u);
 }
 
 TEST(Rng, ExponentialMeanApproximatelyCorrect) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -116,6 +117,77 @@ TEST(ParallelFor, ThreadCountOverrideClamps) {
   EXPECT_EQ(parallelThreadCount(), 1);
   setParallelThreadCount(5);
   EXPECT_EQ(parallelThreadCount(), 5);
+}
+
+// --- ChunkTurns -----------------------------------------------------------
+
+TEST(ChunkTurns, SectionsRunInChunkOrderBetweenFreeWork) {
+  ThreadCountGuard guard;
+  for (const int threads : {1, 2, 4}) {
+    setParallelThreadCount(threads);
+    // Two ordered stages around unordered work: the first hands out values
+    // from one running counter, the second appends them.
+    ChunkTurns draw;
+    ChunkTurns append;
+    std::uint64_t counter = 0;
+    std::vector<std::uint64_t> order;
+    std::vector<std::size_t> chunks;
+    parallelFor(1'000, 7, [&](std::size_t begin, std::size_t end) {
+      const std::size_t chunk = begin / 7;
+      std::vector<std::uint64_t> mine;
+      ASSERT_TRUE(draw.inOrder(chunk, [&] {
+        for (std::size_t i = begin; i < end; ++i) mine.push_back(counter++);
+      }));
+      for (std::uint64_t& v : mine) v = v * v;  // free work
+      ASSERT_TRUE(append.inOrder(chunk, [&] {
+        chunks.push_back(chunk);
+        order.insert(order.end(), mine.begin(), mine.end());
+      }));
+    });
+    ASSERT_EQ(order.size(), 1'000u) << threads;
+    for (std::uint64_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(order[i], i * i) << threads;
+    }
+    for (std::size_t c = 0; c < chunks.size(); ++c) ASSERT_EQ(chunks[c], c);
+  }
+}
+
+TEST(ChunkTurns, AThrowingChunkSkipsLaterSectionsAndRethrows) {
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4}) {
+    setParallelThreadCount(threads);
+    for (const bool throwInSection : {true, false}) {
+      ChunkTurns turns;
+      std::atomic<std::size_t> skipped{0};
+      std::vector<std::size_t> ran;
+      EXPECT_THROW(
+          parallelFor(64, 1,
+                      [&](std::size_t chunk, std::size_t) {
+                        try {
+                          if (!throwInSection && chunk == 5) {
+                            throw std::runtime_error("outside");
+                          }
+                          if (!turns.inOrder(chunk, [&] {
+                                if (chunk == 5) throw std::runtime_error("in");
+                                ran.push_back(chunk);
+                              })) {
+                            ++skipped;
+                          }
+                        } catch (...) {
+                          turns.fail();
+                          throw;
+                        }
+                      }),
+          std::runtime_error);
+      // Chunks 0-4 ran in order; nothing after 5 ran, and no wait hung.
+      for (std::size_t c = 0; c < ran.size(); ++c) EXPECT_EQ(ran[c], c);
+      EXPECT_LE(ran.size(), 5u);
+      if (threads == 1) {
+        EXPECT_EQ(ran.size(), 5u);  // the serial loop stops at the throw
+        EXPECT_EQ(skipped, 0u);
+      }
+    }
+  }
 }
 
 // --- ConstellationSnapshot ----------------------------------------------
