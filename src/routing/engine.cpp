@@ -218,6 +218,8 @@ Route PathTree::routeTo(NodeId dst) const {
     OPENSPACE_ASSERT(parentEdge_[cur] != kNoEdge,
                      "every reached node except the source has a parent");
     ++hops;
+    OPENSPACE_ASSERT(hops < csr_->nodeCount(),
+                     "the parent walk reaches the source within the node count");
   }
   r.nodes.resize(hops + 1);
   r.links.resize(hops);
@@ -458,6 +460,8 @@ Route RouteEngine::extractFromScratch(std::uint32_t srcIndex,
   for (std::uint32_t cur = dstIndex; cur != srcIndex;
        cur = g.edgeSource(scratch.parentEdge[cur])) {
     ++hops;
+    OPENSPACE_ASSERT(hops < g.nodeCount(),
+                     "the parent walk reaches the source within the node count");
   }
   r.nodes.resize(hops + 1);
   r.links.resize(hops);

@@ -52,7 +52,7 @@ struct RouteScratch {
   /// at (a lower label since then supersedes it) and the next entry of the
   /// same bucket, in queue order.
   struct BucketEntry {
-    double dist;
+    double dist;  // units: a route cost, in the cost model's unit
     std::uint32_t node;
     std::uint32_t next;
   };

@@ -240,10 +240,15 @@ struct CityFlows {
   std::uint64_t checksum = kFnvOffsetBasis;
 };
 
-/// Deterministic at any thread count: users are sampled on one serial RNG
-/// stream, association/jitter fan out in fixed 4096-user chunks with
-/// chunk-seeded RNGs, and results land in per-user slots. `satNodes[i]`
-/// must be the NodeId of snapshot satellite i.
+/// Deterministic at any thread count: users are sampled on one RNG stream
+/// and the specs folded into the checksum in user order, each one 512-user
+/// chunk at a time in chunk order, while association runs on any thread in
+/// between; the rate jitter draws from 4096-user blocks with block-seeded
+/// RNGs. `satNodes[i]` must be the NodeId of snapshot satellite i. Throws
+/// InvalidArgumentError on a null snapshot, a negative user count, a
+/// non-finite or non-positive rate, packet size or duration, a non-finite
+/// start, stop, time of day or elevation mask, or a rural fraction outside
+/// [0, 1].
 CityFlows buildCityFlows(const CityFlowConfig& cfg,
                          std::shared_ptr<const ConstellationSnapshot> snapshot,
                          const std::vector<NodeId>& satNodes,

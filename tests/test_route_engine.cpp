@@ -953,5 +953,37 @@ TEST(PathTreeAudit, LabelsAreUnreachedOrNonNegativeNumbers) {
   }
 }
 
+// A parent cycle that never reaches the source ends the route walk at the
+// node-count bound instead of looping. The bound is an OPENSPACE_ASSERT, so
+// only builds without NDEBUG check it.
+TEST(PathTreeAudit, ParentCycleAbortsTheRouteWalk) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "OPENSPACE_ASSERT is compiled out under NDEBUG";
+#else
+  NetworkGraph g;
+  for (std::uint32_t i = 1; i <= 3; ++i) g.addNode(plainSatellite(i));
+  g.addLink(plainLink(1, 2));  // link 1
+  g.addLink(plainLink(2, 3));  // link 2
+  const RouteEngine engine(g);
+  const CompactGraph& cg = engine.graph();
+  const std::uint32_t v2 = cg.indexOf(NodeId{2});
+  const std::uint32_t v3 = cg.indexOf(NodeId{3});
+  const auto edgeInto = [&](std::uint32_t to) {
+    for (const std::uint32_t e : cg.edgesOfLink(LinkId{2})) {
+      if (cg.edgeTarget(e) == to) return e;
+    }
+    return CompactGraph::kInvalidIndex;
+  };
+  const PathTree cyclic = editedTree(
+      engine, engine.shortestPathTree(NodeId{1}), [&](auto&, auto& parent) {
+        parent[v2] = edgeInto(v2);  // 2 hangs off 3, and 3 off 2
+        parent[v3] = edgeInto(v3);
+      });
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)cyclic.routeTo(NodeId{3}),
+               "reaches the source within the node count");
+#endif
+}
+
 }  // namespace
 }  // namespace openspace
