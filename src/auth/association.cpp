@@ -7,6 +7,7 @@
 #include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/orbit/elements.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/routing/engine.hpp>
@@ -43,34 +44,16 @@ std::optional<SatelliteId> AssociationAgent::selectSatellite(
   // in closest range": positions come from the orbital elements each beacon
   // advertises, not from a central service.
   const Vec3 userEcef = geodeticToEcef(location_);
-  if (beacons.size() >= kSelectIndexMinBeacons) {
-    // Mega-constellation path: at this size the brute scan pays one
-    // propagation per beacon anyway, so compiling the shared snapshot +
-    // footprint index (both O(N), both LRU-cached across the agents of a
-    // simulation step) wins, and the per-query cost drops from O(N) to
-    // O(candidates). closestVisible applies the identical elevation and
-    // range expressions with the identical first-wins ascending tie order
-    // (snapshot positions are bit-for-bit the scalar propagation), so the
-    // winner matches the brute scan below exactly.
-    std::vector<OrbitalElements> fleet;
-    fleet.reserve(beacons.size());
-    for (const BeaconMessage& b : beacons) fleet.push_back(b.elements);
-    const auto snap = SnapshotCache::global().at(fleet, tSeconds);
-    const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
-    const auto best = footprints->closestVisible(userEcef);
-    if (!best) return std::nullopt;
-    return beacons[*best].satellite;
-  }
-  // One-shot small-list selection keeps the O(N) brute scan: compiling a
-  // footprint index for a handful of beacons costs more than it saves.
-  // The batched associateUsers path amortizes the index across users and
-  // produces the identical winner (first-wins ascending tie order, same
-  // elevation and range expressions).
+  // One-shot selection is a scan: compiling a footprint index for one user
+  // costs more than it saves. The batched associateUsers path amortizes
+  // the index across users and produces the identical winner (first-wins
+  // ascending tie order, same elevation and range expressions).
   const GroundObserver observer(userEcef);
   const ElevationMask mask = ElevationMask::of(minElevationRad);
   double bestRange = std::numeric_limits<double>::infinity();
   std::optional<SatelliteId> best;
   for (const BeaconMessage& b : beacons) {
+    requireValidElements(b.elements);
     const Vec3 satEcef = eciToEcef(positionEci(b.elements, tSeconds), tSeconds);
     if (!observer.sees(satEcef, mask)) continue;
     const double range = userEcef.distanceTo(satEcef);

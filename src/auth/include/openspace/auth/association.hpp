@@ -65,14 +65,6 @@ std::vector<UserAssociation> associateUsers(
     const std::vector<BeaconMessage>& beacons, double tSeconds,
     const std::vector<Geodetic>& users, double minElevationRad);
 
-/// Beacon count at or above which AssociationAgent::selectSatellite
-/// evaluates beacons through the shared snapshot + footprint index instead
-/// of the per-beacon brute scan. A performance crossover only, never a
-/// semantic switch: both paths apply the same elevation and range
-/// expressions with the same first-wins ascending tie order, so the winner
-/// is identical on either side (pinned by tests at the boundary).
-inline constexpr std::size_t kSelectIndexMinBeacons = 512;
-
 /// Client-side association agent for one user terminal.
 class AssociationAgent {
  public:
@@ -82,10 +74,10 @@ class AssociationAgent {
 
   /// Evaluate beacons and pick the serving satellite: the in-range
   /// satellite whose advertised orbit puts it closest at time t. Returns
-  /// nullopt when none is visible above `minElevationRad`. Mega-
-  /// constellation beacon lists (>= kSelectIndexMinBeacons) go through
-  /// the cached snapshot + footprint index; the winner matches the brute
-  /// scan exactly.
+  /// nullopt when none is visible above `minElevationRad`. One scan over
+  /// the beacons; batches of users go through associateUsers, whose
+  /// winners are the same. Throws InvalidArgumentError, as associateUsers
+  /// does, for a beacon whose elements requireValidElements refuses.
   std::optional<SatelliteId> selectSatellite(
       const std::vector<BeaconMessage>& beacons, double tSeconds,
       double minElevationRad) const;

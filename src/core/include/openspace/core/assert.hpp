@@ -2,10 +2,13 @@
 //
 // Preconditions on hot paths (snapshot propagation, routing inner loops)
 // are too expensive to validate with exceptions in Release builds but too
-// valuable to drop entirely. OPENSPACE_ASSERT checks in Debug and
-// RelWithDebInfo (any build where NDEBUG is unset) and compiles to nothing
-// in Release, while keeping the condition expression syntactically alive
-// so it cannot rot.
+// valuable to drop entirely. OPENSPACE_ASSERT checks in every build where
+// NDEBUG is unset — Debug, and the default build (`cmake -B build -S .`
+// with no CMAKE_BUILD_TYPE: RelWithDebInfo with -DNDEBUG removed by the
+// top-level CMakeLists.txt) — and compiles to nothing where NDEBUG is set:
+// Release, and an explicit -DCMAKE_BUILD_TYPE=RelWithDebInfo, whose stock
+// CMake flags carry it. The condition expression stays syntactically
+// alive either way, so it cannot rot.
 //
 // Use OPENSPACE_ASSERT for internal invariants and programmer errors.
 // Keep throwing typed errors (InvalidArgumentError, NotFoundError) for

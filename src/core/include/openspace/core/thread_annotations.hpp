@@ -7,9 +7,8 @@
 // openspace::Mutex is a zero-overhead annotated shell around std::mutex;
 // every mutex-holding component (the ThreadPool, SnapshotCache, the
 // ConstellationSnapshot ISL cache, the FleetEphemeris and FootprintIndex2
-// compile LRUs, each FootprintIndex2's certificate table) declares its
-// guarded state with OPENSPACE_GUARDED_BY and takes the lock through
-// MutexLock, and the clang build (CI lint job and
+// compile LRUs) declares its guarded state with OPENSPACE_GUARDED_BY and
+// takes the lock through MutexLock, and the clang build (CI lint job and
 // the regular clang lane) compiles with -Wthread-safety as an error.
 // Under gcc — which implements none of these attributes — every macro
 // expands to nothing and Mutex/MutexLock behave exactly like

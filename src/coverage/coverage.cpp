@@ -89,10 +89,10 @@ CoverageEstimate monteCarloCoverage(const std::vector<OrbitalElements>& sats,
   const auto snap = SnapshotCache::global().at(sats, tSeconds);
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
   const std::uint64_t baseSeed = rng.engine()();
-  // One query here, on the calling thread, builds the cover certificates
-  // with the whole pool before the fan-out (inside a worker the build
-  // would run serially).
-  (void)footprints->anyCovers(Vec3{0.0, 0.0, 1.0});
+  // Built here, on the calling thread, so the table's own parallelFor gets
+  // the whole pool before the fan-out (inside a worker it would run
+  // serially).
+  const CoverCertificates certs(*footprints);
 
   // Sample in ECI directly: coverage of the sphere is rotation-invariant.
   // The stream derivation and the per-sample draw sequence are identical
@@ -103,7 +103,7 @@ CoverageEstimate monteCarloCoverage(const std::vector<OrbitalElements>& sats,
     Rng stream = chunkRng(baseSeed, begin / kSampleChunk);
     int covered = 0;
     for (std::size_t s = begin; s < end; ++s) {
-      if (footprints->anyCovers(stream.unitSphere())) ++covered;
+      if (certs.anyCovers(stream.unitSphere())) ++covered;
     }
     chunkCovered[begin / kSampleChunk] = covered;
   });
@@ -141,8 +141,8 @@ double kFoldCoverage(const std::vector<OrbitalElements>& sats, double tSeconds,
   const auto snap = SnapshotCache::global().at(sats, tSeconds);
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
   const std::uint64_t baseSeed = rng.engine()();
-  // Build the cover certificates before the fan-out, as above.
-  (void)footprints->anyCovers(Vec3{0.0, 0.0, 1.0});
+  // Built before the fan-out, as above.
+  const CoverCertificates certs(*footprints);
 
   const std::size_t n = static_cast<std::size_t>(samples);
   std::vector<int> chunkCovered((n + kSampleChunk - 1) / kSampleChunk, 0);
@@ -150,7 +150,7 @@ double kFoldCoverage(const std::vector<OrbitalElements>& sats, double tSeconds,
     Rng stream = chunkRng(baseSeed, begin / kSampleChunk);
     int covered = 0;
     for (std::size_t s = begin; s < end; ++s) {
-      if (footprints->countCovering(stream.unitSphere(), k) >= k) ++covered;
+      if (certs.countCovering(stream.unitSphere(), k) >= k) ++covered;
     }
     chunkCovered[begin / kSampleChunk] = covered;
   });

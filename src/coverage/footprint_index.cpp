@@ -150,68 +150,65 @@ FootprintIndex2::FootprintIndex2(
   capIndex_ = SphericalCapIndex(caps);
 }
 
-void FootprintIndex2::buildCoverCertificates() const {
-  CoverCertificates& certs = *certs_;
-  MutexLock lock(certs.mu);
-  if (certs.built.load(std::memory_order_relaxed)) return;
-  // Whole-cell cover certificates: cap i certifies cell c when all four
-  // (conservatively expanded) cell corners sit inside the *exact* footprint
-  // cap with a safety margin — then every query direction mapping to c is
-  // truly covered by i, and the corner test is sound because the farthest
-  // cell point from the cap center is attained at a corner for half-angles
-  // below kMaxCertHalfAngleRad (see the constant above). Certificates use
-  // halfAngle_, never the padded registration radius: a padded radius
-  // would certify points the exact predicate rejects.
+CoverCertificates::CoverCertificates(const FootprintIndex2& index)
+    : index_(&index) {
+  // Cap i certifies cell c when all four (conservatively expanded) cell
+  // corners sit inside the *exact* footprint cap with a safety margin —
+  // then every query direction mapping to c is truly covered by i, and the
+  // corner test is sound because the farthest cell point from the cap
+  // center is attained at a corner for half-angles below
+  // kMaxCertHalfAngleRad (see the constant above). Certificates use the
+  // exact half-angles, never the padded registration radius: a padded
+  // radius would certify points the exact predicate rejects.
   //
   // Cells without registrations keep a count of 0 and skip the corner
   // work; each fixed chunk of cells writes only its own slots.
-  const std::size_t cells = capIndex_.cellCount();
-  std::vector<std::uint16_t> minCoverCount(cells, 0);
+  const SphericalCapIndex& capIndex = index.capIndex_;
+  const std::size_t cells = capIndex.cellCount();
+  minCoverCount_.assign(cells, 0);
   parallelFor(cells, kCertCellChunk, [&](std::size_t begin, std::size_t end) {
-    const std::vector<std::uint32_t>& entries = capIndex_.entries();
+    const std::vector<std::uint32_t>& entries = capIndex.entries();
     for (std::size_t cell = begin; cell < end; ++cell) {
-      const auto [lo, hi] = capIndex_.cellEntryRange(cell);
+      const auto [lo, hi] = capIndex.cellEntryRange(cell);
       if (lo == hi) continue;
-      const auto corners = capIndex_.cellCornerDirs(cell);
+      const auto corners = capIndex.cellCornerDirs(cell);
       int count = 0;
       for (std::uint32_t e = lo; e < hi; ++e) {
         const std::uint32_t i = entries[e];
-        if (halfAngle_[i] > kMaxCertHalfAngleRad) continue;
-        const double threshold = cosHalfAngle_[i] + kCertCosPad;
+        if (index.halfAngle_[i] > kMaxCertHalfAngleRad) continue;
+        const double threshold = index.cosHalfAngle_[i] + kCertCosPad;
         bool all = true;
         for (const Vec3& corner : corners) {
-          all = all && corner.dot(direction_[i]) >= threshold;
+          all = all && corner.dot(index.direction_[i]) >= threshold;
         }
         count += all ? 1 : 0;
       }
-      minCoverCount[cell] =
+      minCoverCount_[cell] =
           static_cast<std::uint16_t>(std::min(count, 0xFFFF));
     }
   });
-  certs.minCoverCount = std::move(minCoverCount);
-  certs.built.store(true, std::memory_order_release);
 }
 
-bool FootprintIndex2::anyCovers(const Vec3& unitPoint) const {
+bool CoverCertificates::anyCovers(const Vec3& unitPoint) const {
   requireUnitDirection(unitPoint, "anyCovers: point is not a unit direction");
-  const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
-  if (minCoverCount.empty()) return false;
-  const std::size_t cell = capIndex_.cellIndexOf(unitPoint);
+  if (minCoverCount_.empty()) return false;
+  const SphericalCapIndex& capIndex = index_->capIndex();
+  const std::size_t cell = capIndex.cellIndexOf(unitPoint);
   // Certified cell: some cap provably contains every direction here, so
   // the brute scan would find a hit too — answer without any dot products.
-  if (minCoverCount[cell] > 0) return true;
-  const auto [lo, hi] = capIndex_.cellEntryRange(cell);
-  const auto& entries = capIndex_.entries();
+  if (minCoverCount_[cell] > 0) return true;
+  const auto [lo, hi] = capIndex.cellEntryRange(cell);
+  const auto& entries = capIndex.entries();
   for (std::uint32_t e = lo; e < hi; ++e) {
     // Coverage is order-independent, so the scan may stop at the first
     // hit — the exact early-exit the brute any-scan performs.
-    if (covers(unitPoint, entries[e])) return true;
+    if (index_->covers(unitPoint, entries[e])) return true;
   }
   return false;
 }
 
-int FootprintIndex2::countCovering(const Vec3& unitPoint,
-                                   int stopAfter) const {
+int CoverCertificates::countCovering(const Vec3& unitPoint,
+                                     int stopAfter) const {
   // Reproduce the brute scan's early-stop semantics exactly: it returns
   // min(total, stopAfter) for stopAfter >= 1 and, for stopAfter <= 0,
   // breaks on the first covering satellite (1 if any, else 0). Both are
@@ -219,18 +216,18 @@ int FootprintIndex2::countCovering(const Vec3& unitPoint,
   // already forced.
   requireUnitDirection(unitPoint,
                        "countCovering: point is not a unit direction");
-  const std::vector<std::uint16_t>& minCoverCount = coverCertificates();
-  if (minCoverCount.empty()) return 0;
-  const std::size_t cell = capIndex_.cellIndexOf(unitPoint);
+  if (minCoverCount_.empty()) return 0;
+  const SphericalCapIndex& capIndex = index_->capIndex();
+  const std::size_t cell = capIndex.cellIndexOf(unitPoint);
   const int limit = std::max(stopAfter, 1);
-  // At least minCoverCount[cell] satellites cover every direction here;
+  // At least minCoverCount_[cell] satellites cover every direction here;
   // when that alone reaches the stop limit the clamped count is forced.
-  if (static_cast<int>(minCoverCount[cell]) >= limit) return limit;
-  const auto [lo, hi] = capIndex_.cellEntryRange(cell);
-  const auto& entries = capIndex_.entries();
+  if (static_cast<int>(minCoverCount_[cell]) >= limit) return limit;
+  const auto [lo, hi] = capIndex.cellEntryRange(cell);
+  const auto& entries = capIndex.entries();
   int total = 0;
   for (std::uint32_t e = lo; e < hi; ++e) {
-    total += covers(unitPoint, entries[e]) ? 1 : 0;
+    total += index_->covers(unitPoint, entries[e]) ? 1 : 0;
     if (total >= limit) break;
   }
   return total;

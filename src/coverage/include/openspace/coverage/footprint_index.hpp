@@ -12,7 +12,8 @@
 //
 // Two query families share the one index:
 //  * surface-sample queries (Monte-Carlo coverage): unit ECI directions
-//    tested against the exact cap predicate `dot >= cos(halfAngle)`;
+//    tested against the exact cap predicate `dot >= cos(halfAngle)`,
+//    answered by a CoverCertificates table built over the index;
 //  * ground-site queries (association, handover, demand coverage): ECEF
 //    sites tested against the exact mask predicate GroundObserver::sees,
 //    which is `elevationAngleRad(site, satEcef) >= mask`. The registered
@@ -30,14 +31,12 @@
 // executable spec the indexed paths are property-tested against.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <type_traits>
 #include <vector>
 
-#include <openspace/core/thread_annotations.hpp>
 #include <openspace/geo/geodetic.hpp>
 #include <openspace/geo/spherical_index.hpp>
 #include <openspace/geo/vec3.hpp>
@@ -46,19 +45,13 @@ namespace openspace {
 
 class ConstellationSnapshot;
 
-/// Spatially indexed footprint tests over one snapshot. Logically
-/// immutable after construction; share freely across threads. Obtain via
+/// Spatially indexed footprint tests over one snapshot. Immutable after
+/// construction and copyable; share freely across threads. Obtain via
 /// compiled() on any hot path — construction costs one pass over the fleet
 /// plus the band index build (parallel over fixed chunks, bit-identical at
-/// any thread count), amortized by a process-wide LRU. The whole-cell cover
-/// certificates only the surface-sample queries read are built once, on the
-/// first anyCovers/countCovering call, under a lock that makes
-/// concurrent first calls wait for that one build. A fan-out whose chunks
-/// query a fresh index should make one query on its calling thread first
-/// (as monteCarloCoverage does): the build then fans out itself, and no
-/// chunk of one fan-out waits on a build queued behind it for the pool.
-/// Movable, not copyable; a moved-from index may only be destroyed or
-/// assigned to.
+/// any thread count), amortized by a process-wide LRU. The surface-sample
+/// queries live on CoverCertificates, which a caller builds over the index
+/// when it samples it, so ground-site compiles never pay for that table.
 class FootprintIndex2 {
  public:
   /// Lowest/highest observer radius (from Earth center) the ground-site
@@ -91,17 +84,13 @@ class FootprintIndex2 {
   double minElevationRad() const noexcept { return mask_.rad(); }
   double motionMarginRad() const noexcept { return motionMarginRad_; }
 
-  /// Approximate resident size in bytes: the per-satellite cap arrays, the
-  /// band index, and the certificate table (excludes the shared snapshot,
-  /// which SnapshotCache accounts separately) — what the compiled() cache
-  /// charges per entry. The table is charged at its full size whether or
-  /// not a query has built it yet, so the cache, which charges an entry
-  /// once at insert, never under-charges one.
+  /// Approximate resident size in bytes: the per-satellite cap arrays and
+  /// the band index (excludes the shared snapshot, which SnapshotCache
+  /// accounts separately) — what the compiled() cache charges per entry.
   std::size_t approxBytes() const noexcept {
-    return sizeof(*this) + sizeof(CoverCertificates) +
+    return sizeof(*this) +
            direction_.size() * (sizeof(Vec3) + 2 * sizeof(double)) +
-           capIndex_.approxBytes() +
-           capIndex_.cellCount() * sizeof(std::uint16_t);
+           capIndex_.approxBytes();
   }
   const ConstellationSnapshot& snapshot() const noexcept { return *snapshot_; }
 
@@ -115,22 +104,6 @@ class FootprintIndex2 {
   /// the test-only openspace_spec library — the executable-spec predicate.
   bool covers(const Vec3& unitPoint, std::size_t i) const noexcept {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
-  }
-  /// True if any satellite covers the unit direction: the brute scan's
-  /// boolean, found through the band index. Throws InvalidArgumentError
-  /// unless |p|^2 is within 2e-9 of 1 (zero, NaN and non-unit points). The
-  /// first call of this or countCovering builds the cover certificates.
-  bool anyCovers(const Vec3& unitPoint) const;
-  /// Number of satellites covering the unit direction, counting stops at
-  /// `stopAfter` — same result as the brute ascending scan for every
-  /// stopAfter, including the degenerate stopAfter <= 0 cases. Throws
-  /// InvalidArgumentError for the points anyCovers rejects.
-  int countCovering(const Vec3& unitPoint, int stopAfter) const;
-  /// True once a surface-sample query has built the cover certificates.
-  /// Ground-site queries (closestVisible, anyVisibleFrom,
-  /// forEachGroundCandidate, overlapCandidates) never build them.
-  bool coverCertificatesBuilt() const noexcept {
-    return certs_->built.load(std::memory_order_acquire);
   }
 
   /// True if at least one satellite is at or above the mask from the ECEF
@@ -215,35 +188,7 @@ class FootprintIndex2 {
   static std::size_t compiledCacheMisses();
 
  private:
-  /// Whole-cell cover certificates, one per grid cell: the number of
-  /// satellites (saturated at 2^16-1) whose *exact* footprint cap provably
-  /// contains every unit direction mapping to the cell. anyCovers and
-  /// countCovering answer most queries from this table alone — no dot
-  /// products — which is where the Monte-Carlo sweep speedup comes from.
-  /// Certificates shortcut only the unit-sphere cap predicate; ground-site
-  /// queries always run the exact elevation test over the candidate list
-  /// and never build the table.
-  struct CoverCertificates {
-    Mutex mu;
-    std::atomic<bool> built{false};
-    std::vector<std::uint16_t> minCoverCount OPENSPACE_GUARDED_BY(mu);
-  };
-
-  /// The certificate table, built on first use. Reads `minCoverCount`
-  /// without `mu`, which the analysis cannot express as safe: the table is
-  /// written once, under `mu`, before the release store of `built`, and is
-  /// read here only after an acquire load has seen `built`, so the read
-  /// happens after the write and nothing writes the table again.
-  const std::vector<std::uint16_t>& coverCertificates() const
-      OPENSPACE_NO_THREAD_SAFETY_ANALYSIS {
-    if (!certs_->built.load(std::memory_order_acquire)) {
-      buildCoverCertificates();
-    }
-    return certs_->minCoverCount;
-  }
-  /// Builds the table exactly once (later and concurrent callers find it
-  /// built under the lock).
-  void buildCoverCertificates() const;
+  friend class CoverCertificates;
 
   std::shared_ptr<const ConstellationSnapshot> snapshot_;
   ElevationMask mask_;
@@ -257,9 +202,40 @@ class FootprintIndex2 {
   std::vector<double> halfAngle_;
   double maxHalfAngleRad_ = 0.0;
   SphericalCapIndex capIndex_;
-  /// Behind a pointer so the index stays movable (the lock is not).
-  std::unique_ptr<CoverCertificates> certs_ =
-      std::make_unique<CoverCertificates>();
+};
+
+/// Whole-cell cover certificates over one FootprintIndex2, one per grid
+/// cell of its band index: the number of satellites (saturated at 2^16-1)
+/// whose *exact* footprint cap provably contains every unit direction
+/// mapping to the cell. anyCovers and countCovering answer most queries
+/// from this table alone — no dot products — which is where the
+/// Monte-Carlo coverage speedup comes from; the rest re-test the cell's
+/// candidates with FootprintIndex2::covers. Certificates shortcut only the
+/// unit-sphere cap predicate, so only the surface-sample estimators build
+/// one (monteCarloCoverage, kFoldCoverage), on their calling thread before
+/// they fan out.
+///
+/// The constructor builds the whole table (parallel over fixed chunks of
+/// cells, bit-identical at any thread count); the table is immutable
+/// afterwards, so one may be shared across threads. It reads the index it
+/// was built from on every query: `index` must outlive it.
+class CoverCertificates {
+ public:
+  explicit CoverCertificates(const FootprintIndex2& index);
+
+  /// True if any satellite covers the unit direction: the brute scan's
+  /// boolean, found through the band index. Throws InvalidArgumentError
+  /// unless |p|^2 is within 2e-9 of 1 (zero, NaN and non-unit points).
+  bool anyCovers(const Vec3& unitPoint) const;
+  /// Number of satellites covering the unit direction, counting stops at
+  /// `stopAfter` — same result as the brute ascending scan for every
+  /// stopAfter, including the degenerate stopAfter <= 0 cases. Throws
+  /// InvalidArgumentError for the points anyCovers rejects.
+  int countCovering(const Vec3& unitPoint, int stopAfter) const;
+
+ private:
+  const FootprintIndex2* index_;
+  std::vector<std::uint16_t> minCoverCount_;
 };
 
 }  // namespace openspace

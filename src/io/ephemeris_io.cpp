@@ -6,8 +6,10 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include <openspace/geo/error.hpp>
+#include <openspace/orbit/elements.hpp>
 
 namespace openspace {
 
@@ -60,17 +62,13 @@ EphemerisService loadEphemeris(std::istream& is) {
     const SatelliteId id{idValue};
     const ProviderId owner{ownerValue};
     if (!id.isValid()) malformed(lineNo, line, "uses reserved satellite id 0");
-    // Note the isfinite checks: "nan" and "inf" parse as valid doubles, and
-    // NaN compares false against every range bound below.
-    if (!std::isfinite(el.semiMajorAxisM) || !std::isfinite(el.eccentricity) ||
-        !std::isfinite(el.inclinationRad) || !std::isfinite(el.raanRad) ||
-        !std::isfinite(el.argPerigeeRad) ||
-        !std::isfinite(el.meanAnomalyAtEpochRad)) {
-      malformed(lineNo, line, "has non-finite elements");
-    }
-    if (el.semiMajorAxisM <= 0.0 || el.eccentricity < 0.0 ||
-        el.eccentricity >= 1.0) {
-      malformed(lineNo, line, "has non-physical elements");
+    // "nan" and "inf" parse as valid doubles; the shared check refuses
+    // them along with every other element set the propagators reject.
+    try {
+      requireValidElements(el);
+    } catch (const InvalidArgumentError& e) {
+      malformed(lineNo, line, std::string("has invalid elements (") +
+                                  e.what() + ")");
     }
     try {
       eph.publishWithId(id, owner, el);

@@ -48,6 +48,27 @@ double OrbitalElements::maxAngularRateRadPerS() const {
          std::pow(1.0 - eccentricity, 1.5);
 }
 
+void requireValidElements(const OrbitalElements& el) {
+  if (!(std::isfinite(el.semiMajorAxisM) && std::isfinite(el.eccentricity) &&
+        std::isfinite(el.inclinationRad) && std::isfinite(el.raanRad) &&
+        std::isfinite(el.argPerigeeRad) &&
+        std::isfinite(el.meanAnomalyAtEpochRad))) {
+    throw InvalidArgumentError(
+        "orbital elements: every element must be finite");
+  }
+  if (!(el.semiMajorAxisM > 0.0)) {
+    throw InvalidArgumentError("orbital elements: semi-major axis must be > 0");
+  }
+  if (!(el.eccentricity >= 0.0 && el.eccentricity < 1.0)) {
+    throw InvalidArgumentError(
+        "orbital elements: eccentricity must be in [0, 1)");
+  }
+  if (!std::isfinite(el.meanMotionRadPerS())) {
+    throw InvalidArgumentError(
+        "orbital elements: semi-major axis too small for a finite mean motion");
+  }
+}
+
 double solveKeplerReduced(double reducedMeanAnomalyRad, double eccentricity) {
   // Newton's method on f(E) = E - e sin E - M. Starting from E = M (or pi
   // for high e) converges quadratically for most of the (e, M) plane; 20

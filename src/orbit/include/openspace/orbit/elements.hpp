@@ -42,6 +42,15 @@ struct OrbitalElements {
   double maxAngularRateRadPerS() const;
 };
 
+/// Throws InvalidArgumentError unless `el` can be propagated: every element
+/// finite, semi-major axis > 0, eccentricity in [0, 1) and a finite mean
+/// motion (a semi-major axis so small that its cube underflows has none).
+/// The ephemeris parser, FleetEphemeris, SatelliteSweep and
+/// AssociationAgent::selectSatellite all apply it, so a hostile element
+/// set is refused where it enters instead of turning into NaN positions
+/// that coverage would read as "not covered".
+void requireValidElements(const OrbitalElements& el);
+
 /// Position and velocity in the ECI frame.
 struct StateVector {
   Vec3 positionM;

@@ -37,8 +37,8 @@ namespace openspace {
 class FleetEphemeris {
  public:
   /// Compile `elements` (index i keeps its position). Throws
-  /// InvalidArgumentError if any eccentricity is outside [0, 1) — the same
-  /// domain the scalar solveKepler enforces per call.
+  /// InvalidArgumentError for any element set requireValidElements
+  /// refuses (orbit/elements.hpp).
   explicit FleetEphemeris(const std::vector<OrbitalElements>& elements);
 
   std::size_t size() const noexcept { return count_; }
@@ -103,7 +103,8 @@ class SatelliteSweep {
   /// An empty sweep; reset() must run before positionEciAt.
   SatelliteSweep() = default;
 
-  /// Throws InvalidArgumentError if eccentricity is outside [0, 1).
+  /// Throws InvalidArgumentError for element sets requireValidElements
+  /// refuses.
   explicit SatelliteSweep(const OrbitalElements& elements);
 
   /// Re-seed the sweep with a new orbit, dropping the warm-start state —
@@ -112,8 +113,8 @@ class SatelliteSweep {
   /// is bit-for-bit the fresh object's (pinned in
   /// tests/test_propagation_batch.cpp). Lets candidate loops (the handover
   /// planner, the session sweep) reuse one sweep object across satellites
-  /// instead of constructing per candidate. Throws InvalidArgumentError if
-  /// eccentricity is outside [0, 1).
+  /// instead of constructing per candidate. Throws InvalidArgumentError for
+  /// element sets requireValidElements refuses.
   void reset(const OrbitalElements& elements);
 
   /// ECI position at t; successive calls warm-start from each other.

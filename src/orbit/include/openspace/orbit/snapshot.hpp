@@ -35,15 +35,6 @@ namespace openspace {
 
 class EphemerisService;
 
-/// Fleet size at or below which islTopology() uses the all-pairs O(N^2)
-/// scan instead of sorted-bucket spatial pruning. Below a few hundred
-/// satellites the scan beats the grid's bucket-allocation and hash-probe
-/// overhead. This is a performance crossover only, never a semantic switch:
-/// both paths evaluate the same edge predicate and emit neighbors in the
-/// same (index-ascending) order, so the adjacency is identical on either
-/// side of the threshold (pinned by tests at 255/256/257 satellites).
-inline constexpr std::size_t kIslAllPairsMaxSats = 256;
-
 /// ISL adjacency of a snapshot: for each satellite, its (neighbor index,
 /// distance) pairs sorted by neighbor index. An edge exists when the pair
 /// is within `maxRangeM` and the sightline clears the Earth by
@@ -109,11 +100,12 @@ class ConstellationSnapshot {
   /// ISL adjacency under (maxRangeM, losClearanceM). Built lazily on first
   /// use with sorted-bucket spatial pruning (flat CSR buckets over grid
   /// cells of side >= maxRangeM — the side is clamped up when the packed
-  /// cell keys would otherwise overflow, so the pruning path covers every
+  /// cell keys would otherwise overflow, so the pruning covers every
   /// finite geometry at every fleet size: only the 27 neighboring cells
   /// are scanned per satellite, never all pairs), then cached on the
   /// snapshot; subsequent calls with the same parameters are free.
-  /// Thread-safe.
+  /// Throws InvalidArgumentError unless maxRangeM > 0, losClearanceM is
+  /// finite and every position is finite. Thread-safe.
   std::shared_ptr<const IslTopology> islTopology(
       double maxRangeM, double losClearanceM = km(80.0)) const;
 

@@ -121,13 +121,9 @@ FleetEphemeris::FleetEphemeris(const std::vector<OrbitalElements>& elements)
   q2_.reserve(count_);
   q3_.reserve(count_);
   for (const OrbitalElements& el : elements) {
-    const double ecc = el.eccentricity;
-    if (!(ecc >= 0.0 && ecc < 1.0)) {
-      throw InvalidArgumentError(
-          "FleetEphemeris: eccentricity must be in [0, 1)");
-    }
+    requireValidElements(el);
     semiMajorAxisM_.push_back(el.semiMajorAxisM);
-    eccentricity_.push_back(ecc);
+    eccentricity_.push_back(el.eccentricity);
     meanMotionRadPerS_.push_back(el.meanMotionRadPerS());
     meanAnomalyAtEpochRad_.push_back(el.meanAnomalyAtEpochRad);
     const PerifocalTerms t = perifocalTerms(el);
@@ -221,10 +217,8 @@ SatelliteSweep::SatelliteSweep(const OrbitalElements& elements) {
 }
 
 void SatelliteSweep::reset(const OrbitalElements& elements) {
+  requireValidElements(elements);
   const double ecc = elements.eccentricity;
-  if (!(ecc >= 0.0 && ecc < 1.0)) {
-    throw InvalidArgumentError("SatelliteSweep: eccentricity must be in [0, 1)");
-  }
   const double a = elements.semiMajorAxisM;
   semiMajorAxisM_ = a;
   eccentricity_ = ecc;

@@ -44,19 +44,11 @@ std::vector<OrbitalElements> elementsOf(const EphemerisService& ephemeris) {
 }
 
 /// Pack integer grid-cell coordinates into one map key (cells are offset
-/// into the non-negative range; 21 bits per axis is ample for LEO shells
-/// divided by any usable ISL range).
+/// into the non-negative range; islTopology sizes its cells so that every
+/// coordinate and its +-1 neighbours fit the 21 bits per axis).
 std::int64_t cellKey(std::int64_t cx, std::int64_t cy, std::int64_t cz) noexcept {
   constexpr std::int64_t kOffset = 1 << 20;
   return ((cx + kOffset) << 42) | ((cy + kOffset) << 21) | (cz + kOffset);
-}
-
-/// True iff a grid coordinate fits the 21-bit per-axis budget of cellKey,
-/// with one cell of headroom on each side for the ±1 neighbor lookups.
-/// Coordinates outside this range would silently alias across axes.
-bool cellCoordFits(std::int64_t c) noexcept {
-  constexpr std::int64_t kMax = (1 << 20) - 2;
-  return c >= -kMax && c <= kMax;
 }
 
 /// `tSeconds` quantized to whole microseconds — the snapshot and index
@@ -144,8 +136,11 @@ std::optional<std::size_t> ConstellationSnapshot::closestVisible(
 
 std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
     double maxRangeM, double losClearanceM) const {
-  if (maxRangeM <= 0.0) {
+  if (!(maxRangeM > 0.0)) {
     throw InvalidArgumentError("islTopology: maxRangeM must be > 0");
+  }
+  if (!std::isfinite(losClearanceM)) {
+    throw InvalidArgumentError("islTopology: losClearanceM must be finite");
   }
   {
     MutexLock lock(islMutex_);
@@ -160,112 +155,84 @@ std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
   topo->losClearanceM = losClearanceM;
   const std::size_t n = eci_.size();
   topo->adjacency.resize(n);
-  // Fleets of <= kIslAllPairsMaxSats (snapshot.hpp) take the all-pairs
-  // scan; the output is identical to the grid's (same edge predicate,
-  // neighbors in index order either way — pinned by the boundary tests).
-  const auto bruteForce = [&] {
-    parallelFor(n, kAdjacencyChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        auto& adj = topo->adjacency[i];
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j == i) continue;
-          const double d = eci_[i].distanceTo(eci_[j]);
-          if (d <= maxRangeM && lineOfSightClear(eci_[i], eci_[j], losClearanceM)) {
-            adj.emplace_back(j, d);
-          }
-        }
-      }
-    });
-  };
-  // Sorted-bucket spatial pruning for larger fleets: bin satellites into
-  // grid cells of side >= maxRangeM; any in-range pair lies in the same
-  // or an adjacent cell, so each satellite scans at most 27 buckets
-  // instead of all n. The cell side starts at maxRangeM and is clamped
-  // *up* until every coordinate fits cellKey's 21-bit per-axis budget —
-  // a larger cell only widens the candidate sets (correctness needs just
-  // side >= maxRangeM), so the all-pairs fallback below is unreachable
-  // for any finite position set; it survives only as a defensive guard
-  // against non-finite positions (pinned at scale by tests/test_snapshot
-  // .cpp's tiny-range grid test).
-  bool gridFits = n > kIslAllPairsMaxSats;
-  std::vector<std::array<std::int64_t, 3>> coords;
-  if (gridFits) {
-    double maxAbsM = 0.0;
-    for (const Vec3& p : eci_) {
-      maxAbsM = std::max({maxAbsM, std::abs(p.x), std::abs(p.y),
-                          std::abs(p.z)});
+  // Sorted-bucket spatial pruning at every fleet size: bin satellites into
+  // grid cells of side >= maxRangeM; any in-range pair lies in the same or
+  // an adjacent cell, so each satellite scans at most 27 buckets instead
+  // of all n. The cell side starts at maxRangeM and is clamped *up* until
+  // every coordinate fits cellKey's 21-bit per-axis budget with one cell
+  // of headroom for the +-1 neighbours — a larger cell only widens the
+  // candidate sets (correctness needs just side >= maxRangeM), so every
+  // finite position set fits.
+  double maxAbsM = 0.0;
+  for (const Vec3& p : eci_) {
+    if (!(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))) {
+      throw InvalidArgumentError(
+          "islTopology: satellite positions must be finite");
     }
-    constexpr double kMaxCoord = static_cast<double>((1 << 20) - 3);
-    double cell = maxRangeM;
-    if (std::isfinite(maxAbsM) && maxAbsM / cell > kMaxCoord) {
-      cell = maxAbsM / kMaxCoord;
-    }
-    coords.resize(n);
-    for (std::size_t i = 0; i < n && gridFits; ++i) {
-      coords[i] = {static_cast<std::int64_t>(std::floor(eci_[i].x / cell)),
-                   static_cast<std::int64_t>(std::floor(eci_[i].y / cell)),
-                   static_cast<std::int64_t>(std::floor(eci_[i].z / cell))};
-      gridFits = cellCoordFits(coords[i][0]) && cellCoordFits(coords[i][1]) &&
-                 cellCoordFits(coords[i][2]);
+    maxAbsM = std::max({maxAbsM, std::abs(p.x), std::abs(p.y), std::abs(p.z)});
+  }
+  constexpr double kMaxCoord = static_cast<double>((1 << 20) - 3);
+  double cell = maxRangeM;
+  if (maxAbsM / cell > kMaxCoord) cell = maxAbsM / kMaxCoord;
+  std::vector<std::array<std::int64_t, 3>> coords(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    coords[i] = {static_cast<std::int64_t>(std::floor(eci_[i].x / cell)),
+                 static_cast<std::int64_t>(std::floor(eci_[i].y / cell)),
+                 static_cast<std::int64_t>(std::floor(eci_[i].z / cell))};
+  }
+  // Flat CSR buckets instead of a node-based hash map: one (key, index)
+  // sort builds the whole structure with zero per-bucket allocations,
+  // and neighbor lookups are binary searches over a contiguous sorted
+  // key array — at 66k satellites this is the difference between the
+  // topology stage scaling and the map's allocator dominating it.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[i] = {cellKey(coords[i][0], coords[i][1], coords[i][2]),
+                static_cast<std::uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::int64_t> bucketKeys;
+  std::vector<std::uint32_t> bucketStart;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (e == 0 || order[e].first != order[e - 1].first) {
+      bucketKeys.push_back(order[e].first);
+      bucketStart.push_back(static_cast<std::uint32_t>(e));
     }
   }
-  if (n > 1 && !gridFits) {
-    bruteForce();
-  } else if (n > 1) {
-    // Flat CSR buckets instead of a node-based hash map: one (key, index)
-    // sort builds the whole structure with zero per-bucket allocations,
-    // and neighbor lookups are binary searches over a contiguous sorted
-    // key array — at 66k satellites this is the difference between the
-    // topology stage scaling and the map's allocator dominating it.
-    std::vector<std::pair<std::int64_t, std::uint32_t>> order(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      order[i] = {cellKey(coords[i][0], coords[i][1], coords[i][2]),
-                  static_cast<std::uint32_t>(i)};
-    }
-    std::sort(order.begin(), order.end());
-    std::vector<std::int64_t> bucketKeys;
-    std::vector<std::uint32_t> bucketStart;
-    for (std::size_t e = 0; e < n; ++e) {
-      if (e == 0 || order[e].first != order[e - 1].first) {
-        bucketKeys.push_back(order[e].first);
-        bucketStart.push_back(static_cast<std::uint32_t>(e));
-      }
-    }
-    bucketStart.push_back(static_cast<std::uint32_t>(n));
-    const auto bucketOf = [&](std::int64_t key)
-        -> std::pair<std::uint32_t, std::uint32_t> {
-      const auto it =
-          std::lower_bound(bucketKeys.begin(), bucketKeys.end(), key);
-      if (it == bucketKeys.end() || *it != key) return {0, 0};
-      const std::size_t b =
-          static_cast<std::size_t>(it - bucketKeys.begin());
-      return {bucketStart[b], bucketStart[b + 1]};
-    };
-    parallelFor(n, kAdjacencyChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        auto& adj = topo->adjacency[i];
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-          for (std::int64_t dy = -1; dy <= 1; ++dy) {
-            for (std::int64_t dz = -1; dz <= 1; ++dz) {
-              const auto [lo, hi] = bucketOf(cellKey(
-                  coords[i][0] + dx, coords[i][1] + dy, coords[i][2] + dz));
-              for (std::uint32_t e = lo; e < hi; ++e) {
-                const std::size_t j = order[e].second;
-                OPENSPACE_ASSERT(j < n, "bucket entries index the fleet");
-                if (j == i) continue;
-                const double d = eci_[i].distanceTo(eci_[j]);
-                if (d <= maxRangeM &&
-                    lineOfSightClear(eci_[i], eci_[j], losClearanceM)) {
-                  adj.emplace_back(j, d);
-                }
+  bucketStart.push_back(static_cast<std::uint32_t>(n));
+  const auto bucketOf = [&](std::int64_t key)
+      -> std::pair<std::uint32_t, std::uint32_t> {
+    const auto it =
+        std::lower_bound(bucketKeys.begin(), bucketKeys.end(), key);
+    if (it == bucketKeys.end() || *it != key) return {0, 0};
+    const std::size_t b =
+        static_cast<std::size_t>(it - bucketKeys.begin());
+    return {bucketStart[b], bucketStart[b + 1]};
+  };
+  parallelFor(n, kAdjacencyChunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      auto& adj = topo->adjacency[i];
+      for (std::int64_t dx = -1; dx <= 1; ++dx) {
+        for (std::int64_t dy = -1; dy <= 1; ++dy) {
+          for (std::int64_t dz = -1; dz <= 1; ++dz) {
+            const auto [lo, hi] = bucketOf(cellKey(
+                coords[i][0] + dx, coords[i][1] + dy, coords[i][2] + dz));
+            for (std::uint32_t e = lo; e < hi; ++e) {
+              const std::size_t j = order[e].second;
+              OPENSPACE_ASSERT(j < n, "bucket entries index the fleet");
+              if (j == i) continue;
+              const double d = eci_[i].distanceTo(eci_[j]);
+              if (d <= maxRangeM &&
+                  lineOfSightClear(eci_[i], eci_[j], losClearanceM)) {
+                adj.emplace_back(j, d);
               }
             }
           }
         }
-        std::sort(adj.begin(), adj.end());
       }
-    });
-  }
+      std::sort(adj.begin(), adj.end());
+    }
+  });
   std::size_t degreeSum = 0;
   for (const auto& adj : topo->adjacency) degreeSum += adj.size();
   topo->linkCount = degreeSum / 2;

@@ -14,6 +14,14 @@
 
 namespace openspace {
 
+namespace {
+
+/// Timer-wheel bucketing granularity. It only buckets events: firing times
+/// stay exact doubles (net/scheduler.hpp), so no result depends on it.
+constexpr double kWheelTickS = 1e-6;
+
+}  // namespace
+
 std::uint64_t mixDeliveryRecord(std::uint64_t h, const DeliveryRecord& rec) noexcept {
   h = fnv1a(h, rec.packet.id);
   h = fnv1a(h, rec.packet.src.value());
@@ -32,7 +40,7 @@ FlowSimulator::FlowSimulator(std::shared_ptr<const CompactGraph> graph,
                              FlowSimConfig cfg)
     : graph_(std::move(graph)),
       cfg_(cfg),
-      wheel_(cfg.tickS, cfg.startS),  // validates tickS > 0
+      wheel_(kWheelTickS, cfg.startS),
       rng_(cfg.seed) {
   if (!graph_) {
     throw InvalidArgumentError("FlowSimulator: null graph");

@@ -57,13 +57,11 @@ struct FlowSimConfig {
   double startS = 0.0;        ///< Simulation clock origin.
   double durationS = 1.0;     ///< Utilization denominator (reporting only).
   double maxQueueBits = 8e6;  ///< Per link-direction drop-tail buffer.
-  double tickS = 1e-6;        ///< Timer-wheel bucketing granularity.
   std::uint64_t seed = 1;     ///< Poisson arrival RNG seed.
 
   FlowSimConfig& withStart(double s) { startS = s; return *this; }
   FlowSimConfig& withDuration(double s) { durationS = s; return *this; }
   FlowSimConfig& withQueueBits(double bits) { maxQueueBits = bits; return *this; }
-  FlowSimConfig& withTick(double s) { tickS = s; return *this; }
   FlowSimConfig& withSeed(std::uint64_t s) { seed = s; return *this; }
 };
 
@@ -107,7 +105,7 @@ class FlowSimulator {
   static constexpr std::uint32_t kNoPath = 0xFFFFFFFFu;
 
   /// Throws InvalidArgumentError for a null graph or non-positive queue
-  /// limit / tick.
+  /// limit.
   explicit FlowSimulator(std::shared_ptr<const CompactGraph> graph,
                          FlowSimConfig cfg = {});
 

@@ -173,13 +173,12 @@ TEST_F(AssociationTest, SelectsClosestVisibleSatellite) {
 }
 
 TEST_F(AssociationTest, SelectIndexBoundaryIsInvisible) {
-  // The indexed mega-constellation path of selectSatellite engages at
-  // kSelectIndexMinBeacons. The crossover must be pure performance: on
-  // either side of the boundary the winner equals the brute first-wins
-  // ascending scan, for users that see many satellites and users that see
-  // none.
+  // selectSatellite once switched to a footprint-index path at 512
+  // beacons; it is one scan at every size now. Around that old boundary
+  // the winner must still equal the brute first-wins ascending scan, for
+  // users that see many satellites and users that see none.
   WalkerConfig cfg;
-  cfg.totalSatellites = static_cast<int>(kSelectIndexMinBeacons) + 1;
+  cfg.totalSatellites = 513;
   cfg.planes = 27;  // 513 = 27 * 19
   cfg.phasing = 5;
   cfg.altitudeM = km(550.0);
@@ -205,8 +204,7 @@ TEST_F(AssociationTest, SelectIndexBoundaryIsInvisible) {
     AssociationAgent agent(1, ProviderId{1}, 0xABC, site);
     const Vec3 userEcef = geodeticToEcef(site);
     for (const std::size_t n :
-         {kSelectIndexMinBeacons - 1, kSelectIndexMinBeacons,
-          kSelectIndexMinBeacons + 1}) {
+         {std::size_t{511}, std::size_t{512}, std::size_t{513}}) {
       const std::vector<BeaconMessage> beacons(all.begin(),
                                                all.begin() + static_cast<std::ptrdiff_t>(n));
       // Brute replica of the small-list scan.

@@ -633,18 +633,14 @@ TEST_F(FlowSimLine, ConfigBuilderAndValidation) {
                                 .withStart(5.0)
                                 .withDuration(30.0)
                                 .withQueueBits(1e6)
-                                .withTick(1e-5)
                                 .withSeed(99);
   EXPECT_DOUBLE_EQ(cfg.startS, 5.0);
   EXPECT_DOUBLE_EQ(cfg.durationS, 30.0);
   EXPECT_DOUBLE_EQ(cfg.maxQueueBits, 1e6);
-  EXPECT_DOUBLE_EQ(cfg.tickS, 1e-5);
   EXPECT_EQ(cfg.seed, 99u);
 
   EXPECT_THROW(FlowSimulator(nullptr), InvalidArgumentError);
   EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withQueueBits(0.0)),
-               InvalidArgumentError);
-  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withTick(0.0)),
                InvalidArgumentError);
 
   FlowSimulator sim(graph_);

@@ -11,16 +11,18 @@
 //    timeAveragedCoverage / worstCaseOverlapCoverage must reproduce the
 //    openspace::legacy executable specs bit for bit, and associateUsers
 //    must match the per-user brute association exactly.
+// A last section runs the spatial queries — CoverCertificates,
+// ConstellationSnapshot::islTopology and AssociationAgent::selectSatellite
+// — on degenerate fleets against their brute references.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -367,6 +369,7 @@ TEST(FootprintIndex2, CoversBitIdenticalToOrbitIndex) {
     const auto snap = SnapshotCache::global().at(sats, 300.0);
     const FootprintIndex brute(*snap, deg2rad(10.0));
     const auto indexed = FootprintIndex2::compiled(snap, deg2rad(10.0));
+    const CoverCertificates certs(*indexed);
     ASSERT_EQ(indexed->size(), brute.size());
     std::vector<Vec3> points;
     for (int q = 0; q < 500; ++q) {
@@ -390,14 +393,14 @@ TEST(FootprintIndex2, CoversBitIdenticalToOrbitIndex) {
       // anyCovers and countCovering take unit directions only (|p|^2
       // within 2e-9 of 1): zero, NaN and non-unit points are rejected.
       if (!(std::abs(p.dot(p) - 1.0) <= 2e-9)) {
-        EXPECT_THROW((void)indexed->anyCovers(p), InvalidArgumentError);
-        EXPECT_THROW((void)indexed->countCovering(p, 1), InvalidArgumentError);
+        EXPECT_THROW((void)certs.anyCovers(p), InvalidArgumentError);
+        EXPECT_THROW((void)certs.countCovering(p, 1), InvalidArgumentError);
         continue;
       }
-      ASSERT_EQ(indexed->anyCovers(p), brute.anyCovers(p));
+      ASSERT_EQ(certs.anyCovers(p), brute.anyCovers(p));
       for (const int stopAfter :
            {-1, 0, 1, 2, n, n + 3, static_cast<int>(brute.size())}) {
-        ASSERT_EQ(indexed->countCovering(p, stopAfter),
+        ASSERT_EQ(certs.countCovering(p, stopAfter),
                   brute.countCovering(p, stopAfter))
             << "stopAfter=" << stopAfter;
       }
@@ -459,8 +462,9 @@ TEST(FootprintIndex2, EmptyConstellation) {
       SnapshotCache::global().at(std::vector<OrbitalElements>{}, 0.0);
   const auto indexed = FootprintIndex2::compiled(snap, deg2rad(10.0));
   EXPECT_EQ(indexed->size(), 0u);
-  EXPECT_FALSE(indexed->anyCovers(Vec3{0.0, 0.0, 1.0}));
-  EXPECT_EQ(indexed->countCovering(Vec3{0.0, 0.0, 1.0}, 5), 0);
+  const CoverCertificates certs(*indexed);
+  EXPECT_FALSE(certs.anyCovers(Vec3{0.0, 0.0, 1.0}));
+  EXPECT_EQ(certs.countCovering(Vec3{0.0, 0.0, 1.0}, 5), 0);
   EXPECT_FALSE(indexed->closestVisible(Geodetic{0.0, 0.0, 0.0}).has_value());
 }
 
@@ -894,14 +898,15 @@ double sweepMarginRad(const std::vector<OrbitalElements>& fleet,
 }
 
 /// FNV fold of capped and full countCovering over a fixed lat/lon grid of
-/// unit directions.
+/// unit directions, through a certificate table built here.
 std::uint64_t coverChecksum(const FootprintIndex2& index) {
+  const CoverCertificates certs(index);
   std::uint64_t h = kFnvOffsetBasis;
   for (int la = -90; la <= 90; la += 3) {
     for (int lo = -180; lo < 180; lo += 3) {
       const Vec3 p = dirAt(deg2rad(la + 0.37), deg2rad(lo + 0.61));
-      h = fnv1a(h, static_cast<std::uint64_t>(index.countCovering(p, 1)));
-      h = fnv1a(h, static_cast<std::uint64_t>(index.countCovering(p, 1 << 20)));
+      h = fnv1a(h, static_cast<std::uint64_t>(certs.countCovering(p, 1)));
+      h = fnv1a(h, static_cast<std::uint64_t>(certs.countCovering(p, 1 << 20)));
     }
   }
   return h;
@@ -1017,7 +1022,7 @@ TEST(FootprintIndex2, WorldbenchFleetLayoutsPinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Cover certificates: built on the first surface-sample query only
+// Ground-site queries share the compiled indexes
 // ---------------------------------------------------------------------------
 
 TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
@@ -1032,10 +1037,11 @@ TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
   const HandoverSweep sweep(eph, cfg);
   const std::vector<OrbitalElements>& fleet = sweep.fleet();
 
-  // The direct ground-site queries.
+  // The direct ground-site queries. No index holds a certificate table:
+  // only monteCarloCoverage and kFoldCoverage build one, as a
+  // CoverCertificates of their own, so these compiles never pay for it.
   const auto index =
       FootprintIndex2::compiled(SnapshotCache::global().at(fleet, 0.0), mask);
-  EXPECT_FALSE(index->coverCertificatesBuilt());
   std::vector<Geodetic> sites;
   for (int la = -75; la <= 75; la += 15) {
     for (int lo = -180; lo < 180; lo += 30) {
@@ -1052,7 +1058,6 @@ TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
   }
   index->overlapCandidates(0, overlaps);
   EXPECT_GT(candidates, 0u);
-  EXPECT_FALSE(index->coverCertificatesBuilt());
 
   // A seed, then 15 s handover epochs over five 60 s windows: the seed's
   // exact index at t0 and each window's margined index.
@@ -1068,16 +1073,14 @@ TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
     touched += sweep.runEpoch(table, t1).sessionsTouched;
   }
   EXPECT_GT(touched, 0u);
-  EXPECT_FALSE(index->coverCertificatesBuilt());
   // Each window's index, from the cache (no miss): anchored at the window
   // centre, with the drift margin over the half-window plus the query
   // offset.
   std::size_t misses = FootprintIndex2::compiledCacheMisses();
   for (double centreS = 30.0; centreS < 300.0; centreS += 60.0) {
-    const auto windowIndex = FootprintIndex2::compiled(
+    (void)FootprintIndex2::compiled(
         SnapshotCache::global().at(fleet, centreS), mask,
         sweep.maxAngularRateRadPerS() * (30.0 + 1e-3) + 1e-6);
-    EXPECT_FALSE(windowIndex->coverCertificatesBuilt()) << centreS << " s";
   }
   EXPECT_EQ(FootprintIndex2::compiledCacheMisses(), misses);
 
@@ -1106,46 +1109,201 @@ TEST(FootprintIndex2, GroundQueriesLeaveCoverCertificatesUnbuilt) {
       buildCityFlows(flowCfg, flowSnap, satNodes, gateways, engine);
   EXPECT_FALSE(flows.specs.empty());
   misses = FootprintIndex2::compiledCacheMisses();
-  const auto flowIndex = FootprintIndex2::compiled(flowSnap, mask);
+  (void)FootprintIndex2::compiled(flowSnap, mask);
   EXPECT_EQ(FootprintIndex2::compiledCacheMisses(), misses);
-  EXPECT_FALSE(flowIndex->coverCertificatesBuilt());
-
-  // The first surface-sample query builds the table.
-  (void)index->anyCovers(Vec3{0.0, 0.0, 1.0});
-  EXPECT_TRUE(index->coverCertificatesBuilt());
-  EXPECT_FALSE(flowIndex->coverCertificatesBuilt());
 }
 
-TEST(FootprintIndex2, ConcurrentFirstQueriesShareOneCertificateBuild) {
+TEST(FootprintIndex2, CopiesAnswerLikeTheOriginal) {
+  // The index holds no lazily built or locked state, so a copy is a
+  // complete, independent index.
+  static_assert(std::is_copy_constructible_v<FootprintIndex2>);
+  static_assert(std::is_copy_assignable_v<FootprintIndex2>);
   const auto snap = std::make_shared<const ConstellationSnapshot>(
-      makeWalkerDelta({1'584, 72, 1, km(550.0), deg2rad(53.0)}), 300.0);
-  const double mask = deg2rad(10.0);
-  const std::uint64_t reference = atThreads(1, [&] {
-    const FootprintIndex2 serial(snap, mask);
-    return coverChecksum(serial);
-  });
+      makeWalkerStar(iridiumConfig()), 600.0);
+  const FootprintIndex2 original(snap, deg2rad(10.0));
+  const FootprintIndex2 copy = original;
+  EXPECT_EQ(layoutChecksum(copy.capIndex()),
+            layoutChecksum(original.capIndex()));
+  EXPECT_EQ(queryChecksum(copy), queryChecksum(original));
+  EXPECT_EQ(copy.approxBytes(), original.approxBytes());
+}
 
-  const FootprintIndex2 index(snap, mask);
-  ASSERT_FALSE(index.coverCertificatesBuilt());
-  constexpr int kThreads = 4;
-  std::atomic<int> ready{0};
-  std::vector<std::uint64_t> answers(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Release every thread at once so the first queries race.
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
+// ---------------------------------------------------------------------------
+// Degenerate fleets: the spatial queries against their brute references
+// ---------------------------------------------------------------------------
+
+struct DegenerateFleet {
+  const char* name;
+  std::vector<OrbitalElements> elements;
+};
+
+/// An e = 0.95 orbit: perigee ~1,100 km up, apogee ~0.76 lunar distances
+/// out, a period of ~6.7 days.
+OrbitalElements eccentricOrbit() {
+  OrbitalElements el;
+  el.semiMajorAxisM = 1.5e8;
+  el.eccentricity = 0.95;
+  el.inclinationRad = deg2rad(53.0);
+  return el;
+}
+
+/// No satellite, one, two coincident ones (one orbit published twice),
+/// and the e = 0.95 orbit beside a circular satellite it passes ~130 km
+/// away at perigee (t = 0: both on the line of nodes, in one plane).
+std::vector<DegenerateFleet> degenerateFleets() {
+  const OrbitalElements leo =
+      OrbitalElements::circular(km(1'000.0), deg2rad(53.0), 0.0, 0.0);
+  return {{"empty", {}},
+          {"one", {leo}},
+          {"coincident", {leo, leo}},
+          {"e=0.95", {eccentricOrbit(), leo}}};
+}
+
+/// Perigee, half an hour on, and near apogee of the e = 0.95 orbit.
+std::vector<double> degenerateTimes() {
+  return {0.0, 1'800.0, 0.5 * eccentricOrbit().periodS()};
+}
+
+/// Ground sites at both poles and on the antimeridian, plus one city.
+std::vector<Geodetic> degenerateSites() {
+  return {
+      Geodetic::fromDegrees(90.0, 0.0),      // north pole
+      Geodetic::fromDegrees(-90.0, 0.0),     // south pole
+      Geodetic::fromDegrees(0.0, 180.0),     // antimeridian, equator
+      Geodetic::fromDegrees(35.0, -180.0),   // antimeridian, north
+      Geodetic::fromDegrees(-62.0, 180.0),   // antimeridian, south
+      Geodetic::fromDegrees(40.44, -79.99),  // Pittsburgh
+  };
+}
+
+TEST(DegenerateFleets, CoverCertificatesMatchSpecIndex) {
+  Rng rng(501);
+  std::vector<Vec3> dirs = {{0.0, 0.0, 1.0},      {0.0, 0.0, -1.0},
+                            {-1.0, 0.0, 0.0},     {-1.0, 1e-300, 0.0},
+                            {-1.0, -1e-300, 0.0}, {1.0, 0.0, 0.0}};
+  for (const Geodetic& site : degenerateSites()) {
+    dirs.push_back(geodeticToEcef(site).normalized());
+  }
+  for (int q = 0; q < 2'000; ++q) dirs.push_back(rng.unitSphere());
+  for (const DegenerateFleet& fleet : degenerateFleets()) {
+    for (const double t : degenerateTimes()) {
+      const auto snap =
+          std::make_shared<const ConstellationSnapshot>(fleet.elements, t);
+      for (const double maskRad : {0.0, deg2rad(10.0)}) {
+        SCOPED_TRACE(::testing::Message() << fleet.name << " t=" << t
+                                          << " mask " << maskRad);
+        const FootprintIndex spec(*snap, maskRad);
+        const FootprintIndex2 index(snap, maskRad);
+        const CoverCertificates certs(index);
+        std::vector<Vec3> points = dirs;
+        for (std::size_t i = 0; i < index.size(); ++i) {
+          points.push_back(index.direction(i));
+          points.push_back(index.direction(i) * -1.0);
+        }
+        for (const Vec3& p : points) {
+          ASSERT_EQ(certs.anyCovers(p), spec.anyCovers(p))
+              << "(" << p.x << ", " << p.y << ", " << p.z << ")";
+          for (const int stopAfter : {-1, 0, 1, 2, 3}) {
+            ASSERT_EQ(certs.countCovering(p, stopAfter),
+                      spec.countCovering(p, stopAfter))
+                << "(" << p.x << ", " << p.y << ", " << p.z << ") stopAfter "
+                << stopAfter;
+          }
+        }
       }
-      answers[static_cast<std::size_t>(t)] = coverChecksum(index);
-    });
+    }
   }
-  for (std::thread& th : threads) th.join();
-  EXPECT_TRUE(index.coverCertificatesBuilt());
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(hex(answers[static_cast<std::size_t>(t)]), hex(reference))
-        << "thread " << t;
+}
+
+TEST(DegenerateFleets, IslTopologyMatchesAllPairs) {
+  for (const DegenerateFleet& fleet : degenerateFleets()) {
+    for (const double t : degenerateTimes()) {
+      const ConstellationSnapshot snap(fleet.elements, t);
+      const std::size_t n = snap.size();
+      for (const double maxRangeM : {1.0, 2e6, 1e12}) {
+        SCOPED_TRACE(::testing::Message()
+                     << fleet.name << " t=" << t << " range " << maxRangeM);
+        const auto isl = snap.islTopology(maxRangeM);
+        ASSERT_EQ(isl->adjacency.size(), n);
+        std::size_t degreeSum = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::vector<std::pair<std::size_t, double>> expect;
+          for (std::size_t j = 0; j < n; ++j) {
+            if (j == i) continue;
+            const double d = snap.eci(i).distanceTo(snap.eci(j));
+            if (d <= maxRangeM &&
+                lineOfSightClear(snap.eci(i), snap.eci(j), km(80.0))) {
+              expect.emplace_back(j, d);
+            }
+          }
+          degreeSum += expect.size();
+          ASSERT_EQ(isl->adjacency[i], expect) << "sat " << i;
+        }
+        EXPECT_EQ(isl->linkCount, degreeSum / 2);
+      }
+    }
   }
+  // Coincident satellites link at distance 0; the perigee pass links the
+  // e = 0.95 orbit to its circular neighbour.
+  const auto fleets = degenerateFleets();
+  EXPECT_EQ(ConstellationSnapshot(fleets[2].elements, 0.0)
+                .islTopology(2e6)->linkCount, 1u);
+  EXPECT_EQ(ConstellationSnapshot(fleets[3].elements, 0.0)
+                .islTopology(2e6)->linkCount, 1u);
+}
+
+TEST(DegenerateFleets, IslTopologyRefusesNonFiniteInputs) {
+  const ConstellationSnapshot snap(degenerateFleets()[3].elements, 0.0);
+  EXPECT_THROW((void)snap.islTopology(std::nan("")), InvalidArgumentError);
+  EXPECT_THROW((void)snap.islTopology(0.0), InvalidArgumentError);
+  EXPECT_THROW((void)snap.islTopology(2e6, std::nan("")), InvalidArgumentError);
+  EXPECT_THROW((void)snap.islTopology(
+                   2e6, std::numeric_limits<double>::infinity()),
+               InvalidArgumentError);
+  // Valid elements whose apogee overflows a double: the position half an
+  // orbit past perigee is not finite, and the grid refuses it.
+  OrbitalElements huge;
+  huge.semiMajorAxisM = 1e308;
+  huge.eccentricity = 0.9;
+  huge.meanAnomalyAtEpochRad = kPi;
+  const ConstellationSnapshot overflow({huge}, 0.0);
+  ASSERT_FALSE(std::isfinite(overflow.eci(0).x) &&
+               std::isfinite(overflow.eci(0).y) &&
+               std::isfinite(overflow.eci(0).z));
+  EXPECT_THROW((void)overflow.islTopology(2e6), InvalidArgumentError);
+}
+
+TEST(DegenerateFleets, SelectSatelliteMatchesAssociateUsers) {
+  const std::vector<Geodetic> sites = degenerateSites();
+  std::size_t covered = 0;
+  for (const DegenerateFleet& fleet : degenerateFleets()) {
+    std::vector<BeaconMessage> beacons;
+    for (std::size_t i = 0; i < fleet.elements.size(); ++i) {
+      BeaconMessage b;
+      b.satellite = SatelliteId(static_cast<std::uint32_t>(i + 1));
+      b.elements = fleet.elements[i];
+      beacons.push_back(b);
+    }
+    for (const double t : degenerateTimes()) {
+      for (const double maskRad : {0.0, deg2rad(10.0)}) {
+        const auto batch = associateUsers(beacons, t, sites, maskRad);
+        ASSERT_EQ(batch.size(), sites.size());
+        for (std::size_t u = 0; u < sites.size(); ++u) {
+          SCOPED_TRACE(::testing::Message() << fleet.name << " t=" << t
+                                            << " mask " << maskRad << " site "
+                                            << u);
+          const AssociationAgent agent(1, ProviderId(1), 7, sites[u]);
+          const auto single = agent.selectSatellite(beacons, t, maskRad);
+          ASSERT_EQ(single.has_value(), batch[u].covered);
+          if (single) {
+            ASSERT_EQ(*single, batch[u].satellite);
+            ++covered;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(covered, 0u);
 }
 
 }  // namespace

@@ -10,15 +10,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <sstream>
 #include <vector>
 
+#include <openspace/auth/association.hpp>
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/geodetic.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/geo/wgs84.hpp>
+#include <openspace/io/ephemeris_io.hpp>
+#include <openspace/orbit/ephemeris.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -152,6 +157,94 @@ TEST(SatelliteSweep, ResetRejectsNanEccentricity) {
   bad.eccentricity = std::numeric_limits<double>::quiet_NaN();
   SatelliteSweep sweep;
   EXPECT_THROW(sweep.reset(bad), InvalidArgumentError);
+}
+
+// --- Hostile elements are refused where they enter -------------------------
+
+/// Every door an element set comes through refuses `bad`: the shared check
+/// itself, FleetEphemeris (and with it ConstellationSnapshot), the
+/// SatelliteSweep constructor and reset(), the ephemeris parser, and both
+/// association entry points, which take elements from beacons.
+void expectRefusedAtEveryDoor(const OrbitalElements& bad) {
+  const OrbitalElements good =
+      OrbitalElements::circular(km(780.0), 1.0, 0.0, 0.0);
+  EXPECT_THROW(requireValidElements(bad), InvalidArgumentError);
+  EXPECT_THROW(FleetEphemeris({good, bad}), InvalidArgumentError);
+  EXPECT_THROW(ConstellationSnapshot({good, bad}, 0.0), InvalidArgumentError);
+  EXPECT_THROW(SatelliteSweep{bad}, InvalidArgumentError);
+  SatelliteSweep sweep(good);
+  EXPECT_THROW(sweep.reset(bad), InvalidArgumentError);
+  // The parser sees the element set as a publisher would write it.
+  EphemerisService eph;
+  eph.publish(ProviderId{1}, bad);
+  std::ostringstream os;
+  saveEphemeris(eph, os);
+  std::istringstream is(os.str());
+  EXPECT_THROW(loadEphemeris(is), ProtocolError) << os.str();
+  std::vector<BeaconMessage> beacons(2);
+  beacons[0].elements = good;
+  beacons[1].elements = bad;
+  const AssociationAgent agent(1, ProviderId{1}, 7, Geodetic{});
+  EXPECT_THROW((void)agent.selectSatellite(beacons, 0.0, 0.1),
+               InvalidArgumentError);
+  EXPECT_THROW((void)associateUsers(beacons, 0.0, {Geodetic{}}, 0.1),
+               InvalidArgumentError);
+}
+
+/// `field` of an otherwise valid element set set to each of `values`.
+void expectFieldRefused(double OrbitalElements::*field,
+                        std::initializer_list<double> values) {
+  for (const double v : values) {
+    SCOPED_TRACE(::testing::Message() << "value " << v);
+    OrbitalElements bad = OrbitalElements::circular(km(780.0), 1.0, 0.0, 0.0);
+    bad.*field = v;
+    expectRefusedAtEveryDoor(bad);
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(HostileElements, SemiMajorAxis) {
+  // 1e-100 is positive, but its cube underflows and the mean motion
+  // sqrt(mu / a^3) is infinite.
+  expectFieldRefused(&OrbitalElements::semiMajorAxisM,
+                     {kNan, kInf, -kInf, 0.0, -0.0, -7.0e6, 1e-100,
+                      std::numeric_limits<double>::denorm_min()});
+}
+
+TEST(HostileElements, Eccentricity) {
+  expectFieldRefused(&OrbitalElements::eccentricity,
+                     {kNan, kInf, -kInf, -0.1, 1.0, 1.5});
+}
+
+TEST(HostileElements, Inclination) {
+  expectFieldRefused(&OrbitalElements::inclinationRad, {kNan, kInf, -kInf});
+}
+
+TEST(HostileElements, Raan) {
+  expectFieldRefused(&OrbitalElements::raanRad, {kNan, kInf, -kInf});
+}
+
+TEST(HostileElements, ArgumentOfPerigee) {
+  expectFieldRefused(&OrbitalElements::argPerigeeRad, {kNan, kInf, -kInf});
+}
+
+TEST(HostileElements, MeanAnomalyAtEpoch) {
+  expectFieldRefused(&OrbitalElements::meanAnomalyAtEpochRad,
+                     {kNan, kInf, -kInf});
+}
+
+TEST(HostileElements, ExtremeButValidElementsPass) {
+  // The check refuses only what cannot be propagated: tiny and huge axes,
+  // e just below 1 and huge angles all pass.
+  for (const OrbitalElements& el :
+       {OrbitalElements{1e-90, 0.0, 0.0, 0.0, 0.0, 0.0},
+        OrbitalElements{1e300, 0.999999, 1e6, -1e6, 1e9, -1e9},
+        OrbitalElements{7.0e6, 0.0, 0.0, 0.0, 0.0, 0.0}}) {
+    EXPECT_NO_THROW(requireValidElements(el));
+    EXPECT_NO_THROW(SatelliteSweep{el});
+  }
 }
 
 TEST(FleetEphemeris, EmptyFleetIsFine) {

@@ -338,14 +338,13 @@ TEST(Snapshot, TinyRangeGridClampMatchesAllPairs) {
 }
 
 TEST(Snapshot, IslPathSelectionBoundaryIsInvisible) {
-  // islTopology() switches from the all-pairs scan to the spatial grid
-  // strictly above kIslAllPairsMaxSats. The crossover is a perf decision
-  // only: at 255 / 256 (all-pairs) and 257 (grid) satellites the adjacency
-  // must match the all-pairs definition pair-for-pair, bitwise distances
-  // and ordering included.
+  // islTopology() once switched from an all-pairs scan to the spatial grid
+  // above 256 satellites; the grid now serves every fleet size. At 255,
+  // 256 and 257 satellites the adjacency must still match the all-pairs
+  // definition pair-for-pair, bitwise distances and ordering included.
   const double maxRange = 2'500'000.0;
-  for (const std::size_t n :
-       {kIslAllPairsMaxSats - 1, kIslAllPairsMaxSats, kIslAllPairsMaxSats + 1}) {
+  for (const std::size_t n : {std::size_t{255}, std::size_t{256},
+                              std::size_t{257}}) {
     const auto sats = testConstellation(static_cast<int>(n), 19);
     const ConstellationSnapshot snap(sats, 42.0);
     const auto isl = snap.islTopology(maxRange);
